@@ -14,9 +14,8 @@ from .fiber import (FiberAlgebra, FiberElement, FiberPoint, FullRep,
                     full_matrix_rep, in_azumaya_locus, pprime_module,
                     rank1_matrix_rep, reduce_to_fiber, untwist_iso)
 from .lattice import (ModEllKernel, QuiverData, TorusEmbedding,
-                      classical_moment, elementary_divisors, enumerate_vectors,
-                      is_unimodular, kernel_mod_ell, quiver_to_embedding,
-                      smith_normal_form)
+                      classical_moment, elementary_divisors, is_unimodular,
+                      kernel_mod_ell, quiver_to_embedding, smith_normal_form)
 from .linalg import SpanBasis, nullspace
 from .pbw import (PBWAlgebra, PBWElement, QmmResult, act_rank1, euler,
                   power_alpha_ell, verify_qmm)
@@ -40,7 +39,7 @@ __all__ = [
     "in_azumaya_locus", "pprime_module", "rank1_matrix_rep",
     "reduce_to_fiber", "untwist_iso",
     "ModEllKernel", "QuiverData", "TorusEmbedding", "classical_moment",
-    "elementary_divisors", "enumerate_vectors", "is_unimodular",
+    "elementary_divisors", "is_unimodular",
     "kernel_mod_ell", "quiver_to_embedding", "smith_normal_form",
     "SpanBasis", "nullspace",
     "PBWAlgebra", "PBWElement", "QmmResult", "act_rank1", "euler",

@@ -65,6 +65,14 @@ def validate_config(cfg: dict) -> None:
         if not isinstance(task, dict) or task.get("type") not in TASK_TYPES:
             raise ValueError(
                 f"task {i}: 'type' must be one of {', '.join(TASK_TYPES)}")
+        if task["type"] == "normalize":
+            exprs = task.get("expressions", [])
+            if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
+                raise ValueError(f"task {i}: 'expressions' must be a list of strings")
+        if task["type"] == "center-check":
+            deg = task.get("max_degree", 6)
+            if type(deg) is not int or deg < 0:  # bool is an int subclass
+                raise ValueError(f"task {i}: 'max_degree' must be an integer >= 0")
 
 
 def build_embedding(cfg: dict) -> TorusEmbedding:

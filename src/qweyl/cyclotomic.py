@@ -104,8 +104,7 @@ class CycField:
         one = [_ZERO] * self.degree
         one[0] = Fraction(1)
         self._one = CycScalar(self, tuple(one))
-        # caches used by the operator-algebra layer
-        self.reorder_cache: dict = {}
+        # cache used by the operator-algebra layer
         self.gauss_cache: dict = {}
 
     def _high_power_table(self) -> dict[int, list[Fraction]]:

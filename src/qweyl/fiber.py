@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycField, CycScalar
 from .lattice import TorusEmbedding
-from .linalg import SpanBasis
+from .linalg import SpanBasis, vec_accumulate
 from .pbw import PBWAlgebra, PBWElement
 
 
@@ -63,14 +63,7 @@ class Matrix:
         return self.entries.get(rc, self.field.zero)
 
     def __add__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        out = vec_accumulate(dict(self.entries), other.entries.items())
         return Matrix(self.field, self.size, out)
 
     def __sub__(self, other):
@@ -89,17 +82,8 @@ class Matrix:
             rows: dict[int, list] = {}
             for (r, c), v in other.entries.items():
                 rows.setdefault(r, []).append((c, v))
-            out: dict[tuple[int, int], CycScalar] = {}
-            for (r, c), v in self.entries.items():
-                for c2, v2 in rows.get(c, ()):
-                    key = (r, c2)
-                    s = out.get(key)
-                    p = v * v2
-                    s = p if s is None else s + p
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+            out = vec_accumulate({}, (((r, c2), v * v2) for (r, c), v in self.entries.items()
+                                      for c2, v2 in rows.get(c, ())))
             return Matrix(self.field, self.size, out)
         return self.scale(other)
 
@@ -223,15 +207,7 @@ class FiberElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in o.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return FiberElement(self.parent, out)
+        return FiberElement(self.parent, vec_accumulate(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
@@ -319,37 +295,24 @@ class FiberAlgebra:
         """Fold exponents with x_i^ell = c_i and d_i^ell = w_i."""
         if a.algebra is not self.algebra:
             raise ValueError("element of a different algebra")
-        F = self.algebra.field
         ell = self.ell
-        out: dict = {}
-        for (m, k), c in a.terms.items():
-            coeff = c
-            rm, rk = [], []
-            for i in range(self.n):
-                ci, wi = self.point.lam[i]
-                qm, re = divmod(m[i], ell)
-                if qm:
-                    coeff = coeff * ci ** qm
-                rm.append(re)
-                qk, rke = divmod(k[i], ell)
-                if qk:
-                    coeff = coeff * wi ** qk
-                rk.append(rke)
-                if not coeff:
-                    break
-            if not coeff:
-                continue
-            key = (tuple(rm), tuple(rk))
-            prev = out.get(key)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return FiberElement(self, out)
 
-    def lift(self, e: FiberElement) -> PBWElement:
-        return e.lift()
+        def folded():
+            for (m, k), coeff in a.terms.items():
+                rm, rk = [], []
+                for i in range(self.n):
+                    ci, wi = self.point.lam[i]
+                    qm, re = divmod(m[i], ell)
+                    if qm:
+                        coeff = coeff * ci ** qm
+                    rm.append(re)
+                    qk, rke = divmod(k[i], ell)
+                    if qk:
+                        coeff = coeff * wi ** qk
+                    rk.append(rke)
+                yield (tuple(rm), tuple(rk)), coeff
+
+        return FiberElement(self, vec_accumulate({}, folded()))
 
     def multiply(self, a: FiberElement, b: FiberElement) -> FiberElement:
         return self.reduce(self.algebra.multiply(a.lift(), b.lift()))
@@ -537,28 +500,23 @@ class UntwistMap:
         """(E (x) Y)(E' (x) Y') = q^{<deg Y, deg E'>} EE' (x) YY'."""
         F = self.left.field
         s1 = self.left.size
-        out: dict = {}
-        for (r, c), v in a.entries.items():
-            r1, r2 = r % s1, r // s1
-            c1, c2 = c % s1, c // s1
-            degY = self.right.deg(r2, c2)
-            for (r_, c_), v_ in b.entries.items():
-                p1, p2 = r_ % s1, r_ // s1
-                if p1 != c1 or p2 != c2:
-                    continue
-                q1, q2 = c_ % s1, c_ // s1
-                degEp = self.left.deg(p1, q1)
-                e = sum(degY[i] * self.left.form[i][j] * degEp[j]
-                        for i in range(len(degY)) for j in range(len(degEp)))
-                key = (r1 + s1 * r2, q1 + s1 * q2)
-                term = v * v_ * F.qpow(e)
-                prev = out.get(key)
-                s = term if prev is None else prev + term
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Matrix(F, a.size, out)
+
+        def terms():
+            for (r, c), v in a.entries.items():
+                r1, r2 = r % s1, r // s1
+                c1, c2 = c % s1, c // s1
+                degY = self.right.deg(r2, c2)
+                for (r_, c_), v_ in b.entries.items():
+                    p1, p2 = r_ % s1, r_ // s1
+                    if p1 != c1 or p2 != c2:
+                        continue
+                    q1, q2 = c_ % s1, c_ // s1
+                    degEp = self.left.deg(p1, q1)
+                    e = sum(degY[i] * self.left.form[i][j] * degEp[j]
+                            for i in range(len(degY)) for j in range(len(degEp)))
+                    yield (r1 + s1 * r2, q1 + s1 * q2), v * v_ * F.qpow(e)
+
+        return Matrix(F, a.size, vec_accumulate({}, terms()))
 
 
 def untwist_iso(left: GradedMatrixAlgebra, right: GradedMatrixAlgebra) -> UntwistMap:

@@ -9,10 +9,9 @@ drives all q-commutation exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
-from itertools import product as iproduct
+from math import gcd
 from typing import Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -168,7 +167,8 @@ class ModEllKernel:
                         nxt.append(cand)
             frontier = nxt
         out = sorted(seen)
-        assert len(out) == self.size
+        if len(out) != self.size:
+            raise ArithmeticError(f"kernel closure has {len(out)} elements, expected {self.size}")
         return out
 
     def contains(self, v: Sequence[int]) -> bool:
@@ -176,9 +176,6 @@ class ModEllKernel:
         if len(v) != self.nvars:
             raise ValueError("wrong length")
         return v in set(self.members())
-
-    def coset_count(self) -> int:
-        return self.ell ** self.nvars // self.size
 
 
 def kernel_mod_ell(matrix, ell: int) -> ModEllKernel:
@@ -407,8 +404,3 @@ def quiver_to_embedding(quiver: QuiverData) -> TorusEmbedding:
             for b in idx:
                 form[a][b] = 1 + (1 if a == b else 0)
     return TorusEmbedding(n=n, d=d, matrix=tuple(rows), form=tuple(tuple(r) for r in form))
-
-
-def enumerate_vectors(length: int, modulus: int):
-    """All tuples in {0..modulus-1}^length, lexicographic."""
-    return iproduct(range(modulus), repeat=length)

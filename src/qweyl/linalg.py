@@ -11,37 +11,20 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Optional
 
-from .cyclotomic import CycField, CycScalar
+from .cyclotomic import CycField
 
 Vec = dict
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        s = v if s is None else s + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def vec_scale(a: Vec, c: CycScalar) -> Vec:
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
-def vec_sub_scaled(a: Vec, c: CycScalar, b: Vec) -> Vec:
-    """a - c*b, dropping cancellations."""
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        s = -(c * v) if s is None else s - c * v
-        if s:
-            out[k] = s
+def vec_accumulate(out: Vec, items: Iterable[tuple]) -> Vec:
+    """Add each (key, value) of items into out in place, dropping keys that cancel."""
+    get = out.get
+    for k, v in items:
+        s = get(k)
+        if s is not None:
+            v = s + v
+        if v:
+            out[k] = v
         else:
             out.pop(k, None)
     return out
@@ -53,15 +36,13 @@ class SpanBasis:
     key_order fixes which coordinate of a vector counts as its pivot
     (the minimal key under the ordering).  Leaving it None uses the
     default ordering of the keys, which must then be mutually comparable.
+    Every row is 1 at its pivot and 0 at every other pivot.
     """
 
     def __init__(self, field: CycField, key_order: Optional[Callable[[Hashable], object]] = None):
         self.field = field
         self._key = key_order if key_order is not None else (lambda k: k)
         self._rows: dict = {}  # pivot key -> vector with that pivot scaled to 1
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
     @property
     def rank(self) -> int:
@@ -73,30 +54,15 @@ class SpanBasis:
     def pivots(self) -> list:
         return sorted(self._rows, key=self._key)
 
-    def reduce(self, vec: Vec) -> Vec:
-        """Residue of vec modulo the span."""
-        out = dict(vec)
-        while out:
-            p = min(out, key=self._key)
-            row = self._rows.get(p)
-            if row is None:
-                # leading coordinate not a pivot: eliminate any interior hits
-                return self._sweep_tail(out)
-            out = vec_sub_scaled(out, out[p], row)
-        return out
+    def row(self, pivot: Hashable) -> Vec:
+        """The row with the given pivot; read-only, later adds update it."""
+        return self._rows[pivot]
 
-    def _sweep_tail(self, vec: Vec) -> Vec:
-        out = dict(vec)
-        hit = True
-        while hit:
-            hit = False
-            for k in list(out):
-                row = self._rows.get(k)
-                if row is not None:
-                    out = vec_sub_scaled(out, out[k], row)
-                    hit = True
-                    break
-        return out
+    def reduce(self, vec: Vec) -> Vec:
+        """Residue of vec modulo the span: vec - sum of vec[p] * row_p over its pivots p."""
+        rows = self._rows
+        hits = [(-c, rows[p]) for p, c in vec.items() if p in rows]
+        return vec_accumulate(dict(vec), ((k, c * w) for c, row in hits for k, w in row.items()))
 
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
@@ -108,53 +74,15 @@ class SpanBasis:
             return False
         p = min(res, key=self._key)
         inv = res[p].inverse()
-        new_row = vec_scale(res, inv)
+        new_row = {k: inv * v for k, v in res.items()}
         # back-substitute into existing rows to keep full reduction
-        for piv, row in list(self._rows.items()):
+        for row in self._rows.values():
             c = row.get(p)
             if c is not None:
-                self._rows[piv] = vec_sub_scaled(row, c, new_row)
+                c = -c
+                vec_accumulate(row, ((k, c * v) for k, v in new_row.items()))
         self._rows[p] = new_row
         return True
-
-    def extend(self, vecs: Iterable[Vec]) -> int:
-        n = 0
-        for v in vecs:
-            if self.add(v):
-                n += 1
-        return n
-
-    def coordinates(self, vec: Vec) -> Optional[dict]:
-        """Express vec over the pivot rows: {pivot_key: coefficient}, or None."""
-        out = dict(vec)
-        coords: dict = {}
-        while out:
-            p = min(out, key=self._key)
-            row = self._rows.get(p)
-            if row is None:
-                rem = self._sweep_tail(out)
-                if rem:
-                    return None
-                # _sweep_tail loses the coefficients; redo carefully
-                return self._coords_slow(vec)
-            coords[p] = out[p]
-            out = vec_sub_scaled(out, out[p], row)
-        return coords
-
-    def _coords_slow(self, vec: Vec) -> Optional[dict]:
-        out = dict(vec)
-        coords: dict = {}
-        hit = True
-        while out and hit:
-            hit = False
-            for k in sorted(out, key=self._key):
-                row = self._rows.get(k)
-                if row is not None:
-                    coords[k] = coords.get(k, self.field.zero) + out[k]
-                    out = vec_sub_scaled(out, out[k], row)
-                    hit = True
-                    break
-        return None if out else coords
 
 
 def nullspace(rows: Iterable[Vec], unknowns: list, field: Optional[CycField] = None) -> list[Vec]:
@@ -171,14 +99,14 @@ def nullspace(rows: Iterable[Vec], unknowns: list, field: Optional[CycField] = N
     for r in rows:
         if r:
             span.add(r)
-    pivots = set(span.pivots())
+    piv_rows = [(p, span.row(p)) for p in span.pivots()]
+    pivots = {p for p, _ in piv_rows}
     basis: list[Vec] = []
-    piv_rows = {p: row for p, row in zip(span.pivots(), span.rows())}
     for u in unknowns:
         if u in pivots:
             continue
         sol: Vec = {u: field.one}
-        for p, row in piv_rows.items():
+        for p, row in piv_rows:
             c = row.get(u)
             if c is not None:
                 sol[p] = -c

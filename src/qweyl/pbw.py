@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .cyclotomic import CycField, CycScalar
 from .lattice import TorusEmbedding
+from .linalg import vec_accumulate
 
 MonoKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -149,7 +150,8 @@ class PBWAlgebra:
                     tot -= P[j][i] * ki * m[j]
         return tot
 
-    def _mul_mono(self, m1, k1, m2, k2, c: CycScalar) -> dict[MonoKey, CycScalar]:
+    def _mul_mono(self, m1, k1, m2, k2, c: CycScalar):
+        """The terms (key, coeff) of c * x^m1 d^k1 * x^m2 d^k2, keys may repeat."""
         P = self.pairings
         braid = 0
         for i in range(self.n):
@@ -160,36 +162,20 @@ class PBWAlgebra:
                 braid += P[j][i] * (m1[j] - k1[j]) * ti
         e0 = self._tensor_twist(m1, k1) + self._tensor_twist(m2, k2) + braid
         per_index = [self._crossing(k1[i], m2[i]) for i in range(self.n)]
-        out: dict[MonoKey, CycScalar] = {}
         for choice in iproduct(*per_index):
             rm = tuple(m1[i] + m2[i] - choice[i][0] for i in range(self.n))
             rk = tuple(k1[i] + k2[i] - choice[i][0] for i in range(self.n))
             coeff = c * self.field.qpow(e0 - self._tensor_twist(rm, rk))
             for _, cf in choice:
                 coeff = coeff * cf
-            key = (rm, rk)
-            prev = out.get(key)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return out
+            yield (rm, rk), coeff
 
     def multiply(self, a: "PBWElement", b: "PBWElement") -> "PBWElement":
         if a.algebra is not self or b.algebra is not self:
             raise ValueError("operands belong to a different algebra")
-        acc: dict[MonoKey, CycScalar] = {}
-        for (m1, k1), c1 in a.terms.items():
-            for (m2, k2), c2 in b.terms.items():
-                for key, cf in self._mul_mono(m1, k1, m2, k2, c1 * c2).items():
-                    prev = acc.get(key)
-                    s = cf if prev is None else prev + cf
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
-        return PBWElement(self, acc)
+        return PBWElement(self, vec_accumulate({}, (
+            term for (m1, k1), c1 in a.terms.items() for (m2, k2), c2 in b.terms.items()
+            for term in self._mul_mono(m1, k1, m2, k2, c1 * c2))))
 
     def normal_form(self, word: Iterable[tuple]) -> "PBWElement":
         """Product of generator letters ('x'|'d'|'a', index, exponent?).
@@ -241,15 +227,7 @@ class PBWElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in o.terms.items():
-            prev = out.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return PBWElement(self.algebra, out)
+        return PBWElement(self.algebra, vec_accumulate(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
@@ -402,31 +380,20 @@ def act_rank1(a: PBWElement, f: Union[dict, Sequence]) -> dict[int, CycScalar]:
     if A.n != 1:
         raise ValueError("the polynomial representation exists for n = 1 only")
     F = A.field
-    if not isinstance(f, dict):
-        f = {i: c for i, c in enumerate(f)}
-    poly = {}
-    for j, c in f.items():
-        c = F.scalar(c)
-        if c:
-            poly[int(j)] = poly.get(int(j), F.zero) + c
-    out: dict[int, CycScalar] = {}
-    for ((m,), (k,)), cf in a.terms.items():
-        for j, c in poly.items():
-            if k > j:
-                continue
-            scal = cf * c
-            for s in range(j - k + 1, j + 1):
-                scal = scal * (F.qpow(2 * s) - 1)
-            if not scal:
-                continue
-            key = j - k + m
-            prev = out.get(key)
-            tot = scal if prev is None else prev + scal
-            if tot:
-                out[key] = tot
-            else:
-                out.pop(key, None)
-    return out
+    items = f.items() if isinstance(f, dict) else enumerate(f)
+    poly = vec_accumulate({}, ((int(j), F.scalar(c)) for j, c in items))
+
+    def terms():
+        for ((m,), (k,)), cf in a.terms.items():
+            for j, c in poly.items():
+                if k > j:
+                    continue
+                scal = cf * c
+                for s in range(j - k + 1, j + 1):
+                    scal = scal * (F.qpow(2 * s) - 1)
+                yield j - k + m, scal
+
+    return vec_accumulate({}, terms())
 
 
 @dataclass

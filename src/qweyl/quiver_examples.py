@@ -17,6 +17,7 @@ from typing import Optional
 
 from .cyclotomic import CycField, CycScalar
 from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
+from .linalg import vec_accumulate
 from .pbw import PBWAlgebra
 
 
@@ -126,13 +127,7 @@ class DifferenceOperator:
 
     def apply(self, f: dict) -> dict:
         """Push a Laurent polynomial {exponent: coefficient} through."""
-        out: dict = {}
-        for k, v in f.items():
-            c = self.scalar_at(k) * v
-            if c:
-                kk = k + self.shift
-                out[kk] = out[kk] + c if kk in out else c
-        return {k: v for k, v in out.items() if v}
+        return vec_accumulate({}, ((k + self.shift, self.scalar_at(k) * v) for k, v in f.items()))
 
     def scale(self, c) -> "DifferenceOperator":
         c = self.field.scalar(c)

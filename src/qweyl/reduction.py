@@ -214,19 +214,16 @@ def _is_matrix_algebra(field: CycField, block: Sequence[int], size: int,
     # center: solve z E_{ab} = E_{ab} z for all a, b
     unknowns = [(a, b) for a in range(m) for b in range(m)]
     rows = []
-    for a in range(m):
-        for b in range(m):
-            # commutator with E_{ab}: (z E)_{r,c} - (E z)_{r,c}
-            for r in range(m):
-                for c in range(m):
-                    coeffs: dict = {}
-                    if c == b:
-                        coeffs[(r, a)] = coeffs.get((r, a), field.zero) + field.one
-                    if r == a:
-                        coeffs[(b, c)] = coeffs.get((b, c), field.zero) - field.one
-                    coeffs = {k: v for k, v in coeffs.items() if v}
-                    if coeffs:
-                        rows.append(coeffs)
+    for a, b, r, c in iproduct(range(m), repeat=4):
+        # commutator with E_{ab}: (z E - E z)_{r,c} = z_{ra} [c = b] - [r = a] z_{bc};
+        # the two terms share a key only at r = a = b = c, where they cancel
+        coeffs: dict = {}
+        if c == b:
+            coeffs[(r, a)] = field.one
+        if r == a:
+            coeffs[(b, c)] = -field.one
+        if coeffs and not r == a == b == c:
+            rows.append(coeffs)
     center = nullspace(rows, unknowns, field=field)
     if len(center) != 1:
         return False
@@ -293,10 +290,6 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
             for a in range(size):
                 span.add({(a, b): ent})
     ideal_graded = [p for p in span.pivots() if p in invariant_keys]
-    # rows with an invariant pivot have support only on invariant keys
-    for p in ideal_graded:
-        row = dict(zip(span.pivots(), span.rows()))[p]
-        assert all(k in invariant_keys for k in row), "graded slice leaked"
     ideal_dim = len(ideal_graded)
     quotient_dim = invariant_dim - ideal_dim
 
@@ -312,14 +305,19 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
                 ent[(pos[r], pos[c])] = v
         return Matrix(F, m, ent)
 
-    # the restriction must identify the quotient: dimensions match and
-    # the graded ideal is exactly the kernel of restriction on invariants
-    assert quotient_dim == m * m, (quotient_dim, m)
+    # the restriction must identify the quotient: dimensions match, rows
+    # with an invariant pivot have support only on invariant keys, and
+    # the graded ideal is exactly the kernel of restriction on invariants,
+    # acting by zero on the module columns
+    is_mat = quotient_dim == m * m
+    ideal_acts_by_zero = True
     for p in ideal_graded:
-        a, b = p
-        assert b not in pos, "ideal row survives restriction"
-
-    is_mat = _is_matrix_algebra(F, block_lin, size, restrict)
+        row = span.row(p)
+        if p[1] in pos or any(k not in invariant_keys for k in row):
+            is_mat = False
+        if any(b in pos for _, b in row):
+            ideal_acts_by_zero = False
+    is_mat = is_mat and _is_matrix_algebra(F, block_lin, size, restrict)
 
     # invariant module: the column space at a row u in the surviving
     # coset, i.e. the quotient by the left ideal of shifted Euler
@@ -331,17 +329,15 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     # space at u by left multiplication (E_{ab} E_{ru} = delta_{br} E_{au});
     # its image must fill End(module) and the graded ideal must act by zero
     act_span = SpanBasis(F)
+    stays_in_module = True
     for (a, b) in sorted(invariant_keys):
-        mat = {(pos[a], pos.get(b, -1)): F.one} if b in pos else {}
-        if mat and a not in pos:
-            raise AssertionError("invariant action leaves the module columns")
-        if mat:
-            act_span.add(mat)
-    bijective = act_span.rank == quotient_dim == module_dim ** 2
-    rowmap = dict(zip(span.pivots(), span.rows()))
-    for p in ideal_graded:
-        for (a, b) in rowmap[p]:
-            assert b not in pos, "moment ideal acts nontrivially on the module"
+        if b in pos:
+            if a in pos:
+                act_span.add({(pos[a], pos[b]): F.one})
+            else:
+                stays_in_module = False
+    bijective = (act_span.rank == quotient_dim == module_dim ** 2
+                 and stays_in_module and ideal_acts_by_zero)
 
     shifted_gamma = tuple(point.gamma[i] * F.qpow(-2 * u[i]) for i in range(n))
     return ReductionResult(

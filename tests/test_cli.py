@@ -140,6 +140,23 @@ def test_missing_and_malformed_configs_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("task", [
+    {"type": "normalize", "expressions": "d1*x1"},       # a string, not a list
+    {"type": "normalize", "expressions": ["x1", 2]},     # a non-string entry
+    {"type": "center-check", "max_degree": -1},          # empty key set
+    {"type": "center-check", "max_degree": "3"},
+    {"type": "center-check", "max_degree": True},
+])
+def test_malformed_task_fields_exit_2(tmp_path, capsys, task):
+    cfg = {"ell": 3, "embedding": {"matrix": [[1]], "form": [[2]]}, "tasks": [task]}
+    with pytest.raises(ValueError):
+        validate_config(cfg)
+    for command in ("verify", "report"):
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: task 0: ") and err.count("\n") == 1
+
+
 def test_report_is_byte_identical(tmp_path, capsys):
     path = write_cfg(tmp_path, suite_cfg())
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qweyl import (QuiverData, TorusEmbedding, classical_moment,
+from qweyl import (ModEllKernel, QuiverData, TorusEmbedding, classical_moment,
                    elementary_divisors, is_unimodular, kernel_mod_ell,
                    quiver_to_embedding, smith_normal_form)
 from qweyl.lattice import mat_mul, transpose
@@ -88,6 +88,13 @@ def test_kernel_free_flag():
     ker2 = kernel_mod_ell(((3,),), 9)
     assert not ker2.free
     assert ker2.size == 3
+
+
+def test_kernel_members_raises_on_a_wrong_size():
+    # the generators close up to 3 elements, not the claimed 9
+    ker = ModEllKernel(ell=3, nvars=2, generators=((1, 2),), free=True, size=9)
+    with pytest.raises(ArithmeticError):
+        ker.members()
 
 
 def test_classical_moment():

@@ -1,0 +1,149 @@
+"""Sparse linear algebra over Q(q): the accumulate helper, SpanBasis, nullspace.
+
+Random sparse vectors at ell = 3 and 5 with small integer and q-power
+coefficients, reduced under the default key order and under a custom
+one.  SpanBasis keeps reduced row echelon form, so every property below
+is an exact identity.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qweyl import CycField, SpanBasis, nullspace
+from qweyl.linalg import vec_accumulate
+
+FIELDS = {ell: CycField(ell) for ell in (3, 5)}
+KEYS = range(8)
+# a total order on KEYS unrelated to the integer order
+KEY_ORDERS = [None, lambda k: ((3 * k) % 8, k)]
+ORDER_IDS = ["default-order", "custom-order"]
+
+
+def scalars(F):
+    # sums of one or two terms a * q^k with small integer a
+    term = st.builds(lambda a, k: F.scalar(a) * F.qpow(k),
+                     st.integers(-3, 3), st.integers(0, F.ell - 1))
+    return st.lists(term, min_size=1, max_size=2).map(lambda ts: sum(ts[1:], ts[0]))
+
+
+def vectors(F, max_size=4):
+    return st.dictionaries(st.sampled_from(KEYS), scalars(F), max_size=max_size).map(
+        lambda v: {k: c for k, c in v.items() if c})
+
+
+def vsum(a, b, c=1):
+    return vec_accumulate(dict(a), ((k, c * v) for k, v in b.items()))
+
+
+@st.composite
+def field_and_vectors(draw, count=5):
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    vecs = draw(st.lists(vectors(F), min_size=1, max_size=count))
+    # a dependent vector, so adds that do not raise the rank occur too
+    a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+    vecs.insert(draw(st.integers(0, len(vecs))), vsum(a, b, draw(scalars(F))))
+    return F, vecs
+
+
+def naive_sum(items):
+    out = {}
+    for k, v in items:
+        out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if v}
+
+
+def build(F, vecs, key_order):
+    span = SpanBasis(F, key_order=key_order)
+    for v in vecs:
+        span.add(v)
+    return span
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_accumulate_drops_cancelled_keys_and_matches_naive_sum(data):
+    F = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(KEYS), scalars(F)), max_size=8))
+    # force exact cancellations by appending negatives of some terms
+    undo = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    items = pairs + [(k, -v) for k, v in undo]
+    start = data.draw(vectors(F))
+    out = vec_accumulate(dict(start), iter(items))
+    assert out == naive_sum(list(start.items()) + items)
+    assert all(out.values())
+
+
+@pytest.mark.parametrize("key_order", KEY_ORDERS, ids=ORDER_IDS)
+@settings(max_examples=25, deadline=None)
+@given(fv=field_and_vectors())
+def test_rows_stay_fully_reduced_after_every_add(key_order, fv):
+    F, vecs = fv
+    key = key_order or (lambda k: k)
+    span = SpanBasis(F, key_order=key_order)
+    for v in vecs:
+        span.add(v)
+        pivots = span.pivots()
+        for p in pivots:
+            row = span.row(p)
+            assert row[p] == F.one
+            assert min(row, key=key) == p
+            assert all(q not in row for q in pivots if q != p)
+        assert span.rank == len(pivots)
+
+
+@pytest.mark.parametrize("key_order", KEY_ORDERS, ids=ORDER_IDS)
+@settings(max_examples=25, deadline=None)
+@given(fv=field_and_vectors(), data=st.data())
+def test_reduce_clears_pivots_and_is_linear(key_order, fv, data):
+    F, vecs = fv
+    span = build(F, vecs, key_order)
+    a, b = data.draw(vectors(F, 6)), data.draw(vectors(F, 6))
+    c = data.draw(scalars(F))
+    ra, rb = span.reduce(a), span.reduce(b)
+    assert not set(ra) & set(span.pivots())
+    assert span.reduce(vsum(a, b, c)) == vsum(ra, rb, c)
+    assert span.reduce(ra) == ra
+    # a - reduce(a) lies in the span
+    assert span.contains(vsum(a, ra, -1))
+
+
+@pytest.mark.parametrize("key_order", KEY_ORDERS, ids=ORDER_IDS)
+@settings(max_examples=25, deadline=None)
+@given(fv=field_and_vectors())
+def test_contains_every_added_vector(key_order, fv):
+    F, vecs = fv
+    span = build(F, vecs, key_order)
+    assert all(span.contains(v) for v in vecs)
+    assert span.rank < len(vecs)
+
+
+@pytest.mark.parametrize("key_order", KEY_ORDERS, ids=ORDER_IDS)
+@settings(max_examples=25, deadline=None)
+@given(fv=field_and_vectors(), perm=st.randoms(use_true_random=False))
+def test_rank_and_rows_do_not_depend_on_insertion_order(key_order, fv, perm):
+    F, vecs = fv
+    shuffled = list(vecs)
+    perm.shuffle(shuffled)
+    one, two = build(F, vecs, key_order), build(F, shuffled, key_order)
+    assert one.rank == two.rank
+    # reduced row echelon form is canonical
+    assert one.rows() == two.rows()
+
+
+@settings(max_examples=30, deadline=None)
+@given(fv=field_and_vectors(count=6), perm=st.randoms(use_true_random=False))
+def test_nullspace_solutions_annihilate_every_row(fv, perm):
+    F, rows = fv
+    unknowns = list(KEYS)
+    perm.shuffle(unknowns)
+    sols = nullspace(rows, unknowns, field=F)
+    for sol in sols:
+        for row in rows:
+            total = F.zero
+            for u, c in row.items():
+                total = total + c * sol.get(u, F.zero)
+            assert not total
+    rank = build(F, rows, lambda k: unknowns.index(k)).rank
+    assert len(sols) == len(unknowns) - rank
+    # the solutions are independent
+    assert build(F, sols, None).rank == len(sols)

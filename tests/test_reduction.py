@@ -1,7 +1,13 @@
 """Hamiltonian reduction of the matrix fibers by the graded torus action."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from qweyl import reduction
 from qweyl import (CycField, EmptyReductionError, FiberPoint, Matrix,
                    OutsideAzumayaLocus, TorusEmbedding, admissible_etas,
                    eta_shift, full_matrix_rep, gamma_grading,
@@ -225,3 +231,41 @@ def test_reduction_trivial_torus_keeps_everything():
         "is_matrix_algebra": True,
         "eta_admissible": True,
     }
+
+
+# -- checks that fail on a defect --------------------------------------------
+
+def reduce_with_broken_diagonal():
+    """ell = 3, embedding [[1],[1]], trivial point, eta (1,), with one
+    vanishing entry of the moment diagonal set to 1."""
+    F = CycField(3)
+    original = reduction.moment_diagonals
+
+    def broken(*args, **kwargs):
+        diags = original(*args, **kwargs)
+        entries = dict(diags[0].entries)
+        entries[(0, 0)] = F.one  # row (0, 0) lies on the vanishing coset
+        return [Matrix(F, diags[0].size, entries)] + diags[1:]
+
+    reduction.moment_diagonals = broken
+    try:
+        return hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
+    finally:
+        reduction.moment_diagonals = original
+
+
+def test_broken_moment_diagonal_is_not_a_matrix_algebra():
+    res = reduce_with_broken_diagonal()
+    assert res.module_dim == 2 and res.quotient_dim == 6
+    assert res.is_matrix_algebra is False
+
+
+def test_broken_moment_diagonal_is_not_a_matrix_algebra_under_python_O():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    code = ("import test_reduction; "
+            "print(test_reduction.reduce_with_broken_diagonal().is_matrix_algebra)")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
