@@ -21,7 +21,7 @@ from .cyclotomic import CycField
 from .expr import ParseError, evaluate, evaluate_scalar
 from .fiber import (FiberPoint, OutsideAzumayaLocus, digits, full_matrix_rep,
                     in_azumaya_locus)
-from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
+from .lattice import IntMatrix, QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import SpanBasis, nullspace
 from .pbw import PBWAlgebra, verify_qmm
 from .quiver_examples import (build_an_quiver_algebra, verify_central_z,
@@ -58,6 +58,7 @@ def validate_config(cfg: dict) -> None:
         q = cfg["quiver"]
         if not isinstance(q, dict) or "vertices" not in q or "edges" not in q:
             raise ValueError("'quiver' needs 'vertices' and 'edges'")
+    build_embedding(cfg)
     tasks = cfg.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ValueError("config needs a nonempty 'tasks' list")
@@ -73,16 +74,31 @@ def validate_config(cfg: dict) -> None:
             deg = task.get("max_degree", 6)
             if type(deg) is not int or deg < 0:  # bool is an int subclass
                 raise ValueError(f"task {i}: 'max_degree' must be an integer >= 0")
+        point = task.get("point", {})
+        if task["type"] in ("fiber-rep", "reduce") and not isinstance(point, dict):
+            raise ValueError(f"task {i}: 'point' must be an object")
+
+
+def _int_rows(value, name: str) -> IntMatrix:
+    """value as a tuple of int tuples; floats and bools are rejected."""
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and all(type(v) is int for v in row) for row in value):
+        raise ValueError(f"{name} must be a list of lists of integers")
+    return tuple(tuple(row) for row in value)
 
 
 def build_embedding(cfg: dict) -> TorusEmbedding:
     if "embedding" in cfg:
         emb = cfg["embedding"]
-        matrix = tuple(tuple(int(v) for v in row) for row in emb["matrix"])
-        form = tuple(tuple(int(v) for v in row) for row in emb["form"])
+        matrix = _int_rows(emb["matrix"], "'matrix'")
+        form = _int_rows(emb["form"], "'form'")
         return TorusEmbedding(n=len(matrix), d=len(matrix[0]) if matrix else 0,
                               matrix=matrix, form=form)
-    return quiver_to_embedding(QuiverData.from_json(cfg["quiver"]))
+    quiver = cfg["quiver"]
+    edges = _int_rows(quiver["edges"], "'edges'")
+    if type(quiver["vertices"]) is not int or any(len(e) != 2 for e in edges):
+        raise ValueError("'quiver' needs an integer 'vertices' and [tail, head] 'edges'")
+    return quiver_to_embedding(QuiverData.from_json(quiver))
 
 
 def build_point(field: CycField, emb: TorusEmbedding, data: dict) -> FiberPoint:
@@ -141,18 +157,16 @@ def _task_center_check(field, emb, algebra, task, rng):
     centralizer = SpanBasis(field)
     for v in sol:
         centralizer.add(v)
-    expected = SpanBasis(field)
     ell = field.ell
-    for m in iproduct(range(0, deg + 1, ell), repeat=n):
-        for k in iproduct(range(0, deg + 1, ell), repeat=n):
-            expected.add({(m, k): field.one})
-    matches = centralizer.rank == expected.rank and all(
-        centralizer.contains(row) for row in expected.rows())
+    expected = [(m, k)
+                for m in iproduct(range(0, deg + 1, ell), repeat=n)
+                for k in iproduct(range(0, deg + 1, ell), repeat=n)]
+    matches = centralizer.rank == len(expected) and all(
+        centralizer.contains({key: field.one}) for key in expected)
     basis_strs = sorted(
-        str(algebra.monomial(m, k)) for (m, k) in
-        (next(iter(v)) for v in expected.rows())) if matches else None
+        str(algebra.monomial(m, k)) for (m, k) in expected) if matches else None
     return {"max_degree": deg, "dimension": centralizer.rank,
-            "expected_dimension": expected.rank,
+            "expected_dimension": len(expected),
             "matches_ell_power_span": matches,
             "basis": basis_strs, "ok": matches}
 

@@ -107,7 +107,7 @@ class Power:
         s = _as_scalar(v)
         if s is None:
             raise ValueError("negative power of a non-scalar expression")
-        return algebra.scalar_element(s.inverse() ** (-self.exponent))
+        return algebra.scalar_element(_negative_power(s, self.exponent, self.offset))
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,13 @@ class Sum:
 
 
 Node = Union[Num, QPower, Gen, Power, Product, Sum]
+
+
+def _negative_power(s, e: int, offset: int):
+    """s ** e for e < 0, with a zero base as a ValueError."""
+    if not s:
+        raise ValueError(f"negative power of zero (at byte {offset})")
+    return s.inverse() ** (-e)
 
 
 def _as_scalar(v: PBWElement):
@@ -231,6 +238,9 @@ class _Parser:
             raise ParseError("unexpected end of input", len(self.src))
         if t.kind == "number":
             self.take()
+            _, slash, den = t.text.partition("/")
+            if slash and int(den) == 0:
+                raise ParseError(f"zero denominator in {t.text}", t.offset)
             return Num(Fraction(t.text), t.offset)
         if t.kind == "q":
             self.take()
@@ -286,7 +296,7 @@ def evaluate_scalar(src: str, field):
         if isinstance(node, Power):
             base = ev(node.base)
             e = node.exponent
-            return base ** e if e >= 0 else base.inverse() ** (-e)
+            return base ** e if e >= 0 else _negative_power(base, e, node.offset)
         if isinstance(node, Product):
             out = field.one
             for f in node.factors:

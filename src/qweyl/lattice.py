@@ -301,6 +301,8 @@ class TorusEmbedding:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_matrix(self.matrix))
         object.__setattr__(self, "form", _as_matrix(self.form))
+        if self.n < 1:
+            raise ValueError("at least one coordinate pair is required")
         if len(self.matrix) != self.n:
             raise ValueError("matrix needs one row per index")
         if any(len(r) != self.d for r in self.matrix):
@@ -311,7 +313,8 @@ class TorusEmbedding:
             for j in range(self.d):
                 if self.form[i][j] != self.form[j][i]:
                     raise ValueError("form must be symmetric")
-        if _rational_rank(self.matrix) != self.d:
+        # Smith normal form over Z has as many nonzero divisors as the rank over Q
+        if len(elementary_divisors(self.matrix)) != self.d:
             raise ValueError("weight matrix must have full column rank")
 
     # -- pairing machinery (0-based indices) ------------------------------
@@ -334,30 +337,6 @@ class TorusEmbedding:
 
     def pairing_matrix(self) -> IntMatrix:
         return tuple(tuple(self.qij_exponent(i, j) for j in range(self.n)) for i in range(self.n))
-
-
-def _rational_rank(matrix: IntMatrix) -> int:
-    rows = [[Fraction(x) for x in r] for r in matrix]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][col]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
 
 
 def quiver_to_embedding(quiver: QuiverData) -> TorusEmbedding:
@@ -392,8 +371,6 @@ def quiver_to_embedding(quiver: QuiverData) -> TorusEmbedding:
 
     rows = []
     for a, b in quiver.edges:
-        if comp_of[a] != comp_of[b]:
-            raise AssertionError("edge endpoints must share a component")
         wa, wb = basis_coords(a), basis_coords(b)
         rows.append(tuple(x - y for x, y in zip(wb, wa)))
 

@@ -27,8 +27,6 @@ class PBWAlgebra:
     """D_q(C^n) for a fixed field Q(q) and torus weight data."""
 
     def __init__(self, field: CycField, emb: TorusEmbedding):
-        if emb.n < 1:
-            raise ValueError("at least one coordinate pair is required")
         self.field = field
         self.emb = emb
         self.n = emb.n

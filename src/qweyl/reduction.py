@@ -10,14 +10,14 @@ linear algebra rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
 from .cyclotomic import CycField, CycScalar
 from .fiber import FiberPoint, Matrix, OutsideAzumayaLocus, digits, undigits
 from .lattice import ModEllKernel, TorusEmbedding, kernel_mod_ell, transpose
-from .linalg import SpanBasis, nullspace
+from .linalg import SpanBasis
 
 
 class EmptyReductionError(ValueError):
@@ -187,7 +187,6 @@ class ReductionResult:
     block_size: Optional[int]
     is_matrix_algebra: bool
     module_action_bijective: bool
-    quotient_basis: list = dc_field(repr=False, default_factory=list)
 
     def report(self) -> dict:
         return {
@@ -202,57 +201,26 @@ class ReductionResult:
         }
 
 
-def _is_matrix_algebra(field: CycField, block: Sequence[int], size: int,
-                       restrict) -> bool:
-    """Unit, one-dimensional center, full dimension, orthogonal idempotents."""
-    m = len(block)
-    # the restricted basis: E_{ab} for a, b in the block
-    idx = {r: i for i, r in enumerate(block)}
-    ident = Matrix(field, m, {(i, i): field.one for i in range(m)})
-    if restrict(Matrix.identity(field, size)) != ident:
-        return False
-    # center: solve z E_{ab} = E_{ab} z for all a, b
-    unknowns = [(a, b) for a in range(m) for b in range(m)]
-    rows = []
-    for a, b, r, c in iproduct(range(m), repeat=4):
-        # commutator with E_{ab}: (z E - E z)_{r,c} = z_{ra} [c = b] - [r = a] z_{bc};
-        # the two terms share a key only at r = a = b = c, where they cancel
-        coeffs: dict = {}
-        if c == b:
-            coeffs[(r, a)] = field.one
-        if r == a:
-            coeffs[(b, c)] = -field.one
-        if coeffs and not r == a == b == c:
-            rows.append(coeffs)
-    center = nullspace(rows, unknowns, field=field)
-    if len(center) != 1:
-        return False
-    # orthogonal idempotents summing to the unit
-    total = Matrix(field, m)
-    for i in range(m):
-        e = Matrix(field, m, {(i, i): field.one})
-        if e * e != e:
-            return False
-        for j in range(m):
-            if j != i:
-                f = Matrix(field, m, {(j, j): field.one})
-                if e * f:
-                    return False
-        total = total + e
-    return total == ident
-
-
 def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) -> ReductionResult:
     """Quantum Hamiltonian reduction of the matrix fiber at parameter eta.
 
-    Computes the moment ideal J inside Mat(ell^n), its graded part,
-    the invariant quotient with an isomorphism onto the surviving
-    block, and the invariant module with its action map.  All claimed
-    dimensions and algebra properties are recomputed, not assumed.
+    Computes the moment ideal J inside Mat(ell^n) and its graded part,
+    then reads both verdicts off them.  With B the rows on which every
+    moment diagonal vanishes and m = |B|:
+
+    (a) B is exactly one grading coset, so restriction to B x B is an
+        algebra map from the invariants onto Mat(m);
+    (b) every graded ideal row is supported on invariant keys and has
+        no column in B, so the graded ideal lies in its kernel;
+    (c) invariant_dim - ideal_dim == m^2, so it is the whole kernel.
+
+    The quotient is Mat(m) when (a), (b) and (c) hold.  The invariant
+    module, the column space at a row of B, is acted on bijectively
+    when (a) and (c) hold and no graded ideal row has a column in B.
     """
     F = point.field
     ell = F.ell
-    n, d = emb.n, emb.d
+    n = emb.n
     if not point.in_azumaya_locus():
         raise OutsideAzumayaLocus("reduction needs a locus point")
     eta = tuple(F.scalar(v) for v in eta)
@@ -267,9 +235,9 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     shift = eta_shift(point, emb, eta)
     grading = gamma_grading(emb, ell)
     blocks = invariant_blocks(grading)
+    cosets = [{undigits(r, ell) for r in coset} for coset in grading.cosets]
     invariant_keys = set()
-    for coset in grading.cosets:
-        lin = [undigits(r, ell) for r in coset]
+    for lin in cosets:
         for a in lin:
             for b in lin:
                 invariant_keys.add((a, b))
@@ -293,59 +261,31 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     ideal_dim = len(ideal_graded)
     quotient_dim = invariant_dim - ideal_dim
 
-    surviving = tuple(digits(idx, ell, n) for idx in vanishing)
-    block_lin = sorted(vanishing)
-    m = len(block_lin)
-    pos = {r: i for i, r in enumerate(block_lin)}
-
-    def restrict(mat: Matrix) -> Matrix:
-        ent = {}
-        for (r, c), v in mat.entries.items():
-            if r in pos and c in pos:
-                ent[(pos[r], pos[c])] = v
-        return Matrix(F, m, ent)
-
-    # the restriction must identify the quotient: dimensions match, rows
-    # with an invariant pivot have support only on invariant keys, and
-    # the graded ideal is exactly the kernel of restriction on invariants,
-    # acting by zero on the module columns
-    is_mat = quotient_dim == m * m
-    ideal_acts_by_zero = True
+    block = set(vanishing)
+    m = len(vanishing)
+    one_coset = block in cosets
+    rows_invariant = ideal_acts_by_zero = True
     for p in ideal_graded:
         row = span.row(p)
-        if p[1] in pos or any(k not in invariant_keys for k in row):
-            is_mat = False
-        if any(b in pos for _, b in row):
+        if any(k not in invariant_keys for k in row):
+            rows_invariant = False
+        if any(b in block for _, b in row):
             ideal_acts_by_zero = False
-    is_mat = is_mat and _is_matrix_algebra(F, block_lin, size, restrict)
+    full_kernel = quotient_dim == m * m
+    is_mat = one_coset and rows_invariant and ideal_acts_by_zero and full_kernel
+    bijective = one_coset and full_kernel and ideal_acts_by_zero
 
     # invariant module: the column space at a row u in the surviving
     # coset, i.e. the quotient by the left ideal of shifted Euler
     # operators alpha_i - gamma_i q^{-2 u_i}
-    u = digits(block_lin[0], ell, n)
-    module_dim = len(block_lin)
-
-    # action map: every invariant basis monomial acts on the column
-    # space at u by left multiplication (E_{ab} E_{ru} = delta_{br} E_{au});
-    # its image must fill End(module) and the graded ideal must act by zero
-    act_span = SpanBasis(F)
-    stays_in_module = True
-    for (a, b) in sorted(invariant_keys):
-        if b in pos:
-            if a in pos:
-                act_span.add({(pos[a], pos[b]): F.one})
-            else:
-                stays_in_module = False
-    bijective = (act_span.rank == quotient_dim == module_dim ** 2
-                 and stays_in_module and ideal_acts_by_zero)
-
+    u = digits(vanishing[0], ell, n)
     shifted_gamma = tuple(point.gamma[i] * F.qpow(-2 * u[i]) for i in range(n))
     return ReductionResult(
         point=point, emb=emb, eta=eta, shift=shift, grading=grading,
-        surviving=surviving, module_column=u, shifted_gamma=shifted_gamma,
+        surviving=tuple(digits(idx, ell, n) for idx in vanishing),
+        module_column=u, shifted_gamma=shifted_gamma,
         invariant_dim=invariant_dim, ideal_dim=ideal_dim,
-        quotient_dim=quotient_dim, module_dim=module_dim,
+        quotient_dim=quotient_dim, module_dim=m,
         block_count=blocks["block_count"], block_size=blocks["block_size"],
         is_matrix_algebra=is_mat, module_action_bijective=bijective,
-        quotient_basis=[(a, b) for a in block_lin for b in block_lin],
     )

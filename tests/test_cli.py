@@ -146,6 +146,8 @@ def test_missing_and_malformed_configs_exit_2(tmp_path, capsys):
     {"type": "center-check", "max_degree": -1},          # empty key set
     {"type": "center-check", "max_degree": "3"},
     {"type": "center-check", "max_degree": True},
+    {"type": "fiber-rep", "point": "x"},                 # not an object
+    {"type": "reduce", "point": ["x"], "eta": ["1"]},
 ])
 def test_malformed_task_fields_exit_2(tmp_path, capsys, task):
     cfg = {"ell": 3, "embedding": {"matrix": [[1]], "form": [[2]]}, "tasks": [task]}
@@ -155,6 +157,45 @@ def test_malformed_task_fields_exit_2(tmp_path, capsys, task):
         assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: task 0: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", [
+    {"embedding": {"matrix": [], "form": []}},                   # no coordinates
+    {"embedding": {"matrix": [[1], [2]], "form": [[2, 0], [0, 2]]}},
+    {"embedding": {"matrix": [[1, 2], [2, 4]], "form": [[2, 0], [0, 2]]}},  # rank 1
+    {"embedding": {"matrix": [["a"], [1]], "form": [[2]]}},
+    {"embedding": {"matrix": [[1.5], [1]], "form": [[2]]}},      # was truncated to 1
+    {"embedding": {"matrix": [[True], [1]], "form": [[2]]}},
+    {"embedding": {"matrix": [[1], [1]], "form": "2"}},
+    {"quiver": {"vertices": 2, "edges": [[1, 5]]}},              # out of range
+    {"quiver": {"vertices": 2, "edges": []}},                    # no coordinates
+    {"quiver": {"vertices": 2, "edges": [[1, 2, 1]]}},
+    {"quiver": {"vertices": 2.0, "edges": [[1, 2]]}},
+])
+def test_malformed_weight_data_exits_2(tmp_path, capsys, source):
+    cfg = {"ell": 3, **source, "tasks": [{"type": "normalize", "expressions": ["x1"]}]}
+    with pytest.raises(ValueError):
+        validate_config(cfg)
+    for command in ("verify", "report"):
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("src", ["1/0", "(1 - q^3)^-1"])
+def test_division_by_zero_exits_2_or_fails_the_task(tmp_path, capsys, src):
+    assert main(["normalize", "--ell", "3", src]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    cfg = suite_cfg()
+    cfg["tasks"] = [{"type": "fiber-rep",
+                     "point": {"lambda": [[src, "0"], ["0", "0"]], "gamma": ["1", "1"]}},
+                    {"type": "normalize", "expressions": [src]}]
+    fiber, normalize = run_suite(cfg)["tasks"]
+    assert fiber["ok"] is False and "zero" in fiber["error"]
+    assert normalize["ok"] is False and "zero" in normalize["expressions"][0]["error"]
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 1
+    capsys.readouterr()
 
 
 def test_report_is_byte_identical(tmp_path, capsys):

@@ -145,6 +145,25 @@ def test_unknown_character():
     assert offset_of(e) == 3
 
 
+def test_zero_denominator_offset():
+    for src, where in (("1/0", 0), ("x1 + 3/00", 5), ("0/0*d1", 0)):
+        with pytest.raises(ParseError) as e:
+            parse_expression(src)
+        assert offset_of(e) == where
+        assert "zero denominator" in str(e.value)
+
+
+def test_negative_power_of_zero_is_a_value_error():
+    A = weyl(3)
+    # q^3 = 1 at ell = 3, so each base is zero
+    with pytest.raises(ValueError, match=r"negative power of zero \(at byte 9\)"):
+        evaluate("(1 - q^3)^-1", A)
+    with pytest.raises(ValueError, match=r"negative power of zero \(at byte 12\)"):
+        evaluate("x1*(q^3 - 1)^-2", A)
+    with pytest.raises(ValueError, match=r"negative power of zero \(at byte 9\)"):
+        evaluate_scalar("(1 - q^3)^-1", A.field)
+
+
 def test_error_message_carries_byte_position():
     with pytest.raises(ParseError) as e:
         parse_expression("x1 + ")

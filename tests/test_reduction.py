@@ -235,16 +235,23 @@ def test_reduction_trivial_torus_keeps_everything():
 
 # -- checks that fail on a defect --------------------------------------------
 
-def reduce_with_broken_diagonal():
-    """ell = 3, embedding [[1],[1]], trivial point, eta (1,), with one
-    vanishing entry of the moment diagonal set to 1."""
+BROKEN_DIAGONALS = {
+    # row (0, 0) lies on the vanishing coset; set its entry to 1
+    "one-entry": lambda F, entries: {**entries, (0, 0): F.one},
+    # vanish on rows (0, 0), (1, 0), (2, 0): one row of each grading coset
+    "transversal": lambda F, entries: {(i, i): F.one for i in range(3, 9)},
+}
+
+
+def reduce_with_broken_diagonal(mutation):
+    """ell = 3, embedding [[1],[1]], trivial point, eta (1,), with the
+    moment diagonal replaced by BROKEN_DIAGONALS[mutation]."""
     F = CycField(3)
     original = reduction.moment_diagonals
 
     def broken(*args, **kwargs):
         diags = original(*args, **kwargs)
-        entries = dict(diags[0].entries)
-        entries[(0, 0)] = F.one  # row (0, 0) lies on the vanishing coset
+        entries = BROKEN_DIAGONALS[mutation](F, dict(diags[0].entries))
         return [Matrix(F, diags[0].size, entries)] + diags[1:]
 
     reduction.moment_diagonals = broken
@@ -254,18 +261,24 @@ def reduce_with_broken_diagonal():
         reduction.moment_diagonals = original
 
 
-def test_broken_moment_diagonal_is_not_a_matrix_algebra():
-    res = reduce_with_broken_diagonal()
-    assert res.module_dim == 2 and res.quotient_dim == 6
+@pytest.mark.parametrize("mutation, module_dim, quotient_dim",
+                         [("one-entry", 2, 6), ("transversal", 3, 9)],
+                         ids=list(BROKEN_DIAGONALS))
+def test_broken_moment_diagonal_is_not_a_matrix_algebra(mutation, module_dim, quotient_dim):
+    res = reduce_with_broken_diagonal(mutation)
+    assert res.module_dim == module_dim and res.quotient_dim == quotient_dim
     assert res.is_matrix_algebra is False
+    assert res.module_action_bijective is False
 
 
-def test_broken_moment_diagonal_is_not_a_matrix_algebra_under_python_O():
+@pytest.mark.parametrize("mutation", list(BROKEN_DIAGONALS))
+def test_broken_moment_diagonal_is_not_a_matrix_algebra_under_python_O(mutation):
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
     code = ("import test_reduction; "
-            "print(test_reduction.reduce_with_broken_diagonal().is_matrix_algebra)")
+            f"res = test_reduction.reduce_with_broken_diagonal({mutation!r}); "
+            "print(res.is_matrix_algebra, res.module_action_bijective)")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
