@@ -58,7 +58,7 @@ def validate_config(cfg: dict) -> None:
         q = cfg["quiver"]
         if not isinstance(q, dict) or "vertices" not in q or "edges" not in q:
             raise ValueError("'quiver' needs 'vertices' and 'edges'")
-    build_embedding(cfg)
+    emb = build_embedding(cfg)
     tasks = cfg.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ValueError("config needs a nonempty 'tasks' list")
@@ -74,9 +74,27 @@ def validate_config(cfg: dict) -> None:
             deg = task.get("max_degree", 6)
             if type(deg) is not int or deg < 0:  # bool is an int subclass
                 raise ValueError(f"task {i}: 'max_degree' must be an integer >= 0")
-        point = task.get("point", {})
-        if task["type"] in ("fiber-rep", "reduce") and not isinstance(point, dict):
-            raise ValueError(f"task {i}: 'point' must be an object")
+        if task["type"] in ("fiber-rep", "reduce"):
+            _check_point(task.get("point", {}), emb.n, i)
+        if task["type"] == "reduce" and not _is_list(task.get("eta"), emb.d):
+            raise ValueError(f"task {i}: 'eta' must be a list of {emb.d} entries")
+
+
+def _is_list(value, length: int) -> bool:
+    return isinstance(value, list) and len(value) == length
+
+
+def _check_point(point, n: int, i: int) -> None:
+    """Shapes of a fiber point; build_point evaluates its scalar values."""
+    if not isinstance(point, dict):
+        raise ValueError(f"task {i}: 'point' must be an object")
+    lam = point.get("lambda")
+    if not _is_list(lam, n) or not all(_is_list(pair, 2) for pair in lam):
+        raise ValueError(f"task {i}: 'lambda' must be a list of {n} [c, w] pairs")
+    if not _is_list(point.get("gamma"), n):
+        raise ValueError(f"task {i}: 'gamma' must be a list of {n} entries")
+    if point.get("b") is not None and not _is_list(point["b"], n):
+        raise ValueError(f"task {i}: 'b' must be a list of {n} entries or nulls")
 
 
 def _int_rows(value, name: str) -> IntMatrix:
@@ -101,16 +119,11 @@ def build_embedding(cfg: dict) -> TorusEmbedding:
     return quiver_to_embedding(QuiverData.from_json(quiver))
 
 
-def build_point(field: CycField, emb: TorusEmbedding, data: dict) -> FiberPoint:
-    lam_raw = data.get("lambda")
-    if not isinstance(lam_raw, list) or len(lam_raw) != emb.n:
-        raise ValueError(f"fiber point needs 'lambda' with {emb.n} [c, w] pairs")
+def build_point(field: CycField, data: dict) -> FiberPoint:
+    """The fiber point of a validated 'point' object."""
     lam = tuple((evaluate_scalar(str(c), field), evaluate_scalar(str(w), field))
-                for c, w in lam_raw)
-    gamma_raw = data.get("gamma")
-    if not isinstance(gamma_raw, list) or len(gamma_raw) != emb.n:
-        raise ValueError(f"fiber point needs 'gamma' with {emb.n} entries")
-    gamma = tuple(evaluate_scalar(str(g), field) for g in gamma_raw)
+                for c, w in data["lambda"])
+    gamma = tuple(evaluate_scalar(str(g), field) for g in data["gamma"])
     b = None
     if data.get("b") is not None:
         b = tuple(None if v is None else evaluate_scalar(str(v), field)
@@ -172,7 +185,7 @@ def _task_center_check(field, emb, algebra, task, rng):
 
 
 def _task_fiber_rep(field, emb, algebra, task, rng):
-    point = build_point(field, emb, task.get("point", {}))
+    point = build_point(field, task["point"])
     report: dict = {"in_azumaya_locus": in_azumaya_locus(point)}
     rep = full_matrix_rep(point, emb)
     n, ell = emb.n, field.ell
@@ -222,11 +235,8 @@ def _task_fiber_rep(field, emb, algebra, task, rng):
 
 
 def _task_reduce(field, emb, algebra, task, rng):
-    point = build_point(field, emb, task.get("point", {}))
-    eta_raw = task.get("eta")
-    if not isinstance(eta_raw, list) or len(eta_raw) != emb.d:
-        raise ValueError(f"reduce task needs 'eta' with {emb.d} entries")
-    eta = tuple(evaluate_scalar(str(v), field) for v in eta_raw)
+    point = build_point(field, task["point"])
+    eta = tuple(evaluate_scalar(str(v), field) for v in task["eta"])
     try:
         res = hamiltonian_reduce(point, emb, eta)
     except EmptyReductionError as err:

@@ -1,21 +1,24 @@
 """Exact arithmetic in Q(q) for q a primitive root of unity of odd order.
 
 A scalar is stored as its canonical residue modulo the cyclotomic
-polynomial of the chosen order: a coefficient vector of arbitrary
-precision rationals of length deg(Phi_ell).  Everything is exact, so
-root-of-unity cancellations such as q^(2k) - 1 = 0 for ell | k are
-decided correctly rather than approximately.
+polynomial Phi_ell of the chosen order: a tuple of deg(Phi_ell) integer
+numerators over one positive denominator, with the gcd of all of them
+divided out (the layout of FLINT's fmpq_poly).  Every result is brought
+to that form by one normalizer, which folds exponents with q^ell = 1
+and takes the remainder by the monic integer Phi_ell, so equal values
+have equal numerators and denominators.  Inverses are Galois norms:
+1/a is the product of the conjugates sigma_j(a), j != 1, over the
+rational number N(a).  Everything is exact, so root-of-unity
+cancellations such as q^(2k) - 1 = 0 for ell | k are decided correctly
+rather than approximately.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
-
-Rational = Union[int, Fraction]
-
-_ZERO = Fraction(0)
+from math import gcd, lcm
+from typing import Mapping
 
 
 @lru_cache(maxsize=None)
@@ -30,60 +33,29 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            poly = _exact_div_int(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
     return tuple(poly)
 
 
-def _exact_div_int(num: list[int], den: list[int]) -> list[int]:
-    # long division of integer polynomials, ascending coefficients; den monic
+def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, ascending; den monic.
+
+    The remainder has exactly len(den) - 1 coefficients.
+    """
     num = list(num)
-    width = len(num) - len(den) + 1
-    out = [0] * width
+    k = len(den) - 1
+    width = len(num) - k
+    quo = [0] * max(width, 0)
     for shift in range(width - 1, -1, -1):
-        c = num[shift + len(den) - 1]
-        if c == 0:
-            continue
-        out[shift] = c
-        for i, dc in enumerate(den):
-            num[shift + i] -= c * dc
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-def _poly_deg(p: list[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_xgcd(a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
-    """Return u with u*a = 1 modulo m, for a coprime to m (rational polys)."""
-    old_r, r = a[:], m[:]
-    old_s, s = [Fraction(1)], [_ZERO]
-    while _poly_deg(r) >= 0:
-        dr, dor = _poly_deg(r), _poly_deg(old_r)
-        if dor < dr:
-            old_r, r = r, old_r
-            old_s, s = s, old_s
-            continue
-        c = old_r[dor] / r[dr]
-        shift = dor - dr
-        for i in range(dr + 1):
-            old_r[i + shift] -= c * r[i]
-        while len(old_s) < len(s) + shift:
-            old_s.append(_ZERO)
-        for i in range(len(s)):
-            old_s[i + shift] -= c * s[i]
-        if _poly_deg(old_r) < _poly_deg(r):
-            old_r, r = r, old_r
-            old_s, s = s, old_s
-    d = _poly_deg(old_r)
-    if d != 0:
-        raise ZeroDivisionError("element is not invertible")
-    lead = old_r[0]
-    return [c / lead for c in old_s]
+        c = num[shift + k]
+        if c:
+            quo[shift] = c
+            for i, dc in enumerate(den):
+                if dc:
+                    num[shift + i] -= c * dc
+    return quo, (num + [0] * k)[:k]
 
 
 class CycField:
@@ -99,30 +71,28 @@ class CycField:
         self.ell = ell
         self.modulus = cyclotomic_polynomial(ell)
         self.degree = len(self.modulus) - 1
-        self._powers = self._high_power_table()
-        self._zero = CycScalar(self, tuple([_ZERO] * self.degree))
-        one = [_ZERO] * self.degree
-        one[0] = Fraction(1)
-        self._one = CycScalar(self, tuple(one))
+        self._zero = self._make([0])
+        self._qpows = tuple(self._make([0] * k + [1]) for k in range(ell))
+        self._one = self._qpows[0]
+        # the Galois group (Z/ell)^x minus the identity: sigma_j sends q to q^j
+        self._conjugators = [j for j in range(2, ell) if gcd(j, ell) == 1]
         # cache used by the operator-algebra layer
         self.gauss_cache: dict = {}
 
-    def _high_power_table(self) -> dict[int, list[Fraction]]:
-        d = self.degree
-        top = max(2 * d - 1, self.ell)
-        rows: dict[int, list[Fraction]] = {}
-        for e in range(d, top):
-            if e == d:
-                row = [Fraction(-c) for c in self.modulus[:-1]]
-            else:
-                prev = rows[e - 1]
-                carry = prev[-1]
-                row = [_ZERO] + prev[:-1]
-                if carry:
-                    qd = rows[d]
-                    row = [row[i] + carry * qd[i] for i in range(d)]
-            rows[e] = row
-        return rows
+    def _make(self, raw: list[int], den: int = 1) -> "CycScalar":
+        """The canonical scalar (sum_e raw[e] q^e) / den, for den > 0."""
+        ell = self.ell
+        if len(raw) > ell:
+            folded = raw[:ell]
+            for e in range(ell, len(raw)):
+                folded[e % ell] += raw[e]
+            raw = folded
+        if len(raw) != self.degree:
+            raw = _divmod_monic(raw, self.modulus)[1]
+        g = gcd(den, *raw)
+        if g != 1:
+            raw, den = [c // g for c in raw], den // g
+        return CycScalar(self, tuple(raw), den)
 
     # -- constructors ---------------------------------------------------
 
@@ -145,54 +115,24 @@ class CycField:
                 raise ValueError("scalar belongs to a different cyclotomic field")
             return value
         if isinstance(value, (int, Fraction)):
-            coeffs = [_ZERO] * self.degree
-            coeffs[0] = Fraction(value)
-            return CycScalar(self, tuple(coeffs))
+            return self._make([value.numerator], value.denominator)
         raise TypeError(f"cannot coerce {type(value).__name__} into Q(q)")
 
     def qpow(self, k: int) -> "CycScalar":
         """The scalar q^k, any integer k (q has multiplicative order ell)."""
-        return self.reduce({k: 1})
+        return self._qpows[k % self.ell]
 
-    def reduce(self, poly) -> "CycScalar":
-        """Canonical residue of a rational polynomial in q.
+    def reduce(self, poly: Mapping[int, int | Fraction]) -> "CycScalar":
+        """Canonical residue of the rational polynomial {exponent: coefficient}.
 
-        Accepts a mapping {exponent: coefficient} with arbitrary integer
-        exponents (folded with q^ell = 1) or an ascending coefficient
-        sequence.
+        Exponents are arbitrary integers, folded with q^ell = 1.
         """
-        if isinstance(poly, Mapping):
-            items = poly.items()
-        else:
-            items = enumerate(poly)
-        acc = [_ZERO] * self.degree
-        for e, c in items:
-            c = Fraction(c)
-            if not c:
-                continue
-            e %= self.ell
-            if e < self.degree:
-                acc[e] += c
-            else:
-                row = self._powers[e]
-                for i in range(self.degree):
-                    acc[i] += c * row[i]
-        return CycScalar(self, tuple(acc))
-
-    def _reduce_conv(self, raw: list[Fraction]) -> "CycScalar":
-        # raw has length <= 2*degree - 1 and holds true exponents
-        d = self.degree
-        acc = list(raw[:d])
-        while len(acc) < d:
-            acc.append(_ZERO)
-        for e in range(d, len(raw)):
-            c = raw[e]
-            if not c:
-                continue
-            row = self._powers[e]
-            for i in range(d):
-                acc[i] += c * row[i]
-        return CycScalar(self, tuple(acc))
+        coeffs = {e: Fraction(c) for e, c in poly.items()}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        raw = [0] * self.ell
+        for e, c in coeffs.items():
+            raw[e % self.ell] += c.numerator * (den // c.denominator)
+        return self._make(raw, den)
 
     def __repr__(self):
         return f"CycField(ell={self.ell})"
@@ -205,26 +145,27 @@ class CycField:
 
 
 class CycScalar:
-    """An element of Q(q), immutable."""
+    """An element of Q(q), immutable: (sum_i num[i] q^i) / den in canonical form."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: CycField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: CycField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
 
     # -- basic structure -------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, CycScalar):
@@ -241,18 +182,20 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        return self.field._make([a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.field, tuple(-a for a in self.coeffs))
+        return CycScalar(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycScalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        return self.field._make([a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -264,24 +207,33 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        raw = [_ZERO] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    raw[i + j] += a * b
-        return self.field._reduce_conv(raw)
+        raw = [0] * (2 * self.field.degree - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(o.num, i):
+                    if b:
+                        raw[j] += a * b
+        return self.field._make(raw, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
+        """1/a = prod_{j != 1} sigma_j(a) / N(a), with the norm N(a) a positive rational."""
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        m = [Fraction(c) for c in self.field.modulus]
-        u = _poly_xgcd(list(self.coeffs), m)
-        return self.field.reduce(dict(enumerate(u)))
+        field = self.field
+        ell = field.ell
+        conj = field.one
+        for j in field._conjugators:
+            raw = [0] * ell
+            for i, c in enumerate(self.num):
+                raw[i * j % ell] += c
+            conj = conj * field._make(raw, self.den)
+        norm = self * conj
+        # Q(q) has no real embedding, so a nonzero norm is a product of |z|^2 > 0
+        if not norm.is_rational() or norm.num[0] <= 0:
+            raise ArithmeticError(f"the Galois norm of {self} is not a positive rational")
+        return field._make([c * norm.den for c in conj.num], conj.den * norm.num[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -315,27 +267,21 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field.ell, self.coeffs))
+        return hash((self.field.ell, self.num, self.den))
 
     def __repr__(self):
         return f"<{self} : ell={self.field.ell}>"
 
-    def _terms(self):
-        # nonzero (power, coefficient), descending power
-        return [(e, c) for e in range(self.field.degree - 1, -1, -1)
-                for c in (self.coeffs[e],) if c]
-
     def __str__(self):
-        terms = self._terms()
+        terms = [(e, Fraction(self.num[e], self.den))
+                 for e in range(self.field.degree - 1, -1, -1) if self.num[e]]
         if not terms:
             return "0"
-        parts = []
-        for pos, (e, c) in enumerate(terms):
-            parts.append(_format_term(e, c, leading=(pos == 0)))
-        return "".join(parts)
+        return "".join(_format_term(e, c, leading=(pos == 0))
+                       for pos, (e, c) in enumerate(terms))
 
 
 def _format_term(power: int, coeff: Fraction, leading: bool) -> str:

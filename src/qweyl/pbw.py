@@ -90,27 +90,29 @@ class PBWAlgebra:
         if kk < 0 or kk > nn:
             return self.field.zero
         cache = self.field.gauss_cache
-        key = ("gb", nn, kk)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if kk == 0 or kk == nn:
-            val = self.field.one
-        else:
-            val = self._gauss(nn - 1, kk - 1) + self.field.qpow(2 * kk) * self._gauss(nn - 1, kk)
-        cache[key] = val
-        return val
+        todo = [(nn, kk)]  # Pascal's rule on an explicit stack, not recursion
+        while todo:
+            a, b = todo.pop()
+            if ("gb", a, b) in cache:
+                continue
+            if b == 0 or b == a:
+                cache[("gb", a, b)] = self.field.one
+            elif ("gb", a - 1, b - 1) in cache and ("gb", a - 1, b) in cache:
+                cache[("gb", a, b)] = (cache[("gb", a - 1, b - 1)]
+                                       + self.field.qpow(2 * b) * cache[("gb", a - 1, b)])
+            else:
+                todo += [(a, b), (a - 1, b - 1), (a - 1, b)]
+        return cache[("gb", nn, kk)]
 
     def _qfact_shifted(self, j: int) -> CycScalar:
         """Product of (q^{2i} - 1) for i = 1..j."""
         cache = self.field.gauss_cache
-        key = ("fact", j)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        val = self.field.one if j == 0 else \
-            self._qfact_shifted(j - 1) * (self.field.qpow(2 * j) - 1)
-        cache[key] = val
+        i = j
+        while i > 0 and ("fact", i) not in cache:
+            i -= 1
+        val = cache.setdefault(("fact", i), self.field.one)
+        for t in range(i + 1, j + 1):
+            val = cache[("fact", t)] = val * (self.field.qpow(2 * t) - 1)
         return val
 
     def _crossing(self, a: int, b: int) -> list[tuple[int, CycScalar]]:

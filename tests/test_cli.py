@@ -92,6 +92,18 @@ def test_normalize_with_config_embedding(tmp_path, capsys):
     assert out == "q*x1*d2"
 
 
+def test_normalize_large_exponent_does_not_recurse(capsys):
+    # the Gaussian binomials of d1^3000*x1 run 3000 deep; the outputs follow
+    # the pattern of exponents 300, 301 and 900
+    want = ["x1*d1^3000", "(-q - 1)*x1*d1^3001 + (-q - 2)*d1^3000"]
+    assert main(["normalize", "--ell", "3", "d1^3000*x1", "d1^3001*x1"]) == 0
+    assert capsys.readouterr().out.splitlines() == want
+    cfg = suite_cfg()
+    cfg["tasks"] = [{"type": "normalize", "expressions": ["d1^3000*x1", "d1^3001*x1"]}]
+    (task,) = run_suite(cfg)["tasks"]
+    assert [e["normal_form"] for e in task["expressions"]] == want
+
+
 # -- verify and report ---------------------------------------------------------
 
 def test_verify_passes_on_the_suite(tmp_path, capsys):
@@ -148,9 +160,14 @@ def test_missing_and_malformed_configs_exit_2(tmp_path, capsys):
     {"type": "center-check", "max_degree": True},
     {"type": "fiber-rep", "point": "x"},                 # not an object
     {"type": "reduce", "point": ["x"], "eta": ["1"]},
+    {"type": "fiber-rep", "point": {"lambda": [1, 2], "gamma": ["1", "1"]}},  # not pairs
+    {"type": "fiber-rep", "point": {"lambda": [["0", "0"], ["0", "0"]],
+                                    "gamma": ["1", "1"], "b": 5}},
+    {"type": "reduce", "point": {"lambda": [["0", "0"], ["0", "0"]], "gamma": ["1", "1"]},
+     "eta": "1"},                                        # was read one character at a time
 ])
 def test_malformed_task_fields_exit_2(tmp_path, capsys, task):
-    cfg = {"ell": 3, "embedding": {"matrix": [[1]], "form": [[2]]}, "tasks": [task]}
+    cfg = {"ell": 3, "embedding": {"matrix": [[1], [1]], "form": [[2]]}, "tasks": [task]}
     with pytest.raises(ValueError):
         validate_config(cfg)
     for command in ("verify", "report"):

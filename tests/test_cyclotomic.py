@@ -7,6 +7,7 @@ leans on.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,7 +78,7 @@ def test_inverse_frozen_example():
 def test_inverse_random_nonzero():
     import random
     rng = random.Random(20240901)
-    for ell in (3, 5, 9):
+    for ell in (3, 5, 9, 13, 15):
         F = CycField(ell)
         for _ in range(40):
             coeffs = {e: Fraction(rng.randint(-4, 4)) for e in range(F.degree)}
@@ -138,6 +139,39 @@ def test_ring_axioms_ell5(a, b, c):
 def test_ring_axioms_ell9(a, b):
     assert (a + b) * (a - b) == a * a - b * b
     assert -(-a) == a
+
+
+FIELDS = {ell: CycField(ell) for ell in (5, 9, 15)}  # 15: (Z/15)^x is not cyclic
+
+
+@st.composite
+def rational_elements(draw, ell):
+    F = FIELDS[ell]
+    coeffs = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                           min_size=F.degree, max_size=F.degree))
+    return F.reduce(dict(enumerate(coeffs)))
+
+
+def is_canonical(s):
+    return len(s.num) == s.field.degree and s.den > 0 and gcd(s.den, *s.num) == 1
+
+
+@pytest.mark.parametrize("ell", sorted(FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_results_are_canonical_and_hash_by_value(ell, data):
+    F = FIELDS[ell]
+    a, b = data.draw(rational_elements(ell)), data.draw(rational_elements(ell))
+    results = [a + b, a - b, a * b, -a]
+    if b:
+        results += [a / b, b.inverse()]
+        # equal values reached by different routes have equal hashes
+        assert (a * b) / b == a and hash((a * b) / b) == hash(a)
+    assert all(is_canonical(r) for r in results)
+    assert hash(a + b - b) == hash(a)
+    assert F.scalar(Fraction(2, 4)) == F.scalar(Fraction(1, 2))
+    assert hash(F.scalar(Fraction(2, 4))) == hash(F.scalar(Fraction(1, 2)))
+    assert hash(F.reduce({ell: 3, 0: -2})) == hash(F.one)
 
 
 def test_str_formatting():
