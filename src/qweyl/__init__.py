@@ -8,17 +8,16 @@ exact arithmetic and verified by explicit linear algebra.
 
 from .cyclotomic import CycField, CycScalar, cyclotomic_polynomial
 from .expr import ParseError, evaluate, evaluate_scalar, parse_expression
-from .fiber import (FiberAlgebra, FiberElement, FiberPoint, FullRep,
-                    GradedMatrixAlgebra, Matrix, OutsideAzumayaLocus,
-                    PPrimeModule, Rank1Rep, UntwistMap, endo_splitting_check,
-                    full_matrix_rep, in_azumaya_locus, pprime_module,
-                    rank1_matrix_rep, reduce_to_fiber, untwist_iso)
+from .fiber import (FiberAlgebra, FiberPoint, FullRep, GradedMatrixAlgebra,
+                    Matrix, OutsideAzumayaLocus, Rank1Rep, UntwistMap,
+                    endo_splitting_check, full_matrix_rep, rank1_matrix_rep,
+                    untwist_iso)
 from .lattice import (ModEllKernel, QuiverData, TorusEmbedding,
-                      classical_moment, elementary_divisors, is_unimodular,
-                      kernel_mod_ell, quiver_to_embedding, smith_normal_form)
+                      classical_moment, elementary_divisors, kernel_mod_ell,
+                      quiver_to_embedding, smith_normal_form)
 from .linalg import SpanBasis, nullspace
 from .pbw import (PBWAlgebra, PBWElement, QmmResult, act_rank1, euler,
-                  power_alpha_ell, verify_qmm)
+                  verify_qmm)
 from .quiver_examples import (AnQuiverAlgebra, DifferenceOperator,
                               build_an_quiver_algebra, cyclic_quiver,
                               u1_operators, verify_central_z,
@@ -33,17 +32,15 @@ __version__ = "0.1.0"
 __all__ = [
     "CycField", "CycScalar", "cyclotomic_polynomial",
     "ParseError", "evaluate", "evaluate_scalar", "parse_expression",
-    "FiberAlgebra", "FiberElement", "FiberPoint", "FullRep",
-    "GradedMatrixAlgebra", "Matrix", "OutsideAzumayaLocus", "PPrimeModule",
-    "Rank1Rep", "UntwistMap", "endo_splitting_check", "full_matrix_rep",
-    "in_azumaya_locus", "pprime_module", "rank1_matrix_rep",
-    "reduce_to_fiber", "untwist_iso",
+    "FiberAlgebra", "FiberPoint", "FullRep", "GradedMatrixAlgebra", "Matrix",
+    "OutsideAzumayaLocus", "Rank1Rep", "UntwistMap", "endo_splitting_check",
+    "full_matrix_rep", "rank1_matrix_rep", "untwist_iso",
     "ModEllKernel", "QuiverData", "TorusEmbedding", "classical_moment",
-    "elementary_divisors", "is_unimodular",
-    "kernel_mod_ell", "quiver_to_embedding", "smith_normal_form",
+    "elementary_divisors", "kernel_mod_ell", "quiver_to_embedding",
+    "smith_normal_form",
     "SpanBasis", "nullspace",
     "PBWAlgebra", "PBWElement", "QmmResult", "act_rank1", "euler",
-    "power_alpha_ell", "verify_qmm",
+    "verify_qmm",
     "AnQuiverAlgebra", "DifferenceOperator", "build_an_quiver_algebra",
     "cyclic_quiver", "u1_operators", "verify_central_z", "verify_u1_relations",
     "EmptyReductionError", "GammaGrading", "ReductionResult",

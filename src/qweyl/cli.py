@@ -19,8 +19,7 @@ from typing import Optional
 
 from .cyclotomic import CycField
 from .expr import ParseError, evaluate, evaluate_scalar
-from .fiber import (FiberPoint, OutsideAzumayaLocus, digits, full_matrix_rep,
-                    in_azumaya_locus)
+from .fiber import FiberPoint, OutsideAzumayaLocus, digits, full_matrix_rep
 from .lattice import IntMatrix, QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import SpanBasis, nullspace
 from .pbw import PBWAlgebra, verify_qmm
@@ -78,6 +77,10 @@ def validate_config(cfg: dict) -> None:
             _check_point(task.get("point", {}), emb.n, i)
         if task["type"] == "reduce" and not _is_list(task.get("eta"), emb.d):
             raise ValueError(f"task {i}: 'eta' must be a list of {emb.d} entries")
+        if task["type"] == "quiver-suite":
+            n = task.get("n", 3)
+            if type(n) is not int or n < 2:  # bool is an int subclass
+                raise ValueError(f"task {i}: 'n' must be an integer >= 2")
 
 
 def _is_list(value, length: int) -> bool:
@@ -186,7 +189,7 @@ def _task_center_check(field, emb, algebra, task, rng):
 
 def _task_fiber_rep(field, emb, algebra, task, rng):
     point = build_point(field, task["point"])
-    report: dict = {"in_azumaya_locus": in_azumaya_locus(point)}
+    report: dict = {"in_azumaya_locus": point.in_azumaya_locus()}
     rep = full_matrix_rep(point, emb)
     n, ell = emb.n, field.ell
     gens = [("x", i) for i in range(1, n + 1)] + [("d", i) for i in range(1, n + 1)]
@@ -252,7 +255,7 @@ def _task_reduce(field, emb, algebra, task, rng):
 
 
 def _task_quiver_suite(field, emb, algebra, task, rng):
-    n = int(task.get("n", 3))
+    n = task.get("n", 3)
     rep = build_an_quiver_algebra(field, n)
     out: dict = {"n": n,
                  "pairing_exponents": {f"{i},{j}": v

@@ -11,7 +11,6 @@ splitting check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
@@ -38,10 +37,6 @@ class Matrix:
         self.field = field
         self.size = size
         self.entries = {k: v for k, v in (entries or {}).items() if v}
-
-    @classmethod
-    def zeros(cls, field: CycField, size: int) -> "Matrix":
-        return cls(field, size)
 
     @classmethod
     def identity(cls, field: CycField, size: int) -> "Matrix":
@@ -106,10 +101,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.size == other.size and self.entries == other.entries
-
-    def vec(self) -> dict:
-        """Entries as a sparse vector keyed by (row, col), for span math."""
-        return dict(self.entries)
 
     def __repr__(self):
         return f"<Matrix {self.size}x{self.size}, {len(self.entries)} nonzero>"
@@ -180,107 +171,23 @@ class FiberPoint:
         return all(bool(F.one + c * w) for c, w in self.lam)
 
 
-def in_azumaya_locus(p: FiberPoint) -> bool:
-    return p.in_azumaya_locus()
+class FiberAlgebra(PBWAlgebra):
+    """The quotient D_lambda of the operator algebra at a central character.
 
-
-class FiberElement:
-    """Element of the ell^(2n)-dimensional quotient, exponents < ell."""
-
-    __slots__ = ("parent", "terms")
-
-    def __init__(self, parent: "FiberAlgebra", terms: dict):
-        self.parent = parent
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _coerce(self, other):
-        if isinstance(other, FiberElement):
-            return other if self.parent.compatible(other.parent) else None
-        if isinstance(other, (int, Fraction, CycScalar)):
-            return self.parent.scalar_element(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FiberElement(self.parent, vec_accumulate(dict(self.terms), o.terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FiberElement(self.parent, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, FiberElement):
-            if not self.parent.compatible(other.parent):
-                raise ValueError("elements of different fibers")
-            return self.parent.multiply(self, other)
-        if isinstance(other, (int, Fraction, CycScalar)):
-            c = self.parent.algebra.field.scalar(other)
-            return FiberElement(self.parent, {k: c * v for k, v in self.terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not supported")
-        out = self.parent.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def vec(self) -> dict:
-        return dict(self.terms)
-
-    def __str__(self):
-        return str(self.lift())
-
-    def lift(self) -> PBWElement:
-        return PBWElement(self.parent.algebra, dict(self.terms))
-
-    def __repr__(self):
-        return f"<Fiber {self}>"
-
-
-class FiberAlgebra:
-    """The quotient of the operator algebra at a central character."""
+    Its elements are PBW elements with every exponent below ell: monomials
+    and products are folded by x_i^ell = c_i and d_i^ell = w_i, and the
+    rest of the arithmetic is inherited.
+    """
 
     def __init__(self, algebra: PBWAlgebra, point: FiberPoint):
         if point.n != algebra.n:
             raise ValueError("fiber point rank differs from algebra rank")
         if point.field.ell != algebra.field.ell:
             raise ValueError("fiber point lives over a different field")
+        super().__init__(algebra.field, algebra.emb)
         self.algebra = algebra
         self.point = point
         self.ell = algebra.field.ell
-        self.n = algebra.n
-
-    def compatible(self, other: "FiberAlgebra") -> bool:
-        return self is other or (self.algebra is other.algebra and self.point == other.point)
 
     def dimension(self) -> int:
         return self.ell ** (2 * self.n)
@@ -291,9 +198,9 @@ class FiberAlgebra:
             for k in iproduct(rng, repeat=self.n):
                 yield (m, k)
 
-    def reduce(self, a: PBWElement) -> FiberElement:
+    def reduce(self, a: PBWElement) -> PBWElement:
         """Fold exponents with x_i^ell = c_i and d_i^ell = w_i."""
-        if a.algebra is not self.algebra:
+        if a.algebra is not self.algebra and a.algebra is not self:
             raise ValueError("element of a different algebra")
         ell = self.ell
 
@@ -312,67 +219,38 @@ class FiberAlgebra:
                     rk.append(rke)
                 yield (tuple(rm), tuple(rk)), coeff
 
-        return FiberElement(self, vec_accumulate({}, folded()))
+        return PBWElement(self, vec_accumulate({}, folded()))
 
-    def multiply(self, a: FiberElement, b: FiberElement) -> FiberElement:
-        return self.reduce(self.algebra.multiply(a.lift(), b.lift()))
+    def monomial(self, m, k, coeff=1) -> PBWElement:
+        return self.reduce(super().monomial(m, k, coeff))
 
-    def zero(self) -> FiberElement:
-        return FiberElement(self, {})
+    def multiply(self, a: PBWElement, b: PBWElement) -> PBWElement:
+        return self.reduce(super().multiply(a, b))
 
-    def one(self) -> FiberElement:
-        return self.scalar_element(1)
-
-    def scalar_element(self, c) -> FiberElement:
-        return self.reduce(self.algebra.scalar_element(c))
-
-    def monomial(self, m, k, coeff=1) -> FiberElement:
-        return self.reduce(self.algebra.monomial(m, k, coeff))
-
-    def x(self, i: int, e: int = 1) -> FiberElement:
-        return self.reduce(self.algebra.x(i, e))
-
-    def d(self, i: int, e: int = 1) -> FiberElement:
-        return self.reduce(self.algebra.d(i, e))
-
-    def alpha(self, i: int) -> FiberElement:
-        return self.reduce(self.algebra.alpha(i))
-
-    def from_vec(self, vec: dict) -> FiberElement:
-        return FiberElement(self, dict(vec))
-
-    def basis_elements(self):
-        for key in self.basis_keys():
-            yield FiberElement(self, {key: self.algebra.field.one})
-
-    def left_ideal(self, gens: Sequence[FiberElement]) -> SpanBasis:
+    def left_ideal(self, gens: Sequence[PBWElement]) -> SpanBasis:
         """Row space of b*g over all basis monomials b and generators g."""
-        span = SpanBasis(self.algebra.field)
+        span = SpanBasis(self.field)
         for g in gens:
-            for b in self.basis_elements():
-                v = (b * g).vec()
+            for key in self.basis_keys():
+                v = (self.monomial(*key) * g).terms
                 if v:
                     span.add(v)
         return span
 
-    def two_sided_ideal(self, gens: Sequence[FiberElement]) -> SpanBasis:
+    def two_sided_ideal(self, gens: Sequence[PBWElement]) -> SpanBasis:
         """Saturate span <- span + G*span + span*G until stable."""
-        span = SpanBasis(self.algebra.field)
+        span = SpanBasis(self.field)
         queue = [g for g in gens if g]
         mult = [self.x(i) for i in range(1, self.n + 1)] + \
                [self.d(i) for i in range(1, self.n + 1)]
         while queue:
             e = queue.pop()
-            if not span.add(e.vec()):
+            if not span.add(e.terms):
                 continue
             for g in mult:
                 queue.append(g * e)
                 queue.append(e * g)
         return span
-
-
-def reduce_to_fiber(a: PBWElement, p: FiberPoint) -> FiberElement:
-    return FiberAlgebra(a.algebra, p).reduce(a)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +263,6 @@ class Rank1Rep:
     x: Matrix
     d: Matrix
     alpha: Matrix
-
-    def as_dict(self) -> dict[str, Matrix]:
-        return {"x": self.x, "d": self.d, "alpha": self.alpha}
 
 
 def rank1_matrix_rep(field: CycField, c, w, b=None, gamma=None) -> Rank1Rep:
@@ -538,17 +413,13 @@ class FullRep:
     d: tuple[Matrix, ...]
     alpha: tuple[Matrix, ...]
 
-    def of_element(self, a) -> Matrix:
+    def of_element(self, a: PBWElement) -> Matrix:
         """Image of a PBW or fiber element under the representation."""
-        if isinstance(a, FiberElement):
-            terms = a.terms
-        elif isinstance(a, PBWElement):
-            terms = a.terms
-        else:
-            raise TypeError("expected a PBW or fiber element")
+        if not isinstance(a, PBWElement):
+            raise TypeError("expected a PBW element")
         F = self.field
-        out = Matrix.zeros(F, self.size)
-        for (m, k), c in terms.items():
+        out = Matrix(F, self.size)
+        for (m, k), c in a.terms.items():
             acc = Matrix.identity(F, self.size).scale(c)
             for i, e in enumerate(m):
                 if e:
@@ -600,46 +471,7 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
 
 
 # ---------------------------------------------------------------------------
-# module bases and the splitting check
-
-
-@dataclass
-class PPrimeModule:
-    """Monomial basis of the cyclic module D_lambda / sum D_lambda (alpha_i - gamma_i)."""
-
-    point: FiberPoint
-    factor_bases: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        out = 1
-        for fb in self.factor_bases:
-            out *= len(fb)
-        return out
-
-    def basis_keys(self):
-        """Exponent pairs (m, k) of the product basis."""
-        n = len(self.factor_bases)
-        for combo in iproduct(*self.factor_bases):
-            m = tuple(c[0] for c in combo)
-            k = tuple(c[1] for c in combo)
-            yield (m, k)
-
-
-def pprime_module(point: FiberPoint) -> PPrimeModule:
-    """Per-factor bases: all powers of x when gamma^ell != 1, else the
-    split family {1, x, ..., x^(ell-k-1), d, ..., d^k} for gamma = q^(2k)."""
-    F = point.field
-    ell = F.ell
-    bases = []
-    for (c, w), g in zip(point.lam, point.gamma):
-        if g ** ell != F.one:
-            fb = tuple((j, 0) for j in range(ell))
-        else:
-            k = next(k for k in range(ell) if g == F.qpow(2 * k))
-            fb = tuple((j, 0) for j in range(ell - k)) + tuple((0, j) for j in range(1, k + 1))
-        bases.append(fb)
-    return PPrimeModule(point=point, factor_bases=tuple(bases))
+# the splitting check
 
 
 def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
@@ -664,17 +496,17 @@ def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
     module_basis = [key for key in fib.basis_keys() if key not in pivots]
     coord = {key: idx for idx, key in enumerate(module_basis)}
 
-    def project(e: FiberElement) -> dict[int, CycScalar]:
-        res = ideal.reduce(e.vec())
+    def project(e: PBWElement) -> dict[int, CycScalar]:
+        res = ideal.reduce(e.terms)
         return {coord[k]: v for k, v in res.items()}
 
     span = SpanBasis(F, key_order=lambda rc: rc)
     full = 0
     for key in fib.basis_keys():
-        u = FiberElement(fib, {key: F.one})
+        u = fib.monomial(*key)
         vec: dict = {}
         for j, bkey in enumerate(module_basis):
-            img = project(u * FiberElement(fib, {bkey: F.one}))
+            img = project(u * fib.monomial(*bkey))
             for i, v in img.items():
                 vec[(i, j)] = v
         if span.add(vec):

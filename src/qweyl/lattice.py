@@ -114,14 +114,6 @@ def elementary_divisors(matrix) -> tuple[int, ...]:
     return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i])
 
 
-def is_unimodular(matrix) -> bool:
-    rows = _as_matrix(matrix)
-    if not rows or len(rows) != len(rows[0]):
-        return False
-    divs = elementary_divisors(rows)
-    return len(divs) == len(rows) and all(d == 1 for d in divs)
-
-
 def mat_mul(a, b) -> IntMatrix:
     a, b = _as_matrix(a), _as_matrix(b)
     return tuple(

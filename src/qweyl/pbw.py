@@ -355,20 +355,6 @@ def euler(algebra: PBWAlgebra, i: int) -> PBWElement:
     return algebra.one() + algebra.monomial(m, k)
 
 
-def power_alpha_ell(algebra: PBWAlgebra, i: int) -> PBWElement:
-    """alpha_i^ell computed by multiplication; must equal 1 + x_i^ell d_i^ell."""
-    ell = algebra.field.ell
-    got = euler(algebra, i) ** ell
-    m = [0] * algebra.n
-    k = [0] * algebra.n
-    m[i - 1] = ell
-    k[i - 1] = ell
-    expected = algebra.one() + algebra.monomial(m, k)
-    if got != expected:
-        raise ArithmeticError(f"alpha_{i}^{ell} deviates from 1 + x^{ell} d^{ell}")
-    return got
-
-
 def act_rank1(a: PBWElement, f: Union[dict, Sequence]) -> dict[int, CycScalar]:
     """Action of a (n = 1) on a polynomial in t.
 

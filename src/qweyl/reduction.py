@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycField, CycScalar
 from .fiber import FiberPoint, Matrix, OutsideAzumayaLocus, digits, undigits
-from .lattice import ModEllKernel, TorusEmbedding, kernel_mod_ell, transpose
+from .lattice import (ModEllKernel, TorusEmbedding, classical_moment, kernel_mod_ell,
+                      transpose)
 from .linalg import SpanBasis
 
 
@@ -82,16 +83,7 @@ def invariant_blocks(g: GammaGrading) -> dict:
 
 def phi_dagger(point: FiberPoint, emb: TorusEmbedding) -> tuple[CycScalar, ...]:
     """Pushforward of gamma along the weight matrix: prod_i gamma_i^{m_ij}."""
-    F = point.field
-    out = []
-    for j in range(emb.d):
-        acc = F.one
-        for i in range(emb.n):
-            e = emb.matrix[i][j]
-            if e:
-                acc = acc * point.gamma[i] ** e
-        out.append(acc)
-    return tuple(out)
+    return classical_moment(emb.matrix, point.gamma)
 
 
 def admissible_etas(point: FiberPoint, emb: TorusEmbedding) -> list[tuple[CycScalar, ...]]:

@@ -165,6 +165,10 @@ def test_missing_and_malformed_configs_exit_2(tmp_path, capsys):
                                     "gamma": ["1", "1"], "b": 5}},
     {"type": "reduce", "point": {"lambda": [["0", "0"], ["0", "0"]], "gamma": ["1", "1"]},
      "eta": "1"},                                        # was read one character at a time
+    {"type": "quiver-suite", "n": 3.7},                  # was truncated to 3
+    {"type": "quiver-suite", "n": "x"},
+    {"type": "quiver-suite", "n": True},
+    {"type": "quiver-suite", "n": 1},
 ])
 def test_malformed_task_fields_exit_2(tmp_path, capsys, task):
     cfg = {"ell": 3, "embedding": {"matrix": [[1], [1]], "form": [[2]]}, "tasks": [task]}

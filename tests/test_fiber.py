@@ -6,8 +6,7 @@ import pytest
 
 from qweyl import (CycField, FiberAlgebra, FiberPoint, GradedMatrixAlgebra,
                    Matrix, OutsideAzumayaLocus, PBWAlgebra, TorusEmbedding,
-                   endo_splitting_check, full_matrix_rep, in_azumaya_locus,
-                   pprime_module, rank1_matrix_rep, reduce_to_fiber,
+                   endo_splitting_check, full_matrix_rep, rank1_matrix_rep,
                    untwist_iso)
 from qweyl.fiber import digits
 
@@ -56,9 +55,9 @@ def test_point_q_gamma_is_fine():
 def test_azumaya_locus_membership():
     F = CycField(3)
     good = point(F, [(F.zero, F.zero)], [F.one])
-    assert in_azumaya_locus(good)
+    assert good.in_azumaya_locus()
     bad = point(F, [(F.scalar(-1), F.one)], [F.zero])  # 1 + c*w = 0, gamma = 0
-    assert not in_azumaya_locus(bad)
+    assert not bad.in_azumaya_locus()
 
 
 # -- the ell^(2n)-dimensional quotient --------------------------------------
@@ -70,10 +69,10 @@ def test_reduce_folds_powers_against_central_values():
     fib = FiberAlgebra(A, p)
     # x^4 = x^3 * x = 8x in the quotient
     r = fib.reduce(A.x(1, 4))
-    assert r.vec() == {((1,), (0,)): F.scalar(8)}
+    assert r.terms == {((1,), (0,)): F.scalar(8)}
     # d^3 = w = 0 kills the term outright
     assert not fib.reduce(A.d(1, 3))
-    assert fib.reduce(A.x(1, 3)).vec() == {((0,), (0,)): F.scalar(8)}
+    assert fib.reduce(A.x(1, 3)).terms == {((0,), (0,)): F.scalar(8)}
 
 
 def test_fiber_product_matches_lift_multiply():
@@ -84,27 +83,28 @@ def test_fiber_product_matches_lift_multiply():
     rng = random.Random(7103)
     keys = list(fib.basis_keys())
     for _ in range(25):
-        a = fib.from_vec({rng.choice(keys): F.scalar(rng.randint(1, 5))})
-        b = fib.from_vec({rng.choice(keys): F.scalar(rng.randint(1, 5))})
-        lhs = (a * b).vec()
-        rhs = fib.reduce(A.multiply(a.lift(), b.lift())).vec()
+        ka, kb = rng.choice(keys), rng.choice(keys)
+        ca, cb = rng.randint(1, 5), rng.randint(1, 5)
+        lhs = (fib.monomial(*ka, coeff=ca) * fib.monomial(*kb, coeff=cb)).terms
+        rhs = fib.reduce(A.multiply(A.monomial(*ka, coeff=ca), A.monomial(*kb, coeff=cb))).terms
         assert lhs == rhs
 
 
-def test_reduce_to_fiber_is_an_algebra_map():
+def test_fiber_reduce_is_an_algebra_map():
     emb = emb_n2()
     A = weyl(3, emb)
     F = A.field
     p = point(F, [(F.zero, F.zero), (F.scalar(7), F.one)], [F.one, F.scalar(2)])
+    fib = FiberAlgebra(A, p)
     rng = random.Random(20240901)
     keys = [((rng.randint(0, 4), rng.randint(0, 4)),
              (rng.randint(0, 4), rng.randint(0, 4))) for _ in range(6)]
     for i in range(12):
         a = A.monomial(keys[i % 6][0], keys[(i + 1) % 6][1])
         b = A.monomial(keys[(i + 2) % 6][0], keys[(i + 3) % 6][1], coeff=F.qpow(i))
-        lhs = reduce_to_fiber(A.multiply(a, b), p)
-        rhs = reduce_to_fiber(a, p) * reduce_to_fiber(b, p)
-        assert lhs.vec() == rhs.vec()
+        lhs = fib.reduce(A.multiply(a, b))
+        rhs = fib.reduce(a) * fib.reduce(b)
+        assert lhs.terms == rhs.terms
 
 
 # -- rank one matrix model ---------------------------------------------------
@@ -159,6 +159,22 @@ def test_rank1_requires_gamma_and_the_locus():
         rank1_matrix_rep(F, -1, 1, None, 0)
     with pytest.raises(ValueError):
         rank1_matrix_rep(F, 7, 1, None, 1)  # 1^3 != 8
+
+
+@pytest.mark.parametrize("c,w,gamma", [(7, 1, 2), (0, 5, 1)])
+def test_fiber_arithmetic_folds_the_central_values(c, w, gamma):
+    A = weyl(3, emb_n2())
+    F = A.field
+    p = point(F, [(F.scalar(c), F.scalar(w)), (F.zero, F.zero)], [F.scalar(gamma), F.one])
+    fib = FiberAlgebra(A, p)
+    for i, (ci, wi) in enumerate(p.lam, start=1):
+        assert fib.x(i) ** F.ell == fib.scalar_element(ci)
+        assert fib.d(i) ** F.ell == fib.scalar_element(wi)
+        assert fib.alpha(i) == fib.reduce(A.alpha(i))
+    # elements of two fibers do not mix, even at the same point
+    other = FiberAlgebra(A, p)
+    with pytest.raises(ValueError):
+        fib.x(1) * other.x(1)
 
 
 def test_off_locus_alpha_generates_a_proper_ideal():
@@ -279,7 +295,7 @@ def test_full_rep_is_bijective_onto_mat9():
     fib = FiberAlgebra(A, p)
     span = SpanBasis(F)
     for key in fib.basis_keys():
-        img = rep.of_element(fib.from_vec({key: F.one}))
+        img = rep.of_element(fib.monomial(*key))
         span.add(dict(img.entries))
     assert span.rank == 81
 
@@ -292,31 +308,6 @@ def test_full_rep_refuses_points_off_the_locus():
 
 
 # -- module bases and the splitting check ------------------------------------
-
-def test_pprime_basis_generic_gamma():
-    F = CycField(3)
-    p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])  # 2^3 = 8 != 1
-    mod = pprime_module(p)
-    assert mod.dimension == 3
-    assert set(mod.basis_keys()) == {((j,), (0,)) for j in range(3)}
-
-
-def test_pprime_basis_splits_at_unit_gamma():
-    F = CycField(3)
-    # gamma = q^2 (k = 1): basis 1, x, d
-    p = point(F, [(F.zero, F.zero)], [F.qpow(2)])
-    mod = pprime_module(p)
-    assert set(mod.basis_keys()) == {((0,), (0,)), ((1,), (0,)), ((0,), (1,))}
-    # gamma = 1 (k = 0): all powers of x
-    p0 = point(F, [(F.zero, F.zero)], [F.one])
-    assert set(pprime_module(p0).basis_keys()) == {((j,), (0,)) for j in range(3)}
-
-
-def test_pprime_dimension_multiplies_over_factors():
-    F = CycField(3)
-    p = point(F, [(F.zero, F.zero), (F.scalar(7), F.one)], [F.qpow(2), F.scalar(2)])
-    assert pprime_module(p).dimension == 9
-
 
 SPLITTING_POINTS = [
     ([(0, 0)], [1]),

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from qweyl import (ModEllKernel, QuiverData, TorusEmbedding, classical_moment,
-                   elementary_divisors, is_unimodular, kernel_mod_ell,
-                   quiver_to_embedding, smith_normal_form)
+                   elementary_divisors, kernel_mod_ell, quiver_to_embedding,
+                   smith_normal_form)
 from qweyl.lattice import mat_mul, transpose
 
 
@@ -58,8 +58,6 @@ def test_elementary_divisors_examples():
     assert elementary_divisors(((3,),)) == (3,)
     # the (1,1) column embedding is unimodular
     assert elementary_divisors(((1,), (1,))) == (1,)
-    assert is_unimodular(((1, 0), (0, 1)))
-    assert not is_unimodular(((2, 0), (0, 1)))
 
 
 def test_kernel_mod_ell_vs_bruteforce():

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from qweyl import (CycField, PBWAlgebra, TorusEmbedding, act_rank1, euler,
-                   power_alpha_ell, quiver_to_embedding, verify_qmm)
+                   quiver_to_embedding, verify_qmm)
 from qweyl.lattice import QuiverData
 
 
@@ -133,15 +133,6 @@ def test_alpha_q_commutes():
         q2 = F.qpow(2)
         assert a * x == q2 * (x * a)
         assert d * a == q2 * (a * d)
-
-
-def test_alpha_ell_power_identity():
-    for ell in (3, 5):
-        F = CycField(ell)
-        A = PBWAlgebra(F, emb_n1())
-        got = power_alpha_ell(A, 1)
-        want = A.one() + A.x(1, ell) * A.d(1, ell)
-        assert got == want
 
 
 def test_relations_table_cyclic3():

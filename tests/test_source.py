@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import qweyl
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qweyl"
 
@@ -14,3 +17,13 @@ def test_package_has_no_bare_asserts():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert list(SRC.rglob("*.py")) and not found, found
+
+
+def test_all_matches_public_names():
+    # a name deleted from a module must leave the exports too
+    listed = qweyl.__all__
+    assert len(listed) == len(set(listed))
+    assert all(hasattr(qweyl, name) for name in listed)
+    public = {name for name, obj in vars(qweyl).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public <= set(listed), public - set(listed)
