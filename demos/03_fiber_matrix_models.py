@@ -28,8 +28,9 @@ emb2 = TorusEmbedding(n=2, d=1, matrix=((1,), (1,)), form=((2,),))
 p = FiberPoint(field=F, lam=((F.zero, F.zero), (F.scalar(7), F.one)),
                gamma=(F.one, F.scalar(2)))
 big = full_matrix_rep(p, emb2)
+alpha2 = big.of_element(PBWAlgebra(F, emb2).alpha(2))
 print(f"two-factor model on {big.size} dimensions;",
-      f"alpha_2 diagonal: {[str(big.alpha[1][(r, r)]) for r in range(big.size)]}")
+      f"alpha_2 diagonal: {[str(alpha2[(r, r)]) for r in range(big.size)]}")
 print()
 
 print("splitting check over locus points:")

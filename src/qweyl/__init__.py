@@ -25,7 +25,7 @@ from .quiver_examples import (AnQuiverAlgebra, DifferenceOperator,
 from .reduction import (EmptyReductionError, GammaGrading, ReductionResult,
                         admissible_etas, eta_shift, gamma_grading,
                         hamiltonian_reduce, invariant_blocks, moment_diagonals,
-                        phi_dagger, verify_qmm_gamma)
+                        moment_map_ok, phi_dagger)
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,6 @@ __all__ = [
     "cyclic_quiver", "u1_operators", "verify_central_z", "verify_u1_relations",
     "EmptyReductionError", "GammaGrading", "ReductionResult",
     "admissible_etas", "eta_shift", "gamma_grading", "hamiltonian_reduce",
-    "invariant_blocks", "moment_diagonals", "phi_dagger", "verify_qmm_gamma",
+    "invariant_blocks", "moment_diagonals", "moment_map_ok", "phi_dagger",
     "__version__",
 ]

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .cyclotomic import CycField
 from .expr import ParseError, evaluate, evaluate_scalar
-from .fiber import FiberPoint, OutsideAzumayaLocus, digits, full_matrix_rep
+from .fiber import FiberPoint, Matrix, OutsideAzumayaLocus, digits, full_matrix_rep
 from .lattice import IntMatrix, QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import SpanBasis, nullspace
 from .pbw import PBWAlgebra, verify_qmm
@@ -214,16 +214,12 @@ def _task_fiber_rep(field, emb, algebra, task, rng):
             pairs_ok = False
     report["relations_ok"] = pairs_ok
 
-    alpha_ok = True
-    size = rep.size
-    for i in range(n):
-        mat = rep.alpha[i]
-        for idx in range(size):
-            r = digits(idx, ell, n)
-            if mat[(idx, idx)] != point.gamma[i] * field.qpow(-2 * r[i]):
-                alpha_ok = False
-        if len(mat.entries) != size:
-            alpha_ok = False
+    # the image of alpha_i = 1 + x_i d_i is diagonal, gamma_i q^(-2 r_i) in row r
+    alpha_ok = all(
+        rep.of_element(algebra.alpha(i + 1)) == Matrix.from_diag(
+            field, [point.gamma[i] * field.qpow(-2 * digits(idx, ell, n)[i])
+                    for idx in range(rep.size)])
+        for i in range(n))
     report["alpha_diagonal_ok"] = alpha_ok
 
     span = SpanBasis(field)
@@ -303,10 +299,21 @@ _RUNNERS = {
 }
 
 
+def env_seed() -> int:
+    """QWEYL_SEED as an integer, or DEFAULT_SEED when it is unset."""
+    text = os.environ.get("QWEYL_SEED")
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"QWEYL_SEED must be an integer, got {text!r}") from None
+
+
 def run_suite(cfg: dict, seed: Optional[int] = None) -> dict:
     validate_config(cfg)
     if seed is None:
-        seed = int(os.environ.get("QWEYL_SEED", DEFAULT_SEED))
+        seed = env_seed()
     field = CycField(cfg["ell"])
     emb = build_embedding(cfg)
     algebra = PBWAlgebra(field, emb)
@@ -324,13 +331,20 @@ def run_suite(cfg: dict, seed: Optional[int] = None) -> dict:
             "tasks": entries, "all_ok": all(e.get("ok") for e in entries)}
 
 
-def _dump_report(report: dict, out_path: Optional[str]) -> None:
+def _dump_report(report: dict, out_path: Optional[str]) -> int:
+    """Write the report to out_path or stdout: exit code 0, or 2 when
+    out_path cannot be written."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        print(f"error: cannot write the report: {err}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -382,23 +396,23 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         cfg = load_config(args.config)
+        seed = env_seed()
     except (OSError, json.JSONDecodeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    report = run_suite(cfg)
+    report = run_suite(cfg, seed)
 
     if args.command == "verify":
         for entry in report["tasks"]:
             status = "pass" if entry.get("ok") else "FAIL"
             extra = f" ({entry['error']})" if "error" in entry else ""
             print(f"{status}  {entry['type']}{extra}")
-        if args.out:
-            _dump_report(report, args.out)
+        if args.out and _dump_report(report, args.out):
+            return 2
         print("all checks passed" if report["all_ok"] else "some checks failed")
         return 0 if report["all_ok"] else 1
 
-    _dump_report(report, args.out)
-    return 0
+    return _dump_report(report, args.out)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ Grammar:
 
 An optional sign before the first term is accepted so that printed
 elements (which may lead with a negative coefficient) parse back.
+Parentheses nest at most MAX_NESTING deep.
 Tokenization is leftmost-longest; offsets are byte positions into the
 source and are carried through to error messages.
 """
@@ -22,6 +23,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .pbw import PBWAlgebra, PBWElement
+
+
+MAX_NESTING = 100  # deepest parenthesis nesting; keeps parsing within the stack
 
 
 class ParseError(ValueError):
@@ -162,6 +166,7 @@ class _Parser:
         self.toks = tokenize(src)
         self.i = 0
         self.n = n
+        self.depth = 0  # open parentheses around the current position
 
     def peek(self) -> Optional[Token]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -258,8 +263,12 @@ class _Parser:
                     f"generator index out of range: {t.text} with n={self.n}", t.offset)
             return Gen(t.text[0], idx, t.offset)
         if t.kind == "op" and t.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", t.offset)
             self.take()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {t.text!r}", t.offset)

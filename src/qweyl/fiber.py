@@ -411,7 +411,6 @@ class FullRep:
     size: int
     x: tuple[Matrix, ...]
     d: tuple[Matrix, ...]
-    alpha: tuple[Matrix, ...]
 
     def of_element(self, a: PBWElement) -> Matrix:
         """Image of a PBW or fiber element under the representation."""
@@ -466,8 +465,7 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
 
     xs = tuple(place(i, local[i].x) for i in range(n))
     ds = tuple(place(i, local[i].d) for i in range(n))
-    als = tuple(place(i, local[i].alpha) for i in range(n))
-    return FullRep(field=F, emb=emb, size=size, x=xs, d=ds, alpha=als)
+    return FullRep(field=F, emb=emb, size=size, x=xs, d=ds)
 
 
 # ---------------------------------------------------------------------------

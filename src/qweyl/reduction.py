@@ -4,21 +4,26 @@ The ell-torsion of the embedded torus grades Mat(ell^n) through the
 weight map; invariants split into blocks indexed by cosets of the
 mod-ell kernel.  Reducing by the moment ideal at an admissible
 parameter kills all blocks but one, giving Mat(ell^(n-d)) together
-with its simple module, and both facts are verified by explicit
-linear algebra rather than assumed.
+with its simple module.  The moment generators are diagonal, so the
+dimensions are read off the rows where they vanish; the verdict rests
+on that row set being one grading coset and on the quantum moment map
+mu(z_j) = prod_i alpha_i^(m_ij), evaluated on the Euler operators in
+the matrix model, matching those diagonals and grading the generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import prod
 from typing import Optional, Sequence
 
-from .cyclotomic import CycField, CycScalar
-from .fiber import FiberPoint, Matrix, OutsideAzumayaLocus, digits, undigits
+from .cyclotomic import CycScalar
+from .fiber import (FiberPoint, Matrix, OutsideAzumayaLocus, digits, full_matrix_rep,
+                    undigits)
 from .lattice import (ModEllKernel, TorusEmbedding, classical_moment, kernel_mod_ell,
                       transpose)
-from .linalg import SpanBasis
+from .pbw import PBWAlgebra
 
 
 class EmptyReductionError(ValueError):
@@ -136,28 +141,29 @@ def moment_diagonals(point: FiberPoint, emb: TorusEmbedding, eta: Sequence,
     return out
 
 
-def verify_qmm_gamma(field: CycField, emb: TorusEmbedding) -> bool:
-    """Exhaustively check mu(g) E = (g acts on E) mu(g) on elementary matrices.
+def moment_map_ok(point: FiberPoint, emb: TorusEmbedding, diags: Sequence[Matrix],
+                  eta: Sequence[CycScalar]) -> bool:
+    """The quantum moment map in the matrix model agrees with diags.
 
-    mu(g_j) is the unit-normalized moment diagonal q^{-2 (M^T r)_j};
-    conjugation by it scales E_{r,s} by q^{-2 (M^T (r-s))_j}, which is
-    the grading action of the j-th torsion generator.
+    Each Euler operator alpha_i = 1 + x_i d_i must map to a diagonal
+    with no zero entry; mu(z_j) = prod_i alpha_i^(m_ij) must equal
+    diags[j] + eta_j, and conjugation by it must scale the images of
+    x_i and d_i by q^(2 m_ij) and q^(-2 m_ij).
     """
-    F = field
-    ell = F.ell
-    size = ell ** emb.n
-    for j in range(emb.d):
-        mu = Matrix.from_diag(
-            F, [F.qpow(-2 * sum(emb.matrix[i][j] * digits(idx, ell, emb.n)[i]
-                                for i in range(emb.n))) for idx in range(size)])
-        for row in range(size):
-            for col in range(size):
-                E = Matrix(F, size, {(row, col): F.one})
-                r = digits(row, ell, emb.n)
-                s = digits(col, ell, emb.n)
-                e = sum(emb.matrix[i][j] * (r[i] - s[i]) for i in range(emb.n))
-                if mu * E != (E * mu).scale(F.qpow(-2 * e)):
-                    return False
+    F = point.field
+    rep = full_matrix_rep(point, emb)
+    A = PBWAlgebra(F, emb)
+    alphas = [rep.of_element(A.alpha(i + 1)) for i in range(emb.n)]
+    if any(len(a.entries) != rep.size or any(r != c for r, c in a.entries) for a in alphas):
+        return False
+    for j, dg in enumerate(diags):
+        mu = Matrix.from_diag(F, [prod((a[(r, r)] ** m[j] for a, m in zip(alphas, emb.matrix)),
+                                       start=F.one) for r in range(rep.size)])
+        if mu != dg + Matrix.identity(F, rep.size).scale(eta[j]):
+            return False
+        if any(mu * X != (X * mu).scale(F.qpow(e * emb.matrix[i][j]))
+               for i in range(emb.n) for X, e in ((rep.x[i], 2), (rep.d[i], -2))):
+            return False
     return True
 
 
@@ -196,19 +202,18 @@ class ReductionResult:
 def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) -> ReductionResult:
     """Quantum Hamiltonian reduction of the matrix fiber at parameter eta.
 
-    Computes the moment ideal J inside Mat(ell^n) and its graded part,
-    then reads both verdicts off them.  With B the rows on which every
-    moment diagonal vanishes and m = |B|:
+    The moment ideal J is the left ideal of Mat(ell^n) generated by the
+    diagonals mu(z_j) - eta_j, so it is spanned by the elementary
+    matrices E_ab whose column b is not in B, the rows on which every
+    diagonal vanishes.  Its graded part has one basis vector per
+    invariant key (a, b) with b outside B, and the quotient keeps the
+    invariant keys with b in B: sum over b in B of |coset(b)|.
 
-    (a) B is exactly one grading coset, so restriction to B x B is an
-        algebra map from the invariants onto Mat(m);
-    (b) every graded ideal row is supported on invariant keys and has
-        no column in B, so the graded ideal lies in its kernel;
-    (c) invariant_dim - ideal_dim == m^2, so it is the whole kernel.
-
-    The quotient is Mat(m) when (a), (b) and (c) hold.  The invariant
-    module, the column space at a row of B, is acted on bijectively
-    when (a) and (c) hold and no graded ideal row has a column in B.
+    The quotient is Mat(|B|), and the invariant module (the column
+    space at a row of B) is acted on bijectively, when B is exactly one
+    grading coset and the moment map check passes: mu(z_j), built from
+    the images of the Euler operators, equals the moment diagonal plus
+    eta_j and grades the images of x_i and d_i (see moment_map_ok).
     """
     F = point.field
     ell = F.ell
@@ -227,45 +232,11 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     shift = eta_shift(point, emb, eta)
     grading = gamma_grading(emb, ell)
     blocks = invariant_blocks(grading)
-    cosets = [{undigits(r, ell) for r in coset} for coset in grading.cosets]
-    invariant_keys = set()
-    for lin in cosets:
-        for a in lin:
-            for b in lin:
-                invariant_keys.add((a, b))
-    invariant_dim = len(invariant_keys)
-
-    # J as a left ideal: basis monomials times the diagonal generators,
-    # reduced with non-invariant coordinates eliminated first so the
-    # graded part can be read off the echelon rows.
-    def key_order(k):
-        return (1 if k in invariant_keys else 0, k)
-
-    span = SpanBasis(F, key_order=key_order)
-    for dg in diags:
-        for b in range(size):
-            ent = dg[(b, b)]
-            if not ent:
-                continue
-            for a in range(size):
-                span.add({(a, b): ent})
-    ideal_graded = [p for p in span.pivots() if p in invariant_keys]
-    ideal_dim = len(ideal_graded)
-    quotient_dim = invariant_dim - ideal_dim
-
-    block = set(vanishing)
-    m = len(vanishing)
-    one_coset = block in cosets
-    rows_invariant = ideal_acts_by_zero = True
-    for p in ideal_graded:
-        row = span.row(p)
-        if any(k not in invariant_keys for k in row):
-            rows_invariant = False
-        if any(b in block for _, b in row):
-            ideal_acts_by_zero = False
-    full_kernel = quotient_dim == m * m
-    is_mat = one_coset and rows_invariant and ideal_acts_by_zero and full_kernel
-    bijective = one_coset and full_kernel and ideal_acts_by_zero
+    block = frozenset(vanishing)
+    cosets = [frozenset(undigits(r, ell) for r in coset) for coset in grading.cosets]
+    quotient_dim = sum(len(lin) * len(lin & block) for lin in cosets)
+    ideal_dim = blocks["invariant_dim"] - quotient_dim
+    verdict = block in cosets and moment_map_ok(point, emb, diags, eta)
 
     # invariant module: the column space at a row u in the surviving
     # coset, i.e. the quotient by the left ideal of shifted Euler
@@ -276,8 +247,8 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
         point=point, emb=emb, eta=eta, shift=shift, grading=grading,
         surviving=tuple(digits(idx, ell, n) for idx in vanishing),
         module_column=u, shifted_gamma=shifted_gamma,
-        invariant_dim=invariant_dim, ideal_dim=ideal_dim,
-        quotient_dim=quotient_dim, module_dim=m,
+        invariant_dim=blocks["invariant_dim"], ideal_dim=ideal_dim,
+        quotient_dim=quotient_dim, module_dim=len(vanishing),
         block_count=blocks["block_count"], block_size=blocks["block_size"],
-        is_matrix_algebra=is_mat, module_action_bijective=bijective,
+        is_matrix_algebra=verdict, module_action_bijective=verdict,
     )

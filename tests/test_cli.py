@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qweyl.cli import DEFAULT_SEED, main, run_suite, validate_config
+from qweyl.expr import MAX_NESTING
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -102,6 +103,19 @@ def test_normalize_large_exponent_does_not_recurse(capsys):
     cfg["tasks"] = [{"type": "normalize", "expressions": ["d1^3000*x1", "d1^3001*x1"]}]
     (task,) = run_suite(cfg)["tasks"]
     assert [e["normal_form"] for e in task["expressions"]] == want
+
+
+def test_deep_parentheses_exit_2_or_fail_the_task(capsys):
+    deep = "(" * 400 + "x1" + ")" * 400
+    assert main(["normalize", "--ell", "3", deep]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: parentheses nested deeper than {MAX_NESTING}"
+                   f" (at byte {MAX_NESTING})\n")
+    cfg = suite_cfg()
+    cfg["tasks"] = [{"type": "normalize", "expressions": ["(" * 3000 + "x1" + ")" * 3000]}]
+    (task,) = run_suite(cfg)["tasks"]
+    assert task["ok"] is False
+    assert "nested deeper" in task["expressions"][0]["error"]
 
 
 # -- verify and report ---------------------------------------------------------
@@ -247,6 +261,24 @@ def test_seed_environment_override(tmp_path, monkeypatch):
     assert report["seed"] == 7
     monkeypatch.delenv("QWEYL_SEED")
     assert run_suite(cfg)["seed"] == DEFAULT_SEED
+
+
+def test_malformed_seed_environment_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QWEYL_SEED", "abc")
+    for command in ("verify", "report"):
+        assert main([command, "--config", write_cfg(tmp_path, suite_cfg())]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: QWEYL_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, command):
+    cfg = suite_cfg()
+    cfg["tasks"] = [{"type": "normalize", "expressions": ["x1"]}]
+    out = str(tmp_path / "missing" / "x.json")
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
 
 
 # -- task payload shapes ----------------------------------------------------------

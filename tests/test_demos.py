@@ -1,4 +1,5 @@
-"""The demo scripts run to the end, with and without python -O."""
+"""The demo scripts run to the end, with and without python -O, and print
+exactly the text recorded in tests/demo_output/<stem>.txt."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+OUTPUT = ROOT / "tests" / "demo_output"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
@@ -16,10 +18,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, flags):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, *flags, str(demo)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
-    assert proc.stdout
+                          capture_output=True, timeout=120)
+    stderr = proc.stderr.decode(errors="replace")
+    assert proc.returncode == 0 and "Traceback" not in stderr, stderr
+    assert proc.stdout == (OUTPUT / f"{demo.stem}.txt").read_bytes()
 
 
 def test_demos_are_found():
     assert DEMOS  # an empty glob would parametrize nothing and pass
+    assert sorted(p.stem for p in OUTPUT.glob("*.txt")) == [p.stem for p in DEMOS]

@@ -6,6 +6,7 @@ import pytest
 
 from qweyl import (CycField, ParseError, PBWAlgebra, TorusEmbedding, evaluate,
                    evaluate_scalar, parse_expression)
+from qweyl.expr import MAX_NESTING
 
 
 def weyl(ell, n=1):
@@ -151,6 +152,21 @@ def test_zero_denominator_offset():
             parse_expression(src)
         assert offset_of(e) == where
         assert "zero denominator" in str(e.value)
+
+
+def test_nesting_depth_is_bounded():
+    A = weyl(3)
+    sign = (-1) ** MAX_NESTING
+    # every "-(" group adds a Sum node, so evaluation recurses as deep as parsing
+    deep = "-(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert evaluate(deep, A) == A.x(1) * sign
+    assert evaluate_scalar(deep.replace("x1", "q"), A.field) == A.field.q * sign
+    # the offset is that of the parenthesis that opens one level too many
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError) as e:
+            parse_expression(" (" * depth + "x1" + ")" * depth)
+        assert offset_of(e) == 2 * MAX_NESTING + 1
+        assert f"nested deeper than {MAX_NESTING}" in str(e.value)
 
 
 def test_negative_power_of_zero_is_a_value_error():

@@ -254,9 +254,10 @@ def test_full_rep_alpha_diagonals():
     emb = emb_n2()
     p = two_factor_point(F)
     rep = full_matrix_rep(p, emb)
+    A = PBWAlgebra(F, emb)
     assert rep.size == 9
     for i in range(2):
-        Al = rep.alpha[i]
+        Al = rep.of_element(A.alpha(i + 1))
         assert all(r == s for (r, s) in Al.entries)
         for t in range(9):
             ds = digits(t, 3, 2)

@@ -6,14 +6,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qweyl import reduction
-from qweyl import (CycField, EmptyReductionError, FiberPoint, Matrix,
-                   OutsideAzumayaLocus, TorusEmbedding, admissible_etas,
-                   eta_shift, full_matrix_rep, gamma_grading,
-                   hamiltonian_reduce, invariant_blocks, moment_diagonals,
-                   phi_dagger, verify_qmm_gamma)
-from qweyl.fiber import digits
+from qweyl import fiber, reduction
+from qweyl import (CycField, EmptyReductionError, FiberPoint, FullRep, Matrix,
+                   OutsideAzumayaLocus, PBWAlgebra, Rank1Rep, SpanBasis,
+                   TorusEmbedding, admissible_etas, eta_shift, full_matrix_rep,
+                   gamma_grading, hamiltonian_reduce, invariant_blocks,
+                   moment_diagonals, moment_map_ok, phi_dagger)
+from qweyl.cli import run_suite
+from qweyl.fiber import digits, undigits
 
 
 def emb_sum():
@@ -64,10 +66,50 @@ def test_grading_identity_embedding_is_discrete():
 
 
 def test_torsion_action_commutes_with_grading():
+    # the moment map built from the Euler operators grades the generators
     F = CycField(3)
-    assert verify_qmm_gamma(F, emb_sum())
-    assert verify_qmm_gamma(F, emb_diff())
-    assert verify_qmm_gamma(F, emb_id2())
+    p = FiberPoint(field=F, lam=((F.scalar(7), F.one), (F.zero, F.zero)),
+                   gamma=(F.scalar(2), F.one))
+    for emb in (emb_sum(), emb_diff(), emb_id2()):
+        for eta in admissible_etas(p, emb):
+            diags = moment_diagonals(p, emb, eta, require_exact=False)
+            assert moment_map_ok(p, emb, diags, eta)
+
+
+def shifted_rep(point, emb):
+    """full_matrix_rep with x_1 -> x_1 S and d_1 -> S^-1 d_1, S the cyclic
+    shift of the second coordinate: alpha_1 = 1 + x_1 d_1 is unchanged,
+    but x_1 and d_1 now move the second coordinate as well."""
+    rep = full_matrix_rep(point, emb)
+    F = rep.field
+    S = Matrix(F, rep.size, {(undigits((r[0], r[1] + 1), F.ell), idx): F.one
+                             for idx, r in ((i, digits(i, F.ell, 2)) for i in range(rep.size))})
+    S_inv = Matrix(F, rep.size, {(c, r): v for (r, c), v in S.entries.items()})
+    return FullRep(field=F, emb=emb, size=rep.size, x=(rep.x[0] * S,) + rep.x[1:],
+                   d=(S_inv * rep.d[0],) + rep.d[1:])
+
+
+def test_torsion_action_check_fails_on_a_mutant(monkeypatch):
+    F = CycField(3)
+    p = trivial_point(F)
+    for emb in (emb_sum(), emb_diff(), emb_id2()):
+        A = PBWAlgebra(F, emb)
+        rep, bad = full_matrix_rep(p, emb), shifted_rep(p, emb)
+        # the Euler images, hence mu, are those of the true model ...
+        for i in (1, 2):
+            assert bad.of_element(A.alpha(i)) == rep.of_element(A.alpha(i))
+        eta = phi_dagger(p, emb)
+        diags = moment_diagonals(p, emb, eta)
+        # ... so only the conjugation by mu tells them apart
+        monkeypatch.setattr(reduction, "full_matrix_rep", shifted_rep)
+        assert not moment_map_ok(p, emb, diags, eta)
+        res = hamiltonian_reduce(p, emb, eta)
+        assert not res.is_matrix_algebra and not res.module_action_bijective
+        monkeypatch.undo()
+        assert moment_map_ok(p, emb, diags, eta)
+    # diagonals of another embedding are not the moment map of this one
+    diags = moment_diagonals(p, emb_diff(), (F.one,))
+    assert not moment_map_ok(p, emb_sum(), diags, (F.one,))
 
 
 # -- moment diagonals ---------------------------------------------------------
@@ -100,10 +142,11 @@ def test_moment_matches_alpha_products_in_the_matrix_model():
     p = FiberPoint(field=F, lam=((F.zero, F.zero), (F.scalar(7), F.one)),
                    gamma=(F.one, F.scalar(2)))
     rep = full_matrix_rep(p, emb)
+    A = PBWAlgebra(F, emb)
     eta = phi_dagger(p, emb)
     diags = moment_diagonals(p, emb, eta)
     mu = diags[0] + Matrix.from_diag(F, [eta[0]] * 9)
-    assert mu == rep.alpha[0] * rep.alpha[1]
+    assert mu == rep.of_element(A.alpha(1) * A.alpha(2))
 
 
 def test_moment_conjugation_with_negative_weights():
@@ -114,9 +157,14 @@ def test_moment_conjugation_with_negative_weights():
     p = FiberPoint(field=F, lam=((F.scalar(7), F.one), (F.zero, F.zero)),
                    gamma=(F.scalar(2), F.one))
     rep = full_matrix_rep(p, emb)
+    A = PBWAlgebra(F, emb)
     eta = phi_dagger(p, emb)
     diags = moment_diagonals(p, emb, eta)
     mu = diags[0] + Matrix.from_diag(F, [eta[0]] * 9)
+    # mu(z) = alpha_1 alpha_2^-1, the second Euler image inverted entrywise
+    alpha2 = rep.of_element(A.alpha(2))
+    alpha2_inv = Matrix.from_diag(F, [alpha2[(r, r)].inverse() for r in range(9)])
+    assert mu == rep.of_element(A.alpha(1)) * alpha2_inv
     for i in range(2):
         m = emb.matrix[i][0]
         assert mu * rep.x[i] == (rep.x[i] * mu).scale(F.qpow(2 * m))
@@ -243,9 +291,9 @@ BROKEN_DIAGONALS = {
 }
 
 
-def reduce_with_broken_diagonal(mutation):
-    """ell = 3, embedding [[1],[1]], trivial point, eta (1,), with the
-    moment diagonal replaced by BROKEN_DIAGONALS[mutation]."""
+def reduce_with_broken_diagonal(mutation, reducer=hamiltonian_reduce):
+    """reducer at ell = 3, embedding [[1],[1]], trivial point, eta (1,),
+    with the moment diagonal replaced by BROKEN_DIAGONALS[mutation]."""
     F = CycField(3)
     original = reduction.moment_diagonals
 
@@ -256,7 +304,7 @@ def reduce_with_broken_diagonal(mutation):
 
     reduction.moment_diagonals = broken
     try:
-        return hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
+        return reducer(trivial_point(F), emb_sum(), (F.one,))
     finally:
         reduction.moment_diagonals = original
 
@@ -282,3 +330,141 @@ def test_broken_moment_diagonal_is_not_a_matrix_algebra_under_python_O(mutation)
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
+
+
+# -- the closed form against the elimination it replaces -----------------------
+
+def elimination_oracle(point, emb, eta):
+    """ideal_dim, quotient_dim and both verdicts by explicit elimination.
+
+    J is spanned by E_ab (mu(z_j) - eta_j) over all a, b, reduced with the
+    non-invariant keys eliminated first, so its graded part is read off
+    the echelon pivots.  With B the rows where every diagonal vanishes:
+    (a) B is one grading coset; (b) every graded row lies on invariant
+    keys and has no column in B; (c) invariant_dim - ideal_dim == |B|^2.
+    The quotient is Mat(|B|) on (a), (b) and (c); the module action is
+    bijective on (a), (c) and no graded row with a column in B.
+    """
+    F = point.field
+    size = F.ell ** emb.n
+    diags = reduction.moment_diagonals(point, emb, eta, require_exact=False)
+    block = {b for b in range(size) if all(not dg[(b, b)] for dg in diags)}
+    cosets = [{undigits(r, F.ell) for r in c} for c in gamma_grading(emb, F.ell).cosets]
+    invariant = {(a, b) for lin in cosets for a in lin for b in lin}
+    span = SpanBasis(F, key_order=lambda k: (k in invariant, k))
+    for dg in diags:
+        for (b, _), ent in dg.entries.items():
+            for a in range(size):
+                span.add({(a, b): ent})
+    graded = [p for p in span.pivots() if p in invariant]
+    rows_invariant = all(k in invariant for p in graded for k in span.row(p))
+    acts_by_zero = all(b not in block for p in graded for _, b in span.row(p))
+    quotient_dim = len(invariant) - len(graded)
+    one_coset = block in cosets
+    full_kernel = quotient_dim == len(block) ** 2
+    return {"ideal_dim": len(graded), "quotient_dim": quotient_dim,
+            "is_matrix_algebra": one_coset and rows_invariant and acts_by_zero and full_kernel,
+            "module_action_bijective": one_coset and full_kernel and acts_by_zero}
+
+
+def closed_form(res):
+    return {"ideal_dim": res.ideal_dim, "quotient_dim": res.quotient_dim,
+            "is_matrix_algebra": res.is_matrix_algebra,
+            "module_action_bijective": res.module_action_bijective}
+
+
+@st.composite
+def reduction_data(draw):
+    """A locus point, an embedding and an admissible eta.  ell^n stays at
+    most 27 so that the oracle's elimination stays small; weights may be
+    negative and factors may have c = 0."""
+    ell, n = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]))
+    F = CycField(ell)
+    d = draw(st.integers(0, min(n, 2)))
+    weight = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    matrix = draw(st.lists(weight, min_size=n, max_size=n))
+    upper = {(a, b): draw(st.integers(-2, 2)) for a in range(d) for b in range(a, d)}
+    form = [[upper[min(a, b), max(a, b)] for b in range(d)] for a in range(d)]
+    try:
+        emb = TorusEmbedding(n=n, d=d, matrix=matrix, form=form)
+    except ValueError:  # not of full column rank
+        assume(False)
+    lam, gamma = [], []
+    for _ in range(n):
+        g = F.qpow(draw(st.integers(0, ell - 1)))
+        if draw(st.booleans()):  # c = 0: gamma is a root of unity
+            c, w = F.zero, F.scalar(draw(st.integers(-3, 3)))
+        else:
+            g = g * draw(st.sampled_from([1, 2, -2, 3]))
+            c = F.scalar(draw(st.sampled_from([1, -1, 2, 7])))
+            w = (g ** ell - 1) / c
+        lam.append((c, w))
+        gamma.append(g)
+    point = FiberPoint(field=F, lam=tuple(lam), gamma=tuple(gamma))
+    eta = draw(st.sampled_from(admissible_etas(point, emb)))
+    return point, emb, eta
+
+
+@settings(max_examples=60, deadline=None)
+@given(reduction_data())
+def test_closed_form_matches_the_elimination(data):
+    point, emb, eta = data
+    res = hamiltonian_reduce(point, emb, eta)
+    assert closed_form(res) == elimination_oracle(point, emb, eta)
+    assert res.is_matrix_algebra and res.quotient_dim == res.module_dim ** 2
+
+
+@pytest.mark.parametrize("mutation", list(BROKEN_DIAGONALS))
+def test_closed_form_matches_the_elimination_on_broken_diagonals(mutation):
+    res = reduce_with_broken_diagonal(mutation)
+    assert closed_form(res) == reduce_with_broken_diagonal(mutation, elimination_oracle)
+
+
+# -- a perturbed rank-one model fails both the fiber and the reduction checks ---
+
+def perturbed_rank1(original):
+    """rank1_matrix_rep with delta_1, the d entry from row 1 to row 2, raised
+    by one; x e_2 is nonzero at the points below, so the image of
+    alpha = 1 + x d changes in row 1."""
+    def rank1(*args, **kwargs):
+        rep = original(*args, **kwargs)
+        entries = dict(rep.d.entries)
+        entries[(2, 1)] = entries.get((2, 1), rep.field.zero) + 1
+        d = Matrix(rep.field, rep.d.size, entries)
+        return Rank1Rep(field=rep.field, x=rep.x, d=d, alpha=rep.alpha)
+    return rank1
+
+
+def suite_verdicts(perturb):
+    """(fiber-rep alpha_diagonal_ok, reduce is_matrix_algebra, reduce
+    module_action_bijective) at ell = 3 on a c = 0 and a c != 0 factor."""
+    point = {"lambda": [["0", "0"], ["7", "1"]], "gamma": ["1", "2"]}
+    cfg = {
+        "ell": 3,
+        "embedding": {"matrix": [[1], [1]], "form": [[2]]},
+        "tasks": [{"type": "fiber-rep", "point": point},
+                  {"type": "reduce", "point": point, "eta": ["2"]}],
+    }
+    original = fiber.rank1_matrix_rep
+    if perturb:
+        fiber.rank1_matrix_rep = perturbed_rank1(original)
+    try:
+        fib, red = run_suite(cfg)["tasks"]
+    finally:
+        fiber.rank1_matrix_rep = original
+    return fib["alpha_diagonal_ok"], red["is_matrix_algebra"], red["module_action_bijective"]
+
+
+def test_perturbed_delta_fails_the_fiber_and_reduction_checks():
+    assert suite_verdicts(perturb=False) == (True, True, True)
+    assert suite_verdicts(perturb=True) == (False, False, False)
+
+
+def test_perturbed_delta_fails_the_fiber_and_reduction_checks_under_python_O():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    code = "import test_reduction; print(*test_reduction.suite_verdicts(perturb=True))"
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False False"
