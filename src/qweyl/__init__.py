@@ -8,10 +8,9 @@ exact arithmetic and verified by explicit linear algebra.
 
 from .cyclotomic import CycField, CycScalar, cyclotomic_polynomial
 from .expr import ParseError, evaluate, evaluate_scalar, parse_expression
-from .fiber import (FiberAlgebra, FiberPoint, FullRep, GradedMatrixAlgebra,
-                    Matrix, OutsideAzumayaLocus, Rank1Rep, UntwistMap,
-                    endo_splitting_check, full_matrix_rep, rank1_matrix_rep,
-                    untwist_iso)
+from .fiber import (FiberAlgebra, FiberPoint, FullRep, Matrix,
+                    OutsideAzumayaLocus, Rank1Rep, endo_splitting_check,
+                    full_matrix_rep, rank1_matrix_rep, untwist)
 from .lattice import (ModEllKernel, QuiverData, TorusEmbedding,
                       classical_moment, elementary_divisors, kernel_mod_ell,
                       quiver_to_embedding, smith_normal_form)
@@ -32,9 +31,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CycField", "CycScalar", "cyclotomic_polynomial",
     "ParseError", "evaluate", "evaluate_scalar", "parse_expression",
-    "FiberAlgebra", "FiberPoint", "FullRep", "GradedMatrixAlgebra", "Matrix",
-    "OutsideAzumayaLocus", "Rank1Rep", "UntwistMap", "endo_splitting_check",
-    "full_matrix_rep", "rank1_matrix_rep", "untwist_iso",
+    "FiberAlgebra", "FiberPoint", "FullRep", "Matrix", "OutsideAzumayaLocus",
+    "Rank1Rep", "endo_splitting_check", "full_matrix_rep", "rank1_matrix_rep",
+    "untwist",
     "ModEllKernel", "QuiverData", "TorusEmbedding", "classical_moment",
     "elementary_divisors", "kernel_mod_ell", "quiver_to_embedding",
     "smith_normal_form",

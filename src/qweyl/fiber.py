@@ -3,9 +3,14 @@
 At a central character the algebra collapses to dimension ell^(2n);
 on the locus where every 1 + lambda_i lambda_iv is nonzero it is a
 full matrix algebra.  This module builds the finite fiber, the
-rank-one ell x ell model, the braided-tensor untwisting that assembles
-the n-factor model, explicit module bases, and the endomorphism
-splitting check.
+rank-one ell x ell model, the n-factor model assembled by one untwisting
+of the braided tensor product, explicit module bases, and the
+endomorphism splitting check.
+
+The untwisting scales the elementary matrix E_rc of Mat(ell^n) by
+q^(-tau(r, c)), tau(r, c) = sum_{i<j} (r_i - c_i) P_ji r_j, where r, c
+are the digits of row and column (first factor fastest) and P is the
+pairing matrix of the embedding; see untwist.
 """
 
 from __future__ import annotations
@@ -310,94 +315,29 @@ def rank1_matrix_rep(field: CycField, c, w, b=None, gamma=None) -> Rank1Rep:
 
 
 # ---------------------------------------------------------------------------
-# graded matrix algebras and untwisting
+# untwisting the braided tensor product
 
 
-@dataclass(frozen=True)
-class GradedMatrixAlgebra:
-    """Mat(size) with basis rows graded by vectors mod ell.
+def untwist(mat: Matrix, emb: TorusEmbedding) -> Matrix:
+    """The braided-to-plain map on Mat(ell^n).
 
-    grades[r] is the degree vector of the r-th basis row, so the
-    elementary matrix E_{r,s} is homogeneous of degree
-    grades[r] - grades[s], additive under products.
+    With r, c the digits of row and column (first factor fastest) and
+    P the pairing matrix, E_rc goes to q^(-tau(r, c)) E_rc, where
+    tau(r, c) = sum_{i<j} (r_i - c_i) P_ji r_j.  It is multiplicative
+    from the braided product E_rc o E_cs = q^(beta) E_rs, with
+    beta = sum_{i<j} (r_j - c_j) P_ji (c_i - s_i), to the plain one.
     """
-
-    field: CycField
-    size: int
-    grades: tuple[tuple[int, ...], ...]
-    form: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.grades) != self.size:
-            raise ValueError("one grade vector per basis row")
-
-    def deg(self, r: int, s: int) -> tuple[int, ...]:
-        ell = self.field.ell
-        return tuple((a - b) % ell for a, b in zip(self.grades[r], self.grades[s]))
-
-    def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(u[a] * self.form[a][b] * v[b]
-                   for a in range(len(u)) for b in range(len(v)))
-
-
-@dataclass
-class UntwistMap:
-    """phi(E (x) Y) = E (x) Delta(E) Y between tensor-product algebras.
-
-    Source: the trivial (componentwise) product on Mat(s1*s2); target:
-    the braided product twisted by q^(pairing of degrees).  forward and
-    backward are mutually inverse linear maps; forward is multiplicative
-    from the trivial product to the braided one.
-    """
-
-    left: GradedMatrixAlgebra
-    right: GradedMatrixAlgebra
-
-    def _scale(self, mat: Matrix, sign: int) -> Matrix:
-        F = self.left.field
-        s1 = self.left.size
-        out = {}
-        for (r, c), v in mat.entries.items():
-            r1, r2 = r % s1, r // s1
-            c1, c2 = c % s1, c // s1
-            g = self.left.deg(r1, c1)
-            e = self.right.pairing(self.right.grades[r2], g)
-            out[(r, c)] = v * F.qpow(sign * e)
-        return Matrix(F, mat.size, out)
-
-    def forward(self, mat: Matrix) -> Matrix:
-        return self._scale(mat, +1)
-
-    def backward(self, mat: Matrix) -> Matrix:
-        return self._scale(mat, -1)
-
-    def braided_product(self, a: Matrix, b: Matrix) -> Matrix:
-        """(E (x) Y)(E' (x) Y') = q^{<deg Y, deg E'>} EE' (x) YY'."""
-        F = self.left.field
-        s1 = self.left.size
-
-        def terms():
-            for (r, c), v in a.entries.items():
-                r1, r2 = r % s1, r // s1
-                c1, c2 = c % s1, c // s1
-                degY = self.right.deg(r2, c2)
-                for (r_, c_), v_ in b.entries.items():
-                    p1, p2 = r_ % s1, r_ // s1
-                    if p1 != c1 or p2 != c2:
-                        continue
-                    q1, q2 = c_ % s1, c_ // s1
-                    degEp = self.left.deg(p1, q1)
-                    e = sum(degY[i] * self.left.form[i][j] * degEp[j]
-                            for i in range(len(degY)) for j in range(len(degEp)))
-                    yield (r1 + s1 * r2, q1 + s1 * q2), v * v_ * F.qpow(e)
-
-        return Matrix(F, a.size, vec_accumulate({}, terms()))
-
-
-def untwist_iso(left: GradedMatrixAlgebra, right: GradedMatrixAlgebra) -> UntwistMap:
-    if left.field.ell != right.field.ell:
-        raise ValueError("factors over different fields")
-    return UntwistMap(left=left, right=right)
+    F = mat.field
+    ell, n = F.ell, emb.n
+    if mat.size != ell ** n:
+        raise ValueError("matrix size differs from ell^n")
+    P = emb.pairing_matrix()
+    out = {}
+    for (r, c), v in mat.entries.items():
+        rd, cd = digits(r, ell, n), digits(c, ell, n)
+        tau = sum((rd[i] - cd[i]) * P[j][i] * rd[j] for j in range(n) for i in range(j))
+        out[(r, c)] = v * F.qpow(-tau)
+    return Matrix(F, mat.size, out)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +373,9 @@ class FullRep:
 def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     """Assemble the n-factor model by untwisting the braided tensor.
 
-    Each factor contributes its rank-one matrices; placing the factor-i
-    matrix G against diagonal context t scales the (a, b) entry by
-    q^{-(a-b) * sum_{j>i} t_j P_ji}, the scalar that converts braided
-    tensor monomials into plain Kronecker products.
+    Each factor-i rank-one matrix G is placed as the plain Kronecker
+    product with G in slot i and the identity in every other slot, and
+    the placement is passed through untwist.
     """
     F = point.field
     if emb.n != point.n:
@@ -446,25 +385,17 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     ell = F.ell
     n = point.n
     size = ell ** n
-    P = emb.pairing_matrix()
     local = [rank1_matrix_rep(F, c, w, point.b[i], point.gamma[i])
              for i, (c, w) in enumerate(point.lam)]
 
     def place(i: int, G: Matrix) -> Matrix:
-        out: dict = {}
-        for t in iproduct(range(ell), repeat=n - 1):
-            ctx = list(t[:i]) + [0] + list(t[i:])
-            twist = sum(ctx[j] * P[j][i] for j in range(i + 1, n))
-            for (a, b), v in G.entries.items():
-                ctx[i] = a
-                row = undigits(ctx, ell)
-                ctx[i] = b
-                col = undigits(ctx, ell)
-                out[(row, col)] = v * F.qpow(-(a - b) * twist)
-        return Matrix(F, size, out)
+        step = ell ** i
+        bases = [idx for idx in range(size) if (idx // step) % ell == 0]
+        return Matrix(F, size, {(base + a * step, base + b * step): v
+                                for base in bases for (a, b), v in G.entries.items()})
 
-    xs = tuple(place(i, local[i].x) for i in range(n))
-    ds = tuple(place(i, local[i].d) for i in range(n))
+    xs = tuple(untwist(place(i, local[i].x), emb) for i in range(n))
+    ds = tuple(untwist(place(i, local[i].d), emb) for i in range(n))
     return FullRep(field=F, emb=emb, size=size, x=xs, d=ds)
 
 

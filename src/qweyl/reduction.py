@@ -44,16 +44,6 @@ class GammaGrading:
     cosets: tuple[tuple[tuple[int, ...], ...], ...]
     values: tuple[tuple[int, ...], ...]
 
-    def row_value(self, r: Sequence[int]) -> tuple[int, ...]:
-        return tuple(v % self.ell for v in self.emb.mdag_vec(tuple(r)))
-
-    def deg(self, r: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
-        rv, sv = self.row_value(r), self.row_value(s)
-        return tuple((a - b) % self.ell for a, b in zip(rv, sv))
-
-    def is_invariant_pair(self, r, s) -> bool:
-        return self.row_value(r) == self.row_value(s)
-
     @property
     def unimodular(self) -> bool:
         return self.kernel.free and self.kernel.size == self.ell ** (self.emb.n - self.emb.d)
@@ -116,8 +106,7 @@ def eta_shift(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) -> Optional
     return tuple(out)
 
 
-def moment_diagonals(point: FiberPoint, emb: TorusEmbedding, eta: Sequence,
-                     require_exact: bool = True) -> list[Matrix]:
+def moment_diagonals(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) -> list[Matrix]:
     """The diagonal matrices mu(z_j) - eta_j on the ell^n row set.
 
     The (r, r) entry of mu(z_j) is prod_i (gamma_i q^{-2 r_i})^{m_ij}
@@ -128,8 +117,6 @@ def moment_diagonals(point: FiberPoint, emb: TorusEmbedding, eta: Sequence,
     ell = F.ell
     eta = tuple(F.scalar(v) for v in eta)
     base = phi_dagger(point, emb)
-    if require_exact and tuple(base) != eta:
-        raise ValueError("eta must equal the gamma pushforward under the weight map")
     out = []
     for j in range(emb.d):
         diag = []
@@ -223,7 +210,7 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     eta = tuple(F.scalar(v) for v in eta)
     size = ell ** n
 
-    diags = moment_diagonals(point, emb, eta, require_exact=False)
+    diags = moment_diagonals(point, emb, eta)
     vanishing = [idx for idx in range(size) if all(not dg[(idx, idx)] for dg in diags)]
     if not vanishing:
         adm = admissible_etas(point, emb)

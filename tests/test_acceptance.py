@@ -7,14 +7,15 @@ the cyclotomic field; there are no tolerances anywhere.
 import time
 from itertools import product as iproduct
 
-from qweyl import (CycField, FiberAlgebra, FiberPoint, GradedMatrixAlgebra,
-                   Matrix, PBWAlgebra, TorusEmbedding, build_an_quiver_algebra,
-                   endo_splitting_check, euler, gamma_grading,
-                   hamiltonian_reduce, invariant_blocks, quiver_to_embedding,
-                   rank1_matrix_rep, untwist_iso, verify_central_z, verify_qmm,
-                   verify_u1_relations)
+from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, PBWAlgebra,
+                   TorusEmbedding, build_an_quiver_algebra, endo_splitting_check,
+                   euler, gamma_grading, hamiltonian_reduce, invariant_blocks,
+                   quiver_to_embedding, rank1_matrix_rep, untwist,
+                   verify_central_z, verify_qmm, verify_u1_relations)
 from qweyl.lattice import QuiverData
 from qweyl.linalg import SpanBasis, nullspace
+
+from braided import braided_product
 
 
 def emb_rank1():
@@ -120,18 +121,15 @@ def test_criterion_5_untwisting_isomorphism():
     t0 = time.perf_counter()
     F = CycField(3)
     emb = emb_pair()
-    # one graded factor per coordinate, graded by its weight row
-    factors = [GradedMatrixAlgebra(F, 3,
-                                   tuple((r * emb.matrix[i][0],) for r in range(3)),
-                                   emb.form)
-               for i in range(2)]
-    phi = untwist_iso(factors[0], factors[1])
     size = 9
     units = [Matrix(F, size, {(r, c): F.one})
              for r in range(size) for c in range(size)]
-    ok = all(phi.forward(u * v) == phi.braided_product(phi.forward(u), phi.forward(v))
+    # braided product in, plain product out, on every pair of units
+    ok = all(untwist(braided_product(u, v, emb), emb) == untwist(u, emb) * untwist(v, emb)
              for u in units for v in units)
-    ok = ok and all(phi.backward(phi.forward(u)) == u for u in units)
+    # each unit goes to a nonzero multiple q^e of itself, so untwist is invertible
+    ok = ok and all(any(untwist(u, emb) == u.scale(F.qpow(e)) for e in range(3))
+                    for u in units)
     elapsed = time.perf_counter() - t0
     verdict(5, "untwisting isomorphism", ok and elapsed < 10.0)
 

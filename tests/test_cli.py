@@ -72,6 +72,16 @@ def test_normalize_multiple_expressions(capsys):
     assert lines == ["x1^3", "(-1)*x1"]
 
 
+def test_normalize_leading_minus_needs_double_dash(capsys):
+    # without "--", argparse takes "-(x1)" for an option and exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--ell", "3", "-(x1)"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: expressions" in capsys.readouterr().err
+    assert main(["normalize", "--ell", "3", "--", "-(x1)"]) == 0
+    assert capsys.readouterr().out == "(-1)*x1\n"
+
+
 def test_normalize_parse_error_exits_2(capsys):
     rc = main(["normalize", "--ell", "5", "x1 +"])
     err = capsys.readouterr().err

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from qweyl import (CycField, FiberAlgebra, FiberPoint, GradedMatrixAlgebra,
-                   Matrix, OutsideAzumayaLocus, PBWAlgebra, TorusEmbedding,
-                   endo_splitting_check, full_matrix_rep, rank1_matrix_rep,
-                   untwist_iso)
+from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, OutsideAzumayaLocus,
+                   PBWAlgebra, QuiverData, TorusEmbedding, endo_splitting_check,
+                   full_matrix_rep, quiver_to_embedding, rank1_matrix_rep, untwist)
+from qweyl.cli import run_suite
 from qweyl.fiber import digits
+
+from braided import braided_product
 
 
 def emb_n1():
@@ -189,46 +191,88 @@ def test_off_locus_alpha_generates_a_proper_ideal():
     assert 0 < ideal.rank < fib.dimension()
 
 
-# -- untwisting the braided tensor square -----------------------------------
+# -- untwisting the braided tensor product -----------------------------------
 
-def graded_pair(ell, size1, size2, wt1, wt2, form):
-    F = CycField(ell)
-    left = GradedMatrixAlgebra(F, size1,
-                               tuple(tuple(r * w for w in wt1) for r in range(size1)),
-                               form)
-    right = GradedMatrixAlgebra(F, size2,
-                                tuple(tuple(r * w for w in wt2) for r in range(size2)),
-                                form)
-    return F, left, right
+def emb_weights_2_1():
+    # pairing ((8, 4), (4, 2)): the off-diagonal twist is nonzero
+    return TorusEmbedding(n=2, d=1, matrix=((2,), (1,)), form=((2,),))
 
 
-def test_untwist_forward_backward_inverse():
-    F, left, right = graded_pair(3, 3, 3, (1,), (1,), ((2,),))
-    phi = untwist_iso(left, right)
+def emb_cyclic3():
+    return quiver_to_embedding(QuiverData(num_vertices=3, edges=((1, 2), (2, 3), (3, 1))))
+
+
+def units(F, size):
+    return [Matrix(F, size, {(r, c): F.one}) for r in range(size) for c in range(size)]
+
+
+def composable_unit_pairs(F, size, count, seed):
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        r, c, s = (rng.randrange(size) for _ in range(3))
+        pairs.append((Matrix(F, size, {(r, c): F.one}), Matrix(F, size, {(c, s): F.one})))
+    return pairs
+
+
+def sign_flipped(mat, emb):
+    """untwist with q^(+tau) in place of q^(-tau)."""
+    image = untwist(mat, emb)
+    return Matrix(mat.field, mat.size, {rc: v * v / image[rc] for rc, v in mat.entries.items()})
+
+
+def multiplicative(twist, emb, pairs):
+    return all(twist(braided_product(u, v, emb), emb) == twist(u, emb) * twist(v, emb)
+               for u, v in pairs)
+
+
+def test_untwist_scales_each_unit_by_a_power_of_q():
+    # a nonzero multiple of each unit, so untwist is invertible
+    F = CycField(3)
+    emb = emb_n2()
+    for u in units(F, 9):
+        assert sum(untwist(u, emb) == u.scale(F.qpow(e)) for e in range(3)) == 1
     rng = random.Random(515)
-    size = left.size * right.size
-    m = Matrix(F, size, {(rng.randrange(size), rng.randrange(size)): F.qpow(rng.randrange(3))
-                         for _ in range(12)})
-    assert phi.backward(phi.forward(m)) == m
-    assert phi.forward(phi.backward(m)) == m
+    m = Matrix(F, 9, {(rng.randrange(9), rng.randrange(9)): F.qpow(rng.randrange(3))
+                      for _ in range(12)})
+    assert untwist(m, emb).entries.keys() == m.entries.keys()
 
 
 def test_untwist_is_multiplicative_on_all_elementary_pairs():
-    # trivial product in, braided product out, checked pair by pair
-    F, left, right = graded_pair(3, 3, 3, (1,), (1,), ((2,),))
-    phi = untwist_iso(left, right)
-    size = left.size * right.size
-    units = [Matrix(F, size, {(r, c): F.one})
-             for r in range(size) for c in range(size)]
-    for u in units:
-        for v in units:
-            assert phi.forward(u * v) == phi.braided_product(phi.forward(u), phi.forward(v))
+    # braided product in, plain product out, checked pair by pair
+    F = CycField(3)
+    emb = emb_n2()
+    us = units(F, 9)
+    assert multiplicative(untwist, emb, [(u, v) for u in us for v in us])
+
+
+def test_untwist_is_multiplicative_on_three_factors():
+    # composable unit pairs E_rc, E_cs on the three-cycle quiver
+    assert multiplicative(untwist, emb_cyclic3(),
+                          composable_unit_pairs(CycField(3), 27, 200, seed=27))
+
+
+@pytest.mark.parametrize("emb", [emb_n2(), emb_weights_2_1(), emb_cyclic3()],
+                         ids=["weights-1-1", "weights-2-1", "cyclic3"])
+def test_sign_flipped_untwist_is_not_multiplicative(emb):
+    pairs = composable_unit_pairs(CycField(3), 3 ** emb.n, 200, seed=27)
+    assert multiplicative(untwist, emb, pairs)
+    assert not multiplicative(sign_flipped, emb, pairs)
+
+
+def test_sign_flipped_untwist_breaks_the_fiber_model(monkeypatch):
+    cfg = {"ell": 3, "embedding": {"matrix": [[2], [1]], "form": [[2]]},
+           "tasks": [{"type": "fiber-rep",
+                      "point": {"lambda": [["0", "0"], ["7", "1"]], "gamma": ["1", "2"]}}]}
+    assert run_suite(cfg)["tasks"][0]["relations_ok"]
+    monkeypatch.setattr("qweyl.fiber.untwist", sign_flipped)
+    assert not run_suite(cfg)["tasks"][0]["relations_ok"]
 
 
 def test_braided_product_is_associative_on_samples():
-    F, left, right = graded_pair(5, 5, 5, (2,), (1,), ((2,),))
-    phi = untwist_iso(left, right)
-    size = left.size * right.size
+    F = CycField(5)
+    emb = emb_weights_2_1()
+    size = 25
     rng = random.Random(99)
 
     def rand():
@@ -237,9 +281,10 @@ def test_braided_product_is_associative_on_samples():
 
     for _ in range(10):
         a, b, c = rand(), rand(), rand()
-        lhs = phi.braided_product(phi.braided_product(a, b), c)
-        rhs = phi.braided_product(a, phi.braided_product(b, c))
+        lhs = braided_product(braided_product(a, b, emb), c, emb)
+        rhs = braided_product(a, braided_product(b, c, emb), emb)
         assert lhs == rhs
+        assert untwist(braided_product(a, b, emb), emb) == untwist(a, emb) * untwist(b, emb)
 
 
 # -- the full model on ell^n dimensions --------------------------------------

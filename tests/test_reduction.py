@@ -51,10 +51,17 @@ def test_grading_cosets_three_by_three():
 
 def test_grading_degree_and_invariance():
     g = gamma_grading(emb_sum(), 3)
-    assert g.deg((1, 0), (0, 0)) == (1,)
-    assert g.deg((1, 2), (0, 0)) == (0,)
-    assert g.is_invariant_pair((1, 2), (2, 1))
-    assert not g.is_invariant_pair((1, 0), (0, 2))
+    value = {r: v for coset, v in zip(g.cosets, g.values) for r in coset}
+
+    def deg(r, s):  # the degree of E_rs
+        return tuple((a - b) % 3 for a, b in zip(value[r], value[s]))
+
+    assert deg((1, 0), (0, 0)) == (1,)
+    assert deg((1, 2), (0, 0)) == (0,)
+    # (1, 2) and (2, 1) share a coset, (1, 0) and (0, 2) do not
+    coset_of = {r: coset for coset in g.cosets for r in coset}
+    assert coset_of[(1, 2)] is coset_of[(2, 1)]
+    assert coset_of[(1, 0)] is not coset_of[(0, 2)]
 
 
 def test_grading_identity_embedding_is_discrete():
@@ -72,7 +79,7 @@ def test_torsion_action_commutes_with_grading():
                    gamma=(F.scalar(2), F.one))
     for emb in (emb_sum(), emb_diff(), emb_id2()):
         for eta in admissible_etas(p, emb):
-            diags = moment_diagonals(p, emb, eta, require_exact=False)
+            diags = moment_diagonals(p, emb, eta)
             assert moment_map_ok(p, emb, diags, eta)
 
 
@@ -126,12 +133,10 @@ def test_moment_diagonal_entries():
 
 
 def test_moment_diagonals_strict_mode():
+    # any eta is accepted, not only the gamma pushforward
     F = CycField(3)
     p = trivial_point(F)
-    with pytest.raises(ValueError):
-        moment_diagonals(p, emb_sum(), (F.qpow(-2),))
-    # the relaxed call accepts any eta
-    diags = moment_diagonals(p, emb_sum(), (F.qpow(-2),), require_exact=False)
+    diags = moment_diagonals(p, emb_sum(), (F.qpow(-2),))
     assert len(diags) == 1
 
 
@@ -347,7 +352,7 @@ def elimination_oracle(point, emb, eta):
     """
     F = point.field
     size = F.ell ** emb.n
-    diags = reduction.moment_diagonals(point, emb, eta, require_exact=False)
+    diags = reduction.moment_diagonals(point, emb, eta)
     block = {b for b in range(size) if all(not dg[(b, b)] for dg in diags)}
     cosets = [{undigits(r, F.ell) for r in c} for c in gamma_grading(emb, F.ell).cosets]
     invariant = {(a, b) for lin in cosets for a in lin for b in lin}

@@ -1,0 +1,32 @@
+"""`qweyl report` on each config in tests/report_configs/ writes exactly the
+bytes recorded in tests/report_output/<stem>.json.
+
+The suites are small ell = 3 runs that reach the n-factor matrix model:
+a fiber-rep and a reduce task on the weights (2), (1), whose pairing has a
+nonzero off-diagonal entry, and a reduce task on the three-cycle quiver.
+To record a new output: qweyl report --config <config> --out <output>,
+with QWEYL_SEED unset.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qweyl.cli import main
+
+ROOT = Path(__file__).resolve().parent
+CONFIGS = sorted((ROOT / "report_configs").glob("*.json"))
+OUTPUT = ROOT / "report_output"
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_report_matches_recorded_output(config, tmp_path, monkeypatch):
+    monkeypatch.delenv("QWEYL_SEED", raising=False)
+    out = tmp_path / "report.json"
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (OUTPUT / f"{config.stem}.json").read_bytes()
+
+
+def test_report_outputs_are_found():
+    assert CONFIGS  # an empty glob would parametrize nothing and pass
+    assert sorted(p.stem for p in OUTPUT.glob("*.json")) == [p.stem for p in CONFIGS]
