@@ -11,9 +11,8 @@ from .expr import ParseError, evaluate, evaluate_scalar, parse_expression
 from .fiber import (FiberAlgebra, FiberPoint, FullRep, Matrix,
                     OutsideAzumayaLocus, Rank1Rep, endo_splitting_check,
                     full_matrix_rep, rank1_matrix_rep, untwist)
-from .lattice import (ModEllKernel, QuiverData, TorusEmbedding,
-                      classical_moment, elementary_divisors, kernel_mod_ell,
-                      quiver_to_embedding, smith_normal_form)
+from .lattice import (QuiverData, TorusEmbedding, classical_moment,
+                      quiver_to_embedding)
 from .linalg import SpanBasis, nullspace
 from .pbw import (PBWAlgebra, PBWElement, QmmResult, act_rank1, euler,
                   verify_qmm)
@@ -34,9 +33,7 @@ __all__ = [
     "FiberAlgebra", "FiberPoint", "FullRep", "Matrix", "OutsideAzumayaLocus",
     "Rank1Rep", "endo_splitting_check", "full_matrix_rep", "rank1_matrix_rep",
     "untwist",
-    "ModEllKernel", "QuiverData", "TorusEmbedding", "classical_moment",
-    "elementary_divisors", "kernel_mod_ell", "quiver_to_embedding",
-    "smith_normal_form",
+    "QuiverData", "TorusEmbedding", "classical_moment", "quiver_to_embedding",
     "SpanBasis", "nullspace",
     "PBWAlgebra", "PBWElement", "QmmResult", "act_rank1", "euler",
     "verify_qmm",

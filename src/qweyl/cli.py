@@ -34,7 +34,10 @@ TASK_TYPES = ("normalize", "center-check", "fiber-rep", "reduce",
 
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except RecursionError:
+            raise ValueError("config is nested too deeply to parse") from None
     validate_config(cfg)
     return cfg
 
@@ -170,18 +173,17 @@ def _task_center_check(field, emb, algebra, task, rng):
                 per_key.setdefault((gi, out_key), {})[mk] = c
         rows.extend(per_key.values())
     sol = nullspace(rows, unknowns, field=field)
-    centralizer = SpanBasis(field)
-    for v in sol:
-        centralizer.add(v)
     ell = field.ell
     expected = [(m, k)
                 for m in iproduct(range(0, deg + 1, ell), repeat=n)
                 for k in iproduct(range(0, deg + 1, ell), repeat=n)]
-    matches = centralizer.rank == len(expected) and all(
-        centralizer.contains({key: field.one}) for key in expected)
+    # each solution is 1 at its own free unknown and 0 at the other free
+    # unknowns, so e_key lies in their span exactly when it is one of them
+    matches = len(sol) == len(expected) and all(
+        {key: field.one} in sol for key in expected)
     basis_strs = sorted(
         str(algebra.monomial(m, k)) for (m, k) in expected) if matches else None
-    return {"max_degree": deg, "dimension": centralizer.rank,
+    return {"max_degree": deg, "dimension": len(sol),
             "expected_dimension": len(expected),
             "matches_ell_power_span": matches,
             "basis": basis_strs, "ok": matches}
@@ -390,7 +392,7 @@ def main(argv: Optional[list] = None) -> int:
             for src in args.expressions:
                 print(str(evaluate(src, algebra)))
             return 0
-        except (ParseError, ValueError) as err:
+        except (OSError, ParseError, ValueError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
 

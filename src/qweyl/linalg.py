@@ -89,7 +89,10 @@ def nullspace(rows: Iterable[Vec], unknowns: list, field: Optional[CycField] = N
     """Solution basis of the homogeneous system rows . x = 0.
 
     Each row maps unknown -> coefficient; unknowns fixes the elimination
-    order.  Returns one solution vector per free unknown.
+    order.  Returns one solution vector per free unknown, in the order of
+    unknowns; each is 1 at its own free unknown and 0 at every other free
+    unknown, so a vector lies in their span exactly when it equals the
+    combination of them given by its free coordinates.
     """
     rows = list(rows)
     if field is None:

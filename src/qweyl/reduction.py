@@ -1,12 +1,13 @@
 """Torsion-group gradings on matrix fibers and quantum Hamiltonian reduction.
 
 The ell-torsion of the embedded torus grades Mat(ell^n) through the
-weight map; invariants split into blocks indexed by cosets of the
-mod-ell kernel.  Reducing by the moment ideal at an admissible
-parameter kills all blocks but one, giving Mat(ell^(n-d)) together
-with its simple module.  The moment generators are diagonal, so the
-dimensions are read off the rows where they vanish; the verdict rests
-on that row set being one grading coset and on the quantum moment map
+weight map r -> M^T r mod ell on the row set (Z/ell)^n; invariants
+split into blocks indexed by its fibers, the cosets of the kernel of
+that map.  Reducing by the moment ideal at an admissible parameter
+kills all blocks but one, giving Mat(ell^(n-d)) together with its
+simple module.  The moment generators are diagonal, so the dimensions
+are read off the rows where they vanish; the verdict rests on that row
+set being one grading coset and on the quantum moment map
 mu(z_j) = prod_i alpha_i^(m_ij), evaluated on the Euler operators in
 the matrix model, matching those diagonals and grading the generators.
 """
@@ -21,8 +22,7 @@ from typing import Optional, Sequence
 from .cyclotomic import CycScalar
 from .fiber import (FiberPoint, Matrix, OutsideAzumayaLocus, digits, full_matrix_rep,
                     undigits)
-from .lattice import (ModEllKernel, TorusEmbedding, classical_moment, kernel_mod_ell,
-                      transpose)
+from .lattice import TorusEmbedding, classical_moment
 from .pbw import PBWAlgebra
 
 
@@ -40,18 +40,11 @@ class GammaGrading:
 
     ell: int
     emb: TorusEmbedding
-    kernel: ModEllKernel
     cosets: tuple[tuple[tuple[int, ...], ...], ...]
     values: tuple[tuple[int, ...], ...]
 
-    @property
-    def unimodular(self) -> bool:
-        return self.kernel.free and self.kernel.size == self.ell ** (self.emb.n - self.emb.d)
-
 
 def gamma_grading(emb: TorusEmbedding, ell: int) -> GammaGrading:
-    mdag = transpose(emb.matrix)
-    kern = kernel_mod_ell(mdag, ell)
     groups: dict[tuple[int, ...], list] = {}
     for r in iproduct(range(ell), repeat=emb.n):
         val = tuple(sum(emb.matrix[i][j] * r[i] for i in range(emb.n)) % ell
@@ -60,7 +53,7 @@ def gamma_grading(emb: TorusEmbedding, ell: int) -> GammaGrading:
     ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
     cosets = tuple(tuple(members) for _, members in ordered)
     values = tuple(val for val, _ in ordered)
-    return GammaGrading(ell=ell, emb=emb, kernel=kern, cosets=cosets, values=values)
+    return GammaGrading(ell=ell, emb=emb, cosets=cosets, values=values)
 
 
 def invariant_blocks(g: GammaGrading) -> dict:
@@ -72,7 +65,6 @@ def invariant_blocks(g: GammaGrading) -> dict:
         "block_count": len(g.cosets),
         "block_size": uniform,
         "invariant_dim": sum(len(c) ** 2 for c in g.cosets),
-        "unimodular": g.unimodular,
     }
 
 
@@ -85,10 +77,8 @@ def admissible_etas(point: FiberPoint, emb: TorusEmbedding) -> list[tuple[CycSca
     """All parameters with a nonzero reduction: phi(gamma) twisted by
     torsion points in the image of the weight map."""
     F = point.field
-    ell = F.ell
     base = phi_dagger(point, emb)
-    images = sorted({tuple(v % ell for v in emb.mdag_vec(r))
-                     for r in iproduct(range(ell), repeat=emb.n)})
+    images = sorted(gamma_grading(emb, F.ell).values)
     return [tuple(base[j] * F.qpow(-2 * t[j]) for j in range(emb.d)) for t in images]
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qweyl.cli import DEFAULT_SEED, main, run_suite, validate_config
+from qweyl.linalg import nullspace
 from qweyl.expr import MAX_NESTING
 
 
@@ -176,6 +177,23 @@ def test_missing_and_malformed_configs_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unreadable_normalize_config_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "nope.json", tmp_path):            # missing, a directory
+        assert main(["normalize", "--config", str(path), "x1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    for argv in (["verify", "--config", str(path)], ["report", "--config", str(path)],
+                 ["normalize", "--config", str(path), "x1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("config is nested too deeply to parse\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("task", [
     {"type": "normalize", "expressions": "d1*x1"},       # a string, not a list
     {"type": "normalize", "expressions": ["x1", 2]},     # a non-string entry
@@ -305,6 +323,31 @@ def test_center_check_task_payload():
     assert entry["matches_ell_power_span"]
     assert "x1^3*d1^3" in entry["basis"]
     assert "1" in entry["basis"]
+
+
+@pytest.mark.parametrize("pinned", [[], [((3,), (0,))]],
+                         ids=["d1-made-central", "d1-made-central-x1^3-pinned"])
+def test_center_check_fails_on_a_wrong_commutator_system(monkeypatch, pinned):
+    import qweyl.cli
+
+    def lossy_nullspace(rows, unknowns, field=None):
+        # no single commutator row matters (each unknown is pinned by several),
+        # so the mutant loses every row that keeps d1 out of the center
+        kept = [r for r in rows if ((0,), (1,)) not in r]
+        return nullspace(kept + [{key: field.one} for key in pinned], unknowns, field=field)
+
+    monkeypatch.setattr(qweyl.cli, "nullspace", lossy_nullspace)
+    cfg = {
+        "ell": 3,
+        "embedding": {"matrix": [[1]], "form": [[2]]},
+        "tasks": [{"type": "center-check", "max_degree": 6}],
+    }
+    entry = run_suite(cfg)["tasks"][0]
+    # with x1^3 pinned the dimension is right and only membership fails
+    assert (entry["dimension"], entry["expected_dimension"]) == (10 - len(pinned), 9)
+    assert entry["matches_ell_power_span"] is False
+    assert entry["basis"] is None
+    assert entry["ok"] is False
 
 
 def test_fiber_rep_task_payload():

@@ -1,43 +1,16 @@
-"""Integer lattice utilities: Smith form, mod-ell kernels, quiver embeddings."""
+"""Torus weight data: the full-rank check, moment values, quiver embeddings."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from qweyl import (ModEllKernel, QuiverData, TorusEmbedding, classical_moment,
-                   elementary_divisors, kernel_mod_ell, quiver_to_embedding,
-                   smith_normal_form)
-from qweyl.lattice import mat_mul, transpose
+from qweyl import QuiverData, TorusEmbedding, classical_moment, quiver_to_embedding
 
 
 def random_matrix(rng, rows, cols, bound=6):
     return tuple(tuple(rng.randint(-bound, bound) for _ in range(cols))
                  for _ in range(rows))
-
-
-def test_snf_reconstruction_property():
-    rng = random.Random(20240901)
-    for _ in range(60):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 4)
-        A = random_matrix(rng, m, n)
-        U, D, V = smith_normal_form(A)
-        assert mat_mul(mat_mul(U, A), V) == D
-        # diagonal, nonnegative, divisibility chain
-        diag = [D[i][i] for i in range(min(m, n))]
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert D[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            assert a >= 0
-            if a:
-                assert b % a == 0
-            else:
-                assert b == 0
-        # U, V unimodular
-        assert abs(_det(U)) == 1
-        assert abs(_det(V)) == 1
 
 
 def _det(M):
@@ -51,48 +24,33 @@ def _det(M):
     return total
 
 
-def test_elementary_divisors_examples():
-    # gcd of entries is 2 and the divisors multiply to |det| = 8
-    assert elementary_divisors(((2, 4), (6, 8))) == (2, 4)
-    assert elementary_divisors(((1, 0), (0, 1))) == (1, 1)
-    assert elementary_divisors(((3,),)) == (3,)
-    # the (1,1) column embedding is unimodular
-    assert elementary_divisors(((1,), (1,))) == (1,)
+def _full_column_rank(A):
+    """Some d x d minor of the n x d matrix A is nonzero."""
+    d = len(A[0])
+    return any(_det(tuple(A[i] for i in rows)) for rows in combinations(range(len(A)), d))
 
 
-def test_kernel_mod_ell_vs_bruteforce():
-    from itertools import product
-    rng = random.Random(7)
-    for _ in range(25):
-        ell = rng.choice([3, 5])
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 3)
-        A = random_matrix(rng, m, n, bound=4)
-        ker = kernel_mod_ell(A, ell)
-        brute = sorted(
-            v for v in product(range(ell), repeat=n)
-            if all(sum(A[i][j] * v[j] for j in range(n)) % ell == 0
-                   for i in range(m)))
-        assert sorted(ker.members()) == brute
-        assert ker.size == len(brute)
+def _accepts(A):
+    d = len(A[0])
+    form = tuple(tuple(2 * (i == j) for j in range(d)) for i in range(d))
+    try:
+        TorusEmbedding(n=len(A), d=d, matrix=A, form=form)
+    except ValueError as err:
+        assert str(err) == "weight matrix must have full column rank"
+        return False
+    return True
 
 
-def test_kernel_free_flag():
-    # unimodular embedding: kernel of the transpose is a free module
-    ker = kernel_mod_ell(transpose(((1,), (1,))), 3)
-    assert ker.free and ker.size == 3
-    assert sorted(ker.members()) == [(0, 0), (1, 2), (2, 1)]
-    # non-free example: multiplication by 3 on Z/9
-    ker2 = kernel_mod_ell(((3,),), 9)
-    assert not ker2.free
-    assert ker2.size == 3
-
-
-def test_kernel_members_raises_on_a_wrong_size():
-    # the generators close up to 3 elements, not the claimed 9
-    ker = ModEllKernel(ell=3, nvars=2, generators=((1, 2),), free=True, size=9)
-    with pytest.raises(ArithmeticError):
-        ker.members()
+def test_embedding_accepts_exactly_the_full_column_rank_matrices():
+    rng = random.Random(20240901)
+    cases = [((2,), (4,)),          # full rank, but not unimodular
+             ((1, 2), (2, 4))]      # rank 1
+    cases += [random_matrix(rng, rng.randint(1, 4), rng.randint(1, 3)) for _ in range(80)]
+    verdicts = [_full_column_rank(A) for A in cases]
+    assert verdicts[:2] == [True, False]
+    assert True in verdicts[2:] and False in verdicts[2:]
+    for A, full in zip(cases, verdicts):
+        assert _accepts(A) == full, A
 
 
 def test_classical_moment():
@@ -169,8 +127,3 @@ def test_mdag_vec():
     emb = TorusEmbedding(n=2, d=1, matrix=((1,), (1,)), form=((2,),))
     assert emb.mdag_vec((1, 0)) == (1,)
     assert emb.mdag_vec((2, 2)) == (4,)
-    # affine A2 embedding at ell = 3: kernel of the transpose has rank 1, size 3
-    q = QuiverData(num_vertices=3, edges=((1, 2), (2, 3), (3, 1)))
-    e2 = quiver_to_embedding(q)
-    ker = kernel_mod_ell(transpose(e2.matrix), 3)
-    assert ker.free and ker.size == 3

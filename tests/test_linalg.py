@@ -147,3 +147,17 @@ def test_nullspace_solutions_annihilate_every_row(fv, perm):
     assert len(sols) == len(unknowns) - rank
     # the solutions are independent
     assert build(F, sols, None).rank == len(sols)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fv=field_and_vectors(count=6), perm=st.randoms(use_true_random=False))
+def test_nullspace_solution_is_one_at_its_free_unknown_and_zero_at_the_others(fv, perm):
+    F, rows = fv
+    unknowns = list(KEYS)
+    perm.shuffle(unknowns)
+    sols = nullspace(rows, unknowns, field=F)
+    pivots = set(build(F, rows, lambda k: unknowns.index(k)).pivots())
+    free = [u for u in unknowns if u not in pivots]
+    assert len(sols) == len(free)
+    for u, sol in zip(free, sols):
+        assert {v: sol[v] for v in free if v in sol} == {u: F.one}

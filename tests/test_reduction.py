@@ -1,8 +1,10 @@
 """Hamiltonian reduction of the matrix fibers by the graded torus action."""
 
 import os
+import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -43,7 +45,6 @@ def test_grading_cosets_three_by_three():
     assert blocks["block_count"] == 3
     assert blocks["block_size"] == 3
     assert blocks["invariant_dim"] == 27
-    assert blocks["unimodular"]
     # coset of r is cut out by r1 + r2 mod 3
     for coset, val in zip(g.cosets, g.values):
         assert all((r[0] + r[1]) % 3 == val[0] for r in coset)
@@ -70,6 +71,46 @@ def test_grading_identity_embedding_is_discrete():
     assert blocks["block_count"] == 9
     assert blocks["block_size"] == 1
     assert blocks["invariant_dim"] == 9
+
+
+def random_embeddings(rng, ell, count):
+    """Seeded full-column-rank weight matrices; Mat(ell^n) has at most 225 rows."""
+    max_n = {3: 3, 5: 3, 9: 2, 15: 2}[ell]
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_n)
+        d = rng.randint(1, n)
+        matrix = tuple(tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(n))
+        form = tuple(tuple(2 * (i == j) for j in range(d)) for i in range(d))
+        try:
+            out.append(TorusEmbedding(n=n, d=d, matrix=matrix, form=form))
+        except ValueError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("ell", [3, 5, 9, 15])
+def test_grading_cosets_partition_the_rows_into_kernel_cosets(ell):
+    rng = random.Random(1000 + ell)
+    embs = random_embeddings(rng, ell, 8)
+    embs.append(TorusEmbedding(n=2, d=1, matrix=((3,), (3,)), form=((2,),)))
+    for emb in embs:
+        g = gamma_grading(emb, ell)
+        blocks = invariant_blocks(g)
+        rows = list(product(range(ell), repeat=emb.n))
+        members = [r for coset in g.cosets for r in coset]
+        assert sorted(members) == rows
+        assert blocks["block_size"] is not None
+        assert blocks["block_count"] * blocks["block_size"] == ell ** emb.n
+        for coset, value in zip(g.cosets, g.values):
+            for r in coset:
+                assert tuple(emb.mdag_vec(r)[j] % ell for j in range(emb.d)) == value
+        kernel = [r for r in rows if all(v % ell == 0 for v in emb.mdag_vec(r))]
+        assert list(g.cosets[0]) == kernel
+        assert g.values[0] == (0,) * emb.d
+    # the last one: the weight map r -> 3 (r1 + r2) is onto 3Z/ell when 3 | ell
+    expected = {3: (1, 9), 5: (5, 5), 9: (3, 27), 15: (5, 45)}[ell]
+    assert (blocks["block_count"], blocks["block_size"]) == expected
 
 
 def test_torsion_action_commutes_with_grading():
