@@ -42,7 +42,8 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict) -> None:
+def validate_config(cfg: dict) -> TorusEmbedding:
+    """Check the shape of a config; return the embedding it builds."""
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     ell = cfg.get("ell")
@@ -84,6 +85,7 @@ def validate_config(cfg: dict) -> None:
             n = task.get("n", 3)
             if type(n) is not int or n < 2:  # bool is an int subclass
                 raise ValueError(f"task {i}: 'n' must be an integer >= 2")
+    return emb
 
 
 def _is_list(value, length: int) -> bool:
@@ -313,11 +315,10 @@ def env_seed() -> int:
 
 
 def run_suite(cfg: dict, seed: Optional[int] = None) -> dict:
-    validate_config(cfg)
+    emb = validate_config(cfg)
     if seed is None:
         seed = env_seed()
     field = CycField(cfg["ell"])
-    emb = build_embedding(cfg)
     algebra = PBWAlgebra(field, emb)
     entries = []
     for task in cfg["tasks"]:

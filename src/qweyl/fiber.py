@@ -15,7 +15,7 @@ pairing matrix of the embedding; see untwist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
@@ -344,30 +344,63 @@ def untwist(mat: Matrix, emb: TorusEmbedding) -> Matrix:
 # the full matrix model on ell^n dimensions
 
 
-@dataclass
+@dataclass(frozen=True)
 class FullRep:
+    """The n-factor matrix model: images x_i, d_i in Mat(ell^n).
+
+    Each ordered word X(m) = x_1^m_1 ... x_n^m_n and D(k) = d_1^k_1 ...
+    d_n^k_n is built once, on first use, as X(m) = X(m - e_j) * x_j with
+    j the last index where m is nonzero, so the PBW order is kept and no
+    commutation is assumed.  The words live in one dict keyed by
+    ("x", m) or ("d", k); the rep is frozen so that they cannot go stale.
+    """
+
     field: CycField
     emb: TorusEmbedding
     size: int
     x: tuple[Matrix, ...]
     d: tuple[Matrix, ...]
+    _words: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _word(self, kind: str, exps: tuple[int, ...]) -> Optional[Matrix]:
+        """X(exps) for kind "x", D(exps) for kind "d"; None for the empty word.
+
+        A word may be the zero matrix (x_i^ell = c_i = 0), so None, not
+        falsiness, marks the empty word.
+        """
+        gens = self.x if kind == "x" else self.d
+        words = self._words
+        chain = []  # (exponents, last nonzero index) still to build, outermost first
+        while any(exps) and (kind, exps) not in words:
+            j = max(i for i, e in enumerate(exps) if e)
+            chain.append((exps, j))
+            exps = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+        word = words.get((kind, exps))
+        for exps, j in reversed(chain):
+            word = gens[j] if word is None else word * gens[j]
+            words[(kind, exps)] = word
+        return word
 
     def of_element(self, a: PBWElement) -> Matrix:
-        """Image of a PBW or fiber element under the representation."""
+        """Image of a PBW or fiber element under the representation:
+        the sum over terms c x^m d^k of c * X(m) * D(k)."""
         if not isinstance(a, PBWElement):
             raise TypeError("expected a PBW element")
-        F = self.field
-        out = Matrix(F, self.size)
-        for (m, k), c in a.terms.items():
-            acc = Matrix.identity(F, self.size).scale(c)
-            for i, e in enumerate(m):
-                if e:
-                    acc = acc * (self.x[i] ** e)
-            for i, e in enumerate(k):
-                if e:
-                    acc = acc * (self.d[i] ** e)
-            out = out + acc
-        return out
+        one = self.field.one
+
+        def terms():
+            for (m, k), c in a.terms.items():
+                X, D = self._word("x", m), self._word("d", k)
+                if X is None and D is None:
+                    yield from (((r, r), c) for r in range(self.size))
+                    continue
+                word = D if X is None else X if D is None else X * D
+                if c == one:
+                    yield from word.entries.items()
+                else:
+                    yield from ((rc, c * v) for rc, v in word.entries.items())
+
+        return Matrix(self.field, self.size, vec_accumulate({}, terms()))
 
 
 def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:

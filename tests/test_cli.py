@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qweyl.cli import DEFAULT_SEED, main, run_suite, validate_config
+from qweyl.lattice import TorusEmbedding
 from qweyl.linalg import nullspace
 from qweyl.expr import MAX_NESTING
 
@@ -53,7 +54,28 @@ def test_validate_config_rejects_bad_shapes():
 
 
 def test_validate_config_accepts_the_suite():
-    validate_config(suite_cfg())
+    emb = validate_config(suite_cfg())
+    assert (emb.n, emb.d, emb.matrix) == (2, 1, ((1,), (1,)))
+
+
+def test_report_builds_the_embedding_at_most_twice(tmp_path, monkeypatch, capsys):
+    # load_config validates once and run_suite once, and run_suite runs its
+    # tasks on the embedding its validation built
+    cfg = suite_cfg()
+    cfg["tasks"] = [t for t in cfg["tasks"] if t["type"] != "quiver-suite"]
+    path = write_cfg(tmp_path, cfg)
+    builds = 0
+    post_init = TorusEmbedding.__post_init__
+
+    def counting_post_init(self):
+        nonlocal builds
+        builds += 1
+        post_init(self)
+
+    monkeypatch.setattr(TorusEmbedding, "__post_init__", counting_post_init)
+    assert main(["report", "--config", path]) == 0
+    capsys.readouterr()
+    assert 0 < builds <= 2
 
 
 # -- normalize subcommand -----------------------------------------------------

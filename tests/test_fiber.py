@@ -1,5 +1,6 @@
 """Finite fibers: central characters, matrix models, untwisting."""
 
+import dataclasses
 import random
 
 import pytest
@@ -352,6 +353,117 @@ def test_full_rep_refuses_points_off_the_locus():
     with pytest.raises(OutsideAzumayaLocus):
         full_matrix_rep(p, emb_n2())
 
+
+
+# -- the word cache of the full model -----------------------------------------
+
+def braided_c0_point_l5(F):
+    """ell = 5 on weights (1), (1): a c != 0 factor and a c = 0 factor."""
+    g = F.scalar(2) + F.qpow(1)
+    return point(F, [(F.scalar(3), (g ** 5 - 1) / 3), (F.zero, F.scalar(2) - F.qpow(1))],
+                 [g, F.qpow(2)])
+
+
+def cyclic_point_l3(F):
+    return point(F, [(F.scalar(7), F.one), (F.zero, F.zero), (F.one, F.scalar(7))],
+                 [F.scalar(2), F.one, F.scalar(2)])
+
+
+def uncached_image(rep, a):
+    """The image of a as c * x_1^m_1 ... x_n^m_n * d_1^k_1 ... d_n^k_n per term,
+    each power taken afresh with Matrix.__pow__."""
+    F = rep.field
+    out = Matrix(F, rep.size)
+    for (m, k), c in a.terms.items():
+        acc = Matrix.identity(F, rep.size).scale(c)
+        for i, e in enumerate(m):
+            if e:
+                acc = acc * (rep.x[i] ** e)
+        for i, e in enumerate(k):
+            if e:
+                acc = acc * (rep.d[i] ** e)
+        out = out + acc
+    return out
+
+
+def random_element(A, rng, ell, terms=4):
+    """A constant term plus monomials with exponents up to 2*ell."""
+    F = A.field
+    coeffs = [F.one, F.scalar(-2), F.qpow(1), F.scalar(3) / 7 + F.qpow(ell - 1)]
+    out = A.monomial((0,) * A.n, (0,) * A.n, coeff=rng.choice(coeffs))
+    for _ in range(terms):
+        m = tuple(rng.randint(0, 2 * ell) for _ in range(A.n))
+        k = tuple(rng.randint(0, 2 * ell) for _ in range(A.n))
+        out = out + A.monomial(m, k, coeff=rng.choice(coeffs))
+    return out
+
+
+def test_full_rep_words_of_zero_images():
+    # x_2^5 maps to c_2 I = 0: a word whose image is the zero matrix must
+    # still count as a word, not as the empty one
+    F = CycField(5)
+    emb = emb_n2()
+    A = PBWAlgebra(F, emb)
+    p = braided_c0_point_l5(F)
+    rep = full_matrix_rep(p, emb)
+    ident = Matrix.identity(F, rep.size)
+    zero = Matrix(F, rep.size)
+    for i in (1, 2):
+        c, w = p.lam[i - 1]
+        x_ell = A.monomial(tuple(5 * (j == i) for j in (1, 2)), (0, 0))
+        d_ell = A.monomial((0, 0), tuple(5 * (j == i) for j in (1, 2)))
+        assert rep.of_element(x_ell) == ident.scale(c)
+        assert rep.of_element(d_ell) == ident.scale(w)
+    assert rep.of_element(A.monomial((0, 5), (0, 0))) == zero
+    assert rep.of_element(A.monomial((0, 6), (0, 0))) == zero
+    for j in (1, 2):
+        assert rep.of_element(A.monomial((0, 5), tuple(int(i == j) for i in (1, 2)))) == zero
+        assert rep.of_element(A.monomial((1, 5), tuple(int(i == j) for i in (1, 2)))) == zero
+
+
+@pytest.mark.parametrize("ell,emb,make_point,seed", [
+    (5, emb_n2(), braided_c0_point_l5, 55),
+    (3, emb_cyclic3(), cyclic_point_l3, 33),
+], ids=["braided-c0-l5", "cyclic3-l3"])
+def test_full_rep_matches_the_uncached_product(ell, emb, make_point, seed):
+    F = CycField(ell)
+    A = PBWAlgebra(F, emb)
+    rep = full_matrix_rep(make_point(F), emb)
+    rng = random.Random(seed)
+    for _ in range(6):
+        a = random_element(A, rng, ell)
+        assert rep.of_element(a) == uncached_image(rep, a)
+
+
+def test_full_rep_builds_each_word_once(monkeypatch):
+    F = CycField(3)
+    emb = emb_n2()
+    A = PBWAlgebra(F, emb)
+    rep = full_matrix_rep(two_factor_point(F), emb)
+    products = 0
+    mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += isinstance(other, Matrix)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    for key in FiberAlgebra(A, two_factor_point(F)).basis_keys():
+        rep.of_element(A.monomial(*key))
+    assert 0 < products <= 3 ** 4 + 2 * 3 ** 2
+
+
+def test_full_rep_is_frozen():
+    F = CycField(3)
+    rep = full_matrix_rep(two_factor_point(F), emb_n2())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.x = rep.d
+    # a copy with other generators starts with no words
+    A = PBWAlgebra(F, emb_n2())
+    rep.of_element(A.x(1))
+    swapped = dataclasses.replace(rep, x=rep.d, d=rep.x)
+    assert swapped.of_element(A.x(1)) == rep.d[0]
 
 # -- module bases and the splitting check ------------------------------------
 

@@ -1,9 +1,11 @@
 """`qweyl report` on each config in tests/report_configs/ writes exactly the
 bytes recorded in tests/report_output/<stem>.json.
 
-The suites are small ell = 3 runs that reach the n-factor matrix model:
-a fiber-rep and a reduce task on the weights (2), (1), whose pairing has a
-nonzero off-diagonal entry, and a reduce task on the three-cycle quiver.
+The suites reach the n-factor matrix model: an ell = 3 fiber-rep and
+reduce task on the weights (2), (1), whose pairing has a nonzero
+off-diagonal entry; an ell = 3 reduce task on the three-cycle quiver; and
+an ell = 5 fiber-rep task on the weights (1), (1) with a c = 0 factor,
+where x_2^5 maps to the zero matrix.
 To record a new output: qweyl report --config <config> --out <output>,
 with QWEYL_SEED unset.
 """
