@@ -7,7 +7,7 @@ exact arithmetic and verified by explicit linear algebra.
 """
 
 from .cyclotomic import CycField, CycScalar, cyclotomic_polynomial
-from .expr import ParseError, evaluate, evaluate_scalar, parse_expression
+from .expr import ParseError, evaluate, evaluate_scalar
 from .fiber import (FiberAlgebra, FiberPoint, FullRep, Matrix,
                     OutsideAzumayaLocus, Rank1Rep, endo_splitting_check,
                     full_matrix_rep, rank1_matrix_rep, untwist)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CycField", "CycScalar", "cyclotomic_polynomial",
-    "ParseError", "evaluate", "evaluate_scalar", "parse_expression",
+    "ParseError", "evaluate", "evaluate_scalar",
     "FiberAlgebra", "FiberPoint", "FullRep", "Matrix", "OutsideAzumayaLocus",
     "Rank1Rep", "endo_splitting_check", "full_matrix_rep", "rank1_matrix_rep",
     "untwist",

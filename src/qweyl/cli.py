@@ -32,14 +32,14 @@ TASK_TYPES = ("normalize", "center-check", "fiber-rep", "reduce",
               "quiver-suite", "qmm-check")
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str) -> tuple[dict, TorusEmbedding]:
+    """The config at path and the embedding its validation builds."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except RecursionError:
             raise ValueError("config is nested too deeply to parse") from None
-    validate_config(cfg)
-    return cfg
+    return cfg, validate_config(cfg)
 
 
 def validate_config(cfg: dict) -> TorusEmbedding:
@@ -248,7 +248,7 @@ def _task_reduce(field, emb, algebra, task, rng):
                 "ok": False}
     out = res.report()
     out["module_action_bijective"] = res.module_action_bijective
-    out["shift"] = list(res.shift) if res.shift is not None else None
+    out["shift"] = list(res.shift)
     out["ok"] = (out["is_matrix_algebra"] and res.module_action_bijective
                  and out["eta_admissible"])
     return out
@@ -314,8 +314,11 @@ def env_seed() -> int:
         raise ValueError(f"QWEYL_SEED must be an integer, got {text!r}") from None
 
 
-def run_suite(cfg: dict, seed: Optional[int] = None) -> dict:
-    emb = validate_config(cfg)
+def run_suite(cfg: dict, seed: Optional[int] = None,
+              emb: Optional[TorusEmbedding] = None) -> dict:
+    """Run every task of cfg; emb, when given, is what validate_config(cfg) returned."""
+    if emb is None:
+        emb = validate_config(cfg)
     if seed is None:
         seed = env_seed()
     field = CycField(cfg["ell"])
@@ -375,9 +378,8 @@ def main(argv: Optional[list] = None) -> int:
     if args.command == "normalize":
         try:
             if args.config:
-                cfg = load_config(args.config)
+                cfg, emb = load_config(args.config)
                 field = CycField(cfg["ell"])
-                emb = build_embedding(cfg)
             else:
                 if args.ell is None:
                     print("normalize needs --ell or --config", file=sys.stderr)
@@ -398,12 +400,12 @@ def main(argv: Optional[list] = None) -> int:
             return 2
 
     try:
-        cfg = load_config(args.config)
+        cfg, emb = load_config(args.config)
         seed = env_seed()
     except (OSError, json.JSONDecodeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    report = run_suite(cfg, seed)
+    report = run_suite(cfg, seed, emb)
 
     if args.command == "verify":
         for entry in report["tasks"]:

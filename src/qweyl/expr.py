@@ -1,4 +1,4 @@
-"""Parser for algebra expressions used by the command-line tools.
+"""Parser and evaluator for algebra expressions used by the command-line tools.
 
 Grammar:
 
@@ -13,6 +13,11 @@ elements (which may lead with a negative coefficient) parse back.
 Parentheses nest at most MAX_NESTING deep.
 Tokenization is leftmost-longest; offsets are byte positions into the
 source and are carried through to error messages.
+
+One recursive descent parses and evaluates in the same pass, so the
+error reported is a character outside the grammar if there is one
+(the whole source is tokenized first), and otherwise the fault with the
+lowest offset.
 """
 
 from __future__ import annotations
@@ -22,7 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .cyclotomic import CycField, CycScalar
 from .pbw import PBWAlgebra, PBWElement
+
+Value = Union[CycScalar, PBWElement]
 
 
 MAX_NESTING = 100  # deepest parenthesis nesting; keeps parsing within the stack
@@ -64,84 +72,6 @@ def tokenize(src: str) -> list[Token]:
     return out
 
 
-# -- AST ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    offset: int
-
-    def eval(self, algebra: PBWAlgebra) -> PBWElement:
-        return algebra.scalar_element(algebra.field.scalar(self.value))
-
-
-@dataclass(frozen=True)
-class QPower:
-    exponent: int
-    offset: int
-
-    def eval(self, algebra: PBWAlgebra) -> PBWElement:
-        return algebra.scalar_element(algebra.field.qpow(self.exponent))
-
-
-@dataclass(frozen=True)
-class Gen:
-    kind: str  # "x" | "d" | "a"
-    index: int
-    offset: int
-
-    def eval(self, algebra: PBWAlgebra) -> PBWElement:
-        if self.kind == "x":
-            return algebra.x(self.index)
-        if self.kind == "d":
-            return algebra.d(self.index)
-        return algebra.alpha(self.index)
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exponent: int
-    offset: int
-
-    def eval(self, algebra: PBWAlgebra) -> PBWElement:
-        v = self.base.eval(algebra)
-        if self.exponent >= 0:
-            return v ** self.exponent
-        s = _as_scalar(v)
-        if s is None:
-            raise ValueError("negative power of a non-scalar expression")
-        return algebra.scalar_element(_negative_power(s, self.exponent, self.offset))
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
-    offset: int
-
-    def eval(self, algebra: PBWAlgebra) -> PBWElement:
-        out = algebra.one()
-        for f in self.factors:
-            out = out * f.eval(algebra)
-        return out
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # of (sign, node) with sign in {1, -1}
-    offset: int
-
-    def eval(self, algebra: PBWAlgebra) -> PBWElement:
-        out = algebra.zero()
-        for sign, node in self.terms:
-            v = node.eval(algebra)
-            out = out + v if sign > 0 else out - v
-        return out
-
-
-Node = Union[Num, QPower, Gen, Power, Product, Sum]
-
-
 def _negative_power(s, e: int, offset: int):
     """s ** e for e < 0, with a zero base as a ValueError."""
     if not s:
@@ -161,11 +91,19 @@ def _as_scalar(v: PBWElement):
 
 
 class _Parser:
-    def __init__(self, src: str, n: Optional[int]):
+    """Recursive descent that evaluates as it parses.
+
+    Each parse_* method returns a CycScalar while its subexpression has
+    no generator and a PBWElement once it has one.  With algebra None a
+    generator is an error.
+    """
+
+    def __init__(self, src: str, field: CycField, algebra: Optional[PBWAlgebra]):
         self.src = src
         self.toks = tokenize(src)
         self.i = 0
-        self.n = n
+        self.field = field
+        self.algebra = algebra
         self.depth = 0  # open parentheses around the current position
 
     def peek(self) -> Optional[Token]:
@@ -204,40 +142,42 @@ class _Parser:
         self.take()
         return sign * int(t.text)
 
-    def parse_expr(self) -> Node:
-        start = self.peek().offset if self.peek() else len(self.src)
-        terms = []
-        sign = 1
-        if self.at_op("+", "-"):
-            sign = -1 if self.take().text == "-" else 1
-        terms.append((sign, self.parse_term()))
+    def parse_expr(self) -> Value:
+        negate = self.at_op("+", "-") and self.take().text == "-"
+        value = self.parse_term()
+        if negate:
+            value = -value
         while self.at_op("+", "-"):
-            sign = -1 if self.take().text == "-" else 1
-            terms.append((sign, self.parse_term()))
-        if len(terms) == 1 and terms[0][0] > 0:
-            return terms[0][1]
-        return Sum(tuple(terms), start)
+            if self.take().text == "-":
+                value = value - self.parse_term()
+            else:
+                value = value + self.parse_term()
+        return value
 
-    def parse_term(self) -> Node:
-        start = self.peek().offset if self.peek() else len(self.src)
-        factors = [self.parse_factor()]
+    def parse_term(self) -> Value:
+        value = self.parse_factor()
         while self.at_op("*"):
             self.take()
-            factors.append(self.parse_factor())
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors), start)
+            value = value * self.parse_factor()
+        return value
 
-    def parse_factor(self) -> Node:
-        atom = self.parse_atom()
-        if self.at_op("^"):
-            # "q" consumes its own exponent inside parse_atom
-            op = self.take()
-            e = self.parse_exponent()
-            return Power(atom, e, op.offset)
-        return atom
+    def parse_factor(self) -> Value:
+        value = self.parse_atom()
+        if not self.at_op("^"):
+            return value
+        # "q" consumes its own exponent inside parse_atom
+        op = self.take()
+        e = self.parse_exponent()
+        if e >= 0:
+            return value ** e
+        if isinstance(value, PBWElement):
+            value = _as_scalar(value)
+            if value is None:
+                raise ValueError(
+                    f"negative power of a non-scalar expression (at byte {op.offset})")
+        return _negative_power(value, e, op.offset)
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> Value:
         t = self.peek()
         if t is None:
             raise ParseError("unexpected end of input", len(self.src))
@@ -246,22 +186,25 @@ class _Parser:
             _, slash, den = t.text.partition("/")
             if slash and int(den) == 0:
                 raise ParseError(f"zero denominator in {t.text}", t.offset)
-            return Num(Fraction(t.text), t.offset)
+            return self.field.scalar(Fraction(t.text))
         if t.kind == "q":
             self.take()
             if self.at_op("^"):
                 self.take()
-                return QPower(self.parse_exponent(), t.offset)
-            return QPower(1, t.offset)
+                return self.field.qpow(self.parse_exponent())
+            return self.field.q
         if t.kind == "gen":
             self.take()
             idx = int(t.text[1:])
             if idx < 1:
                 raise ParseError(f"generator index must be positive: {t.text}", t.offset)
-            if self.n is not None and idx > self.n:
+            A = self.algebra
+            if A is None:
+                raise ParseError(f"generator {t.text[0]}{idx} not allowed here", t.offset)
+            if idx > A.n:
                 raise ParseError(
-                    f"generator index out of range: {t.text} with n={self.n}", t.offset)
-            return Gen(t.text[0], idx, t.offset)
+                    f"generator index out of range: {t.text} with n={A.n}", t.offset)
+            return {"x": A.x, "d": A.d, "a": A.alpha}[t.text[0]](idx)
         if t.kind == "op" and t.text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", t.offset)
@@ -274,47 +217,22 @@ class _Parser:
         raise ParseError(f"unexpected token {t.text!r}", t.offset)
 
 
-def parse_expression(src: str, n: Optional[int] = None) -> Node:
-    """Parse src to a tree; n, when given, bounds generator indices."""
+def _parse(src: str, field: CycField, algebra: Optional[PBWAlgebra]) -> Value:
     if not src or not src.strip():
         raise ParseError("empty expression", 0)
-    p = _Parser(src, n)
-    tree = p.parse_expr()
+    p = _Parser(src, field, algebra)
+    value = p.parse_expr()
     left = p.peek()
     if left is not None:
         raise ParseError(f"trailing input {left.text!r}", left.offset)
-    return tree
+    return value
 
 
 def evaluate(src: str, algebra: PBWAlgebra) -> PBWElement:
-    return parse_expression(src, n=algebra.n).eval(algebra)
+    value = _parse(src, algebra.field, algebra)
+    return value if isinstance(value, PBWElement) else algebra.scalar_element(value)
 
 
-def evaluate_scalar(src: str, field):
+def evaluate_scalar(src: str, field: CycField) -> CycScalar:
     """Evaluate a generator-free expression directly in the field."""
-    tree = parse_expression(src)
-
-    def ev(node):
-        if isinstance(node, Num):
-            return field.scalar(node.value)
-        if isinstance(node, QPower):
-            return field.qpow(node.exponent)
-        if isinstance(node, Gen):
-            raise ParseError(f"generator {node.kind}{node.index} not allowed here",
-                             node.offset)
-        if isinstance(node, Power):
-            base = ev(node.base)
-            e = node.exponent
-            return base ** e if e >= 0 else _negative_power(base, e, node.offset)
-        if isinstance(node, Product):
-            out = field.one
-            for f in node.factors:
-                out = out * ev(f)
-            return out
-        out = field.zero
-        for sign, term in node.terms:
-            v = ev(term)
-            out = out + v if sign > 0 else out - v
-        return out
-
-    return ev(tree)
+    return _parse(src, field, None)

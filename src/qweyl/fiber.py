@@ -276,7 +276,8 @@ def rank1_matrix_rep(field: CycField, c, w, b=None, gamma=None) -> Rank1Rep:
     Row r carries the alpha eigenvalue gamma*q^(-2r); x lowers the row
     index (cyclically) and d raises it.  The entries are pinned by
     d_r * xi_{r+1} = gamma q^{-2r} - 1 together with the central values
-    prod xi = c and prod delta = w.
+    prod xi = c and prod delta = w.  alpha is built as 1 + x d from the
+    model, so a check of its diagonal tests the entries.
     """
     F = field
     ell = F.ell
@@ -291,7 +292,6 @@ def rank1_matrix_rep(field: CycField, c, w, b=None, gamma=None) -> Rank1Rep:
     if b is not None and F.scalar(b) ** ell != c:
         raise ValueError("b^ell != c")
 
-    alpha = Matrix.from_diag(F, [gamma * F.qpow(-2 * r) for r in range(ell)])
     xi = [F.one] * ell      # x e_s = xi_s e_{s-1 mod ell}
     delta = [F.zero] * ell  # d e_r = delta_r e_{r+1 mod ell}
     if c:
@@ -311,7 +311,7 @@ def rank1_matrix_rep(field: CycField, c, w, b=None, gamma=None) -> Rank1Rep:
 
     xmat = Matrix(F, ell, {((s - 1) % ell, s): xi[s] for s in range(ell)})
     dmat = Matrix(F, ell, {((r + 1) % ell, r): delta[r] for r in range(ell)})
-    return Rank1Rep(field=F, x=xmat, d=dmat, alpha=alpha)
+    return Rank1Rep(field=F, x=xmat, d=dmat, alpha=Matrix.identity(F, ell) + xmat * dmat)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +462,7 @@ def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
         res = ideal.reduce(e.terms)
         return {coord[k]: v for k, v in res.items()}
 
-    span = SpanBasis(F, key_order=lambda rc: rc)
+    span = SpanBasis(F)
     full = 0
     for key in fib.basis_keys():
         u = fib.monomial(*key)

@@ -85,7 +85,7 @@ class SpanBasis:
         return True
 
 
-def nullspace(rows: Iterable[Vec], unknowns: list, field: Optional[CycField] = None) -> list[Vec]:
+def nullspace(rows: Iterable[Vec], unknowns: list, field: CycField) -> list[Vec]:
     """Solution basis of the homogeneous system rows . x = 0.
 
     Each row maps unknown -> coefficient; unknowns fixes the elimination
@@ -94,9 +94,6 @@ def nullspace(rows: Iterable[Vec], unknowns: list, field: Optional[CycField] = N
     unknown, so a vector lies in their span exactly when it equals the
     combination of them given by its free coordinates.
     """
-    rows = list(rows)
-    if field is None:
-        field = _field_of(rows)
     order = {u: i for i, u in enumerate(unknowns)}
     span = SpanBasis(field, key_order=lambda k: order[k])
     for r in rows:
@@ -115,10 +112,3 @@ def nullspace(rows: Iterable[Vec], unknowns: list, field: Optional[CycField] = N
                 sol[p] = -c
         basis.append(sol)
     return basis
-
-
-def _field_of(rows) -> CycField:
-    for r in rows:
-        for v in r.values():
-            return v.field
-    raise ValueError("cannot infer the field from an all-empty system")

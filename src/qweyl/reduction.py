@@ -38,8 +38,6 @@ class EmptyReductionError(ValueError):
 class GammaGrading:
     """Grading of Mat(ell^n) rows by the weight map mod ell."""
 
-    ell: int
-    emb: TorusEmbedding
     cosets: tuple[tuple[tuple[int, ...], ...], ...]
     values: tuple[tuple[int, ...], ...]
 
@@ -53,15 +51,14 @@ def gamma_grading(emb: TorusEmbedding, ell: int) -> GammaGrading:
     ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
     cosets = tuple(tuple(members) for _, members in ordered)
     values = tuple(val for val, _ in ordered)
-    return GammaGrading(ell=ell, emb=emb, cosets=cosets, values=values)
+    return GammaGrading(cosets=cosets, values=values)
 
 
 def invariant_blocks(g: GammaGrading) -> dict:
-    """Partition of the row set into grading cosets, plus dimension data."""
+    """Dimension data of the partition of the row set into grading cosets."""
     sizes = sorted({len(c) for c in g.cosets})
     uniform = sizes[0] if len(sizes) == 1 else None
     return {
-        "blocks": g.cosets,
         "block_count": len(g.cosets),
         "block_size": uniform,
         "invariant_dim": sum(len(c) ** 2 for c in g.cosets),
@@ -146,11 +143,7 @@ def moment_map_ok(point: FiberPoint, emb: TorusEmbedding, diags: Sequence[Matrix
 
 @dataclass
 class ReductionResult:
-    point: FiberPoint
-    emb: TorusEmbedding
-    eta: tuple[CycScalar, ...]
     shift: tuple[int, ...]
-    grading: GammaGrading
     surviving: tuple[tuple[int, ...], ...]
     module_column: tuple[int, ...]
     shifted_gamma: tuple[CycScalar, ...]
@@ -206,6 +199,7 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
         adm = admissible_etas(point, emb)
         listing = "; ".join("(" + ", ".join(str(v) for v in tup) + ")" for tup in adm)
         raise EmptyReductionError(adm, "empty reduction: eta is not in the admissible set {" + listing + "}")
+    # a vanishing row r gives eta_j = phi(gamma)_j q^(-2 (M^T r)_j), so the shift exists
     shift = eta_shift(point, emb, eta)
     grading = gamma_grading(emb, ell)
     blocks = invariant_blocks(grading)
@@ -221,8 +215,7 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     u = digits(vanishing[0], ell, n)
     shifted_gamma = tuple(point.gamma[i] * F.qpow(-2 * u[i]) for i in range(n))
     return ReductionResult(
-        point=point, emb=emb, eta=eta, shift=shift, grading=grading,
-        surviving=tuple(digits(idx, ell, n) for idx in vanishing),
+        shift=shift, surviving=tuple(digits(idx, ell, n) for idx in vanishing),
         module_column=u, shifted_gamma=shifted_gamma,
         invariant_dim=blocks["invariant_dim"], ideal_dim=ideal_dim,
         quotient_dim=quotient_dim, module_dim=len(vanishing),

@@ -59,8 +59,8 @@ def test_validate_config_accepts_the_suite():
 
 
 def test_report_builds_the_embedding_at_most_twice(tmp_path, monkeypatch, capsys):
-    # load_config validates once and run_suite once, and run_suite runs its
-    # tasks on the embedding its validation built
+    # load_config validates once, and run_suite runs its tasks on the
+    # embedding that validation built
     cfg = suite_cfg()
     cfg["tasks"] = [t for t in cfg["tasks"] if t["type"] != "quiver-suite"]
     path = write_cfg(tmp_path, cfg)
@@ -76,6 +76,31 @@ def test_report_builds_the_embedding_at_most_twice(tmp_path, monkeypatch, capsys
     assert main(["report", "--config", path]) == 0
     capsys.readouterr()
     assert 0 < builds <= 2
+
+
+@pytest.mark.parametrize("command", ["report", "verify", "normalize"])
+def test_each_command_builds_the_embedding_once(command, tmp_path, monkeypatch, capsys):
+    cfg = {"ell": 3, "embedding": {"matrix": [[1], [1]], "form": [[2]]},
+           "tasks": [{"type": "normalize", "expressions": ["d1*x1"]}]}
+    path = write_cfg(tmp_path, cfg)
+    argv = [command, "--config", path] + (["x2*d2"] if command == "normalize" else [])
+    builds = 0
+    post_init = TorusEmbedding.__post_init__
+
+    def counting_post_init(self):
+        nonlocal builds
+        builds += 1
+        post_init(self)
+
+    monkeypatch.setattr(TorusEmbedding, "__post_init__", counting_post_init)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert builds == 1
+    # a config error still exits 2 with one line
+    cfg["embedding"]["matrix"] = [[1], [1.5]]
+    assert main([command, "--config", write_cfg(tmp_path, cfg)] + argv[3:]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "integers" in err
 
 
 # -- normalize subcommand -----------------------------------------------------

@@ -1,6 +1,7 @@
 """Finite fibers: central characters, matrix models, untwisting."""
 
 import dataclasses
+import inspect
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, OutsideAzumayaLocus,
                    PBWAlgebra, QuiverData, TorusEmbedding, endo_splitting_check,
                    full_matrix_rep, quiver_to_embedding, rank1_matrix_rep, untwist)
+from qweyl import fiber
 from qweyl.cli import run_suite
 from qweyl.fiber import digits
 
@@ -139,6 +141,41 @@ def test_rank1_relations_and_alpha_diagonal(c, w, b, gamma):
     for r in range(ell):
         assert Al.entries.get((r, r), F.zero) == g * F.qpow(-2 * r)
     assert all(r == s for (r, s) in Al.entries)
+
+
+def alpha_diagonal_ok(rep, gamma):
+    """The diagonal check of acceptance criterion 3, at any ell."""
+    F = rep.field
+    g = F.scalar(gamma)
+    return (all(r == s for (r, s) in rep.alpha.entries)
+            and all(rep.alpha[(r, r)] == g * F.qpow(-2 * r) for r in range(F.ell)))
+
+
+def rank1_mutant(j):
+    """rank1_matrix_rep with delta_j raised by 1 just before the matrices are built."""
+    src = inspect.getsource(fiber.rank1_matrix_rep)
+    anchor = "    xmat = Matrix("
+    assert src.count(anchor) == 1
+    namespace = dict(vars(fiber))
+    exec(src.replace(anchor, f"    delta[{j}] = delta[{j}] + 1\n" + anchor), namespace)
+    return namespace["rank1_matrix_rep"]
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_rank1_alpha_is_built_from_the_model(ell):
+    F = CycField(ell)
+    points = [(0, 0, None, 1), (0, 3, None, F.qpow(2)), (1, 0, 1, 1), (2 ** ell - 1, 1, None, 2)]
+    for c, w, b, gamma in points:
+        rep = rank1_matrix_rep(F, c, w, b, gamma)
+        assert alpha_diagonal_ok(rep, gamma)
+        for j in range(ell):
+            bad = rank1_mutant(j)(F, c, w, b, gamma)
+            assert bad.d != rep.d
+            # alpha = 1 + x d sees delta_j through xi_(j+1), which is 0 at one
+            # row when c = 0 and nowhere else
+            seen = bool(rep.x[(j, (j + 1) % ell)])
+            assert alpha_diagonal_ok(bad, gamma) != seen
+            assert seen or not c
 
 
 @pytest.mark.parametrize("c,w,b,gamma", RANK1_POINTS)
