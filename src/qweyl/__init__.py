@@ -14,8 +14,7 @@ from .fiber import (FiberAlgebra, FiberPoint, FullRep, Matrix,
 from .lattice import (QuiverData, TorusEmbedding, classical_moment,
                       quiver_to_embedding)
 from .linalg import SpanBasis, nullspace
-from .pbw import (PBWAlgebra, PBWElement, QmmResult, act_rank1, euler,
-                  verify_qmm)
+from .pbw import PBWAlgebra, PBWElement, QmmResult, euler, verify_qmm
 from .quiver_examples import (AnQuiverAlgebra, DifferenceOperator,
                               build_an_quiver_algebra, cyclic_quiver,
                               u1_operators, verify_central_z,
@@ -35,8 +34,7 @@ __all__ = [
     "untwist",
     "QuiverData", "TorusEmbedding", "classical_moment", "quiver_to_embedding",
     "SpanBasis", "nullspace",
-    "PBWAlgebra", "PBWElement", "QmmResult", "act_rank1", "euler",
-    "verify_qmm",
+    "PBWAlgebra", "PBWElement", "QmmResult", "euler", "verify_qmm",
     "AnQuiverAlgebra", "DifferenceOperator", "build_an_quiver_algebra",
     "cyclic_quiver", "u1_operators", "verify_central_z", "verify_u1_relations",
     "EmptyReductionError", "GammaGrading", "ReductionResult",

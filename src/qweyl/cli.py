@@ -164,9 +164,7 @@ def _task_center_check(field, emb, algebra, task, rng):
             for k in iproduct(range(deg + 1), repeat=n)]
     unknowns = list(keys)
     rows = []
-    gens = [algebra.x(i) for i in range(1, n + 1)] + \
-           [algebra.d(i) for i in range(1, n + 1)]
-    for gi, g in enumerate(gens):
+    for gi, g in enumerate(algebra.generators()):
         per_key: dict = {}
         for mk in keys:
             b = algebra.monomial(*mk)
@@ -196,16 +194,12 @@ def _task_fiber_rep(field, emb, algebra, task, rng):
     report: dict = {"in_azumaya_locus": point.in_azumaya_locus()}
     rep = full_matrix_rep(point, emb)
     n, ell = emb.n, field.ell
-    gens = [("x", i) for i in range(1, n + 1)] + [("d", i) for i in range(1, n + 1)]
-
-    def elem(kind, i):
-        return algebra.x(i) if kind == "x" else algebra.d(i)
+    gens = algebra.generators()
 
     # algebra map on all generator pairs plus seeded random monomial pairs
     pairs_ok = True
-    for (k1, i1) in gens:
-        for (k2, i2) in gens:
-            a, b = elem(k1, i1), elem(k2, i2)
+    for a in gens:
+        for b in gens:
             if rep.of_element(a * b) != rep.of_element(a) * rep.of_element(b):
                 pairs_ok = False
     for _ in range(20):
@@ -279,16 +273,15 @@ def _task_qmm_check(field, emb, algebra, task, rng):
     n, d = emb.n, emb.d
     results = []
     ok = True
-    targets = [("x", i) for i in range(1, n + 1)] + [("d", i) for i in range(1, n + 1)]
+    targets = algebra.generators()
     hs = [("y", tuple(1 if j == i else 0 for j in range(n))) for i in range(n)] + \
          [("z", tuple(1 if j == i else 0 for j in range(d))) for i in range(d)]
     for kind, r in hs:
-        for tkind, ti in targets:
-            a = algebra.x(ti) if tkind == "x" else algebra.d(ti)
+        for a in targets:
             res = verify_qmm(a, kind, r)
             if not res:
                 ok = False
-            results.append({"h": f"{kind}{r}", "target": f"{tkind}{ti}",
+            results.append({"h": f"{kind}{r}", "target": str(a),
                             "ok": bool(res), "exponent": res.exponent})
     return {"checks": results, "ok": ok}
 

@@ -162,11 +162,6 @@ class CycScalar:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def _coerce(self, other):
         if isinstance(other, CycScalar):
             if other.field.ell != self.field.ell:

@@ -56,9 +56,6 @@ class Matrix:
                 ent[(r, r)] = v
         return cls(field, len(diag), ent)
 
-    def __bool__(self):
-        return bool(self.entries)
-
     def __getitem__(self, rc):
         return self.entries.get(rc, self.field.zero)
 
@@ -85,9 +82,6 @@ class Matrix:
             out = vec_accumulate({}, (((r, c2), v * v2) for (r, c), v in self.entries.items()
                                       for c2, v2 in rows.get(c, ())))
             return Matrix(self.field, self.size, out)
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def __pow__(self, e: int):
@@ -246,8 +240,7 @@ class FiberAlgebra(PBWAlgebra):
         """Saturate span <- span + G*span + span*G until stable."""
         span = SpanBasis(self.field)
         queue = [g for g in gens if g]
-        mult = [self.x(i) for i in range(1, self.n + 1)] + \
-               [self.d(i) for i in range(1, self.n + 1)]
+        mult = self.generators()
         while queue:
             e = queue.pop()
             if not span.add(e.terms):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .cyclotomic import CycField, CycScalar
 from .lattice import TorusEmbedding
@@ -72,6 +72,11 @@ class PBWAlgebra:
 
     def alpha(self, i: int) -> "PBWElement":
         return euler(self, i)
+
+    def generators(self) -> list["PBWElement"]:
+        """x_1, ..., x_n, then d_1, ..., d_n: the order reports list them in."""
+        idx = range(1, self.n + 1)
+        return [self.x(i) for i in idx] + [self.d(i) for i in idx]
 
     # -- the relation table ------------------------------------------------
 
@@ -177,32 +182,6 @@ class PBWAlgebra:
             term for (m1, k1), c1 in a.terms.items() for (m2, k2), c2 in b.terms.items()
             for term in self._mul_mono(m1, k1, m2, k2, c1 * c2))))
 
-    def normal_form(self, word: Iterable[tuple]) -> "PBWElement":
-        """Product of generator letters ('x'|'d'|'a', index, exponent?).
-
-        Letters multiply left to right; exponents default to 1 and must
-        be nonnegative.
-        """
-        out = self.one()
-        for letter in word:
-            if len(letter) == 2:
-                sym, idx = letter
-                e = 1
-            else:
-                sym, idx, e = letter
-            self._check_index(idx)
-            if e < 0:
-                raise ValueError("letter exponents must be nonnegative")
-            if sym == "x":
-                out = out * self.x(idx, e)
-            elif sym == "d":
-                out = out * self.d(idx, e)
-            elif sym == "a":
-                out = out * (self.alpha(idx) ** e)
-            else:
-                raise ValueError(f"unknown generator symbol {sym!r}")
-        return out
-
 
 class PBWElement:
     """Linear combination of ordered monomials x^m d^k over Q(q)."""
@@ -304,12 +283,7 @@ class PBWElement:
         return None if s is None else self.algebra.emb.mdag_vec(s)
 
     def is_central(self) -> bool:
-        A = self.algebra
-        for i in range(1, A.n + 1):
-            for g in (A.x(i), A.d(i)):
-                if self * g != g * self:
-                    return False
-        return True
+        return all(self * g == g * self for g in self.algebra.generators())
 
     # -- display -----------------------------------------------------------
 
@@ -353,33 +327,6 @@ def euler(algebra: PBWAlgebra, i: int) -> PBWElement:
     m[i - 1] = 1
     k[i - 1] = 1
     return algebra.one() + algebra.monomial(m, k)
-
-
-def act_rank1(a: PBWElement, f: Union[dict, Sequence]) -> dict[int, CycScalar]:
-    """Action of a (n = 1) on a polynomial in t.
-
-    x acts by multiplication by t, d by the q^2-difference quotient
-    (f(q^2 t) - f(t))/t, so x^m d^k sends t^j to
-    prod_{s=j-k+1..j} (q^{2s} - 1) t^{j-k+m}.
-    """
-    A = a.algebra
-    if A.n != 1:
-        raise ValueError("the polynomial representation exists for n = 1 only")
-    F = A.field
-    items = f.items() if isinstance(f, dict) else enumerate(f)
-    poly = vec_accumulate({}, ((int(j), F.scalar(c)) for j, c in items))
-
-    def terms():
-        for ((m,), (k,)), cf in a.terms.items():
-            for j, c in poly.items():
-                if k > j:
-                    continue
-                scal = cf * c
-                for s in range(j - k + 1, j + 1):
-                    scal = scal * (F.qpow(2 * s) - 1)
-                yield j - k + m, scal
-
-    return vec_accumulate({}, terms())
 
 
 @dataclass

@@ -201,7 +201,7 @@ def test_criterion_8_quiver_suite():
                 ok = ok and xj * di == di * xj
     for n in (2, 3):
         for ell in (3, 5):
-            rep = verify_u1_relations(CycField(ell), n, window=range(0, 2 * ell))
+            rep = verify_u1_relations(CycField(ell), n)
             ok = ok and rep["all_ok"]
     central = verify_central_z(F, 2)
     ok = ok and central["all_ok"] and central["mutual_vanishing"]

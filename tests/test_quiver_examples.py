@@ -7,7 +7,7 @@ import pytest
 from qweyl import (CycField, DifferenceOperator, build_an_quiver_algebra,
                    cyclic_quiver, u1_operators, verify_central_z,
                    verify_u1_relations)
-from qweyl.quiver_examples import _raw_word
+from qweyl import quiver_examples
 
 
 # -- the nearest-neighbor relation table --------------------------------------
@@ -76,9 +76,9 @@ def test_difference_operator_sum_rules():
     A, B, C = u1_operators(F, 3)
     with pytest.raises(ValueError):
         A + B  # shifts 0 and 1
-    z = DifferenceOperator.zero(F)
+    z = A - A
     assert (B + z) == B and (z + B) == B
-    assert (A - A).is_zero()
+    assert z.is_zero()
     # a vanishing operator forgets its shift, so sums with it stay legal
     killed = C * C * C * C * C  # C^ell has a zero factor in every scalar
     assert killed.is_zero() and killed.shift == 0
@@ -125,15 +125,32 @@ def test_u1_relations_hold(n, ell):
         assert entry["ok"] and entry["failures"] == []
 
 
-def test_u1_relation_failures_are_reported():
-    # a deliberately wrong n in the window check must produce structured
-    # failure entries, not a crash
-    F = CycField(3)
-    good = verify_u1_relations(F, 2, window=range(0, 3))
-    assert good["all_ok"]
-    # evaluate the BC relation with mismatched sides by hand
-    kl, cl = _raw_word(F, 2, "BC", 1)
-    assert kl == 1 and cl == F.qpow(1) * (F.qpow(2) - F.one) ** 2
+def test_u1_relation_failures_are_reported(monkeypatch):
+    # C scaled by q breaks both central relations, and each failure is
+    # a structured entry naming the monomial and both sides
+    F = CycField(5)
+    lowering = quiver_examples._lowering_scalar
+    monkeypatch.setattr(quiver_examples, "_lowering_scalar",
+                        lambda field, n, k: field.q * lowering(field, n, k))
+    report = verify_u1_relations(F, 2)
+    assert not report["all_ok"]
+    central = ["BC = q^(n(n-1)/2) (A - 1)^n", "CB = q^(n(n-1)/2) (q^2 A - 1)^n"]
+    for name in central:
+        entry = report["relations"][name]
+        assert not entry["ok"] and entry["failures"]
+        for failure in entry["failures"]:
+            assert set(failure) == {"k", "lhs", "rhs", "lhs_exponent", "rhs_exponent"}
+            assert failure["lhs"] != failure["rhs"]
+
+
+def test_u1_periodicity_failure_is_reported(monkeypatch):
+    # a lowering formula that is not periodic mod ell fails `periodicity`
+    F = CycField(5)
+    lowering = quiver_examples._lowering_scalar
+    monkeypatch.setattr(quiver_examples, "_lowering_scalar",
+                        lambda field, n, k: (k + 1) * lowering(field, n, k))
+    report = verify_u1_relations(F, 2)
+    assert not report["periodicity"] and not report["all_ok"]
 
 
 def test_bc_instance_value():

@@ -5,7 +5,9 @@ The suites reach the n-factor matrix model: an ell = 3 fiber-rep and
 reduce task on the weights (2), (1), whose pairing has a nonzero
 off-diagonal entry; an ell = 3 reduce task on the three-cycle quiver; and
 an ell = 5 fiber-rep task on the weights (1), (1) with a c = 0 factor,
-where x_2^5 maps to the zero matrix.
+where x_2^5 maps to the zero matrix.  The quiver suites run U_1 and the
+cyclic-quiver table at ell = 3 for n = 2, 3, 4 (n = 2 has no table) with
+a qmm-check, and at ell = 13 for n = 3.
 To record a new output: qweyl report --config <config> --out <output>,
 with QWEYL_SEED unset.
 """
