@@ -21,7 +21,7 @@ from .cyclotomic import CycField
 from .expr import ParseError, evaluate, evaluate_scalar
 from .fiber import FiberPoint, Matrix, OutsideAzumayaLocus, digits, full_matrix_rep
 from .lattice import IntMatrix, QuiverData, TorusEmbedding, quiver_to_embedding
-from .linalg import SpanBasis, nullspace
+from .linalg import modular_rank, nullspace, rank
 from .pbw import PBWAlgebra, verify_qmm
 from .quiver_examples import (build_an_quiver_algebra, verify_central_z,
                               verify_u1_relations)
@@ -156,13 +156,8 @@ def _task_normalize(field, emb, algebra, task, rng):
     return {"expressions": results, "ok": ok}
 
 
-def _task_center_check(field, emb, algebra, task, rng):
-    deg = int(task.get("max_degree", 6))
-    n = emb.n
-    keys = [(m, k)
-            for m in iproduct(range(deg + 1), repeat=n)
-            for k in iproduct(range(deg + 1), repeat=n)]
-    unknowns = list(keys)
+def _commutator_rows(algebra, keys) -> list:
+    """One row per generator g and monomial of [b, g], b over keys; a solution is central."""
     rows = []
     for gi, g in enumerate(algebra.generators()):
         per_key: dict = {}
@@ -172,18 +167,32 @@ def _task_center_check(field, emb, algebra, task, rng):
             for out_key, c in comm.terms.items():
                 per_key.setdefault((gi, out_key), {})[mk] = c
         rows.extend(per_key.values())
-    sol = nullspace(rows, unknowns, field=field)
-    ell = field.ell
-    expected = [(m, k)
-                for m in iproduct(range(0, deg + 1, ell), repeat=n)
-                for k in iproduct(range(0, deg + 1, ell), repeat=n)]
-    # each solution is 1 at its own free unknown and 0 at the other free
-    # unknowns, so e_key lies in their span exactly when it is one of them
-    matches = len(sol) == len(expected) and all(
-        {key: field.one} in sol for key in expected)
+    return rows
+
+
+def _task_center_check(field, emb, algebra, task, rng):
+    deg = int(task.get("max_degree", 6))
+    n = emb.n
+    # every monomial x^m d^k of degree <= deg in each variable, and the ell-th powers
+    keys, expected = ([(m, k) for m in iproduct(exps, repeat=n) for k in iproduct(exps, repeat=n)]
+                      for exps in (range(deg + 1), range(0, deg + 1, field.ell)))
+    rows = _commutator_rows(algebra, keys)
+    # an expected key with a zero column in every row solves the system, so
+    # |expected| <= exact nullity <= nullity mod p, and equality certifies
+    zero_cols = set(expected)
+    if (all(zero_cols.isdisjoint(r) for r in rows)
+            and modular_rank(rows, field) == len(keys) - len(expected)):
+        dim, matches = len(expected), True
+    else:
+        sol = nullspace(rows, keys, field=field)
+        dim = len(sol)
+        # each solution is 1 at its own free unknown and 0 at the other free
+        # unknowns, so e_key lies in their span exactly when it is one of them
+        matches = len(sol) == len(expected) and all(
+            {key: field.one} in sol for key in expected)
     basis_strs = sorted(
         str(algebra.monomial(m, k)) for (m, k) in expected) if matches else None
-    return {"max_degree": deg, "dimension": len(sol),
+    return {"max_degree": deg, "dimension": dim,
             "expected_dimension": len(expected),
             "matches_ell_power_span": matches,
             "basis": basis_strs, "ok": matches}
@@ -194,23 +203,16 @@ def _task_fiber_rep(field, emb, algebra, task, rng):
     report: dict = {"in_azumaya_locus": point.in_azumaya_locus()}
     rep = full_matrix_rep(point, emb)
     n, ell = emb.n, field.ell
-    gens = algebra.generators()
+
+    def random_monomial():  # exponents m, then k, each drawn below ell
+        return algebra.monomial(*(tuple(rng.randrange(ell) for _ in range(n)) for _ in range(2)))
 
     # algebra map on all generator pairs plus seeded random monomial pairs
-    pairs_ok = True
-    for a in gens:
-        for b in gens:
-            if rep.of_element(a * b) != rep.of_element(a) * rep.of_element(b):
-                pairs_ok = False
-    for _ in range(20):
-        m1 = tuple(rng.randrange(ell) for _ in range(n))
-        k1 = tuple(rng.randrange(ell) for _ in range(n))
-        m2 = tuple(rng.randrange(ell) for _ in range(n))
-        k2 = tuple(rng.randrange(ell) for _ in range(n))
-        a, b = algebra.monomial(m1, k1), algebra.monomial(m2, k2)
-        if rep.of_element(a * b) != rep.of_element(a) * rep.of_element(b):
-            pairs_ok = False
-    report["relations_ok"] = pairs_ok
+    gens = algebra.generators()
+    pairs = [(a, b) for a in gens for b in gens] + [
+        (random_monomial(), random_monomial()) for _ in range(20)]
+    report["relations_ok"] = pairs_ok = all(
+        rep.of_element(a * b) == rep.of_element(a) * rep.of_element(b) for a, b in pairs)
 
     # the image of alpha_i = 1 + x_i d_i is diagonal, gamma_i q^(-2 r_i) in row r
     alpha_ok = all(
@@ -220,14 +222,12 @@ def _task_fiber_rep(field, emb, algebra, task, rng):
         for i in range(n))
     report["alpha_diagonal_ok"] = alpha_ok
 
-    span = SpanBasis(field)
-    for m in iproduct(range(ell), repeat=n):
-        for k in iproduct(range(ell), repeat=n):
-            mat = rep.of_element(algebra.monomial(m, k))
-            span.add({rc: v for rc, v in mat.entries.items()})
-    report["span_dimension"] = span.rank
+    report["span_dimension"] = span_dim = rank(
+        lambda: (rep.of_element(algebra.monomial(m, k)).entries
+                 for m in iproduct(range(ell), repeat=n)
+                 for k in iproduct(range(ell), repeat=n)), field)
     report["expected_span_dimension"] = ell ** (2 * n)
-    report["ok"] = pairs_ok and alpha_ok and span.rank == ell ** (2 * n)
+    report["ok"] = pairs_ok and alpha_ok and span_dim == ell ** (2 * n)
     return report
 
 

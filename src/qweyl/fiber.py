@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycField, CycScalar
 from .lattice import TorusEmbedding
-from .linalg import SpanBasis, vec_accumulate
+from .linalg import SpanBasis, rank, vec_accumulate
 from .pbw import PBWAlgebra, PBWElement
 
 
@@ -435,7 +435,7 @@ def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
     Builds the quotient module abstractly (left ideal by the shifted
     Euler operators, reduced basis), then spans the ell^(2n) action
     matrices of the fiber basis; true iff their span has full dimension
-    ell^(2n), i.e. the map is injective hence bijective.
+    ell^(2n), i.e. the map is injective hence bijective (see linalg.rank).
     """
     if not point.in_azumaya_locus():
         raise OutsideAzumayaLocus("splitting is only defined over the locus")
@@ -444,26 +444,16 @@ def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
     ell, n = fib.ell, fib.n
     gens = [fib.alpha(i + 1) - point.gamma[i] for i in range(n)]
     ideal = fib.left_ideal(gens)
-    dim_module = ell ** (2 * n) - ideal.rank
-    if dim_module != ell ** n:
+    if ell ** (2 * n) - ideal.rank != ell ** n:  # the module dimension
         return False
     pivots = set(ideal.pivots())
     module_basis = [key for key in fib.basis_keys() if key not in pivots]
     coord = {key: idx for idx, key in enumerate(module_basis)}
 
-    def project(e: PBWElement) -> dict[int, CycScalar]:
-        res = ideal.reduce(e.terms)
-        return {coord[k]: v for k, v in res.items()}
-
-    span = SpanBasis(F)
-    full = 0
-    for key in fib.basis_keys():
+    def action(key) -> dict:
+        """The matrix of the fiber monomial key on the module basis."""
         u = fib.monomial(*key)
-        vec: dict = {}
-        for j, bkey in enumerate(module_basis):
-            img = project(u * fib.monomial(*bkey))
-            for i, v in img.items():
-                vec[(i, j)] = v
-        if span.add(vec):
-            full += 1
-    return full == ell ** (2 * n)
+        return {(coord[i], j): v for j, bkey in enumerate(module_basis)
+                for i, v in ideal.reduce((u * fib.monomial(*bkey)).terms).items()}
+
+    return rank(lambda: map(action, fib.basis_keys()), F) == ell ** (2 * n)

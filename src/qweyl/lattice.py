@@ -4,7 +4,7 @@ Covers the combinatorial substrate of the operator algebras: the weight
 matrix / symmetric form pair that drives all q-commutation exponents,
 its construction from a quiver, and classical multiplicative moment map
 values.  The one rank question here (does the torus act faithfully?) is
-decided by linalg.SpanBasis, the package's only elimination routine.
+decided exactly by linalg.SpanBasis.
 """
 
 from __future__ import annotations

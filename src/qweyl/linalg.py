@@ -1,14 +1,18 @@
 """Sparse exact linear algebra over Q(q).
 
 Vectors are dicts mapping arbitrary hashable keys to nonzero field
-elements.  The workhorse is an incremental row-echelon span, used for
-ideal saturation, invariant subspaces, and rank counts.  Everything
-works over the exact cyclotomic scalars, so membership and rank are
-decided, not estimated.
+elements.  The exact elimination routine is an incremental row-echelon
+span, SpanBasis, used for ideal saturation, nullspaces and rank counts.
+Everything works over the exact cyclotomic scalars, so membership and
+rank are decided, not estimated; modular_rank certifies ranks mod p.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from itertools import count
+from math import isqrt
 from typing import Callable, Hashable, Iterable, Optional
 
 from .cyclotomic import CycField
@@ -112,3 +116,70 @@ def nullspace(rows: Iterable[Vec], unknowns: list, field: CycField) -> list[Vec]
                 sol[p] = -c
         basis.append(sol)
     return basis
+
+
+@lru_cache(maxsize=None)
+def _prime_and_root(ell: int) -> tuple[int, int]:
+    """The least prime p = 1 (mod ell) above 2^30, and z = g^((p-1)/ell) of
+    exact order ell for the least g >= 2: a root of Phi_ell mod p."""
+    p = (2 ** 30 // ell + 1) * ell + 1
+    while not all(p % f for f in range(2, isqrt(p) + 1)):
+        p += ell
+    return p, next(z for z in (pow(g, (p - 1) // ell, p) for g in range(2, p))
+                   if all(pow(z, d, p) != 1 for d in range(1, ell) if ell % d == 0))
+
+
+def modular_rank(vectors: Iterable[Vec], field: CycField) -> Optional[int]:
+    """Rank of the vectors after q -> z in F_p ((p, z) from _prime_and_root),
+    or None when some denominator is divisible by p.
+
+    Soundness: q -> z is a ring map from Z_(p)[q] = Z_(p)[x]/(Phi_ell), the
+    scalars with denominator prime to p, since Phi_ell(z) = 0 in F_p.  It
+    maps each minor to a minor, and a minor nonzero mod p is nonzero over
+    Q(q), so rank mod p <= rank over Q(q).  A full rank mod p, or a nullity
+    mod p equal to a proven lower bound, is a certificate; a shortfall is not.
+    """
+    p, z = _prime_and_root(field.ell)
+    zs = [pow(z, i, p) for i in range(field.degree)]
+    cols: dict = {}  # key -> column index, in order of first appearance
+    pivots: dict = {}  # column -> row over F_p that is 1 there and 0 left of it
+    for vec in vectors:
+        row = {}
+        for key, c in vec.items():
+            if c.den % p == 0:
+                return None
+            v = sum(a * b for a, b in zip(c.num, zs)) * pow(c.den, -1, p) % p
+            if v:
+                row[cols.setdefault(key, len(cols))] = v
+        # leftmost column first: a pivot row only adds columns right of its pivot
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            j = heappop(heap)
+            c = row.get(j)
+            if c is None:
+                continue
+            if j not in pivots:
+                inv = pow(c, -1, p)
+                pivots[j] = {k: v * inv % p for k, v in row.items()}
+                break
+            for k, v in pivots[j].items():
+                if k not in row:
+                    heappush(heap, k)  # -c * v != 0 mod p: k enters the row
+                row[k] = (row.get(k, 0) - c * v) % p
+                if not row[k]:
+                    del row[k]
+    return len(pivots)
+
+
+def rank(vectors: Callable[[], Iterable[Vec]], field: CycField) -> int:
+    """Rank over Q(q) of what vectors() yields: certified by modular_rank if
+    independent mod p, else by a SpanBasis over a second call to vectors()."""
+    seen = count()  # zip draws one number per vector, so next(seen) counts them
+    r = modular_rank((v for v, _ in zip(vectors(), seen)), field)
+    if r == next(seen):
+        return r
+    span = SpanBasis(field)
+    for v in vectors():
+        span.add(v)
+    return span.rank

@@ -10,8 +10,9 @@ the table of c_k over one period k mod ell.  C's scalars come from the
 alternating binomial sum; the closed form q^s (q^{2k} - 1)^n appears
 only on the right-hand sides of the central relations, which operator
 arithmetic builds from A, so the relation check does not assume it.
-The periodicity check compares the formulas of A and C at k + ell with
-their table entries at k; that is what makes one period exact.
+The periodicity check compares C's formula at k + ell with its table
+entry at k; that is what makes one period exact (A's entry q^(2k) is
+periodic by construction, since qpow reduces its exponent mod ell).
 """
 
 from __future__ import annotations
@@ -209,9 +210,7 @@ def verify_u1_relations(field: CycField, n: int) -> dict:
                 failures.append({"k": k, "lhs": str(cl), "rhs": str(cr),
                                  "lhs_exponent": k + lhs.shift, "rhs_exponent": k + rhs.shift})
         relations[name] = {"ok": not failures, "failures": failures}
-    periodic = all(field.qpow(2 * (k + ell)) == A.scalars[k]
-                   and _lowering_scalar(field, n, k + ell) == C.scalars[k]
-                   for k in range(ell))
+    periodic = all(_lowering_scalar(field, n, k + ell) == C.scalars[k] for k in range(ell))
     return {"n": n, "ell": ell, "window": [0, 2 * ell],
             "relations": relations, "periodicity": periodic,
             "all_ok": periodic and all(r["ok"] for r in relations.values())}

@@ -1,9 +1,11 @@
 """Command-line front end: configs, reports, exit codes."""
 
 import json
+from itertools import product
 
 import pytest
 
+from qweyl import CycField
 from qweyl.cli import DEFAULT_SEED, main, run_suite, validate_config
 from qweyl.lattice import TorusEmbedding
 from qweyl.linalg import nullspace
@@ -376,14 +378,15 @@ def test_center_check_task_payload():
                          ids=["d1-made-central", "d1-made-central-x1^3-pinned"])
 def test_center_check_fails_on_a_wrong_commutator_system(monkeypatch, pinned):
     import qweyl.cli
+    commutator_rows = qweyl.cli._commutator_rows
 
-    def lossy_nullspace(rows, unknowns, field=None):
+    def lossy_rows(algebra, keys):
         # no single commutator row matters (each unknown is pinned by several),
         # so the mutant loses every row that keeps d1 out of the center
-        kept = [r for r in rows if ((0,), (1,)) not in r]
-        return nullspace(kept + [{key: field.one} for key in pinned], unknowns, field=field)
+        kept = [r for r in commutator_rows(algebra, keys) if ((0,), (1,)) not in r]
+        return kept + [{key: algebra.field.one} for key in pinned]
 
-    monkeypatch.setattr(qweyl.cli, "nullspace", lossy_nullspace)
+    monkeypatch.setattr(qweyl.cli, "_commutator_rows", lossy_rows)
     cfg = {
         "ell": 3,
         "embedding": {"matrix": [[1]], "form": [[2]]},
@@ -394,6 +397,49 @@ def test_center_check_fails_on_a_wrong_commutator_system(monkeypatch, pinned):
     assert (entry["dimension"], entry["expected_dimension"]) == (10 - len(pinned), 9)
     assert entry["matches_ell_power_span"] is False
     assert entry["basis"] is None
+    assert entry["ok"] is False
+
+
+def test_center_check_reports_the_exact_nullity_when_rows_are_lost(monkeypatch):
+    # with the rows through x1 d2 lost, x1 d2 solves the system too: the
+    # nullity mod p exceeds |expected|, so the exact nullspace decides
+    import qweyl.cli
+    commutator_rows = qweyl.cli._commutator_rows
+    lost = ((1, 0), (0, 1))
+    kept = []
+
+    def lossy_rows(algebra, keys):
+        kept[:] = [r for r in commutator_rows(algebra, keys) if lost not in r]
+        return list(kept)
+
+    monkeypatch.setattr(qweyl.cli, "_commutator_rows", lossy_rows)
+    cfg = {
+        "ell": 3,
+        "embedding": {"matrix": [[1], [1]], "form": [[2]]},
+        "tasks": [{"type": "center-check", "max_degree": 3}],
+    }
+    entry = run_suite(cfg)["tasks"][0]
+    keys = [(m, k) for m in product(range(4), repeat=2) for k in product(range(4), repeat=2)]
+    exact = nullspace(kept, keys, field=CycField(3))
+    assert entry["dimension"] == len(exact) > entry["expected_dimension"] == 16
+    assert entry["matches_ell_power_span"] is False
+    assert entry["basis"] is None and entry["ok"] is False
+
+
+def test_fiber_rep_span_falls_back_and_fails_on_a_repeated_image(monkeypatch):
+    # x1^2 x2^2 d1^2 d2^2 is sent to the image of x1^2 x2^2 d1^2 d2: the
+    # images fall one short of independent mod p, and the exact span counts 80
+    from qweyl.fiber import FullRep
+    of_element = FullRep.of_element
+
+    def repeated(self, a):
+        if set(a.terms) == {((2, 2), (2, 2))}:
+            a = a.algebra.monomial((2, 2), (2, 1))
+        return of_element(self, a)
+
+    monkeypatch.setattr(FullRep, "of_element", repeated)
+    entry = run_suite(suite_cfg())["tasks"][1]
+    assert (entry["span_dimension"], entry["expected_span_dimension"]) == (80, 81)
     assert entry["ok"] is False
 
 

@@ -5,6 +5,7 @@ import inspect
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, OutsideAzumayaLocus,
                    PBWAlgebra, QuiverData, TorusEmbedding, endo_splitting_check,
@@ -12,6 +13,7 @@ from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, OutsideAzumayaLoc
 from qweyl import fiber
 from qweyl.cli import run_suite
 from qweyl.fiber import digits
+from qweyl.linalg import SpanBasis
 
 from braided import braided_product
 
@@ -526,3 +528,42 @@ def test_endomorphism_splitting_needs_the_locus():
     p = point(F, [(F.scalar(-1), F.one)], [F.zero])
     with pytest.raises(OutsideAzumayaLocus):
         endo_splitting_check(A, p)
+
+
+@st.composite
+def locus_points_l3(draw):
+    """A point at ell = 3 on one or two factors; each factor has c = 0
+    (gamma a power of q, any w) or c != 0 (gamma = a + b q, w = (gamma^3 - 1)/c)."""
+    F = CycField(3)
+    pairs, gammas = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            gammas.append(F.qpow(draw(st.integers(0, 2))))
+            pairs.append((F.zero, F.scalar(draw(st.integers(-3, 3)))))
+        else:
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            gamma = F.scalar(a) + F.scalar(b) * F.q
+            if not gamma:
+                gamma = F.one
+            c = F.scalar(draw(st.sampled_from([-7, -2, 1, 3, 5])))
+            gammas.append(gamma)
+            pairs.append((c, (gamma ** 3 - 1) / c))
+    return point(F, pairs, gammas)
+
+
+def exact_rank(vectors, field):
+    span = SpanBasis(field)
+    for v in vectors():
+        span.add(v)
+    return span.rank
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=locus_points_l3())
+def test_endomorphism_splitting_certificate_agrees_with_the_exact_span(p):
+    A = weyl(3, emb_n1() if p.n == 1 else emb_n2())
+    certified = endo_splitting_check(A, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fiber, "rank", exact_rank)
+        exact = endo_splitting_check(A, p)
+    assert certified is exact is True

@@ -1,16 +1,21 @@
-"""Sparse linear algebra over Q(q): the accumulate helper, SpanBasis, nullspace.
+"""Sparse linear algebra over Q(q): the accumulate helper, SpanBasis, nullspace,
+and the modular rank certificate.
 
 Random sparse vectors at ell = 3 and 5 with small integer and q-power
 coefficients, reduced under the default key order and under a custom
 one.  SpanBasis keeps reduced row echelon form, so every property below
-is an exact identity.
+is an exact identity.  The modular rank is checked against SpanBasis,
+and its prime and root of unity against their defining properties.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qweyl import CycField, SpanBasis, nullspace
-from qweyl.linalg import vec_accumulate
+from qweyl.cyclotomic import cyclotomic_polynomial
+from qweyl.linalg import _prime_and_root, modular_rank, rank, vec_accumulate
 
 FIELDS = {ell: CycField(ell) for ell in (3, 5)}
 KEYS = range(8)
@@ -161,3 +166,124 @@ def test_nullspace_solution_is_one_at_its_free_unknown_and_zero_at_the_others(fv
     assert len(sols) == len(free)
     for u, sol in zip(free, sols):
         assert {v: sol[v] for v in free if v in sol} == {u: F.one}
+
+
+# -- modular rank certificates ------------------------------------------------
+
+def is_prime(m):
+    """Miller-Rabin with the bases 2..37, deterministic for m < 3.3e24."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("ell", range(3, 50, 2))
+def test_prime_and_root_of_unity(ell):
+    # composite orders (9, 15, 21, 25, 27, 33, 35, 39, 45, 49) included
+    p, z = _prime_and_root(ell)
+    assert p > 2 ** 30 and p % ell == 1 and is_prime(p)
+    assert not any(is_prime(m) for m in range(p - ell, 2 ** 30, -ell))  # the least such
+    assert pow(z, ell, p) == 1
+    assert all(pow(z, d, p) != 1 for d in range(1, ell) if ell % d == 0)
+    # Phi_ell(z) = 0 mod p, so q -> z respects the relations of Q(q)
+    assert sum(c * pow(z, i, p) for i, c in enumerate(cyclotomic_polynomial(ell))) % p == 0
+
+
+def fraction_scalars(F):
+    # sums of one or two terms (a / b) * q^k, b up to 4
+    term = st.builds(lambda a, b, k: F.scalar(Fraction(a, b)) * F.qpow(k),
+                     st.integers(-3, 3), st.integers(1, 4), st.integers(0, F.ell - 1))
+    return st.lists(term, min_size=1, max_size=2).map(lambda ts: sum(ts[1:], ts[0]))
+
+
+@st.composite
+def sparse_vector_sets(draw):
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    vec = st.dictionaries(st.sampled_from(KEYS), fraction_scalars(F), max_size=4).map(
+        lambda v: {k: c for k, c in v.items() if c})
+    vecs = draw(st.lists(vec, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        # a dependent vector, so the modular rank falls short and rank falls back
+        a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+        vecs.append(vsum(a, b, draw(fraction_scalars(F))))
+    return F, vecs
+
+
+@settings(max_examples=60, deadline=None)
+@given(fv=sparse_vector_sets())
+def test_certified_rank_equals_the_span_rank(fv):
+    F, vecs = fv
+    span = build(F, vecs, None)
+    assert rank(lambda: vecs, F) == span.rank
+    assert modular_rank(vecs, F) <= span.rank
+    # the echelon rows are independent over Q(q); mod p they certify that here
+    assert modular_rank(span.rows(), F) == rank(span.rows, F) == span.rank
+
+
+def dense_rank_mod_p(vecs, F):
+    """Gauss-Jordan elimination over F_p on the dense matrix of the images."""
+    p, z = _prime_and_root(F.ell)
+    keys = sorted({k for v in vecs for k in v})
+
+    def image(c):
+        return sum(a * pow(z, i, p) for i, a in enumerate(c.num)) * pow(c.den, -1, p) % p
+
+    rows = [[image(v[k]) if k in v else 0 for k in keys] for v in vecs]
+    r = 0
+    for col in range(len(keys)):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col] * inv % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_modular_rank_matches_dense_elimination_mod_p(data):
+    # denser vectors and several dependent ones, so elimination fills in
+    F = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
+    vecs = data.draw(st.lists(vectors(F, 8), min_size=1, max_size=10))
+    for _ in range(data.draw(st.integers(0, 3))):
+        a, b = data.draw(st.sampled_from(vecs)), data.draw(st.sampled_from(vecs))
+        vecs.append(vsum(a, b, data.draw(scalars(F))))
+    data.draw(st.randoms(use_true_random=False)).shuffle(vecs)
+    assert modular_rank(vecs, F) == dense_rank_mod_p(vecs, F)
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_entries_that_vanish_mod_p_fall_back(ell):
+    F = CycField(ell)
+    p, z = _prime_and_root(ell)
+    # p and q - z are nonzero in Q(q) but vanish mod p
+    for entry in (F.scalar(p), F.q - z):
+        assert modular_rank([{0: entry}], F) == 0
+        assert rank(lambda: [{0: entry}], F) == 1
+    assert modular_rank([{0: F.one, 1: F.scalar(p)}, {0: F.one}], F) == 1
+    assert rank(lambda: [{0: F.one, 1: F.scalar(p)}, {0: F.one}], F) == 2
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_a_denominator_divisible_by_p_gives_none(ell):
+    F = CycField(ell)
+    p, _ = _prime_and_root(ell)
+    vecs = [{0: F.one}, {1: F.scalar(Fraction(1, p))}]
+    assert modular_rank(vecs, F) is None
+    assert rank(lambda: vecs, F) == 2

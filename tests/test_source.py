@@ -27,3 +27,14 @@ def test_all_matches_public_names():
     public = {name for name, obj in vars(qweyl).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public <= set(listed), public - set(listed)
+
+
+def test_package_has_no_floats():
+    # exactness is absolute: no float literal and no use of the name float
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  or isinstance(node, ast.Name) and node.id == "float"]
+    assert list(SRC.rglob("*.py")) and not found, found
