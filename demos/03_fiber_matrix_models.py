@@ -7,7 +7,7 @@ from qweyl import (CycField, FiberAlgebra, FiberPoint, PBWAlgebra,
 F = CycField(3)
 
 print("rank one at (c, w) = (7, 1), gamma = 2:")
-rep = rank1_matrix_rep(F, 7, 1, None, 2)
+rep = rank1_matrix_rep(F, 7, 1, 2)
 print("  x     =", sorted((rc, str(v)) for rc, v in rep.x.entries.items()))
 print("  d     =", sorted((rc, str(v)) for rc, v in rep.d.entries.items()))
 print("  alpha =", sorted((rc, str(v)) for rc, v in rep.alpha.entries.items()))
@@ -34,7 +34,6 @@ print(f"two-factor model on {big.size} dimensions;",
 print()
 
 print("splitting check over locus points:")
-for c, w, b, g in [(0, 0, 0, 1), (8, 0, 2, 1), (7, 1, None, 2)]:
-    pt = FiberPoint(field=F, lam=((F.scalar(c), F.scalar(w)),),
-                    gamma=(F.scalar(g),), b=(None if b is None else F.scalar(b),))
+for c, w, g in [(0, 0, 1), (8, 0, 1), (7, 1, 2)]:
+    pt = FiberPoint(field=F, lam=((F.scalar(c), F.scalar(w)),), gamma=(F.scalar(g),))
     print(f"  (c, w, gamma) = ({c}, {w}, {g}):", endo_splitting_check(A1, pt))

@@ -101,8 +101,6 @@ def _check_point(point, n: int, i: int) -> None:
         raise ValueError(f"task {i}: 'lambda' must be a list of {n} [c, w] pairs")
     if not _is_list(point.get("gamma"), n):
         raise ValueError(f"task {i}: 'gamma' must be a list of {n} entries")
-    if point.get("b") is not None and not _is_list(point["b"], n):
-        raise ValueError(f"task {i}: 'b' must be a list of {n} entries or nulls")
 
 
 def _int_rows(value, name: str) -> IntMatrix:
@@ -132,11 +130,7 @@ def build_point(field: CycField, data: dict) -> FiberPoint:
     lam = tuple((evaluate_scalar(str(c), field), evaluate_scalar(str(w), field))
                 for c, w in data["lambda"])
     gamma = tuple(evaluate_scalar(str(g), field) for g in data["gamma"])
-    b = None
-    if data.get("b") is not None:
-        b = tuple(None if v is None else evaluate_scalar(str(v), field)
-                  for v in data["b"])
-    return FiberPoint(field=field, lam=lam, gamma=gamma, b=b)
+    return FiberPoint(field=field, lam=lam, gamma=gamma)
 
 
 # -- task runners ----------------------------------------------------------

@@ -114,13 +114,6 @@ def digits(idx: int, ell: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def undigits(ds: Sequence[int], ell: int) -> int:
-    idx = 0
-    for v in reversed(tuple(ds)):
-        idx = idx * ell + (v % ell)
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # fiber points and the finite-dimensional quotient
 
@@ -129,15 +122,12 @@ def undigits(ds: Sequence[int], ell: int) -> int:
 class FiberPoint:
     """A central character: values (c_i, w_i) of x_i^ell, d_i^ell, plus roots.
 
-    gamma_i must satisfy gamma_i^ell = 1 + c_i w_i exactly.  b_i is an
-    optional ell-th root of c_i; the matrix model never consumes it on
-    the c != 0 branch, so points where c has no root in Q(q) stay usable.
+    gamma_i must satisfy gamma_i^ell = 1 + c_i w_i exactly.
     """
 
     field: CycField
     lam: tuple[tuple[CycScalar, CycScalar], ...]
     gamma: tuple[CycScalar, ...]
-    b: tuple[Optional[CycScalar], ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         F = self.field
@@ -147,19 +137,10 @@ class FiberPoint:
         object.__setattr__(self, "gamma", gamma)
         if len(gamma) != len(lam):
             raise ValueError("one gamma per coordinate pair")
-        b = self.b
-        if b is None:
-            b = (None,) * len(lam)
-        b = tuple(None if v is None else F.scalar(v) for v in b)
-        object.__setattr__(self, "b", b)
-        if len(b) != len(lam):
-            raise ValueError("one b (or None) per coordinate pair")
         ell = F.ell
         for i, ((c, w), g) in enumerate(zip(lam, gamma)):
             if g ** ell != F.one + c * w:
                 raise ValueError(f"gamma_{i+1}^{ell} != 1 + c*w")
-            if b[i] is not None and b[i] ** ell != c:
-                raise ValueError(f"b_{i+1}^{ell} != c")
 
     @property
     def n(self) -> int:
@@ -263,7 +244,7 @@ class Rank1Rep:
     alpha: Matrix
 
 
-def rank1_matrix_rep(field: CycField, c, w, b=None, gamma=None) -> Rank1Rep:
+def rank1_matrix_rep(field: CycField, c, w, gamma) -> Rank1Rep:
     """The ell x ell representation at a rank-one fiber point.
 
     Row r carries the alpha eigenvalue gamma*q^(-2r); x lowers the row
@@ -275,15 +256,11 @@ def rank1_matrix_rep(field: CycField, c, w, b=None, gamma=None) -> Rank1Rep:
     F = field
     ell = F.ell
     c, w = F.scalar(c), F.scalar(w)
-    if gamma is None:
-        raise ValueError("gamma (an ell-th root of 1 + c*w) is required")
     gamma = F.scalar(gamma)
     if not (F.one + c * w):
         raise OutsideAzumayaLocus("1 + c*w = 0: no matrix model at this point")
     if gamma ** ell != F.one + c * w:
         raise ValueError("gamma^ell != 1 + c*w")
-    if b is not None and F.scalar(b) ** ell != c:
-        raise ValueError("b^ell != c")
 
     xi = [F.one] * ell      # x e_s = xi_s e_{s-1 mod ell}
     delta = [F.zero] * ell  # d e_r = delta_r e_{r+1 mod ell}
@@ -349,7 +326,6 @@ class FullRep:
     """
 
     field: CycField
-    emb: TorusEmbedding
     size: int
     x: tuple[Matrix, ...]
     d: tuple[Matrix, ...]
@@ -411,8 +387,7 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     ell = F.ell
     n = point.n
     size = ell ** n
-    local = [rank1_matrix_rep(F, c, w, point.b[i], point.gamma[i])
-             for i, (c, w) in enumerate(point.lam)]
+    local = [rank1_matrix_rep(F, c, w, g) for (c, w), g in zip(point.lam, point.gamma)]
 
     def place(i: int, G: Matrix) -> Matrix:
         step = ell ** i
@@ -422,7 +397,7 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
 
     xs = tuple(untwist(place(i, local[i].x), emb) for i in range(n))
     ds = tuple(untwist(place(i, local[i].d), emb) for i in range(n))
-    return FullRep(field=F, emb=emb, size=size, x=xs, d=ds)
+    return FullRep(field=F, size=size, x=xs, d=ds)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,11 @@ the matrix model, matching those diagonals and grading the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from math import prod
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cyclotomic import CycScalar
-from .fiber import (FiberPoint, Matrix, OutsideAzumayaLocus, digits, full_matrix_rep,
-                    undigits)
+from .fiber import FiberPoint, OutsideAzumayaLocus, digits, full_matrix_rep
 from .lattice import TorusEmbedding, classical_moment
 from .pbw import PBWAlgebra
 
@@ -34,34 +32,29 @@ class EmptyReductionError(ValueError):
         self.admissible = admissible
 
 
-@dataclass(frozen=True)
-class GammaGrading:
-    """Grading of Mat(ell^n) rows by the weight map mod ell."""
-
-    cosets: tuple[tuple[tuple[int, ...], ...], ...]
-    values: tuple[tuple[int, ...], ...]
-
-
-def gamma_grading(emb: TorusEmbedding, ell: int) -> GammaGrading:
-    groups: dict[tuple[int, ...], list] = {}
-    for r in iproduct(range(ell), repeat=emb.n):
-        val = tuple(sum(emb.matrix[i][j] * r[i] for i in range(emb.n)) % ell
-                    for j in range(emb.d))
-        groups.setdefault(val, []).append(r)
-    ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
-    cosets = tuple(tuple(members) for _, members in ordered)
-    values = tuple(val for val, _ in ordered)
-    return GammaGrading(cosets=cosets, values=values)
+def row_weights(emb: TorusEmbedding, ell: int) -> list[tuple[int, ...]]:
+    """The weight (M^T r) mod ell of each row index of Mat(ell^n), r its digits."""
+    return [tuple(sum(emb.matrix[i][j] * r[i] for i in range(emb.n)) % ell
+                  for j in range(emb.d))
+            for r in (digits(idx, ell, emb.n) for idx in range(ell ** emb.n))]
 
 
-def invariant_blocks(g: GammaGrading) -> dict:
-    """Dimension data of the partition of the row set into grading cosets."""
-    sizes = sorted({len(c) for c in g.cosets})
-    uniform = sizes[0] if len(sizes) == 1 else None
+def gamma_grading(emb: TorusEmbedding, ell: int) -> dict[tuple[int, ...], list[int]]:
+    """The grading cosets: each weight mapped to the ascending row indices that carry it."""
+    cosets: dict[tuple[int, ...], list[int]] = {}
+    for idx, weight in enumerate(row_weights(emb, ell)):
+        cosets.setdefault(weight, []).append(idx)
+    return cosets
+
+
+def invariant_blocks(cosets: dict) -> dict:
+    """Dimension data of the partition of the row set into grading cosets,
+    which all have the size of the kernel of the weight map."""
+    sizes = [len(rows) for rows in cosets.values()]
     return {
-        "block_count": len(g.cosets),
-        "block_size": uniform,
-        "invariant_dim": sum(len(c) ** 2 for c in g.cosets),
+        "block_count": len(sizes),
+        "block_size": sizes[0],
+        "invariant_dim": sum(s * s for s in sizes),
     }
 
 
@@ -75,54 +68,35 @@ def admissible_etas(point: FiberPoint, emb: TorusEmbedding) -> list[tuple[CycSca
     torsion points in the image of the weight map."""
     F = point.field
     base = phi_dagger(point, emb)
-    images = sorted(gamma_grading(emb, F.ell).values)
-    return [tuple(base[j] * F.qpow(-2 * t[j]) for j in range(emb.d)) for t in images]
+    return [tuple(base[j] * F.qpow(-2 * t[j]) for j in range(emb.d))
+            for t in sorted(gamma_grading(emb, F.ell))]
 
 
-def eta_shift(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) -> Optional[tuple[int, ...]]:
-    """The torsion twist t with eta_j = phi(gamma)_j q^(-2 t_j), or None."""
-    F = point.field
-    base = phi_dagger(point, emb)
-    out = []
-    for j in range(emb.d):
-        target = F.scalar(eta[j])
-        t_j = next((t for t in range(F.ell) if base[j] * F.qpow(-2 * t) == target), None)
-        if t_j is None:
-            return None
-        out.append(t_j)
-    return tuple(out)
+def moment_diagonals(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) -> list[list[CycScalar]]:
+    """The diagonals of mu(z_j) - eta_j on the ell^n row set, one list per j.
 
-
-def moment_diagonals(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) -> list[Matrix]:
-    """The diagonal matrices mu(z_j) - eta_j on the ell^n row set.
-
-    The (r, r) entry of mu(z_j) is prod_i (gamma_i q^{-2 r_i})^{m_ij}
+    Entry r of mu(z_j) is prod_i (gamma_i q^{-2 r_i})^{m_ij}
     = phi(gamma)_j q^{-2 (M^T r)_j}, so the row r column of the ideal
     generator vanishes for all j exactly on one kernel coset.
     """
     F = point.field
-    ell = F.ell
     eta = tuple(F.scalar(v) for v in eta)
     base = phi_dagger(point, emb)
-    out = []
-    for j in range(emb.d):
-        diag = []
-        for idx in range(ell ** emb.n):
-            r = digits(idx, ell, emb.n)
-            val = sum(emb.matrix[i][j] * r[i] for i in range(emb.n))
-            diag.append(base[j] * F.qpow(-2 * val) - eta[j])
-        out.append(Matrix.from_diag(F, diag))
-    return out
+    weights = row_weights(emb, F.ell)
+    return [[base[j] * F.qpow(-2 * w[j]) - eta[j] for w in weights] for j in range(emb.d)]
 
 
-def moment_map_ok(point: FiberPoint, emb: TorusEmbedding, diags: Sequence[Matrix],
+def moment_map_ok(point: FiberPoint, emb: TorusEmbedding, diags: Sequence[Sequence[CycScalar]],
                   eta: Sequence[CycScalar]) -> bool:
     """The quantum moment map in the matrix model agrees with diags.
 
     Each Euler operator alpha_i = 1 + x_i d_i must map to a diagonal
     with no zero entry; mu(z_j) = prod_i alpha_i^(m_ij) must equal
     diags[j] + eta_j, and conjugation by it must scale the images of
-    x_i and d_i by q^(2 m_ij) and q^(-2 m_ij).
+    x_i and d_i by q^(2 m_ij) and q^(-2 m_ij).  As mu(z_j) is diagonal
+    with no zero entry, that holds iff mu_r = q^(2 m_ij) mu_c at each
+    stored entry (r, c) of the image of x_i, and likewise with q^(-2 m_ij)
+    for d_i.
     """
     F = point.field
     rep = full_matrix_rep(point, emb)
@@ -130,14 +104,16 @@ def moment_map_ok(point: FiberPoint, emb: TorusEmbedding, diags: Sequence[Matrix
     alphas = [rep.of_element(A.alpha(i + 1)) for i in range(emb.n)]
     if any(len(a.entries) != rep.size or any(r != c for r, c in a.entries) for a in alphas):
         return False
-    for j, dg in enumerate(diags):
-        mu = Matrix.from_diag(F, [prod((a[(r, r)] ** m[j] for a, m in zip(alphas, emb.matrix)),
-                                       start=F.one) for r in range(rep.size)])
-        if mu != dg + Matrix.identity(F, rep.size).scale(eta[j]):
+    for j, diag in enumerate(diags):
+        mu = [prod((a[(r, r)] ** m[j] for a, m in zip(alphas, emb.matrix)), start=F.one)
+              for r in range(rep.size)]
+        if mu != [v + eta[j] for v in diag]:
             return False
-        if any(mu * X != (X * mu).scale(F.qpow(e * emb.matrix[i][j]))
-               for i in range(emb.n) for X, e in ((rep.x[i], 2), (rep.d[i], -2))):
-            return False
+        for i in range(emb.n):
+            for X, e in ((rep.x[i], 2), (rep.d[i], -2)):
+                scale = F.qpow(e * emb.matrix[i][j])
+                if any(mu[r] != scale * mu[c] for r, c in X.entries):
+                    return False
     return True
 
 
@@ -152,7 +128,7 @@ class ReductionResult:
     quotient_dim: int
     module_dim: int
     block_count: int
-    block_size: Optional[int]
+    block_size: int
     is_matrix_algebra: bool
     module_action_bijective: bool
 
@@ -191,23 +167,22 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     if not point.in_azumaya_locus():
         raise OutsideAzumayaLocus("reduction needs a locus point")
     eta = tuple(F.scalar(v) for v in eta)
-    size = ell ** n
 
     diags = moment_diagonals(point, emb, eta)
-    vanishing = [idx for idx in range(size) if all(not dg[(idx, idx)] for dg in diags)]
+    vanishing = [idx for idx in range(ell ** n) if not any(dg[idx] for dg in diags)]
     if not vanishing:
         adm = admissible_etas(point, emb)
         listing = "; ".join("(" + ", ".join(str(v) for v in tup) + ")" for tup in adm)
         raise EmptyReductionError(adm, "empty reduction: eta is not in the admissible set {" + listing + "}")
-    # a vanishing row r gives eta_j = phi(gamma)_j q^(-2 (M^T r)_j), so the shift exists
-    shift = eta_shift(point, emb, eta)
-    grading = gamma_grading(emb, ell)
-    blocks = invariant_blocks(grading)
-    block = frozenset(vanishing)
-    cosets = [frozenset(undigits(r, ell) for r in coset) for coset in grading.cosets]
-    quotient_dim = sum(len(lin) * len(lin & block) for lin in cosets)
+    weights = row_weights(emb, ell)
+    cosets = gamma_grading(emb, ell)
+    blocks = invariant_blocks(cosets)
+    # a vanishing row r gives eta_j = phi(gamma)_j q^(-2 (M^T r)_j); as q^-2 has
+    # order ell and phi(gamma) != 0 on the locus, its weight is the unique twist
+    shift = weights[vanishing[0]]
+    quotient_dim = sum(len(cosets[weights[b]]) for b in vanishing)
     ideal_dim = blocks["invariant_dim"] - quotient_dim
-    verdict = block in cosets and moment_map_ok(point, emb, diags, eta)
+    verdict = vanishing in cosets.values() and moment_map_ok(point, emb, diags, eta)
 
     # invariant module: the column space at a row u in the surviving
     # coset, i.e. the quotient by the left ideal of shifted Euler

@@ -36,10 +36,10 @@ def verdict(num: int, name: str, ok: bool):
 
 
 LOCUS_TEST_POINTS = [
-    # (c, w, b, gamma) over ell = 3, all with 1 + c*w != 0
-    (0, 0, 0, 1),
-    (8, 0, 2, 1),
-    (7, 1, None, 2),
+    # (c, w, gamma) over ell = 3, all with 1 + c*w != 0
+    (0, 0, 1),
+    (8, 0, 1),
+    (7, 1, 2),
 ]
 
 
@@ -88,9 +88,9 @@ def test_criterion_3_fiber_matrix_model():
     q2 = F.qpow(2)
     I = Matrix.identity(F, 3)
     ok = True
-    for c, w, b, gamma in LOCUS_TEST_POINTS:
+    for c, w, gamma in LOCUS_TEST_POINTS:
         t0 = time.perf_counter()
-        rep = rank1_matrix_rep(F, c, w, b, gamma)
+        rep = rank1_matrix_rep(F, c, w, gamma)
         residual = rep.d * rep.x - (rep.x * rep.d).scale(q2) - I.scale(q2 - F.one)
         ok = ok and not residual.entries
         g = F.scalar(gamma)
@@ -164,10 +164,9 @@ def test_criterion_7_fiberwise_splitting():
     F = CycField(3)
     A = PBWAlgebra(F, emb_rank1())
     ok = True
-    for c, w, b, gamma in LOCUS_TEST_POINTS:
+    for c, w, gamma in LOCUS_TEST_POINTS:
         p = FiberPoint(field=F, lam=((F.scalar(c), F.scalar(w)),),
-                       gamma=(F.scalar(gamma),),
-                       b=(None if b is None else F.scalar(b),))
+                       gamma=(F.scalar(gamma),))
         ok = ok and endo_splitting_check(A, p)
     # also a unit gamma, where the module basis mixes x and d powers
     p = FiberPoint(field=F, lam=((F.zero, F.zero),), gamma=(F.qpow(2),))

@@ -252,8 +252,6 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
     {"type": "fiber-rep", "point": "x"},                 # not an object
     {"type": "reduce", "point": ["x"], "eta": ["1"]},
     {"type": "fiber-rep", "point": {"lambda": [1, 2], "gamma": ["1", "1"]}},  # not pairs
-    {"type": "fiber-rep", "point": {"lambda": [["0", "0"], ["0", "0"]],
-                                    "gamma": ["1", "1"], "b": 5}},
     {"type": "reduce", "point": {"lambda": [["0", "0"], ["0", "0"]], "gamma": ["1", "1"]},
      "eta": "1"},                                        # was read one character at a time
     {"type": "quiver-suite", "n": 3.7},                  # was truncated to 3

@@ -31,8 +31,8 @@ def weyl(ell, emb=None):
     return PBWAlgebra(F, emb or emb_n1())
 
 
-def point(F, pairs, gamma, b=None):
-    return FiberPoint(field=F, lam=tuple(pairs), gamma=tuple(gamma), b=b)
+def point(F, pairs, gamma):
+    return FiberPoint(field=F, lam=tuple(pairs), gamma=tuple(gamma))
 
 
 # -- fiber points ----------------------------------------------------------
@@ -47,9 +47,6 @@ def test_point_validation():
     # one gamma per pair
     with pytest.raises(ValueError):
         point(F, [(F.zero, F.zero)], [F.one, F.one])
-    # b, when given, must be an actual ell-th root of c
-    with pytest.raises(ValueError):
-        point(F, [(F.scalar(8), F.zero)], [F.one], b=(F.one,))
 
 
 def test_point_q_gamma_is_fine():
@@ -72,7 +69,7 @@ def test_azumaya_locus_membership():
 def test_reduce_folds_powers_against_central_values():
     A = weyl(3)
     F = A.field
-    p = point(F, [(F.scalar(8), F.zero)], [F.one], b=(F.scalar(2),))
+    p = point(F, [(F.scalar(8), F.zero)], [F.one])
     fib = FiberAlgebra(A, p)
     # x^4 = x^3 * x = 8x in the quotient
     r = fib.reduce(A.x(1, 4))
@@ -117,18 +114,20 @@ def test_fiber_reduce_is_an_algebra_map():
 # -- rank one matrix model ---------------------------------------------------
 
 RANK1_POINTS = [
-    # (c, w, b, gamma) with gamma^ell = 1 + c*w and b^ell = c where given
-    (0, 0, 0, 1),
-    (8, 0, 2, 1),
-    (7, 1, None, 2),
+    # (c, w, gamma) with gamma^ell = 1 + c*w
+    (0, 0, 1),
+    (8, 0, 1),
+    (7, 1, 2),
 ]
+# the ids read c-w-root-gamma, root an integer cube root of c or None
+RANK1_IDS = ["0-0-0-1", "8-0-2-1", "7-1-None-2"]
 
 
-@pytest.mark.parametrize("c,w,b,gamma", RANK1_POINTS)
-def test_rank1_relations_and_alpha_diagonal(c, w, b, gamma):
+@pytest.mark.parametrize("c,w,gamma", RANK1_POINTS, ids=RANK1_IDS)
+def test_rank1_relations_and_alpha_diagonal(c, w, gamma):
     F = CycField(3)
     ell = 3
-    rep = rank1_matrix_rep(F, c, w, b, gamma)
+    rep = rank1_matrix_rep(F, c, w, gamma)
     X, D, Al = rep.x, rep.d, rep.alpha
     q2 = F.qpow(2)
     I = Matrix.identity(F, ell)
@@ -165,12 +164,12 @@ def rank1_mutant(j):
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_rank1_alpha_is_built_from_the_model(ell):
     F = CycField(ell)
-    points = [(0, 0, None, 1), (0, 3, None, F.qpow(2)), (1, 0, 1, 1), (2 ** ell - 1, 1, None, 2)]
-    for c, w, b, gamma in points:
-        rep = rank1_matrix_rep(F, c, w, b, gamma)
+    points = [(0, 0, 1), (0, 3, F.qpow(2)), (1, 0, 1), (2 ** ell - 1, 1, 2)]
+    for c, w, gamma in points:
+        rep = rank1_matrix_rep(F, c, w, gamma)
         assert alpha_diagonal_ok(rep, gamma)
         for j in range(ell):
-            bad = rank1_mutant(j)(F, c, w, b, gamma)
+            bad = rank1_mutant(j)(F, c, w, gamma)
             assert bad.d != rep.d
             # alpha = 1 + x d sees delta_j through xi_(j+1), which is 0 at one
             # row when c = 0 and nowhere else
@@ -179,11 +178,11 @@ def test_rank1_alpha_is_built_from_the_model(ell):
             assert seen or not c
 
 
-@pytest.mark.parametrize("c,w,b,gamma", RANK1_POINTS)
-def test_rank1_spans_the_full_matrix_algebra(c, w, b, gamma):
+@pytest.mark.parametrize("c,w,gamma", RANK1_POINTS, ids=RANK1_IDS)
+def test_rank1_spans_the_full_matrix_algebra(c, w, gamma):
     from qweyl.linalg import SpanBasis
     F = CycField(3)
-    rep = rank1_matrix_rep(F, c, w, b, gamma)
+    rep = rank1_matrix_rep(F, c, w, gamma)
     span = SpanBasis(F)
     for a in range(3):
         for e in range(3):
@@ -194,12 +193,10 @@ def test_rank1_spans_the_full_matrix_algebra(c, w, b, gamma):
 
 def test_rank1_requires_gamma_and_the_locus():
     F = CycField(3)
-    with pytest.raises(ValueError):
-        rank1_matrix_rep(F, 0, 0)
     with pytest.raises(OutsideAzumayaLocus):
-        rank1_matrix_rep(F, -1, 1, None, 0)
+        rank1_matrix_rep(F, -1, 1, 0)
     with pytest.raises(ValueError):
-        rank1_matrix_rep(F, 7, 1, None, 1)  # 1^3 != 8
+        rank1_matrix_rep(F, 7, 1, 1)  # 1^3 != 8
 
 
 @pytest.mark.parametrize("c,w,gamma", [(7, 1, 2), (0, 5, 1)])

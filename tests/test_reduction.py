@@ -13,11 +13,11 @@ from hypothesis import assume, given, settings, strategies as st
 from qweyl import fiber, reduction
 from qweyl import (CycField, EmptyReductionError, FiberPoint, FullRep, Matrix,
                    OutsideAzumayaLocus, PBWAlgebra, Rank1Rep, SpanBasis,
-                   TorusEmbedding, admissible_etas, eta_shift, full_matrix_rep,
+                   TorusEmbedding, admissible_etas, full_matrix_rep,
                    gamma_grading, hamiltonian_reduce, invariant_blocks,
                    moment_diagonals, moment_map_ok, phi_dagger)
 from qweyl.cli import run_suite
-from qweyl.fiber import digits, undigits
+from qweyl.fiber import digits
 
 
 def emb_sum():
@@ -40,19 +40,19 @@ def trivial_point(F, n=2):
 # -- grading ------------------------------------------------------------------
 
 def test_grading_cosets_three_by_three():
-    g = gamma_grading(emb_sum(), 3)
-    blocks = invariant_blocks(g)
+    cosets = gamma_grading(emb_sum(), 3)
+    blocks = invariant_blocks(cosets)
     assert blocks["block_count"] == 3
     assert blocks["block_size"] == 3
     assert blocks["invariant_dim"] == 27
     # coset of r is cut out by r1 + r2 mod 3
-    for coset, val in zip(g.cosets, g.values):
-        assert all((r[0] + r[1]) % 3 == val[0] for r in coset)
+    for val, rows in cosets.items():
+        assert all(sum(digits(idx, 3, 2)) % 3 == val[0] for idx in rows)
 
 
 def test_grading_degree_and_invariance():
-    g = gamma_grading(emb_sum(), 3)
-    value = {r: v for coset, v in zip(g.cosets, g.values) for r in coset}
+    cosets = gamma_grading(emb_sum(), 3)
+    value = {digits(idx, 3, 2): v for v, rows in cosets.items() for idx in rows}
 
     def deg(r, s):  # the degree of E_rs
         return tuple((a - b) % 3 for a, b in zip(value[r], value[s]))
@@ -60,14 +60,12 @@ def test_grading_degree_and_invariance():
     assert deg((1, 0), (0, 0)) == (1,)
     assert deg((1, 2), (0, 0)) == (0,)
     # (1, 2) and (2, 1) share a coset, (1, 0) and (0, 2) do not
-    coset_of = {r: coset for coset in g.cosets for r in coset}
-    assert coset_of[(1, 2)] is coset_of[(2, 1)]
-    assert coset_of[(1, 0)] is not coset_of[(0, 2)]
+    assert value[(1, 2)] == value[(2, 1)]
+    assert value[(1, 0)] != value[(0, 2)]
 
 
 def test_grading_identity_embedding_is_discrete():
-    g = gamma_grading(emb_id2(), 3)
-    blocks = invariant_blocks(g)
+    blocks = invariant_blocks(gamma_grading(emb_id2(), 3))
     assert blocks["block_count"] == 9
     assert blocks["block_size"] == 1
     assert blocks["invariant_dim"] == 9
@@ -95,19 +93,20 @@ def test_grading_cosets_partition_the_rows_into_kernel_cosets(ell):
     embs = random_embeddings(rng, ell, 8)
     embs.append(TorusEmbedding(n=2, d=1, matrix=((3,), (3,)), form=((2,),)))
     for emb in embs:
-        g = gamma_grading(emb, ell)
-        blocks = invariant_blocks(g)
-        rows = list(product(range(ell), repeat=emb.n))
-        members = [r for coset in g.cosets for r in coset]
-        assert sorted(members) == rows
-        assert blocks["block_size"] is not None
+        cosets = gamma_grading(emb, ell)
+        blocks = invariant_blocks(cosets)
+        members = [idx for rows in cosets.values() for idx in rows]
+        assert sorted(members) == list(range(ell ** emb.n))
+        assert all(rows == sorted(rows) for rows in cosets.values())
+        assert {len(rows) for rows in cosets.values()} == {blocks["block_size"]}
         assert blocks["block_count"] * blocks["block_size"] == ell ** emb.n
-        for coset, value in zip(g.cosets, g.values):
-            for r in coset:
+        for value, rows in cosets.items():
+            for idx in rows:
+                r = digits(idx, ell, emb.n)
                 assert tuple(emb.mdag_vec(r)[j] % ell for j in range(emb.d)) == value
-        kernel = [r for r in rows if all(v % ell == 0 for v in emb.mdag_vec(r))]
-        assert list(g.cosets[0]) == kernel
-        assert g.values[0] == (0,) * emb.d
+        kernel = [r for r in product(range(ell), repeat=emb.n)
+                  if all(v % ell == 0 for v in emb.mdag_vec(r))]
+        assert sorted(digits(idx, ell, emb.n) for idx in cosets[(0,) * emb.d]) == kernel
     # the last one: the weight map r -> 3 (r1 + r2) is onto 3Z/ell when 3 | ell
     expected = {3: (1, 9), 5: (5, 5), 9: (3, 27), 15: (5, 45)}[ell]
     assert (blocks["block_count"], blocks["block_size"]) == expected
@@ -130,10 +129,10 @@ def shifted_rep(point, emb):
     but x_1 and d_1 now move the second coordinate as well."""
     rep = full_matrix_rep(point, emb)
     F = rep.field
-    S = Matrix(F, rep.size, {(undigits((r[0], r[1] + 1), F.ell), idx): F.one
-                             for idx, r in ((i, digits(i, F.ell, 2)) for i in range(rep.size))})
+    # with two factors, adding ell to a row index raises its second digit mod ell
+    S = Matrix(F, rep.size, {((idx + F.ell) % rep.size, idx): F.one for idx in range(rep.size)})
     S_inv = Matrix(F, rep.size, {(c, r): v for (r, c), v in S.entries.items()})
-    return FullRep(field=F, emb=emb, size=rep.size, x=(rep.x[0] * S,) + rep.x[1:],
+    return FullRep(field=F, size=rep.size, x=(rep.x[0] * S,) + rep.x[1:],
                    d=(S_inv * rep.d[0],) + rep.d[1:])
 
 
@@ -167,10 +166,11 @@ def test_moment_diagonal_entries():
     p = trivial_point(F)
     diags = moment_diagonals(p, emb_sum(), (F.one,))
     assert len(diags) == 1
+    assert len(diags[0]) == 9
     for idx in range(9):
         r = digits(idx, 3, 2)
         expect = F.qpow(-2 * (r[0] + r[1])) - F.one
-        assert diags[0].entries.get((idx, idx), F.zero) == expect
+        assert diags[0][idx] == expect
 
 
 def test_moment_diagonals_strict_mode():
@@ -191,7 +191,7 @@ def test_moment_matches_alpha_products_in_the_matrix_model():
     A = PBWAlgebra(F, emb)
     eta = phi_dagger(p, emb)
     diags = moment_diagonals(p, emb, eta)
-    mu = diags[0] + Matrix.from_diag(F, [eta[0]] * 9)
+    mu = Matrix.from_diag(F, [v + eta[0] for v in diags[0]])
     assert mu == rep.of_element(A.alpha(1) * A.alpha(2))
 
 
@@ -206,7 +206,7 @@ def test_moment_conjugation_with_negative_weights():
     A = PBWAlgebra(F, emb)
     eta = phi_dagger(p, emb)
     diags = moment_diagonals(p, emb, eta)
-    mu = diags[0] + Matrix.from_diag(F, [eta[0]] * 9)
+    mu = Matrix.from_diag(F, [v + eta[0] for v in diags[0]])
     # mu(z) = alpha_1 alpha_2^-1, the second Euler image inverted entrywise
     alpha2 = rep.of_element(A.alpha(2))
     alpha2_inv = Matrix.from_diag(F, [alpha2[(r, r)].inverse() for r in range(9)])
@@ -223,14 +223,6 @@ def test_admissible_eta_counts():
     F = CycField(3)
     assert len(admissible_etas(trivial_point(F), emb_sum())) == 3
     assert len(admissible_etas(trivial_point(F), emb_id2())) == 9
-
-
-def test_eta_shift_inverts_the_twist():
-    F = CycField(3)
-    p = trivial_point(F)
-    assert eta_shift(p, emb_sum(), (F.one,)) == (0,)
-    assert eta_shift(p, emb_sum(), (F.qpow(-2),)) == (1,)
-    assert eta_shift(p, emb_sum(), (F.scalar(5),)) is None
 
 
 # -- the reduction itself --------------------------------------------------------
@@ -331,9 +323,9 @@ def test_reduction_trivial_torus_keeps_everything():
 
 BROKEN_DIAGONALS = {
     # row (0, 0) lies on the vanishing coset; set its entry to 1
-    "one-entry": lambda F, entries: {**entries, (0, 0): F.one},
+    "one-entry": lambda F, diag: [F.one] + diag[1:],
     # vanish on rows (0, 0), (1, 0), (2, 0): one row of each grading coset
-    "transversal": lambda F, entries: {(i, i): F.one for i in range(3, 9)},
+    "transversal": lambda F, diag: [F.zero] * 3 + [F.one] * 6,
 }
 
 
@@ -345,8 +337,7 @@ def reduce_with_broken_diagonal(mutation, reducer=hamiltonian_reduce):
 
     def broken(*args, **kwargs):
         diags = original(*args, **kwargs)
-        entries = BROKEN_DIAGONALS[mutation](F, dict(diags[0].entries))
-        return [Matrix(F, diags[0].size, entries)] + diags[1:]
+        return [BROKEN_DIAGONALS[mutation](F, diags[0])] + diags[1:]
 
     reduction.moment_diagonals = broken
     try:
@@ -394,14 +385,14 @@ def elimination_oracle(point, emb, eta):
     F = point.field
     size = F.ell ** emb.n
     diags = reduction.moment_diagonals(point, emb, eta)
-    block = {b for b in range(size) if all(not dg[(b, b)] for dg in diags)}
-    cosets = [{undigits(r, F.ell) for r in c} for c in gamma_grading(emb, F.ell).cosets]
+    block = {b for b in range(size) if not any(dg[b] for dg in diags)}
+    cosets = [set(rows) for rows in gamma_grading(emb, F.ell).values()]
     invariant = {(a, b) for lin in cosets for a in lin for b in lin}
     span = SpanBasis(F, key_order=lambda k: (k in invariant, k))
     for dg in diags:
-        for (b, _), ent in dg.entries.items():
+        for b in (b for b, ent in enumerate(dg) if ent):
             for a in range(size):
-                span.add({(a, b): ent})
+                span.add({(a, b): dg[b]})
     graded = [p for p in span.pivots() if p in invariant]
     rows_invariant = all(k in invariant for p in graded for k in span.row(p))
     acts_by_zero = all(b not in block for p in graded for _, b in span.row(p))
@@ -458,6 +449,11 @@ def test_closed_form_matches_the_elimination(data):
     res = hamiltonian_reduce(point, emb, eta)
     assert closed_form(res) == elimination_oracle(point, emb, eta)
     assert res.is_matrix_algebra and res.quotient_dim == res.module_dim ** 2
+    # the shift is the one twist t in [0, ell)^d with phi(gamma)_j q^(-2 t_j) = eta_j
+    F, base = point.field, phi_dagger(point, emb)
+    twists = [[t for t in range(F.ell) if base[j] * F.qpow(-2 * t) == eta[j]]
+              for j in range(emb.d)]
+    assert twists == [[t] for t in res.shift]
 
 
 @pytest.mark.parametrize("mutation", list(BROKEN_DIAGONALS))

@@ -5,7 +5,10 @@ The suites reach the n-factor matrix model: an ell = 3 fiber-rep and
 reduce task on the weights (2), (1), whose pairing has a nonzero
 off-diagonal entry; an ell = 3 reduce task on the three-cycle quiver; and
 an ell = 5 fiber-rep task on the weights (1), (1) with a c = 0 factor,
-where x_2^5 maps to the zero matrix.  The quiver suites run U_1 and the
+where x_2^5 maps to the zero matrix.  Two more ell = 3 reduce suites
+pin the listing of admissible parameters after an inadmissible eta, a
+shift of 2 on the weights (1), (-1), and a trivial torus (d = 0), whose
+reduction keeps the whole fiber.  The quiver suites run U_1 and the
 cyclic-quiver table at ell = 3 for n = 2, 3, 4 (n = 2 has no table) with
 a qmm-check, and at ell = 13 for n = 3.
 To record a new output: qweyl report --config <config> --out <output>,

@@ -38,3 +38,22 @@ def test_package_has_no_floats():
                   if isinstance(node, ast.Constant) and isinstance(node.value, float)
                   or isinstance(node, ast.Name) and node.id == "float"]
     assert list(SRC.rglob("*.py")) and not found, found
+
+
+def test_no_unused_imports():
+    # a name imported into a module and never read there is dead weight
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used]
+    assert modules and not found, found
