@@ -19,9 +19,9 @@ from typing import Optional
 
 from .cyclotomic import CycField
 from .expr import ParseError, evaluate, evaluate_scalar
-from .fiber import FiberPoint, Matrix, OutsideAzumayaLocus, digits, full_matrix_rep
+from .fiber import FiberPoint, Matrix, OutsideAzumayaLocus, basis_rank, digits, full_matrix_rep
 from .lattice import IntMatrix, QuiverData, TorusEmbedding, quiver_to_embedding
-from .linalg import modular_rank, nullspace, rank
+from .linalg import modular_rank, nullspace
 from .pbw import PBWAlgebra, verify_qmm
 from .quiver_examples import (build_an_quiver_algebra, verify_central_z,
                               verify_u1_relations)
@@ -216,10 +216,7 @@ def _task_fiber_rep(field, emb, algebra, task, rng):
         for i in range(n))
     report["alpha_diagonal_ok"] = alpha_ok
 
-    report["span_dimension"] = span_dim = rank(
-        lambda: (rep.of_element(algebra.monomial(m, k)).entries
-                 for m in iproduct(range(ell), repeat=n)
-                 for k in iproduct(range(ell), repeat=n)), field)
+    report["span_dimension"] = span_dim = basis_rank(rep, algebra)
     report["expected_span_dimension"] = ell ** (2 * n)
     report["ok"] = pairs_ok and alpha_ok and span_dim == ell ** (2 * n)
     return report

@@ -58,6 +58,19 @@ def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list
     return quo, (num + [0] * k)[:k]
 
 
+def power(base, e: int, one):
+    """base^e for e >= 0 by square-and-multiply from one; nothing is
+    squared after the last bit, so base^1 costs the single product one * base."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
 class CycField:
     """The cyclotomic field Q(q), q a fixed primitive ell-th root of unity.
 
@@ -247,14 +260,7 @@ class CycScalar:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.field.one)
 
     # -- comparison and display -------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
-from .cyclotomic import CycField, CycScalar
+from .cyclotomic import CycField, CycScalar, power
 from .lattice import TorusEmbedding
 from .linalg import SpanBasis, rank, vec_accumulate
 from .pbw import PBWAlgebra, PBWElement
@@ -87,14 +87,7 @@ class Matrix:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative matrix powers are not supported")
-        out = Matrix.identity(self.field, self.size)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return power(self, e, Matrix.identity(self.field, self.size))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -400,6 +393,15 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     return FullRep(field=F, size=size, x=xs, d=ds)
 
 
+def basis_rank(rep: FullRep, algebra: PBWAlgebra) -> int:
+    """Rank over Q(q) of the images under rep of the ell^(2n) monomials
+    x^m d^k with every exponent below ell (see linalg.rank)."""
+    rng = range(rep.field.ell)
+    return rank(lambda: (rep.of_element(algebra.monomial(m, k)).entries
+                         for m in iproduct(rng, repeat=algebra.n)
+                         for k in iproduct(rng, repeat=algebra.n)), rep.field)
+
+
 # ---------------------------------------------------------------------------
 # the splitting check
 
@@ -408,14 +410,14 @@ def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
     """Bijectivity of the action map D_lambda -> End(D_P').
 
     Builds the quotient module abstractly (left ideal by the shifted
-    Euler operators, reduced basis), then spans the ell^(2n) action
-    matrices of the fiber basis; true iff their span has full dimension
-    ell^(2n), i.e. the map is injective hence bijective (see linalg.rank).
+    Euler operators, reduced basis), puts the matrices of the 2n
+    generators on its basis in a FullRep, and spans the images of the
+    ell^(2n) fiber basis monomials; true iff their span has full dimension
+    ell^(2n), i.e. the map is injective hence bijective.
     """
     if not point.in_azumaya_locus():
         raise OutsideAzumayaLocus("splitting is only defined over the locus")
     fib = FiberAlgebra(algebra, point)
-    F = algebra.field
     ell, n = fib.ell, fib.n
     gens = [fib.alpha(i + 1) - point.gamma[i] for i in range(n)]
     ideal = fib.left_ideal(gens)
@@ -425,10 +427,12 @@ def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
     module_basis = [key for key in fib.basis_keys() if key not in pivots]
     coord = {key: idx for idx, key in enumerate(module_basis)}
 
-    def action(key) -> dict:
-        """The matrix of the fiber monomial key on the module basis."""
-        u = fib.monomial(*key)
-        return {(coord[i], j): v for j, bkey in enumerate(module_basis)
-                for i, v in ideal.reduce((u * fib.monomial(*bkey)).terms).items()}
+    def action(g: PBWElement) -> Matrix:
+        """The matrix of the generator g on the module basis."""
+        return Matrix(fib.field, ell ** n, {
+            (coord[i], j): v for j, bkey in enumerate(module_basis)
+            for i, v in ideal.reduce((g * fib.monomial(*bkey)).terms).items()})
 
-    return rank(lambda: map(action, fib.basis_keys()), F) == ell ** (2 * n)
+    rep = FullRep(fib.field, ell ** n, x=tuple(action(fib.x(i + 1)) for i in range(n)),
+                  d=tuple(action(fib.d(i + 1)) for i in range(n)))
+    return basis_rank(rep, fib) == ell ** (2 * n)

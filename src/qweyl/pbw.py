@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
-from .cyclotomic import CycField, CycScalar
+from .cyclotomic import CycField, CycScalar, power
 from .lattice import TorusEmbedding
 from .linalg import vec_accumulate
 
@@ -243,14 +243,7 @@ class PBWElement:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("only nonnegative integer powers are defined")
-        out = self.algebra.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return power(self, e, self.algebra.one())
 
     def __eq__(self, other):
         o = self._coerce(other)

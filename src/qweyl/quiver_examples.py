@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .cyclotomic import CycField, CycScalar
+from .cyclotomic import CycField, CycScalar, power
 from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import vec_accumulate
 from .pbw import PBWAlgebra
@@ -154,10 +154,7 @@ class DifferenceOperator:
     def __pow__(self, e: int) -> "DifferenceOperator":
         if e < 0:
             raise ValueError("negative powers are not defined here")
-        out = DifferenceOperator.identity(self.field)
-        for _ in range(e):
-            out = out * self
-        return out
+        return power(self, e, DifferenceOperator.identity(self.field))
 
 
 def _lowering_scalar(field: CycField, n: int, k: int) -> CycScalar:

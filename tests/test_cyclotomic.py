@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qweyl import CycField, cyclotomic_polynomial
+from qweyl.cyclotomic import power
 
 
 def test_cyclotomic_polynomials_small():
@@ -97,6 +98,22 @@ def test_scalar_coercions():
     assert (F.q ** 5) == F.one
     assert F.q ** (-5) == F.one
     assert F.scalar(0) == F.zero and not F.scalar(0)
+
+
+def test_power_squares_only_between_bits():
+    # one product into the result per set bit of e, one squaring per bit
+    # after the lowest, and none after the last: base^1 is one product
+    products = []
+
+    class Word(tuple):
+        def __mul__(self, other):
+            products.append(other)
+            return Word(self + other)
+
+    for e in range(17):
+        products.clear()
+        assert power(Word("a"), e, Word()) == Word("a" * e)
+        assert len(products) == bin(e).count("1") + max(e.bit_length() - 1, 0)
 
 
 def test_is_rational():

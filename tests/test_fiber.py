@@ -12,10 +12,11 @@ from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, OutsideAzumayaLoc
                    full_matrix_rep, quiver_to_embedding, rank1_matrix_rep, untwist)
 from qweyl import fiber
 from qweyl.cli import run_suite
-from qweyl.fiber import digits
+from qweyl.fiber import FullRep, digits
 from qweyl.linalg import SpanBasis
 
 from braided import braided_product
+from module_action import all_pairs_action
 
 
 def emb_n1():
@@ -564,3 +565,81 @@ def test_endomorphism_splitting_certificate_agrees_with_the_exact_span(p):
         mp.setattr(fiber, "rank", exact_rank)
         exact = endo_splitting_check(A, p)
     assert certified is exact is True
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=locus_points_l3())
+def test_splitting_module_rep_matches_the_all_pairs_action(p):
+    A = weyl(3, emb_n1() if p.n == 1 else emb_n2())
+    reps = []
+    basis_rank = fiber.basis_rank
+
+    def capture(rep, algebra):
+        reps.append(rep)
+        return basis_rank(rep, algebra)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fiber, "basis_rank", capture)
+        assert endo_splitting_check(A, p)
+    (rep,) = reps
+    fib = FiberAlgebra(A, p)
+    oracle = all_pairs_action(fib)
+    assert all(rep.of_element(fib.monomial(*key)).entries == oracle[key]
+               for key in fib.basis_keys())
+
+
+def test_splitting_check_acts_with_the_generators_only(monkeypatch):
+    # at ell 3, n 2: 2 * 81 products build the left ideal and 4 * 9 the
+    # generator actions; all pairs of basis monomials would add 81 * 9
+    F = CycField(3)
+    products = 0
+    multiply = FiberAlgebra.multiply
+
+    def counting_multiply(self, a, b):
+        nonlocal products
+        products += 1
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(FiberAlgebra, "multiply", counting_multiply)
+    assert endo_splitting_check(weyl(3, emb_n2()), two_factor_point(F))
+    assert 0 < products <= 2 * 81 + 4 * 9
+
+
+def test_splitting_check_fails_on_a_repeated_image(monkeypatch):
+    # x1^2 x2^2 d1^2 d2^2 is sent to the image of x1^2 x2^2 d1^2 d2: the
+    # images fall one short of independent mod p, and the exact span counts 80
+    F = CycField(3)
+    of_element = FullRep.of_element
+    basis_rank = fiber.basis_rank
+    ranks = []
+
+    def repeated(self, a):
+        if set(a.terms) == {((2, 2), (2, 2))}:
+            a = a.algebra.monomial((2, 2), (2, 1))
+        return of_element(self, a)
+
+    def recorded(rep, algebra):
+        ranks.append(basis_rank(rep, algebra))
+        return ranks[-1]
+
+    monkeypatch.setattr(FullRep, "of_element", repeated)
+    monkeypatch.setattr(fiber, "basis_rank", recorded)
+    assert endo_splitting_check(weyl(3, emb_n2()), two_factor_point(F)) is False
+    assert ranks == [80]
+
+
+def test_splitting_check_fails_on_a_wrong_eigenvalue(monkeypatch):
+    # the ideal of the alpha_i - 2 gamma_i: 2 gamma_i is no eigenvalue of
+    # alpha_i, so the ideal is the whole fiber and the module is 0, not 9-dimensional
+    F = CycField(3)
+    left_ideal = FiberAlgebra.left_ideal
+    ranks = []
+
+    def shifted(self, gens):
+        ideal = left_ideal(self, [g - gamma for g, gamma in zip(gens, self.point.gamma)])
+        ranks.append(ideal.rank)
+        return ideal
+
+    monkeypatch.setattr(FiberAlgebra, "left_ideal", shifted)
+    assert endo_splitting_check(weyl(3, emb_n2()), two_factor_point(F)) is False
+    assert ranks == [81]
