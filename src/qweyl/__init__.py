@@ -11,8 +11,7 @@ from .expr import ParseError, evaluate, evaluate_scalar
 from .fiber import (FiberAlgebra, FiberPoint, FullRep, Matrix,
                     OutsideAzumayaLocus, Rank1Rep, endo_splitting_check,
                     full_matrix_rep, rank1_matrix_rep, untwist)
-from .lattice import (QuiverData, TorusEmbedding, classical_moment,
-                      quiver_to_embedding)
+from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import SpanBasis, nullspace
 from .pbw import PBWAlgebra, PBWElement, QmmResult, euler, verify_qmm
 from .quiver_examples import (AnQuiverAlgebra, DifferenceOperator,
@@ -31,7 +30,7 @@ __all__ = [
     "FiberAlgebra", "FiberPoint", "FullRep", "Matrix", "OutsideAzumayaLocus",
     "Rank1Rep", "endo_splitting_check", "full_matrix_rep", "rank1_matrix_rep",
     "untwist",
-    "QuiverData", "TorusEmbedding", "classical_moment", "quiver_to_embedding",
+    "QuiverData", "TorusEmbedding", "quiver_to_embedding",
     "SpanBasis", "nullspace",
     "PBWAlgebra", "PBWElement", "QmmResult", "euler", "verify_qmm",
     "AnQuiverAlgebra", "DifferenceOperator", "build_an_quiver_algebra",

@@ -395,11 +395,13 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
 
 def basis_rank(rep: FullRep, algebra: PBWAlgebra) -> int:
     """Rank over Q(q) of the images under rep of the ell^(2n) monomials
-    x^m d^k with every exponent below ell (see linalg.rank)."""
+    x^m d^k with every exponent below ell; their number ell^(2n) bounds it
+    (see linalg.rank)."""
     rng = range(rep.field.ell)
     return rank(lambda: (rep.of_element(algebra.monomial(m, k)).entries
                          for m in iproduct(rng, repeat=algebra.n)
-                         for k in iproduct(rng, repeat=algebra.n)), rep.field)
+                         for k in iproduct(rng, repeat=algebra.n)),
+                rep.field, rep.field.ell ** (2 * algebra.n))
 
 
 # ---------------------------------------------------------------------------

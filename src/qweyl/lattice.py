@@ -2,15 +2,13 @@
 
 Covers the combinatorial substrate of the operator algebras: the weight
 matrix / symmetric form pair that drives all q-commutation exponents,
-its construction from a quiver, and classical multiplicative moment map
-values.  The one rank question here (does the torus act faithfully?) is
-decided exactly by linalg.SpanBasis.
+and its construction from a quiver.  The one rank question here (does
+the torus act faithfully?) is decided exactly by linalg.SpanBasis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import CycField
@@ -26,34 +24,6 @@ def _as_matrix(m) -> IntMatrix:
         if any(len(r) != w for r in rows):
             raise ValueError("ragged matrix")
     return rows
-
-
-def classical_moment(matrix, values: Sequence) -> tuple:
-    """Multiply values_i ** matrix[i][j] down each column.
-
-    This is the coordinate formula for the classical multiplicative
-    moment map on the torus side; values may be Fractions or field
-    scalars.  A zero value raised to a negative power is an error.
-    """
-    A = _as_matrix(matrix)
-    if len(A) != len(values):
-        raise ValueError("one value per matrix row is required")
-    d = len(A[0]) if A else 0
-    out = []
-    for j in range(d):
-        acc = None
-        for i, v in enumerate(values):
-            e = A[i][j]
-            if e == 0:
-                continue
-            if e < 0 and not v:
-                raise ZeroDivisionError(f"value {i} is zero but needs exponent {e}")
-            term = v ** e
-            acc = term if acc is None else acc * term
-        if acc is None:
-            acc = Fraction(1) if not values else values[0] ** 0
-        out.append(acc)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

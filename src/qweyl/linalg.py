@@ -4,14 +4,14 @@ Vectors are dicts mapping arbitrary hashable keys to nonzero field
 elements.  The exact elimination routine is an incremental row-echelon
 span, SpanBasis, used for ideal saturation, nullspaces and rank counts.
 Everything works over the exact cyclotomic scalars, so membership and
-rank are decided, not estimated; modular_rank certifies ranks mod p.
+rank are decided, not estimated; rank is the one place where a rank
+mod p (modular_rank) may certify a rank over Q(q).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import count
 from math import isqrt
 from typing import Callable, Hashable, Iterable, Optional
 
@@ -136,8 +136,9 @@ def modular_rank(vectors: Iterable[Vec], field: CycField) -> Optional[int]:
     Soundness: q -> z is a ring map from Z_(p)[q] = Z_(p)[x]/(Phi_ell), the
     scalars with denominator prime to p, since Phi_ell(z) = 0 in F_p.  It
     maps each minor to a minor, and a minor nonzero mod p is nonzero over
-    Q(q), so rank mod p <= rank over Q(q).  A full rank mod p, or a nullity
-    mod p equal to a proven lower bound, is a certificate; a shortfall is not.
+    Q(q), so rank mod p <= rank over Q(q).  Only a rank mod p equal to a
+    proven upper bound on the rank over Q(q) is a certificate (see rank); a
+    shortfall is not.
     """
     p, z = _prime_and_root(field.ell)
     zs = [pow(z, i, p) for i in range(field.degree)]
@@ -172,13 +173,13 @@ def modular_rank(vectors: Iterable[Vec], field: CycField) -> Optional[int]:
     return len(pivots)
 
 
-def rank(vectors: Callable[[], Iterable[Vec]], field: CycField) -> int:
-    """Rank over Q(q) of what vectors() yields: certified by modular_rank if
-    independent mod p, else by a SpanBasis over a second call to vectors()."""
-    seen = count()  # zip draws one number per vector, so next(seen) counts them
-    r = modular_rank((v for v, _ in zip(vectors(), seen)), field)
-    if r == next(seen):
-        return r
+def rank(vectors: Callable[[], Iterable[Vec]], field: CycField, bound: int) -> int:
+    """Rank over Q(q) of what vectors() yields, where bound is a proven upper
+    bound on it: certified when the rank mod p equals bound (rank mod p <=
+    rank over Q(q) <= bound, see modular_rank), else counted exactly by a
+    SpanBasis over a second call to vectors()."""
+    if modular_rank(vectors(), field) == bound:
+        return bound
     span = SpanBasis(field)
     for v in vectors():
         span.add(v)

@@ -5,11 +5,11 @@ weight map r -> M^T r mod ell on the row set (Z/ell)^n; invariants
 split into blocks indexed by its fibers, the cosets of the kernel of
 that map.  Reducing by the moment ideal at an admissible parameter
 kills all blocks but one, giving Mat(ell^(n-d)) together with its
-simple module.  The moment generators are diagonal, so the dimensions
-are read off the rows where they vanish; the verdict rests on that row
-set being one grading coset and on the quantum moment map
-mu(z_j) = prod_i alpha_i^(m_ij), evaluated on the Euler operators in
-the matrix model, matching those diagonals and grading the generators.
+simple module.  The moment generators are diagonal and vanish exactly
+on the coset of one weight, so the dimensions are read off that coset;
+the verdict rests on the quantum moment map mu(z_j) = prod_i
+alpha_i^(m_ij), evaluated on the Euler operators in the matrix model,
+matching those diagonals and grading the generators.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .cyclotomic import CycScalar
 from .fiber import FiberPoint, OutsideAzumayaLocus, digits, full_matrix_rep
-from .lattice import TorusEmbedding, classical_moment
+from .lattice import TorusEmbedding
 from .pbw import PBWAlgebra
 
 
@@ -60,7 +60,8 @@ def invariant_blocks(cosets: dict) -> dict:
 
 def phi_dagger(point: FiberPoint, emb: TorusEmbedding) -> tuple[CycScalar, ...]:
     """Pushforward of gamma along the weight matrix: prod_i gamma_i^{m_ij}."""
-    return classical_moment(emb.matrix, point.gamma)
+    return tuple(prod((g ** m[j] for g, m in zip(point.gamma, emb.matrix)), start=point.field.one)
+                 for j in range(emb.d))
 
 
 def admissible_etas(point: FiberPoint, emb: TorusEmbedding) -> list[tuple[CycScalar, ...]]:
@@ -151,15 +152,18 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     The moment ideal J is the left ideal of Mat(ell^n) generated by the
     diagonals mu(z_j) - eta_j, so it is spanned by the elementary
     matrices E_ab whose column b is not in B, the rows on which every
-    diagonal vanishes.  Its graded part has one basis vector per
-    invariant key (a, b) with b outside B, and the quotient keeps the
-    invariant keys with b in B: sum over b in B of |coset(b)|.
+    diagonal vanishes.  Row r vanishes iff phi(gamma)_j q^(-2 (M^T r)_j)
+    = eta_j for every j; as q^-2 has order ell and phi(gamma) != 0 on the
+    locus, that fixes the weight M^T r mod ell.  So B is the grading coset
+    of that weight, the shift, read off the first vanishing row.  The
+    graded part of J has one basis vector per invariant key (a, b) with
+    b outside B, and the quotient keeps the |B|^2 keys with a, b in B.
 
-    The quotient is Mat(|B|), and the invariant module (the column
-    space at a row of B) is acted on bijectively, when B is exactly one
-    grading coset and the moment map check passes: mu(z_j), built from
-    the images of the Euler operators, equals the moment diagonal plus
-    eta_j and grades the images of x_i and d_i (see moment_map_ok).
+    The quotient is Mat(|B|), and the invariant module (the column space
+    at a row of B) is acted on bijectively, when the moment map check
+    passes: mu(z_j), built from the images of the Euler operators, equals
+    the moment diagonal plus eta_j and grades the images of x_i and d_i
+    (see moment_map_ok).
     """
     F = point.field
     ell = F.ell
@@ -169,31 +173,28 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     eta = tuple(F.scalar(v) for v in eta)
 
     diags = moment_diagonals(point, emb, eta)
-    vanishing = [idx for idx in range(ell ** n) if not any(dg[idx] for dg in diags)]
-    if not vanishing:
+    first = next((idx for idx in range(ell ** n) if not any(dg[idx] for dg in diags)), None)
+    if first is None:
         adm = admissible_etas(point, emb)
         listing = "; ".join("(" + ", ".join(str(v) for v in tup) + ")" for tup in adm)
         raise EmptyReductionError(adm, "empty reduction: eta is not in the admissible set {" + listing + "}")
-    weights = row_weights(emb, ell)
     cosets = gamma_grading(emb, ell)
     blocks = invariant_blocks(cosets)
-    # a vanishing row r gives eta_j = phi(gamma)_j q^(-2 (M^T r)_j); as q^-2 has
-    # order ell and phi(gamma) != 0 on the locus, its weight is the unique twist
-    shift = weights[vanishing[0]]
-    quotient_dim = sum(len(cosets[weights[b]]) for b in vanishing)
-    ideal_dim = blocks["invariant_dim"] - quotient_dim
-    verdict = vanishing in cosets.values() and moment_map_ok(point, emb, diags, eta)
+    shift = row_weights(emb, ell)[first]
+    surviving = cosets[shift]
+    verdict = moment_map_ok(point, emb, diags, eta)
 
     # invariant module: the column space at a row u in the surviving
     # coset, i.e. the quotient by the left ideal of shifted Euler
     # operators alpha_i - gamma_i q^{-2 u_i}
-    u = digits(vanishing[0], ell, n)
+    u = digits(first, ell, n)
     shifted_gamma = tuple(point.gamma[i] * F.qpow(-2 * u[i]) for i in range(n))
     return ReductionResult(
-        shift=shift, surviving=tuple(digits(idx, ell, n) for idx in vanishing),
+        shift=shift, surviving=tuple(digits(idx, ell, n) for idx in surviving),
         module_column=u, shifted_gamma=shifted_gamma,
-        invariant_dim=blocks["invariant_dim"], ideal_dim=ideal_dim,
-        quotient_dim=quotient_dim, module_dim=len(vanishing),
+        invariant_dim=blocks["invariant_dim"],
+        ideal_dim=blocks["invariant_dim"] - len(surviving) ** 2,
+        quotient_dim=len(surviving) ** 2, module_dim=len(surviving),
         block_count=blocks["block_count"], block_size=blocks["block_size"],
         is_matrix_algebra=verdict, module_action_bijective=verdict,
     )

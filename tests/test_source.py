@@ -57,3 +57,22 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert modules and not found, found
+
+
+def test_one_certificate_rule():
+    # linalg.rank is the only reader of a modular_rank result, so no second
+    # certificate path can grow back unnoticed
+    def calls_modular_rank(node):
+        return isinstance(node, ast.Call) and "modular_rank" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [(path.name, getattr(top, "name", None)) for top in tree.body
+                    for node in ast.walk(top) if calls_modular_rank(node)]
+    assert callers == [("linalg.py", "rank")], callers
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(cli)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"modular_rank", "nullspace"}, imported
