@@ -8,6 +8,7 @@ recovers exactly the span of monomials in x^3 and d^3 when ell = 3.
 from itertools import product
 
 from qweyl import CycField, PBWAlgebra, TorusEmbedding
+from qweyl.cli import _commutator_rows
 from qweyl.linalg import SpanBasis, nullspace
 
 ell, deg = 3, 6
@@ -15,14 +16,7 @@ F = CycField(ell)
 A = PBWAlgebra(F, TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),)))
 
 keys = [((a,), (b,)) for a, b in product(range(deg + 1), repeat=2)]
-rows = []
-for g in (A.x(1), A.d(1)):
-    per_key = {}
-    for mk in keys:
-        comm = A.monomial(*mk) * g - g * A.monomial(*mk)
-        for out_key, c in comm.terms.items():
-            per_key.setdefault(out_key, {})[mk] = c
-    rows.extend(per_key.values())
+rows = _commutator_rows(A, keys)
 
 centralizer = SpanBasis(F)
 for v in nullspace(rows, keys, field=F):

@@ -221,17 +221,11 @@ def _task_reduce(field, emb, algebra, task, rng):
     point = build_point(field, task["point"])
     eta = tuple(evaluate_scalar(str(v), field) for v in task["eta"])
     try:
-        res = hamiltonian_reduce(point, emb, eta)
+        return hamiltonian_reduce(point, emb, eta)
     except EmptyReductionError as err:
         return {"eta_admissible": False,
                 "admissible": [[str(v) for v in tup] for tup in err.admissible],
                 "ok": False}
-    out = res.report()
-    out["module_action_bijective"] = res.module_action_bijective
-    out["shift"] = list(res.shift)
-    out["ok"] = (out["is_matrix_algebra"] and res.module_action_bijective
-                 and out["eta_admissible"])
-    return out
 
 
 def _task_quiver_suite(field, emb, algebra, task, rng):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -14,10 +15,10 @@ from qweyl import fiber, reduction
 from qweyl import (CycField, EmptyReductionError, FiberPoint, FullRep, Matrix,
                    OutsideAzumayaLocus, PBWAlgebra, Rank1Rep, SpanBasis,
                    TorusEmbedding, admissible_etas, full_matrix_rep,
-                   gamma_grading, hamiltonian_reduce, invariant_blocks,
-                   moment_diagonals, moment_map_ok, phi_dagger)
+                   hamiltonian_reduce, moment_map_ok, moment_values, phi_dagger)
 from qweyl.cli import run_suite
 from qweyl.fiber import digits
+from qweyl.reduction import row_weights
 
 
 def emb_sum():
@@ -37,22 +38,32 @@ def trivial_point(F, n=2):
     return FiberPoint(field=F, lam=((F.zero, F.zero),) * n, gamma=(F.one,) * n)
 
 
+def cosets_of(emb, ell):
+    """Each weight of row_weights mapped to the ascending row indices that carry it."""
+    cosets = {}
+    for idx, weight in enumerate(row_weights(emb, ell)):
+        cosets.setdefault(weight, []).append(idx)
+    return cosets
+
+
+def mu_of(point, emb):
+    return moment_values(point, emb, row_weights(emb, point.field.ell))
+
+
 # -- grading ------------------------------------------------------------------
 
 def test_grading_cosets_three_by_three():
-    cosets = gamma_grading(emb_sum(), 3)
-    blocks = invariant_blocks(cosets)
-    assert blocks["block_count"] == 3
-    assert blocks["block_size"] == 3
-    assert blocks["invariant_dim"] == 27
+    cosets = cosets_of(emb_sum(), 3)
+    assert len(cosets) == 3
+    assert {len(rows) for rows in cosets.values()} == {3}
+    assert sum(len(rows) ** 2 for rows in cosets.values()) == 27
     # coset of r is cut out by r1 + r2 mod 3
     for val, rows in cosets.items():
         assert all(sum(digits(idx, 3, 2)) % 3 == val[0] for idx in rows)
 
 
 def test_grading_degree_and_invariance():
-    cosets = gamma_grading(emb_sum(), 3)
-    value = {digits(idx, 3, 2): v for v, rows in cosets.items() for idx in rows}
+    value = {digits(idx, 3, 2): v for idx, v in enumerate(row_weights(emb_sum(), 3))}
 
     def deg(r, s):  # the degree of E_rs
         return tuple((a - b) % 3 for a, b in zip(value[r], value[s]))
@@ -65,10 +76,10 @@ def test_grading_degree_and_invariance():
 
 
 def test_grading_identity_embedding_is_discrete():
-    blocks = invariant_blocks(gamma_grading(emb_id2(), 3))
-    assert blocks["block_count"] == 9
-    assert blocks["block_size"] == 1
-    assert blocks["invariant_dim"] == 9
+    counts = Counter(row_weights(emb_id2(), 3))
+    assert len(counts) == 9
+    assert set(counts.values()) == {1}
+    assert sum(c * c for c in counts.values()) == 9
 
 
 def random_embeddings(rng, ell, count):
@@ -93,13 +104,10 @@ def test_grading_cosets_partition_the_rows_into_kernel_cosets(ell):
     embs = random_embeddings(rng, ell, 8)
     embs.append(TorusEmbedding(n=2, d=1, matrix=((3,), (3,)), form=((2,),)))
     for emb in embs:
-        cosets = gamma_grading(emb, ell)
-        blocks = invariant_blocks(cosets)
-        members = [idx for rows in cosets.values() for idx in rows]
-        assert sorted(members) == list(range(ell ** emb.n))
-        assert all(rows == sorted(rows) for rows in cosets.values())
-        assert {len(rows) for rows in cosets.values()} == {blocks["block_size"]}
-        assert blocks["block_count"] * blocks["block_size"] == ell ** emb.n
+        cosets = cosets_of(emb, ell)
+        block_count, block_size = len(cosets), len(next(iter(cosets.values())))
+        assert {len(rows) for rows in cosets.values()} == {block_size}
+        assert block_count * block_size == ell ** emb.n
         for value, rows in cosets.items():
             for idx in rows:
                 r = digits(idx, ell, emb.n)
@@ -109,7 +117,7 @@ def test_grading_cosets_partition_the_rows_into_kernel_cosets(ell):
         assert sorted(digits(idx, ell, emb.n) for idx in cosets[(0,) * emb.d]) == kernel
     # the last one: the weight map r -> 3 (r1 + r2) is onto 3Z/ell when 3 | ell
     expected = {3: (1, 9), 5: (5, 5), 9: (3, 27), 15: (5, 45)}[ell]
-    assert (blocks["block_count"], blocks["block_size"]) == expected
+    assert (block_count, block_size) == expected
 
 
 def test_torsion_action_commutes_with_grading():
@@ -118,9 +126,7 @@ def test_torsion_action_commutes_with_grading():
     p = FiberPoint(field=F, lam=((F.scalar(7), F.one), (F.zero, F.zero)),
                    gamma=(F.scalar(2), F.one))
     for emb in (emb_sum(), emb_diff(), emb_id2()):
-        for eta in admissible_etas(p, emb):
-            diags = moment_diagonals(p, emb, eta)
-            assert moment_map_ok(p, emb, diags, eta)
+        assert moment_map_ok(p, emb, mu_of(p, emb))
 
 
 def shifted_rep(point, emb):
@@ -145,18 +151,16 @@ def test_torsion_action_check_fails_on_a_mutant(monkeypatch):
         # the Euler images, hence mu, are those of the true model ...
         for i in (1, 2):
             assert bad.of_element(A.alpha(i)) == rep.of_element(A.alpha(i))
-        eta = phi_dagger(p, emb)
-        diags = moment_diagonals(p, emb, eta)
+        mu = mu_of(p, emb)
         # ... so only the conjugation by mu tells them apart
         monkeypatch.setattr(reduction, "full_matrix_rep", shifted_rep)
-        assert not moment_map_ok(p, emb, diags, eta)
-        res = hamiltonian_reduce(p, emb, eta)
-        assert not res.is_matrix_algebra and not res.module_action_bijective
+        assert not moment_map_ok(p, emb, mu)
+        res = hamiltonian_reduce(p, emb, phi_dagger(p, emb))
+        assert not res["is_matrix_algebra"] and not res["module_action_bijective"]
         monkeypatch.undo()
-        assert moment_map_ok(p, emb, diags, eta)
-    # diagonals of another embedding are not the moment map of this one
-    diags = moment_diagonals(p, emb_diff(), (F.one,))
-    assert not moment_map_ok(p, emb_sum(), diags, (F.one,))
+        assert moment_map_ok(p, emb, mu)
+    # the moment values of another embedding are not the moment map of this one
+    assert not moment_map_ok(p, emb_sum(), mu_of(p, emb_diff()))
 
 
 # -- moment diagonals ---------------------------------------------------------
@@ -164,21 +168,12 @@ def test_torsion_action_check_fails_on_a_mutant(monkeypatch):
 def test_moment_diagonal_entries():
     F = CycField(3)
     p = trivial_point(F)
-    diags = moment_diagonals(p, emb_sum(), (F.one,))
-    assert len(diags) == 1
-    assert len(diags[0]) == 9
+    mu = mu_of(p, emb_sum())
+    assert len(mu) == 1
+    assert len(mu[0]) == 9
     for idx in range(9):
         r = digits(idx, 3, 2)
-        expect = F.qpow(-2 * (r[0] + r[1])) - F.one
-        assert diags[0][idx] == expect
-
-
-def test_moment_diagonals_strict_mode():
-    # any eta is accepted, not only the gamma pushforward
-    F = CycField(3)
-    p = trivial_point(F)
-    diags = moment_diagonals(p, emb_sum(), (F.qpow(-2),))
-    assert len(diags) == 1
+        assert mu[0][idx] == F.qpow(-2 * (r[0] + r[1]))
 
 
 def test_moment_matches_alpha_products_in_the_matrix_model():
@@ -189,9 +184,7 @@ def test_moment_matches_alpha_products_in_the_matrix_model():
                    gamma=(F.one, F.scalar(2)))
     rep = full_matrix_rep(p, emb)
     A = PBWAlgebra(F, emb)
-    eta = phi_dagger(p, emb)
-    diags = moment_diagonals(p, emb, eta)
-    mu = Matrix.from_diag(F, [v + eta[0] for v in diags[0]])
+    mu = Matrix.from_diag(F, mu_of(p, emb)[0])
     assert mu == rep.of_element(A.alpha(1) * A.alpha(2))
 
 
@@ -204,9 +197,7 @@ def test_moment_conjugation_with_negative_weights():
                    gamma=(F.scalar(2), F.one))
     rep = full_matrix_rep(p, emb)
     A = PBWAlgebra(F, emb)
-    eta = phi_dagger(p, emb)
-    diags = moment_diagonals(p, emb, eta)
-    mu = Matrix.from_diag(F, [v + eta[0] for v in diags[0]])
+    mu = Matrix.from_diag(F, mu_of(p, emb)[0])
     # mu(z) = alpha_1 alpha_2^-1, the second Euler image inverted entrywise
     alpha2 = rep.of_element(A.alpha(2))
     alpha2_inv = Matrix.from_diag(F, [alpha2[(r, r)].inverse() for r in range(9)])
@@ -230,7 +221,7 @@ def test_admissible_eta_counts():
 def test_reduction_report_at_the_trivial_parameter():
     F = CycField(3)
     res = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
-    assert res.report() == {
+    assert res == {
         "invariant_dim": 27,
         "block_count": 3,
         "block_size": 3,
@@ -239,24 +230,22 @@ def test_reduction_report_at_the_trivial_parameter():
         "module_dim": 3,
         "is_matrix_algebra": True,
         "eta_admissible": True,
+        "module_action_bijective": True,
+        "shift": [0],
+        "ok": True,
     }
-    assert res.module_action_bijective
-    assert res.shift == (0,)
-    # the surviving block sits over the zero coset
-    assert all((r[0] + r[1]) % 3 == 0 for r in res.surviving)
 
 
 def test_reduction_with_a_shifted_parameter():
     F = CycField(3)
     res = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.qpow(-2),))
-    assert res.shift == (1,)
-    assert all((r[0] + r[1]) % 3 == 1 for r in res.surviving)
-    # module column: first row of the surviving coset, gamma shifted to match
-    u = res.module_column
-    assert (u[0] + u[1]) % 3 == 1
-    assert res.shifted_gamma == tuple(F.qpow(-2 * u[i]) for i in range(2))
-    assert res.report()["quotient_dim"] == 9
-    assert res.is_matrix_algebra and res.module_action_bijective
+    assert res["shift"] == [1]
+    # the surviving rows: the mu entry is eta exactly on the coset of the shift
+    mu = mu_of(trivial_point(F), emb_sum())[0]
+    surviving = [digits(idx, 3, 2) for idx in range(9) if mu[idx] == F.qpow(-2)]
+    assert len(surviving) == 3 and all((r[0] + r[1]) % 3 == 1 for r in surviving)
+    assert res["quotient_dim"] == 9
+    assert res["is_matrix_algebra"] and res["module_action_bijective"] and res["ok"]
 
 
 def test_reduction_exact_over_the_full_parameter_grid():
@@ -265,9 +254,23 @@ def test_reduction_exact_over_the_full_parameter_grid():
                    gamma=(F.scalar(2), F.one))
     for eta in admissible_etas(p, emb_sum()):
         res = hamiltonian_reduce(p, emb_sum(), eta)
-        assert res.invariant_dim - res.ideal_dim == res.quotient_dim
-        assert res.quotient_dim == res.module_dim ** 2
-        assert res.is_matrix_algebra and res.module_action_bijective
+        assert res["invariant_dim"] - res["ideal_dim"] == res["quotient_dim"]
+        assert res["quotient_dim"] == res["module_dim"] ** 2
+        assert res["is_matrix_algebra"] and res["module_action_bijective"]
+
+
+def test_reduction_builds_the_row_weight_table_once(monkeypatch):
+    calls = []
+    original = reduction.row_weights
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reduction, "row_weights", counted)
+    F = CycField(3)
+    res = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
+    assert res["ok"] and len(calls) == 1
 
 
 def test_reduction_rejects_inadmissible_eta():
@@ -289,7 +292,7 @@ def test_reduction_needs_the_locus():
 def test_reduction_identity_embedding_collapses_to_scalars():
     F = CycField(3)
     res = hamiltonian_reduce(trivial_point(F), emb_id2(), (F.one, F.one))
-    assert res.report() == {
+    assert res == {
         "invariant_dim": 9,
         "block_count": 9,
         "block_size": 1,
@@ -298,6 +301,9 @@ def test_reduction_identity_embedding_collapses_to_scalars():
         "module_dim": 1,
         "is_matrix_algebra": True,
         "eta_admissible": True,
+        "module_action_bijective": True,
+        "shift": [0, 0],
+        "ok": True,
     }
 
 
@@ -307,7 +313,7 @@ def test_reduction_trivial_torus_keeps_everything():
     emb = TorusEmbedding(n=1, d=0, matrix=((),), form=())
     p = FiberPoint(field=F, lam=((F.scalar(7), F.one),), gamma=(F.scalar(2),))
     res = hamiltonian_reduce(p, emb, ())
-    assert res.report() == {
+    assert res == {
         "invariant_dim": 9,
         "block_count": 1,
         "block_size": 3,
@@ -316,34 +322,37 @@ def test_reduction_trivial_torus_keeps_everything():
         "module_dim": 3,
         "is_matrix_algebra": True,
         "eta_admissible": True,
+        "module_action_bijective": True,
+        "shift": [],
+        "ok": True,
     }
 
 
 # -- checks that fail on a defect --------------------------------------------
 
 BROKEN_DIAGONALS = {
-    # row (0, 0) lies on the vanishing coset; set its entry to 1
-    "one-entry": lambda F, diag: [F.one] + diag[1:],
-    # vanish on rows (0, 0), (1, 0), (2, 0): one row of each grading coset
-    "transversal": lambda F, diag: [F.zero] * 3 + [F.one] * 6,
+    # row (0, 0) lies on the coset where mu = eta; set its mu entry to eta + 1
+    "one-entry": lambda eta, mu: [eta + 1] + mu[1:],
+    # mu = eta on rows (0, 0), (1, 0), (2, 0) only: one row of each grading coset
+    "transversal": lambda eta, mu: [eta] * 3 + [eta + 1] * 6,
 }
 
 
 def reduce_with_broken_diagonal(mutation, reducer=hamiltonian_reduce):
     """reducer at ell = 3, embedding [[1],[1]], trivial point, eta (1,),
-    with the moment diagonal replaced by BROKEN_DIAGONALS[mutation]."""
+    with the moment values replaced by BROKEN_DIAGONALS[mutation]."""
     F = CycField(3)
-    original = reduction.moment_diagonals
+    original = reduction.moment_values
 
     def broken(*args, **kwargs):
-        diags = original(*args, **kwargs)
-        return [BROKEN_DIAGONALS[mutation](F, diags[0])] + diags[1:]
+        mu = original(*args, **kwargs)
+        return [BROKEN_DIAGONALS[mutation](F.one, mu[0])] + mu[1:]
 
-    reduction.moment_diagonals = broken
+    reduction.moment_values = broken
     try:
         return reducer(trivial_point(F), emb_sum(), (F.one,))
     finally:
-        reduction.moment_diagonals = original
+        reduction.moment_values = original
 
 
 @pytest.mark.parametrize("mutation, module_dim, quotient_dim",
@@ -352,9 +361,9 @@ def reduce_with_broken_diagonal(mutation, reducer=hamiltonian_reduce):
 def test_broken_moment_diagonal_is_not_a_matrix_algebra(mutation, module_dim, quotient_dim):
     # the dimensions are those of the grading coset of the first vanishing row
     res = reduce_with_broken_diagonal(mutation)
-    assert res.module_dim == module_dim and res.quotient_dim == quotient_dim
-    assert res.is_matrix_algebra is False
-    assert res.module_action_bijective is False
+    assert res["module_dim"] == module_dim and res["quotient_dim"] == quotient_dim
+    assert res["is_matrix_algebra"] is False
+    assert res["module_action_bijective"] is False
 
 
 @pytest.mark.parametrize("mutation", list(BROKEN_DIAGONALS))
@@ -363,7 +372,7 @@ def test_broken_moment_diagonal_is_not_a_matrix_algebra_under_python_O(mutation)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
     code = ("import test_reduction; "
             f"res = test_reduction.reduce_with_broken_diagonal({mutation!r}); "
-            "print(res.is_matrix_algebra, res.module_action_bijective)")
+            "print(res['is_matrix_algebra'], res['module_action_bijective'])")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -385,9 +394,10 @@ def elimination_oracle(point, emb, eta):
     """
     F = point.field
     size = F.ell ** emb.n
-    diags = reduction.moment_diagonals(point, emb, eta)
+    diags = [[v - e for v in values] for values, e in
+             zip(reduction.moment_values(point, emb, row_weights(emb, F.ell)), eta)]
     block = {b for b in range(size) if not any(dg[b] for dg in diags)}
-    cosets = [set(rows) for rows in gamma_grading(emb, F.ell).values()]
+    cosets = [set(rows) for rows in cosets_of(emb, F.ell).values()]
     invariant = {(a, b) for lin in cosets for a in lin for b in lin}
     span = SpanBasis(F, key_order=lambda k: (k in invariant, k))
     for dg in diags:
@@ -406,9 +416,8 @@ def elimination_oracle(point, emb, eta):
 
 
 def closed_form(res):
-    return {"ideal_dim": res.ideal_dim, "quotient_dim": res.quotient_dim,
-            "is_matrix_algebra": res.is_matrix_algebra,
-            "module_action_bijective": res.module_action_bijective}
+    keys = ("ideal_dim", "quotient_dim", "is_matrix_algebra", "module_action_bijective")
+    return {k: res[k] for k in keys}
 
 
 @st.composite
@@ -449,16 +458,16 @@ def test_closed_form_matches_the_elimination(data):
     point, emb, eta = data
     res = hamiltonian_reduce(point, emb, eta)
     assert closed_form(res) == elimination_oracle(point, emb, eta)
-    assert res.is_matrix_algebra and res.quotient_dim == res.module_dim ** 2
+    assert res["is_matrix_algebra"] and res["quotient_dim"] == res["module_dim"] ** 2
     # the shift is the one twist t in [0, ell)^d with phi(gamma)_j q^(-2 t_j) = eta_j
     F, base = point.field, phi_dagger(point, emb)
     twists = [[t for t in range(F.ell) if base[j] * F.qpow(-2 * t) == eta[j]]
               for j in range(emb.d)]
-    assert twists == [[t] for t in res.shift]
-    # the rows where every diagonal vanishes are the grading coset of the shift
-    diags = moment_diagonals(point, emb, eta)
-    vanishing = [r for r in range(F.ell ** emb.n) if not any(dg[r] for dg in diags)]
-    assert vanishing == gamma_grading(emb, F.ell)[res.shift]
+    assert twists == [[t] for t in res["shift"]]
+    # the rows where mu_j = eta_j for every j are the grading coset of the shift
+    mu = mu_of(point, emb)
+    vanishing = [r for r in range(F.ell ** emb.n) if all(m[r] == e for m, e in zip(mu, eta))]
+    assert vanishing == cosets_of(emb, F.ell)[tuple(res["shift"])]
 
 
 @pytest.mark.parametrize("mutation", list(BROKEN_DIAGONALS))
@@ -477,10 +486,11 @@ def test_a_failed_moment_map_check_fails_both_verdicts(monkeypatch):
     passing = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
     monkeypatch.setattr(reduction, "moment_map_ok", lambda *args: False)
     res = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
-    assert passing.is_matrix_algebra and passing.module_action_bijective
-    assert res.is_matrix_algebra is False and res.module_action_bijective is False
+    assert passing["is_matrix_algebra"] and passing["module_action_bijective"] and passing["ok"]
+    assert res["is_matrix_algebra"] is False and res["module_action_bijective"] is False
+    assert res["ok"] is False
     dims = ("invariant_dim", "ideal_dim", "quotient_dim", "module_dim", "block_count", "block_size")
-    assert [getattr(res, k) for k in dims] == [getattr(passing, k) for k in dims]
+    assert [res[k] for k in dims] == [passing[k] for k in dims]
 
 
 # -- a perturbed rank-one model fails both the fiber and the reduction checks ---

@@ -10,16 +10,20 @@ pin the listing of admissible parameters after an inadmissible eta, a
 shift of 2 on the weights (1), (-1), and a trivial torus (d = 0), whose
 reduction keeps the whole fiber.  The quiver suites run U_1 and the
 cyclic-quiver table at ell = 3 for n = 2, 3, 4 (n = 2 has no table) with
-a qmm-check, and at ell = 13 for n = 3.
+a qmm-check, and at ell = 13 for n = 3.  The algebra suites pin
+normalize (with one malformed expression) and center-check at ell = 3,
+to degree 3 for n = 2 and to degree 6 for n = 1.  Together the configs
+cover every task type.
 To record a new output: qweyl report --config <config> --out <output>,
 with QWEYL_SEED unset.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from qweyl.cli import main
+from qweyl.cli import TASK_TYPES, main
 
 ROOT = Path(__file__).resolve().parent
 CONFIGS = sorted((ROOT / "report_configs").glob("*.json"))
@@ -37,3 +41,6 @@ def test_report_matches_recorded_output(config, tmp_path, monkeypatch):
 def test_report_outputs_are_found():
     assert CONFIGS  # an empty glob would parametrize nothing and pass
     assert sorted(p.stem for p in OUTPUT.glob("*.json")) == [p.stem for p in CONFIGS]
+    # every task type is pinned by some config
+    covered = {task["type"] for p in CONFIGS for task in json.loads(p.read_text())["tasks"]}
+    assert covered == set(TASK_TYPES)
