@@ -1,6 +1,6 @@
 """Exact arithmetic in Q(q) at an odd root of unity, and PBW normal forms."""
 
-from qweyl import CycField, PBWAlgebra, TorusEmbedding, euler
+from qweyl import CycField, PBWAlgebra, TorusEmbedding
 
 F = CycField(5)
 print("field:", F)
@@ -18,9 +18,9 @@ x, d = A.x(1), A.d(1)
 print()
 print("d*x          =", d * x)
 print("d^2*x        =", A.multiply(A.d(1, 2), x))
-print("alpha        =", euler(A, 1))
-print("alpha^2      =", euler(A, 1) ** 2)
+print("alpha        =", A.alpha(1))
+print("alpha^2      =", A.alpha(1) ** 2)
 
 # the ell-th power collapses: no lower-order terms survive
-print("alpha^5      =", euler(A, 1) ** 5)
-print("central?     ", (euler(A, 1) ** 5).is_central())
+print("alpha^5      =", A.alpha(1) ** 5)
+print("central?     ", (A.alpha(1) ** 5).is_central())

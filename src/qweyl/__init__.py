@@ -13,7 +13,7 @@ from .fiber import (FiberAlgebra, FiberPoint, FullRep, Matrix,
                     full_matrix_rep, rank1_matrix_rep, untwist)
 from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import SpanBasis, nullspace
-from .pbw import PBWAlgebra, PBWElement, QmmResult, euler, verify_qmm
+from .pbw import PBWAlgebra, PBWElement, QmmResult, verify_qmm
 from .quiver_examples import (AnQuiverAlgebra, DifferenceOperator,
                               build_an_quiver_algebra, cyclic_quiver,
                               u1_operators, verify_central_z,
@@ -31,7 +31,7 @@ __all__ = [
     "untwist",
     "QuiverData", "TorusEmbedding", "quiver_to_embedding",
     "SpanBasis", "nullspace",
-    "PBWAlgebra", "PBWElement", "QmmResult", "euler", "verify_qmm",
+    "PBWAlgebra", "PBWElement", "QmmResult", "verify_qmm",
     "AnQuiverAlgebra", "DifferenceOperator", "build_an_quiver_algebra",
     "cyclic_quiver", "u1_operators", "verify_central_z", "verify_u1_relations",
     "EmptyReductionError", "admissible_etas", "hamiltonian_reduce",

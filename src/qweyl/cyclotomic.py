@@ -89,8 +89,6 @@ class CycField:
         self._one = self._qpows[0]
         # the Galois group (Z/ell)^x minus the identity: sigma_j sends q to q^j
         self._conjugators = [j for j in range(2, ell) if gcd(j, ell) == 1]
-        # cache used by the operator-algebra layer
-        self.gauss_cache: dict = {}
 
     def _make(self, raw: list[int], den: int = 1) -> "CycScalar":
         """The canonical scalar (sum_e raw[e] q^e) / den, for den > 0."""

@@ -2,9 +2,14 @@
 
 Elements are stored in the ordered basis x^m d^k (all x's left of all
 d's, indices ascending).  Multiplication reorders through exact closed
-forms: the same-index crossing d^a x^b expands with Gaussian-binomial
-coefficients in one step per exponent pair, and cross-index crossings
-are pure scalars q^(pairing).  Everything happens over Q(q) with q a
+forms.  Cross-index crossings are pure scalars q^(pairing); the
+same-index one is d^a x^b = sum_j c_j x^(b-j) d^(a-j) with
+
+    c_j = q^(2(a-j)(b-j)) [s j] prod_{i<j} (q^(2(t-i)) - 1),
+
+s, t = min(a, b), max(a, b) and [s j] the Gaussian binomial at q^2.
+The product is a polynomial in q, so no q-factorial is divided and the
+formula holds where q^(2i) = 1.  Everything happens over Q(q) with q a
 primitive odd-order root of unity, so central and root-of-unity
 phenomena are exact.
 """
@@ -31,6 +36,8 @@ class PBWAlgebra:
         self.emb = emb
         self.n = emb.n
         self.pairings = emb.pairing_matrix()
+        self._crossings: dict[tuple[int, int], list[tuple[int, CycScalar]]] = {}
+        self._pascal_rows: list[list[CycScalar]] = [[field.one]]  # Gaussian binomials at q^2
 
     # -- construction ------------------------------------------------------
 
@@ -71,7 +78,11 @@ class PBWAlgebra:
         return self.monomial([0] * self.n, k)
 
     def alpha(self, i: int) -> "PBWElement":
-        return euler(self, i)
+        """The Euler operator alpha_i = 1 + x_i d_i."""
+        self._check_index(i)
+        m = [0] * self.n
+        m[i - 1] = 1
+        return self.one() + self.monomial(m, m)
 
     def generators(self) -> list["PBWElement"]:
         """x_1, ..., x_n, then d_1, ..., d_n: the order reports list them in."""
@@ -88,56 +99,37 @@ class PBWAlgebra:
                 out[(i + 1, j + 1)] = self.field.qpow(self.pairings[j][i])
         return out
 
-    # -- scalar caches -----------------------------------------------------
-
-    def _gauss(self, nn: int, kk: int) -> CycScalar:
-        """Gaussian binomial [nn choose kk] evaluated at q^2, division-free."""
-        if kk < 0 or kk > nn:
-            return self.field.zero
-        cache = self.field.gauss_cache
-        todo = [(nn, kk)]  # Pascal's rule on an explicit stack, not recursion
-        while todo:
-            a, b = todo.pop()
-            if ("gb", a, b) in cache:
-                continue
-            if b == 0 or b == a:
-                cache[("gb", a, b)] = self.field.one
-            elif ("gb", a - 1, b - 1) in cache and ("gb", a - 1, b) in cache:
-                cache[("gb", a, b)] = (cache[("gb", a - 1, b - 1)]
-                                       + self.field.qpow(2 * b) * cache[("gb", a - 1, b)])
-            else:
-                todo += [(a, b), (a - 1, b - 1), (a - 1, b)]
-        return cache[("gb", nn, kk)]
-
-    def _qfact_shifted(self, j: int) -> CycScalar:
-        """Product of (q^{2i} - 1) for i = 1..j."""
-        cache = self.field.gauss_cache
-        i = j
-        while i > 0 and ("fact", i) not in cache:
-            i -= 1
-        val = cache.setdefault(("fact", i), self.field.one)
-        for t in range(i + 1, j + 1):
-            val = cache[("fact", t)] = val * (self.field.qpow(2 * t) - 1)
-        return val
+    # -- the same-index crossing ---------------------------------------------
 
     def _crossing(self, a: int, b: int) -> list[tuple[int, CycScalar]]:
-        """Expansion d^a x^b = sum_j coeff_j x^(b-j) d^(a-j), same index.
+        """Expansion d^a x^b = sum_j c_j x^(b-j) d^(a-j), same index.
 
-        coeff_j = q^{2(a-j)(b-j)} [a j] [b j] prod_{i<=j}(q^{2i}-1),
-        the Gaussian binomials taken at q^2.
+        With s, t = min(a, b), max(a, b) and [s j] the Gaussian binomial
+        at q^2, c_j = q^(2(a-j)(b-j)) [s j] prod_{i<j} (q^(2(t-i)) - 1).
+        The falling product is [t j] prod_{i<=j} (q^(2i) - 1) as a
+        polynomial in q, so nothing is divided and the formula stays
+        exact where q^(2i) = 1; once it vanishes every later c_j does.
         """
-        cache = self.field.gauss_cache
-        key = ("cross", a, b)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+        out = self._crossings.get((a, b))
+        if out is not None:
+            return out
+        F = self.field
+        s, t = min(a, b), max(a, b)
+        rows = self._pascal_rows
+        while len(rows) <= s:  # Pascal's rule [r k] = [r-1 k-1] + q^(2k) [r-1 k]
+            prev = rows[-1]
+            rows.append([F.one] + [prev[k - 1] + F.qpow(2 * k) * prev[k]
+                                   for k in range(1, len(prev))] + [F.one])
         out = []
-        for j in range(min(a, b) + 1):
-            c = (self.field.qpow(2 * (a - j) * (b - j))
-                 * self._gauss(a, j) * self._gauss(b, j) * self._qfact_shifted(j))
+        falling = F.one
+        for j, gauss in enumerate(rows[s]):
+            if not falling:
+                break
+            c = F.qpow(2 * (a - j) * (b - j)) * gauss * falling
             if c:
                 out.append((j, c))
-        cache[key] = out
+            falling = falling * (F.qpow(2 * (t - j)) - 1)
+        self._crossings[(a, b)] = out
         return out
 
     # -- multiplication core -------------------------------------------------
@@ -310,16 +302,6 @@ class PBWElement:
 
     def __repr__(self):
         return f"<PBW {self}>"
-
-
-def euler(algebra: PBWAlgebra, i: int) -> PBWElement:
-    """The Euler operator 1 + x_i d_i."""
-    algebra._check_index(i)
-    m = [0] * algebra.n
-    k = [0] * algebra.n
-    m[i - 1] = 1
-    k[i - 1] = 1
-    return algebra.one() + algebra.monomial(m, k)
 
 
 @dataclass

@@ -68,8 +68,6 @@ def build_an_quiver_algebra(field: CycField, n: int) -> AnQuiverAlgebra:
         raise ValueError("n must be at least 2")
     emb = quiver_to_embedding(cyclic_quiver(n))
     alg = PBWAlgebra(field, emb)
-    q = field.q
-    qi = field.qpow(-1)
     q2 = field.qpow(2)
     pairings = {(i, j): emb.qij_exponent(i - 1, j - 1)
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)}
@@ -77,25 +75,17 @@ def build_an_quiver_algebra(field: CycField, n: int) -> AnQuiverAlgebra:
         return AnQuiverAlgebra(n=n, embedding=emb, algebra=alg,
                                pairing_exponents=pairings, table=None)
 
-    def adjacent(i: int, j: int) -> bool:
-        return j == i + 1 or (i == 1 and j == n)
-
     table: dict = {}
     for i in range(1, n + 1):
         xi, di = alg.x(i), alg.d(i)
         table[("euler", i)] = di * xi == q2 * (xi * di) + alg.scalar_element(q2 - field.one)
         for j in range(i + 1, n + 1):
             xj, dj = alg.x(j), alg.d(j)
-            if adjacent(i, j):
-                table[("xx", i, j)] = xj * xi == qi * (xi * xj)
-                table[("dd", i, j)] = dj * di == qi * (di * dj)
-                table[("dx", i, j)] = dj * xi == q * (xi * dj)
-                table[("xd", i, j)] = xj * di == q * (di * xj)
-            else:
-                table[("xx", i, j)] = xj * xi == xi * xj
-                table[("dd", i, j)] = dj * di == di * dj
-                table[("dx", i, j)] = dj * xi == xi * dj
-                table[("xd", i, j)] = xj * di == di * xj
+            e = -1 if j == i + 1 or (i == 1 and j == n) else 0  # edge pairing
+            table[("xx", i, j)] = xj * xi == field.qpow(e) * (xi * xj)
+            table[("dd", i, j)] = dj * di == field.qpow(e) * (di * dj)
+            table[("dx", i, j)] = dj * xi == field.qpow(-e) * (xi * dj)
+            table[("xd", i, j)] = xj * di == field.qpow(-e) * (di * xj)
     return AnQuiverAlgebra(n=n, embedding=emb, algebra=alg,
                            pairing_exponents=pairings, table=table)
 

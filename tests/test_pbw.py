@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from qweyl import (CycField, PBWAlgebra, TorusEmbedding, euler,
-                   quiver_to_embedding, verify_qmm)
+from qweyl import (CycField, PBWAlgebra, TorusEmbedding, quiver_to_embedding,
+                   verify_qmm)
 from qweyl.lattice import QuiverData
 from qweyl.linalg import vec_accumulate
 
@@ -137,6 +137,26 @@ def test_engine_matches_slow_rewriter(ell, emb_fn):
             got = got * (A.x(i) if kind == "x" else A.d(i))
         want = slow_normal_form(A, w)
         assert got.terms == want, w
+
+
+def test_large_crossings_match_slow_rewriter():
+    # a, b up to 2 ell + 1 reach j >= ell, where (q^2; q^2)_j and the
+    # falling product of the crossing coefficient vanish
+    ell = 3
+    A = PBWAlgebra(CycField(ell), emb_n1())
+    for a in range(2 * ell + 2):
+        for b in range(2 * ell + 2):
+            want = slow_normal_form(A, (("d", 1),) * a + (("x", 1),) * b)
+            assert (A.d(1, a) * A.x(1, b)).terms == want, (a, b)
+
+
+def test_crossings_share_one_pascal_row_table():
+    # one row per s = min(a, b), not one per crossing
+    A = PBWAlgebra(CycField(5), emb_n1())
+    for a in range(20):
+        for b in range(20):
+            A.d(1, a) * A.x(1, b)
+    assert len(A._pascal_rows) == 20
 
 
 def test_weyl_relation_examples():
@@ -338,5 +358,5 @@ def test_printer_canonical_strings():
 def test_euler_element():
     F = CycField(5)
     A = PBWAlgebra(F, emb_n2())
-    assert euler(A, 1) == A.alpha(1)
-    assert euler(A, 2) == A.one() + A.x(2) * A.d(2)
+    assert A.alpha(1) == A.one() + A.x(1) * A.d(1)
+    assert A.alpha(2) == A.one() + A.x(2) * A.d(2)
