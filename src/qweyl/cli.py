@@ -153,11 +153,11 @@ def _task_normalize(field, emb, algebra, task, rng):
 def _commutator_rows(algebra, keys) -> list:
     """One row per generator g and monomial of [b, g], b over keys; a solution is central."""
     rows = []
+    one = algebra.field.one
     for gi, g in enumerate(algebra.generators()):
         per_key: dict = {}
         for mk in keys:
-            b = algebra.monomial(*mk)
-            comm = b * g - g * b
+            comm = algebra.commutator(algebra.monomial(*mk, one), g)
             for out_key, c in comm.terms.items():
                 per_key.setdefault((gi, out_key), {})[mk] = c
         rows.extend(per_key.values())
@@ -172,19 +172,24 @@ def _task_center_check(field, emb, algebra, task, rng):
                       for exps in (range(deg + 1), range(0, deg + 1, field.ell)))
     rows = _commutator_rows(algebra, keys)
     # an expected key with a zero column in every row is in the kernel, and then
-    # the rows live on the other keys: their rank is at most |keys| - |expected|
-    zero_cols = set(expected)
-    in_kernel = all(zero_cols.isdisjoint(r) for r in rows)
+    # the rows live on the other keys: their rank is at most |keys| - |expected|;
+    # the first expected key some row touches is the witness that it is not
+    touched = set(expected).intersection(key for r in rows for key in r)
+    witness = next((key for key in expected if key in touched), None)
+    in_kernel = witness is None
     bound = len(keys) - len(expected) if in_kernel else len(keys)
     dim = len(keys) - rank(lambda: rows, field, bound)
     # the kernel holds those unit vectors, so it is their span iff it has their number
     matches = in_kernel and dim == len(expected)
     basis_strs = sorted(
         str(algebra.monomial(m, k)) for (m, k) in expected) if matches else None
-    return {"max_degree": deg, "dimension": dim,
-            "expected_dimension": len(expected),
-            "matches_ell_power_span": matches,
-            "basis": basis_strs, "ok": matches}
+    report = {"max_degree": deg, "dimension": dim,
+              "expected_dimension": len(expected),
+              "matches_ell_power_span": matches,
+              "basis": basis_strs, "ok": matches}
+    if witness is not None:
+        report["not_central"] = str(algebra.monomial(*witness))
+    return report
 
 
 def _task_fiber_rep(field, emb, algebra, task, rng):

@@ -3,15 +3,17 @@
 Elements are stored in the ordered basis x^m d^k (all x's left of all
 d's, indices ascending).  Multiplication reorders through exact closed
 forms.  Cross-index crossings are pure scalars q^(pairing); the
-same-index one is d^a x^b = sum_j c_j x^(b-j) d^(a-j) with
+same-index one is d^a x^b = sum_j q^(e_j) f_j x^(b-j) d^(a-j) with
 
-    c_j = q^(2(a-j)(b-j)) [s j] prod_{i<j} (q^(2(t-i)) - 1),
+    e_j = 2(a-j)(b-j),    f_j = [s j] prod_{i<j} (q^(2(t-i)) - 1),
 
 s, t = min(a, b), max(a, b) and [s j] the Gaussian binomial at q^2.
 The product is a polynomial in q, so no q-factorial is divided and the
-formula holds where q^(2i) = 1.  Everything happens over Q(q) with q a
-primitive odd-order root of unity, so central and root-of-unity
-phenomena are exact.
+formula holds where q^(2i) = 1.  A product of monomials sums all its
+q-exponents as integers, reads q to that sum off the field's table, and
+multiplies only by the coefficients and the f_j that are not 1 (f_0
+always is).  Everything happens over Q(q) with q a primitive odd-order
+root of unity, so central and root-of-unity phenomena are exact.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class PBWAlgebra:
         self.emb = emb
         self.n = emb.n
         self.pairings = emb.pairing_matrix()
-        self._crossings: dict[tuple[int, int], list[tuple[int, CycScalar]]] = {}
+        # (a, b) -> the triples (j, e_j, f_j or None) of d^a x^b, see _crossing
+        self._crossings: dict[tuple[int, int], list[tuple[int, int, Optional[CycScalar]]]] = {}
         self._pascal_rows: list[list[CycScalar]] = [[field.one]]  # Gaussian binomials at q^2
 
     # -- construction ------------------------------------------------------
@@ -101,14 +104,16 @@ class PBWAlgebra:
 
     # -- the same-index crossing ---------------------------------------------
 
-    def _crossing(self, a: int, b: int) -> list[tuple[int, CycScalar]]:
-        """Expansion d^a x^b = sum_j c_j x^(b-j) d^(a-j), same index.
+    def _crossing(self, a: int, b: int) -> list[tuple[int, int, Optional[CycScalar]]]:
+        """Expansion d^a x^b = sum_j q^(e_j) f_j x^(b-j) d^(a-j), same index.
 
-        With s, t = min(a, b), max(a, b) and [s j] the Gaussian binomial
-        at q^2, c_j = q^(2(a-j)(b-j)) [s j] prod_{i<j} (q^(2(t-i)) - 1).
+        Returns the triples (j, e_j, f_j) of the nonzero terms, with f_j
+        None where it equals 1, as it always does at j = 0.  With
+        s, t = min(a, b), max(a, b) and [s j] the Gaussian binomial at q^2,
+        e_j = 2(a-j)(b-j) and f_j = [s j] prod_{i<j} (q^(2(t-i)) - 1).
         The falling product is [t j] prod_{i<=j} (q^(2i) - 1) as a
         polynomial in q, so nothing is divided and the formula stays
-        exact where q^(2i) = 1; once it vanishes every later c_j does.
+        exact where q^(2i) = 1; once it vanishes every later term does.
         """
         out = self._crossings.get((a, b))
         if out is not None:
@@ -125,9 +130,9 @@ class PBWAlgebra:
         for j, gauss in enumerate(rows[s]):
             if not falling:
                 break
-            c = F.qpow(2 * (a - j) * (b - j)) * gauss * falling
-            if c:
-                out.append((j, c))
+            f = gauss * falling
+            if f:
+                out.append((j, 2 * (a - j) * (b - j), None if f == F.one else f))
             falling = falling * (F.qpow(2 * (t - j)) - 1)
         self._crossings[(a, b)] = out
         return out
@@ -147,32 +152,57 @@ class PBWAlgebra:
                     tot -= P[j][i] * ki * m[j]
         return tot
 
-    def _mul_mono(self, m1, k1, m2, k2, c: CycScalar):
-        """The terms (key, coeff) of c * x^m1 d^k1 * x^m2 d^k2, keys may repeat."""
+    def _mul_mono(self, m1, k1, c1, m2, k2, c2):
+        """The terms (key, coeff) of c1 x^m1 d^k1 * c2 x^m2 d^k2, keys may repeat.
+
+        c1 and c2 are None for 1.  Each coefficient is one q-power, read
+        off the summed exponents, times the factors that are not 1.
+        """
         P = self.pairings
+        n = self.n
         braid = 0
-        for i in range(self.n):
+        for i in range(n):
             ti = m2[i] - k2[i]
             if not ti:
                 continue
-            for j in range(i + 1, self.n):
+            for j in range(i + 1, n):
                 braid += P[j][i] * (m1[j] - k1[j]) * ti
         e0 = self._tensor_twist(m1, k1) + self._tensor_twist(m2, k2) + braid
-        per_index = [self._crossing(k1[i], m2[i]) for i in range(self.n)]
-        for choice in iproduct(*per_index):
-            rm = tuple(m1[i] + m2[i] - choice[i][0] for i in range(self.n))
-            rk = tuple(k1[i] + k2[i] - choice[i][0] for i in range(self.n))
-            coeff = c * self.field.qpow(e0 - self._tensor_twist(rm, rk))
-            for _, cf in choice:
-                coeff = coeff * cf
+        qpow, one = self.field.qpow, self.field.one
+        sum_m = [m1[i] + m2[i] for i in range(n)]
+        sum_k = [k1[i] + k2[i] for i in range(n)]
+        for choice in iproduct(*[self._crossing(k1[i], m2[i]) for i in range(n)]):
+            rm = tuple(s - cr[0] for s, cr in zip(sum_m, choice))
+            rk = tuple(s - cr[0] for s, cr in zip(sum_k, choice))
+            e = e0 - self._tensor_twist(rm, rk)
+            factors = [c1, c2]
+            for _, ej, fj in choice:
+                e += ej
+                factors.append(fj)
+            coeff = qpow(e)
+            for f in factors:
+                if f is not None:  # q^0 is the field's one itself: a lone factor is not multiplied
+                    coeff = f if coeff is one else coeff * f
             yield (rm, rk), coeff
 
-    def multiply(self, a: "PBWElement", b: "PBWElement") -> "PBWElement":
+    def _terms(self, a: "PBWElement", b: "PBWElement"):
+        """The terms of a * b, keys may repeat: the one stream of every product."""
         if a.algebra is not self or b.algebra is not self:
             raise ValueError("operands belong to a different algebra")
-        return PBWElement(self, vec_accumulate({}, (
-            term for (m1, k1), c1 in a.terms.items() for (m2, k2), c2 in b.terms.items()
-            for term in self._mul_mono(m1, k1, m2, k2, c1 * c2))))
+        one = self.field.one
+        right = [(m, k, None if c == one else c) for (m, k), c in b.terms.items()]
+        for (m1, k1), c1 in a.terms.items():
+            c1 = None if c1 == one else c1
+            for m2, k2, c2 in right:
+                yield from self._mul_mono(m1, k1, c1, m2, k2, c2)
+
+    def multiply(self, a: "PBWElement", b: "PBWElement") -> "PBWElement":
+        return PBWElement(self, vec_accumulate({}, self._terms(a, b)))
+
+    def commutator(self, a: "PBWElement", b: "PBWElement") -> "PBWElement":
+        """a*b - b*a, both products accumulated into one dict."""
+        out = vec_accumulate({}, self._terms(a, b))
+        return PBWElement(self, vec_accumulate(out, ((key, -c) for key, c in self._terms(b, a))))
 
 
 class PBWElement:
@@ -268,7 +298,8 @@ class PBWElement:
         return None if s is None else self.algebra.emb.mdag_vec(s)
 
     def is_central(self) -> bool:
-        return all(self * g == g * self for g in self.algebra.generators())
+        A = self.algebra
+        return not any(A.commutator(self, g) for g in A.generators())
 
     # -- display -----------------------------------------------------------
 

@@ -396,6 +396,12 @@ def test_center_check_fails_on_a_wrong_commutator_system(monkeypatch, pinned):
     assert entry["matches_ell_power_span"] is False
     assert entry["basis"] is None
     assert entry["ok"] is False
+    # the pinned row is the one that touches an expected key; without it
+    # only the nullity is wrong and there is no witness to name
+    if pinned:
+        assert entry["not_central"] == "x1^3"
+    else:
+        assert "not_central" not in entry
 
 
 def test_center_check_reports_the_exact_nullity_when_rows_are_lost(monkeypatch):
@@ -422,6 +428,48 @@ def test_center_check_reports_the_exact_nullity_when_rows_are_lost(monkeypatch):
     assert entry["dimension"] == len(exact) > entry["expected_dimension"] == 16
     assert entry["matches_ell_power_span"] is False
     assert entry["basis"] is None and entry["ok"] is False
+    assert "not_central" not in entry  # no row touches an expected key
+
+
+def test_center_check_names_the_first_expected_key_a_row_touches(monkeypatch):
+    import qweyl.cli
+    commutator_rows = qweyl.cli._commutator_rows
+
+    def noisy_rows(algebra, keys):
+        one = algebra.field.one
+        return commutator_rows(algebra, keys) + [{((3,), (3,)): one}, {((0,), (3,)): one}]
+
+    monkeypatch.setattr(qweyl.cli, "_commutator_rows", noisy_rows)
+    cfg = {
+        "ell": 3,
+        "embedding": {"matrix": [[1]], "form": [[2]]},
+        "tasks": [{"type": "center-check", "max_degree": 3}],
+    }
+    entry = run_suite(cfg)["tasks"][0]
+    assert entry["ok"] is False and entry["not_central"] == "d1^3"
+
+
+def test_center_check_scalar_multiplies_stay_few(monkeypatch):
+    # the PBW product sums q-exponents and multiplies only by factors that
+    # are not 1: one center check at ell 3, n 2, degree 3 makes 162 scalar
+    # multiplies, against 9777 when every q-power was multiplied in
+    from qweyl.cyclotomic import CycScalar
+    mul = CycScalar.__mul__
+    calls = [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(CycScalar, "__mul__", counted)
+    monkeypatch.setattr(CycScalar, "__rmul__", counted)
+    cfg = {
+        "ell": 3,
+        "embedding": {"matrix": [[1], [1]], "form": [[2]]},
+        "tasks": [{"type": "center-check", "max_degree": 3}],
+    }
+    assert run_suite(cfg)["tasks"][0]["ok"]
+    assert 0 < calls[0] <= 1000
 
 
 def test_fiber_rep_span_falls_back_and_fails_on_a_repeated_image(monkeypatch):

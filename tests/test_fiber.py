@@ -90,9 +90,10 @@ def test_fiber_product_matches_lift_multiply():
     for _ in range(25):
         ka, kb = rng.choice(keys), rng.choice(keys)
         ca, cb = rng.randint(1, 5), rng.randint(1, 5)
-        lhs = (fib.monomial(*ka, coeff=ca) * fib.monomial(*kb, coeff=cb)).terms
+        a, b = fib.monomial(*ka, coeff=ca), fib.monomial(*kb, coeff=cb)
         rhs = fib.reduce(A.multiply(A.monomial(*ka, coeff=ca), A.monomial(*kb, coeff=cb))).terms
-        assert lhs == rhs
+        assert (a * b).terms == rhs
+        assert fib.commutator(a, b) == a * b - b * a  # reduced, like the product
 
 
 def test_fiber_reduce_is_an_algebra_map():

@@ -9,6 +9,7 @@ the module axiom.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -157,6 +158,80 @@ def test_crossings_share_one_pascal_row_table():
         for b in range(20):
             A.d(1, a) * A.x(1, b)
     assert len(A._pascal_rows) == 20
+
+
+def _int_poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _gauss_poly(r, k):
+    """The Gaussian binomial [r k] at q^2 as integer coefficients in q."""
+    row = [[1]]
+    for _ in range(r):
+        shifted = [[0] * (2 * i) + p for i, p in enumerate(row)]  # q^(2i) [r-1 i]
+        row = [[1]] + [[a + b for a, b in zip(row[i - 1] + [0] * len(shifted[i]),
+                                             shifted[i] + [0] * len(row[i - 1]))]
+                       for i in range(1, len(row))] + [[1]]
+    return row[k]
+
+
+def test_crossing_triples_match_the_symmetric_closed_form():
+    # c_j = q^(2(a-j)(b-j)) [a j] [b j] (q^2; q^2)_j, each j <= min(a, b)
+    ell = 3
+    F = CycField(ell)
+    A = PBWAlgebra(F, emb_n1())
+    for a in range(2 * ell + 2):
+        for b in range(2 * ell + 2):
+            want = {}
+            for j in range(min(a, b) + 1):
+                poly = [0] * (2 * (a - j) * (b - j)) + [1]
+                for i in range(1, j + 1):
+                    poly = _int_poly_mul(poly, [-1] + [0] * (2 * i - 1) + [1])
+                poly = _int_poly_mul(_int_poly_mul(poly, _gauss_poly(a, j)), _gauss_poly(b, j))
+                c = F.reduce(dict(enumerate(poly)))
+                if c:
+                    want[j] = c
+            got = {}
+            for j, e, f in A._crossing(a, b):
+                assert e == 2 * (a - j) * (b - j)
+                assert f is None or f != F.one, (a, b, j)  # a factor 1 is stored as None
+                got[j] = F.qpow(e) * (F.one if f is None else f)
+            assert got == want, (a, b)
+            assert A._crossing(a, b)[0] == (0, 2 * a * b, None)
+
+
+@pytest.mark.parametrize("ell", [3, 13])
+def test_products_carry_coefficients_that_are_not_one(ell):
+    F = CycField(ell)
+    A = PBWAlgebra(F, emb_n2())
+    rng = random.Random(7 * ell)
+    coeffs = [F.scalar(-1), F.scalar(Fraction(-2, 3)), F.q + F.scalar(Fraction(1, 2)),
+              F.qpow(2) - 3 * F.qpow(ell - 1), -F.qpow(1)]
+
+    def rand_elem():
+        out = A.zero()
+        for _ in range(rng.randint(1, 3)):
+            m = tuple(rng.randint(0, ell + 1) for _ in range(2))
+            k = tuple(rng.randint(0, ell + 1) for _ in range(2))
+            out = out + A.monomial(m, k, rng.choice(coeffs))
+        return out
+
+    for _ in range(6):
+        a, b = rand_elem(), rand_elem()
+        c, c2 = rng.choice(coeffs), rng.choice(coeffs)
+        ab = a * b
+        assert (c * a) * (c2 * b) == (c * c2) * ab
+        # each term pair contributes its coefficients times the unit-coefficient product
+        by_terms = A.zero()
+        for ka, ca in a.terms.items():
+            for kb, cb in b.terms.items():
+                by_terms = by_terms + (ca * cb) * (A.monomial(*ka) * A.monomial(*kb))
+        assert ab == by_terms
+        assert A.commutator(a, b) == ab - b * a
 
 
 def test_weyl_relation_examples():
