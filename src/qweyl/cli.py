@@ -19,7 +19,8 @@ from typing import Optional
 
 from .cyclotomic import CycField
 from .expr import ParseError, evaluate, evaluate_scalar
-from .fiber import FiberPoint, Matrix, OutsideAzumayaLocus, basis_rank, digits, full_matrix_rep
+from .fiber import (FiberPoint, Matrix, OutsideAzumayaLocus, central_values_ok, digits,
+                    full_matrix_rep, span_dimension)
 from .lattice import IntMatrix, QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import rank
 from .pbw import PBWAlgebra, verify_qmm
@@ -205,8 +206,10 @@ def _task_fiber_rep(field, emb, algebra, task, rng):
     gens = algebra.generators()
     pairs = [(a, b) for a in gens for b in gens] + [
         (random_monomial(), random_monomial()) for _ in range(20)]
-    report["relations_ok"] = pairs_ok = all(
-        rep.of_element(a * b) == rep.of_element(a) * rep.of_element(b) for a, b in pairs)
+    # and the central values x_i^ell = c_i, d_i^ell = w_i of the point
+    report["relations_ok"] = relations_ok = all(
+        rep.of_element(a * b) == rep.of_element(a) * rep.of_element(b)
+        for a, b in pairs) and central_values_ok(rep, point)
 
     # the image of alpha_i = 1 + x_i d_i is diagonal, gamma_i q^(-2 r_i) in row r
     alpha_ok = all(
@@ -216,9 +219,9 @@ def _task_fiber_rep(field, emb, algebra, task, rng):
         for i in range(n))
     report["alpha_diagonal_ok"] = alpha_ok
 
-    report["span_dimension"] = span_dim = basis_rank(rep, algebra)
+    report["span_dimension"] = span_dim = span_dimension(rep, algebra, relations_ok)
     report["expected_span_dimension"] = ell ** (2 * n)
-    report["ok"] = pairs_ok and alpha_ok and span_dim == ell ** (2 * n)
+    report["ok"] = relations_ok and alpha_ok and span_dim == ell ** (2 * n)
     return report
 
 

@@ -396,6 +396,77 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     return FullRep(field=F, size=size, x=xs, d=ds)
 
 
+def central_values_ok(rep: FullRep, point: FiberPoint) -> bool:
+    """x_i^ell = c_i I and d_i^ell = w_i I on the generator images of rep."""
+    ell = rep.field.ell
+    one = Matrix.identity(rep.field, rep.size)
+    return all(X ** ell == one.scale(c) and D ** ell == one.scale(w)
+               for X, D, (c, w) in zip(rep.x, rep.d, point.lam))
+
+
+def generates_matrix_algebra(rep: FullRep, alphas: Sequence[Matrix]) -> bool:
+    """A certificate that I, the alphas and the rep.x, rep.d generate
+    Mat_N(K), K = Q(q) and N = rep.size.  It holds when
+
+    (b) every alpha is diagonal and no two rows share the tuple of their
+        alpha eigenvalues, and
+    (c) the graph on the rows with an edge c -> r for each nonzero entry
+        (r, c) of some rep.x or rep.d is strongly connected.
+
+    Proof.  Write a_i(r) for the r-th diagonal entry of alphas[i].  By (b),
+    each row s != r has an i = i(s) with a_i(s) != a_i(r), and the product
+    over s != r of (alphas[i] - a_i(s) I) / (a_i(r) - a_i(s)) is E_rr
+    (Lagrange interpolation over K).  For an entry G_rc != 0 of a generator G,
+    E_rr G E_cc = G_rc E_rc, so E_rc is generated along each edge; by (c)
+    any two rows are joined by a path c = v_0 -> ... -> v_k = r, and
+    E_rc is the product of the E along it.  So every E_rc is generated.
+
+    Only equality, nonzero tests and a graph search are used: no scalar
+    arithmetic and no reduction mod p.
+    """
+    size = rep.size
+    if any(r != c for a in alphas for r, c in a.entries):
+        return False
+    zero = rep.field.zero
+    if len({tuple(a.entries.get((r, r), zero) for a in alphas) for r in range(size)}) != size:
+        return False
+    forward: dict = {}
+    backward: dict = {}
+    for G in rep.x + rep.d:
+        for r, c in G.entries:
+            forward.setdefault(c, []).append(r)
+            backward.setdefault(r, []).append(c)
+
+    def reaches_every_row(edges: dict) -> bool:
+        seen, stack = {0}, [0]
+        while stack:
+            for v in edges.get(stack.pop(), ()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == size
+
+    return reaches_every_row(forward) and reaches_every_row(backward)
+
+
+def span_dimension(rep: FullRep, algebra: PBWAlgebra, relations_ok: bool) -> int:
+    """Dimension of the span of the images under rep of the ell^(2n) fiber
+    basis monomials x^m d^k.
+
+    relations_ok says that rep satisfies the defining relations of the fiber
+    D_lambda: every generator-pair product, x_i^ell = c_i I and d_i^ell = w_i I.
+    Then rep is an algebra map on D_lambda, and the span is the algebra
+    generated by I, the rep.x and the rep.d, which holds the images of the
+    alpha_i = 1 + x_i d_i.  When generates_matrix_algebra certifies that
+    this algebra is Mat_N(K), the span is N^2 and no image is built.
+    Otherwise basis_rank counts it.
+    """
+    if relations_ok and generates_matrix_algebra(
+            rep, [rep.of_element(algebra.alpha(i + 1)) for i in range(algebra.n)]):
+        return rep.size ** 2
+    return basis_rank(rep, algebra)
+
+
 def basis_rank(rep: FullRep, algebra: PBWAlgebra) -> int:
     """Rank over Q(q) of the images under rep of the ell^(2n) monomials
     x^m d^k with every exponent below ell; their number ell^(2n) bounds it

@@ -1,12 +1,15 @@
 """Command-line front end: configs, reports, exit codes."""
 
+import dataclasses
 import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from qweyl import CycField
 from qweyl.cli import DEFAULT_SEED, main, run_suite, validate_config
+from qweyl.fiber import Matrix
 from qweyl.lattice import TorusEmbedding
 from qweyl.linalg import nullspace
 from qweyl.expr import MAX_NESTING
@@ -474,7 +477,11 @@ def test_center_check_scalar_multiplies_stay_few(monkeypatch):
 
 def test_fiber_rep_span_falls_back_and_fails_on_a_repeated_image(monkeypatch):
     # x1^2 x2^2 d1^2 d2^2 is sent to the image of x1^2 x2^2 d1^2 d2: the
-    # images fall one short of independent mod p, and the exact span counts 80
+    # images fall one short of independent mod p, and the exact span counts 80.
+    # The generation certificate reads no monomial image, so it is made to
+    # fail: the span then comes from the counting path whatever the seeded
+    # pairs of relations_ok draw
+    from qweyl import fiber
     from qweyl.fiber import FullRep
     of_element = FullRep.of_element
 
@@ -484,9 +491,44 @@ def test_fiber_rep_span_falls_back_and_fails_on_a_repeated_image(monkeypatch):
         return of_element(self, a)
 
     monkeypatch.setattr(FullRep, "of_element", repeated)
+    monkeypatch.setattr(fiber, "generates_matrix_algebra", lambda rep, alphas: False)
     entry = run_suite(suite_cfg())["tasks"][1]
     assert (entry["span_dimension"], entry["expected_span_dimension"]) == (80, 81)
     assert entry["ok"] is False
+
+
+REPORT_CONFIGS = Path(__file__).resolve().parent / "report_configs"
+
+
+def moved_central_values(rank1_matrix_rep):
+    """rank1_matrix_rep with xi_0 doubled and delta_(ell-1) halved on c != 0
+    factors: the model of (2c, w/2).  Each product xi_s delta_(s-1), and so
+    the alpha diagonal and the relation d x = q^2 x d + q^2 - 1, is kept."""
+    def moved(field, c, w, gamma):
+        rep = rank1_matrix_rep(field, c, w, gamma)
+        if not field.scalar(c):
+            return rep
+        ell, two = field.ell, field.scalar(2)
+        x, d = dict(rep.x.entries), dict(rep.d.entries)
+        x[(ell - 1, 0)] = x[(ell - 1, 0)] * two        # xi_0: e_0 -> e_(ell-1)
+        d[(0, ell - 1)] = d[(0, ell - 1)] / two        # delta_(ell-1): e_(ell-1) -> e_0
+        return dataclasses.replace(rep, x=Matrix(field, ell, x), d=Matrix(field, ell, d))
+    return moved
+
+
+@pytest.mark.parametrize("name", ["pair_l3", "braided_c0_l5"])
+def test_fiber_rep_fails_on_a_model_of_the_wrong_central_values(name, monkeypatch):
+    from qweyl import fiber
+    cfg = json.loads((REPORT_CONFIGS / f"{name}.json").read_text())
+    cfg["tasks"] = [t for t in cfg["tasks"] if t["type"] == "fiber-rep"]
+    assert run_suite(cfg)["tasks"][0]["ok"] is True
+    monkeypatch.setattr(fiber, "rank1_matrix_rep", moved_central_values(fiber.rank1_matrix_rep))
+    entry = run_suite(cfg)["tasks"][0]
+    # only x_i^ell = c_i I sees the move: the generator pairs, the alpha
+    # diagonal and the span all still hold
+    assert entry["relations_ok"] is False and entry["ok"] is False
+    assert entry["alpha_diagonal_ok"] is True
+    assert entry["span_dimension"] == entry["expected_span_dimension"]
 
 
 def test_fiber_rep_task_payload():

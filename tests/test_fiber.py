@@ -5,13 +5,14 @@ import inspect
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, OutsideAzumayaLocus,
                    PBWAlgebra, QuiverData, TorusEmbedding, endo_splitting_check,
                    full_matrix_rep, quiver_to_embedding, rank1_matrix_rep, untwist)
 from qweyl import fiber
 from qweyl.cli import run_suite
+from qweyl.expr import evaluate_scalar
 from qweyl.fiber import FullRep, digits
 from qweyl.linalg import SpanBasis
 
@@ -644,3 +645,133 @@ def test_splitting_check_fails_on_a_wrong_eigenvalue(monkeypatch):
     monkeypatch.setattr(FiberAlgebra, "left_ideal", shifted)
     assert endo_splitting_check(weyl(3, emb_n2()), two_factor_point(F)) is False
     assert ranks == [81]
+
+
+# -- the generation certificate of the fiber-rep span --------------------------
+
+def alpha_images(rep, A):
+    return [rep.of_element(A.alpha(i + 1)) for i in range(A.n)]
+
+
+def exact_basis_rank(rep, A):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fiber, "rank", exact_rank)
+        return fiber.basis_rank(rep, A)
+
+
+def counted_fallback(monkeypatch):
+    """Route span_dimension's counting path through the exact span; return
+    the list of the counts it makes."""
+    counts = []
+    basis_rank = fiber.basis_rank
+
+    def counted(rep, algebra):
+        counts.append(basis_rank(rep, algebra))
+        return counts[-1]
+
+    monkeypatch.setattr(fiber, "rank", exact_rank)
+    monkeypatch.setattr(fiber, "basis_rank", counted)
+    return counts
+
+
+def assert_certified_span(p, A):
+    """At a locus point the model has its central values, the certificate
+    holds, and its ell^(2n) is the exact count."""
+    rep = full_matrix_rep(p, A.emb)
+    assert fiber.central_values_ok(rep, p)
+    assert fiber.generates_matrix_algebra(rep, alpha_images(rep, A))
+    assert fiber.span_dimension(rep, A, True) == exact_basis_rank(rep, A) == A.field.ell ** (2 * p.n)
+
+
+F3 = CycField(3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=locus_points_l3())
+@example(p=point(F3, [(F3.zero, F3.zero)], [F3.one]))  # c = w = 0
+@example(p=point(F3, [(F3.zero, F3.scalar(2)), (F3.zero, F3.zero)], [F3.qpow(2), F3.qpow(1)]))
+@example(p=point(F3, [(F3.zero, F3.zero), (F3.scalar(7), F3.one)], [F3.one, F3.scalar(2)]))
+def test_generation_certificate_agrees_with_the_exact_span(p):
+    assert_certified_span(p, weyl(3, emb_n1() if p.n == 1 else emb_n2()))
+
+
+@pytest.mark.parametrize("c,w,gamma", [(0, 0, "q^2"), (0, "2 - q", "q^4"), (3, None, "2 + q")],
+                         ids=["c0-w0", "c0", "c3"])
+def test_generation_certificate_agrees_with_the_exact_span_at_ell_5(c, w, gamma):
+    F = CycField(5)
+    g = evaluate_scalar(gamma, F)
+    w = (g ** 5 - 1) / 3 if w is None else evaluate_scalar(str(w), F)
+    assert_certified_span(point(F, [(F.scalar(c), w)], [g]), weyl(5))
+
+
+def test_central_values_check_reads_c_and_w():
+    F = CycField(3)
+    p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
+    rep = full_matrix_rep(p, emb_n1())
+    assert fiber.central_values_ok(rep, p)
+    # the same product c w, so the same gamma: only x^3 = c I or d^3 = w I can tell
+    for moved in ([(F.scalar(14), F.one / 2)], [(F.scalar(7) / 2, F.scalar(2))]):
+        assert not fiber.central_values_ok(rep, dataclasses.replace(p, lam=tuple(moved)))
+
+
+def test_a_repeated_alpha_eigenvalue_fails_the_certificate(monkeypatch):
+    # alpha = 1 + x d has 1 + xi_(r+1) delta_r in row r, and xi_1 = xi_2 = 1
+    # at c != 0: delta_0 := delta_1 gives rows 0 and 1 the same eigenvalue
+    F = CycField(3)
+    A = weyl(3)
+    rep = full_matrix_rep(point(F, [(F.scalar(7), F.one)], [F.scalar(2)]), A.emb)
+    (x,), (d,) = rep.x, rep.d
+    assert x[(0, 1)] == x[(1, 2)] == F.one and d[(1, 0)] != d[(2, 1)]
+    bad = dataclasses.replace(rep, d=(Matrix(F, 3, {**d.entries, (1, 0): d[(2, 1)]}),))
+    (alpha,) = alpha_images(bad, A)
+    assert all(r == c for r, c in alpha.entries) and alpha[(0, 0)] == alpha[(1, 1)]
+    assert fiber.generates_matrix_algebra(rep, alpha_images(rep, A))
+    assert not fiber.generates_matrix_algebra(bad, [alpha])
+    counts = counted_fallback(monkeypatch)
+    # the certificate is only sufficient: the exact count still finds all of Mat_3
+    assert fiber.span_dimension(bad, A, True) == 9 and counts == [9]
+    assert fiber.span_dimension(rep, A, True) == 9 and counts == [9]
+
+
+def test_an_alpha_off_the_diagonal_fails_the_certificate(monkeypatch):
+    # a d entry at (0, 0) adds x_(2,0) d_(0,0) at (2, 0) of x d and nothing
+    # on its diagonal: the eigenvalues stay distinct and the graph connected
+    F = CycField(3)
+    A = weyl(3)
+    rep = full_matrix_rep(point(F, [(F.scalar(7), F.one)], [F.scalar(2)]), A.emb)
+    (d,) = rep.d
+    bad = dataclasses.replace(rep, d=(Matrix(F, 3, {**d.entries, (0, 0): F.one}),))
+    (alpha,), (good,) = alpha_images(bad, A), alpha_images(rep, A)
+    assert set(alpha.entries) - set(good.entries) == {(2, 0)}
+    assert all(alpha[(r, r)] == good[(r, r)] for r in range(3))
+    assert not fiber.generates_matrix_algebra(bad, [alpha])
+    counts = counted_fallback(monkeypatch)
+    assert fiber.span_dimension(bad, A, True) == 9 and counts == [9]
+
+
+def test_a_cut_edge_fails_the_certificate(monkeypatch):
+    # at c = w = 0 the x entry and the d entry between rows 0 and 1 are both
+    # zero; the row graph is the path 0 - 2 - 1, and the certificate holds
+    F = CycField(3)
+    A = weyl(3)
+    rep = full_matrix_rep(point(F, [(F.zero, F.zero)], [F.one]), A.emb)
+    (x,), (d,) = rep.x, rep.d
+    assert set(x.entries) == {(2, 0), (1, 2)} and set(d.entries) == {(2, 1), (0, 2)}
+    alphas = alpha_images(rep, A)
+    assert fiber.generates_matrix_algebra(rep, alphas)
+    # zeroing the x and d entries between rows 1 and 2 cuts row 1 off; with
+    # the true alphas, only the graph search can see it
+    cut = dataclasses.replace(
+        rep, x=(Matrix(F, 3, {(2, 0): x[(2, 0)]}),), d=(Matrix(F, 3, {(0, 2): d[(0, 2)]}),))
+    assert not fiber.generates_matrix_algebra(cut, alphas)
+    counts = counted_fallback(monkeypatch)
+    assert fiber.span_dimension(cut, A, True) == 4 and counts == [4]
+
+
+def test_span_dimension_counts_when_the_relations_fail(monkeypatch):
+    F = CycField(3)
+    A = weyl(3)
+    rep = full_matrix_rep(point(F, [(F.scalar(7), F.one)], [F.scalar(2)]), A.emb)
+    counts = counted_fallback(monkeypatch)
+    assert fiber.span_dimension(rep, A, True) == 9 and counts == []
+    assert fiber.span_dimension(rep, A, False) == 9 and counts == [9]

@@ -5,7 +5,10 @@ The suites reach the n-factor matrix model: an ell = 3 fiber-rep and
 reduce task on the weights (2), (1), whose pairing has a nonzero
 off-diagonal entry; an ell = 3 reduce task on the three-cycle quiver; and
 an ell = 5 fiber-rep task on the weights (1), (1) with a c = 0 factor,
-where x_2^5 maps to the zero matrix.  Two more ell = 3 reduce suites
+where x_2^5 maps to the zero matrix.  An ell = 3 fiber-rep task on the
+all-ones weights of n = 4 factors (c != 0, c = 0, c != 0, c = w = 0) pins
+the 6561-dimensional span, recorded when it was still counted image by
+image, so the generation certificate must give the same bytes.  Two more ell = 3 reduce suites
 pin the listing of admissible parameters after an inadmissible eta, a
 shift of 2 on the weights (1), (-1), and a trivial torus (d = 0), whose
 reduction keeps the whole fiber.  The quiver suites run U_1 and the

@@ -76,3 +76,23 @@ def test_one_certificate_rule():
     imported = {alias.name for node in ast.walk(cli)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert not imported & {"modular_rank", "nullspace"}, imported
+
+
+def test_the_fiber_rep_span_path_is_chosen_in_fiber():
+    # fiber.span_dimension alone reads the generation certificate; cli hands
+    # it whether the relations held and has no certificate branch of its own
+    def calls(node, name):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [(path.name, getattr(top, "name", None)) for top in tree.body
+                    for node in ast.walk(top) if calls(node, "generates_matrix_algebra")]
+    assert callers == [("fiber.py", "span_dimension")], callers
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    named = {node.id for node in ast.walk(cli) if isinstance(node, ast.Name)} | {
+        alias.name for node in ast.walk(cli)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not named & {"generates_matrix_algebra", "basis_rank"}, named
