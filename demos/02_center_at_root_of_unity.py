@@ -8,15 +8,15 @@ recovers exactly the span of monomials in x^3 and d^3 when ell = 3.
 from itertools import product
 
 from qweyl import CycField, PBWAlgebra, TorusEmbedding
-from qweyl.cli import _commutator_rows
 from qweyl.linalg import SpanBasis, nullspace
+from qweyl.pbw import commutator_rows
 
 ell, deg = 3, 6
 F = CycField(ell)
 A = PBWAlgebra(F, TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),)))
 
 keys = [((a,), (b,)) for a, b in product(range(deg + 1), repeat=2)]
-rows = _commutator_rows(A, keys)
+rows = commutator_rows(A, keys)
 
 centralizer = SpanBasis(F)
 for v in nullspace(rows, keys, field=F):

@@ -1,7 +1,7 @@
 """Quantum Hamiltonian reduction of a matrix fiber by the torsion torus."""
 
-from qweyl import (CycField, EmptyReductionError, FiberPoint, TorusEmbedding,
-                   admissible_etas, hamiltonian_reduce)
+from qweyl import (CycField, FiberPoint, TorusEmbedding, admissible_etas,
+                   hamiltonian_reduce)
 from qweyl.fiber import digits
 from qweyl.reduction import row_weights
 
@@ -32,7 +32,6 @@ for eta, rep in reports:
           f"({', '.join(str(p.gamma[i] * F.qpow(-2 * u[i])) for i in range(emb.n))})")
 
 print()
-try:
-    hamiltonian_reduce(p, emb, (F.scalar(5),))
-except EmptyReductionError as err:
-    print("eta = 5 ->", err)
+empty = hamiltonian_reduce(p, emb, (F.scalar(5),))
+listing = "; ".join("(" + ", ".join(tup) + ")" for tup in empty["admissible"])
+print(f"eta = 5 -> empty reduction: eta is not in the admissible set {{{listing}}}")

@@ -18,8 +18,8 @@ from .quiver_examples import (AnQuiverAlgebra, DifferenceOperator,
                               build_an_quiver_algebra, cyclic_quiver,
                               u1_operators, verify_central_z,
                               verify_u1_relations)
-from .reduction import (EmptyReductionError, admissible_etas, hamiltonian_reduce,
-                        moment_map_ok, moment_values, phi_dagger)
+from .reduction import (admissible_etas, hamiltonian_reduce, moment_map_ok,
+                        moment_values, phi_dagger)
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "PBWAlgebra", "PBWElement", "QmmResult", "verify_qmm",
     "AnQuiverAlgebra", "DifferenceOperator", "build_an_quiver_algebra",
     "cyclic_quiver", "u1_operators", "verify_central_z", "verify_u1_relations",
-    "EmptyReductionError", "admissible_etas", "hamiltonian_reduce",
-    "moment_map_ok", "moment_values", "phi_dagger",
+    "admissible_etas", "hamiltonian_reduce", "moment_map_ok", "moment_values",
+    "phi_dagger",
     "__version__",
 ]

@@ -14,19 +14,16 @@ import json
 import os
 import random
 import sys
-from itertools import product as iproduct
 from typing import Optional
 
 from .cyclotomic import CycField
 from .expr import ParseError, evaluate, evaluate_scalar
-from .fiber import (FiberPoint, Matrix, OutsideAzumayaLocus, central_values_ok, digits,
-                    full_matrix_rep, span_dimension)
+from .fiber import FiberPoint, OutsideAzumayaLocus, fiber_rep_report
 from .lattice import IntMatrix, QuiverData, TorusEmbedding, quiver_to_embedding
-from .linalg import rank
-from .pbw import PBWAlgebra, verify_qmm
+from .pbw import PBWAlgebra, center_report, verify_qmm
 from .quiver_examples import (build_an_quiver_algebra, verify_central_z,
                               verify_u1_relations)
-from .reduction import EmptyReductionError, hamiltonian_reduce
+from .reduction import hamiltonian_reduce
 
 DEFAULT_SEED = 20240901
 TASK_TYPES = ("normalize", "center-check", "fiber-rep", "reduce",
@@ -71,9 +68,9 @@ def validate_config(cfg: dict) -> TorusEmbedding:
             raise ValueError(
                 f"task {i}: 'type' must be one of {', '.join(TASK_TYPES)}")
         if task["type"] == "normalize":
-            exprs = task.get("expressions", [])
-            if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
-                raise ValueError(f"task {i}: 'expressions' must be a list of strings")
+            exprs = task.get("expressions")
+            if not (isinstance(exprs, list) and exprs and all(isinstance(e, str) for e in exprs)):
+                raise ValueError(f"task {i}: 'expressions' must be a nonempty list of strings")
         if task["type"] == "center-check":
             deg = task.get("max_degree", 6)
             if type(deg) is not int or deg < 0:  # bool is an int subclass
@@ -137,10 +134,9 @@ def build_point(field: CycField, data: dict) -> FiberPoint:
 # -- task runners ----------------------------------------------------------
 
 def _task_normalize(field, emb, algebra, task, rng):
-    exprs = task.get("expressions", [])
     results = []
     ok = True
-    for src in exprs:
+    for src in task["expressions"]:
         try:
             e = evaluate(src, algebra)
             results.append({"input": src, "normal_form": str(e),
@@ -151,89 +147,17 @@ def _task_normalize(field, emb, algebra, task, rng):
     return {"expressions": results, "ok": ok}
 
 
-def _commutator_rows(algebra, keys) -> list:
-    """One row per generator g and monomial of [b, g], b over keys; a solution is central."""
-    rows = []
-    one = algebra.field.one
-    for gi, g in enumerate(algebra.generators()):
-        per_key: dict = {}
-        for mk in keys:
-            comm = algebra.commutator(algebra.monomial(*mk, one), g)
-            for out_key, c in comm.terms.items():
-                per_key.setdefault((gi, out_key), {})[mk] = c
-        rows.extend(per_key.values())
-    return rows
-
-
 def _task_center_check(field, emb, algebra, task, rng):
-    deg = int(task.get("max_degree", 6))
-    n = emb.n
-    # every monomial x^m d^k of degree <= deg in each variable, and the ell-th powers
-    keys, expected = ([(m, k) for m in iproduct(exps, repeat=n) for k in iproduct(exps, repeat=n)]
-                      for exps in (range(deg + 1), range(0, deg + 1, field.ell)))
-    rows = _commutator_rows(algebra, keys)
-    # an expected key with a zero column in every row is in the kernel, and then
-    # the rows live on the other keys: their rank is at most |keys| - |expected|;
-    # the first expected key some row touches is the witness that it is not
-    touched = set(expected).intersection(key for r in rows for key in r)
-    witness = next((key for key in expected if key in touched), None)
-    in_kernel = witness is None
-    bound = len(keys) - len(expected) if in_kernel else len(keys)
-    dim = len(keys) - rank(lambda: rows, field, bound)
-    # the kernel holds those unit vectors, so it is their span iff it has their number
-    matches = in_kernel and dim == len(expected)
-    basis_strs = sorted(
-        str(algebra.monomial(m, k)) for (m, k) in expected) if matches else None
-    report = {"max_degree": deg, "dimension": dim,
-              "expected_dimension": len(expected),
-              "matches_ell_power_span": matches,
-              "basis": basis_strs, "ok": matches}
-    if witness is not None:
-        report["not_central"] = str(algebra.monomial(*witness))
-    return report
+    return center_report(algebra, task.get("max_degree", 6))
 
 
 def _task_fiber_rep(field, emb, algebra, task, rng):
-    point = build_point(field, task["point"])
-    report: dict = {"in_azumaya_locus": point.in_azumaya_locus()}
-    rep = full_matrix_rep(point, emb)
-    n, ell = emb.n, field.ell
-
-    def random_monomial():  # exponents m, then k, each drawn below ell
-        return algebra.monomial(*(tuple(rng.randrange(ell) for _ in range(n)) for _ in range(2)))
-
-    # algebra map on all generator pairs plus seeded random monomial pairs
-    gens = algebra.generators()
-    pairs = [(a, b) for a in gens for b in gens] + [
-        (random_monomial(), random_monomial()) for _ in range(20)]
-    # and the central values x_i^ell = c_i, d_i^ell = w_i of the point
-    report["relations_ok"] = relations_ok = all(
-        rep.of_element(a * b) == rep.of_element(a) * rep.of_element(b)
-        for a, b in pairs) and central_values_ok(rep, point)
-
-    # the image of alpha_i = 1 + x_i d_i is diagonal, gamma_i q^(-2 r_i) in row r
-    alpha_ok = all(
-        rep.of_element(algebra.alpha(i + 1)) == Matrix.from_diag(
-            field, [point.gamma[i] * field.qpow(-2 * digits(idx, ell, n)[i])
-                    for idx in range(rep.size)])
-        for i in range(n))
-    report["alpha_diagonal_ok"] = alpha_ok
-
-    report["span_dimension"] = span_dim = span_dimension(rep, algebra, relations_ok)
-    report["expected_span_dimension"] = ell ** (2 * n)
-    report["ok"] = relations_ok and alpha_ok and span_dim == ell ** (2 * n)
-    return report
+    return fiber_rep_report(build_point(field, task["point"]), emb, algebra, rng)
 
 
 def _task_reduce(field, emb, algebra, task, rng):
-    point = build_point(field, task["point"])
-    eta = tuple(evaluate_scalar(str(v), field) for v in task["eta"])
-    try:
-        return hamiltonian_reduce(point, emb, eta)
-    except EmptyReductionError as err:
-        return {"eta_admissible": False,
-                "admissible": [[str(v) for v in tup] for tup in err.admissible],
-                "ok": False}
+    return hamiltonian_reduce(build_point(field, task["point"]), emb,
+                              tuple(evaluate_scalar(str(v), field) for v in task["eta"]))
 
 
 def _task_quiver_suite(field, emb, algebra, task, rng):

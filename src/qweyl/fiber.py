@@ -449,22 +449,45 @@ def generates_matrix_algebra(rep: FullRep, alphas: Sequence[Matrix]) -> bool:
     return reaches_every_row(forward) and reaches_every_row(backward)
 
 
-def span_dimension(rep: FullRep, algebra: PBWAlgebra, relations_ok: bool) -> int:
-    """Dimension of the span of the images under rep of the ell^(2n) fiber
-    basis monomials x^m d^k.
+def alpha_images(rep: FullRep) -> list[Matrix]:
+    """The images I + x_i d_i of the Euler operators alpha_i = 1 + x_i d_i."""
+    one = Matrix.identity(rep.field, rep.size)
+    return [one + x * d for x, d in zip(rep.x, rep.d)]
 
-    relations_ok says that rep satisfies the defining relations of the fiber
-    D_lambda: every generator-pair product, x_i^ell = c_i I and d_i^ell = w_i I.
-    Then rep is an algebra map on D_lambda, and the span is the algebra
-    generated by I, the rep.x and the rep.d, which holds the images of the
-    alpha_i = 1 + x_i d_i.  When generates_matrix_algebra certifies that
-    this algebra is Mat_N(K), the span is N^2 and no image is built.
-    Otherwise basis_rank counts it.
+
+def fiber_rep_report(point: FiberPoint, emb: TorusEmbedding, algebra: PBWAlgebra, rng) -> dict:
+    """The fiber-rep report of the matrix model at point.
+
+    relations_ok: rep is an algebra map on the generator pairs and on 20 pairs
+    of monomials drawn from rng, and x_i^ell = c_i I, d_i^ell = w_i I.  Then
+    rep is an algebra map on the fiber D_lambda, and the span of the images of
+    its ell^(2n) basis monomials is the algebra generated by I, the rep.x and
+    the rep.d, which holds the alpha images.  When generates_matrix_algebra
+    certifies that this algebra is Mat_N(K), the span is N^2 and no monomial
+    image is built; otherwise basis_rank counts it.  alpha_diagonal_ok: the
+    image of alpha_i is diagonal with gamma_i q^(-2 r_i) in row r.
     """
-    if relations_ok and generates_matrix_algebra(
-            rep, [rep.of_element(algebra.alpha(i + 1)) for i in range(algebra.n)]):
-        return rep.size ** 2
-    return basis_rank(rep, algebra)
+    F, n, ell = point.field, emb.n, point.field.ell
+    rep = full_matrix_rep(point, emb)
+
+    def random_monomial():  # exponents m, then k, each drawn below ell
+        return algebra.monomial(*(tuple(rng.randrange(ell) for _ in range(n)) for _ in range(2)))
+
+    gens = algebra.generators()
+    pairs = [(a, b) for a in gens for b in gens] + [
+        (random_monomial(), random_monomial()) for _ in range(20)]
+    relations_ok = all(rep.of_element(a * b) == rep.of_element(a) * rep.of_element(b)
+                       for a, b in pairs) and central_values_ok(rep, point)
+    alphas = alpha_images(rep)
+    alpha_ok = all(alpha == Matrix.from_diag(F, [g * F.qpow(-2 * digits(r, ell, n)[i])
+                                                 for r in range(rep.size)])
+                   for i, (alpha, g) in enumerate(zip(alphas, point.gamma)))
+    certified = relations_ok and generates_matrix_algebra(rep, alphas)
+    span_dim = rep.size ** 2 if certified else basis_rank(rep, algebra)
+    return {"in_azumaya_locus": point.in_azumaya_locus(), "relations_ok": relations_ok,
+            "alpha_diagonal_ok": alpha_ok, "span_dimension": span_dim,
+            "expected_span_dimension": ell ** (2 * n),
+            "ok": relations_ok and alpha_ok and span_dim == ell ** (2 * n)}
 
 
 def basis_rank(rep: FullRep, algebra: PBWAlgebra) -> int:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycField, CycScalar, power
 from .lattice import TorusEmbedding
-from .linalg import vec_accumulate
+from .linalg import rank, vec_accumulate
 
 MonoKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -384,3 +384,46 @@ def verify_qmm(a: PBWElement, kind: str, r: Sequence[int]) -> QmmResult:
     lhs = plus * a * minus
     rhs = scalar * (minus * a * plus)
     return QmmResult(ok=(lhs == rhs), scalar=scalar, exponent=2 * e)
+
+
+def commutator_rows(algebra: PBWAlgebra, keys: Sequence[MonoKey]) -> list:
+    """One row per generator g and monomial of [b, g], b over keys; a solution is central."""
+    rows = []
+    one = algebra.field.one
+    for gi, g in enumerate(algebra.generators()):
+        per_key: dict = {}
+        for mk in keys:
+            comm = algebra.commutator(algebra.monomial(*mk, one), g)
+            for out_key, c in comm.terms.items():
+                per_key.setdefault((gi, out_key), {})[mk] = c
+        rows.extend(per_key.values())
+    return rows
+
+
+def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
+    """The center-check report: the central span of the x^m d^k with every
+    exponent at most max_degree, against the span of their ell-th powers."""
+    field, n = algebra.field, algebra.n
+    # every monomial x^m d^k of degree <= max_degree in each variable, and the ell-th powers
+    keys, expected = ([(m, k) for m in iproduct(exps, repeat=n) for k in iproduct(exps, repeat=n)]
+                      for exps in (range(max_degree + 1), range(0, max_degree + 1, field.ell)))
+    rows = commutator_rows(algebra, keys)
+    # an expected key with a zero column in every row is in the kernel, and then
+    # the rows live on the other keys: their rank is at most |keys| - |expected|;
+    # the first expected key some row touches is the witness that it is not
+    touched = set(expected).intersection(key for r in rows for key in r)
+    witness = next((key for key in expected if key in touched), None)
+    in_kernel = witness is None
+    bound = len(keys) - len(expected) if in_kernel else len(keys)
+    dim = len(keys) - rank(lambda: rows, field, bound)
+    # the kernel holds those unit vectors, so it is their span iff it has their number
+    matches = in_kernel and dim == len(expected)
+    basis_strs = sorted(
+        str(algebra.monomial(m, k)) for (m, k) in expected) if matches else None
+    report = {"max_degree": max_degree, "dimension": dim,
+              "expected_dimension": len(expected),
+              "matches_ell_power_span": matches,
+              "basis": basis_strs, "ok": matches}
+    if witness is not None:
+        report["not_central"] = str(algebra.monomial(*witness))
+    return report

@@ -19,16 +19,8 @@ from math import prod
 from typing import Sequence
 
 from .cyclotomic import CycScalar
-from .fiber import FiberPoint, Matrix, OutsideAzumayaLocus, digits, full_matrix_rep
+from .fiber import FiberPoint, OutsideAzumayaLocus, alpha_images, digits, full_matrix_rep
 from .lattice import TorusEmbedding
-
-
-class EmptyReductionError(ValueError):
-    """The moment ideal is the unit ideal: eta misses the admissible set."""
-
-    def __init__(self, admissible: list, message: str):
-        super().__init__(message)
-        self.admissible = admissible
 
 
 def row_weights(emb: TorusEmbedding, ell: int) -> list[tuple[int, ...]]:
@@ -78,8 +70,7 @@ def moment_map_ok(point: FiberPoint, emb: TorusEmbedding, mu: Sequence[Sequence[
     """
     F = point.field
     rep = full_matrix_rep(point, emb)
-    one = Matrix.identity(F, rep.size)
-    alphas = [one + x * d for x, d in zip(rep.x, rep.d)]
+    alphas = alpha_images(rep)
     if any(len(a.entries) != rep.size or any(r != c for r, c in a.entries) for a in alphas):
         return False
     for j, values in enumerate(mu):
@@ -111,7 +102,8 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     The quotient is Mat(|B|), and the invariant module (the column space
     at a row of B) is acted on bijectively, when moment_map_ok passes;
     that one verdict is both is_matrix_algebra and
-    module_action_bijective.
+    module_action_bijective.  When no row survives, the reduction is empty,
+    and the report lists the admissible etas in the order of admissible_etas.
     """
     F = point.field
     if not point.in_azumaya_locus():
@@ -121,9 +113,9 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     mu = moment_values(point, emb, weights)
     first = next((r for r in range(len(weights)) if all(m[r] == e for m, e in zip(mu, eta))), None)
     if first is None:
-        adm = admissible_etas(point, emb)
-        listing = "; ".join("(" + ", ".join(str(v) for v in tup) + ")" for tup in adm)
-        raise EmptyReductionError(adm, "empty reduction: eta is not in the admissible set {" + listing + "}")
+        # mu is constant on each weight's coset: read each admissible eta off its first row
+        return {"eta_admissible": False, "admissible": [
+            [str(m[weights.index(w)]) for m in mu] for w in sorted(set(weights))], "ok": False}
     counts = Counter(weights)
     shift = weights[first]
     invariant_dim = sum(c * c for c in counts.values())

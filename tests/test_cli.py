@@ -249,6 +249,8 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("task", [
     {"type": "normalize", "expressions": "d1*x1"},       # a string, not a list
     {"type": "normalize", "expressions": ["x1", 2]},     # a non-string entry
+    {"type": "normalize"},                               # passed on an empty domain
+    {"type": "normalize", "expressions": []},
     {"type": "center-check", "max_degree": -1},          # empty key set
     {"type": "center-check", "max_degree": "3"},
     {"type": "center-check", "max_degree": True},
@@ -378,8 +380,8 @@ def test_center_check_task_payload():
 @pytest.mark.parametrize("pinned", [[], [((3,), (0,))]],
                          ids=["d1-made-central", "d1-made-central-x1^3-pinned"])
 def test_center_check_fails_on_a_wrong_commutator_system(monkeypatch, pinned):
-    import qweyl.cli
-    commutator_rows = qweyl.cli._commutator_rows
+    import qweyl.pbw
+    commutator_rows = qweyl.pbw.commutator_rows
 
     def lossy_rows(algebra, keys):
         # no single commutator row matters (each unknown is pinned by several),
@@ -387,7 +389,7 @@ def test_center_check_fails_on_a_wrong_commutator_system(monkeypatch, pinned):
         kept = [r for r in commutator_rows(algebra, keys) if ((0,), (1,)) not in r]
         return kept + [{key: algebra.field.one} for key in pinned]
 
-    monkeypatch.setattr(qweyl.cli, "_commutator_rows", lossy_rows)
+    monkeypatch.setattr(qweyl.pbw, "commutator_rows", lossy_rows)
     cfg = {
         "ell": 3,
         "embedding": {"matrix": [[1]], "form": [[2]]},
@@ -410,8 +412,8 @@ def test_center_check_fails_on_a_wrong_commutator_system(monkeypatch, pinned):
 def test_center_check_reports_the_exact_nullity_when_rows_are_lost(monkeypatch):
     # with the rows through x1 d2 lost, x1 d2 solves the system too: the
     # nullity mod p exceeds |expected|, so the exact nullspace decides
-    import qweyl.cli
-    commutator_rows = qweyl.cli._commutator_rows
+    import qweyl.pbw
+    commutator_rows = qweyl.pbw.commutator_rows
     lost = ((1, 0), (0, 1))
     kept = []
 
@@ -419,7 +421,7 @@ def test_center_check_reports_the_exact_nullity_when_rows_are_lost(monkeypatch):
         kept[:] = [r for r in commutator_rows(algebra, keys) if lost not in r]
         return list(kept)
 
-    monkeypatch.setattr(qweyl.cli, "_commutator_rows", lossy_rows)
+    monkeypatch.setattr(qweyl.pbw, "commutator_rows", lossy_rows)
     cfg = {
         "ell": 3,
         "embedding": {"matrix": [[1], [1]], "form": [[2]]},
@@ -435,14 +437,14 @@ def test_center_check_reports_the_exact_nullity_when_rows_are_lost(monkeypatch):
 
 
 def test_center_check_names_the_first_expected_key_a_row_touches(monkeypatch):
-    import qweyl.cli
-    commutator_rows = qweyl.cli._commutator_rows
+    import qweyl.pbw
+    commutator_rows = qweyl.pbw.commutator_rows
 
     def noisy_rows(algebra, keys):
         one = algebra.field.one
         return commutator_rows(algebra, keys) + [{((3,), (3,)): one}, {((0,), (3,)): one}]
 
-    monkeypatch.setattr(qweyl.cli, "_commutator_rows", noisy_rows)
+    monkeypatch.setattr(qweyl.pbw, "commutator_rows", noisy_rows)
     cfg = {
         "ell": 3,
         "embedding": {"matrix": [[1]], "form": [[2]]},

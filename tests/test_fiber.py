@@ -649,7 +649,8 @@ def test_splitting_check_fails_on_a_wrong_eigenvalue(monkeypatch):
 
 # -- the generation certificate of the fiber-rep span --------------------------
 
-def alpha_images(rep, A):
+def pbw_alpha_images(rep, A):
+    """The images under rep of the PBW elements alpha_i = 1 + x_i d_i."""
     return [rep.of_element(A.alpha(i + 1)) for i in range(A.n)]
 
 
@@ -660,8 +661,8 @@ def exact_basis_rank(rep, A):
 
 
 def counted_fallback(monkeypatch):
-    """Route span_dimension's counting path through the exact span; return
-    the list of the counts it makes."""
+    """Route the counting path of fiber_rep_report through the exact span;
+    return the list of the counts it makes."""
     counts = []
     basis_rank = fiber.basis_rank
 
@@ -679,8 +680,10 @@ def assert_certified_span(p, A):
     holds, and its ell^(2n) is the exact count."""
     rep = full_matrix_rep(p, A.emb)
     assert fiber.central_values_ok(rep, p)
-    assert fiber.generates_matrix_algebra(rep, alpha_images(rep, A))
-    assert fiber.span_dimension(rep, A, True) == exact_basis_rank(rep, A) == A.field.ell ** (2 * p.n)
+    alphas = fiber.alpha_images(rep)
+    assert alphas == pbw_alpha_images(rep, A)
+    assert fiber.generates_matrix_algebra(rep, alphas)
+    assert rep.size ** 2 == exact_basis_rank(rep, A) == A.field.ell ** (2 * p.n)
 
 
 F3 = CycField(3)
@@ -714,7 +717,7 @@ def test_central_values_check_reads_c_and_w():
         assert not fiber.central_values_ok(rep, dataclasses.replace(p, lam=tuple(moved)))
 
 
-def test_a_repeated_alpha_eigenvalue_fails_the_certificate(monkeypatch):
+def test_a_repeated_alpha_eigenvalue_fails_the_certificate():
     # alpha = 1 + x d has 1 + xi_(r+1) delta_r in row r, and xi_1 = xi_2 = 1
     # at c != 0: delta_0 := delta_1 gives rows 0 and 1 the same eigenvalue
     F = CycField(3)
@@ -723,17 +726,15 @@ def test_a_repeated_alpha_eigenvalue_fails_the_certificate(monkeypatch):
     (x,), (d,) = rep.x, rep.d
     assert x[(0, 1)] == x[(1, 2)] == F.one and d[(1, 0)] != d[(2, 1)]
     bad = dataclasses.replace(rep, d=(Matrix(F, 3, {**d.entries, (1, 0): d[(2, 1)]}),))
-    (alpha,) = alpha_images(bad, A)
+    (alpha,) = fiber.alpha_images(bad)
     assert all(r == c for r, c in alpha.entries) and alpha[(0, 0)] == alpha[(1, 1)]
-    assert fiber.generates_matrix_algebra(rep, alpha_images(rep, A))
+    assert fiber.generates_matrix_algebra(rep, fiber.alpha_images(rep))
     assert not fiber.generates_matrix_algebra(bad, [alpha])
-    counts = counted_fallback(monkeypatch)
     # the certificate is only sufficient: the exact count still finds all of Mat_3
-    assert fiber.span_dimension(bad, A, True) == 9 and counts == [9]
-    assert fiber.span_dimension(rep, A, True) == 9 and counts == [9]
+    assert exact_basis_rank(bad, A) == exact_basis_rank(rep, A) == rep.size ** 2 == 9
 
 
-def test_an_alpha_off_the_diagonal_fails_the_certificate(monkeypatch):
+def test_an_alpha_off_the_diagonal_fails_the_certificate():
     # a d entry at (0, 0) adds x_(2,0) d_(0,0) at (2, 0) of x d and nothing
     # on its diagonal: the eigenvalues stay distinct and the graph connected
     F = CycField(3)
@@ -741,15 +742,14 @@ def test_an_alpha_off_the_diagonal_fails_the_certificate(monkeypatch):
     rep = full_matrix_rep(point(F, [(F.scalar(7), F.one)], [F.scalar(2)]), A.emb)
     (d,) = rep.d
     bad = dataclasses.replace(rep, d=(Matrix(F, 3, {**d.entries, (0, 0): F.one}),))
-    (alpha,), (good,) = alpha_images(bad, A), alpha_images(rep, A)
+    (alpha,), (good,) = fiber.alpha_images(bad), fiber.alpha_images(rep)
     assert set(alpha.entries) - set(good.entries) == {(2, 0)}
     assert all(alpha[(r, r)] == good[(r, r)] for r in range(3))
     assert not fiber.generates_matrix_algebra(bad, [alpha])
-    counts = counted_fallback(monkeypatch)
-    assert fiber.span_dimension(bad, A, True) == 9 and counts == [9]
+    assert exact_basis_rank(bad, A) == 9
 
 
-def test_a_cut_edge_fails_the_certificate(monkeypatch):
+def test_a_cut_edge_fails_the_certificate():
     # at c = w = 0 the x entry and the d entry between rows 0 and 1 are both
     # zero; the row graph is the path 0 - 2 - 1, and the certificate holds
     F = CycField(3)
@@ -757,21 +757,57 @@ def test_a_cut_edge_fails_the_certificate(monkeypatch):
     rep = full_matrix_rep(point(F, [(F.zero, F.zero)], [F.one]), A.emb)
     (x,), (d,) = rep.x, rep.d
     assert set(x.entries) == {(2, 0), (1, 2)} and set(d.entries) == {(2, 1), (0, 2)}
-    alphas = alpha_images(rep, A)
+    alphas = fiber.alpha_images(rep)
     assert fiber.generates_matrix_algebra(rep, alphas)
     # zeroing the x and d entries between rows 1 and 2 cuts row 1 off; with
     # the true alphas, only the graph search can see it
     cut = dataclasses.replace(
         rep, x=(Matrix(F, 3, {(2, 0): x[(2, 0)]}),), d=(Matrix(F, 3, {(0, 2): d[(0, 2)]}),))
     assert not fiber.generates_matrix_algebra(cut, alphas)
-    counts = counted_fallback(monkeypatch)
-    assert fiber.span_dimension(cut, A, True) == 4 and counts == [4]
+    assert exact_basis_rank(cut, A) == 4
 
 
-def test_span_dimension_counts_when_the_relations_fail(monkeypatch):
+def test_fiber_rep_span_counts_when_the_relations_or_the_certificate_fail(monkeypatch):
+    # a passing point takes its span from the certificate; the model of the
+    # moved central values (14, 1/2) has the same alphas and generator pairs,
+    # so only the failed relations send its span to the count; and a failed
+    # certificate sends the passing point's span there too
     F = CycField(3)
     A = weyl(3)
-    rep = full_matrix_rep(point(F, [(F.scalar(7), F.one)], [F.scalar(2)]), A.emb)
+    p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
+    rep = full_matrix_rep(p, A.emb)
     counts = counted_fallback(monkeypatch)
-    assert fiber.span_dimension(rep, A, True) == 9 and counts == []
-    assert fiber.span_dimension(rep, A, False) == 9 and counts == [9]
+    report = fiber.fiber_rep_report(p, A.emb, A, random.Random(0))
+    assert report["ok"] and report["span_dimension"] == 9 and counts == []
+    moved = dataclasses.replace(p, lam=((F.scalar(14), F.one / 2),))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fiber, "full_matrix_rep", lambda point, emb: rep)
+        report = fiber.fiber_rep_report(moved, A.emb, A, random.Random(0))
+    assert report["relations_ok"] is False and report["alpha_diagonal_ok"] is True
+    assert report["span_dimension"] == 9 and counts == [9]
+    assert report["ok"] is False
+    monkeypatch.setattr(fiber, "generates_matrix_algebra", lambda rep, alphas: False)
+    report = fiber.fiber_rep_report(p, A.emb, A, random.Random(0))
+    assert report["ok"] and report["span_dimension"] == 9 and counts == [9, 9]
+
+
+def test_a_passing_fiber_rep_builds_the_alpha_images_once(monkeypatch):
+    # the alpha-diagonal check and the certificate read one list
+    built, read = [], []
+    alpha_images, generates = fiber.alpha_images, fiber.generates_matrix_algebra
+
+    def recorded_images(rep):
+        built.append(alpha_images(rep))
+        return built[-1]
+
+    def recorded_certificate(rep, alphas):
+        read.append(alphas)
+        return generates(rep, alphas)
+
+    monkeypatch.setattr(fiber, "alpha_images", recorded_images)
+    monkeypatch.setattr(fiber, "generates_matrix_algebra", recorded_certificate)
+    cfg = {"ell": 3, "embedding": {"matrix": [[1], [1]], "form": [[2]]},
+           "tasks": [{"type": "fiber-rep",
+                      "point": {"lambda": [["0", "0"], ["7", "1"]], "gamma": ["1", "2"]}}]}
+    assert run_suite(cfg)["tasks"][0]["ok"]
+    assert len(built) == 1 and len(read) == 1 and read[0] is built[0]

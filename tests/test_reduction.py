@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qweyl import fiber, reduction
-from qweyl import (CycField, EmptyReductionError, FiberPoint, FullRep, Matrix,
+from qweyl import (CycField, FiberPoint, FullRep, Matrix,
                    OutsideAzumayaLocus, PBWAlgebra, Rank1Rep, SpanBasis,
                    TorusEmbedding, admissible_etas, full_matrix_rep,
                    hamiltonian_reduce, moment_map_ok, moment_values, phi_dagger)
@@ -260,25 +260,36 @@ def test_reduction_exact_over_the_full_parameter_grid():
 
 
 def test_reduction_builds_the_row_weight_table_once(monkeypatch):
-    calls = []
-    original = reduction.row_weights
+    # phi_dagger too: an inadmissible eta reads its admissible list off the same table
+    calls = {"row_weights": 0, "phi_dagger": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(name):
+        original = getattr(reduction, name)
 
-    monkeypatch.setattr(reduction, "row_weights", counted)
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(reduction, name, counted(name))
     F = CycField(3)
-    res = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
-    assert res["ok"] and len(calls) == 1
+    for eta, admissible in ((1, True), (5, False)):
+        res = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.scalar(eta),))
+        assert res["ok"] is res["eta_admissible"] is admissible
+        assert calls == {"row_weights": 1, "phi_dagger": 1}, eta
+        calls.update(row_weights=0, phi_dagger=0)
 
 
 def test_reduction_rejects_inadmissible_eta():
     F = CycField(3)
-    with pytest.raises(EmptyReductionError) as err:
-        hamiltonian_reduce(trivial_point(F), emb_sum(), (F.scalar(5),))
-    assert len(err.value.admissible) == 3
-    assert "admissible set" in str(err.value)
+    for p in (trivial_point(F), FiberPoint(field=F, lam=((F.scalar(7), F.one), (F.zero, F.zero)),
+                                           gamma=(F.scalar(2), F.one))):
+        res = hamiltonian_reduce(p, emb_sum(), (F.scalar(5),))
+        listed = [[str(v) for v in tup] for tup in admissible_etas(p, emb_sum())]
+        assert res == {"eta_admissible": False, "admissible": listed, "ok": False}
+        assert len(listed) == 3
+    assert res["admissible"] == [["2"], ["2*q"], ["(-2)*q - 2"]]
 
 
 def test_reduction_needs_the_locus():

@@ -59,40 +59,45 @@ def test_no_unused_imports():
     assert modules and not found, found
 
 
-def test_one_certificate_rule():
-    # linalg.rank is the only reader of a modular_rank result, so no second
-    # certificate path can grow back unnoticed
-    def calls_modular_rank(node):
-        return isinstance(node, ast.Call) and "modular_rank" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+def calls(node, name):
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
 
-    callers = []
+
+def callers_of(name):
+    """(module file, top-level definition) of each call of name in the package."""
+    found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        callers += [(path.name, getattr(top, "name", None)) for top in tree.body
-                    for node in ast.walk(top) if calls_modular_rank(node)]
-    assert callers == [("linalg.py", "rank")], callers
-    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    imported = {alias.name for node in ast.walk(cli)
-                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    assert not imported & {"modular_rank", "nullspace"}, imported
+        found += [(path.name, getattr(top, "name", None)) for top in tree.body
+                  for node in ast.walk(top) if calls(node, name)]
+    return found
+
+
+def test_one_certificate_rule():
+    # linalg.rank is the only reader of a modular_rank result, and only the
+    # fiber-rep span and the center check call it, so no second certificate
+    # path can grow back unnoticed
+    assert callers_of("modular_rank") == [("linalg.py", "rank")]
+    assert callers_of("rank") == [("fiber.py", "basis_rank"), ("pbw.py", "center_report")]
 
 
 def test_the_fiber_rep_span_path_is_chosen_in_fiber():
-    # fiber.span_dimension alone reads the generation certificate; cli hands
-    # it whether the relations held and has no certificate branch of its own
-    def calls(node, name):
-        return isinstance(node, ast.Call) and name in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    # fiber.fiber_rep_report alone reads the generation certificate
+    assert callers_of("generates_matrix_algebra") == [("fiber.py", "fiber_rep_report")]
 
-    callers = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        callers += [(path.name, getattr(top, "name", None)) for top in tree.body
-                    for node in ast.walk(top) if calls(node, "generates_matrix_algebra")]
-    assert callers == [("fiber.py", "span_dimension")], callers
+
+def test_cli_only_parses_dispatches_and_prints():
+    # every verdict cli reports is computed in its own layer: cli imports
+    # nothing from linalg and names none of the pieces a verdict is built from
     cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(cli) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    sources = {node.module or "" for node in imports if isinstance(node, ast.ImportFrom)} | {
+        alias.name for node in imports for alias in node.names}  # "from . import linalg" too
+    assert imports and not any(m.split(".")[-1] == "linalg" for m in sources), sources
     named = {node.id for node in ast.walk(cli) if isinstance(node, ast.Name)} | {
-        alias.name for node in ast.walk(cli)
-        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    assert not named & {"generates_matrix_algebra", "basis_rank"}, named
+        node.attr for node in ast.walk(cli) if isinstance(node, ast.Attribute)} | {
+        alias.asname or alias.name for node in imports for alias in node.names} | {
+        alias.name for node in imports for alias in node.names}
+    assert not named & {"generates_matrix_algebra", "basis_rank", "central_values_ok",
+                        "commutator_rows", "modular_rank", "nullspace", "rank"}, named
