@@ -3,16 +3,15 @@
 Configs and reports are JSON.  Exact scalars travel as text in the
 expression grammar ("q^2 - 1", "-1/3"), never as floats.  Reports are
 byte-identical across runs with the same config: orderings are
-canonical, the sampling seed is fixed (QWEYL_SEED overrides it), and
-no timestamps are embedded.
+canonical and no timestamps are embedded.  The report's "seed" key is
+the constant DEFAULT_SEED, kept so that the report format stays the same;
+no computation reads it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 from typing import Optional
 
@@ -133,7 +132,7 @@ def build_point(field: CycField, data: dict) -> FiberPoint:
 
 # -- task runners ----------------------------------------------------------
 
-def _task_normalize(field, emb, algebra, task, rng):
+def _task_normalize(field, emb, algebra, task):
     results = []
     ok = True
     for src in task["expressions"]:
@@ -147,20 +146,20 @@ def _task_normalize(field, emb, algebra, task, rng):
     return {"expressions": results, "ok": ok}
 
 
-def _task_center_check(field, emb, algebra, task, rng):
+def _task_center_check(field, emb, algebra, task):
     return center_report(algebra, task.get("max_degree", 6))
 
 
-def _task_fiber_rep(field, emb, algebra, task, rng):
-    return fiber_rep_report(build_point(field, task["point"]), emb, algebra, rng)
+def _task_fiber_rep(field, emb, algebra, task):
+    return fiber_rep_report(build_point(field, task["point"]), emb, algebra)
 
 
-def _task_reduce(field, emb, algebra, task, rng):
+def _task_reduce(field, emb, algebra, task):
     return hamiltonian_reduce(build_point(field, task["point"]), emb,
                               tuple(evaluate_scalar(str(v), field) for v in task["eta"]))
 
 
-def _task_quiver_suite(field, emb, algebra, task, rng):
+def _task_quiver_suite(field, emb, algebra, task):
     n = task.get("n", 3)
     rep = build_an_quiver_algebra(field, n)
     out: dict = {"n": n,
@@ -181,7 +180,7 @@ def _task_quiver_suite(field, emb, algebra, task, rng):
     return out
 
 
-def _task_qmm_check(field, emb, algebra, task, rng):
+def _task_qmm_check(field, emb, algebra, task):
     n, d = emb.n, emb.d
     results = []
     ok = True
@@ -208,37 +207,22 @@ _RUNNERS = {
 }
 
 
-def env_seed() -> int:
-    """QWEYL_SEED as an integer, or DEFAULT_SEED when it is unset."""
-    text = os.environ.get("QWEYL_SEED")
-    if text is None:
-        return DEFAULT_SEED
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"QWEYL_SEED must be an integer, got {text!r}") from None
-
-
-def run_suite(cfg: dict, seed: Optional[int] = None,
-              emb: Optional[TorusEmbedding] = None) -> dict:
+def run_suite(cfg: dict, emb: Optional[TorusEmbedding] = None) -> dict:
     """Run every task of cfg; emb, when given, is what validate_config(cfg) returned."""
     if emb is None:
         emb = validate_config(cfg)
-    if seed is None:
-        seed = env_seed()
     field = CycField(cfg["ell"])
     algebra = PBWAlgebra(field, emb)
     entries = []
     for task in cfg["tasks"]:
-        rng = random.Random(seed)
         entry = {"type": task["type"]}
         try:
-            entry.update(_RUNNERS[task["type"]](field, emb, algebra, task, rng))
+            entry.update(_RUNNERS[task["type"]](field, emb, algebra, task))
         except (ValueError, OutsideAzumayaLocus) as err:
             entry["error"] = str(err)
             entry["ok"] = False
         entries.append(entry)
-    return {"ell": cfg["ell"], "n": emb.n, "d": emb.d, "seed": seed,
+    return {"ell": cfg["ell"], "n": emb.n, "d": emb.d, "seed": DEFAULT_SEED,
             "tasks": entries, "all_ok": all(e.get("ok") for e in entries)}
 
 
@@ -306,11 +290,10 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         cfg, emb = load_config(args.config)
-        seed = env_seed()
     except (OSError, json.JSONDecodeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    report = run_suite(cfg, seed, emb)
+    report = run_suite(cfg, emb)
 
     if args.command == "verify":
         for entry in report["tasks"]:

@@ -16,7 +16,7 @@ pairing matrix of the embedding; see untwist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from typing import Optional, Sequence
 
 from .cyclotomic import CycField, CycScalar, power
@@ -396,14 +396,6 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     return FullRep(field=F, size=size, x=xs, d=ds)
 
 
-def central_values_ok(rep: FullRep, point: FiberPoint) -> bool:
-    """x_i^ell = c_i I and d_i^ell = w_i I on the generator images of rep."""
-    ell = rep.field.ell
-    one = Matrix.identity(rep.field, rep.size)
-    return all(X ** ell == one.scale(c) and D ** ell == one.scale(w)
-               for X, D, (c, w) in zip(rep.x, rep.d, point.lam))
-
-
 def generates_matrix_algebra(rep: FullRep, alphas: Sequence[Matrix]) -> bool:
     """A certificate that I, the alphas and the rep.x, rep.d generate
     Mat_N(K), K = Q(q) and N = rep.size.  It holds when
@@ -455,39 +447,63 @@ def alpha_images(rep: FullRep) -> list[Matrix]:
     return [one + x * d for x, d in zip(rep.x, rep.d)]
 
 
-def fiber_rep_report(point: FiberPoint, emb: TorusEmbedding, algebra: PBWAlgebra, rng) -> dict:
+def presentation_failure(rep: FullRep, point: FiberPoint, algebra: PBWAlgebra) -> Optional[dict]:
+    """None when the generator images of rep satisfy the relations that
+    present D_lambda, else the first failing one and one entry of its
+    residual lhs - rhs.
+
+    The relations are g_a g_b = (its PBW normal form) for the generators
+    g = x_1..x_n, d_1..d_n, and x_i^ell = c_i I, d_i^ell = w_i I.  Only the
+    n(2n - 1) pairs with a > b are checked: x_j x_i and d_j d_i with j > i,
+    and every d_j x_i.  The others (x_i x_j with i <= j, every x_i d_j, and
+    d_i d_j with i <= j) are in PBW order, and of_element builds X(m) D(k)
+    as ordered products, so they map to the product of their images by
+    construction: checking them tests nothing.
+    """
+    gens, images = algebra.generators(), rep.x + rep.d
+    n, ell = algebra.n, rep.field.ell
+    pairs = ((f"{gens[a]}*{gens[b]}", gens[a] * gens[b], images[a] * images[b])
+             for a in range(2 * n) for b in range(a))
+    central = ((f"{g}^{ell}", algebra.scalar_element(point.lam[a % n][a // n]), images[a] ** ell)
+               for a, g in enumerate(gens))
+    for lhs, rhs, image in chain(pairs, central):
+        residual = image - rep.of_element(rhs)
+        if residual.entries:
+            entry = min(residual.entries)
+            return {"relation": f"{lhs} = {rhs}", "entry": list(entry),
+                    "residual": str(residual[entry])}
+    return None
+
+
+def fiber_rep_report(point: FiberPoint, emb: TorusEmbedding, algebra: PBWAlgebra) -> dict:
     """The fiber-rep report of the matrix model at point.
 
-    relations_ok: rep is an algebra map on the generator pairs and on 20 pairs
-    of monomials drawn from rng, and x_i^ell = c_i I, d_i^ell = w_i I.  Then
-    rep is an algebra map on the fiber D_lambda, and the span of the images of
-    its ell^(2n) basis monomials is the algebra generated by I, the rep.x and
-    the rep.d, which holds the alpha images.  When generates_matrix_algebra
-    certifies that this algebra is Mat_N(K), the span is N^2 and no monomial
-    image is built; otherwise basis_rank counts it.  alpha_diagonal_ok: the
-    image of alpha_i is diagonal with gamma_i q^(-2 r_i) in row r.
+    relations_ok: presentation_failure finds none (else it is reported under
+    failed_relation), so rep is an algebra map on D_lambda and the span of
+    the images of its ell^(2n) basis monomials is the algebra generated by
+    I, the rep.x and the rep.d.  When generates_matrix_algebra certifies
+    that this is Mat_N(K), the span is N^2 and no monomial image is built;
+    otherwise basis_rank counts it.  alpha_diagonal_ok: the image of alpha_i
+    is diagonal with gamma_i q^(-2 r_i) in row r.  in_azumaya_locus is
+    always true: full_matrix_rep raises off the locus.
     """
     F, n, ell = point.field, emb.n, point.field.ell
     rep = full_matrix_rep(point, emb)
-
-    def random_monomial():  # exponents m, then k, each drawn below ell
-        return algebra.monomial(*(tuple(rng.randrange(ell) for _ in range(n)) for _ in range(2)))
-
-    gens = algebra.generators()
-    pairs = [(a, b) for a in gens for b in gens] + [
-        (random_monomial(), random_monomial()) for _ in range(20)]
-    relations_ok = all(rep.of_element(a * b) == rep.of_element(a) * rep.of_element(b)
-                       for a, b in pairs) and central_values_ok(rep, point)
+    failure = presentation_failure(rep, point, algebra)
+    relations_ok = not failure
     alphas = alpha_images(rep)
     alpha_ok = all(alpha == Matrix.from_diag(F, [g * F.qpow(-2 * digits(r, ell, n)[i])
                                                  for r in range(rep.size)])
                    for i, (alpha, g) in enumerate(zip(alphas, point.gamma)))
     certified = relations_ok and generates_matrix_algebra(rep, alphas)
     span_dim = rep.size ** 2 if certified else basis_rank(rep, algebra)
-    return {"in_azumaya_locus": point.in_azumaya_locus(), "relations_ok": relations_ok,
-            "alpha_diagonal_ok": alpha_ok, "span_dimension": span_dim,
-            "expected_span_dimension": ell ** (2 * n),
-            "ok": relations_ok and alpha_ok and span_dim == ell ** (2 * n)}
+    report = {"in_azumaya_locus": point.in_azumaya_locus(), "relations_ok": relations_ok,
+              "alpha_diagonal_ok": alpha_ok, "span_dimension": span_dim,
+              "expected_span_dimension": ell ** (2 * n),
+              "ok": relations_ok and alpha_ok and span_dim == ell ** (2 * n)}
+    if failure:
+        report["failed_relation"] = failure
+    return report
 
 
 def basis_rank(rep: FullRep, algebra: PBWAlgebra) -> int:

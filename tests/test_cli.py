@@ -333,24 +333,6 @@ def test_report_prints_to_stdout_without_out(tmp_path, capsys):
     assert parsed["tasks"][0]["expressions"][0]["normal_form"] == "x1"
 
 
-def test_seed_environment_override(tmp_path, monkeypatch):
-    cfg = suite_cfg()
-    cfg["tasks"] = [{"type": "qmm-check"}]
-    monkeypatch.setenv("QWEYL_SEED", "7")
-    report = run_suite(cfg)
-    assert report["seed"] == 7
-    monkeypatch.delenv("QWEYL_SEED")
-    assert run_suite(cfg)["seed"] == DEFAULT_SEED
-
-
-def test_malformed_seed_environment_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QWEYL_SEED", "abc")
-    for command in ("verify", "report"):
-        assert main([command, "--config", write_cfg(tmp_path, suite_cfg())]) == 2
-        err = capsys.readouterr().err
-        assert err == "config error: QWEYL_SEED must be an integer, got 'abc'\n"
-
-
 @pytest.mark.parametrize("command", ["verify", "report"])
 def test_unwritable_out_path_exits_2(tmp_path, capsys, command):
     cfg = suite_cfg()
@@ -481,8 +463,8 @@ def test_fiber_rep_span_falls_back_and_fails_on_a_repeated_image(monkeypatch):
     # x1^2 x2^2 d1^2 d2^2 is sent to the image of x1^2 x2^2 d1^2 d2: the
     # images fall one short of independent mod p, and the exact span counts 80.
     # The generation certificate reads no monomial image, so it is made to
-    # fail: the span then comes from the counting path whatever the seeded
-    # pairs of relations_ok draw
+    # fail: the span then comes from the counting path, and relations_ok,
+    # which reads only the generator images, still holds
     from qweyl import fiber
     from qweyl.fiber import FullRep
     of_element = FullRep.of_element
@@ -496,7 +478,7 @@ def test_fiber_rep_span_falls_back_and_fails_on_a_repeated_image(monkeypatch):
     monkeypatch.setattr(fiber, "generates_matrix_algebra", lambda rep, alphas: False)
     entry = run_suite(suite_cfg())["tasks"][1]
     assert (entry["span_dimension"], entry["expected_span_dimension"]) == (80, 81)
-    assert entry["ok"] is False
+    assert entry["relations_ok"] is True and entry["ok"] is False
 
 
 REPORT_CONFIGS = Path(__file__).resolve().parent / "report_configs"
@@ -518,8 +500,9 @@ def moved_central_values(rank1_matrix_rep):
     return moved
 
 
-@pytest.mark.parametrize("name", ["pair_l3", "braided_c0_l5"])
-def test_fiber_rep_fails_on_a_model_of_the_wrong_central_values(name, monkeypatch):
+@pytest.mark.parametrize("name,relation", [("pair_l3", "x2^3 = 7"), ("braided_c0_l5", "x1^5 = 3")],
+                         ids=["pair_l3", "braided_c0_l5"])
+def test_fiber_rep_fails_on_a_model_of_the_wrong_central_values(name, relation, monkeypatch):
     from qweyl import fiber
     cfg = json.loads((REPORT_CONFIGS / f"{name}.json").read_text())
     cfg["tasks"] = [t for t in cfg["tasks"] if t["type"] == "fiber-rep"]
@@ -531,6 +514,10 @@ def test_fiber_rep_fails_on_a_model_of_the_wrong_central_values(name, monkeypatc
     assert entry["relations_ok"] is False and entry["ok"] is False
     assert entry["alpha_diagonal_ok"] is True
     assert entry["span_dimension"] == entry["expected_span_dimension"]
+    # the witness is x_i^ell = c_i on the first c_i != 0 factor: its image
+    # is 2 c_i I, so the residual at (0, 0) is c_i
+    c = relation.split(" = ")[1]
+    assert entry["failed_relation"] == {"relation": relation, "entry": [0, 0], "residual": c}
 
 
 def test_fiber_rep_task_payload():
@@ -539,6 +526,7 @@ def test_fiber_rep_task_payload():
     assert entry["in_azumaya_locus"]
     assert entry["relations_ok"] and entry["alpha_diagonal_ok"]
     assert entry["span_dimension"] == entry["expected_span_dimension"] == 81
+    assert "failed_relation" not in entry
 
 
 def test_reduce_task_payload():

@@ -305,7 +305,17 @@ def test_sign_flipped_untwist_breaks_the_fiber_model(monkeypatch):
                       "point": {"lambda": [["0", "0"], ["7", "1"]], "gamma": ["1", "2"]}}]}
     assert run_suite(cfg)["tasks"][0]["relations_ok"]
     monkeypatch.setattr("qweyl.fiber.untwist", sign_flipped)
-    assert not run_suite(cfg)["tasks"][0]["relations_ok"]
+    entry = run_suite(cfg)["tasks"][0]
+    assert not entry["relations_ok"]
+    # the witness is a relation out of PBW order, x_j x_i, d_j d_i (j > i) or
+    # d_j x_i, and an entry of its residual
+    A = PBWAlgebra(CycField(3), TorusEmbedding(n=2, d=1, matrix=((2,), (1,)), form=((2,),)))
+    gens = A.generators()
+    out_of_order = {f"{gens[a]}*{gens[b]} = {gens[a] * gens[b]}"
+                    for a in range(len(gens)) for b in range(a)}
+    failed = entry["failed_relation"]
+    assert failed == {"relation": "x2*x1 = q*x1*x2", "entry": [1, 5], "residual": "(-2)*q - 1"}
+    assert failed["relation"] in out_of_order and len(out_of_order) == 6
 
 
 def test_braided_product_is_associative_on_samples():
@@ -471,6 +481,12 @@ def test_full_rep_matches_the_uncached_product(ell, emb, make_point, seed):
     for _ in range(6):
         a = random_element(A, rng, ell)
         assert rep.of_element(a) == uncached_image(rep, a)
+    # of_element is multiplicative on seeded pairs of monomials with every
+    # exponent below ell, whose products leave PBW order and fold x_i^ell
+    for _ in range(20):
+        a, b = (A.monomial(*(tuple(rng.randrange(ell) for _ in range(A.n)) for _ in range(2)))
+                for _ in range(2))
+        assert rep.of_element(a * b) == rep.of_element(a) * rep.of_element(b)
 
 
 def test_full_rep_builds_each_word_once(monkeypatch):
@@ -679,7 +695,7 @@ def assert_certified_span(p, A):
     """At a locus point the model has its central values, the certificate
     holds, and its ell^(2n) is the exact count."""
     rep = full_matrix_rep(p, A.emb)
-    assert fiber.central_values_ok(rep, p)
+    assert fiber.presentation_failure(rep, p, A) is None
     alphas = fiber.alpha_images(rep)
     assert alphas == pbw_alpha_images(rep, A)
     assert fiber.generates_matrix_algebra(rep, alphas)
@@ -709,12 +725,15 @@ def test_generation_certificate_agrees_with_the_exact_span_at_ell_5(c, w, gamma)
 
 def test_central_values_check_reads_c_and_w():
     F = CycField(3)
+    A = weyl(3)
     p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
-    rep = full_matrix_rep(p, emb_n1())
-    assert fiber.central_values_ok(rep, p)
+    rep = full_matrix_rep(p, A.emb)
+    assert fiber.presentation_failure(rep, p, A) is None
     # the same product c w, so the same gamma: only x^3 = c I or d^3 = w I can tell
-    for moved in ([(F.scalar(14), F.one / 2)], [(F.scalar(7) / 2, F.scalar(2))]):
-        assert not fiber.central_values_ok(rep, dataclasses.replace(p, lam=tuple(moved)))
+    for moved, c, residual in (([(F.scalar(14), F.one / 2)], "14", "-7"),
+                               ([(F.scalar(7) / 2, F.scalar(2))], "7/2", "7/2")):
+        assert fiber.presentation_failure(rep, dataclasses.replace(p, lam=tuple(moved)), A) == {
+            "relation": f"x1^3 = {c}", "entry": [0, 0], "residual": residual}
 
 
 def test_a_repeated_alpha_eigenvalue_fails_the_certificate():
@@ -777,17 +796,19 @@ def test_fiber_rep_span_counts_when_the_relations_or_the_certificate_fail(monkey
     p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
     rep = full_matrix_rep(p, A.emb)
     counts = counted_fallback(monkeypatch)
-    report = fiber.fiber_rep_report(p, A.emb, A, random.Random(0))
+    report = fiber.fiber_rep_report(p, A.emb, A)
     assert report["ok"] and report["span_dimension"] == 9 and counts == []
+    assert "failed_relation" not in report
     moved = dataclasses.replace(p, lam=((F.scalar(14), F.one / 2),))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fiber, "full_matrix_rep", lambda point, emb: rep)
-        report = fiber.fiber_rep_report(moved, A.emb, A, random.Random(0))
+        report = fiber.fiber_rep_report(moved, A.emb, A)
     assert report["relations_ok"] is False and report["alpha_diagonal_ok"] is True
+    assert report["failed_relation"]["relation"] == "x1^3 = 14"
     assert report["span_dimension"] == 9 and counts == [9]
     assert report["ok"] is False
     monkeypatch.setattr(fiber, "generates_matrix_algebra", lambda rep, alphas: False)
-    report = fiber.fiber_rep_report(p, A.emb, A, random.Random(0))
+    report = fiber.fiber_rep_report(p, A.emb, A)
     assert report["ok"] and report["span_dimension"] == 9 and counts == [9, 9]
 
 

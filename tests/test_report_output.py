@@ -17,8 +17,7 @@ a qmm-check, and at ell = 13 for n = 3.  The algebra suites pin
 normalize (with one malformed expression) and center-check at ell = 3,
 to degree 3 for n = 2 and to degree 6 for n = 1.  Together the configs
 cover every task type.
-To record a new output: qweyl report --config <config> --out <output>,
-with QWEYL_SEED unset.
+To record a new output: qweyl report --config <config> --out <output>.
 """
 
 import json
@@ -34,8 +33,7 @@ OUTPUT = ROOT / "report_output"
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[p.stem for p in CONFIGS])
-def test_report_matches_recorded_output(config, tmp_path, monkeypatch):
-    monkeypatch.delenv("QWEYL_SEED", raising=False)
+def test_report_matches_recorded_output(config, tmp_path):
     out = tmp_path / "report.json"
     assert main(["report", "--config", str(config), "--out", str(out)]) == 0
     assert out.read_bytes() == (OUTPUT / f"{config.stem}.json").read_bytes()

@@ -87,6 +87,19 @@ def test_the_fiber_rep_span_path_is_chosen_in_fiber():
     assert callers_of("generates_matrix_algebra") == [("fiber.py", "fiber_rep_report")]
 
 
+def test_one_presentation_check_and_no_sampling():
+    # fiber-rep's relations are the presentation check alone, read by
+    # fiber_rep_report; no random draw can come back into a verdict
+    assert callers_of("presentation_failure") == [("fiber.py", "fiber_rep_report")]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Import) and any(a.name == "random" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module == "random"]
+    assert list(SRC.glob("*.py")) and not found, found
+
+
 def test_cli_only_parses_dispatches_and_prints():
     # every verdict cli reports is computed in its own layer: cli imports
     # nothing from linalg and names none of the pieces a verdict is built from
@@ -99,5 +112,5 @@ def test_cli_only_parses_dispatches_and_prints():
         node.attr for node in ast.walk(cli) if isinstance(node, ast.Attribute)} | {
         alias.asname or alias.name for node in imports for alias in node.names} | {
         alias.name for node in imports for alias in node.names}
-    assert not named & {"generates_matrix_algebra", "basis_rank", "central_values_ok",
+    assert not named & {"generates_matrix_algebra", "basis_rank", "presentation_failure",
                         "commutator_rows", "modular_rank", "nullspace", "rank"}, named
