@@ -14,9 +14,8 @@ from .fiber import (FiberAlgebra, FiberPoint, FullRep, Matrix,
 from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import SpanBasis, nullspace
 from .pbw import PBWAlgebra, PBWElement, QmmResult, verify_qmm
-from .quiver_examples import (AnQuiverAlgebra, DifferenceOperator,
-                              build_an_quiver_algebra, cyclic_quiver,
-                              u1_operators, verify_central_z,
+from .quiver_examples import (DifferenceOperator, build_an_quiver_algebra,
+                              cyclic_quiver, u1_operators, verify_central_z,
                               verify_u1_relations)
 from .reduction import (admissible_etas, hamiltonian_reduce, moment_map_ok,
                         moment_values, phi_dagger)
@@ -32,7 +31,7 @@ __all__ = [
     "QuiverData", "TorusEmbedding", "quiver_to_embedding",
     "SpanBasis", "nullspace",
     "PBWAlgebra", "PBWElement", "QmmResult", "verify_qmm",
-    "AnQuiverAlgebra", "DifferenceOperator", "build_an_quiver_algebra",
+    "DifferenceOperator", "build_an_quiver_algebra",
     "cyclic_quiver", "u1_operators", "verify_central_z", "verify_u1_relations",
     "admissible_etas", "hamiltonian_reduce", "moment_map_ok", "moment_values",
     "phi_dagger",

@@ -16,17 +16,14 @@ import sys
 from typing import Optional
 
 from .cyclotomic import CycField
-from .expr import ParseError, evaluate, evaluate_scalar
-from .fiber import FiberPoint, OutsideAzumayaLocus, fiber_rep_report
+from .expr import ParseError, evaluate, evaluate_scalar, normalize_report
+from .fiber import FiberPoint, fiber_rep_report
 from .lattice import IntMatrix, QuiverData, TorusEmbedding, quiver_to_embedding
-from .pbw import PBWAlgebra, center_report, verify_qmm
-from .quiver_examples import (build_an_quiver_algebra, verify_central_z,
-                              verify_u1_relations)
+from .pbw import PBWAlgebra, center_report, qmm_report
+from .quiver_examples import quiver_suite_report
 from .reduction import hamiltonian_reduce
 
 DEFAULT_SEED = 20240901
-TASK_TYPES = ("normalize", "center-check", "fiber-rep", "reduce",
-              "quiver-suite", "qmm-check")
 
 
 def load_config(path: str) -> tuple[dict, TorusEmbedding]:
@@ -63,9 +60,9 @@ def validate_config(cfg: dict) -> TorusEmbedding:
     if not isinstance(tasks, list) or not tasks:
         raise ValueError("config needs a nonempty 'tasks' list")
     for i, task in enumerate(tasks):
-        if not isinstance(task, dict) or task.get("type") not in TASK_TYPES:
+        if not isinstance(task, dict) or task.get("type") not in _RUNNERS:
             raise ValueError(
-                f"task {i}: 'type' must be one of {', '.join(TASK_TYPES)}")
+                f"task {i}: 'type' must be one of {', '.join(_RUNNERS)}")
         if task["type"] == "normalize":
             exprs = task.get("expressions")
             if not (isinstance(exprs, list) and exprs and all(isinstance(e, str) for e in exprs)):
@@ -130,80 +127,18 @@ def build_point(field: CycField, data: dict) -> FiberPoint:
     return FiberPoint(field=field, lam=lam, gamma=gamma)
 
 
-# -- task runners ----------------------------------------------------------
-
-def _task_normalize(field, emb, algebra, task):
-    results = []
-    ok = True
-    for src in task["expressions"]:
-        try:
-            e = evaluate(src, algebra)
-            results.append({"input": src, "normal_form": str(e),
-                            "is_central": e.is_central()})
-        except (ParseError, ValueError) as err:
-            ok = False
-            results.append({"input": src, "error": str(err)})
-    return {"expressions": results, "ok": ok}
-
-
-def _task_center_check(field, emb, algebra, task):
-    return center_report(algebra, task.get("max_degree", 6))
-
-
-def _task_fiber_rep(field, emb, algebra, task):
-    return fiber_rep_report(build_point(field, task["point"]), emb, algebra)
-
-
-def _task_reduce(field, emb, algebra, task):
-    return hamiltonian_reduce(build_point(field, task["point"]), emb,
-                              tuple(evaluate_scalar(str(v), field) for v in task["eta"]))
-
-
-def _task_quiver_suite(field, emb, algebra, task):
-    n = task.get("n", 3)
-    rep = build_an_quiver_algebra(field, n)
-    out: dict = {"n": n,
-                 "pairing_exponents": {f"{i},{j}": v
-                                       for (i, j), v in sorted(rep.pairing_exponents.items())}}
-    if rep.table is None:
-        out["table"] = None
-        table_ok = True
-    else:
-        out["table"] = {" ".join(str(p) for p in key): bool(v)
-                        for key, v in sorted(rep.table.items(), key=lambda kv: str(kv[0]))}
-        table_ok = rep.table_verified
-    u1 = verify_u1_relations(field, n)
-    central = verify_central_z(field, n)
-    out["u1_relations"] = u1
-    out["central_z"] = central
-    out["ok"] = table_ok and u1["all_ok"] and central["all_ok"]
-    return out
-
-
-def _task_qmm_check(field, emb, algebra, task):
-    n, d = emb.n, emb.d
-    results = []
-    ok = True
-    targets = algebra.generators()
-    hs = [("y", tuple(1 if j == i else 0 for j in range(n))) for i in range(n)] + \
-         [("z", tuple(1 if j == i else 0 for j in range(d))) for i in range(d)]
-    for kind, r in hs:
-        for a in targets:
-            res = verify_qmm(a, kind, r)
-            if not res:
-                ok = False
-            results.append({"h": f"{kind}{r}", "target": str(a),
-                            "ok": bool(res), "exponent": res.exponent})
-    return {"checks": results, "ok": ok}
-
-
+# each task type, in the order the config error lists them, and the one
+# call that builds its report from the algebra and the validated task
 _RUNNERS = {
-    "normalize": _task_normalize,
-    "center-check": _task_center_check,
-    "fiber-rep": _task_fiber_rep,
-    "reduce": _task_reduce,
-    "quiver-suite": _task_quiver_suite,
-    "qmm-check": _task_qmm_check,
+    "normalize": lambda algebra, task: normalize_report(algebra, task["expressions"]),
+    "center-check": lambda algebra, task: center_report(algebra, task.get("max_degree", 6)),
+    "fiber-rep": lambda algebra, task: fiber_rep_report(
+        build_point(algebra.field, task["point"]), algebra.emb, algebra),
+    "reduce": lambda algebra, task: hamiltonian_reduce(
+        build_point(algebra.field, task["point"]), algebra.emb,
+        tuple(evaluate_scalar(str(v), algebra.field) for v in task["eta"])),
+    "quiver-suite": lambda algebra, task: quiver_suite_report(algebra.field, task.get("n", 3)),
+    "qmm-check": lambda algebra, task: qmm_report(algebra),
 }
 
 
@@ -211,14 +146,13 @@ def run_suite(cfg: dict, emb: Optional[TorusEmbedding] = None) -> dict:
     """Run every task of cfg; emb, when given, is what validate_config(cfg) returned."""
     if emb is None:
         emb = validate_config(cfg)
-    field = CycField(cfg["ell"])
-    algebra = PBWAlgebra(field, emb)
+    algebra = PBWAlgebra(CycField(cfg["ell"]), emb)
     entries = []
     for task in cfg["tasks"]:
         entry = {"type": task["type"]}
         try:
-            entry.update(_RUNNERS[task["type"]](field, emb, algebra, task))
-        except (ValueError, OutsideAzumayaLocus) as err:
+            entry.update(_RUNNERS[task["type"]](algebra, task))
+        except ValueError as err:  # OutsideAzumayaLocus is a ValueError
             entry["error"] = str(err)
             entry["ok"] = False
         entries.append(entry)

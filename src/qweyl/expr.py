@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .cyclotomic import CycField, CycScalar
 from .pbw import PBWAlgebra, PBWElement
@@ -236,3 +236,16 @@ def evaluate(src: str, algebra: PBWAlgebra) -> PBWElement:
 def evaluate_scalar(src: str, field: CycField) -> CycScalar:
     """Evaluate a generator-free expression directly in the field."""
     return _parse(src, field, None)
+
+
+def normalize_report(algebra: PBWAlgebra, sources: Sequence[str]) -> dict:
+    """The normalize report: each source's normal form and whether it is
+    central, or the error evaluating it raised; ok when none raised."""
+    results = []
+    for src in sources:
+        try:
+            e = evaluate(src, algebra)
+            results.append({"input": src, "normal_form": str(e), "is_central": e.is_central()})
+        except ValueError as err:  # a ParseError is a ValueError
+            results.append({"input": src, "error": str(err)})
+    return {"expressions": results, "ok": not any("error" in r for r in results)}

@@ -92,16 +92,6 @@ class PBWAlgebra:
         idx = range(1, self.n + 1)
         return [self.x(i) for i in idx] + [self.d(i) for i in idx]
 
-    # -- the relation table ------------------------------------------------
-
-    def relations(self) -> dict[tuple[int, int], CycScalar]:
-        """Scalars q_ij with gen_j gen_i = q_ij gen_i gen_j, 1-based, i < j."""
-        out = {}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                out[(i + 1, j + 1)] = self.field.qpow(self.pairings[j][i])
-        return out
-
     # -- the same-index crossing ---------------------------------------------
 
     def _crossing(self, a: int, b: int) -> list[tuple[int, int, Optional[CycScalar]]]:
@@ -384,6 +374,22 @@ def verify_qmm(a: PBWElement, kind: str, r: Sequence[int]) -> QmmResult:
     lhs = plus * a * minus
     rhs = scalar * (minus * a * plus)
     return QmmResult(ok=(lhs == rhs), scalar=scalar, exponent=2 * e)
+
+
+def qmm_report(algebra: PBWAlgebra) -> dict:
+    """The qmm-check report: verify_qmm for h = y_i over the n unit vectors
+    and h = z_j over the d unit vectors, each against every generator."""
+    n, d = algebra.n, algebra.emb.d
+    hs = [(kind, tuple(int(i == j) for j in range(k)))
+          for kind, k in (("y", n), ("z", d)) for i in range(k)]
+    targets = algebra.generators()
+    checks = []
+    for kind, r in hs:
+        for a in targets:
+            res = verify_qmm(a, kind, r)
+            checks.append({"h": f"{kind}{r}", "target": str(a),
+                           "ok": res.ok, "exponent": res.exponent})
+    return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
 
 def commutator_rows(algebra: PBWAlgebra, keys: Sequence[MonoKey]) -> list:

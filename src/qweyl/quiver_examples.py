@@ -22,7 +22,7 @@ from math import comb
 from typing import Optional
 
 from .cyclotomic import CycField, CycScalar, power
-from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
+from .lattice import QuiverData, quiver_to_embedding
 from .linalg import vec_accumulate
 from .pbw import PBWAlgebra
 
@@ -34,21 +34,8 @@ def cyclic_quiver(n: int) -> QuiverData:
     return QuiverData(num_vertices=n, edges=tuple((i, i % n + 1) for i in range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class AnQuiverAlgebra:
-    n: int
-    embedding: TorusEmbedding
-    algebra: PBWAlgebra
-    pairing_exponents: dict
-    table: Optional[dict]
-
-    @property
-    def table_verified(self) -> bool:
-        return self.table is not None and all(self.table.values())
-
-
-def build_an_quiver_algebra(field: CycField, n: int) -> AnQuiverAlgebra:
-    """The q-Weyl algebra of the cyclic quiver, with its relation table.
+def build_an_quiver_algebra(field: CycField, n: int) -> tuple[PBWAlgebra, Optional[dict]]:
+    """The q-Weyl algebra of the cyclic quiver and its relation table.
 
     For n >= 3 every adjacent pair of edges meets in one vertex and
     pairs to -1, giving the table (stated with the smaller index on
@@ -61,19 +48,14 @@ def build_an_quiver_algebra(field: CycField, n: int) -> AnQuiverAlgebra:
 
     for adjacent i < j, and all other pairs of generators commute.
     For n = 2 the two edges are doubly adjacent, the pairing is -2,
-    and the pattern above does not apply; the computed pairing is
-    reported without asserting a table.
+    and the pattern above does not apply: the table is None there.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    emb = quiver_to_embedding(cyclic_quiver(n))
-    alg = PBWAlgebra(field, emb)
-    q2 = field.qpow(2)
-    pairings = {(i, j): emb.qij_exponent(i - 1, j - 1)
-                for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    alg = PBWAlgebra(field, quiver_to_embedding(cyclic_quiver(n)))
     if n == 2:
-        return AnQuiverAlgebra(n=n, embedding=emb, algebra=alg,
-                               pairing_exponents=pairings, table=None)
+        return alg, None
+    q2 = field.qpow(2)
 
     table: dict = {}
     for i in range(1, n + 1):
@@ -86,8 +68,7 @@ def build_an_quiver_algebra(field: CycField, n: int) -> AnQuiverAlgebra:
             table[("dd", i, j)] = dj * di == field.qpow(e) * (di * dj)
             table[("dx", i, j)] = dj * xi == field.qpow(-e) * (xi * dj)
             table[("xd", i, j)] = xj * di == field.qpow(-e) * (di * xj)
-    return AnQuiverAlgebra(n=n, embedding=emb, algebra=alg,
-                           pairing_exponents=pairings, table=table)
+    return alg, table
 
 
 @dataclass(frozen=True)
@@ -234,3 +215,19 @@ def verify_central_z(field: CycField, n: int) -> dict:
                            ("a_is_identity", "b_is_nonzero", "c_is_zero",
                             "central", "bc_equals_(a-1)^n", "mutual_vanishing"))
     return report
+
+
+def quiver_suite_report(field: CycField, n: int) -> dict:
+    """The quiver-suite report: the pairing exponents q_ij of the n-cycle,
+    its relation table (None at n = 2, where it does not bind the verdict),
+    and the U_1 relation and central-value checks."""
+    alg, table = build_an_quiver_algebra(field, n)
+    u1 = verify_u1_relations(field, n)
+    central = verify_central_z(field, n)
+    return {"n": n,
+            "pairing_exponents": {f"{i},{j}": alg.emb.qij_exponent(i - 1, j - 1)
+                                  for i in range(1, n + 1) for j in range(i + 1, n + 1)},
+            "table": None if table is None else {
+                " ".join(map(str, key)): ok for key, ok in table.items()},
+            "u1_relations": u1, "central_z": central,
+            "ok": (table is None or all(table.values())) and u1["all_ok"] and central["all_ok"]}

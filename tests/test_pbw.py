@@ -8,6 +8,7 @@ agree with it exactly; everything else leans on that agreement.
 the module axiom.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import pytest
 
 from qweyl import (CycField, PBWAlgebra, TorusEmbedding, quiver_to_embedding,
                    verify_qmm)
+from qweyl import pbw
 from qweyl.lattice import QuiverData
 from qweyl.linalg import vec_accumulate
 
@@ -262,16 +264,6 @@ def test_alpha_q_commutes():
         assert d * a == q2 * (a * d)
 
 
-def test_relations_table_cyclic3():
-    F = CycField(5)
-    A = PBWAlgebra(F, emb_cyclic3())
-    rel = A.relations()
-    # every pair of distinct edges in the 3-cycle is adjacent: exponent -1
-    assert set(rel) == {(1, 2), (1, 3), (2, 3)}
-    for v in rel.values():
-        assert v == F.qpow(-1)
-
-
 def test_cross_relations_n2():
     # M = (1,1)^T with the rank-one form: all cross pairings are 1
     F = CycField(5)
@@ -412,6 +404,20 @@ def test_verify_qmm_rejects_mixed_weight():
     A = PBWAlgebra(F, emb_n1())
     with pytest.raises(ValueError):
         verify_qmm(A.x(1) + A.x(1) ** 2, "y", (1,))
+
+
+def test_qmm_report_fails_on_one_failed_check(monkeypatch):
+    # one failing identity fails the report and is the entry that says so
+    real = pbw.verify_qmm
+
+    def one_off(a, kind, r):
+        res = real(a, kind, r)
+        return dataclasses.replace(res, ok=res.ok and (kind, str(a)) != ("z", "d2"))
+
+    monkeypatch.setattr(pbw, "verify_qmm", one_off)
+    report = pbw.qmm_report(PBWAlgebra(CycField(3), emb_n2()))
+    assert not report["ok"]
+    assert [(c["h"], c["target"]) for c in report["checks"] if not c["ok"]] == [("z(1,)", "d2")]
 
 
 def test_printer_canonical_strings():

@@ -8,6 +8,7 @@ from qweyl import (CycField, DifferenceOperator, build_an_quiver_algebra,
                    cyclic_quiver, u1_operators, verify_central_z,
                    verify_u1_relations)
 from qweyl import quiver_examples
+from qweyl.quiver_examples import quiver_suite_report
 
 
 # -- the nearest-neighbor relation table --------------------------------------
@@ -21,26 +22,46 @@ def test_cyclic_quiver_data():
 @pytest.mark.parametrize("ell", [3, 5])
 @pytest.mark.parametrize("n", [3, 4])
 def test_an_table_holds(n, ell):
-    alg = build_an_quiver_algebra(CycField(ell), n)
-    assert alg.table_verified
+    _, table = build_an_quiver_algebra(CycField(ell), n)
     # 4 mixed entries per unordered pair plus one Euler entry per index
-    assert len(alg.table) == 4 * n * (n - 1) // 2 + n
-    assert all(alg.table.values())
-    # adjacent pairs pair to -1, the rest to 0
-    for (i, j), e in alg.pairing_exponents.items():
+    assert len(table) == 4 * n * (n - 1) // 2 + n
+    assert all(table.values())
+    report = quiver_suite_report(CycField(ell), n)
+    assert report["ok"]
+    assert report["table"] == {" ".join(map(str, key)): ok for key, ok in table.items()}
+    # adjacent pairs pair to -1, the rest to 0, one entry per pair i < j
+    assert len(report["pairing_exponents"]) == n * (n - 1) // 2
+    for key, e in report["pairing_exponents"].items():
+        i, j = map(int, key.split(","))
         touching = j == i + 1 or (i == 1 and j == n)
         assert e == (-1 if touching else 0)
 
 
 def test_doubled_edges_at_n2():
-    alg = build_an_quiver_algebra(CycField(3), 2)
-    assert alg.table is None
-    assert not alg.table_verified
-    assert alg.pairing_exponents == {(1, 2): -2}
+    A, table = build_an_quiver_algebra(CycField(3), 2)
+    assert table is None
+    # the one n = 2 rule: no table, and the verdict rests on the other checks
+    report = quiver_suite_report(CycField(3), 2)
+    assert report["table"] is None and report["ok"]
+    assert report["pairing_exponents"] == {"1,2": -2}
     # the doubled pairing still gives honest relations in the algebra
-    A = alg.algebra
     x1, x2 = A.x(1), A.x(2)
     assert x2 * x1 == A.field.qpow(-2) * (x1 * x2)
+
+
+def test_a_failed_table_entry_fails_the_report(monkeypatch):
+    # where the table exists it binds the verdict, entry by entry
+    build = quiver_examples.build_an_quiver_algebra
+
+    def broken(field, n):
+        alg, table = build(field, n)
+        return alg, {**table, ("xx", 1, 2): False}
+
+    monkeypatch.setattr(quiver_examples, "build_an_quiver_algebra", broken)
+    report = quiver_suite_report(CycField(3), 3)
+    assert report["table"]["xx 1 2"] is False
+    assert report["u1_relations"]["all_ok"] and report["central_z"]["all_ok"]
+    assert not report["ok"]
 
 
 def test_quiver_rank_bounds():

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from qweyl.cli import TASK_TYPES, main
+from qweyl.cli import _RUNNERS, main
 
 ROOT = Path(__file__).resolve().parent
 CONFIGS = sorted((ROOT / "report_configs").glob("*.json"))
@@ -44,4 +44,4 @@ def test_report_outputs_are_found():
     assert sorted(p.stem for p in OUTPUT.glob("*.json")) == [p.stem for p in CONFIGS]
     # every task type is pinned by some config
     covered = {task["type"] for p in CONFIGS for task in json.loads(p.read_text())["tasks"]}
-    assert covered == set(TASK_TYPES)
+    assert covered == set(_RUNNERS)

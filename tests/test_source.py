@@ -113,4 +113,6 @@ def test_cli_only_parses_dispatches_and_prints():
         alias.asname or alias.name for node in imports for alias in node.names} | {
         alias.name for node in imports for alias in node.names}
     assert not named & {"generates_matrix_algebra", "basis_rank", "presentation_failure",
-                        "commutator_rows", "modular_rank", "nullspace", "rank"}, named
+                        "commutator_rows", "modular_rank", "nullspace", "rank",
+                        "verify_qmm", "verify_u1_relations", "verify_central_z",
+                        "build_an_quiver_algebra", "is_central"}, named
