@@ -49,6 +49,8 @@ def build_an_quiver_algebra(field: CycField, n: int) -> tuple[PBWAlgebra, Option
     for adjacent i < j, and all other pairs of generators commute.
     For n = 2 the two edges are doubly adjacent, the pairing is -2,
     and the pattern above does not apply: the table is None there.
+    The table maps "family i j" (family xx, dd, dx or xd) and "euler i"
+    to whether that relation holds.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -56,18 +58,17 @@ def build_an_quiver_algebra(field: CycField, n: int) -> tuple[PBWAlgebra, Option
     if n == 2:
         return alg, None
     q2 = field.qpow(2)
-
     table: dict = {}
     for i in range(1, n + 1):
         xi, di = alg.x(i), alg.d(i)
-        table[("euler", i)] = di * xi == q2 * (xi * di) + alg.scalar_element(q2 - field.one)
+        table[f"euler {i}"] = di * xi == q2 * (xi * di) + alg.scalar_element(q2 - field.one)
         for j in range(i + 1, n + 1):
             xj, dj = alg.x(j), alg.d(j)
             e = -1 if j == i + 1 or (i == 1 and j == n) else 0  # edge pairing
-            table[("xx", i, j)] = xj * xi == field.qpow(e) * (xi * xj)
-            table[("dd", i, j)] = dj * di == field.qpow(e) * (di * dj)
-            table[("dx", i, j)] = dj * xi == field.qpow(-e) * (xi * dj)
-            table[("xd", i, j)] = xj * di == field.qpow(-e) * (di * xj)
+            table[f"xx {i} {j}"] = xj * xi == field.qpow(e) * (xi * xj)
+            table[f"dd {i} {j}"] = dj * di == field.qpow(e) * (di * dj)
+            table[f"dx {i} {j}"] = dj * xi == field.qpow(-e) * (xi * dj)
+            table[f"xd {i} {j}"] = xj * di == field.qpow(-e) * (di * xj)
     return alg, table
 
 
@@ -227,7 +228,6 @@ def quiver_suite_report(field: CycField, n: int) -> dict:
     return {"n": n,
             "pairing_exponents": {f"{i},{j}": alg.emb.qij_exponent(i - 1, j - 1)
                                   for i in range(1, n + 1) for j in range(i + 1, n + 1)},
-            "table": None if table is None else {
-                " ".join(map(str, key)): ok for key, ok in table.items()},
+            "table": table,
             "u1_relations": u1, "central_z": central,
             "ok": (table is None or all(table.values())) and u1["all_ok"] and central["all_ok"]}
