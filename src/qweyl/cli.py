@@ -67,16 +67,16 @@ def validate_config(cfg: dict) -> TorusEmbedding:
             exprs = task.get("expressions")
             if not (isinstance(exprs, list) and exprs and all(isinstance(e, str) for e in exprs)):
                 raise ValueError(f"task {i}: 'expressions' must be a nonempty list of strings")
-        if task["type"] == "center-check":
-            deg = task.get("max_degree", 6)
+        if task["type"] == "center-check" and "max_degree" in task:
+            deg = task["max_degree"]
             if type(deg) is not int or deg < 0:  # bool is an int subclass
                 raise ValueError(f"task {i}: 'max_degree' must be an integer >= 0")
         if task["type"] in ("fiber-rep", "reduce"):
             _check_point(task.get("point", {}), emb.n, i)
         if task["type"] == "reduce" and not _is_list(task.get("eta"), emb.d):
             raise ValueError(f"task {i}: 'eta' must be a list of {emb.d} entries")
-        if task["type"] == "quiver-suite":
-            n = task.get("n", 3)
+        if task["type"] == "quiver-suite" and "n" in task:
+            n = task["n"]
             if type(n) is not int or n < 2:  # bool is an int subclass
                 raise ValueError(f"task {i}: 'n' must be an integer >= 2")
     return emb
@@ -132,8 +132,8 @@ def build_point(field: CycField, data: dict) -> FiberPoint:
 _RUNNERS = {
     "normalize": lambda algebra, task: normalize_report(algebra, task["expressions"]),
     "center-check": lambda algebra, task: center_report(algebra, task.get("max_degree", 6)),
-    "fiber-rep": lambda algebra, task: fiber_rep_report(
-        build_point(algebra.field, task["point"]), algebra.emb, algebra),
+    "fiber-rep": lambda algebra, task: fiber_rep_report(build_point(algebra.field, task["point"]),
+                                                        algebra),
     "reduce": lambda algebra, task: hamiltonian_reduce(
         build_point(algebra.field, task["point"]), algebra.emb,
         tuple(evaluate_scalar(str(v), algebra.field) for v in task["eta"])),

@@ -15,8 +15,10 @@ pairing matrix of the embedding; see untwist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, product as iproduct
+from operator import mul
 from typing import Optional, Sequence
 
 from .cyclotomic import CycField, CycScalar, power
@@ -46,15 +48,6 @@ class Matrix:
     @classmethod
     def identity(cls, field: CycField, size: int) -> "Matrix":
         return cls(field, size, {(r, r): field.one for r in range(size)})
-
-    @classmethod
-    def from_diag(cls, field: CycField, diag: Sequence) -> "Matrix":
-        ent = {}
-        for r, v in enumerate(diag):
-            v = field.scalar(v)
-            if v:
-                ent[(r, r)] = v
-        return cls(field, len(diag), ent)
 
     def __getitem__(self, rc):
         return self.entries.get(rc, self.field.zero)
@@ -312,58 +305,30 @@ def untwist(mat: Matrix, emb: TorusEmbedding) -> Matrix:
 
 @dataclass(frozen=True)
 class FullRep:
-    """The n-factor matrix model: images x_i, d_i in Mat(ell^n).
-
-    Each ordered word X(m) = x_1^m_1 ... x_n^m_n and D(k) = d_1^k_1 ...
-    d_n^k_n is built once, on first use, as X(m) = X(m - e_j) * x_j with
-    j the last index where m is nonzero, so the PBW order is kept and no
-    commutation is assumed.  The words live in one dict keyed by
-    ("x", m) or ("d", k); the rep is frozen so that they cannot go stale.
-    """
+    """The n-factor matrix model: images x_i, d_i in Mat(ell^n)."""
 
     field: CycField
     size: int
     x: tuple[Matrix, ...]
     d: tuple[Matrix, ...]
-    _words: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _word(self, kind: str, exps: tuple[int, ...]) -> Optional[Matrix]:
-        """X(exps) for kind "x", D(exps) for kind "d"; None for the empty word.
-
-        A word may be the zero matrix (x_i^ell = c_i = 0), so None, not
-        falsiness, marks the empty word.
-        """
-        gens = self.x if kind == "x" else self.d
-        words = self._words
-        chain = []  # (exponents, last nonzero index) still to build, outermost first
-        while any(exps) and (kind, exps) not in words:
-            j = max(i for i, e in enumerate(exps) if e)
-            chain.append((exps, j))
-            exps = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
-        word = words.get((kind, exps))
-        for exps, j in reversed(chain):
-            word = gens[j] if word is None else word * gens[j]
-            words[(kind, exps)] = word
-        return word
 
     def of_element(self, a: PBWElement) -> Matrix:
-        """Image of a PBW or fiber element under the representation:
-        the sum over terms c x^m d^k of c * X(m) * D(k)."""
+        """Image of a PBW or fiber element under the representation: the
+        sum over terms c x^m d^k of c times the ordered product
+        x_1^m_1 ... x_n^m_n d_1^k_1 ... d_n^k_n of the images, so the PBW
+        order is kept and no commutation is assumed."""
         if not isinstance(a, PBWElement):
             raise TypeError("expected a PBW element")
-        one = self.field.one
+        one, gens = self.field.one, self.x + self.d
 
         def terms():
             for (m, k), c in a.terms.items():
-                X, D = self._word("x", m), self._word("d", k)
-                if X is None and D is None:
+                factors = [g for g, e in zip(gens, m + k) for _ in range(e)]
+                if not factors:  # the empty word is I; any other may be the zero matrix
                     yield from (((r, r), c) for r in range(self.size))
-                    continue
-                word = D if X is None else X if D is None else X * D
-                if c == one:
-                    yield from word.entries.items()
                 else:
-                    yield from ((rc, c * v) for rc, v in word.entries.items())
+                    entries = reduce(mul, factors).entries.items()
+                    yield from entries if c == one else ((rc, c * v) for rc, v in entries)
 
         return Matrix(self.field, self.size, vec_accumulate({}, terms()))
 
@@ -396,32 +361,25 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     return FullRep(field=F, size=size, x=xs, d=ds)
 
 
-def generates_matrix_algebra(rep: FullRep, alphas: Sequence[Matrix]) -> bool:
-    """A certificate that I, the alphas and the rep.x, rep.d generate
-    Mat_N(K), K = Q(q) and N = rep.size.  It holds when
+def generates_matrix_algebra(rep: FullRep) -> bool:
+    """Condition (c) of the certificate that I, the alpha images and the
+    rep.x, rep.d generate Mat_N(K), K = Q(q) and N = rep.size: the graph on
+    the rows with an edge c -> r for each nonzero entry (r, c) of some rep.x
+    or rep.d is strongly connected.  Condition (b) is that every alpha image
+    is diagonal and no two rows share the tuple of their alpha eigenvalues;
+    fiber_rep_report reads it off its alpha_diagonal_ok check.
 
-    (b) every alpha is diagonal and no two rows share the tuple of their
-        alpha eigenvalues, and
-    (c) the graph on the rows with an edge c -> r for each nonzero entry
-        (r, c) of some rep.x or rep.d is strongly connected.
-
-    Proof.  Write a_i(r) for the r-th diagonal entry of alphas[i].  By (b),
+    Proof.  Write a_i(r) for the r-th diagonal entry of alpha_i.  By (b),
     each row s != r has an i = i(s) with a_i(s) != a_i(r), and the product
-    over s != r of (alphas[i] - a_i(s) I) / (a_i(r) - a_i(s)) is E_rr
+    over s != r of (alpha_i - a_i(s) I) / (a_i(r) - a_i(s)) is E_rr
     (Lagrange interpolation over K).  For an entry G_rc != 0 of a generator G,
     E_rr G E_cc = G_rc E_rc, so E_rc is generated along each edge; by (c)
     any two rows are joined by a path c = v_0 -> ... -> v_k = r, and
     E_rc is the product of the E along it.  So every E_rc is generated.
 
-    Only equality, nonzero tests and a graph search are used: no scalar
-    arithmetic and no reduction mod p.
+    Only a graph search is used: no scalar arithmetic and no reduction mod p.
     """
     size = rep.size
-    if any(r != c for a in alphas for r, c in a.entries):
-        return False
-    zero = rep.field.zero
-    if len({tuple(a.entries.get((r, r), zero) for a in alphas) for r in range(size)}) != size:
-        return False
     forward: dict = {}
     backward: dict = {}
     for G in rep.x + rep.d:
@@ -475,28 +433,30 @@ def presentation_failure(rep: FullRep, point: FiberPoint, algebra: PBWAlgebra) -
     return None
 
 
-def fiber_rep_report(point: FiberPoint, emb: TorusEmbedding, algebra: PBWAlgebra) -> dict:
+def fiber_rep_report(point: FiberPoint, algebra: PBWAlgebra) -> dict:
     """The fiber-rep report of the matrix model at point.
 
     relations_ok: presentation_failure finds none (else it is reported under
     failed_relation), so rep is an algebra map on D_lambda and the span of
     the images of its ell^(2n) basis monomials is the algebra generated by
-    I, the rep.x and the rep.d.  When generates_matrix_algebra certifies
-    that this is Mat_N(K), the span is N^2 and no monomial image is built;
-    otherwise basis_rank counts it.  alpha_diagonal_ok: the image of alpha_i
-    is diagonal with gamma_i q^(-2 r_i) in row r.  in_azumaya_locus is
-    always true: full_matrix_rep raises off the locus.
+    I, the rep.x and the rep.d.  alpha_diagonal_ok: the image of alpha_i is
+    diag(gamma_i q^(-2 r_i)), r_i the i-th digit of row r.  As gamma_i != 0
+    on the locus and q^-2 has order ell, row r's eigenvalue tuple fixes its
+    digits, so no two rows share one: that is condition (b) of
+    generates_matrix_algebra.  When both hold and the certificate does, the
+    span is Mat_N(K), N^2, and no monomial image is built; otherwise
+    basis_rank counts it.  in_azumaya_locus is always true: full_matrix_rep
+    raises off the locus.
     """
-    F, n, ell = point.field, emb.n, point.field.ell
-    rep = full_matrix_rep(point, emb)
+    F, n, ell = point.field, algebra.n, point.field.ell
+    rep = full_matrix_rep(point, algebra.emb)
     failure = presentation_failure(rep, point, algebra)
     relations_ok = not failure
-    alphas = alpha_images(rep)
-    alpha_ok = all(alpha == Matrix.from_diag(F, [g * F.qpow(-2 * digits(r, ell, n)[i])
-                                                 for r in range(rep.size)])
-                   for i, (alpha, g) in enumerate(zip(alphas, point.gamma)))
-    certified = relations_ok and generates_matrix_algebra(rep, alphas)
-    span_dim = rep.size ** 2 if certified else basis_rank(rep, algebra)
+    alpha_ok = all(alpha.entries == {(r, r): g * F.qpow(-2 * digits(r, ell, n)[i])
+                                     for r in range(rep.size)}
+                   for i, (alpha, g) in enumerate(zip(alpha_images(rep), point.gamma)))
+    certified = relations_ok and alpha_ok and generates_matrix_algebra(rep)
+    span_dim = rep.size ** 2 if certified else basis_rank(rep)
     report = {"in_azumaya_locus": point.in_azumaya_locus(), "relations_ok": relations_ok,
               "alpha_diagonal_ok": alpha_ok, "span_dimension": span_dim,
               "expected_span_dimension": ell ** (2 * n),
@@ -506,15 +466,28 @@ def fiber_rep_report(point: FiberPoint, emb: TorusEmbedding, algebra: PBWAlgebra
     return report
 
 
-def basis_rank(rep: FullRep, algebra: PBWAlgebra) -> int:
+def basis_rank(rep: FullRep) -> int:
     """Rank over Q(q) of the images under rep of the ell^(2n) monomials
     x^m d^k with every exponent below ell; their number ell^(2n) bounds it
-    (see linalg.rank)."""
-    rng = range(rep.field.ell)
-    return rank(lambda: (rep.of_element(algebra.monomial(m, k)).entries
-                         for m in iproduct(rng, repeat=algebra.n)
-                         for k in iproduct(rng, repeat=algebra.n)),
-                rep.field, rep.field.ell ** (2 * algebra.n))
+    (see linalg.rank).  Each ordered word X(m) = x_1^m_1 ... x_n^m_n is
+    built once, as X(m - e_j) * x_j with j the last index where m is
+    nonzero, and likewise each D(k); the image of x^m d^k is X(m) * D(k).
+    """
+    ell, n = rep.field.ell, len(rep.x)
+    ident = Matrix.identity(rep.field, rep.size)
+
+    def words(gens: tuple[Matrix, ...]) -> list[Matrix]:
+        """The words of gens in the order of iproduct, ident for the empty one."""
+        out = {(0,) * n: ident}
+        for m in list(iproduct(range(ell), repeat=n))[1:]:
+            j = max(i for i, e in enumerate(m) if e)
+            prev = out[m[:j] + (m[j] - 1,) + m[j + 1:]]
+            out[m] = gens[j] if prev is ident else prev * gens[j]
+        return list(out.values())
+
+    xs, ds = words(rep.x), words(rep.d)
+    return rank(lambda: ((D if X is ident else X if D is ident else X * D).entries
+                         for X in xs for D in ds), rep.field, rep.size ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -550,4 +523,4 @@ def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
 
     rep = FullRep(fib.field, ell ** n, x=tuple(action(fib.x(i + 1)) for i in range(n)),
                   d=tuple(action(fib.d(i + 1)) for i in range(n)))
-    return basis_rank(rep, fib) == ell ** (2 * n)
+    return basis_rank(rep) == ell ** (2 * n)

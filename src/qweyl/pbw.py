@@ -328,7 +328,6 @@ class PBWElement:
 @dataclass
 class QmmResult:
     ok: bool
-    scalar: CycScalar
     exponent: int
 
     def __bool__(self):
@@ -370,10 +369,9 @@ def verify_qmm(a: PBWElement, kind: str, r: Sequence[int]) -> QmmResult:
             plus = plus * (A.alpha(i) ** ui)
         elif ui < 0:
             minus = minus * (A.alpha(i) ** (-ui))
-    scalar = A.field.qpow(2 * e)
     lhs = plus * a * minus
-    rhs = scalar * (minus * a * plus)
-    return QmmResult(ok=(lhs == rhs), scalar=scalar, exponent=2 * e)
+    rhs = A.field.qpow(2 * e) * (minus * a * plus)
+    return QmmResult(ok=(lhs == rhs), exponent=2 * e)
 
 
 def qmm_report(algebra: PBWAlgebra) -> dict:

@@ -39,10 +39,14 @@ def phi_dagger(point: FiberPoint, emb: TorusEmbedding) -> tuple[CycScalar, ...]:
 def admissible_etas(point: FiberPoint, emb: TorusEmbedding) -> list[tuple[CycScalar, ...]]:
     """All parameters with a nonzero reduction: phi(gamma) twisted by
     torsion points in the image of the weight map."""
-    F = point.field
-    base = phi_dagger(point, emb)
-    return [tuple(base[j] * F.qpow(-2 * t[j]) for j in range(emb.d))
-            for t in sorted(set(row_weights(emb, F.ell)))]
+    weights = row_weights(emb, point.field.ell)
+    return _admissible(moment_values(point, emb, weights), weights)
+
+
+def _admissible(mu: list, weights: list) -> list[tuple[CycScalar, ...]]:
+    """mu read at the first row of each weight, in sorted order of the weights;
+    mu is constant on each weight's coset, so these are the admissible etas."""
+    return [tuple(m[weights.index(w)] for m in mu) for w in sorted(set(weights))]
 
 
 def moment_values(point: FiberPoint, emb: TorusEmbedding,
@@ -113,9 +117,8 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     mu = moment_values(point, emb, weights)
     first = next((r for r in range(len(weights)) if all(m[r] == e for m, e in zip(mu, eta))), None)
     if first is None:
-        # mu is constant on each weight's coset: read each admissible eta off its first row
-        return {"eta_admissible": False, "admissible": [
-            [str(m[weights.index(w)]) for m in mu] for w in sorted(set(weights))], "ok": False}
+        return {"eta_admissible": False, "ok": False,
+                "admissible": [[str(v) for v in eta] for eta in _admissible(mu, weights)]}
     counts = Counter(weights)
     shift = weights[first]
     invariant_dim = sum(c * c for c in counts.values())

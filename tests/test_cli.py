@@ -460,22 +460,23 @@ def test_center_check_scalar_multiplies_stay_few(monkeypatch):
 
 
 def test_fiber_rep_span_falls_back_and_fails_on_a_repeated_image(monkeypatch):
-    # x1^2 x2^2 d1^2 d2^2 is sent to the image of x1^2 x2^2 d1^2 d2: the
-    # images fall one short of independent mod p, and the exact span counts 80.
+    # basis_rank hands fiber.rank the image of x1^2 x2^2 d1^2 d2 in place of
+    # that of x1^2 x2^2 d1^2 d2^2, the last one: the images fall one short
+    # of independent mod p, and the exact span counts 80.
     # The generation certificate reads no monomial image, so it is made to
     # fail: the span then comes from the counting path, and relations_ok,
     # which reads only the generator images, still holds
     from qweyl import fiber
-    from qweyl.fiber import FullRep
-    of_element = FullRep.of_element
+    rank = fiber.rank
 
-    def repeated(self, a):
-        if set(a.terms) == {((2, 2), (2, 2))}:
-            a = a.algebra.monomial((2, 2), (2, 1))
-        return of_element(self, a)
+    def repeated(vectors, field, bound):
+        def images():
+            *rest, before, _ = vectors()
+            return [*rest, before, before]
+        return rank(images, field, bound)
 
-    monkeypatch.setattr(FullRep, "of_element", repeated)
-    monkeypatch.setattr(fiber, "generates_matrix_algebra", lambda rep, alphas: False)
+    monkeypatch.setattr(fiber, "rank", repeated)
+    monkeypatch.setattr(fiber, "generates_matrix_algebra", lambda rep: False)
     entry = run_suite(suite_cfg())["tasks"][1]
     assert (entry["span_dimension"], entry["expected_span_dimension"]) == (80, 81)
     assert entry["relations_ok"] is True and entry["ok"] is False

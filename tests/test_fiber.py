@@ -13,7 +13,7 @@ from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, OutsideAzumayaLoc
 from qweyl import fiber
 from qweyl.cli import run_suite
 from qweyl.expr import evaluate_scalar
-from qweyl.fiber import FullRep, digits
+from qweyl.fiber import digits
 from qweyl.linalg import SpanBasis
 
 from braided import braided_product
@@ -403,7 +403,7 @@ def test_full_rep_refuses_points_off_the_locus():
 
 
 
-# -- the word cache of the full model -----------------------------------------
+# -- the words of the full model ----------------------------------------------
 
 def braided_c0_point_l5(F):
     """ell = 5 on weights (1), (1): a c != 0 factor and a c = 0 factor."""
@@ -490,22 +490,34 @@ def test_full_rep_matches_the_uncached_product(ell, emb, make_point, seed):
 
 
 def test_full_rep_builds_each_word_once(monkeypatch):
+    # basis_rank builds the 9 X-words and the 9 D-words once each and one
+    # product X(m) D(k) per image; the images are those of the basis monomials
     F = CycField(3)
     emb = emb_n2()
     A = PBWAlgebra(F, emb)
     rep = full_matrix_rep(two_factor_point(F), emb)
-    products = 0
-    mul = Matrix.__mul__
+    products, images = 0, []
+    mul, rank = Matrix.__mul__, fiber.rank
 
     def counting_mul(self, other):
         nonlocal products
         products += isinstance(other, Matrix)
         return mul(self, other)
 
+    def recorded(vectors, field, bound):
+        def seen():
+            for v in vectors():
+                images.append(v)
+                yield v
+        return rank(seen, field, bound)
+
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
-    for key in FiberAlgebra(A, two_factor_point(F)).basis_keys():
-        rep.of_element(A.monomial(*key))
+    monkeypatch.setattr(fiber, "rank", recorded)
+    assert fiber.basis_rank(rep) == 81
     assert 0 < products <= 3 ** 4 + 2 * 3 ** 2
+    monkeypatch.undo()
+    keys = FiberAlgebra(A, two_factor_point(F)).basis_keys()
+    assert images == [rep.of_element(A.monomial(*key)).entries for key in keys]
 
 
 def test_full_rep_is_frozen():
@@ -513,11 +525,6 @@ def test_full_rep_is_frozen():
     rep = full_matrix_rep(two_factor_point(F), emb_n2())
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.x = rep.d
-    # a copy with other generators starts with no words
-    A = PBWAlgebra(F, emb_n2())
-    rep.of_element(A.x(1))
-    swapped = dataclasses.replace(rep, x=rep.d, d=rep.x)
-    assert swapped.of_element(A.x(1)) == rep.d[0]
 
 # -- module bases and the splitting check ------------------------------------
 
@@ -592,9 +599,9 @@ def test_splitting_module_rep_matches_the_all_pairs_action(p):
     reps = []
     basis_rank = fiber.basis_rank
 
-    def capture(rep, algebra):
+    def capture(rep):
         reps.append(rep)
-        return basis_rank(rep, algebra)
+        return basis_rank(rep)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fiber, "basis_rank", capture)
@@ -623,24 +630,31 @@ def test_splitting_check_acts_with_the_generators_only(monkeypatch):
     assert 0 < products <= 2 * 81 + 4 * 9
 
 
+def repeat_the_last_image(monkeypatch):
+    """Make basis_rank hand fiber.rank the image of x^(2, 2) d^(2, 1) in place
+    of the last one, x^(2, 2) d^(2, 2): at ell 3, n 2 the images then fall one
+    short of independent mod p, and the exact span counts 80."""
+    rank = fiber.rank
+
+    def repeated(vectors, field, bound):
+        def images():
+            *rest, before, _ = vectors()
+            return [*rest, before, before]
+        return rank(images, field, bound)
+
+    monkeypatch.setattr(fiber, "rank", repeated)
+
+
 def test_splitting_check_fails_on_a_repeated_image(monkeypatch):
-    # x1^2 x2^2 d1^2 d2^2 is sent to the image of x1^2 x2^2 d1^2 d2: the
-    # images fall one short of independent mod p, and the exact span counts 80
     F = CycField(3)
-    of_element = FullRep.of_element
     basis_rank = fiber.basis_rank
     ranks = []
 
-    def repeated(self, a):
-        if set(a.terms) == {((2, 2), (2, 2))}:
-            a = a.algebra.monomial((2, 2), (2, 1))
-        return of_element(self, a)
-
-    def recorded(rep, algebra):
-        ranks.append(basis_rank(rep, algebra))
+    def recorded(rep):
+        ranks.append(basis_rank(rep))
         return ranks[-1]
 
-    monkeypatch.setattr(FullRep, "of_element", repeated)
+    repeat_the_last_image(monkeypatch)
     monkeypatch.setattr(fiber, "basis_rank", recorded)
     assert endo_splitting_check(weyl(3, emb_n2()), two_factor_point(F)) is False
     assert ranks == [80]
@@ -670,10 +684,10 @@ def pbw_alpha_images(rep, A):
     return [rep.of_element(A.alpha(i + 1)) for i in range(A.n)]
 
 
-def exact_basis_rank(rep, A):
+def exact_basis_rank(rep):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fiber, "rank", exact_rank)
-        return fiber.basis_rank(rep, A)
+        return fiber.basis_rank(rep)
 
 
 def counted_fallback(monkeypatch):
@@ -682,8 +696,8 @@ def counted_fallback(monkeypatch):
     counts = []
     basis_rank = fiber.basis_rank
 
-    def counted(rep, algebra):
-        counts.append(basis_rank(rep, algebra))
+    def counted(rep):
+        counts.append(basis_rank(rep))
         return counts[-1]
 
     monkeypatch.setattr(fiber, "rank", exact_rank)
@@ -691,15 +705,18 @@ def counted_fallback(monkeypatch):
     return counts
 
 
-def assert_certified_span(p, A):
-    """At a locus point the model has its central values, the certificate
-    holds, and its ell^(2n) is the exact count."""
+def assert_certified_span(p, A, monkeypatch):
+    """At a locus point the model has its central values, the report
+    certifies its span, and its ell^(2n) is the exact count."""
     rep = full_matrix_rep(p, A.emb)
     assert fiber.presentation_failure(rep, p, A) is None
-    alphas = fiber.alpha_images(rep)
-    assert alphas == pbw_alpha_images(rep, A)
-    assert fiber.generates_matrix_algebra(rep, alphas)
-    assert rep.size ** 2 == exact_basis_rank(rep, A) == A.field.ell ** (2 * p.n)
+    assert fiber.alpha_images(rep) == pbw_alpha_images(rep, A)
+    assert fiber.generates_matrix_algebra(rep)
+    with monkeypatch.context() as mp:
+        counts = counted_fallback(mp)
+        report = fiber.fiber_rep_report(p, A)
+    assert report["alpha_diagonal_ok"] and report["ok"] and counts == []
+    assert report["span_dimension"] == exact_basis_rank(rep) == A.field.ell ** (2 * p.n)
 
 
 F3 = CycField(3)
@@ -711,16 +728,17 @@ F3 = CycField(3)
 @example(p=point(F3, [(F3.zero, F3.scalar(2)), (F3.zero, F3.zero)], [F3.qpow(2), F3.qpow(1)]))
 @example(p=point(F3, [(F3.zero, F3.zero), (F3.scalar(7), F3.one)], [F3.one, F3.scalar(2)]))
 def test_generation_certificate_agrees_with_the_exact_span(p):
-    assert_certified_span(p, weyl(3, emb_n1() if p.n == 1 else emb_n2()))
+    with pytest.MonkeyPatch.context() as mp:
+        assert_certified_span(p, weyl(3, emb_n1() if p.n == 1 else emb_n2()), mp)
 
 
 @pytest.mark.parametrize("c,w,gamma", [(0, 0, "q^2"), (0, "2 - q", "q^4"), (3, None, "2 + q")],
                          ids=["c0-w0", "c0", "c3"])
-def test_generation_certificate_agrees_with_the_exact_span_at_ell_5(c, w, gamma):
+def test_generation_certificate_agrees_with_the_exact_span_at_ell_5(c, w, gamma, monkeypatch):
     F = CycField(5)
     g = evaluate_scalar(gamma, F)
     w = (g ** 5 - 1) / 3 if w is None else evaluate_scalar(str(w), F)
-    assert_certified_span(point(F, [(F.scalar(c), w)], [g]), weyl(5))
+    assert_certified_span(point(F, [(F.scalar(c), w)], [g]), weyl(5), monkeypatch)
 
 
 def test_central_values_check_reads_c_and_w():
@@ -736,36 +754,70 @@ def test_central_values_check_reads_c_and_w():
             "relation": f"x1^3 = {c}", "entry": [0, 0], "residual": residual}
 
 
-def test_a_repeated_alpha_eigenvalue_fails_the_certificate():
+def report_of_model(rep, p, A, monkeypatch):
+    """The fiber-rep report at p with rep as its model, and the counts of
+    its counting path."""
+    counts = counted_fallback(monkeypatch)
+    monkeypatch.setattr(fiber, "full_matrix_rep", lambda point, emb: rep)
+    return fiber.fiber_rep_report(p, A), counts
+
+
+def test_a_repeated_alpha_eigenvalue_fails_the_certificate(monkeypatch):
     # alpha = 1 + x d has 1 + xi_(r+1) delta_r in row r, and xi_1 = xi_2 = 1
     # at c != 0: delta_0 := delta_1 gives rows 0 and 1 the same eigenvalue
     F = CycField(3)
     A = weyl(3)
-    rep = full_matrix_rep(point(F, [(F.scalar(7), F.one)], [F.scalar(2)]), A.emb)
+    p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
+    rep = full_matrix_rep(p, A.emb)
     (x,), (d,) = rep.x, rep.d
     assert x[(0, 1)] == x[(1, 2)] == F.one and d[(1, 0)] != d[(2, 1)]
     bad = dataclasses.replace(rep, d=(Matrix(F, 3, {**d.entries, (1, 0): d[(2, 1)]}),))
     (alpha,) = fiber.alpha_images(bad)
     assert all(r == c for r, c in alpha.entries) and alpha[(0, 0)] == alpha[(1, 1)]
-    assert fiber.generates_matrix_algebra(rep, fiber.alpha_images(rep))
-    assert not fiber.generates_matrix_algebra(bad, [alpha])
+    # the graph search cannot see it: the alpha check fails (and so does
+    # d x = q^2 x d + q^2 - 1), and the span is counted
+    assert fiber.generates_matrix_algebra(bad)
+    report, counts = report_of_model(bad, p, A, monkeypatch)
+    assert report["alpha_diagonal_ok"] is report["relations_ok"] is report["ok"] is False
     # the certificate is only sufficient: the exact count still finds all of Mat_3
-    assert exact_basis_rank(bad, A) == exact_basis_rank(rep, A) == rep.size ** 2 == 9
+    assert report["span_dimension"] == 9 and counts == [9]
+    assert exact_basis_rank(bad) == exact_basis_rank(rep) == rep.size ** 2 == 9
 
 
-def test_an_alpha_off_the_diagonal_fails_the_certificate():
+def test_an_alpha_off_the_diagonal_fails_the_certificate(monkeypatch):
     # a d entry at (0, 0) adds x_(2,0) d_(0,0) at (2, 0) of x d and nothing
     # on its diagonal: the eigenvalues stay distinct and the graph connected
     F = CycField(3)
     A = weyl(3)
-    rep = full_matrix_rep(point(F, [(F.scalar(7), F.one)], [F.scalar(2)]), A.emb)
+    p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
+    rep = full_matrix_rep(p, A.emb)
     (d,) = rep.d
     bad = dataclasses.replace(rep, d=(Matrix(F, 3, {**d.entries, (0, 0): F.one}),))
     (alpha,), (good,) = fiber.alpha_images(bad), fiber.alpha_images(rep)
     assert set(alpha.entries) - set(good.entries) == {(2, 0)}
     assert all(alpha[(r, r)] == good[(r, r)] for r in range(3))
-    assert not fiber.generates_matrix_algebra(bad, [alpha])
-    assert exact_basis_rank(bad, A) == 9
+    assert fiber.generates_matrix_algebra(bad)
+    report, counts = report_of_model(bad, p, A, monkeypatch)
+    assert report["alpha_diagonal_ok"] is report["relations_ok"] is report["ok"] is False
+    assert report["span_dimension"] == 9 and counts == [9]
+
+
+def test_distinct_but_wrong_alpha_eigenvalues_are_counted_not_certified(monkeypatch):
+    # gamma = 2 and gamma = 2q are both cube roots of 1 + 7 * 1 = 8: the model
+    # built at gamma = 2 satisfies every relation at the point with gamma = 2q,
+    # and its alpha images are diagonal with distinct eigenvalues 2 q^(-2r),
+    # but not the 2q q^(-2r) that point pins
+    F = CycField(3)
+    A = weyl(3)
+    rep = full_matrix_rep(point(F, [(F.scalar(7), F.one)], [F.scalar(2)]), A.emb)
+    (alpha,) = fiber.alpha_images(rep)
+    assert alpha.entries == {(r, r): 2 * F.qpow(-2 * r) for r in range(3)}
+    assert fiber.generates_matrix_algebra(rep)
+    report, counts = report_of_model(rep, point(F, [(F.scalar(7), F.one)], [2 * F.q]), A,
+                                     monkeypatch)
+    assert report["relations_ok"] is True and report["alpha_diagonal_ok"] is False
+    assert report["span_dimension"] == 9 and counts == [9]
+    assert report["ok"] is False
 
 
 def test_a_cut_edge_fails_the_certificate():
@@ -776,14 +828,12 @@ def test_a_cut_edge_fails_the_certificate():
     rep = full_matrix_rep(point(F, [(F.zero, F.zero)], [F.one]), A.emb)
     (x,), (d,) = rep.x, rep.d
     assert set(x.entries) == {(2, 0), (1, 2)} and set(d.entries) == {(2, 1), (0, 2)}
-    alphas = fiber.alpha_images(rep)
-    assert fiber.generates_matrix_algebra(rep, alphas)
-    # zeroing the x and d entries between rows 1 and 2 cuts row 1 off; with
-    # the true alphas, only the graph search can see it
+    assert fiber.generates_matrix_algebra(rep)
+    # zeroing the x and d entries between rows 1 and 2 cuts row 1 off
     cut = dataclasses.replace(
         rep, x=(Matrix(F, 3, {(2, 0): x[(2, 0)]}),), d=(Matrix(F, 3, {(0, 2): d[(0, 2)]}),))
-    assert not fiber.generates_matrix_algebra(cut, alphas)
-    assert exact_basis_rank(cut, A) == 4
+    assert not fiber.generates_matrix_algebra(cut)
+    assert exact_basis_rank(cut) == 4
 
 
 def test_fiber_rep_span_counts_when_the_relations_or_the_certificate_fail(monkeypatch):
@@ -796,24 +846,24 @@ def test_fiber_rep_span_counts_when_the_relations_or_the_certificate_fail(monkey
     p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
     rep = full_matrix_rep(p, A.emb)
     counts = counted_fallback(monkeypatch)
-    report = fiber.fiber_rep_report(p, A.emb, A)
+    report = fiber.fiber_rep_report(p, A)
     assert report["ok"] and report["span_dimension"] == 9 and counts == []
     assert "failed_relation" not in report
     moved = dataclasses.replace(p, lam=((F.scalar(14), F.one / 2),))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fiber, "full_matrix_rep", lambda point, emb: rep)
-        report = fiber.fiber_rep_report(moved, A.emb, A)
+        report = fiber.fiber_rep_report(moved, A)
     assert report["relations_ok"] is False and report["alpha_diagonal_ok"] is True
     assert report["failed_relation"]["relation"] == "x1^3 = 14"
     assert report["span_dimension"] == 9 and counts == [9]
     assert report["ok"] is False
-    monkeypatch.setattr(fiber, "generates_matrix_algebra", lambda rep, alphas: False)
-    report = fiber.fiber_rep_report(p, A.emb, A)
+    monkeypatch.setattr(fiber, "generates_matrix_algebra", lambda rep: False)
+    report = fiber.fiber_rep_report(p, A)
     assert report["ok"] and report["span_dimension"] == 9 and counts == [9, 9]
 
 
 def test_a_passing_fiber_rep_builds_the_alpha_images_once(monkeypatch):
-    # the alpha-diagonal check and the certificate read one list
+    # the alpha-diagonal check reads one list, and the certificate reads the model
     built, read = [], []
     alpha_images, generates = fiber.alpha_images, fiber.generates_matrix_algebra
 
@@ -821,9 +871,9 @@ def test_a_passing_fiber_rep_builds_the_alpha_images_once(monkeypatch):
         built.append(alpha_images(rep))
         return built[-1]
 
-    def recorded_certificate(rep, alphas):
-        read.append(alphas)
-        return generates(rep, alphas)
+    def recorded_certificate(rep):
+        read.append(rep)
+        return generates(rep)
 
     monkeypatch.setattr(fiber, "alpha_images", recorded_images)
     monkeypatch.setattr(fiber, "generates_matrix_algebra", recorded_certificate)
@@ -831,4 +881,4 @@ def test_a_passing_fiber_rep_builds_the_alpha_images_once(monkeypatch):
            "tasks": [{"type": "fiber-rep",
                       "point": {"lambda": [["0", "0"], ["7", "1"]], "gamma": ["1", "2"]}}]}
     assert run_suite(cfg)["tasks"][0]["ok"]
-    assert len(built) == 1 and len(read) == 1 and read[0] is built[0]
+    assert len(built) == 1 and len(read) == 1

@@ -184,7 +184,7 @@ def test_moment_matches_alpha_products_in_the_matrix_model():
                    gamma=(F.one, F.scalar(2)))
     rep = full_matrix_rep(p, emb)
     A = PBWAlgebra(F, emb)
-    mu = Matrix.from_diag(F, mu_of(p, emb)[0])
+    mu = Matrix(F, 9, {(r, r): v for r, v in enumerate(mu_of(p, emb)[0])})
     assert mu == rep.of_element(A.alpha(1) * A.alpha(2))
 
 
@@ -197,10 +197,10 @@ def test_moment_conjugation_with_negative_weights():
                    gamma=(F.scalar(2), F.one))
     rep = full_matrix_rep(p, emb)
     A = PBWAlgebra(F, emb)
-    mu = Matrix.from_diag(F, mu_of(p, emb)[0])
+    mu = Matrix(F, 9, {(r, r): v for r, v in enumerate(mu_of(p, emb)[0])})
     # mu(z) = alpha_1 alpha_2^-1, the second Euler image inverted entrywise
     alpha2 = rep.of_element(A.alpha(2))
-    alpha2_inv = Matrix.from_diag(F, [alpha2[(r, r)].inverse() for r in range(9)])
+    alpha2_inv = Matrix(F, 9, {(r, r): alpha2[(r, r)].inverse() for r in range(9)})
     assert mu == rep.of_element(A.alpha(1)) * alpha2_inv
     for i in range(2):
         m = emb.matrix[i][0]

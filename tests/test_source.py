@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -80,6 +81,14 @@ def test_one_certificate_rule():
     # path can grow back unnoticed
     assert callers_of("modular_rank") == [("linalg.py", "rank")]
     assert callers_of("rank") == [("fiber.py", "basis_rank"), ("pbw.py", "center_report")]
+
+
+def test_full_rep_holds_its_images_only():
+    # the model is its generator images: no word cache can grow back on it
+    from qweyl.fiber import FullRep
+    assert [f.name for f in dataclasses.fields(FullRep)] == ["field", "size", "x", "d"]
+    assert [name for name, v in vars(FullRep).items()
+            if inspect.isfunction(v) and not name.startswith("__")] == ["of_element"]
 
 
 def test_the_fiber_rep_span_path_is_chosen_in_fiber():
