@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycField, CycScalar, power
 from .lattice import TorusEmbedding
-from .linalg import rank, vec_accumulate
+from .linalg import nullspace, rank, vec_accumulate
 
 MonoKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -404,18 +404,44 @@ def commutator_rows(algebra: PBWAlgebra, keys: Sequence[MonoKey]) -> list:
     return rows
 
 
+def _alpha_scales_by_weight(algebra: PBWAlgebra) -> bool:
+    """alpha_i g = q^(2 s_i) g alpha_i for each i and each generator g of
+    T-weight s: the premise of center_report's restriction, checked exactly."""
+    qpow, gens = algebra.field.qpow, algebra.generators()
+    return all(a * g == qpow(2 * g.t_degree()[i]) * (g * a)
+               for i, a in enumerate(map(algebra.alpha, range(1, algebra.n + 1)))
+               for g in gens)
+
+
 def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
     """The center-check report: the central span of the x^m d^k with every
-    exponent at most max_degree, against the span of their ell-th powers."""
+    exponent at most max_degree, against the span of their ell-th powers.
+
+    Only the keys of central weight, m = k (mod ell), are solved for.  Write
+    s = m - k for the T-weight of x^m d^k.  If alpha_i g = q^(2 s_i) g alpha_i
+    for each generator g of weight s (checked exactly), the same holds for
+    every x^m d^k, an ordered product of generators.  A central
+    c = sum_b c_b b commutes with alpha_i = 1 + x_i d_i, so
+    0 = alpha_i c - c alpha_i = (sum_b c_b (q^(2 s_i(b)) - 1) b) alpha_i.
+    D is an iterated Ore extension, so a domain, and alpha_i != 0: every
+    c_b with q^(2 s_i(b)) != 1 vanishes, and as q^2 has order ell, c lives
+    on the keys with s in ell Z^n.  The system on those keys is the full one
+    with the other unknowns set to 0, so it has the same kernel; it holds
+    every expected x^(ell a) d^(ell b).  If the premise fails, every key is
+    solved for.
+    """
     field, n = algebra.field, algebra.n
-    # every monomial x^m d^k of degree <= max_degree in each variable, and the ell-th powers
-    keys, expected = ([(m, k) for m in iproduct(exps, repeat=n) for k in iproduct(exps, repeat=n)]
-                      for exps in (range(max_degree + 1), range(0, max_degree + 1, field.ell)))
+    step = field.ell if _alpha_scales_by_weight(algebra) else 1
+    keys = [(m, k) for m in iproduct(range(max_degree + 1), repeat=n)
+            for k in iproduct(*(range(e % step, max_degree + 1, step) for e in m))]
+    powers = range(0, max_degree + 1, field.ell)
+    expected = [(m, k) for m in iproduct(powers, repeat=n) for k in iproduct(powers, repeat=n)]
     rows = commutator_rows(algebra, keys)
     # an expected key with a zero column in every row is in the kernel, and then
     # the rows live on the other keys: their rank is at most |keys| - |expected|;
     # the first expected key some row touches is the witness that it is not
-    touched = set(expected).intersection(key for r in rows for key in r)
+    expected_set = set(expected)
+    touched = expected_set.intersection(key for r in rows for key in r)
     witness = next((key for key in expected if key in touched), None)
     in_kernel = witness is None
     bound = len(keys) - len(expected) if in_kernel else len(keys)
@@ -430,4 +456,12 @@ def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
               "basis": basis_strs, "ok": matches}
     if witness is not None:
         report["not_central"] = str(algebra.monomial(*witness))
+    elif not matches:
+        # only the nullity is wrong: name the first free unknown that is not
+        # expected; each exact solution is 1 at its free unknown, the last key
+        # it holds in the order of keys (rows are reduced, pivots come first)
+        order = {key: i for i, key in enumerate(keys)}
+        free = (max(v, key=order.__getitem__) for v in nullspace(rows, keys, field))
+        extra = next(u for u in free if u not in expected_set)
+        report["extra_central"] = str(algebra.monomial(*extra))
     return report

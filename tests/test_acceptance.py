@@ -15,7 +15,7 @@ from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, PBWAlgebra,
                    verify_u1_relations)
 from qweyl.lattice import QuiverData
 from qweyl.linalg import SpanBasis, nullspace
-from qweyl.pbw import qmm_report
+from qweyl.pbw import center_report, qmm_report
 from qweyl.quiver_examples import quiver_suite_report
 from qweyl.reduction import row_weights
 
@@ -221,3 +221,13 @@ def test_criterion_9_quantum_moment_map():
         ok = ok and report["ok"] and len(report["checks"]) == (emb.n + emb.d) * 2 * emb.n
     elapsed = time.perf_counter() - t0
     verdict(9, "quantum moment map identity", ok and elapsed < 1.0)
+
+
+def test_criterion_10_center_check_at_n3():
+    # 4096 monomials x^m d^k with exponents <= 3 in three variables; the
+    # center is the span of the 64 with every exponent 0 or 3
+    t0 = time.perf_counter()
+    report = center_report(PBWAlgebra(CycField(3), emb_cyclic3()), 3)
+    ok = report["ok"] and report["dimension"] == report["expected_dimension"] == 64
+    elapsed = time.perf_counter() - t0
+    verdict(10, "center check at n = 3", ok and elapsed < 1.0)

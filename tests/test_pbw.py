@@ -9,16 +9,19 @@ the module axiom.
 """
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qweyl import (CycField, PBWAlgebra, TorusEmbedding, quiver_to_embedding,
                    verify_qmm)
 from qweyl import pbw
 from qweyl.lattice import QuiverData
-from qweyl.linalg import vec_accumulate
+from qweyl.linalg import rank, vec_accumulate
 
 
 def emb_n1():
@@ -337,6 +340,63 @@ def test_centralizer_ell3_n1():
     for a in (0, 3, 6):
         for b in (0, 3, 6):
             assert span.contains({((a,), (b,)): F.one}), (a, b)
+
+
+# -- center_report on the keys of central weight ------------------------------
+
+def test_center_report_prunes_only_where_the_premise_holds(monkeypatch):
+    seen = []  # the keys handed to each commutator_rows call
+    rows = pbw.commutator_rows
+
+    def recording(algebra, keys):
+        seen.append(list(keys))
+        return rows(algebra, keys)
+
+    monkeypatch.setattr(pbw, "commutator_rows", recording)
+    A = PBWAlgebra(CycField(3), emb_n2())
+    passing = pbw.center_report(A, 6)
+    assert passing["ok"] and passing["dimension"] == 81
+    # the keys x^m d^k with m = k (mod 3): 17 choices of (m_i, k_i) per index
+    assert len(seen[-1]) == 289 == 17 ** 2
+    assert all((a - b) % 3 == 0 for m, k in seen[-1] for a, b in zip(m, k))
+    # alpha_i = 1 + q^2 x_i d_i breaks alpha_i x_i = q^2 x_i alpha_i, so the
+    # restriction is unproven and every key is solved for; the rows are
+    # right, so the report keeps its bytes
+    alpha = PBWAlgebra.alpha
+    monkeypatch.setattr(PBWAlgebra, "alpha",
+                        lambda self, i: self.one() + self.field.qpow(2) * (alpha(self, i) - 1))
+    fallback = pbw.center_report(A, 6)
+    assert len(seen[-1]) == 2401 == 7 ** 4
+    assert json.dumps(fallback) == json.dumps(passing)
+
+
+CENTER_EMBEDDINGS = {
+    "diagonal-n1": TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),)),
+    "diagonal-n2": TorusEmbedding(n=2, d=2, matrix=((1, 0), (0, 1)), form=((2, 0), (0, 2))),
+    "all-ones-n2": TorusEmbedding(n=2, d=1, matrix=((1,), (1,)), form=((2,),)),
+    "braided-n2": TorusEmbedding(n=2, d=1, matrix=((2,), (1,)), form=((2,),)),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(ell=st.sampled_from([3, 5]), name=st.sampled_from(sorted(CENTER_EMBEDDINGS)),
+       max_degree=st.integers(0, 4))
+@example(ell=3, name="braided-n2", max_degree=4)
+def test_center_dimension_matches_the_full_system(ell, name, max_degree):
+    # the oracle: commutator_rows on every key, ranked by linalg.rank
+    A = PBWAlgebra(CycField(ell), CENTER_EMBEDDINGS[name])
+    n, exps = A.n, range(max_degree + 1)
+    keys = [(m, k) for m in product(exps, repeat=n) for k in product(exps, repeat=n)]
+    powers = range(0, max_degree + 1, ell)
+    expected = {(m, k) for m in product(powers, repeat=n) for k in product(powers, repeat=n)}
+    rows = pbw.commutator_rows(A, keys)
+    # no row touches an expected key, which proves the bound handed to rank
+    assert not expected.intersection(key for r in rows for key in r)
+    full = len(keys) - rank(lambda: rows, A.field, len(keys) - len(expected))
+    assert pbw._alpha_scales_by_weight(A)  # so the report solves on the lattice keys
+    report = pbw.center_report(A, max_degree)
+    assert report["dimension"] == full == len(expected)
+    assert report["ok"]
 
 
 def test_is_central_ell3():
