@@ -3,15 +3,17 @@
 from qweyl import (CycField, FiberAlgebra, FiberPoint, PBWAlgebra,
                    TorusEmbedding, endo_splitting_check, full_matrix_rep,
                    rank1_matrix_rep)
+from qweyl.fiber import alpha_images
 
 F = CycField(3)
 
 print("rank one at (c, w) = (7, 1), gamma = 2:")
 rep = rank1_matrix_rep(F, 7, 1, 2)
-print("  x     =", sorted((rc, str(v)) for rc, v in rep.x.entries.items()))
-print("  d     =", sorted((rc, str(v)) for rc, v in rep.d.entries.items()))
-print("  alpha =", sorted((rc, str(v)) for rc, v in rep.alpha.entries.items()))
-print("  x^3 scalar:", rep.x ** 3)
+(x,), (d,), (alpha,) = rep.x, rep.d, alpha_images(rep)
+print("  x     =", sorted((rc, str(v)) for rc, v in x.entries.items()))
+print("  d     =", sorted((rc, str(v)) for rc, v in d.entries.items()))
+print("  alpha =", sorted((rc, str(v)) for rc, v in alpha.entries.items()))
+print("  x^3 scalar:", x ** 3)
 print()
 
 # a point off the locus: 1 + c*w = 0, no matrix model, alpha not invertible
@@ -28,7 +30,7 @@ emb2 = TorusEmbedding(n=2, d=1, matrix=((1,), (1,)), form=((2,),))
 p = FiberPoint(field=F, lam=((F.zero, F.zero), (F.scalar(7), F.one)),
                gamma=(F.one, F.scalar(2)))
 big = full_matrix_rep(p, emb2)
-alpha2 = big.of_element(PBWAlgebra(F, emb2).alpha(2))
+alpha2 = alpha_images(big)[1]
 print(f"two-factor model on {big.size} dimensions;",
       f"alpha_2 diagonal: {[str(alpha2[(r, r)]) for r in range(big.size)]}")
 print()

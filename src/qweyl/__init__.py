@@ -9,7 +9,7 @@ exact arithmetic and verified by explicit linear algebra.
 from .cyclotomic import CycField, CycScalar, cyclotomic_polynomial
 from .expr import ParseError, evaluate, evaluate_scalar
 from .fiber import (FiberAlgebra, FiberPoint, FullRep, Matrix,
-                    OutsideAzumayaLocus, Rank1Rep, endo_splitting_check,
+                    OutsideAzumayaLocus, endo_splitting_check,
                     full_matrix_rep, rank1_matrix_rep, untwist)
 from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import SpanBasis, nullspace
@@ -26,8 +26,7 @@ __all__ = [
     "CycField", "CycScalar", "cyclotomic_polynomial",
     "ParseError", "evaluate", "evaluate_scalar",
     "FiberAlgebra", "FiberPoint", "FullRep", "Matrix", "OutsideAzumayaLocus",
-    "Rank1Rep", "endo_splitting_check", "full_matrix_rep", "rank1_matrix_rep",
-    "untwist",
+    "endo_splitting_check", "full_matrix_rep", "rank1_matrix_rep", "untwist",
     "QuiverData", "TorusEmbedding", "quiver_to_embedding",
     "SpanBasis", "nullspace",
     "PBWAlgebra", "PBWElement", "QmmResult", "verify_qmm",

@@ -57,7 +57,8 @@ class Matrix:
         return Matrix(self.field, self.size, out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        out = vec_accumulate(dict(self.entries), ((k, -v) for k, v in other.entries.items()))
+        return Matrix(self.field, self.size, out)
 
     def scale(self, c) -> "Matrix":
         c = self.field.scalar(c)
@@ -225,22 +226,15 @@ class FiberAlgebra(PBWAlgebra):
 # rank one matrix model
 
 
-@dataclass
-class Rank1Rep:
-    field: CycField
-    x: Matrix
-    d: Matrix
-    alpha: Matrix
-
-
-def rank1_matrix_rep(field: CycField, c, w, gamma) -> Rank1Rep:
-    """The ell x ell representation at a rank-one fiber point.
+def rank1_matrix_rep(field: CycField, c, w, gamma) -> "FullRep":
+    """The ell x ell representation at a rank-one fiber point, as a
+    one-factor FullRep.
 
     Row r carries the alpha eigenvalue gamma*q^(-2r); x lowers the row
     index (cyclically) and d raises it.  The entries are pinned by
     d_r * xi_{r+1} = gamma q^{-2r} - 1 together with the central values
-    prod xi = c and prod delta = w.  alpha is built as 1 + x d from the
-    model, so a check of its diagonal tests the entries.
+    prod xi = c and prod delta = w.  The image of alpha is read off the
+    model by alpha_images, so a check of its diagonal tests the entries.
     """
     F = field
     ell = F.ell
@@ -270,7 +264,7 @@ def rank1_matrix_rep(field: CycField, c, w, gamma) -> Rank1Rep:
 
     xmat = Matrix(F, ell, {((s - 1) % ell, s): xi[s] for s in range(ell)})
     dmat = Matrix(F, ell, {((r + 1) % ell, r): delta[r] for r in range(ell)})
-    return Rank1Rep(field=F, x=xmat, d=dmat, alpha=Matrix.identity(F, ell) + xmat * dmat)
+    return FullRep(field=F, size=ell, x=(xmat,), d=(dmat,))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +350,8 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
         return Matrix(F, size, {(base + a * step, base + b * step): v
                                 for base in bases for (a, b), v in G.entries.items()})
 
-    xs = tuple(untwist(place(i, local[i].x), emb) for i in range(n))
-    ds = tuple(untwist(place(i, local[i].d), emb) for i in range(n))
+    xs = tuple(untwist(place(i, local[i].x[0]), emb) for i in range(n))
+    ds = tuple(untwist(place(i, local[i].d[0]), emb) for i in range(n))
     return FullRep(field=F, size=size, x=xs, d=ds)
 
 
@@ -425,8 +419,9 @@ def presentation_failure(rep: FullRep, point: FiberPoint, algebra: PBWAlgebra) -
     central = ((f"{g}^{ell}", algebra.scalar_element(point.lam[a % n][a // n]), images[a] ** ell)
                for a, g in enumerate(gens))
     for lhs, rhs, image in chain(pairs, central):
-        residual = image - rep.of_element(rhs)
-        if residual.entries:
+        expected = rep.of_element(rhs)
+        if image != expected:
+            residual = image - expected
             entry = min(residual.entries)
             return {"relation": f"{lhs} = {rhs}", "entry": list(entry),
                     "residual": str(residual[entry])}

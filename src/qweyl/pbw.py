@@ -394,23 +394,14 @@ def commutator_rows(algebra: PBWAlgebra, keys: Sequence[MonoKey]) -> list:
     """One row per generator g and monomial of [b, g], b over keys; a solution is central."""
     rows = []
     one = algebra.field.one
+    monomials = [(mk, algebra.monomial(*mk, one)) for mk in keys]
     for gi, g in enumerate(algebra.generators()):
         per_key: dict = {}
-        for mk in keys:
-            comm = algebra.commutator(algebra.monomial(*mk, one), g)
-            for out_key, c in comm.terms.items():
+        for mk, b in monomials:
+            for out_key, c in algebra.commutator(b, g).terms.items():
                 per_key.setdefault((gi, out_key), {})[mk] = c
         rows.extend(per_key.values())
     return rows
-
-
-def _alpha_scales_by_weight(algebra: PBWAlgebra) -> bool:
-    """alpha_i g = q^(2 s_i) g alpha_i for each i and each generator g of
-    T-weight s: the premise of center_report's restriction, checked exactly."""
-    qpow, gens = algebra.field.qpow, algebra.generators()
-    return all(a * g == qpow(2 * g.t_degree()[i]) * (g * a)
-               for i, a in enumerate(map(algebra.alpha, range(1, algebra.n + 1)))
-               for g in gens)
 
 
 def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
@@ -419,9 +410,9 @@ def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
 
     Only the keys of central weight, m = k (mod ell), are solved for.  Write
     s = m - k for the T-weight of x^m d^k.  If alpha_i g = q^(2 s_i) g alpha_i
-    for each generator g of weight s (checked exactly), the same holds for
-    every x^m d^k, an ordered product of generators.  A central
-    c = sum_b c_b b commutes with alpha_i = 1 + x_i d_i, so
+    for each generator g of weight s (verify_qmm with h = y_i, checked
+    exactly), the same holds for every x^m d^k, an ordered product of
+    generators.  A central c = sum_b c_b b commutes with alpha_i = 1 + x_i d_i, so
     0 = alpha_i c - c alpha_i = (sum_b c_b (q^(2 s_i(b)) - 1) b) alpha_i.
     D is an iterated Ore extension, so a domain, and alpha_i != 0: every
     c_b with q^(2 s_i(b)) != 1 vanishes, and as q^2 has order ell, c lives
@@ -431,7 +422,9 @@ def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
     solved for.
     """
     field, n = algebra.field, algebra.n
-    step = field.ell if _alpha_scales_by_weight(algebra) else 1
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    premise = all(verify_qmm(g, "y", e) for g in algebra.generators() for e in units)
+    step = field.ell if premise else 1
     keys = [(m, k) for m in iproduct(range(max_degree + 1), repeat=n)
             for k in iproduct(*(range(e % step, max_degree + 1, step) for e in m))]
     powers = range(0, max_degree + 1, field.ell)

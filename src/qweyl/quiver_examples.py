@@ -121,7 +121,7 @@ class DifferenceOperator:
                                   tuple(a + b for a, b in zip(self.scalars, other.scalars)))
 
     def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        return self + other.scale(-1)
+        return self + DifferenceOperator(self.field, other.shift, tuple(-s for s in other.scalars))
 
     def __pow__(self, e: int) -> "DifferenceOperator":
         if e < 0:

@@ -13,6 +13,7 @@ from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, PBWAlgebra,
                    hamiltonian_reduce, quiver_to_embedding,
                    rank1_matrix_rep, untwist, verify_central_z,
                    verify_u1_relations)
+from qweyl.fiber import alpha_images
 from qweyl.lattice import QuiverData
 from qweyl.linalg import SpanBasis, nullspace
 from qweyl.pbw import center_report, qmm_report
@@ -95,15 +96,16 @@ def test_criterion_3_fiber_matrix_model():
     for c, w, gamma in LOCUS_TEST_POINTS:
         t0 = time.perf_counter()
         rep = rank1_matrix_rep(F, c, w, gamma)
-        residual = rep.d * rep.x - (rep.x * rep.d).scale(q2) - I.scale(q2 - F.one)
+        (X,), (D,), (Al,) = rep.x, rep.d, alpha_images(rep)
+        residual = D * X - (X * D).scale(q2) - I.scale(q2 - F.one)
         ok = ok and not residual.entries
         g = F.scalar(gamma)
-        diag_ok = (all(r == s for (r, s) in rep.alpha.entries)
-                   and all(rep.alpha[(r, r)] == g * F.qpow(-2 * r) for r in range(3)))
+        diag_ok = (all(r == s for (r, s) in Al.entries)
+                   and all(Al[(r, r)] == g * F.qpow(-2 * r) for r in range(3)))
         span = SpanBasis(F)
         for a in range(3):
             for e in range(3):
-                span.add(dict(((rep.x ** a) * (rep.d ** e)).entries))
+                span.add(dict(((X ** a) * (D ** e)).entries))
         elapsed = time.perf_counter() - t0
         ok = ok and diag_ok and span.rank == 9 and elapsed < 1.0
     verdict(3, "fiber matrix model", ok)

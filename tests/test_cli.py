@@ -503,10 +503,10 @@ def moved_central_values(rank1_matrix_rep):
         if not field.scalar(c):
             return rep
         ell, two = field.ell, field.scalar(2)
-        x, d = dict(rep.x.entries), dict(rep.d.entries)
+        x, d = dict(rep.x[0].entries), dict(rep.d[0].entries)
         x[(ell - 1, 0)] = x[(ell - 1, 0)] * two        # xi_0: e_0 -> e_(ell-1)
         d[(0, ell - 1)] = d[(0, ell - 1)] / two        # delta_(ell-1): e_(ell-1) -> e_0
-        return dataclasses.replace(rep, x=Matrix(field, ell, x), d=Matrix(field, ell, d))
+        return dataclasses.replace(rep, x=(Matrix(field, ell, x),), d=(Matrix(field, ell, d),))
     return moved
 
 

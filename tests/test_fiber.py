@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, OutsideAzumayaLocus,
+from qweyl import (CycField, FiberAlgebra, FiberPoint, FullRep, Matrix, OutsideAzumayaLocus,
                    PBWAlgebra, QuiverData, TorusEmbedding, endo_splitting_check,
                    full_matrix_rep, quiver_to_embedding, rank1_matrix_rep, untwist)
 from qweyl import fiber
@@ -131,7 +131,8 @@ def test_rank1_relations_and_alpha_diagonal(c, w, gamma):
     F = CycField(3)
     ell = 3
     rep = rank1_matrix_rep(F, c, w, gamma)
-    X, D, Al = rep.x, rep.d, rep.alpha
+    assert isinstance(rep, FullRep) and rep.size == ell
+    (X,), (D,), (Al,) = rep.x, rep.d, fiber.alpha_images(rep)
     q2 = F.qpow(2)
     I = Matrix.identity(F, ell)
     # defining relation
@@ -139,7 +140,9 @@ def test_rank1_relations_and_alpha_diagonal(c, w, gamma):
     # central values
     assert X ** ell == I.scale(F.scalar(c))
     assert D ** ell == I.scale(F.scalar(w))
-    # alpha is diagonal with eigenvalue gamma * q^(-2r) in row r
+    # alpha is diagonal with eigenvalue gamma * q^(-2r) in row r, and it is
+    # the image of the PBW element alpha_1 = 1 + x_1 d_1
+    assert Al == rep.of_element(PBWAlgebra(F, emb_n1()).alpha(1))
     g = F.scalar(gamma)
     for r in range(ell):
         assert Al.entries.get((r, r), F.zero) == g * F.qpow(-2 * r)
@@ -150,8 +153,9 @@ def alpha_diagonal_ok(rep, gamma):
     """The diagonal check of acceptance criterion 3, at any ell."""
     F = rep.field
     g = F.scalar(gamma)
-    return (all(r == s for (r, s) in rep.alpha.entries)
-            and all(rep.alpha[(r, r)] == g * F.qpow(-2 * r) for r in range(F.ell)))
+    (alpha,) = fiber.alpha_images(rep)
+    return (all(r == s for (r, s) in alpha.entries)
+            and all(alpha[(r, r)] == g * F.qpow(-2 * r) for r in range(F.ell)))
 
 
 def rank1_mutant(j):
@@ -176,7 +180,7 @@ def test_rank1_alpha_is_built_from_the_model(ell):
             assert bad.d != rep.d
             # alpha = 1 + x d sees delta_j through xi_(j+1), which is 0 at one
             # row when c = 0 and nowhere else
-            seen = bool(rep.x[(j, (j + 1) % ell)])
+            seen = bool(rep.x[0][(j, (j + 1) % ell)])
             assert alpha_diagonal_ok(bad, gamma) != seen
             assert seen or not c
 
@@ -186,10 +190,11 @@ def test_rank1_spans_the_full_matrix_algebra(c, w, gamma):
     from qweyl.linalg import SpanBasis
     F = CycField(3)
     rep = rank1_matrix_rep(F, c, w, gamma)
+    (X,), (D,) = rep.x, rep.d
     span = SpanBasis(F)
     for a in range(3):
         for e in range(3):
-            m = (rep.x ** a) * (rep.d ** e)
+            m = (X ** a) * (D ** e)
             span.add(dict(m.entries))
     assert span.rank == 9
 
@@ -752,6 +757,25 @@ def test_central_values_check_reads_c_and_w():
                                ([(F.scalar(7) / 2, F.scalar(2))], "7/2", "7/2")):
         assert fiber.presentation_failure(rep, dataclasses.replace(p, lam=tuple(moved)), A) == {
             "relation": f"x1^3 = {c}", "entry": [0, 0], "residual": residual}
+
+
+def test_matrix_difference_negates_without_scaling(monkeypatch):
+    F = CycField(3)
+    a = Matrix(F, 2, {(0, 0): F.qpow(1), (0, 1): F.one})
+    b = Matrix(F, 2, {(0, 0): F.qpow(1), (1, 1): F.scalar(5)})
+    monkeypatch.setattr(Matrix, "scale", None)  # a difference multiplies no scalar
+    assert (a - b).entries == {(0, 1): F.one, (1, 1): F.scalar(-5)}
+    assert not (b - b).entries
+
+
+def test_a_holding_relation_builds_no_residual(monkeypatch):
+    # the residual is only formed for a relation that fails
+    F = CycField(3)
+    A = weyl(3, emb_n2())
+    p = two_factor_point(F)
+    rep = full_matrix_rep(p, A.emb)
+    monkeypatch.setattr(Matrix, "__sub__", None)
+    assert fiber.presentation_failure(rep, p, A) is None
 
 
 def report_of_model(rep, p, A, monkeypatch):

@@ -370,6 +370,23 @@ def test_center_report_prunes_only_where_the_premise_holds(monkeypatch):
     assert json.dumps(fallback) == json.dumps(passing)
 
 
+def test_commutator_rows_builds_each_key_once(monkeypatch):
+    A = PBWAlgebra(CycField(3), emb_n2())
+    keys = [(m, k) for m in product(range(2), repeat=2) for k in product(range(2), repeat=2)]
+    expected = pbw.commutator_rows(A, keys)
+    built = []
+    monomial = PBWAlgebra.monomial
+
+    def counted(self, m, k, coeff=1):
+        built.append((tuple(m), tuple(k)))
+        return monomial(self, m, k, coeff)
+
+    monkeypatch.setattr(PBWAlgebra, "monomial", counted)
+    assert pbw.commutator_rows(A, keys) == expected
+    # one monomial per key, plus one per generator x_1, x_2, d_1, d_2
+    assert len(built) == len(keys) + 2 * A.n and set(built) == set(keys)
+
+
 CENTER_EMBEDDINGS = {
     "diagonal-n1": TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),)),
     "diagonal-n2": TorusEmbedding(n=2, d=2, matrix=((1, 0), (0, 1)), form=((2, 0), (0, 2))),
@@ -393,7 +410,9 @@ def test_center_dimension_matches_the_full_system(ell, name, max_degree):
     # no row touches an expected key, which proves the bound handed to rank
     assert not expected.intersection(key for r in rows for key in r)
     full = len(keys) - rank(lambda: rows, A.field, len(keys) - len(expected))
-    assert pbw._alpha_scales_by_weight(A)  # so the report solves on the lattice keys
+    # the premise holds, so the report solves on the lattice keys
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert all(verify_qmm(g, "y", u) for g in A.generators() for u in units)
     report = pbw.center_report(A, max_degree)
     assert report["dimension"] == full == len(expected)
     assert report["ok"]

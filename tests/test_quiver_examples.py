@@ -183,6 +183,15 @@ def test_bc_instance_value():
     assert (C * B).apply({0: F.one}) == {0: expect}
 
 
+def test_difference_operator_difference_scales_nothing(monkeypatch):
+    F = CycField(3)
+    A = DifferenceOperator(F, 1, (F.one, F.qpow(2), F.scalar(3)))
+    B = DifferenceOperator(F, 1, (F.one, F.zero, F.scalar(5)))
+    monkeypatch.setattr(DifferenceOperator, "scale", None)  # a difference multiplies no scalar
+    assert A - B == DifferenceOperator(F, 1, (F.zero, F.qpow(2), F.scalar(-2)))
+    assert (A - A).is_zero() and (A - A).shift == 0
+
+
 @pytest.mark.parametrize("ell", [3, 5])
 def test_central_subalgebra(ell):
     report = verify_central_z(CycField(ell), 2)

@@ -1,5 +1,6 @@
 """Hamiltonian reduction of the matrix fibers by the graded torus action."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qweyl import fiber, reduction
 from qweyl import (CycField, FiberPoint, FullRep, Matrix,
-                   OutsideAzumayaLocus, PBWAlgebra, Rank1Rep, SpanBasis,
+                   OutsideAzumayaLocus, PBWAlgebra, SpanBasis,
                    TorusEmbedding, admissible_etas, full_matrix_rep,
                    hamiltonian_reduce, moment_map_ok, moment_values, phi_dagger)
 from qweyl.cli import run_suite
@@ -512,10 +513,9 @@ def perturbed_rank1(original):
     alpha = 1 + x d changes in row 1."""
     def rank1(*args, **kwargs):
         rep = original(*args, **kwargs)
-        entries = dict(rep.d.entries)
+        entries = dict(rep.d[0].entries)
         entries[(2, 1)] = entries.get((2, 1), rep.field.zero) + 1
-        d = Matrix(rep.field, rep.d.size, entries)
-        return Rank1Rep(field=rep.field, x=rep.x, d=d, alpha=rep.alpha)
+        return dataclasses.replace(rep, d=(Matrix(rep.field, rep.size, entries),))
     return rank1
 
 

@@ -125,3 +125,13 @@ def test_cli_only_parses_dispatches_and_prints():
                         "commutator_rows", "modular_rank", "nullspace", "rank",
                         "verify_qmm", "verify_u1_relations", "verify_central_z",
                         "build_an_quiver_algebra", "is_central"}, named
+
+
+def test_one_builder_of_the_moment_map_on_each_side():
+    # the matrix images I + x_i d_i are built by alpha_images alone, and the
+    # algebra identity alpha_i g = q^(2 s_i) g alpha_i is checked by verify_qmm
+    # alone: no second copy of either can grow back
+    assert callers_of("alpha_images") == [("fiber.py", "fiber_rep_report"),
+                                          ("reduction.py", "moment_map_ok")]
+    assert callers_of("verify_qmm") == [("pbw.py", "qmm_report"), ("pbw.py", "center_report")]
+    assert not hasattr(qweyl.fiber, "Rank1Rep") and not hasattr(qweyl.pbw, "_alpha_scales_by_weight")
