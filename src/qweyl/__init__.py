@@ -10,7 +10,7 @@ from .cyclotomic import CycField, CycScalar, cyclotomic_polynomial
 from .expr import ParseError, evaluate, evaluate_scalar
 from .fiber import (FiberAlgebra, FiberPoint, FullRep, Matrix,
                     OutsideAzumayaLocus, endo_splitting_check,
-                    full_matrix_rep, rank1_matrix_rep, untwist)
+                    full_matrix_rep, rank1_matrix_rep)
 from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import SpanBasis, nullspace
 from .pbw import PBWAlgebra, PBWElement, QmmResult, verify_qmm
@@ -26,7 +26,7 @@ __all__ = [
     "CycField", "CycScalar", "cyclotomic_polynomial",
     "ParseError", "evaluate", "evaluate_scalar",
     "FiberAlgebra", "FiberPoint", "FullRep", "Matrix", "OutsideAzumayaLocus",
-    "endo_splitting_check", "full_matrix_rep", "rank1_matrix_rep", "untwist",
+    "endo_splitting_check", "full_matrix_rep", "rank1_matrix_rep",
     "QuiverData", "TorusEmbedding", "quiver_to_embedding",
     "SpanBasis", "nullspace",
     "PBWAlgebra", "PBWElement", "QmmResult", "verify_qmm",

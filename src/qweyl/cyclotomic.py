@@ -59,15 +59,18 @@ def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list
 
 
 def power(base, e: int, one):
-    """base^e for e >= 0 by square-and-multiply from one; nothing is
-    squared after the last bit, so base^1 costs the single product one * base."""
-    out = one
-    while e:
+    """base^e for e >= 0 by square-and-multiply: one only for e = 0, and
+    otherwise bit_length(e) - 1 squarings and popcount(e) - 1 products into
+    the result, starting from base, so base^1 is base and costs no product."""
+    if not e:
+        return one
+    while not e & 1:
+        base, e = base * base, e >> 1
+    out = base
+    while e := e >> 1:
+        base = base * base
         if e & 1:
             out = out * base
-        e >>= 1
-        if e:
-            base = base * base
     return out
 
 

@@ -3,14 +3,13 @@
 At a central character the algebra collapses to dimension ell^(2n);
 on the locus where every 1 + lambda_i lambda_iv is nonzero it is a
 full matrix algebra.  This module builds the finite fiber, the
-rank-one ell x ell model, the n-factor model assembled by one untwisting
-of the braided tensor product, explicit module bases, and the
-endomorphism splitting check.
+rank-one ell x ell model, the n-factor model, explicit module bases,
+and the endomorphism splitting check.
 
-The untwisting scales the elementary matrix E_rc of Mat(ell^n) by
-q^(-tau(r, c)), tau(r, c) = sum_{i<j} (r_i - c_i) P_ji r_j, where r, c
-are the digits of row and column (first factor fastest) and P is the
-pairing matrix of the embedding; see untwist.
+The n-factor model is the braided tensor product of the rank-one models,
+untwisted to the plain product, and it is built in one pass: the factor-i
+x or d is placed in slot i with each entry scaled by one power of q, fixed
+by the digits j > i of its row; see full_matrix_rep.
 """
 
 from __future__ import annotations
@@ -268,32 +267,6 @@ def rank1_matrix_rep(field: CycField, c, w, gamma) -> "FullRep":
 
 
 # ---------------------------------------------------------------------------
-# untwisting the braided tensor product
-
-
-def untwist(mat: Matrix, emb: TorusEmbedding) -> Matrix:
-    """The braided-to-plain map on Mat(ell^n).
-
-    With r, c the digits of row and column (first factor fastest) and
-    P the pairing matrix, E_rc goes to q^(-tau(r, c)) E_rc, where
-    tau(r, c) = sum_{i<j} (r_i - c_i) P_ji r_j.  It is multiplicative
-    from the braided product E_rc o E_cs = q^(beta) E_rs, with
-    beta = sum_{i<j} (r_j - c_j) P_ji (c_i - s_i), to the plain one.
-    """
-    F = mat.field
-    ell, n = F.ell, emb.n
-    if mat.size != ell ** n:
-        raise ValueError("matrix size differs from ell^n")
-    P = emb.pairing_matrix()
-    out = {}
-    for (r, c), v in mat.entries.items():
-        rd, cd = digits(r, ell, n), digits(c, ell, n)
-        tau = sum((rd[i] - cd[i]) * P[j][i] * rd[j] for j in range(n) for i in range(j))
-        out[(r, c)] = v * F.qpow(-tau)
-    return Matrix(F, mat.size, out)
-
-
-# ---------------------------------------------------------------------------
 # the full matrix model on ell^n dimensions
 
 
@@ -328,11 +301,17 @@ class FullRep:
 
 
 def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
-    """Assemble the n-factor model by untwisting the braided tensor.
+    """Assemble the n-factor model from the rank-one models in one pass.
 
-    Each factor-i rank-one matrix G is placed as the plain Kronecker
-    product with G in slot i and the identity in every other slot, and
-    the placement is passed through untwist.
+    The braided tensor product places the factor-i rank-one matrix G in
+    slot i, and untwisting it to the plain product scales the elementary
+    matrix E_rc by q^(-tau(r, c)), tau(r, c) = sum_{i<j} (r_i - c_i) P_ji r_j,
+    with r, c the digits of row and column (first factor fastest) and P the
+    pairing matrix.  A placed entry (r, c) of G changes digit i only, from
+    c_i = b to r_i = a, so tau(r, c) = (a - b) s_i(r) with
+    s_i(r) = sum_{j>i} P_ji r_j, and the entry is G_ab q^((b - a) s_i(r)).
+    So x_i = I (x) ... (x) X (x) Z^(P_{i+1,i}) (x) ... (x) Z^(P_{n,i}) with
+    Z = diag(q^r), and d_i uses the inverse powers of Z.
     """
     F = point.field
     if emb.n != point.n:
@@ -342,16 +321,20 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     ell = F.ell
     n = point.n
     size = ell ** n
+    P = emb.pairing_matrix()
     local = [rank1_matrix_rep(F, c, w, g) for (c, w), g in zip(point.lam, point.gamma)]
 
     def place(i: int, G: Matrix) -> Matrix:
-        step = ell ** i
-        bases = [idx for idx in range(size) if (idx // step) % ell == 0]
-        return Matrix(F, size, {(base + a * step, base + b * step): v
-                                for base in bases for (a, b), v in G.entries.items()})
+        step, out = ell ** i, {}
+        for high in range(ell ** (n - i - 1)):  # s_i(r) is fixed by the digits j > i
+            s = sum(P[j][i] * rj for j, rj in enumerate(digits(high, ell, n - i - 1), i + 1))
+            out.update(((base + a * step, base + b * step), v * F.qpow((b - a) * s))
+                       for base in range(high * ell * step, (high * ell + 1) * step)
+                       for (a, b), v in G.entries.items())
+        return Matrix(F, size, out)
 
-    xs = tuple(untwist(place(i, local[i].x[0]), emb) for i in range(n))
-    ds = tuple(untwist(place(i, local[i].d[0]), emb) for i in range(n))
+    xs = tuple(place(i, local[i].x[0]) for i in range(n))
+    ds = tuple(place(i, local[i].d[0]) for i in range(n))
     return FullRep(field=F, size=size, x=xs, d=ds)
 
 

@@ -362,16 +362,14 @@ def verify_qmm(a: PBWElement, kind: str, r: Sequence[int]) -> QmmResult:
         e = sum(r[j] * ks[j] for j in range(A.emb.d))
     else:
         raise ValueError("kind must be 'y' or 'z'")
-    plus = A.one()
-    minus = A.one()
-    for i, ui in enumerate(u, start=1):
-        if ui > 0:
-            plus = plus * (A.alpha(i) ** ui)
-        elif ui < 0:
-            minus = minus * (A.alpha(i) ** (-ui))
-    lhs = plus * a * minus
-    rhs = A.field.qpow(2 * e) * (minus * a * plus)
-    return QmmResult(ok=(lhs == rhs), exponent=2 * e)
+    plus = [A.alpha(i) for i, ui in enumerate(u, start=1) for _ in range(ui)]
+    minus = [A.alpha(i) for i, ui in enumerate(u, start=1) for _ in range(-ui)]
+    lhs = rhs = a  # A+ a A- and A- a A+, one alpha factor at a time (they commute)
+    for f in minus:
+        lhs, rhs = lhs * f, f * rhs
+    for f in plus:
+        lhs, rhs = f * lhs, rhs * f
+    return QmmResult(ok=(lhs == A.field.qpow(2 * e) * rhs), exponent=2 * e)
 
 
 def qmm_report(algebra: PBWAlgebra) -> dict:

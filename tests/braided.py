@@ -1,4 +1,5 @@
-"""The braided product on Mat(ell^n), a test oracle for qweyl.fiber.untwist.
+"""The braided product on Mat(ell^n) and the general untwisting map, test
+oracles for the one-pass placement in qweyl.fiber.full_matrix_rep.
 
 With r, c, s the digits of rows and columns (first factor fastest) and P
 the pairing matrix of the embedding,
@@ -7,6 +8,7 @@ the pairing matrix of the embedding,
     beta(r, c, s) = sum_{i<j} (r_j - c_j) P_ji (c_i - s_i),
 
 and E_rc o E_c's = 0 for c != c'; the product is extended bilinearly.
+untwist carries it to the plain product.
 """
 
 from qweyl import Matrix, TorusEmbedding
@@ -30,3 +32,33 @@ def braided_product(a: Matrix, b: Matrix, emb: TorusEmbedding) -> Matrix:
                                            digits(s, ell, n), P)))
              for (r, c), u in a.entries.items() for s, v in rows_of_b.get(c, ()))
     return Matrix(F, a.size, vec_accumulate({}, terms))
+
+
+def untwist(mat: Matrix, emb: TorusEmbedding) -> Matrix:
+    """The braided-to-plain map on Mat(ell^n).
+
+    E_rc goes to q^(-tau(r, c)) E_rc, where
+    tau(r, c) = sum_{i<j} (r_i - c_i) P_ji r_j.  It is multiplicative
+    from the braided product E_rc o E_cs = q^(beta) E_rs to the plain one.
+    """
+    F = mat.field
+    ell, n = F.ell, emb.n
+    if mat.size != ell ** n:
+        raise ValueError("matrix size differs from ell^n")
+    P = emb.pairing_matrix()
+    out = {}
+    for (r, c), v in mat.entries.items():
+        rd, cd = digits(r, ell, n), digits(c, ell, n)
+        tau = sum((rd[i] - cd[i]) * P[j][i] * rd[j] for j in range(n) for i in range(j))
+        out[(r, c)] = v * F.qpow(-tau)
+    return Matrix(F, mat.size, out)
+
+
+def placed(G: Matrix, i: int, n: int) -> Matrix:
+    """I (x) ... (x) G (x) ... (x) I, G in slot i of n, first factor fastest."""
+    ell = G.size
+    step = ell ** i
+    return Matrix(G.field, ell ** n, {
+        (lo + step * (a + ell * hi), lo + step * (b + ell * hi)): v
+        for hi in range(ell ** (n - i - 1)) for lo in range(step)
+        for (a, b), v in G.entries.items()})

@@ -10,9 +10,8 @@ from itertools import product as iproduct
 
 from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, PBWAlgebra,
                    TorusEmbedding, build_an_quiver_algebra, endo_splitting_check,
-                   hamiltonian_reduce, quiver_to_embedding,
-                   rank1_matrix_rep, untwist, verify_central_z,
-                   verify_u1_relations)
+                   full_matrix_rep, hamiltonian_reduce, quiver_to_embedding,
+                   rank1_matrix_rep, verify_central_z, verify_u1_relations)
 from qweyl.fiber import alpha_images
 from qweyl.lattice import QuiverData
 from qweyl.linalg import SpanBasis, nullspace
@@ -20,7 +19,7 @@ from qweyl.pbw import center_report, qmm_report
 from qweyl.quiver_examples import quiver_suite_report
 from qweyl.reduction import row_weights
 
-from braided import braided_product
+from braided import braided_product, placed, untwist
 
 
 def emb_rank1():
@@ -136,6 +135,14 @@ def test_criterion_5_untwisting_isomorphism():
     # each unit goes to a nonzero multiple q^e of itself, so untwist is invertible
     ok = ok and all(any(untwist(u, emb) == u.scale(F.qpow(e)) for e in range(3))
                     for u in units)
+    # the package's model is that map applied to the plain Kronecker placement
+    point = FiberPoint(field=F, lam=((F.zero, F.zero), (F.scalar(7), F.one)),
+                       gamma=(F.one, F.scalar(2)))
+    local = [rank1_matrix_rep(F, c, w, g) for (c, w), g in zip(point.lam, point.gamma)]
+    rep = full_matrix_rep(point, emb)
+    ok = ok and all(rep.x[i] == untwist(placed(r.x[0], i, 2), emb)
+                    and rep.d[i] == untwist(placed(r.d[0], i, 2), emb)
+                    for i, r in enumerate(local))
     elapsed = time.perf_counter() - t0
     verdict(5, "untwisting isomorphism", ok and elapsed < 10.0)
 

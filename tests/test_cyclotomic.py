@@ -101,8 +101,9 @@ def test_scalar_coercions():
 
 
 def test_power_squares_only_between_bits():
-    # one product into the result per set bit of e, one squaring per bit
-    # after the lowest, and none after the last: base^1 is one product
+    # one product into the result per set bit of e after the first, one
+    # squaring per bit after the lowest, none after the last, and never a
+    # product by the unit: base^0 and base^1 cost nothing
     products = []
 
     class Word(tuple):
@@ -113,7 +114,7 @@ def test_power_squares_only_between_bits():
     for e in range(17):
         products.clear()
         assert power(Word("a"), e, Word()) == Word("a" * e)
-        assert len(products) == bin(e).count("1") + max(e.bit_length() - 1, 0)
+        assert len(products) == (bin(e).count("1") - 1 + e.bit_length() - 1 if e else 0)
 
 
 def test_is_rational():

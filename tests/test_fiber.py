@@ -9,14 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from qweyl import (CycField, FiberAlgebra, FiberPoint, FullRep, Matrix, OutsideAzumayaLocus,
                    PBWAlgebra, QuiverData, TorusEmbedding, endo_splitting_check,
-                   full_matrix_rep, quiver_to_embedding, rank1_matrix_rep, untwist)
+                   full_matrix_rep, quiver_to_embedding, rank1_matrix_rep)
 from qweyl import fiber
 from qweyl.cli import run_suite
 from qweyl.expr import evaluate_scalar
 from qweyl.fiber import digits
 from qweyl.linalg import SpanBasis
 
-from braided import braided_product
+from braided import braided_product, placed, untwist
 from module_action import all_pairs_action
 
 
@@ -304,12 +304,23 @@ def test_sign_flipped_untwist_is_not_multiplicative(emb):
     assert not multiplicative(sign_flipped, emb, pairs)
 
 
+def placement_mutant():
+    """full_matrix_rep with the sign of the placement exponent flipped, so each
+    placed entry is scaled by q^(+tau) in place of q^(-tau)."""
+    src = inspect.getsource(fiber.full_matrix_rep)
+    exponent = "F.qpow((b - a) * s)"
+    assert src.count(exponent) == 1
+    namespace = dict(vars(fiber))
+    exec(src.replace(exponent, "F.qpow((a - b) * s)"), namespace)
+    return namespace["full_matrix_rep"]
+
+
 def test_sign_flipped_untwist_breaks_the_fiber_model(monkeypatch):
     cfg = {"ell": 3, "embedding": {"matrix": [[2], [1]], "form": [[2]]},
            "tasks": [{"type": "fiber-rep",
                       "point": {"lambda": [["0", "0"], ["7", "1"]], "gamma": ["1", "2"]}}]}
     assert run_suite(cfg)["tasks"][0]["relations_ok"]
-    monkeypatch.setattr("qweyl.fiber.untwist", sign_flipped)
+    monkeypatch.setattr(fiber, "full_matrix_rep", placement_mutant())
     entry = run_suite(cfg)["tasks"][0]
     assert not entry["relations_ok"]
     # the witness is a relation out of PBW order, x_j x_i, d_j d_i (j > i) or
@@ -420,6 +431,26 @@ def braided_c0_point_l5(F):
 def cyclic_point_l3(F):
     return point(F, [(F.scalar(7), F.one), (F.zero, F.zero), (F.one, F.scalar(7))],
                  [F.scalar(2), F.one, F.scalar(2)])
+
+
+@pytest.mark.parametrize("ell,emb,make_point", [
+    (3, emb_n2(), two_factor_point),
+    (3, emb_weights_2_1(), two_factor_point),
+    (3, emb_cyclic3(), cyclic_point_l3),
+    (5, emb_n2(), braided_c0_point_l5),
+], ids=["weights-1-1", "weights-2-1", "cyclic3", "braided-l5-c0"])
+def test_full_rep_is_the_untwisted_kronecker_placement(ell, emb, make_point):
+    # the one-pass placement agrees with the general untwist of the plain
+    # Kronecker placement on every image, and a one-sign mutant does not
+    F = CycField(ell)
+    p = make_point(F)
+    local = [rank1_matrix_rep(F, c, w, g) for (c, w), g in zip(p.lam, p.gamma)]
+    oracle = tuple(tuple(untwist(placed(G, i, p.n), emb) for i, G in enumerate(gens))
+                   for gens in ([r.x[0] for r in local], [r.d[0] for r in local]))
+    rep = full_matrix_rep(p, emb)
+    assert (rep.x, rep.d) == oracle
+    bad = placement_mutant()(p, emb)
+    assert (bad.x, bad.d) != oracle
 
 
 def uncached_image(rep, a):

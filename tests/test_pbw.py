@@ -478,6 +478,29 @@ def test_verify_qmm_exponents():
     assert res.ok and res.exponent == 2
 
 
+def test_verify_qmm_multiplies_only_by_alpha_factors(monkeypatch):
+    # each side is a times |u_i| factors alpha_i, one PBW product per factor,
+    # and never a product by the unit: 2 * sum |u_i| products in all
+    calls = []
+    real = PBWAlgebra.multiply
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(PBWAlgebra, "multiply", counted)
+    A = PBWAlgebra(CycField(3), emb_n2())
+    assert verify_qmm(A.x(1), "y", (1, 0))
+    assert len(calls) == 2
+    # z_1 on the three-cycle has alpha exponent u = (-1, 0, 1), one of each sign
+    C = PBWAlgebra(CycField(3), emb_cyclic3())
+    for g in C.generators():
+        calls.clear()
+        assert verify_qmm(g, "z", (1, 0))
+        assert len(calls) == 4
+    assert verify_qmm(C.x(1), "y", (2, 0, 0)) and len(calls) == 4 + 4
+
+
 def test_verify_qmm_rejects_mixed_weight():
     F = CycField(3)
     A = PBWAlgebra(F, emb_n1())

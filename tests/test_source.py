@@ -135,3 +135,10 @@ def test_one_builder_of_the_moment_map_on_each_side():
                                           ("reduction.py", "moment_map_ok")]
     assert callers_of("verify_qmm") == [("pbw.py", "qmm_report"), ("pbw.py", "center_report")]
     assert not hasattr(qweyl.fiber, "Rank1Rep") and not hasattr(qweyl.pbw, "_alpha_scales_by_weight")
+
+
+def test_one_twist_formula_on_each_side():
+    # the matrix model places each generator with its own twist, and the
+    # algebra reads the pairings once: no general untwist can grow back
+    assert not hasattr(qweyl.fiber, "untwist") and "untwist" not in qweyl.__all__
+    assert callers_of("pairing_matrix") == [("fiber.py", "full_matrix_rep"), ("pbw.py", "PBWAlgebra")]
