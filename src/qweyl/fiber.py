@@ -229,11 +229,17 @@ def rank1_matrix_rep(field: CycField, c, w, gamma) -> "FullRep":
     """The ell x ell representation at a rank-one fiber point, as a
     one-factor FullRep.
 
-    Row r carries the alpha eigenvalue gamma*q^(-2r); x lowers the row
-    index (cyclically) and d raises it.  The entries are pinned by
-    d_r * xi_{r+1} = gamma q^{-2r} - 1 together with the central values
-    prod xi = c and prod delta = w.  The image of alpha is read off the
-    model by alpha_images, so a check of its diagonal tests the entries.
+    Row r carries the alpha eigenvalue gamma q^(-2r); x lowers the row index
+    (cyclically) and d raises it, with delta_r xi_(r+1) = gamma q^(-2r) - 1
+    on every row, prod xi = c and prod delta = w.  One seam rule gives all
+    three: xi = 1 and delta_r = gamma q^(-2r) - 1 but at the seam row t,
+    where xi_(t+1) = c and delta_t is divided by c (c != 0, t = ell - 1) or
+    is w / ell (c = 0: row t reads 0 = gamma q^(-2t) - 1, so it still holds).
+    For odd ell, prod_r (gamma q^(-2r) - 1) = gamma^ell - 1 = c w, so c != 0
+    gives prod delta = w.  At c = 0, gamma^ell = 1 makes gamma a power of
+    q^-2, so exactly one delta_t is 0 (delta.index finds it) and the other
+    ell - 1 multiply to prod_(u=1)^(ell-1) (zeta^u - 1) = ell.  The alpha
+    image is read off by alpha_images, so a check of its diagonal tests it.
     """
     F = field
     ell = F.ell
@@ -244,22 +250,11 @@ def rank1_matrix_rep(field: CycField, c, w, gamma) -> "FullRep":
     if gamma ** ell != F.one + c * w:
         raise ValueError("gamma^ell != 1 + c*w")
 
-    xi = [F.one] * ell      # x e_s = xi_s e_{s-1 mod ell}
-    delta = [F.zero] * ell  # d e_r = delta_r e_{r+1 mod ell}
-    if c:
-        xi[0] = c
-        for r in range(ell - 1):
-            delta[r] = gamma * F.qpow(-2 * r) - 1
-        delta[ell - 1] = (gamma * F.qpow(2) - 1) / c
-    else:
-        # gamma is a root of unity: gamma = q^{-2 k0}
-        k0 = next(k for k in range(ell) if gamma == F.qpow(-2 * k))
-        r0 = (1 - k0) % ell
-        xi[r0] = F.zero
-        for r in range(ell):
-            if r != (r0 - 1) % ell:
-                delta[r] = gamma * F.qpow(-2 * r) - 1
-        delta[(r0 - 1) % ell] = w / ell
+    xi = [F.one] * ell  # x e_s = xi_s e_{s-1 mod ell}
+    delta = [gamma * F.qpow(-2 * r) - 1 for r in range(ell)]  # d e_r = delta_r e_{r+1 mod ell}
+    t = ell - 1 if c else delta.index(F.zero)  # the seam row
+    xi[(t + 1) % ell] = c
+    delta[t] = delta[t] / c if c else w / ell
 
     xmat = Matrix(F, ell, {((s - 1) % ell, s): xi[s] for s in range(ell)})
     dmat = Matrix(F, ell, {((r + 1) % ell, r): delta[r] for r in range(ell)})
@@ -311,7 +306,8 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     c_i = b to r_i = a, so tau(r, c) = (a - b) s_i(r) with
     s_i(r) = sum_{j>i} P_ji r_j, and the entry is G_ab q^((b - a) s_i(r)).
     So x_i = I (x) ... (x) X (x) Z^(P_{i+1,i}) (x) ... (x) Z^(P_{n,i}) with
-    Z = diag(q^r), and d_i uses the inverse powers of Z.
+    Z = diag(q^r), and d_i uses the inverse powers of Z.  As s_i reads only
+    the digits j > i, each block is twisted once, then copied to ell^i bases.
     """
     F = point.field
     if emb.n != point.n:
@@ -324,17 +320,17 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     P = emb.pairing_matrix()
     local = [rank1_matrix_rep(F, c, w, g) for (c, w), g in zip(point.lam, point.gamma)]
 
-    def place(i: int, G: Matrix) -> Matrix:
+    def place(i: int, G: dict) -> Matrix:
         step, out = ell ** i, {}
         for high in range(ell ** (n - i - 1)):  # s_i(r) is fixed by the digits j > i
             s = sum(P[j][i] * rj for j, rj in enumerate(digits(high, ell, n - i - 1), i + 1))
-            out.update(((base + a * step, base + b * step), v * F.qpow((b - a) * s))
-                       for base in range(high * ell * step, (high * ell + 1) * step)
-                       for (a, b), v in G.entries.items())
+            block = [(a * step, b * step, v * F.qpow((b - a) * s)) for (a, b), v in G.items()]
+            lo = high * ell * step  # the ell^i bases with these high digits share the block
+            out.update(((lo + k + a, lo + k + b), v) for k in range(step) for a, b, v in block)
         return Matrix(F, size, out)
 
-    xs = tuple(place(i, local[i].x[0]) for i in range(n))
-    ds = tuple(place(i, local[i].d[0]) for i in range(n))
+    xs = tuple(place(i, local[i].x[0].entries) for i in range(n))
+    ds = tuple(place(i, local[i].d[0].entries) for i in range(n))
     return FullRep(field=F, size=size, x=xs, d=ds)
 
 

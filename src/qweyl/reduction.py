@@ -15,7 +15,8 @@ matches those values and grades the generators.
 from __future__ import annotations
 
 from collections import Counter
-from math import prod
+from functools import reduce
+from operator import mul
 from typing import Sequence
 
 from .cyclotomic import CycScalar
@@ -32,7 +33,8 @@ def row_weights(emb: TorusEmbedding, ell: int) -> list[tuple[int, ...]]:
 
 def phi_dagger(point: FiberPoint, emb: TorusEmbedding) -> tuple[CycScalar, ...]:
     """Pushforward of gamma along the weight matrix: prod_i gamma_i^{m_ij}."""
-    return tuple(prod((g ** m[j] for g, m in zip(point.gamma, emb.matrix)), start=point.field.one)
+    # over the m_ij != 0 only; never empty, as TorusEmbedding checks full column rank
+    return tuple(reduce(mul, (g ** m[j] for g, m in zip(point.gamma, emb.matrix) if m[j]))
                  for j in range(emb.d))
 
 
@@ -78,7 +80,8 @@ def moment_map_ok(point: FiberPoint, emb: TorusEmbedding, mu: Sequence[Sequence[
     if any(len(a.entries) != rep.size or any(r != c for r, c in a.entries) for a in alphas):
         return False
     for j, values in enumerate(mu):
-        model = [prod((a[(r, r)] ** m[j] for a, m in zip(alphas, emb.matrix)), start=F.one)
+        # over the m_ij != 0 only, as in phi_dagger
+        model = [reduce(mul, (a[(r, r)] ** m[j] for a, m in zip(alphas, emb.matrix) if m[j]))
                  for r in range(rep.size)]
         if model != list(values):
             return False

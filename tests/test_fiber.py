@@ -207,6 +207,60 @@ def test_rank1_requires_gamma_and_the_locus():
         rank1_matrix_rep(F, 7, 1, 1)  # 1^3 != 8
 
 
+def two_branch_rank1(F, c, w, gamma):
+    """The x and d of the rank-one model built by its earlier two branches,
+    the test oracle of the seam rule in rank1_matrix_rep: at c != 0, xi_0 = c
+    and delta_(ell-1) is divided by c; at c = 0, a search for the k0 with
+    gamma = q^(-2 k0) places the zero xi at r0 = 1 - k0 and delta_(r0-1) = w / ell."""
+    ell = F.ell
+    c, w, gamma = F.scalar(c), F.scalar(w), F.scalar(gamma)
+    xi = [F.one] * ell      # x e_s = xi_s e_{s-1 mod ell}
+    delta = [F.zero] * ell  # d e_r = delta_r e_{r+1 mod ell}
+    if c:
+        xi[0] = c
+        for r in range(ell - 1):
+            delta[r] = gamma * F.qpow(-2 * r) - 1
+        delta[ell - 1] = (gamma * F.qpow(2) - 1) / c
+    else:
+        k0 = next(k for k in range(ell) if gamma == F.qpow(-2 * k))
+        r0 = (1 - k0) % ell
+        xi[r0] = F.zero
+        for r in range(ell):
+            if r != (r0 - 1) % ell:
+                delta[r] = gamma * F.qpow(-2 * r) - 1
+        delta[(r0 - 1) % ell] = w / ell
+    xmat = Matrix(F, ell, {((s - 1) % ell, s): xi[s] for s in range(ell)})
+    dmat = Matrix(F, ell, {((r + 1) % ell, r): delta[r] for r in range(ell)})
+    return xmat, dmat
+
+
+def seam_points(F, rng):
+    """(c, w, gamma) on every branch of the seam rule: c = 0 with gamma every
+    power of q; c != 0 and w = 0 with gamma every power of q, so that one
+    delta vanishes (the seam's own at gamma = q^-2); and generic c != 0."""
+    ell, q = F.ell, F.q
+    powers = [F.qpow(k) for k in range(ell)]
+    out = [(0, w, g) for g in powers for w in (0, 3, 2 - q)]
+    out += [(c, 0, g) for g in powers for c in (5, 2 + q)]
+    for _ in range(8):
+        gamma = F.reduce({e: rng.randint(-3, 3) for e in range(ell)}) + 4
+        c = F.reduce({e: rng.randint(-3, 3) for e in range(ell)}) or F.one
+        out.append((c, (gamma ** ell - 1) / c, gamma))
+    return out
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 9, 15])
+def test_seam_rule_matches_the_two_branch_oracle(ell):
+    F = CycField(ell)
+    points = seam_points(F, random.Random(ell))
+    assert any(not F.scalar(c) for c, _, _ in points) and any(not F.scalar(w) for _, w, _ in points)
+    for c, w, gamma in points:
+        rep = rank1_matrix_rep(F, c, w, gamma)
+        for got, want in zip((rep.x[0], rep.d[0]), two_branch_rank1(F, c, w, gamma)):
+            assert got.entries.keys() == want.entries.keys()
+            assert all((v.num, v.den) == (want[rc].num, want[rc].den) for rc, v in got.entries.items())
+
+
 @pytest.mark.parametrize("c,w,gamma", [(7, 1, 2), (0, 5, 1)])
 def test_fiber_arithmetic_folds_the_central_values(c, w, gamma):
     A = weyl(3, emb_n2())
@@ -416,6 +470,32 @@ def test_full_rep_refuses_points_off_the_locus():
     p = point(F, [(F.scalar(-1), F.one), (F.zero, F.zero)], [F.zero, F.one])
     with pytest.raises(OutsideAzumayaLocus):
         full_matrix_rep(p, emb_n2())
+
+
+def test_full_rep_twists_each_placed_block_once(monkeypatch):
+    # a placed entry's twist depends on the digits j > i only, so each of the
+    # ell entries of a rank-one x or d is twisted once per value of them,
+    # ell^(n-i-1) times, and not once per row: at ell 3, n 4 that is
+    # 2 (81 + 27 + 9 + 3) = 240 q-powers, against 8 * 81 = 648 with one per row
+    F = CycField(3)
+    emb = TorusEmbedding(n=4, d=1, matrix=((1,),) * 4, form=((2,),))
+    p = point(F, [(F.scalar(7), F.one)] * 4, [F.scalar(2)] * 4)
+    factor = rank1_matrix_rep(F, 7, 1, 2)
+    assert all(len(G.entries) == 3 for G in factor.x + factor.d)  # c != 0 and no delta vanishes
+    monkeypatch.setattr(fiber, "rank1_matrix_rep", lambda *args: factor)
+    qpow, calls = CycField.qpow, [0]
+
+    def counted(self, k):
+        calls[0] += 1
+        return qpow(self, k)
+
+    monkeypatch.setattr(CycField, "qpow", counted)
+    rep = full_matrix_rep(p, emb)
+    assert calls[0] == 240
+    monkeypatch.setattr(CycField, "qpow", qpow)
+    (X,), (D,) = factor.x, factor.d
+    assert rep.x == tuple(untwist(placed(X, i, 4), emb) for i in range(4))
+    assert rep.d == tuple(untwist(placed(D, i, 4), emb) for i in range(4))
 
 
 

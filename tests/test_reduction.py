@@ -209,6 +209,35 @@ def test_moment_conjugation_with_negative_weights():
         assert mu * rep.d[i] == (rep.d[i] * mu).scale(F.qpow(-2 * m))
 
 
+def test_moment_products_never_start_from_the_unit(monkeypatch):
+    # each row's model value multiplies its factors alpha_i^(m_ij), m_ij != 0,
+    # with no product by the unit to start it: on the weights (1), (1) that is
+    # one product per row, 9 fewer than a product started from 1 makes
+    from qweyl.cyclotomic import CycScalar
+    F = CycField(3)
+    emb = emb_sum()
+    p = FiberPoint(field=F, lam=((F.zero, F.zero), (F.scalar(7), F.one)),
+                   gamma=(F.one, F.scalar(2)))
+    rep, mu = full_matrix_rep(p, emb), mu_of(p, emb)
+    monkeypatch.setattr(reduction, "full_matrix_rep", lambda *args: rep)  # the model is fixed
+    mul, calls = CycScalar.__mul__, [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(CycScalar, "__mul__", counted)
+    monkeypatch.setattr(CycScalar, "__rmul__", counted)
+    fiber.alpha_images(rep)
+    alpha_products, calls[0] = calls[0], 0
+    assert moment_map_ok(p, emb, mu)
+    conjugations = sum(len(G.entries) for G in rep.x + rep.d)  # mu_r = q^(+-2) mu_c per entry
+    assert calls[0] == alpha_products + 9 + conjugations
+    # phi_dagger multiplies the two gammas once, and no unit
+    calls[0] = 0
+    assert phi_dagger(p, emb) == (F.scalar(2),) and calls[0] == 1
+
+
 # -- admissible parameters ------------------------------------------------------
 
 def test_admissible_eta_counts():

@@ -8,7 +8,11 @@ an ell = 5 fiber-rep task on the weights (1), (1) with a c = 0 factor,
 where x_2^5 maps to the zero matrix.  An ell = 3 fiber-rep task on the
 all-ones weights of n = 4 factors (c != 0, c = 0, c != 0, c = w = 0) pins
 the 6561-dimensional span, recorded when it was still counted image by
-image, so the generation certificate must give the same bytes.  Two more ell = 3 reduce suites
+image, so the generation certificate must give the same bytes.  An
+ell = 3 fiber-rep and reduce suite on the weights (1), (1), (1) runs
+every branch of the rank-one seam rule: a c != 0, w = 0 factor whose
+vanishing delta is the seam's own (gamma = q), one whose vanishing delta
+is off the seam (gamma = 1), and a c = 0 factor.  Two more ell = 3 reduce suites
 pin the listing of admissible parameters after an inadmissible eta, a
 shift of 2 on the weights (1), (-1), and a trivial torus (d = 0), whose
 reduction keeps the whole fiber.  The quiver suites run U_1 and the

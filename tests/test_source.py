@@ -142,3 +142,10 @@ def test_one_twist_formula_on_each_side():
     # algebra reads the pairings once: no general untwist can grow back
     assert not hasattr(qweyl.fiber, "untwist") and "untwist" not in qweyl.__all__
     assert callers_of("pairing_matrix") == [("fiber.py", "full_matrix_rep"), ("pbw.py", "PBWAlgebra")]
+
+
+def test_one_seam_rule_builds_the_rank_one_model():
+    # the rank-one model states delta_r = gamma q^(-2r) - 1 once, for every
+    # row, and finds its seam row without a root search
+    src = inspect.getsource(qweyl.fiber.rank1_matrix_rep)
+    assert src.count("F.qpow(-2 * r)") == 1 and "k0" not in src
