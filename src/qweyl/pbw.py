@@ -389,17 +389,66 @@ def qmm_report(algebra: PBWAlgebra) -> dict:
 
 
 def commutator_rows(algebra: PBWAlgebra, keys: Sequence[MonoKey]) -> list:
-    """One row per generator g and monomial of [b, g], b over keys; a solution is central."""
-    rows = []
-    one = algebra.field.one
-    monomials = [(mk, algebra.monomial(*mk, one)) for mk in keys]
-    for gi, g in enumerate(algebra.generators()):
-        per_key: dict = {}
-        for mk, b in monomials:
-            for out_key, c in algebra.commutator(b, g).terms.items():
-                per_key.setdefault((gi, out_key), {})[mk] = c
-        rows.extend(per_key.values())
-    return rows
+    """One row per generator g and monomial of [b, g], b over keys; a solution is central.
+
+    Each [b, g] is read off a closed form, with no PBW product.  Take
+    b = x^m d^k, i the generator's index, P the pairings, e_i the i-th
+    unit vector, and
+
+        A = 2k_i + sum_{j>i} P[j][i] (m_j - k_j) + sum_{a<i} P[i][a] k_a,
+        B = sum_{a<i} P[i][a] m_a,
+        C = -sum_{j>i} P[j][i] k_j,    D = sum_{j>i} P[j][i] k_j,
+        E = 2m_i + sum_{j>i} P[j][i] m_j - sum_{a<i} P[i][a] (m_a - k_a).
+
+    Each is the exponent `_mul_mono` sums with one operand a generator:
+    the two twists and the braid, less the twist of the result, plus the
+    e_j of the one same-index crossing.  x_i b and b d_i cross nothing and
+    are q^B and q^D times one monomial.  b x_i crosses d_i^(k_i) x_i
+    (`_crossing(k_i, 1)`) into q^A x^(m+e_i) d^k + (q^(2k_i) - 1) q^C
+    x^m d^(k-e_i), and d_i b crosses d_i x_i^(m_i) (`_crossing(1, m_i)`)
+    into q^E x^m d^(k+e_i) + (q^(2m_i) - 1) q^(-B) x^(m-e_i) d^k.  So
+
+        [b, x_i] = (q^A - q^B) x^(m+e_i) d^k + (q^(C+2k_i) - q^C) x^m d^(k-e_i),
+        [b, d_i] = (q^D - q^E) x^m d^(k+e_i) + (q^(-B) - q^(2m_i-B)) x^(m-e_i) d^k.
+
+    The lower term exists only when k_i > 0 (x_i) or m_i > 0 (d_i), and a
+    term whose coefficient is 0 is dropped.  The upper term comes first,
+    the order `PBWAlgebra.commutator` leaves them in, so the rows equal
+    its rows item by item.  Each q^a - q^b is formed once per residue
+    pair (a, b) mod ell.
+    """
+    F, n, P = algebra.field, algebra.n, algebra.pairings
+    ell, qpow = F.ell, F.qpow
+    diffs: dict[tuple[int, int], CycScalar] = {}
+
+    def diff(a: int, b: int) -> CycScalar:  # q^a - q^b
+        key = (a % ell, b % ell)
+        c = diffs.get(key)
+        if c is None:
+            c = diffs[key] = qpow(a) - qpow(b)
+        return c
+
+    per_gen: list[dict] = [{} for _ in range(2 * n)]  # x_1..x_n, then d_1..d_n
+    for mk in keys:
+        m, k = mk
+        for i in range(n):
+            mi, ki = m[i], k[i]
+            Sm = sum(P[j][i] * m[j] for j in range(i + 1, n))
+            Sk = sum(P[j][i] * k[j] for j in range(i + 1, n))
+            B = sum(P[i][a] * m[a] for a in range(i))
+            Bk = sum(P[i][a] * k[a] for a in range(i))
+            A, C, D, E = 2 * ki + Sm - Sk + Bk, -Sk, Sk, 2 * mi + Sm - B + Bk
+            x_rows, d_rows = per_gen[i], per_gen[n + i]
+            terms = [(x_rows, (m[:i] + (mi + 1,) + m[i + 1:], k), diff(A, B)),
+                     (d_rows, (m, k[:i] + (ki + 1,) + k[i + 1:]), diff(D, E))]
+            if ki:
+                terms.append((x_rows, (m, k[:i] + (ki - 1,) + k[i + 1:]), diff(C + 2 * ki, C)))
+            if mi:
+                terms.append((d_rows, (m[:i] + (mi - 1,) + m[i + 1:], k), diff(-B, 2 * mi - B)))
+            for per_key, out_key, c in terms:
+                if c:
+                    per_key.setdefault(out_key, {})[mk] = c
+    return [row for per_key in per_gen for row in per_key.values()]
 
 
 def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:

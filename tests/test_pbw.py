@@ -9,8 +9,10 @@ the module axiom.
 """
 
 import dataclasses
+import inspect
 import json
 import random
+import textwrap
 from fractions import Fraction
 from itertools import product
 
@@ -370,21 +372,24 @@ def test_center_report_prunes_only_where_the_premise_holds(monkeypatch):
     assert json.dumps(fallback) == json.dumps(passing)
 
 
-def test_commutator_rows_builds_each_key_once(monkeypatch):
-    A = PBWAlgebra(CycField(3), emb_n2())
-    keys = [(m, k) for m in product(range(2), repeat=2) for k in product(range(2), repeat=2)]
-    expected = pbw.commutator_rows(A, keys)
-    built = []
-    monomial = PBWAlgebra.monomial
+def general_commutator_rows(algebra, keys):
+    """The rows of pbw.commutator_rows, each [b, g] formed by the general
+    product `PBWAlgebra.commutator`: the oracle for the closed form."""
+    rows = []
+    one = algebra.field.one
+    monomials = [(mk, algebra.monomial(*mk, one)) for mk in keys]
+    for gi, g in enumerate(algebra.generators()):
+        per_key = {}
+        for mk, b in monomials:
+            for out_key, c in algebra.commutator(b, g).terms.items():
+                per_key.setdefault((gi, out_key), {})[mk] = c
+        rows.extend(per_key.values())
+    return rows
 
-    def counted(self, m, k, coeff=1):
-        built.append((tuple(m), tuple(k)))
-        return monomial(self, m, k, coeff)
 
-    monkeypatch.setattr(PBWAlgebra, "monomial", counted)
-    assert pbw.commutator_rows(A, keys) == expected
-    # one monomial per key, plus one per generator x_1, x_2, d_1, d_2
-    assert len(built) == len(keys) + 2 * A.n and set(built) == set(keys)
+def row_items(rows):
+    # dict equality ignores order; the rows are compared item by item
+    return [list(r.items()) for r in rows]
 
 
 CENTER_EMBEDDINGS = {
@@ -400,13 +405,13 @@ CENTER_EMBEDDINGS = {
        max_degree=st.integers(0, 4))
 @example(ell=3, name="braided-n2", max_degree=4)
 def test_center_dimension_matches_the_full_system(ell, name, max_degree):
-    # the oracle: commutator_rows on every key, ranked by linalg.rank
+    # the oracle: the general-product rows on every key, ranked by linalg.rank
     A = PBWAlgebra(CycField(ell), CENTER_EMBEDDINGS[name])
     n, exps = A.n, range(max_degree + 1)
     keys = [(m, k) for m in product(exps, repeat=n) for k in product(exps, repeat=n)]
     powers = range(0, max_degree + 1, ell)
     expected = {(m, k) for m in product(powers, repeat=n) for k in product(powers, repeat=n)}
-    rows = pbw.commutator_rows(A, keys)
+    rows = general_commutator_rows(A, keys)
     # no row touches an expected key, which proves the bound handed to rank
     assert not expected.intersection(key for r in rows for key in r)
     full = len(keys) - rank(lambda: rows, A.field, len(keys) - len(expected))
@@ -416,6 +421,86 @@ def test_center_dimension_matches_the_full_system(ell, name, max_degree):
     report = pbw.center_report(A, max_degree)
     assert report["dimension"] == full == len(expected)
     assert report["ok"]
+
+
+ROW_EMBEDDINGS = {
+    **CENTER_EMBEDDINGS,
+    "cyclic-n3": emb_cyclic3(),
+    "negative-n3": TorusEmbedding(n=3, d=2, matrix=((1, 0), (-1, 2), (0, -3)),
+                                  form=((2, 1), (1, 3))),
+    "negative-n4": TorusEmbedding(n=4, d=2, matrix=((1, -1), (2, 0), (-1, 1), (0, -2)),
+                                  form=((2, 0), (0, 2))),
+}
+
+
+@st.composite
+def row_cases(draw):
+    ell = draw(st.sampled_from([3, 5, 7, 9, 15]))
+    name = draw(st.sampled_from(sorted(ROW_EMBEDDINGS)))
+    n = ROW_EMBEDDINGS[name].n
+    # multiples of ell make a lower coefficient q^(2k_i) - 1 or q^(2m_i) - 1 vanish
+    exponent = st.one_of(st.integers(0, ell + 1), st.sampled_from([ell, 2 * ell]))
+    vec = st.tuples(*[exponent] * n)
+    keys = draw(st.lists(st.tuples(vec, vec), max_size=12))
+    return ell, name, list(dict.fromkeys([((0,) * n, (0,) * n)] + keys))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=row_cases())
+@example(case=(3, "braided-n2", [((0, 0), (0, 0)), ((3, 1), (0, 3)), ((1, 0), (3, 2))]))
+def test_commutator_rows_match_the_general_product(case):
+    ell, name, keys = case
+    A = PBWAlgebra(CycField(ell), ROW_EMBEDDINGS[name])
+    assert row_items(pbw.commutator_rows(A, keys)) == row_items(general_commutator_rows(A, keys))
+
+
+def test_commutator_rows_makes_no_pbw_product(monkeypatch):
+    A = PBWAlgebra(CycField(3), CENTER_EMBEDDINGS["braided-n2"])
+    keys = [(m, k) for m in product(range(4), repeat=2) for k in product(range(4), repeat=2)]
+    expected = row_items(general_commutator_rows(A, keys))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("commutator_rows formed a PBW product")
+
+    monkeypatch.setattr(PBWAlgebra, "_mul_mono", forbidden)
+    monkeypatch.setattr(PBWAlgebra, "monomial", forbidden)
+    monkeypatch.setattr(pbw.PBWElement, "__init__", forbidden)
+    assert row_items(pbw.commutator_rows(A, keys)) == expected
+
+
+def mutate_rows(monkeypatch, old, new):
+    """Replace pbw.commutator_rows by its source with old read as new."""
+    src = textwrap.dedent(inspect.getsource(pbw.commutator_rows))
+    assert src.count(old) == 1, old
+    namespace = dict(vars(pbw))
+    exec(compile(src.replace(old, new), pbw.__file__, "exec"), namespace)
+    monkeypatch.setattr(pbw, "commutator_rows", namespace["commutator_rows"])
+
+
+def test_center_check_fails_on_a_wrong_upper_x_exponent(monkeypatch):
+    A = PBWAlgebra(CycField(3), emb_n2())
+    mutate_rows(monkeypatch, "diff(A, B)", "diff(A + 1, B)")
+    report = pbw.center_report(A, 6)
+    assert not report["ok"] and report["dimension"] == 0 and report["not_central"] == "1"
+
+
+def test_center_check_fails_on_a_wrong_lower_x_exponent(monkeypatch):
+    A = PBWAlgebra(CycField(3), emb_n2())
+    mutate_rows(monkeypatch, "diff(C + 2 * ki, C)", "diff(C + 2 * ki, C + 1)")
+    report = pbw.center_report(A, 6)
+    assert not report["ok"] and report["dimension"] == 9 and report["not_central"] == "d2^3"
+
+
+def test_row_oracle_catches_a_swapped_lower_d_coefficient(monkeypatch):
+    # the sign of the lower [b, d_i] term does not move the kernel: the
+    # center-check verdict stays 81, so the row oracle is what catches it
+    A = PBWAlgebra(CycField(3), emb_n2())
+    keys = [(m, k) for m in product(range(3), repeat=2) for k in product(range(3), repeat=2)]
+    expected = row_items(general_commutator_rows(A, keys))
+    mutate_rows(monkeypatch, "diff(-B, 2 * mi - B)", "diff(2 * mi - B, -B)")
+    report = pbw.center_report(A, 6)
+    assert report["ok"] and report["dimension"] == 81
+    assert row_items(pbw.commutator_rows(A, keys)) != expected
 
 
 def test_is_central_ell3():

@@ -19,7 +19,11 @@ reduction keeps the whole fiber.  The quiver suites run U_1 and the
 cyclic-quiver table at ell = 3 for n = 2, 3, 4 (n = 2 has no table) with
 a qmm-check, and at ell = 13 for n = 3.  The algebra suites pin
 normalize (with one malformed expression) and center-check at ell = 3,
-to degree 3 for n = 2 and to degree 6 for n = 1.  Together the configs
+to degree 3 for n = 2 and to degree 6 for n = 1.  A composite-ell suite,
+ell = 9 on the weights (2), (1), pins normalize, qmm-check and
+center-check to degree 9, so the composite path of the cyclotomic field
+(deg Phi_9 = 6 < 8) is under the gate too; it was recorded before the
+center-check rows were read off their closed form.  Together the configs
 cover every task type.
 To record a new output: qweyl report --config <config> --out <output>.
 """

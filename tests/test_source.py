@@ -127,6 +127,13 @@ def test_cli_only_parses_dispatches_and_prints():
                         "build_an_quiver_algebra", "is_central"}, named
 
 
+def test_center_rows_form_no_general_product():
+    # commutator_rows reads each [b, g] off its closed form: the general
+    # product cannot come back into the row builder
+    assert callers_of("commutator") and callers_of("_terms")
+    assert all(top != "commutator_rows" for _, top in callers_of("commutator") + callers_of("_terms"))
+
+
 def test_one_builder_of_the_moment_map_on_each_side():
     # the matrix images I + x_i d_i are built by alpha_images alone, and the
     # algebra identity alpha_i g = q^(2 s_i) g alpha_i is checked by verify_qmm
