@@ -20,6 +20,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Mapping
 
+# a field's product memo is cleared when it reaches this many entries
+_PRODUCT_MEMO_CAP = 1 << 16
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
@@ -61,7 +64,10 @@ def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list
 def power(base, e: int, one):
     """base^e for e >= 0 by square-and-multiply: one only for e = 0, and
     otherwise bit_length(e) - 1 squarings and popcount(e) - 1 products into
-    the result, starting from base, so base^1 is base and costs no product."""
+    the result, starting from base, so base^1 is base and costs no product.
+    A negative e raises ValueError (halving it would never reach 0)."""
+    if e < 0:
+        raise ValueError(f"power needs an exponent e >= 0, got {e}")
     if not e:
         return one
     while not e & 1:
@@ -78,7 +84,8 @@ class CycField:
     """The cyclotomic field Q(q), q a fixed primitive ell-th root of unity.
 
     Only odd orders ell > 1 are accepted; the even-order theory has a
-    different center and is out of scope here.
+    different center and is out of scope here.  Each field keeps its own
+    memo of the scalar products made in it (see `CycScalar.__mul__`).
     """
 
     def __init__(self, ell: int):
@@ -92,6 +99,7 @@ class CycField:
         self._one = self._qpows[0]
         # the Galois group (Z/ell)^x minus the identity: sigma_j sends q to q^j
         self._conjugators = [j for j in range(2, ell) if gcd(j, ell) == 1]
+        self._products = {}
 
     def _make(self, raw: list[int], den: int = 1) -> "CycScalar":
         """The canonical scalar (sum_e raw[e] q^e) / den, for den > 0."""
@@ -213,16 +221,35 @@ class CycScalar:
         return o - self
 
     def __mul__(self, other):
+        """The product, read from this field's memo when it was made before.
+
+        The memo is exact: a product is a pure function of the canonical
+        (num, den) pairs of its operands, so it is keyed on those values
+        (never on id(), which is reused after garbage collection), and it
+        is read only after `_coerce` has accepted the operand, so no
+        product mixes two fields of the same degree.  It lasts as long as
+        its `CycField`, and `run_suite` makes a new field for each call.
+        Its memory is bounded: it is cleared once it holds
+        _PRODUCT_MEMO_CAP entries.
+        """
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        raw = [0] * (2 * self.field.degree - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(o.num, i):
-                    if b:
-                        raw[j] += a * b
-        return self.field._make(raw, self.den * o.den)
+        field = self.field
+        memo = field._products
+        key = (self.num, self.den, o.num, o.den)
+        product = memo.get(key)
+        if product is None:
+            if len(memo) >= _PRODUCT_MEMO_CAP:
+                memo.clear()
+            raw = [0] * (2 * field.degree - 1)
+            for i, a in enumerate(self.num):
+                if a:
+                    for j, b in enumerate(o.num, i):
+                        if b:
+                            raw[j] += a * b
+            product = memo[key] = field._make(raw, self.den * o.den)
+        return product
 
     __rmul__ = __mul__
 

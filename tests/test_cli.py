@@ -468,6 +468,81 @@ def test_center_check_scalar_multiplies_stay_few(monkeypatch):
     assert 0 < calls[0] <= 80
 
 
+TESTS = Path(__file__).resolve().parent
+
+
+def collect_fields(monkeypatch, memo=None):
+    """Every CycField made from now on; each is given an empty product memo
+    of type memo when one is named, and otherwise keeps its own."""
+    init, fields = CycField.__init__, []
+
+    def collecting(self, ell):
+        init(self, ell)
+        if memo is not None:
+            self._products = memo()
+        fields.append(self)
+
+    monkeypatch.setattr(CycField, "__init__", collecting)
+    return fields
+
+
+def test_run_suite_calls_share_no_product_memo(monkeypatch):
+    # the memo lives on the field and run_suite makes a field per call, so a
+    # second run (as in a timed batch) computes its products afresh
+    fields = collect_fields(monkeypatch)
+    first = run_suite(suite_cfg())
+    made = len(fields)
+    assert run_suite(suite_cfg()) == first
+    assert made and len(fields) == 2 * made
+    assert len({id(f._products) for f in fields}) == len(fields)
+    sizes = [len(f._products) for f in fields]
+    assert sizes[:made] == sizes[made:] and any(sizes)  # the second run computed its own
+
+
+def test_product_memo_cap_holds_and_changes_no_report(monkeypatch, tmp_path):
+    import qweyl.cyclotomic
+    peak = [0]
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            peak[0] = max(peak[0], len(self))
+
+    monkeypatch.setattr(qweyl.cyclotomic, "_PRODUCT_MEMO_CAP", 8)
+    fields = collect_fields(monkeypatch, Recording)
+    out = tmp_path / "report.json"
+    config = TESTS / "report_configs" / "pair_l3.json"
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+    assert fields and peak[0] == 8  # reached, so the clear ran, and never passed
+    assert out.read_bytes() == (TESTS / "report_output" / "pair_l3.json").read_bytes()
+
+
+@pytest.mark.parametrize("stem, calls, computed", [("reduce_l3", 157, 49), ("pair_l3", 377, 95)])
+def test_products_computed_once_per_run(monkeypatch, tmp_path, stem, calls, computed):
+    # counts, not times: __mul__ is called as often as before the memo, and
+    # the suite's field computes each distinct product once
+    import qweyl.cli
+    from qweyl.cyclotomic import CycScalar
+    from qweyl.pbw import PBWAlgebra
+    mul, count, suite_fields = CycScalar.__mul__, [0], []
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    def algebra(field, emb):
+        suite_fields.append(field)
+        return PBWAlgebra(field, emb)
+
+    monkeypatch.setattr(CycScalar, "__mul__", counted)
+    monkeypatch.setattr(CycScalar, "__rmul__", counted)
+    monkeypatch.setattr(qweyl.cli, "PBWAlgebra", algebra)
+    config = TESTS / "report_configs" / f"{stem}.json"
+    assert main(["report", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 0
+    [field] = suite_fields
+    assert (count[0], len(field._products)) == (calls, computed)
+
+
 def test_fiber_rep_span_falls_back_and_fails_on_a_repeated_image(monkeypatch):
     # basis_rank hands fiber.rank the image of x1^2 x2^2 d1^2 d2 in place of
     # that of x1^2 x2^2 d1^2 d2^2, the last one: the images fall one short

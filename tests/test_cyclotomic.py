@@ -117,6 +117,17 @@ def test_power_squares_only_between_bits():
         assert len(products) == (bin(e).count("1") - 1 + e.bit_length() - 1 if e else 0)
 
 
+def test_power_rejects_a_negative_exponent():
+    # halving a negative exponent never reaches 0 (-1 >> 1 == -1), so power
+    # refuses one at entry instead of looping
+    with pytest.raises(ValueError, match="e >= 0"):
+        power(3, -2, 1)
+    F = CycField(3)
+    with pytest.raises(ValueError):
+        power(F.q, -1, F.one)
+    assert F.q ** -1 == F.qpow(2)  # __pow__ inverts first, as before
+
+
 def test_is_rational():
     F = CycField(3)
     assert F.scalar(7).is_rational()
@@ -212,3 +223,63 @@ def test_power_table_consistency():
         for a in range(ell):
             for b in range(ell):
                 assert F.qpow(a) * F.qpow(b) == F.qpow(a + b), (ell, a, b)
+
+
+# -- the product memo -----------------------------------------------------------
+
+def direct_product(a, b):
+    """a * b formed from the coefficients, with no memo: the oracle."""
+    F = a.field
+    raw = [0] * (2 * F.degree - 1)
+    for i, x in enumerate(a.num):
+        if x:
+            for j, y in enumerate(b.num, i):
+                if y:
+                    raw[j] += x * y
+    return F._make(raw, a.den * b.den)
+
+
+MEMO_ELLS = (3, 5, 7, 9, 15)
+MEMO_FIELDS = {ell: CycField(ell) for ell in MEMO_ELLS}  # memos persist across examples
+TWIN_FIELDS = {ell: CycField(ell) for ell in MEMO_ELLS}  # same ell, distinct objects and memos
+
+operands = st.one_of(st.integers(min_value=-4, max_value=4),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@pytest.mark.parametrize("ell", MEMO_ELLS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_memoized_product_equals_direct_product(ell, data):
+    F, twin = MEMO_FIELDS[ell], TWIN_FIELDS[ell]
+    # a small pool, so that pairs repeat within an example and across them
+    small_coeffs = st.lists(st.integers(min_value=-2, max_value=2),
+                            min_size=F.degree, max_size=F.degree)
+    pool = [F.reduce(dict(enumerate(data.draw(small_coeffs)))) for _ in range(3)]
+    pool.append(twin.reduce(dict(enumerate(data.draw(small_coeffs)))))
+    pool.append(F.qpow(data.draw(st.integers(min_value=0, max_value=ell - 1))))
+    for _ in range(2):
+        for a in pool:
+            for b in pool:
+                got = a * b
+                want = direct_product(a, b)
+                assert (got.num, got.den) == (want.num, want.den)
+                assert got.field is a.field
+    c = data.draw(operands)
+    for a in pool:
+        want = direct_product(a, a.field.scalar(c))
+        for got in (a * c, c * a, a * c):
+            assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_memo_never_answers_a_product_of_two_fields():
+    # Phi_7 and Phi_9 both have degree 6, so q has the same (num, den) in
+    # each field: with q * q memoized in the ell-7 field, a product of an
+    # ell-7 and an ell-9 scalar must still be refused
+    F7, F9 = CycField(7), CycField(9)
+    assert F7.q * F7.q == F7.qpow(2)
+    assert (F9.q.num, F9.q.den) == (F7.q.num, F7.q.den)
+    with pytest.raises(TypeError):
+        F7.q * F9.q
+    with pytest.raises(TypeError):
+        F9.q * F7.q

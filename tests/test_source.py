@@ -156,3 +156,31 @@ def test_one_seam_rule_builds_the_rank_one_model():
     # row, and finds its seam row without a root search
     src = inspect.getsource(qweyl.fiber.rank1_matrix_rep)
     assert src.count("F.qpow(-2 * r)") == 1 and "k0" not in src
+
+
+def test_cyclotomic_keeps_no_cache_beyond_a_field():
+    # the product memo is made in CycField.__init__, so it lasts one field;
+    # a module- or class-level dict, list or set, or a cache decorator other
+    # than the one on cyclotomic_polynomial, would outlive it, and a key on
+    # id() would be reused after garbage collection
+    tree = ast.parse((SRC / "cyclotomic.py").read_text(encoding="utf-8"))
+    containers = (ast.Dict, ast.DictComp, ast.List, ast.ListComp, ast.Set, ast.SetComp,
+                  ast.Call)
+    tops = tree.body + [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                        for node in cls.body]
+    stored = [f"line {node.lineno}" for node in tops
+              if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+              and any(isinstance(part, containers) for part in ast.walk(node.value))]
+    assert not stored, stored
+    cached = [node.name for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and any("cache" in ast.unparse(dec) for dec in node.decorator_list)]
+    assert cached == ["cyclotomic_polynomial"]
+    assert not [node.lineno for node in ast.walk(tree) if calls(node, "id")]
+    [field] = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "CycField"]
+    [init] = [node for node in field.body
+              if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    made = [node for node in ast.walk(init) if isinstance(node, ast.Assign)
+            and ast.unparse(node.targets[0]) == "self._products"]
+    assert len(made) == 1 and isinstance(made[0].value, ast.Dict) and not made[0].value.keys
