@@ -73,8 +73,10 @@ def validate_config(cfg: dict) -> TorusEmbedding:
                 raise ValueError(f"task {i}: 'max_degree' must be an integer >= 0")
         if task["type"] in ("fiber-rep", "reduce"):
             _check_point(task.get("point", {}), emb.n, i)
-        if task["type"] == "reduce" and not _is_list(task.get("eta"), emb.d):
-            raise ValueError(f"task {i}: 'eta' must be a list of {emb.d} entries")
+        if task["type"] == "reduce":
+            if not _is_list(task.get("eta"), emb.d):
+                raise ValueError(f"task {i}: 'eta' must be a list of {emb.d} entries")
+            _check_strings(task["eta"], "eta", i)
         if task["type"] == "quiver-suite" and "n" in task:
             n = task["n"]
             if type(n) is not int or n < 2:  # bool is an int subclass
@@ -86,6 +88,12 @@ def _is_list(value, length: int) -> bool:
     return isinstance(value, list) and len(value) == length
 
 
+def _check_strings(values: list, field: str, i: int) -> None:
+    """Scalar entries are expression strings: a JSON number or true is not."""
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"task {i}: '{field}' entries must be expression strings")
+
+
 def _check_point(point, n: int, i: int) -> None:
     """Shapes of a fiber point; build_point evaluates its scalar values."""
     if not isinstance(point, dict):
@@ -93,8 +101,11 @@ def _check_point(point, n: int, i: int) -> None:
     lam = point.get("lambda")
     if not _is_list(lam, n) or not all(_is_list(pair, 2) for pair in lam):
         raise ValueError(f"task {i}: 'lambda' must be a list of {n} [c, w] pairs")
-    if not _is_list(point.get("gamma"), n):
+    gamma = point.get("gamma")
+    if not _is_list(gamma, n):
         raise ValueError(f"task {i}: 'gamma' must be a list of {n} entries")
+    _check_strings([v for pair in lam for v in pair], "lambda", i)
+    _check_strings(gamma, "gamma", i)
 
 
 def _int_rows(value, name: str) -> IntMatrix:
@@ -121,9 +132,8 @@ def build_embedding(cfg: dict) -> TorusEmbedding:
 
 def build_point(field: CycField, data: dict) -> FiberPoint:
     """The fiber point of a validated 'point' object."""
-    lam = tuple((evaluate_scalar(str(c), field), evaluate_scalar(str(w), field))
-                for c, w in data["lambda"])
-    gamma = tuple(evaluate_scalar(str(g), field) for g in data["gamma"])
+    lam = tuple((evaluate_scalar(c, field), evaluate_scalar(w, field)) for c, w in data["lambda"])
+    gamma = tuple(evaluate_scalar(g, field) for g in data["gamma"])
     return FiberPoint(field=field, lam=lam, gamma=gamma)
 
 
@@ -136,7 +146,7 @@ _RUNNERS = {
                                                         algebra),
     "reduce": lambda algebra, task: hamiltonian_reduce(
         build_point(algebra.field, task["point"]), algebra.emb,
-        tuple(evaluate_scalar(str(v), algebra.field) for v in task["eta"])),
+        tuple(evaluate_scalar(v, algebra.field) for v in task["eta"])),
     "quiver-suite": lambda algebra, task: quiver_suite_report(algebra.field, task.get("n", 3)),
     "qmm-check": lambda algebra, task: qmm_report(algebra),
 }

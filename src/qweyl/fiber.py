@@ -78,8 +78,6 @@ class Matrix:
         return self.scale(other)
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative matrix powers are not supported")
         return power(self, e, Matrix.identity(self.field, self.size))
 
     def __eq__(self, other):

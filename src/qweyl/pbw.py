@@ -282,11 +282,6 @@ class PBWElement:
                 return None
         return deg
 
-    def k_degree(self) -> Optional[tuple[int, ...]]:
-        """Weight-lattice image of the T-weight, None if inhomogeneous."""
-        s = self.t_degree()
-        return None if s is None else self.algebra.emb.mdag_vec(s)
-
     def is_central(self) -> bool:
         A = self.algebra
         return not any(A.commutator(self, g) for g in A.generators())
@@ -334,34 +329,30 @@ class QmmResult:
         return self.ok
 
 
-def verify_qmm(a: PBWElement, kind: str, r: Sequence[int]) -> QmmResult:
-    """Check the quantum-moment-map identity for h = y^r or z^r against a.
+def _units(k: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
 
-    a must be T-homogeneous of weight s.  The action convention is
-    y^r acting by q^{2 r.s} and z^r by pullback, so the claim is
-    mu(h) a = q^{2e} a mu(h) with e the appropriate dot product.
-    Negative entries of the alpha exponent are handled by clearing
-    denominators: with u = u+ - u-, the identity becomes
-    A+ a A- = q^{2e} A- a A+, checked exactly in the PBW engine.
+
+def verify_qmm(a: PBWElement, u: Sequence[int]) -> QmmResult:
+    """Check alpha^u a = q^(2e) a alpha^u, e = u.s, for a of T-weight s.
+
+    alpha^u = prod_i alpha_i^(u_i) with u in Z^n.  The moment map of T^n
+    sends y^r to alpha^r, so h = y^r is u = r.  The moment map of the
+    subtorus T^d is its pullback along the weight matrix M,
+    mu(z_j) = prod_i alpha_i^(m_ij), so h = z^r is u = M r; its exponent
+    r.(M^T s) is (M r).s = u.s, and one rule covers both.  Negative
+    entries of u are handled by clearing denominators: with u = u+ - u-,
+    the identity becomes A+ a A- = q^(2e) A- a A+, checked exactly in the
+    PBW engine.
     """
     A = a.algebra
     s = a.t_degree()
     if s is None:
         raise ValueError("verify_qmm needs a T-homogeneous element")
-    r = tuple(int(v) for v in r)
-    if kind == "y":
-        if len(r) != A.n:
-            raise ValueError("y exponents live in Z^n")
-        u = r
-        e = sum(r[i] * s[i] for i in range(A.n))
-    elif kind == "z":
-        if len(r) != A.emb.d:
-            raise ValueError("z exponents live in Z^d")
-        u = tuple(sum(A.emb.matrix[i][j] * r[j] for j in range(A.emb.d)) for i in range(A.n))
-        ks = A.emb.mdag_vec(s)
-        e = sum(r[j] * ks[j] for j in range(A.emb.d))
-    else:
-        raise ValueError("kind must be 'y' or 'z'")
+    u = tuple(int(v) for v in u)
+    if len(u) != A.n:
+        raise ValueError("alpha exponents live in Z^n")
+    e = sum(ui * si for ui, si in zip(u, s))
     plus = [A.alpha(i) for i, ui in enumerate(u, start=1) for _ in range(ui)]
     minus = [A.alpha(i) for i, ui in enumerate(u, start=1) for _ in range(-ui)]
     lhs = rhs = a  # A+ a A- and A- a A+, one alpha factor at a time (they commute)
@@ -373,18 +364,18 @@ def verify_qmm(a: PBWElement, kind: str, r: Sequence[int]) -> QmmResult:
 
 
 def qmm_report(algebra: PBWAlgebra) -> dict:
-    """The qmm-check report: verify_qmm for h = y_i over the n unit vectors
-    and h = z_j over the d unit vectors, each against every generator."""
-    n, d = algebra.n, algebra.emb.d
-    hs = [(kind, tuple(int(i == j) for j in range(k)))
-          for kind, k in (("y", n), ("z", d)) for i in range(k)]
+    """The qmm-check report: verify_qmm for h = y_i, u the i-th unit vector
+    of Z^n, then for h = z_j, u the j-th column of M, each against every
+    generator.  y and z are only the labels of the entries."""
+    M = algebra.emb.matrix
+    hs = [(f"y{r}", r) for r in _units(algebra.n)]
+    hs += [(f"z{r}", tuple(row[j] for row in M)) for j, r in enumerate(_units(algebra.emb.d))]
     targets = algebra.generators()
     checks = []
-    for kind, r in hs:
+    for h, u in hs:
         for a in targets:
-            res = verify_qmm(a, kind, r)
-            checks.append({"h": f"{kind}{r}", "target": str(a),
-                           "ok": res.ok, "exponent": res.exponent})
+            res = verify_qmm(a, u)
+            checks.append({"h": h, "target": str(a), "ok": res.ok, "exponent": res.exponent})
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
 
@@ -457,7 +448,7 @@ def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
 
     Only the keys of central weight, m = k (mod ell), are solved for.  Write
     s = m - k for the T-weight of x^m d^k.  If alpha_i g = q^(2 s_i) g alpha_i
-    for each generator g of weight s (verify_qmm with h = y_i, checked
+    for each generator g of weight s (verify_qmm(g, e_i), checked
     exactly), the same holds for every x^m d^k, an ordered product of
     generators.  A central c = sum_b c_b b commutes with alpha_i = 1 + x_i d_i, so
     0 = alpha_i c - c alpha_i = (sum_b c_b (q^(2 s_i(b)) - 1) b) alpha_i.
@@ -469,8 +460,7 @@ def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
     solved for.
     """
     field, n = algebra.field, algebra.n
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    premise = all(verify_qmm(g, "y", e) for g in algebra.generators() for e in units)
+    premise = all(verify_qmm(g, e) for g in algebra.generators() for e in _units(n))
     step = field.ell if premise else 1
     keys = [(m, k) for m in iproduct(range(max_degree + 1), repeat=n)
             for k in iproduct(*(range(e % step, max_degree + 1, step) for e in m))]

@@ -124,8 +124,6 @@ class DifferenceOperator:
         return self + DifferenceOperator(self.field, other.shift, tuple(-s for s in other.scalars))
 
     def __pow__(self, e: int) -> "DifferenceOperator":
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
         return power(self, e, DifferenceOperator.identity(self.field))
 
 

@@ -259,6 +259,13 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
     {"type": "fiber-rep", "point": {"lambda": [1, 2], "gamma": ["1", "1"]}},  # not pairs
     {"type": "reduce", "point": {"lambda": [["0", "0"], ["0", "0"]], "gamma": ["1", "1"]},
      "eta": "1"},                                        # was read one character at a time
+    {"type": "fiber-rep", "point": {"lambda": [[True, "0"], ["0", "0"]], "gamma": ["1", "1"]}},
+    {"type": "fiber-rep", "point": {"lambda": [["0", "0"], ["0", 1.5]], "gamma": ["1", "1"]}},
+    {"type": "fiber-rep", "point": {"lambda": [["0", "0"], ["0", "0"]], "gamma": ["1", 2]}},
+    {"type": "reduce", "point": {"lambda": [["0", "0"], ["0", "0"]], "gamma": [{"a": 1}, "1"]},
+     "eta": ["1"]},                                      # Python's repr leaked into the error
+    {"type": "reduce", "point": {"lambda": [["0", "0"], ["0", "0"]], "gamma": ["1", "1"]},
+     "eta": [1]},                                        # a JSON integer is not a string either
     {"type": "quiver-suite", "n": 3.7},                  # was truncated to 3
     {"type": "quiver-suite", "n": "x"},
     {"type": "quiver-suite", "n": True},
@@ -272,6 +279,22 @@ def test_malformed_task_fields_exit_2(tmp_path, capsys, task):
         assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: task 0: ") and err.count("\n") == 1
+
+
+def test_a_non_string_scalar_names_its_task_and_field(tmp_path, capsys):
+    # a JSON true once failed its task with "unexpected character 'T'", the
+    # first letter of Python's repr; now the config is refused before any task runs
+    lam, gamma = [["0", "0"], ["0", "0"]], ["1", "1"]
+    for field, task in (
+            ("lambda", {"type": "fiber-rep", "point": {"lambda": [["0", True], ["0", "0"]],
+                                                        "gamma": gamma}}),
+            ("gamma", {"type": "fiber-rep", "point": {"lambda": lam, "gamma": ["1", 1.5]}}),
+            ("eta", {"type": "reduce", "point": {"lambda": lam, "gamma": gamma}, "eta": [3]})):
+        cfg = {"ell": 3, "embedding": {"matrix": [[1], [1]], "form": [[2]]},
+               "tasks": [{"type": "qmm-check"}, task]}
+        assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: task 1: '{field}' entries must be expression strings\n")
 
 
 @pytest.mark.parametrize("source", [

@@ -122,6 +122,16 @@ RANK1_POINTS = [
     (8, 0, 1),
     (7, 1, 2),
 ]
+def test_matrix_powers():
+    # Matrix ** e is cyclotomic.power, which refuses a negative e itself
+    F = CycField(3)
+    X = Matrix(F, 3, {(0, 1): F.q, (1, 2): F.one, (2, 0): F.scalar(2)})
+    assert X ** 0 == Matrix.identity(F, 3) and X ** 1 is X
+    assert X ** 3 == Matrix.identity(F, 3).scale(2 * F.q)
+    with pytest.raises(ValueError, match="e >= 0"):
+        X ** -1
+
+
 # the ids read c-w-root-gamma, root an integer cube root of c or None
 RANK1_IDS = ["0-0-0-1", "8-0-2-1", "7-1-None-2"]
 

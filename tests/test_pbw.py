@@ -312,8 +312,6 @@ def test_t_degree_additivity():
     assert (a * b).t_degree() == (2, 0)
     assert (a + b).t_degree() is None  # mixed weights
     assert A.zero().t_degree() == (0, 0)
-    # k-degree through the embedding: sum of coordinates here
-    assert a.k_degree() == (1,)
 
 
 def test_centralizer_ell3_n1():
@@ -417,7 +415,7 @@ def test_center_dimension_matches_the_full_system(ell, name, max_degree):
     full = len(keys) - rank(lambda: rows, A.field, len(keys) - len(expected))
     # the premise holds, so the report solves on the lattice keys
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    assert all(verify_qmm(g, "y", u) for g in A.generators() for u in units)
+    assert all(verify_qmm(g, u) for g in A.generators() for u in units)
     report = pbw.center_report(A, max_degree)
     assert report["dimension"] == full == len(expected)
     assert report["ok"]
@@ -468,25 +466,25 @@ def test_commutator_rows_makes_no_pbw_product(monkeypatch):
     assert row_items(pbw.commutator_rows(A, keys)) == expected
 
 
-def mutate_rows(monkeypatch, old, new):
-    """Replace pbw.commutator_rows by its source with old read as new."""
-    src = textwrap.dedent(inspect.getsource(pbw.commutator_rows))
+def mutate(monkeypatch, name, old, new):
+    """Replace the function pbw.<name> by its source with old read as new."""
+    src = textwrap.dedent(inspect.getsource(getattr(pbw, name)))
     assert src.count(old) == 1, old
     namespace = dict(vars(pbw))
     exec(compile(src.replace(old, new), pbw.__file__, "exec"), namespace)
-    monkeypatch.setattr(pbw, "commutator_rows", namespace["commutator_rows"])
+    monkeypatch.setattr(pbw, name, namespace[name])
 
 
 def test_center_check_fails_on_a_wrong_upper_x_exponent(monkeypatch):
     A = PBWAlgebra(CycField(3), emb_n2())
-    mutate_rows(monkeypatch, "diff(A, B)", "diff(A + 1, B)")
+    mutate(monkeypatch, "commutator_rows", "diff(A, B)", "diff(A + 1, B)")
     report = pbw.center_report(A, 6)
     assert not report["ok"] and report["dimension"] == 0 and report["not_central"] == "1"
 
 
 def test_center_check_fails_on_a_wrong_lower_x_exponent(monkeypatch):
     A = PBWAlgebra(CycField(3), emb_n2())
-    mutate_rows(monkeypatch, "diff(C + 2 * ki, C)", "diff(C + 2 * ki, C + 1)")
+    mutate(monkeypatch, "commutator_rows", "diff(C + 2 * ki, C)", "diff(C + 2 * ki, C + 1)")
     report = pbw.center_report(A, 6)
     assert not report["ok"] and report["dimension"] == 9 and report["not_central"] == "d2^3"
 
@@ -497,7 +495,7 @@ def test_row_oracle_catches_a_swapped_lower_d_coefficient(monkeypatch):
     A = PBWAlgebra(CycField(3), emb_n2())
     keys = [(m, k) for m in product(range(3), repeat=2) for k in product(range(3), repeat=2)]
     expected = row_items(general_commutator_rows(A, keys))
-    mutate_rows(monkeypatch, "diff(-B, 2 * mi - B)", "diff(2 * mi - B, -B)")
+    mutate(monkeypatch, "commutator_rows", "diff(-B, 2 * mi - B)", "diff(2 * mi - B, -B)")
     report = pbw.center_report(A, 6)
     assert report["ok"] and report["dimension"] == 81
     assert row_items(pbw.commutator_rows(A, keys)) != expected
@@ -540,26 +538,26 @@ def test_verify_qmm_generators():
         for i in range(emb.n):
             r = tuple(1 if j == i else 0 for j in range(emb.n))
             for k in range(1, emb.n + 1):
-                assert verify_qmm(A.x(k), "y", r)
-                assert verify_qmm(A.d(k), "y", r)
+                assert verify_qmm(A.x(k), r)
+                assert verify_qmm(A.d(k), r)
         for j in range(emb.d):
-            r = tuple(1 if i == j else 0 for i in range(emb.d))
+            u = tuple(row[j] for row in emb.matrix)  # z_j is u = M e_j
             for k in range(1, emb.n + 1):
-                assert verify_qmm(A.x(k), "z", r)
-                assert verify_qmm(A.d(k), "z", r)
+                assert verify_qmm(A.x(k), u)
+                assert verify_qmm(A.d(k), u)
 
 
 def test_verify_qmm_exponents():
     # the stored exponent is the full 2e of the twisting scalar q^{2e}
     F = CycField(5)
     A = PBWAlgebra(F, emb_n2())
-    res = verify_qmm(A.x(1), "y", (1, 0))
+    res = verify_qmm(A.x(1), (1, 0))
     assert res.ok and res.exponent == 2
-    res = verify_qmm(A.d(1), "y", (1, 0))
+    res = verify_qmm(A.d(1), (1, 0))
     assert res.ok and res.exponent == -2
-    res = verify_qmm(A.x(2), "y", (1, 0))
+    res = verify_qmm(A.x(2), (1, 0))
     assert res.ok and res.exponent == 0
-    res = verify_qmm(A.x(1), "z", (1,))
+    res = verify_qmm(A.x(1), (1, 1))  # z_1 on the all-ones weights
     assert res.ok and res.exponent == 2
 
 
@@ -575,36 +573,111 @@ def test_verify_qmm_multiplies_only_by_alpha_factors(monkeypatch):
 
     monkeypatch.setattr(PBWAlgebra, "multiply", counted)
     A = PBWAlgebra(CycField(3), emb_n2())
-    assert verify_qmm(A.x(1), "y", (1, 0))
+    assert verify_qmm(A.x(1), (1, 0))
     assert len(calls) == 2
     # z_1 on the three-cycle has alpha exponent u = (-1, 0, 1), one of each sign
     C = PBWAlgebra(CycField(3), emb_cyclic3())
     for g in C.generators():
         calls.clear()
-        assert verify_qmm(g, "z", (1, 0))
+        assert verify_qmm(g, (-1, 0, 1))
         assert len(calls) == 4
-    assert verify_qmm(C.x(1), "y", (2, 0, 0)) and len(calls) == 4 + 4
+    assert verify_qmm(C.x(1), (2, 0, 0)) and len(calls) == 4 + 4
 
 
 def test_verify_qmm_rejects_mixed_weight():
     F = CycField(3)
     A = PBWAlgebra(F, emb_n1())
     with pytest.raises(ValueError):
-        verify_qmm(A.x(1) + A.x(1) ** 2, "y", (1,))
+        verify_qmm(A.x(1) + A.x(1) ** 2, (1,))
 
 
 def test_qmm_report_fails_on_one_failed_check(monkeypatch):
     # one failing identity fails the report and is the entry that says so
     real = pbw.verify_qmm
 
-    def one_off(a, kind, r):
-        res = real(a, kind, r)
-        return dataclasses.replace(res, ok=res.ok and (kind, str(a)) != ("z", "d2"))
+    def one_off(a, u):
+        res = real(a, u)
+        return dataclasses.replace(res, ok=res.ok and (u, str(a)) != ((1, 1), "d2"))
 
     monkeypatch.setattr(pbw, "verify_qmm", one_off)
     report = pbw.qmm_report(PBWAlgebra(CycField(3), emb_n2()))
     assert not report["ok"]
     assert [(c["h"], c["target"]) for c in report["checks"] if not c["ok"]] == [("z(1,)", "d2")]
+
+
+def two_kind_verify_qmm(a, kind, r):
+    """The body verify_qmm had before it took the alpha exponent u: y^r is
+    u = r with e = r.s, and z^r is u = M r with e = r.(M^T s), read through
+    mdag_vec.  The oracle of the one rule e = u.s."""
+    A = a.algebra
+    s = a.t_degree()
+    if s is None:
+        raise ValueError("verify_qmm needs a T-homogeneous element")
+    r = tuple(int(v) for v in r)
+    if kind == "y":
+        if len(r) != A.n:
+            raise ValueError("y exponents live in Z^n")
+        u = r
+        e = sum(r[i] * s[i] for i in range(A.n))
+    elif kind == "z":
+        if len(r) != A.emb.d:
+            raise ValueError("z exponents live in Z^d")
+        u = tuple(sum(A.emb.matrix[i][j] * r[j] for j in range(A.emb.d)) for i in range(A.n))
+        ks = A.emb.mdag_vec(s)
+        e = sum(r[j] * ks[j] for j in range(A.emb.d))
+    else:
+        raise ValueError("kind must be 'y' or 'z'")
+    plus = [A.alpha(i) for i, ui in enumerate(u, start=1) for _ in range(ui)]
+    minus = [A.alpha(i) for i, ui in enumerate(u, start=1) for _ in range(-ui)]
+    lhs = rhs = a
+    for f in minus:
+        lhs, rhs = lhs * f, f * rhs
+    for f in plus:
+        lhs, rhs = f * lhs, rhs * f
+    return pbw.QmmResult(ok=(lhs == A.field.qpow(2 * e) * rhs), exponent=2 * e)
+
+
+@st.composite
+def qmm_cases(draw):
+    ell = draw(st.sampled_from([3, 5, 9]))
+    name = draw(st.sampled_from(sorted(ROW_EMBEDDINGS)))
+    n, d = ROW_EMBEDDINGS[name].n, ROW_EMBEDDINGS[name].d
+    s = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    # the terms c q^j x^(k+s) d^k all have T-weight s
+    k = st.tuples(*[st.integers(max(0, -si), max(0, -si) + 1) for si in s])
+    coeff = st.tuples(st.sampled_from([-2, -1, 1, 2]), st.integers(0, ell - 1))
+    terms = draw(st.dictionaries(k, coeff, min_size=1, max_size=3))
+    entry = st.integers(-2, 2)
+    return ell, name, s, terms, draw(st.tuples(*[entry] * n)), draw(st.tuples(*[entry] * d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=qmm_cases())
+@example(case=(9, "negative-n3", (1, -1, 0), {(0, 1, 0): (1, 0), (1, 2, 1): (-2, 4)},
+               (2, 0, -1), (-1, 2)))
+def test_verify_qmm_matches_the_two_kind_oracle(case):
+    # y^r is u = r and z^r is u = M r: the one rule gives the verdict and
+    # the exponent of the two kinds it replaced
+    ell, name, s, terms, ry, rz = case
+    A = PBWAlgebra(CycField(ell), ROW_EMBEDDINGS[name])
+    a = A.zero()
+    for k, (c, j) in terms.items():
+        a = a + A.monomial(tuple(ki + si for ki, si in zip(k, s)), k, c * A.field.qpow(j))
+    assert a.t_degree() == s
+    u = tuple(sum(mij * rj for mij, rj in zip(row, rz)) for row in A.emb.matrix)
+    for kind, r, ur in (("y", ry, ry), ("z", rz, u)):
+        old, new = two_kind_verify_qmm(a, kind, r), pbw.verify_qmm(a, ur)
+        assert (new.ok, new.exponent) == (old.ok, old.exponent), (kind, r)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("exponent=2 * e)", "exponent=2 * e + 2)"),      # the reported exponent
+    ("qpow(2 * e)", "qpow(2 * e + 2)"),              # the checked scalar
+])
+def test_two_kind_oracle_catches_a_shifted_exponent(monkeypatch, old, new):
+    mutate(monkeypatch, "verify_qmm", old, new)
+    with pytest.raises(AssertionError):
+        test_verify_qmm_matches_the_two_kind_oracle()
 
 
 def test_printer_canonical_strings():

@@ -23,8 +23,12 @@ to degree 3 for n = 2 and to degree 6 for n = 1.  A composite-ell suite,
 ell = 9 on the weights (2), (1), pins normalize, qmm-check and
 center-check to degree 9, so the composite path of the cyclotomic field
 (deg Phi_9 = 6 < 8) is under the gate too; it was recorded before the
-center-check rows were read off their closed form.  Together the configs
-cover every task type.
+center-check rows were read off their closed form.  A second ell = 9
+suite runs fiber-rep, reduce and qmm-check at d = 2 on the weights
+(1, 1), (-1, 2), so a composite-ell matrix model and reduction are under
+the gate, and the z-checks pull back a negative weight (u = (1, -1) for
+z_1); it was recorded before verify_qmm took the alpha exponent u.
+Together the configs cover every task type.
 To record a new output: qweyl report --config <config> --out <output>.
 """
 

@@ -144,6 +144,19 @@ def test_one_builder_of_the_moment_map_on_each_side():
     assert not hasattr(qweyl.fiber, "Rank1Rep") and not hasattr(qweyl.pbw, "_alpha_scales_by_weight")
 
 
+def test_one_quantum_moment_map_identity():
+    # verify_qmm takes the alpha exponent u in Z^n: y and z are labels of the
+    # qmm-check report, so no kind switch and no weight-lattice degree grow back
+    assert list(inspect.signature(qweyl.pbw.verify_qmm).parameters) == ["a", "u"]
+    tree = ast.parse((SRC / "pbw.py").read_text(encoding="utf-8"))
+    compared = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for side in [node.left, *node.comparators]
+                if isinstance(side, ast.Constant) and side.value in ("y", "z")]
+    assert not compared, compared
+    assert not hasattr(qweyl.pbw.PBWElement, "k_degree")
+    assert callers_of("verify_qmm") == [("pbw.py", "qmm_report"), ("pbw.py", "center_report")]
+
+
 def test_one_twist_formula_on_each_side():
     # the matrix model places each generator with its own twist, and the
     # algebra reads the pairings once: no general untwist can grow back
