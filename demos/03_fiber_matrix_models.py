@@ -1,9 +1,8 @@
 """Matrix models of the finite fibers over central characters."""
 
-from qweyl import (CycField, FiberAlgebra, FiberPoint, PBWAlgebra,
-                   TorusEmbedding, endo_splitting_check, full_matrix_rep,
-                   rank1_matrix_rep)
-from qweyl.fiber import alpha_images
+from qweyl import (CycField, FiberPoint, OutsideAzumayaLocus, PBWAlgebra,
+                   TorusEmbedding, full_matrix_rep, rank1_matrix_rep)
+from qweyl.fiber import alpha_images, fiber_rep_report
 
 F = CycField(3)
 
@@ -20,9 +19,10 @@ print()
 emb1 = TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),))
 A1 = PBWAlgebra(F, emb1)
 bad = FiberPoint(field=F, lam=((F.scalar(-1), F.one),), gamma=(F.zero,))
-fib = FiberAlgebra(A1, bad)
-ideal = fib.two_sided_ideal([fib.alpha(1)])
-print(f"off the locus, (alpha) has dimension {ideal.rank} inside {fib.dimension()}")
+try:
+    full_matrix_rep(bad, emb1)
+except OutsideAzumayaLocus as exc:
+    print("off the locus:", exc)
 print()
 
 # two coordinates braided through a shared torus direction
@@ -35,7 +35,9 @@ print(f"two-factor model on {big.size} dimensions;",
       f"alpha_2 diagonal: {[str(alpha2[(r, r)]) for r in range(big.size)]}")
 print()
 
-print("splitting check over locus points:")
+print("fiber-rep report at locus points:")
 for c, w, g in [(0, 0, 1), (8, 0, 1), (7, 1, 2)]:
     pt = FiberPoint(field=F, lam=((F.scalar(c), F.scalar(w)),), gamma=(F.scalar(g),))
-    print(f"  (c, w, gamma) = ({c}, {w}, {g}):", endo_splitting_check(A1, pt))
+    report = fiber_rep_report(pt, A1)
+    print(f"  (c, w, gamma) = ({c}, {w}, {g}): relations_ok {report['relations_ok']},",
+          f"span {report['span_dimension']} of {report['expected_span_dimension']}")

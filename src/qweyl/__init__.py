@@ -8,8 +8,7 @@ exact arithmetic and verified by explicit linear algebra.
 
 from .cyclotomic import CycField, CycScalar, cyclotomic_polynomial
 from .expr import ParseError, evaluate, evaluate_scalar
-from .fiber import (FiberAlgebra, FiberPoint, FullRep, Matrix,
-                    OutsideAzumayaLocus, endo_splitting_check,
+from .fiber import (FiberPoint, FullRep, Matrix, OutsideAzumayaLocus,
                     full_matrix_rep, rank1_matrix_rep)
 from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import SpanBasis, nullspace
@@ -25,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CycField", "CycScalar", "cyclotomic_polynomial",
     "ParseError", "evaluate", "evaluate_scalar",
-    "FiberAlgebra", "FiberPoint", "FullRep", "Matrix", "OutsideAzumayaLocus",
-    "endo_splitting_check", "full_matrix_rep", "rank1_matrix_rep",
+    "FiberPoint", "FullRep", "Matrix", "OutsideAzumayaLocus",
+    "full_matrix_rep", "rank1_matrix_rep",
     "QuiverData", "TorusEmbedding", "quiver_to_embedding",
     "SpanBasis", "nullspace",
     "PBWAlgebra", "PBWElement", "QmmResult", "verify_qmm",

@@ -2,9 +2,8 @@
 
 At a central character the algebra collapses to dimension ell^(2n);
 on the locus where every 1 + lambda_i lambda_iv is nonzero it is a
-full matrix algebra.  This module builds the finite fiber, the
-rank-one ell x ell model, the n-factor model, explicit module bases,
-and the endomorphism splitting check.
+full matrix algebra.  This module builds the central characters, the
+rank-one ell x ell model, the n-factor model and its fiber-rep report.
 
 The n-factor model is the braided tensor product of the rank-one models,
 untwisted to the plain product, and it is built in one pass: the factor-i
@@ -18,11 +17,11 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, product as iproduct
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cyclotomic import CycField, CycScalar, power
 from .lattice import TorusEmbedding
-from .linalg import SpanBasis, rank, vec_accumulate
+from .linalg import rank, vec_accumulate
 from .pbw import PBWAlgebra, PBWElement
 
 
@@ -52,10 +51,14 @@ class Matrix:
         return self.entries.get(rc, self.field.zero)
 
     def __add__(self, other):
+        if other.size != self.size:
+            raise ValueError("size mismatch")
         out = vec_accumulate(dict(self.entries), other.entries.items())
         return Matrix(self.field, self.size, out)
 
     def __sub__(self, other):
+        if other.size != self.size:
+            raise ValueError("size mismatch")
         out = vec_accumulate(dict(self.entries), ((k, -v) for k, v in other.entries.items()))
         return Matrix(self.field, self.size, out)
 
@@ -99,7 +102,7 @@ def digits(idx: int, ell: int, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# fiber points and the finite-dimensional quotient
+# fiber points
 
 
 @dataclass(frozen=True)
@@ -133,90 +136,6 @@ class FiberPoint:
     def in_azumaya_locus(self) -> bool:
         F = self.field
         return all(bool(F.one + c * w) for c, w in self.lam)
-
-
-class FiberAlgebra(PBWAlgebra):
-    """The quotient D_lambda of the operator algebra at a central character.
-
-    Its elements are PBW elements with every exponent below ell: monomials
-    and products are folded by x_i^ell = c_i and d_i^ell = w_i, and the
-    rest of the arithmetic is inherited.
-    """
-
-    def __init__(self, algebra: PBWAlgebra, point: FiberPoint):
-        if point.n != algebra.n:
-            raise ValueError("fiber point rank differs from algebra rank")
-        if point.field.ell != algebra.field.ell:
-            raise ValueError("fiber point lives over a different field")
-        super().__init__(algebra.field, algebra.emb)
-        self.algebra = algebra
-        self.point = point
-        self.ell = algebra.field.ell
-
-    def dimension(self) -> int:
-        return self.ell ** (2 * self.n)
-
-    def basis_keys(self):
-        rng = range(self.ell)
-        for m in iproduct(rng, repeat=self.n):
-            for k in iproduct(rng, repeat=self.n):
-                yield (m, k)
-
-    def reduce(self, a: PBWElement) -> PBWElement:
-        """Fold exponents with x_i^ell = c_i and d_i^ell = w_i."""
-        if a.algebra is not self.algebra and a.algebra is not self:
-            raise ValueError("element of a different algebra")
-        ell = self.ell
-
-        def folded():
-            for (m, k), coeff in a.terms.items():
-                rm, rk = [], []
-                for i in range(self.n):
-                    ci, wi = self.point.lam[i]
-                    qm, re = divmod(m[i], ell)
-                    if qm:
-                        coeff = coeff * ci ** qm
-                    rm.append(re)
-                    qk, rke = divmod(k[i], ell)
-                    if qk:
-                        coeff = coeff * wi ** qk
-                    rk.append(rke)
-                yield (tuple(rm), tuple(rk)), coeff
-
-        return PBWElement(self, vec_accumulate({}, folded()))
-
-    def monomial(self, m, k, coeff=1) -> PBWElement:
-        return self.reduce(super().monomial(m, k, coeff))
-
-    def multiply(self, a: PBWElement, b: PBWElement) -> PBWElement:
-        return self.reduce(super().multiply(a, b))
-
-    def commutator(self, a: PBWElement, b: PBWElement) -> PBWElement:
-        return self.reduce(super().commutator(a, b))
-
-    def left_ideal(self, gens: Sequence[PBWElement]) -> SpanBasis:
-        """Row space of b*g over all basis monomials b and generators g."""
-        span = SpanBasis(self.field)
-        for g in gens:
-            for key in self.basis_keys():
-                v = (self.monomial(*key) * g).terms
-                if v:
-                    span.add(v)
-        return span
-
-    def two_sided_ideal(self, gens: Sequence[PBWElement]) -> SpanBasis:
-        """Saturate span <- span + G*span + span*G until stable."""
-        span = SpanBasis(self.field)
-        queue = [g for g in gens if g]
-        mult = self.generators()
-        while queue:
-            e = queue.pop()
-            if not span.add(e.terms):
-                continue
-            for g in mult:
-                queue.append(g * e)
-                queue.append(e * g)
-        return span
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +192,15 @@ class FullRep:
     d: tuple[Matrix, ...]
 
     def of_element(self, a: PBWElement) -> Matrix:
-        """Image of a PBW or fiber element under the representation: the
-        sum over terms c x^m d^k of c times the ordered product
+        """Image of a PBW element under the representation: the sum over
+        terms c x^m d^k of c times the ordered product
         x_1^m_1 ... x_n^m_n d_1^k_1 ... d_n^k_n of the images, so the PBW
-        order is kept and no commutation is assumed."""
+        order is kept and no commutation is assumed.  The element's algebra
+        must have the rank and the ell of the model."""
         if not isinstance(a, PBWElement):
             raise TypeError("expected a PBW element")
+        if a.algebra.n != len(self.x) or a.algebra.field.ell != self.field.ell:
+            raise ValueError("element of an algebra of another rank or ell than the model")
         one, gens = self.field.one, self.x + self.d
 
         def terms():
@@ -460,39 +382,3 @@ def basis_rank(rep: FullRep) -> int:
     xs, ds = words(rep.x), words(rep.d)
     return rank(lambda: ((D if X is ident else X if D is ident else X * D).entries
                          for X in xs for D in ds), rep.field, rep.size ** 2)
-
-
-# ---------------------------------------------------------------------------
-# the splitting check
-
-
-def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
-    """Bijectivity of the action map D_lambda -> End(D_P').
-
-    Builds the quotient module abstractly (left ideal by the shifted
-    Euler operators, reduced basis), puts the matrices of the 2n
-    generators on its basis in a FullRep, and spans the images of the
-    ell^(2n) fiber basis monomials; true iff their span has full dimension
-    ell^(2n), i.e. the map is injective hence bijective.
-    """
-    if not point.in_azumaya_locus():
-        raise OutsideAzumayaLocus("splitting is only defined over the locus")
-    fib = FiberAlgebra(algebra, point)
-    ell, n = fib.ell, fib.n
-    gens = [fib.alpha(i + 1) - point.gamma[i] for i in range(n)]
-    ideal = fib.left_ideal(gens)
-    if ell ** (2 * n) - ideal.rank != ell ** n:  # the module dimension
-        return False
-    pivots = set(ideal.pivots())
-    module_basis = [key for key in fib.basis_keys() if key not in pivots]
-    coord = {key: idx for idx, key in enumerate(module_basis)}
-
-    def action(g: PBWElement) -> Matrix:
-        """The matrix of the generator g on the module basis."""
-        return Matrix(fib.field, ell ** n, {
-            (coord[i], j): v for j, bkey in enumerate(module_basis)
-            for i, v in ideal.reduce((g * fib.monomial(*bkey)).terms).items()})
-
-    rep = FullRep(fib.field, ell ** n, x=tuple(action(fib.x(i + 1)) for i in range(n)),
-                  d=tuple(action(fib.d(i + 1)) for i in range(n)))
-    return basis_rank(rep) == ell ** (2 * n)

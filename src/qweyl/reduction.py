@@ -111,8 +111,14 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     that one verdict is both is_matrix_algebra and
     module_action_bijective.  When no row survives, the reduction is empty,
     and the report lists the admissible etas in the order of admissible_etas.
+    A point of another rank than emb, or an eta without one value per
+    torus direction, raises ValueError.
     """
     F = point.field
+    if point.n != emb.n:
+        raise ValueError("embedding rank differs from point rank")
+    if len(eta) != emb.d:
+        raise ValueError(f"eta needs one value per torus direction: {emb.d}, not {len(eta)}")
     if not point.in_azumaya_locus():
         raise OutsideAzumayaLocus("reduction needs a locus point")
     eta = tuple(F.scalar(v) for v in eta)

@@ -8,10 +8,10 @@ import time
 from collections import Counter
 from itertools import product as iproduct
 
-from qweyl import (CycField, FiberAlgebra, FiberPoint, Matrix, PBWAlgebra,
-                   TorusEmbedding, build_an_quiver_algebra, endo_splitting_check,
-                   full_matrix_rep, hamiltonian_reduce, quiver_to_embedding,
-                   rank1_matrix_rep, verify_central_z, verify_u1_relations)
+from qweyl import (CycField, FiberPoint, Matrix, PBWAlgebra, TorusEmbedding,
+                   build_an_quiver_algebra, full_matrix_rep, hamiltonian_reduce,
+                   quiver_to_embedding, rank1_matrix_rep, verify_central_z,
+                   verify_u1_relations)
 from qweyl.fiber import alpha_images
 from qweyl.lattice import QuiverData
 from qweyl.linalg import SpanBasis, nullspace
@@ -20,6 +20,7 @@ from qweyl.quiver_examples import quiver_suite_report
 from qweyl.reduction import row_weights
 
 from braided import braided_product, placed, untwist
+from splitting import FiberAlgebra, endo_splitting_check
 
 
 def emb_rank1():

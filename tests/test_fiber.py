@@ -7,9 +7,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qweyl import (CycField, FiberAlgebra, FiberPoint, FullRep, Matrix, OutsideAzumayaLocus,
-                   PBWAlgebra, QuiverData, TorusEmbedding, endo_splitting_check,
-                   full_matrix_rep, quiver_to_embedding, rank1_matrix_rep)
+from qweyl import (CycField, FiberPoint, FullRep, Matrix, OutsideAzumayaLocus,
+                   PBWAlgebra, QuiverData, TorusEmbedding, full_matrix_rep,
+                   quiver_to_embedding, rank1_matrix_rep)
 from qweyl import fiber
 from qweyl.cli import run_suite
 from qweyl.expr import evaluate_scalar
@@ -17,7 +17,7 @@ from qweyl.fiber import digits
 from qweyl.linalg import SpanBasis
 
 from braided import braided_product, placed, untwist
-from module_action import all_pairs_action
+from splitting import FiberAlgebra, all_pairs_action, endo_splitting_check
 
 
 def emb_n1():
@@ -130,6 +130,17 @@ def test_matrix_powers():
     assert X ** 3 == Matrix.identity(F, 3).scale(2 * F.q)
     with pytest.raises(ValueError, match="e >= 0"):
         X ** -1
+
+
+
+def test_matrix_sum_and_difference_check_sizes():
+    # like the product: a 3x3 and a 9x9 matrix do not add to a 3x3 holding (8, 8)
+    F = CycField(3)
+    small, big = Matrix.identity(F, 3), Matrix.identity(F, 9)
+    for op in (Matrix.__add__, Matrix.__sub__):
+        with pytest.raises(ValueError, match="size mismatch"):
+            op(small, big)
+    assert small - small == Matrix(F, 3) and (small + small)[(2, 2)] == F.scalar(2)
 
 
 # the ids read c-w-root-gamma, root an integer cube root of c or None
@@ -437,6 +448,17 @@ def test_full_rep_alpha_diagonals():
             ds = digits(t, 3, 2)
             expect = p.gamma[i] * F.qpow(-2 * ds[i])
             assert Al.entries.get((t, t), F.zero) == expect
+
+
+def test_full_rep_refuses_an_element_of_another_rank_or_ell():
+    # d1 of a rank-one algebra is no element of the rank-two model's algebra,
+    # and an ell-5 element has no image in an ell-3 model
+    F = CycField(3)
+    rep = full_matrix_rep(two_factor_point(F), emb_n2())
+    for a in (weyl(3).d(1), weyl(5, emb_n2()).x(1), weyl(5, emb_n2()).one()):
+        with pytest.raises(ValueError, match="another rank or ell"):
+            rep.of_element(a)
+    assert rep.of_element(weyl(3, emb_n2()).d(1)) == rep.d[0]
 
 
 def test_full_rep_is_an_algebra_map():

@@ -330,6 +330,18 @@ def test_reduction_needs_the_locus():
         hamiltonian_reduce(p, emb_sum(), (F.one,))
 
 
+def test_reduction_checks_the_shapes_of_point_and_eta():
+    # one eta value per torus direction, and a point of the embedding's rank:
+    # eta (1,) on a d = 2 embedding would check z_1 alone
+    F = CycField(3)
+    with pytest.raises(ValueError, match="one value per torus direction"):
+        hamiltonian_reduce(trivial_point(F), emb_id2(), (F.one,))
+    with pytest.raises(ValueError, match="one value per torus direction"):
+        hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one, F.one))
+    with pytest.raises(ValueError, match="rank"):
+        hamiltonian_reduce(trivial_point(F, n=1), emb_sum(), (F.one,))
+
+
 def test_reduction_identity_embedding_collapses_to_scalars():
     F = CycField(3)
     res = hamiltonian_reduce(trivial_point(F), emb_id2(), (F.one, F.one))

@@ -171,6 +171,19 @@ def test_one_seam_rule_builds_the_rank_one_model():
     assert src.count("F.qpow(-2 * r)") == 1 and "k0" not in src
 
 
+def test_one_model_of_the_fiber():
+    # D_lambda is modelled by FullRep alone: the abstract quotient and its
+    # splitting check are the test oracle in tests/splitting.py, so no
+    # PBWAlgebra subclass and no elimination over fiber elements grow back
+    tree = ast.parse((SRC / "fiber.py").read_text(encoding="utf-8"))
+    subclasses = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  and any(ast.unparse(base).endswith("PBWAlgebra") for base in node.bases)]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert tree.body and not subclasses and "SpanBasis" not in imported, subclasses
+    assert not {"FiberAlgebra", "endo_splitting_check"} & set(qweyl.__all__)
+
+
 def test_cyclotomic_keeps_no_cache_beyond_a_field():
     # the product memo is made in CycField.__init__, so it lasts one field;
     # a module- or class-level dict, list or set, or a cache decorator other
