@@ -11,7 +11,7 @@ s = F.qpow(2) - F.one
 print("(q^2 - 1)^-1 =", s.inverse())
 print("product with its inverse:", s * s.inverse())
 
-emb = TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),))
+emb = TorusEmbedding(matrix=((1,),), form=((2,),))
 A = PBWAlgebra(F, emb)
 x, d = A.x(1), A.d(1)
 

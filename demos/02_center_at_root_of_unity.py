@@ -13,7 +13,7 @@ from qweyl.pbw import commutator_rows
 
 ell, deg = 3, 6
 F = CycField(ell)
-A = PBWAlgebra(F, TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),)))
+A = PBWAlgebra(F, TorusEmbedding(matrix=((1,),), form=((2,),)))
 
 keys = [((a,), (b,)) for a, b in product(range(deg + 1), repeat=2)]
 rows = commutator_rows(A, keys)

@@ -16,7 +16,7 @@ print("  x^3 scalar:", x ** 3)
 print()
 
 # a point off the locus: 1 + c*w = 0, no matrix model, alpha not invertible
-emb1 = TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),))
+emb1 = TorusEmbedding(matrix=((1,),), form=((2,),))
 A1 = PBWAlgebra(F, emb1)
 bad = FiberPoint(field=F, lam=((F.scalar(-1), F.one),), gamma=(F.zero,))
 try:
@@ -26,7 +26,7 @@ except OutsideAzumayaLocus as exc:
 print()
 
 # two coordinates braided through a shared torus direction
-emb2 = TorusEmbedding(n=2, d=1, matrix=((1,), (1,)), form=((2,),))
+emb2 = TorusEmbedding(matrix=((1,), (1,)), form=((2,),))
 p = FiberPoint(field=F, lam=((F.zero, F.zero), (F.scalar(7), F.one)),
                gamma=(F.one, F.scalar(2)))
 big = full_matrix_rep(p, emb2)

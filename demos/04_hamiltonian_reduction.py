@@ -6,7 +6,7 @@ from qweyl.fiber import digits
 from qweyl.reduction import row_weights
 
 F = CycField(3)
-emb = TorusEmbedding(n=2, d=1, matrix=((1,), (1,)), form=((2,),))
+emb = TorusEmbedding(matrix=((1,), (1,)), form=((2,),))
 p = FiberPoint(field=F, lam=((F.zero, F.zero), (F.zero, F.zero)),
                gamma=(F.one, F.one))
 

@@ -15,10 +15,10 @@ import json
 import sys
 from typing import Optional
 
-from .cyclotomic import CycField
+from .cyclotomic import CycField, check_order
 from .expr import ParseError, evaluate, evaluate_scalar, normalize_report
 from .fiber import FiberPoint, fiber_rep_report
-from .lattice import IntMatrix, QuiverData, TorusEmbedding, quiver_to_embedding
+from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
 from .pbw import PBWAlgebra, center_report, qmm_report
 from .quiver_examples import quiver_suite_report
 from .reduction import hamiltonian_reduce
@@ -40,9 +40,7 @@ def validate_config(cfg: dict) -> TorusEmbedding:
     """Check the shape of a config; return the embedding it builds."""
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    ell = cfg.get("ell")
-    if not isinstance(ell, int) or ell <= 1 or ell % 2 == 0:
-        raise ValueError("config needs an odd integer ell > 1")
+    check_order(cfg.get("ell"))
     has_emb = "embedding" in cfg
     has_quiver = "quiver" in cfg
     if has_emb == has_quiver:
@@ -108,26 +106,11 @@ def _check_point(point, n: int, i: int) -> None:
     _check_strings(gamma, "gamma", i)
 
 
-def _int_rows(value, name: str) -> IntMatrix:
-    """value as a tuple of int tuples; floats and bools are rejected."""
-    if not isinstance(value, list) or not all(
-            isinstance(row, list) and all(type(v) is int for v in row) for row in value):
-        raise ValueError(f"{name} must be a list of lists of integers")
-    return tuple(tuple(row) for row in value)
-
-
 def build_embedding(cfg: dict) -> TorusEmbedding:
     if "embedding" in cfg:
-        emb = cfg["embedding"]
-        matrix = _int_rows(emb["matrix"], "'matrix'")
-        form = _int_rows(emb["form"], "'form'")
-        return TorusEmbedding(n=len(matrix), d=len(matrix[0]) if matrix else 0,
-                              matrix=matrix, form=form)
+        return TorusEmbedding(matrix=cfg["embedding"]["matrix"], form=cfg["embedding"]["form"])
     quiver = cfg["quiver"]
-    edges = _int_rows(quiver["edges"], "'edges'")
-    if type(quiver["vertices"]) is not int or any(len(e) != 2 for e in edges):
-        raise ValueError("'quiver' needs an integer 'vertices' and [tail, head] 'edges'")
-    return quiver_to_embedding(QuiverData.from_json(quiver))
+    return quiver_to_embedding(QuiverData(num_vertices=quiver["vertices"], edges=quiver["edges"]))
 
 
 def build_point(field: CycField, data: dict) -> FiberPoint:
@@ -223,7 +206,7 @@ def main(argv: Optional[list] = None) -> int:
                                for i in range(n))
                 form = tuple(tuple(2 if i == j else 0 for j in range(n))
                              for i in range(n))
-                emb = TorusEmbedding(n=n, d=n, matrix=matrix, form=form)
+                emb = TorusEmbedding(matrix=matrix, form=form)
             algebra = PBWAlgebra(field, emb)
             for src in args.expressions:
                 print(str(evaluate(src, algebra)))

@@ -17,12 +17,18 @@ from .linalg import SpanBasis
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _as_matrix(m) -> IntMatrix:
-    rows = tuple(tuple(int(x) for x in row) for row in m)
-    if rows:
-        w = len(rows[0])
-        if any(len(r) != w for r in rows):
-            raise ValueError("ragged matrix")
+def _as_matrix(m, name: str) -> IntMatrix:
+    """m as a tuple of int tuples: the one integer rule of the weight data.
+
+    m must be a list or tuple of lists or tuples of int; a bool, float or
+    string entry, a row that is not a list and a ragged m raise ValueError.
+    """
+    if not isinstance(m, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and all(type(v) is int for v in row) for row in m):
+        raise ValueError(f"'{name}' must be a list of lists of integers")
+    rows = tuple(tuple(row) for row in m)
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError(f"'{name}' is ragged")
     return rows
 
 
@@ -34,17 +40,13 @@ class QuiverData:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.num_vertices < 1:
-            raise ValueError("a quiver needs at least one vertex")
-        object.__setattr__(self, "edges", tuple((int(a), int(b)) for a, b in self.edges))
-        for a, b in self.edges:
-            if not (1 <= a <= self.num_vertices and 1 <= b <= self.num_vertices):
-                raise ValueError(f"edge ({a}, {b}) leaves the vertex range")
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QuiverData":
-        return cls(num_vertices=int(data["vertices"]),
-                   edges=tuple((int(a), int(b)) for a, b in data["edges"]))
+        if type(self.num_vertices) is not int or self.num_vertices < 1:
+            raise ValueError("a quiver needs an integer number of vertices, at least one")
+        object.__setattr__(self, "edges", _as_matrix(self.edges, "edges"))
+        for edge in self.edges:
+            if len(edge) != 2 or not all(1 <= v <= self.num_vertices for v in edge):
+                raise ValueError(f"edge {list(edge)} is not a [tail, head] pair "
+                                 f"of vertices 1..{self.num_vertices}")
 
     def components(self) -> list[list[int]]:
         """Connected components of the underlying graph, each sorted."""
@@ -71,26 +73,21 @@ class TorusEmbedding:
     """Weight data for n coordinate pairs under a rank d torus.
 
     matrix has one row per index: the torus weight of the i-th
-    coordinate.  form is the symmetric integer pairing on the weight
-    lattice; every q-commutation exponent in the operator algebra is a
-    pairing of two rows.  The matrix must have full column rank so the
-    torus acts faithfully.
+    coordinate, so n and d are its rows and its columns.  form is the
+    symmetric d x d integer pairing on the weight lattice; every
+    q-commutation exponent in the operator algebra is a pairing of two
+    rows.  The matrix must have full column rank so the torus acts
+    faithfully.
     """
 
-    n: int
-    d: int
     matrix: IntMatrix
     form: IntMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix))
-        object.__setattr__(self, "form", _as_matrix(self.form))
-        if self.n < 1:
+        object.__setattr__(self, "matrix", _as_matrix(self.matrix, "matrix"))
+        object.__setattr__(self, "form", _as_matrix(self.form, "form"))
+        if not self.matrix:
             raise ValueError("at least one coordinate pair is required")
-        if len(self.matrix) != self.n:
-            raise ValueError("matrix needs one row per index")
-        if any(len(r) != self.d for r in self.matrix):
-            raise ValueError("matrix rows must have length d")
         if len(self.form) != self.d or any(len(r) != self.d for r in self.form):
             raise ValueError("form must be d x d")
         for i in range(self.d):
@@ -104,6 +101,14 @@ class TorusEmbedding:
         if span.rank != self.d:
             raise ValueError("weight matrix must have full column rank")
 
+    @property
+    def n(self) -> int:
+        return len(self.matrix)
+
+    @property
+    def d(self) -> int:
+        return len(self.matrix[0])
+
     # -- pairing machinery (0-based indices) ------------------------------
 
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
@@ -112,12 +117,6 @@ class TorusEmbedding:
     def qij_exponent(self, i: int, j: int) -> int:
         """Pairing of the i-th and j-th coordinate weights."""
         return self.pairing(self.matrix[i], self.matrix[j])
-
-    def mdag_vec(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Transpose action: the weight-lattice image sum_i v_i * weight(i)."""
-        if len(v) != self.n:
-            raise ValueError("wrong length")
-        return tuple(sum(v[i] * self.matrix[i][j] for i in range(self.n)) for j in range(self.d))
 
     def pairing_matrix(self) -> IntMatrix:
         return tuple(tuple(self.qij_exponent(i, j) for j in range(self.n)) for i in range(self.n))
@@ -142,7 +141,6 @@ def quiver_to_embedding(quiver: QuiverData) -> TorusEmbedding:
         kept.extend(comp[:-1])
     col_of = {v: j for j, v in enumerate(kept)}
     d = len(kept)
-    n = len(quiver.edges)
 
     def basis_coords(v: int) -> list[int]:
         # coordinates of e_v - e_last in the beta basis; zero for the
@@ -164,4 +162,4 @@ def quiver_to_embedding(quiver: QuiverData) -> TorusEmbedding:
         for a in idx:
             for b in idx:
                 form[a][b] = 1 + (1 if a == b else 0)
-    return TorusEmbedding(n=n, d=d, matrix=tuple(rows), form=tuple(tuple(r) for r in form))
+    return TorusEmbedding(matrix=tuple(rows), form=tuple(tuple(r) for r in form))

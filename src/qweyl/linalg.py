@@ -68,9 +68,6 @@ class SpanBasis:
         hits = [(-c, rows[p]) for p, c in vec.items() if p in rows]
         return vec_accumulate(dict(vec), ((k, c * w) for c, row in hits for k, w in row.items()))
 
-    def contains(self, vec: Vec) -> bool:
-        return not self.reduce(vec)
-
     def add(self, vec: Vec) -> bool:
         """Adjoin vec to the span; True if the rank grew."""
         res = self.reduce(vec)

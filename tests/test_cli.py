@@ -9,6 +9,7 @@ import pytest
 
 from qweyl import CycField
 from qweyl.cli import DEFAULT_SEED, main, run_suite, validate_config
+from qweyl.cyclotomic import MAX_ORDER
 from qweyl.fiber import Matrix
 from qweyl.lattice import TorusEmbedding
 from qweyl.linalg import nullspace
@@ -106,6 +107,21 @@ def test_each_command_builds_the_embedding_once(command, tmp_path, monkeypatch, 
     assert main([command, "--config", write_cfg(tmp_path, cfg)] + argv[3:]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "integers" in err
+
+
+@pytest.mark.parametrize("ell", [MAX_ORDER + 2, 10 ** 21 + 1])
+def test_an_order_above_the_bound_exits_2_with_one_line(ell, tmp_path, capsys):
+    message = f"ell must be an odd integer with 1 < ell <= {MAX_ORDER}, got {ell}\n"
+    assert main(["normalize", "--ell", str(ell), "q"]) == 2
+    assert capsys.readouterr().err == "error: " + message
+    cfg = {"ell": ell, "embedding": {"matrix": [[1]], "form": [[2]]},
+           "tasks": [{"type": "normalize", "expressions": ["q"]}]}
+    path = write_cfg(tmp_path, cfg)
+    for argv in (["verify", "--config", path], ["report", "--config", path]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: " + message
+    assert main(["normalize", "--config", path, "q"]) == 2
+    assert capsys.readouterr().err == "error: " + message
 
 
 # -- normalize subcommand -----------------------------------------------------

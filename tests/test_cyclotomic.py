@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qweyl import CycField, cyclotomic_polynomial
-from qweyl.cyclotomic import power
+from qweyl.cyclotomic import MAX_ORDER, check_order, power
 
 
 def test_cyclotomic_polynomials_small():
@@ -28,12 +28,30 @@ def test_cyclotomic_polynomials_small():
 
 
 def test_field_rejects_bad_order():
-    with pytest.raises(ValueError):
-        CycField(4)
-    with pytest.raises(ValueError):
-        CycField(1)
-    with pytest.raises(ValueError):
-        CycField(-3)
+    # CycField states no rule of its own: it calls check_order first, so an
+    # order above the bound raises at once and builds no field (unbounded,
+    # 10^21 + 1 raised OverflowError and 1001 spent seconds on one inverse)
+    for ell in (1, 4, -3, MAX_ORDER + 1, MAX_ORDER + 2, 1001, 10 ** 21 + 1,
+                True, 3.0, "3", None):
+        message = f"ell must be an odd integer with 1 < ell <= {MAX_ORDER}, got {ell!r}"
+        for check in (check_order, CycField):
+            with pytest.raises(ValueError) as err:
+                check(ell)
+            assert str(err.value) == message
+
+
+def test_order_rule_accepts_every_odd_order_up_to_the_bound():
+    assert MAX_ORDER % 2 == 1
+    assert [ell for ell in range(-2, MAX_ORDER + 3) if _accepted(ell)] == list(
+        range(3, MAX_ORDER + 1, 2))
+    assert CycField(MAX_ORDER).ell == MAX_ORDER
+
+
+def _accepted(ell):
+    try:
+        return check_order(ell) == ell
+    except ValueError:
+        return False
 
 
 def test_primitive_root_basics():

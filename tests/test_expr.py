@@ -16,9 +16,9 @@ from qweyl.expr import MAX_NESTING
 def weyl(ell, n=1):
     F = CycField(ell)
     if n == 1:
-        emb = TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),))
+        emb = TorusEmbedding(matrix=((1,),), form=((2,),))
     else:
-        emb = TorusEmbedding(n=n, d=1, matrix=((1,),) * n, form=((2,),))
+        emb = TorusEmbedding(matrix=((1,),) * n, form=((2,),))
     return PBWAlgebra(F, emb)
 
 

@@ -21,11 +21,11 @@ from splitting import FiberAlgebra, all_pairs_action, endo_splitting_check
 
 
 def emb_n1():
-    return TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),))
+    return TorusEmbedding(matrix=((1,),), form=((2,),))
 
 
 def emb_n2():
-    return TorusEmbedding(n=2, d=1, matrix=((1,), (1,)), form=((2,),))
+    return TorusEmbedding(matrix=((1,), (1,)), form=((2,),))
 
 
 def weyl(ell, emb=None):
@@ -314,7 +314,7 @@ def test_off_locus_alpha_generates_a_proper_ideal():
 
 def emb_weights_2_1():
     # pairing ((8, 4), (4, 2)): the off-diagonal twist is nonzero
-    return TorusEmbedding(n=2, d=1, matrix=((2,), (1,)), form=((2,),))
+    return TorusEmbedding(matrix=((2,), (1,)), form=((2,),))
 
 
 def emb_cyclic3():
@@ -400,7 +400,7 @@ def test_sign_flipped_untwist_breaks_the_fiber_model(monkeypatch):
     assert not entry["relations_ok"]
     # the witness is a relation out of PBW order, x_j x_i, d_j d_i (j > i) or
     # d_j x_i, and an entry of its residual
-    A = PBWAlgebra(CycField(3), TorusEmbedding(n=2, d=1, matrix=((2,), (1,)), form=((2,),)))
+    A = PBWAlgebra(CycField(3), TorusEmbedding(matrix=((2,), (1,)), form=((2,),)))
     gens = A.generators()
     out_of_order = {f"{gens[a]}*{gens[b]} = {gens[a] * gens[b]}"
                     for a in range(len(gens)) for b in range(a)}
@@ -510,7 +510,7 @@ def test_full_rep_twists_each_placed_block_once(monkeypatch):
     # ell^(n-i-1) times, and not once per row: at ell 3, n 4 that is
     # 2 (81 + 27 + 9 + 3) = 240 q-powers, against 8 * 81 = 648 with one per row
     F = CycField(3)
-    emb = TorusEmbedding(n=4, d=1, matrix=((1,),) * 4, form=((2,),))
+    emb = TorusEmbedding(matrix=((1,),) * 4, form=((2,),))
     p = point(F, [(F.scalar(7), F.one)] * 4, [F.scalar(2)] * 4)
     factor = rank1_matrix_rep(F, 7, 1, 2)
     assert all(len(G.entries) == 3 for G in factor.x + factor.d)  # c != 0 and no delta vanishes

@@ -109,7 +109,7 @@ def test_reduce_clears_pivots_and_is_linear(key_order, fv, data):
     assert span.reduce(vsum(a, b, c)) == vsum(ra, rb, c)
     assert span.reduce(ra) == ra
     # a - reduce(a) lies in the span
-    assert span.contains(vsum(a, ra, -1))
+    assert not span.reduce(vsum(a, ra, -1))
 
 
 @pytest.mark.parametrize("key_order", KEY_ORDERS, ids=ORDER_IDS)
@@ -118,7 +118,7 @@ def test_reduce_clears_pivots_and_is_linear(key_order, fv, data):
 def test_contains_every_added_vector(key_order, fv):
     F, vecs = fv
     span = build(F, vecs, key_order)
-    assert all(span.contains(v) for v in vecs)
+    assert not any(span.reduce(v) for v in vecs)
     assert span.rank < len(vecs)
 
 

@@ -27,11 +27,11 @@ from qweyl.linalg import rank, vec_accumulate
 
 
 def emb_n1():
-    return TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),))
+    return TorusEmbedding(matrix=((1,),), form=((2,),))
 
 
 def emb_n2():
-    return TorusEmbedding(n=2, d=1, matrix=((1,), (1,)), form=((2,),))
+    return TorusEmbedding(matrix=((1,), (1,)), form=((2,),))
 
 
 def emb_cyclic3():
@@ -339,7 +339,7 @@ def test_centralizer_ell3_n1():
     assert span.rank == 9
     for a in (0, 3, 6):
         for b in (0, 3, 6):
-            assert span.contains({((a,), (b,)): F.one}), (a, b)
+            assert not span.reduce({((a,), (b,)): F.one}), (a, b)
 
 
 # -- center_report on the keys of central weight ------------------------------
@@ -391,10 +391,10 @@ def row_items(rows):
 
 
 CENTER_EMBEDDINGS = {
-    "diagonal-n1": TorusEmbedding(n=1, d=1, matrix=((1,),), form=((2,),)),
-    "diagonal-n2": TorusEmbedding(n=2, d=2, matrix=((1, 0), (0, 1)), form=((2, 0), (0, 2))),
-    "all-ones-n2": TorusEmbedding(n=2, d=1, matrix=((1,), (1,)), form=((2,),)),
-    "braided-n2": TorusEmbedding(n=2, d=1, matrix=((2,), (1,)), form=((2,),)),
+    "diagonal-n1": TorusEmbedding(matrix=((1,),), form=((2,),)),
+    "diagonal-n2": TorusEmbedding(matrix=((1, 0), (0, 1)), form=((2, 0), (0, 2))),
+    "all-ones-n2": TorusEmbedding(matrix=((1,), (1,)), form=((2,),)),
+    "braided-n2": TorusEmbedding(matrix=((2,), (1,)), form=((2,),)),
 }
 
 
@@ -424,9 +424,9 @@ def test_center_dimension_matches_the_full_system(ell, name, max_degree):
 ROW_EMBEDDINGS = {
     **CENTER_EMBEDDINGS,
     "cyclic-n3": emb_cyclic3(),
-    "negative-n3": TorusEmbedding(n=3, d=2, matrix=((1, 0), (-1, 2), (0, -3)),
+    "negative-n3": TorusEmbedding(matrix=((1, 0), (-1, 2), (0, -3)),
                                   form=((2, 1), (1, 3))),
-    "negative-n4": TorusEmbedding(n=4, d=2, matrix=((1, -1), (2, 0), (-1, 1), (0, -2)),
+    "negative-n4": TorusEmbedding(matrix=((1, -1), (2, 0), (-1, 1), (0, -2)),
                                   form=((2, 0), (0, 2))),
 }
 
@@ -607,8 +607,8 @@ def test_qmm_report_fails_on_one_failed_check(monkeypatch):
 
 def two_kind_verify_qmm(a, kind, r):
     """The body verify_qmm had before it took the alpha exponent u: y^r is
-    u = r with e = r.s, and z^r is u = M r with e = r.(M^T s), read through
-    mdag_vec.  The oracle of the one rule e = u.s."""
+    u = r with e = r.s, and z^r is u = M r with e = r.(M^T s).  The oracle
+    of the one rule e = u.s."""
     A = a.algebra
     s = a.t_degree()
     if s is None:
@@ -623,7 +623,7 @@ def two_kind_verify_qmm(a, kind, r):
         if len(r) != A.emb.d:
             raise ValueError("z exponents live in Z^d")
         u = tuple(sum(A.emb.matrix[i][j] * r[j] for j in range(A.emb.d)) for i in range(A.n))
-        ks = A.emb.mdag_vec(s)
+        ks = [sum(s[i] * A.emb.matrix[i][j] for i in range(A.n)) for j in range(A.emb.d)]
         e = sum(r[j] * ks[j] for j in range(A.emb.d))
     else:
         raise ValueError("kind must be 'y' or 'z'")

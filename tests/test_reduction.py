@@ -24,15 +24,20 @@ from qweyl.reduction import row_weights
 
 def emb_sum():
     # both coordinates weighted by the single torus direction
-    return TorusEmbedding(n=2, d=1, matrix=((1,), (1,)), form=((2,),))
+    return TorusEmbedding(matrix=((1,), (1,)), form=((2,),))
 
 
 def emb_diff():
-    return TorusEmbedding(n=2, d=1, matrix=((1,), (-1,)), form=((2,),))
+    return TorusEmbedding(matrix=((1,), (-1,)), form=((2,),))
 
 
 def emb_id2():
-    return TorusEmbedding(n=2, d=2, matrix=((1, 0), (0, 1)), form=((2, 0), (0, 2)))
+    return TorusEmbedding(matrix=((1, 0), (0, 1)), form=((2, 0), (0, 2)))
+
+
+def mdag_vec(emb, r):
+    """M^T r: the weight-lattice image sum_i r_i * weight(i)."""
+    return tuple(sum(r[i] * emb.matrix[i][j] for i in range(emb.n)) for j in range(emb.d))
 
 
 def trivial_point(F, n=2):
@@ -93,7 +98,7 @@ def random_embeddings(rng, ell, count):
         matrix = tuple(tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(n))
         form = tuple(tuple(2 * (i == j) for j in range(d)) for i in range(d))
         try:
-            out.append(TorusEmbedding(n=n, d=d, matrix=matrix, form=form))
+            out.append(TorusEmbedding(matrix=matrix, form=form))
         except ValueError:
             continue
     return out
@@ -103,7 +108,7 @@ def random_embeddings(rng, ell, count):
 def test_grading_cosets_partition_the_rows_into_kernel_cosets(ell):
     rng = random.Random(1000 + ell)
     embs = random_embeddings(rng, ell, 8)
-    embs.append(TorusEmbedding(n=2, d=1, matrix=((3,), (3,)), form=((2,),)))
+    embs.append(TorusEmbedding(matrix=((3,), (3,)), form=((2,),)))
     for emb in embs:
         cosets = cosets_of(emb, ell)
         block_count, block_size = len(cosets), len(next(iter(cosets.values())))
@@ -112,9 +117,9 @@ def test_grading_cosets_partition_the_rows_into_kernel_cosets(ell):
         for value, rows in cosets.items():
             for idx in rows:
                 r = digits(idx, ell, emb.n)
-                assert tuple(emb.mdag_vec(r)[j] % ell for j in range(emb.d)) == value
+                assert tuple(mdag_vec(emb, r)[j] % ell for j in range(emb.d)) == value
         kernel = [r for r in product(range(ell), repeat=emb.n)
-                  if all(v % ell == 0 for v in emb.mdag_vec(r))]
+                  if all(v % ell == 0 for v in mdag_vec(emb, r))]
         assert sorted(digits(idx, ell, emb.n) for idx in cosets[(0,) * emb.d]) == kernel
     # the last one: the weight map r -> 3 (r1 + r2) is onto 3Z/ell when 3 | ell
     expected = {3: (1, 9), 5: (5, 5), 9: (3, 27), 15: (5, 45)}[ell]
@@ -363,7 +368,7 @@ def test_reduction_identity_embedding_collapses_to_scalars():
 def test_reduction_trivial_torus_keeps_everything():
     # d = 0: no moment conditions, the reduction is the whole fiber
     F = CycField(3)
-    emb = TorusEmbedding(n=1, d=0, matrix=((),), form=())
+    emb = TorusEmbedding(matrix=((),), form=())
     p = FiberPoint(field=F, lam=((F.scalar(7), F.one),), gamma=(F.scalar(2),))
     res = hamiltonian_reduce(p, emb, ())
     assert res == {
@@ -486,7 +491,7 @@ def reduction_data(draw):
     upper = {(a, b): draw(st.integers(-2, 2)) for a in range(d) for b in range(a, d)}
     form = [[upper[min(a, b), max(a, b)] for b in range(d)] for a in range(d)]
     try:
-        emb = TorusEmbedding(n=n, d=d, matrix=matrix, form=form)
+        emb = TorusEmbedding(matrix=matrix, form=form)
     except ValueError:  # not of full column rank
         assume(False)
     lam, gamma = [], []

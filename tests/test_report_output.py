@@ -30,9 +30,14 @@ the gate, and the z-checks pull back a negative weight (u = (1, -1) for
 z_1); it was recorded before verify_qmm took the alpha exponent u.
 Together the configs cover every task type.
 To record a new output: qweyl report --config <config> --out <output>.
+The same bytes must come out under python -O, which strips assert
+statements, so no report rests on one.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +62,20 @@ def test_report_outputs_are_found():
     # every task type is pinned by some config
     covered = {task["type"] for p in CONFIGS for task in json.loads(p.read_text())["tasks"]}
     assert covered == set(_RUNNERS)
+
+
+def test_reports_match_recorded_output_under_python_O(tmp_path):
+    # one interpreter writes every report; it exits 3 if asserts were kept
+    code = ("import sys\n"
+            "from qweyl.cli import main\n"
+            "if __debug__: sys.exit(3)\n"
+            "for config, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    if main(['report', '--config', config, '--out', out]): sys.exit(1)\n")
+    args = [str(a) for config in CONFIGS for a in (config, tmp_path / config.name)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert CONFIGS and proc.returncode == 0, proc.stderr
+    differ = [config.name for config in CONFIGS
+              if (tmp_path / config.name).read_bytes() != (OUTPUT / config.name).read_bytes()]
+    assert not differ, differ

@@ -3,11 +3,13 @@
 import ast
 import dataclasses
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import qweyl
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qweyl"
+DEMOS = SRC.parent.parent / "demos"
 
 
 def test_package_has_no_bare_asserts():
@@ -58,6 +60,27 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert modules and not found, found
+
+
+def names_read(tree):
+    """How often each name is read in tree, as a variable or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_function_has_a_reader():
+    # a function or method of the package that neither the package nor a
+    # demo names outside its own def is dead code (dunders are called by
+    # Python itself)
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py"))}
+    read = sum((names_read(tree) for tree in trees.values()), Counter())
+    defs = [(path.name, node) for path, tree in trees.items() if path.parent == SRC
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    unread = [f"{name}:{node.name}" for name, node in defs
+              if not (node.name.startswith("__") and node.name.endswith("__"))
+              and read[node.name] == names_read(node)[node.name]]
+    assert len(defs) > 100 and list(DEMOS.glob("*.py")) and not unread, unread
 
 
 def calls(node, name):
