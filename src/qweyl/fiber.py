@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, product as iproduct
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
 from .cyclotomic import CycField, CycScalar, power
 from .lattice import TorusEmbedding
-from .linalg import rank, vec_accumulate
+from .linalg import rank
 from .pbw import PBWAlgebra, PBWElement
 
 
@@ -30,55 +30,96 @@ class OutsideAzumayaLocus(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# sparse matrices over the cyclotomic field
+# weighted partial permutations over the cyclotomic field
 
 
 class Matrix:
-    """Sparse square matrix over Q(q); zero entries are absent."""
+    """Square matrix over Q(q) with at most one nonzero entry per row: a
+    weighted partial permutation, held in two row arrays.  Row r holds
+    vals[r] in column cols[r], or nothing when both are None.
 
-    __slots__ = ("field", "size", "entries")
+    Every image in the matrix model is of this kind: x_i and d_i are
+    weighted shifts of one digit, and so is every product of them.  A
+    product of two nonzero scalars is never zero, so a product is one pass
+    over the rows.  A sum is defined where each row's two entries share
+    their column or one of them is empty; a sum that would put two columns
+    in one row raises ValueError, as does an entries dict with two entries
+    in one row.
+    """
+
+    __slots__ = ("field", "size", "cols", "vals")
 
     def __init__(self, field: CycField, size: int, entries: Optional[dict] = None):
-        self.field = field
-        self.size = size
-        self.entries = {k: v for k, v in (entries or {}).items() if v}
+        cols, vals = [None] * size, [None] * size
+        for (r, c), v in (entries or {}).items():
+            if not v:
+                continue
+            if not (0 <= r < size and 0 <= c < size):
+                raise ValueError(f"entry ({r}, {c}) lies outside a {size}x{size} matrix")
+            if cols[r] is not None:
+                raise ValueError(f"row {r} has two entries")
+            cols[r], vals[r] = c, v
+        self.field, self.size, self.cols, self.vals = field, size, tuple(cols), tuple(vals)
+
+    @classmethod
+    def _rows(cls, field: CycField, cols: tuple, vals: tuple) -> "Matrix":
+        """The matrix of the row arrays as given: no zero check, no copy."""
+        out = cls.__new__(cls)
+        out.field, out.size, out.cols, out.vals = field, len(cols), cols, vals
+        return out
 
     @classmethod
     def identity(cls, field: CycField, size: int) -> "Matrix":
-        return cls(field, size, {(r, r): field.one for r in range(size)})
+        return cls._rows(field, tuple(range(size)), (field.one,) * size)
+
+    @property
+    def entries(self) -> dict:
+        """The nonzero entries as a fresh {(r, c): value} dict."""
+        return {(r, c): v for r, (c, v) in enumerate(zip(self.cols, self.vals)) if c is not None}
 
     def __getitem__(self, rc):
-        return self.entries.get(rc, self.field.zero)
+        r, c = rc
+        return self.vals[r] if self.cols[r] == c else self.field.zero
 
     def __add__(self, other):
-        if other.size != self.size:
-            raise ValueError("size mismatch")
-        out = vec_accumulate(dict(self.entries), other.entries.items())
-        return Matrix(self.field, self.size, out)
+        return self._plus(other, other.vals)
 
     def __sub__(self, other):
+        return self._plus(other, tuple(None if v is None else -v for v in other.vals))
+
+    def _plus(self, other: "Matrix", other_vals: tuple) -> "Matrix":
         if other.size != self.size:
             raise ValueError("size mismatch")
-        out = vec_accumulate(dict(self.entries), ((k, -v) for k, v in other.entries.items()))
-        return Matrix(self.field, self.size, out)
+        cols, vals = list(self.cols), list(self.vals)
+        for r, (c, v) in enumerate(zip(other.cols, other_vals)):
+            if c is None:
+                continue
+            if cols[r] is None:
+                cols[r], vals[r] = c, v
+            elif cols[r] != c:
+                raise ValueError(f"the sum puts columns {cols[r]} and {c} in row {r}")
+            elif s := vals[r] + v:
+                vals[r] = s
+            else:
+                cols[r] = vals[r] = None
+        return Matrix._rows(self.field, tuple(cols), tuple(vals))
 
     def scale(self, c) -> "Matrix":
         c = self.field.scalar(c)
         if not c:
             return Matrix(self.field, self.size)
-        return Matrix(self.field, self.size, {k: c * v for k, v in self.entries.items()})
+        return Matrix._rows(self.field, self.cols, tuple(None if v is None else c * v for v in self.vals))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if other.size != self.size:
-                raise ValueError("size mismatch")
-            rows: dict[int, list] = {}
-            for (r, c), v in other.entries.items():
-                rows.setdefault(r, []).append((c, v))
-            out = vec_accumulate({}, (((r, c2), v * v2) for (r, c), v in self.entries.items()
-                                      for c2, v2 in rows.get(c, ())))
-            return Matrix(self.field, self.size, out)
-        return self.scale(other)
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        if other.size != self.size:
+            raise ValueError("size mismatch")
+        ocols, ovals = other.cols, other.vals
+        cols = tuple([None if c is None else ocols[c] for c in self.cols])
+        vals = tuple([None if c2 is None else v * ovals[c]
+                      for c, c2, v in zip(self.cols, cols, self.vals)])
+        return Matrix._rows(self.field, cols, vals)
 
     def __pow__(self, e: int):
         return power(self, e, Matrix.identity(self.field, self.size))
@@ -86,10 +127,10 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.size == other.size and self.entries == other.entries
+        return self.size == other.size and self.cols == other.cols and self.vals == other.vals
 
     def __repr__(self):
-        return f"<Matrix {self.size}x{self.size}, {len(self.entries)} nonzero>"
+        return f"<Matrix {self.size}x{self.size}, {self.size - self.cols.count(None)} nonzero>"
 
 
 def digits(idx: int, ell: int, n: int) -> tuple[int, ...]:
@@ -196,23 +237,23 @@ class FullRep:
         terms c x^m d^k of c times the ordered product
         x_1^m_1 ... x_n^m_n d_1^k_1 ... d_n^k_n of the images, so the PBW
         order is kept and no commutation is assumed.  The element's algebra
-        must have the rank and the ell of the model."""
+        must have the rank and the ell of the model, and its terms the same
+        m - k mod ell, as those of a T-homogeneous element have: then the
+        images of the terms share their column in each row.  Otherwise a
+        sum of two term images in two columns of one row raises ValueError."""
         if not isinstance(a, PBWElement):
             raise TypeError("expected a PBW element")
         if a.algebra.n != len(self.x) or a.algebra.field.ell != self.field.ell:
             raise ValueError("element of an algebra of another rank or ell than the model")
-        one, gens = self.field.one, self.x + self.d
-
-        def terms():
-            for (m, k), c in a.terms.items():
-                factors = [g for g, e in zip(gens, m + k) for _ in range(e)]
-                if not factors:  # the empty word is I; any other may be the zero matrix
-                    yield from (((r, r), c) for r in range(self.size))
-                else:
-                    entries = reduce(mul, factors).entries.items()
-                    yield from entries if c == one else ((rc, c * v) for rc, v in entries)
-
-        return Matrix(self.field, self.size, vec_accumulate({}, terms()))
+        F, gens, terms = self.field, self.x + self.d, []
+        for (m, k), c in a.terms.items():
+            factors = [g for g, e in zip(gens, m + k) for _ in range(e)]
+            if not factors:  # the empty word is I; any other may be the zero matrix
+                terms.append(Matrix._rows(F, tuple(range(self.size)), (c,) * self.size))
+            else:
+                word = reduce(mul, factors)
+                terms.append(word if c == F.one else word.scale(c))
+        return reduce(add, terms) if terms else Matrix(F, self.size)
 
 
 def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
@@ -240,17 +281,20 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     P = emb.pairing_matrix()
     local = [rank1_matrix_rep(F, c, w, g) for (c, w), g in zip(point.lam, point.gamma)]
 
-    def place(i: int, G: dict) -> Matrix:
-        step, out = ell ** i, {}
+    def place(i: int, G: Matrix) -> Matrix:
+        step, cols, vals = ell ** i, [None] * size, [None] * size
+        entries = [(a, b, v) for a, (b, v) in enumerate(zip(G.cols, G.vals)) if b is not None]
         for high in range(ell ** (n - i - 1)):  # s_i(r) is fixed by the digits j > i
             s = sum(P[j][i] * rj for j, rj in enumerate(digits(high, ell, n - i - 1), i + 1))
-            block = [(a * step, b * step, v * F.qpow((b - a) * s)) for (a, b), v in G.items()]
             lo = high * ell * step  # the ell^i bases with these high digits share the block
-            out.update(((lo + k + a, lo + k + b), v) for k in range(step) for a, b, v in block)
-        return Matrix(F, size, out)
+            for a, b, v in entries:
+                row, col = lo + a * step, lo + b * step
+                cols[row:row + step] = range(col, col + step)
+                vals[row:row + step] = (v * F.qpow((b - a) * s),) * step
+        return Matrix._rows(F, tuple(cols), tuple(vals))
 
-    xs = tuple(place(i, local[i].x[0].entries) for i in range(n))
-    ds = tuple(place(i, local[i].d[0].entries) for i in range(n))
+    xs = tuple(place(i, local[i].x[0]) for i in range(n))
+    ds = tuple(place(i, local[i].d[0]) for i in range(n))
     return FullRep(field=F, size=size, x=xs, d=ds)
 
 
@@ -273,17 +317,18 @@ def generates_matrix_algebra(rep: FullRep) -> bool:
     Only a graph search is used: no scalar arithmetic and no reduction mod p.
     """
     size = rep.size
-    forward: dict = {}
-    backward: dict = {}
+    forward: list[list[int]] = [[] for _ in range(size)]
+    backward: list[list[int]] = [[] for _ in range(size)]
     for G in rep.x + rep.d:
-        for r, c in G.entries:
-            forward.setdefault(c, []).append(r)
-            backward.setdefault(r, []).append(c)
+        for r, c in enumerate(G.cols):
+            if c is not None:
+                forward[c].append(r)
+                backward[r].append(c)
 
-    def reaches_every_row(edges: dict) -> bool:
+    def reaches_every_row(edges: list) -> bool:
         seen, stack = {0}, [0]
         while stack:
-            for v in edges.get(stack.pop(), ()):
+            for v in edges[stack.pop()]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -292,16 +337,23 @@ def generates_matrix_algebra(rep: FullRep) -> bool:
     return reaches_every_row(forward) and reaches_every_row(backward)
 
 
-def alpha_images(rep: FullRep) -> list[Matrix]:
-    """The images I + x_i d_i of the Euler operators alpha_i = 1 + x_i d_i."""
-    one = Matrix.identity(rep.field, rep.size)
-    return [one + x * d for x, d in zip(rep.x, rep.d)]
+def alpha_images(rep: FullRep) -> list[Optional[Matrix]]:
+    """The images I + x_i d_i of the Euler operators alpha_i = 1 + x_i d_i;
+    None for an image with two entries in a row, as a model whose x_i d_i
+    leaves the diagonal has."""
+    one, out = Matrix.identity(rep.field, rep.size), []
+    for x, d in zip(rep.x, rep.d):
+        try:
+            out.append(one + x * d)
+        except ValueError:
+            out.append(None)
+    return out
 
 
 def presentation_failure(rep: FullRep, point: FiberPoint, algebra: PBWAlgebra) -> Optional[dict]:
     """None when the generator images of rep satisfy the relations that
-    present D_lambda, else the first failing one and one entry of its
-    residual lhs - rhs.
+    present D_lambda, else the first failing one and the least entry (r, c)
+    of its residual lhs - rhs.
 
     The relations are g_a g_b = (its PBW normal form) for the generators
     g = x_1..x_n, d_1..d_n, and x_i^ell = c_i I, d_i^ell = w_i I.  Only the
@@ -310,21 +362,40 @@ def presentation_failure(rep: FullRep, point: FiberPoint, algebra: PBWAlgebra) -
     d_i d_j with i <= j) are in PBW order, and of_element builds X(m) D(k)
     as ordered products, so they map to the product of their images by
     construction: checking them tests nothing.
+
+    Both sides are T-homogeneous, so on a model whose generators each move
+    one digit of_element sums the right-hand side's term images as row
+    arrays.  A wrong model may put two of them in two columns of one row;
+    of_element then raises, and the residual, summed term by term, decides.
     """
     gens, images = algebra.generators(), rep.x + rep.d
     n, ell = algebra.n, rep.field.ell
-    pairs = ((f"{gens[a]}*{gens[b]}", gens[a] * gens[b], images[a] * images[b])
+    # each left-hand side is named by its parts, joined only for a failure
+    pairs = (((gens[a], "*", gens[b]), gens[a] * gens[b], images[a] * images[b])
              for a in range(2 * n) for b in range(a))
-    central = ((f"{g}^{ell}", algebra.scalar_element(point.lam[a % n][a // n]), images[a] ** ell)
+    central = (((g, "^", ell), algebra.scalar_element(point.lam[a % n][a // n]), images[a] ** ell)
                for a, g in enumerate(gens))
     for lhs, rhs, image in chain(pairs, central):
-        expected = rep.of_element(rhs)
-        if image != expected:
-            residual = image - expected
-            entry = min(residual.entries)
-            return {"relation": f"{lhs} = {rhs}", "entry": list(entry),
+        try:
+            holds = image == rep.of_element(rhs)
+        except ValueError:  # two terms in two columns of one row
+            holds = False
+        residual = {} if holds else _residual(image, [
+            rep.of_element(algebra.monomial(m, k, c)) for (m, k), c in rhs.terms.items()])
+        if residual:
+            entry = min(residual)
+            return {"relation": f"{''.join(map(str, lhs))} = {rhs}", "entry": list(entry),
                     "residual": str(residual[entry])}
     return None
+
+
+def _residual(image: Matrix, terms: list[Matrix]) -> dict:
+    """The nonzero entries of image - sum(terms), as {(r, c): value}."""
+    out = image.entries
+    for term in terms:
+        for rc, v in term.entries.items():
+            out[rc] = out[rc] - v if rc in out else -v
+    return {rc: v for rc, v in out.items() if v}
 
 
 def fiber_rep_report(point: FiberPoint, algebra: PBWAlgebra) -> dict:
@@ -346,8 +417,9 @@ def fiber_rep_report(point: FiberPoint, algebra: PBWAlgebra) -> dict:
     rep = full_matrix_rep(point, algebra.emb)
     failure = presentation_failure(rep, point, algebra)
     relations_ok = not failure
-    alpha_ok = all(alpha.entries == {(r, r): g * F.qpow(-2 * digits(r, ell, n)[i])
-                                     for r in range(rep.size)}
+    diagonal = tuple(range(rep.size))
+    alpha_ok = all(alpha is not None and alpha.cols == diagonal
+                   and alpha.vals == tuple(g * F.qpow(-2 * digits(r, ell, n)[i]) for r in diagonal)
                    for i, (alpha, g) in enumerate(zip(alpha_images(rep), point.gamma)))
     certified = relations_ok and alpha_ok and generates_matrix_algebra(rep)
     span_dim = rep.size ** 2 if certified else basis_rank(rep)

@@ -119,7 +119,12 @@ class TorusEmbedding:
         return self.pairing(self.matrix[i], self.matrix[j])
 
     def pairing_matrix(self) -> IntMatrix:
-        return tuple(tuple(self.qij_exponent(i, j) for j in range(self.n)) for i in range(self.n))
+        """All the qij_exponent(i, j): the rows of M F are formed once, so each
+        pairing is the O(d) dot product of one of them with a row of M."""
+        rows = [[sum(m[a] * self.form[a][b] for a in range(self.d)) for b in range(self.d)]
+                for m in self.matrix]
+        return tuple(tuple(sum(u * v for u, v in zip(row, m)) for m in self.matrix)
+                     for row in rows)
 
 
 def quiver_to_embedding(quiver: QuiverData) -> TorusEmbedding:

@@ -76,19 +76,20 @@ def moment_map_ok(point: FiberPoint, emb: TorusEmbedding, mu: Sequence[Sequence[
     """
     F = point.field
     rep = full_matrix_rep(point, emb)
-    alphas = alpha_images(rep)
-    if any(len(a.entries) != rep.size or any(r != c for r, c in a.entries) for a in alphas):
+    alphas, diagonal = alpha_images(rep), tuple(range(rep.size))
+    if any(a is None or a.cols != diagonal for a in alphas):
         return False
     for j, values in enumerate(mu):
         # over the m_ij != 0 only, as in phi_dagger
-        model = [reduce(mul, (a[(r, r)] ** m[j] for a, m in zip(alphas, emb.matrix) if m[j]))
-                 for r in range(rep.size)]
+        model = [reduce(mul, (v ** m[j] for v, m in zip(row, emb.matrix) if m[j]))
+                 for row in zip(*(a.vals for a in alphas))]
         if model != list(values):
             return False
         for i in range(emb.n):
             for X, e in ((rep.x[i], 2), (rep.d[i], -2)):
                 scale = F.qpow(e * emb.matrix[i][j])
-                if any(model[r] != scale * model[c] for r, c in X.entries):
+                if any(c is not None and model[r] != scale * model[c]
+                       for r, c in enumerate(X.cols)):
                     return False
     return True
 

@@ -8,12 +8,16 @@ the pairing matrix of the embedding,
     beta(r, c, s) = sum_{i<j} (r_j - c_j) P_ji (c_i - s_i),
 
 and E_rc o E_c's = 0 for c != c'; the product is extended bilinearly.
-untwist carries it to the plain product.
+untwist carries it to the plain product.  Each map takes a fiber.Matrix
+or a DictMatrix and returns a DictMatrix, as a braided product or a sample
+need not hold one entry per row.
 """
 
-from qweyl import Matrix, TorusEmbedding
+from qweyl import TorusEmbedding
 from qweyl.fiber import digits
 from qweyl.linalg import vec_accumulate
+
+from dict_matrix import DictMatrix
 
 
 def beta(r, c, s, P) -> int:
@@ -21,7 +25,7 @@ def beta(r, c, s, P) -> int:
     return sum((r[j] - c[j]) * P[j][i] * (c[i] - s[i]) for j in range(n) for i in range(j))
 
 
-def braided_product(a: Matrix, b: Matrix, emb: TorusEmbedding) -> Matrix:
+def braided_product(a, b, emb: TorusEmbedding) -> DictMatrix:
     F = a.field
     ell, n = F.ell, emb.n
     P = emb.pairing_matrix()
@@ -31,10 +35,10 @@ def braided_product(a: Matrix, b: Matrix, emb: TorusEmbedding) -> Matrix:
     terms = (((r, s), u * v * F.qpow(beta(digits(r, ell, n), digits(c, ell, n),
                                            digits(s, ell, n), P)))
              for (r, c), u in a.entries.items() for s, v in rows_of_b.get(c, ()))
-    return Matrix(F, a.size, vec_accumulate({}, terms))
+    return DictMatrix(F, a.size, vec_accumulate({}, terms))
 
 
-def untwist(mat: Matrix, emb: TorusEmbedding) -> Matrix:
+def untwist(mat, emb: TorusEmbedding) -> DictMatrix:
     """The braided-to-plain map on Mat(ell^n).
 
     E_rc goes to q^(-tau(r, c)) E_rc, where
@@ -51,14 +55,14 @@ def untwist(mat: Matrix, emb: TorusEmbedding) -> Matrix:
         rd, cd = digits(r, ell, n), digits(c, ell, n)
         tau = sum((rd[i] - cd[i]) * P[j][i] * rd[j] for j in range(n) for i in range(j))
         out[(r, c)] = v * F.qpow(-tau)
-    return Matrix(F, mat.size, out)
+    return DictMatrix(F, mat.size, out)
 
 
-def placed(G: Matrix, i: int, n: int) -> Matrix:
+def placed(G, i: int, n: int) -> DictMatrix:
     """I (x) ... (x) G (x) ... (x) I, G in slot i of n, first factor fastest."""
     ell = G.size
     step = ell ** i
-    return Matrix(G.field, ell ** n, {
+    return DictMatrix(G.field, ell ** n, {
         (lo + step * (a + ell * hi), lo + step * (b + ell * hi)): v
         for hi in range(ell ** (n - i - 1)) for lo in range(step)
         for (a, b), v in G.entries.items()})

@@ -7,16 +7,20 @@ D_lambda modulo the left ideal of the alpha_i - gamma_i, with the basis
 keys that are not pivots of that ideal (in basis_keys order); both
 endo_splitting_check and all_pairs_action read it off splitting_module.
 endo_splitting_check calls fiber.basis_rank through the module, so a
-patch of fiber.rank or fiber.basis_rank reaches it.
+patch of fiber.rank or fiber.basis_rank reaches it.  The generator
+matrices on the module need not hold one entry per row, so they are
+DictMatrix oracles, not fiber.Matrix.
 """
 
 from itertools import product as iproduct
 from typing import Sequence
 
 from qweyl import fiber
-from qweyl.fiber import FiberPoint, FullRep, Matrix, OutsideAzumayaLocus
+from qweyl.fiber import FiberPoint, FullRep, OutsideAzumayaLocus
 from qweyl.linalg import SpanBasis, vec_accumulate
 from qweyl.pbw import PBWAlgebra, PBWElement
+
+from dict_matrix import DictMatrix
 
 
 class FiberAlgebra(PBWAlgebra):
@@ -139,8 +143,8 @@ def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
     if size != ell ** n:
         return False
     rep = FullRep(fib.field, size,
-                  x=tuple(Matrix(fib.field, size, action(fib.x(i + 1))) for i in range(n)),
-                  d=tuple(Matrix(fib.field, size, action(fib.d(i + 1))) for i in range(n)))
+                  x=tuple(DictMatrix(fib.field, size, action(fib.x(i + 1))) for i in range(n)),
+                  d=tuple(DictMatrix(fib.field, size, action(fib.d(i + 1))) for i in range(n)))
     return fiber.basis_rank(rep) == ell ** (2 * n)
 
 

@@ -15,8 +15,10 @@ from qweyl.cli import run_suite
 from qweyl.expr import evaluate_scalar
 from qweyl.fiber import digits
 from qweyl.linalg import SpanBasis
+from qweyl.pbw import PBWElement
 
 from braided import braided_product, placed, untwist
+from dict_matrix import DictMatrix
 from splitting import FiberAlgebra, all_pairs_action, endo_splitting_check
 
 
@@ -133,6 +135,43 @@ def test_matrix_powers():
 
 
 
+F3 = CycField(3)
+# +- pairs, so that sums cancel and empty their rows
+MATRIX_VALUES = [F3.one, -F3.one, F3.q, -F3.q, F3.scalar(2) + F3.q, F3.scalar(3) / 7]
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two weighted permutations (a, b) of one size, with empty rows; each row
+    of b is empty, in a's column or in another, so sums meet all three cases."""
+    size = draw(st.integers(1, 5))
+    cols = st.one_of(st.none(), st.integers(0, size - 1))
+    cols_a = [draw(cols) for _ in range(size)]
+    cols_b = [draw(cols if c is None else st.sampled_from([None, c, (c + 1) % size]))
+              for c in cols_a]
+    values = st.sampled_from(MATRIX_VALUES)
+    a, b = ({(r, c): draw(values) for r, c in enumerate(cs) if c is not None}
+            for cs in (cols_a, cols_b))
+    return Matrix(F3, size, a), Matrix(F3, size, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ab=matrix_pairs(), e=st.integers(0, 4),
+       c=st.sampled_from([0, 1, F3.q, F3.scalar(2) + F3.q]))
+def test_weighted_permutations_agree_with_the_dict_oracle(ab, e, c):
+    a, b = ab
+    da, db = DictMatrix.of(a), DictMatrix.of(b)
+    assert Matrix(F3, a.size, a.entries) == a and DictMatrix.of(a * b) == da * db
+    assert a ** e == da ** e and a.scale(c) == da.scale(c)
+    assert (a == b) is (da == db) and all(a[rc] == v for rc, v in a.entries.items())
+    if all(None in (ca, cb) or ca == cb for ca, cb in zip(a.cols, b.cols)):
+        assert a + b == da + db and a - b == da - db
+    else:  # some row would hold two columns
+        for op in (Matrix.__add__, Matrix.__sub__):
+            with pytest.raises(ValueError, match="columns"):
+                op(a, b)
+
+
 def test_matrix_sum_and_difference_check_sizes():
     # like the product: a 3x3 and a 9x9 matrix do not add to a 3x3 holding (8, 8)
     F = CycField(3)
@@ -141,6 +180,10 @@ def test_matrix_sum_and_difference_check_sizes():
         with pytest.raises(ValueError, match="size mismatch"):
             op(small, big)
     assert small - small == Matrix(F, 3) and (small + small)[(2, 2)] == F.scalar(2)
+    # nor does an entry outside the matrix wrap round to a row counted from the end
+    for rc in ((3, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            Matrix(F, 3, {rc: F.one})
 
 
 # the ids read c-w-root-gamma, root an integer cube root of c or None
@@ -337,7 +380,7 @@ def composable_unit_pairs(F, size, count, seed):
 def sign_flipped(mat, emb):
     """untwist with q^(+tau) in place of q^(-tau)."""
     image = untwist(mat, emb)
-    return Matrix(mat.field, mat.size, {rc: v * v / image[rc] for rc, v in mat.entries.items()})
+    return DictMatrix(mat.field, mat.size, {rc: v * v / image[rc] for rc, v in mat.entries.items()})
 
 
 def multiplicative(twist, emb, pairs):
@@ -352,8 +395,8 @@ def test_untwist_scales_each_unit_by_a_power_of_q():
     for u in units(F, 9):
         assert sum(untwist(u, emb) == u.scale(F.qpow(e)) for e in range(3)) == 1
     rng = random.Random(515)
-    m = Matrix(F, 9, {(rng.randrange(9), rng.randrange(9)): F.qpow(rng.randrange(3))
-                      for _ in range(12)})
+    m = DictMatrix(F, 9, {(rng.randrange(9), rng.randrange(9)): F.qpow(rng.randrange(3))
+                          for _ in range(12)})
     assert untwist(m, emb).entries.keys() == m.entries.keys()
 
 
@@ -416,8 +459,8 @@ def test_braided_product_is_associative_on_samples():
     rng = random.Random(99)
 
     def rand():
-        return Matrix(F, size, {(rng.randrange(size), rng.randrange(size)):
-                                F.qpow(rng.randrange(5)) for _ in range(6)})
+        return DictMatrix(F, size, {(rng.randrange(size), rng.randrange(size)):
+                                    F.qpow(rng.randrange(5)) for _ in range(6)})
 
     for _ in range(10):
         a, b, c = rand(), rand(), rand()
@@ -566,20 +609,31 @@ def test_full_rep_is_the_untwisted_kronecker_placement(ell, emb, make_point):
 
 
 def uncached_image(rep, a):
-    """The image of a as c * x_1^m_1 ... x_n^m_n * d_1^k_1 ... d_n^k_n per term,
-    each power taken afresh with Matrix.__pow__."""
+    """The image of a in the dict form, as c * x_1^m_1 ... x_n^m_n * d_1^k_1 ... d_n^k_n
+    per term, each power taken afresh with DictMatrix.__pow__: the oracle of
+    of_element, for any element, homogeneous or not."""
     F = rep.field
-    out = Matrix(F, rep.size)
+    xs, ds = [DictMatrix.of(g) for g in rep.x], [DictMatrix.of(g) for g in rep.d]
+    out = DictMatrix(F, rep.size)
     for (m, k), c in a.terms.items():
-        acc = Matrix.identity(F, rep.size).scale(c)
+        acc = DictMatrix.identity(F, rep.size).scale(c)
         for i, e in enumerate(m):
             if e:
-                acc = acc * (rep.x[i] ** e)
+                acc = acc * (xs[i] ** e)
         for i, e in enumerate(k):
             if e:
-                acc = acc * (rep.d[i] ** e)
+                acc = acc * (ds[i] ** e)
         out = out + acc
     return out
+
+
+def homogeneous_parts(a, ell):
+    """a split by m - k mod ell: the terms of one part have images that share
+    their column in each row, so of_element takes each part."""
+    parts = {}
+    for (m, k), c in a.terms.items():
+        parts.setdefault(tuple((mi - ki) % ell for mi, ki in zip(m, k)), {})[(m, k)] = c
+    return [PBWElement(a.algebra, terms) for terms in parts.values()]
 
 
 def random_element(A, rng, ell, terms=4):
@@ -626,9 +680,18 @@ def test_full_rep_matches_the_uncached_product(ell, emb, make_point, seed):
     A = PBWAlgebra(F, emb)
     rep = full_matrix_rep(make_point(F), emb)
     rng = random.Random(seed)
+    zero, refused = DictMatrix(F, rep.size), 0
     for _ in range(6):
         a = random_element(A, rng, ell)
-        assert rep.of_element(a) == uncached_image(rep, a)
+        images = [rep.of_element(part) for part in homogeneous_parts(a, ell)]
+        assert sum(map(DictMatrix.of, images), zero) == uncached_image(rep, a)
+        # the constant part's image fills every row here, so any other nonzero
+        # part meets it in some row in another column: no one-entry-per-row image
+        if sum(image != Matrix(F, rep.size) for image in images) > 1:
+            refused += 1
+            with pytest.raises(ValueError, match="columns"):
+                rep.of_element(a)
+    assert refused
     # of_element is multiplicative on seeded pairs of monomials with every
     # exponent below ell, whose products leave PBW order and fold x_i^ell
     for _ in range(20):
@@ -867,9 +930,6 @@ def assert_certified_span(p, A, monkeypatch):
     assert report["span_dimension"] == exact_basis_rank(rep) == A.field.ell ** (2 * p.n)
 
 
-F3 = CycField(3)
-
-
 @settings(max_examples=12, deadline=None)
 @given(p=locus_points_l3())
 @example(p=point(F3, [(F3.zero, F3.zero)], [F3.one]))  # c = w = 0
@@ -903,12 +963,21 @@ def test_central_values_check_reads_c_and_w():
 
 
 def test_matrix_difference_negates_without_scaling(monkeypatch):
+    # row 0 cancels and empties, row 1 is a's alone, row 2 is b's negated
     F = CycField(3)
-    a = Matrix(F, 2, {(0, 0): F.qpow(1), (0, 1): F.one})
-    b = Matrix(F, 2, {(0, 0): F.qpow(1), (1, 1): F.scalar(5)})
+    a = Matrix(F, 3, {(0, 0): F.qpow(1), (1, 2): F.one})
+    b = Matrix(F, 3, {(0, 0): F.qpow(1), (2, 1): F.scalar(5)})
     monkeypatch.setattr(Matrix, "scale", None)  # a difference multiplies no scalar
-    assert (a - b).entries == {(0, 1): F.one, (1, 1): F.scalar(-5)}
+    assert (a - b).entries == {(1, 2): F.one, (2, 1): F.scalar(-5)}
     assert not (b - b).entries
+    # two entries in one row are no weighted permutation: the dict oracle
+    # holds them, and its difference negates without scaling too
+    two = {(0, 0): F.qpow(1), (0, 1): F.one}
+    with pytest.raises(ValueError, match="row 0 has two entries"):
+        Matrix(F, 2, two)
+    monkeypatch.setattr(DictMatrix, "scale", None)
+    a, b = DictMatrix(F, 2, two), DictMatrix(F, 2, {(0, 0): F.qpow(1), (1, 1): F.scalar(5)})
+    assert (a - b).entries == {(0, 1): F.one, (1, 1): F.scalar(-5)}
 
 
 def test_a_holding_relation_builds_no_residual(monkeypatch):
@@ -917,7 +986,7 @@ def test_a_holding_relation_builds_no_residual(monkeypatch):
     A = weyl(3, emb_n2())
     p = two_factor_point(F)
     rep = full_matrix_rep(p, A.emb)
-    monkeypatch.setattr(Matrix, "__sub__", None)
+    monkeypatch.setattr(fiber, "_residual", None)
     assert fiber.presentation_failure(rep, p, A) is None
 
 
@@ -951,22 +1020,50 @@ def test_a_repeated_alpha_eigenvalue_fails_the_certificate(monkeypatch):
     assert exact_basis_rank(bad) == exact_basis_rank(rep) == rep.size ** 2 == 9
 
 
+def moved_d_entry(rep):
+    """The one-factor model with d's row-0 entry moved from column 2 to
+    column 0: x d then holds x_(2,0) d_(0,0) at (2, 0), off the diagonal."""
+    (d,) = rep.d
+    entries = {(1, 0): d[(1, 0)], (2, 1): d[(2, 1)], (0, 0): d[(0, 2)]}
+    return dataclasses.replace(rep, d=(Matrix(rep.field, 3, entries),))
+
+
 def test_an_alpha_off_the_diagonal_fails_the_certificate(monkeypatch):
-    # a d entry at (0, 0) adds x_(2,0) d_(0,0) at (2, 0) of x d and nothing
-    # on its diagonal: the eigenvalues stay distinct and the graph connected
+    # the moved d entry puts x_(2,0) d_(0,0) at (2, 0) of x d, and leaves
+    # I + x d two entries in row 2, which no weighted permutation holds: its
+    # alpha image is None; the graph stays connected
     F = CycField(3)
     A = weyl(3)
     p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
     rep = full_matrix_rep(p, A.emb)
-    (d,) = rep.d
-    bad = dataclasses.replace(rep, d=(Matrix(F, 3, {**d.entries, (0, 0): F.one}),))
-    (alpha,), (good,) = fiber.alpha_images(bad), fiber.alpha_images(rep)
-    assert set(alpha.entries) - set(good.entries) == {(2, 0)}
-    assert all(alpha[(r, r)] == good[(r, r)] for r in range(3))
+    bad = moved_d_entry(rep)
+    assert fiber.alpha_images(bad) == [None]
+    (x,), (d,) = bad.x, bad.d
+    alpha = DictMatrix.identity(F, 3) + DictMatrix.of(x) * DictMatrix.of(d)
+    assert set(alpha.entries) == {(0, 0), (1, 1), (2, 2), (2, 0)}
     assert fiber.generates_matrix_algebra(bad)
     report, counts = report_of_model(bad, p, A, monkeypatch)
     assert report["alpha_diagonal_ok"] is report["relations_ok"] is report["ok"] is False
     assert report["span_dimension"] == 9 and counts == [9]
+
+
+def test_a_right_hand_side_in_two_columns_names_the_oracle_residual_entry():
+    # with the moved d entry, d x = q^2 x d + q^2 - 1 has a right-hand side
+    # whose terms q^2 x d and (q^2 - 1) I hold columns 0 and 2 of row 2: the
+    # check names the relation and the least entry of the dict residual
+    F = CycField(3)
+    A = weyl(3)
+    p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
+    bad = moved_d_entry(full_matrix_rep(p, A.emb))
+    (x,), (d,) = bad.x, bad.d
+    rhs = A.d(1) * A.x(1)
+    with pytest.raises(ValueError, match="columns"):
+        bad.of_element(rhs)
+    residual = DictMatrix.of(d * x) - uncached_image(bad, rhs)
+    entry = min(residual.entries)
+    assert fiber.presentation_failure(bad, p, A) == {
+        "relation": f"d1*x1 = {rhs}", "entry": list(entry), "residual": str(residual[entry])}
+    assert entry == (0, 0)
 
 
 def test_distinct_but_wrong_alpha_eigenvalues_are_counted_not_certified(monkeypatch):

@@ -225,3 +225,31 @@ def test_n_and_d_are_the_shape_of_the_matrix(data):
     else:
         assert emb.n == len(data["quiver"]["edges"])
 
+
+
+# -- the pairing matrix ---------------------------------------------------------
+
+@st.composite
+def embeddings(draw):
+    """An embedding with a d x d identity block on top of its weight matrix
+    (d = 0 included), other rows drawn with negative weights allowed, and
+    any symmetric integer form."""
+    d = draw(st.integers(0, 3))
+    n = draw(st.integers(max(d, 1), 5))
+    matrix = [[int(i == j) for j in range(d)] for i in range(d)]
+    matrix += [draw(st.lists(INTS, min_size=d, max_size=d)) for _ in range(n - d)]
+    upper = {(a, b): draw(INTS) for a in range(d) for b in range(a, d)}
+    form = [[upper[min(a, b), max(a, b)] for b in range(d)] for a in range(d)]
+    return TorusEmbedding(matrix=draw(st.permutations(matrix)), form=form)
+
+
+@settings(max_examples=80, deadline=None)
+@given(embeddings())
+@example(TorusEmbedding(matrix=((), ()), form=()))                 # d = 0
+@example(TorusEmbedding(matrix=((1,), (-2,)), form=((2,),)))       # a negative weight
+def test_pairing_matrix_is_the_double_sum(emb):
+    M, F, d = emb.matrix, emb.form, emb.d
+    oracle = tuple(tuple(sum(M[i][a] * F[a][b] * M[j][b] for a in range(d) for b in range(d))
+                         for j in range(emb.n)) for i in range(emb.n))
+    assert emb.pairing_matrix() == oracle
+    assert all(emb.qij_exponent(i, j) == oracle[i][j] for i in range(emb.n) for j in range(emb.n))
