@@ -11,6 +11,7 @@ no computation reads it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -169,7 +170,9 @@ def _dump_report(report: dict, out_path: Optional[str]) -> int:
     return 0
 
 
-def main(argv: Optional[list] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="qweyl",
         description="exact computations in q-Weyl algebras at roots of unity")
@@ -189,7 +192,11 @@ def main(argv: Optional[list] = None) -> int:
     p_report.add_argument("--config", required=True)
     p_report.add_argument("--out", help="write the JSON report here")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list] = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "normalize":
         try:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, product as iproduct
+from itertools import chain
 from operator import add, mul
 from typing import Optional
 
 from .cyclotomic import CycField, CycScalar, power
 from .lattice import TorusEmbedding
-from .linalg import rank
 from .pbw import PBWAlgebra, PBWElement
 
 
@@ -298,23 +297,12 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     return FullRep(field=F, size=size, x=xs, d=ds)
 
 
-def generates_matrix_algebra(rep: FullRep) -> bool:
-    """Condition (c) of the certificate that I, the alpha images and the
-    rep.x, rep.d generate Mat_N(K), K = Q(q) and N = rep.size: the graph on
-    the rows with an edge c -> r for each nonzero entry (r, c) of some rep.x
-    or rep.d is strongly connected.  Condition (b) is that every alpha image
-    is diagonal and no two rows share the tuple of their alpha eigenvalues;
-    fiber_rep_report reads it off its alpha_diagonal_ok check.
-
-    Proof.  Write a_i(r) for the r-th diagonal entry of alpha_i.  By (b),
-    each row s != r has an i = i(s) with a_i(s) != a_i(r), and the product
-    over s != r of (alpha_i - a_i(s) I) / (a_i(r) - a_i(s)) is E_rr
-    (Lagrange interpolation over K).  For an entry G_rc != 0 of a generator G,
-    E_rr G E_cc = G_rc E_rc, so E_rc is generated along each edge; by (c)
-    any two rows are joined by a path c = v_0 -> ... -> v_k = r, and
-    E_rc is the product of the E along it.  So every E_rc is generated.
-
-    Only a graph search is used: no scalar arithmetic and no reduction mod p.
+def unreached_row(rep: FullRep) -> Optional[int]:
+    """Condition (c) of the generation certificate of fiber_rep_report: the
+    graph on the rows with an edge c -> r for each nonzero entry (r, c) of
+    some rep.x or rep.d is strongly connected.  None when it is, else the
+    least row outside the strongly connected component of row 0.  Only a
+    graph search is used: no scalar arithmetic and no reduction mod p.
     """
     size = rep.size
     forward: list[list[int]] = [[] for _ in range(size)]
@@ -325,16 +313,17 @@ def generates_matrix_algebra(rep: FullRep) -> bool:
                 forward[c].append(r)
                 backward[r].append(c)
 
-    def reaches_every_row(edges: list) -> bool:
+    def reached(edges: list) -> set:
         seen, stack = {0}, [0]
         while stack:
             for v in edges[stack.pop()]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        return len(seen) == size
+        return seen
 
-    return reaches_every_row(forward) and reaches_every_row(backward)
+    component = reached(forward) & reached(backward)
+    return None if len(component) == size else min(set(range(size)) - component)
 
 
 def alpha_images(rep: FullRep) -> list[Optional[Matrix]]:
@@ -403,15 +392,29 @@ def fiber_rep_report(point: FiberPoint, algebra: PBWAlgebra) -> dict:
 
     relations_ok: presentation_failure finds none (else it is reported under
     failed_relation), so rep is an algebra map on D_lambda and the span of
-    the images of its ell^(2n) basis monomials is the algebra generated by
-    I, the rep.x and the rep.d.  alpha_diagonal_ok: the image of alpha_i is
-    diag(gamma_i q^(-2 r_i)), r_i the i-th digit of row r.  As gamma_i != 0
-    on the locus and q^-2 has order ell, row r's eigenvalue tuple fixes its
-    digits, so no two rows share one: that is condition (b) of
-    generates_matrix_algebra.  When both hold and the certificate does, the
-    span is Mat_N(K), N^2, and no monomial image is built; otherwise
-    basis_rank counts it.  in_azumaya_locus is always true: full_matrix_rep
-    raises off the locus.
+    the images of its ell^(2n) basis monomials is the algebra A generated by
+    I, the rep.x and the rep.d.  alpha_diagonal_ok (condition (b)): the
+    image of alpha_i is diag(gamma_i q^(-2 r_i)), r_i the i-th digit of row
+    r.  As gamma_i != 0 on the locus and q^-2 has order ell, row r's
+    eigenvalue tuple fixes its digits, so no two rows share one.
+
+    The span is decided by the certificate (b) and (c) alone; no rank is
+    computed.  Proof.  Write a_i(r) for the r-th diagonal entry of alpha_i.
+    By (b), each row s != r has an i = i(s) with a_i(s) != a_i(r), and the
+    product over s != r of (alpha_i - a_i(s) I) / (a_i(r) - a_i(s)) is E_rr
+    (Lagrange interpolation over K = Q(q)), so every E_rr lies in A.  For an
+    entry G_rc != 0 of a generator G, E_rr G E_cc = G_rc E_rc, so E_rc lies
+    in A along each edge c -> r of the row graph of unreached_row, and so
+    does the product of the E along each path.  The span of the E_rc with a
+    path from c to r (r = c included) is closed under products and holds I
+    and every generator, so it is A.  So dim A = N^2, N = rep.size = ell^n,
+    exactly when the graph is strongly connected (condition (c)), and ok is
+    the same bit as the test dim A == ell^(2n).
+
+    A certified report gives span_dimension = N^2.  A failing one gives no
+    span, only its witness: failed_relation, alpha_diagonal_ok false, or
+    unreached_row when both checks hold and the graph does not.
+    in_azumaya_locus is always true: full_matrix_rep raises off the locus.
     """
     F, n, ell = point.field, algebra.n, point.field.ell
     rep = full_matrix_rep(point, algebra.emb)
@@ -421,36 +424,14 @@ def fiber_rep_report(point: FiberPoint, algebra: PBWAlgebra) -> dict:
     alpha_ok = all(alpha is not None and alpha.cols == diagonal
                    and alpha.vals == tuple(g * F.qpow(-2 * digits(r, ell, n)[i]) for r in diagonal)
                    for i, (alpha, g) in enumerate(zip(alpha_images(rep), point.gamma)))
-    certified = relations_ok and alpha_ok and generates_matrix_algebra(rep)
-    span_dim = rep.size ** 2 if certified else basis_rank(rep)
+    unreached = unreached_row(rep) if relations_ok and alpha_ok else None
+    ok = relations_ok and alpha_ok and unreached is None
     report = {"in_azumaya_locus": point.in_azumaya_locus(), "relations_ok": relations_ok,
-              "alpha_diagonal_ok": alpha_ok, "span_dimension": span_dim,
-              "expected_span_dimension": ell ** (2 * n),
-              "ok": relations_ok and alpha_ok and span_dim == ell ** (2 * n)}
+              "alpha_diagonal_ok": alpha_ok, "expected_span_dimension": ell ** (2 * n), "ok": ok}
+    if ok:
+        report["span_dimension"] = rep.size ** 2
     if failure:
         report["failed_relation"] = failure
+    if unreached is not None:
+        report["unreached_row"] = unreached
     return report
-
-
-def basis_rank(rep: FullRep) -> int:
-    """Rank over Q(q) of the images under rep of the ell^(2n) monomials
-    x^m d^k with every exponent below ell; their number ell^(2n) bounds it
-    (see linalg.rank).  Each ordered word X(m) = x_1^m_1 ... x_n^m_n is
-    built once, as X(m - e_j) * x_j with j the last index where m is
-    nonzero, and likewise each D(k); the image of x^m d^k is X(m) * D(k).
-    """
-    ell, n = rep.field.ell, len(rep.x)
-    ident = Matrix.identity(rep.field, rep.size)
-
-    def words(gens: tuple[Matrix, ...]) -> list[Matrix]:
-        """The words of gens in the order of iproduct, ident for the empty one."""
-        out = {(0,) * n: ident}
-        for m in list(iproduct(range(ell), repeat=n))[1:]:
-            j = max(i for i, e in enumerate(m) if e)
-            prev = out[m[:j] + (m[j] - 1,) + m[j + 1:]]
-            out[m] = gens[j] if prev is ident else prev * gens[j]
-        return list(out.values())
-
-    xs, ds = words(rep.x), words(rep.d)
-    return rank(lambda: ((D if X is ident else X if D is ident else X * D).entries
-                         for X in xs for D in ds), rep.field, rep.size ** 2)

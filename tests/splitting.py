@@ -1,23 +1,27 @@
-"""The abstract fiber D_lambda and its splitting check: a test oracle of the
-matrix model of qweyl.fiber.
+"""The abstract fiber D_lambda, its splitting check and the monomial span
+count: test oracles of the matrix model of qweyl.fiber.
 
 FiberAlgebra is the quotient of the operator algebra at a central
 character, with every exponent below ell.  The splitting module is
 D_lambda modulo the left ideal of the alpha_i - gamma_i, with the basis
 keys that are not pivots of that ideal (in basis_keys order); both
 endo_splitting_check and all_pairs_action read it off splitting_module.
-endo_splitting_check calls fiber.basis_rank through the module, so a
-patch of fiber.rank or fiber.basis_rank reaches it.  The generator
-matrices on the module need not hold one entry per row, so they are
-DictMatrix oracles, not fiber.Matrix.
+basis_rank counts the span of the ell^(2n) monomial images of a FullRep
+with linalg.rank.  fiber_rep_report does not count it: its generation
+certificate decides the span, and basis_rank is the count that the tests
+hold the certificate to.  It reads only the generators' * and entries,
+so it takes the DictMatrix generators of the splitting module too, which
+need not hold one entry per row.  rank and basis_rank are module globals,
+so a patch of splitting.rank or splitting.basis_rank reaches
+endo_splitting_check.
 """
 
 from itertools import product as iproduct
 from typing import Sequence
 
-from qweyl import fiber
-from qweyl.fiber import FiberPoint, FullRep, OutsideAzumayaLocus
-from qweyl.linalg import SpanBasis, vec_accumulate
+from qweyl import linalg
+from qweyl.fiber import FiberPoint, FullRep, Matrix, OutsideAzumayaLocus
+from qweyl.linalg import SpanBasis, rank, vec_accumulate
 from qweyl.pbw import PBWAlgebra, PBWElement
 
 from dict_matrix import DictMatrix
@@ -145,7 +149,7 @@ def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
     rep = FullRep(fib.field, size,
                   x=tuple(DictMatrix(fib.field, size, action(fib.x(i + 1))) for i in range(n)),
                   d=tuple(DictMatrix(fib.field, size, action(fib.d(i + 1))) for i in range(n)))
-    return fiber.basis_rank(rep) == ell ** (2 * n)
+    return basis_rank(rep) == ell ** (2 * n)
 
 
 def all_pairs_action(fib: FiberAlgebra) -> dict:
@@ -154,3 +158,39 @@ def all_pairs_action(fib: FiberAlgebra) -> dict:
     element): the oracle of the generator actions of endo_splitting_check."""
     _, action = splitting_module(fib)
     return {key: action(fib.monomial(*key)) for key in fib.basis_keys()}
+
+
+def basis_rank(rep: FullRep) -> int:
+    """Rank over Q(q) of the images under rep of the ell^(2n) monomials
+    x^m d^k with every exponent below ell; their number ell^(2n) bounds it
+    (see linalg.rank).  Each ordered word X(m) = x_1^m_1 ... x_n^m_n is
+    built once, as X(m - e_j) * x_j with j the last index where m is
+    nonzero, and likewise each D(k); the image of x^m d^k is X(m) * D(k).
+    """
+    ell, n = rep.field.ell, len(rep.x)
+    ident = Matrix.identity(rep.field, rep.size)
+
+    def words(gens: tuple) -> list:
+        """The words of gens in the order of iproduct, ident for the empty one."""
+        out = {(0,) * n: ident}
+        for m in list(iproduct(range(ell), repeat=n))[1:]:
+            j = max(i for i, e in enumerate(m) if e)
+            prev = out[m[:j] + (m[j] - 1,) + m[j + 1:]]
+            out[m] = gens[j] if prev is ident else prev * gens[j]
+        return list(out.values())
+
+    xs, ds = words(rep.x), words(rep.d)
+    return rank(lambda: ((D if X is ident else X if D is ident else X * D).entries
+                         for X in xs for D in ds), rep.field, rep.size ** 2)
+
+
+def forbid_counts(monkeypatch):
+    """Make every rank count raise: the modular rank, and each SpanBasis.add
+    of the exact count.  A fiber-rep report makes none, passing or failing;
+    building a TorusEmbedding does (its faithfulness check), so build the
+    embedding first."""
+    def counted(*args):
+        raise AssertionError("a rank was counted")
+
+    monkeypatch.setattr(linalg, "modular_rank", counted)
+    monkeypatch.setattr(SpanBasis, "add", counted)

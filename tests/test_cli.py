@@ -15,6 +15,8 @@ from qweyl.lattice import TorusEmbedding
 from qweyl.linalg import nullspace
 from qweyl.expr import MAX_NESTING
 
+from splitting import forbid_counts
+
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
@@ -149,6 +151,32 @@ def test_normalize_leading_minus_needs_double_dash(capsys):
     assert "the following arguments are required: expressions" in capsys.readouterr().err
     assert main(["normalize", "--ell", "3", "--", "-(x1)"]) == 0
     assert capsys.readouterr().out == "(-1)*x1\n"
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    # the parser is built on the first call and reused: two calls construct
+    # one ArgumentParser of each kind, and a bad subcommand still exits 2
+    import argparse
+    import qweyl.cli
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    qweyl.cli._parser.cache_clear()
+    try:
+        assert main(["normalize", "--ell", "3", "x1"]) == 0
+        assert main(["normalize", "--ell", "3", "d1"]) == 0
+        assert len(built) == 4 and built[0] == "qweyl"
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == 2 and len(built) == 4
+        assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+    finally:
+        qweyl.cli._parser.cache_clear()
 
 
 def test_normalize_parse_error_exits_2(capsys):
@@ -582,27 +610,20 @@ def test_products_computed_once_per_run(monkeypatch, tmp_path, stem, calls, comp
     assert (count[0], len(field._products)) == (calls, computed)
 
 
-def test_fiber_rep_span_falls_back_and_fails_on_a_repeated_image(monkeypatch):
-    # basis_rank hands fiber.rank the image of x1^2 x2^2 d1^2 d2 in place of
-    # that of x1^2 x2^2 d1^2 d2^2, the last one: the images fall one short
-    # of independent mod p, and the exact span counts 80.
-    # The generation certificate reads no monomial image, so it is made to
-    # fail: the span then comes from the counting path, and relations_ok,
-    # which reads only the generator images, still holds
+def test_fiber_rep_fails_on_an_unreached_row_without_a_count(monkeypatch):
+    # the generation certificate is made to name row 5 of the ell 3, n 2
+    # model: the report fails on it alone, names it, and carries no span;
+    # relations_ok, which reads only the generator images, still holds
     from qweyl import fiber
-    rank = fiber.rank
-
-    def repeated(vectors, field, bound):
-        def images():
-            *rest, before, _ = vectors()
-            return [*rest, before, before]
-        return rank(images, field, bound)
-
-    monkeypatch.setattr(fiber, "rank", repeated)
-    monkeypatch.setattr(fiber, "generates_matrix_algebra", lambda rep: False)
-    entry = run_suite(suite_cfg())["tasks"][1]
-    assert (entry["span_dimension"], entry["expected_span_dimension"]) == (80, 81)
-    assert entry["relations_ok"] is True and entry["ok"] is False
+    cfg = suite_cfg()
+    cfg["tasks"] = cfg["tasks"][1:2]
+    emb = validate_config(cfg)  # the faithfulness check of the embedding counts a rank
+    forbid_counts(monkeypatch)
+    monkeypatch.setattr(fiber, "unreached_row", lambda rep: 5)
+    entry = run_suite(cfg, emb)["tasks"][0]
+    assert entry["relations_ok"] is entry["alpha_diagonal_ok"] is True
+    assert entry["ok"] is False and entry["unreached_row"] == 5
+    assert "span_dimension" not in entry and entry["expected_span_dimension"] == 81
 
 
 REPORT_CONFIGS = Path(__file__).resolve().parent / "report_configs"
@@ -632,12 +653,14 @@ def test_fiber_rep_fails_on_a_model_of_the_wrong_central_values(name, relation, 
     cfg["tasks"] = [t for t in cfg["tasks"] if t["type"] == "fiber-rep"]
     assert run_suite(cfg)["tasks"][0]["ok"] is True
     monkeypatch.setattr(fiber, "rank1_matrix_rep", moved_central_values(fiber.rank1_matrix_rep))
-    entry = run_suite(cfg)["tasks"][0]
-    # only x_i^ell = c_i I sees the move: the generator pairs, the alpha
-    # diagonal and the span all still hold
+    emb = validate_config(cfg)
+    forbid_counts(monkeypatch)
+    entry = run_suite(cfg, emb)["tasks"][0]
+    # only x_i^ell = c_i I sees the move: the generator pairs and the alpha
+    # diagonal still hold, and the failing report counts no span
     assert entry["relations_ok"] is False and entry["ok"] is False
     assert entry["alpha_diagonal_ok"] is True
-    assert entry["span_dimension"] == entry["expected_span_dimension"]
+    assert "span_dimension" not in entry and "unreached_row" not in entry
     # the witness is x_i^ell = c_i on the first c_i != 0 factor: its image
     # is 2 c_i I, so the residual at (0, 0) is c_i
     c = relation.split(" = ")[1]

@@ -19,7 +19,9 @@ from qweyl.pbw import PBWElement
 
 from braided import braided_product, placed, untwist
 from dict_matrix import DictMatrix
-from splitting import FiberAlgebra, all_pairs_action, endo_splitting_check
+import splitting
+from splitting import (FiberAlgebra, all_pairs_action, basis_rank, endo_splitting_check,
+                       forbid_counts)
 
 
 def emb_n1():
@@ -701,14 +703,15 @@ def test_full_rep_matches_the_uncached_product(ell, emb, make_point, seed):
 
 
 def test_full_rep_builds_each_word_once(monkeypatch):
-    # basis_rank builds the 9 X-words and the 9 D-words once each and one
-    # product X(m) D(k) per image; the images are those of the basis monomials
+    # the oracle basis_rank builds the 9 X-words and the 9 D-words once each
+    # and one product X(m) D(k) per image; the images are those of the basis
+    # monomials.  The fiber-rep report at the same point counts nothing
     F = CycField(3)
     emb = emb_n2()
     A = PBWAlgebra(F, emb)
     rep = full_matrix_rep(two_factor_point(F), emb)
     products, images = 0, []
-    mul, rank = Matrix.__mul__, fiber.rank
+    mul, rank = Matrix.__mul__, splitting.rank
 
     def counting_mul(self, other):
         nonlocal products
@@ -723,12 +726,15 @@ def test_full_rep_builds_each_word_once(monkeypatch):
         return rank(seen, field, bound)
 
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
-    monkeypatch.setattr(fiber, "rank", recorded)
-    assert fiber.basis_rank(rep) == 81
+    monkeypatch.setattr(splitting, "rank", recorded)
+    assert basis_rank(rep) == 81
     assert 0 < products <= 3 ** 4 + 2 * 3 ** 2
     monkeypatch.undo()
     keys = FiberAlgebra(A, two_factor_point(F)).basis_keys()
     assert images == [rep.of_element(A.monomial(*key)).entries for key in keys]
+    with pytest.MonkeyPatch.context() as mp:
+        forbid_counts(mp)
+        assert fiber.fiber_rep_report(two_factor_point(F), A)["ok"]
 
 
 def test_full_rep_is_frozen():
@@ -798,7 +804,7 @@ def test_endomorphism_splitting_certificate_agrees_with_the_exact_span(p):
     A = weyl(3, emb_n1() if p.n == 1 else emb_n2())
     certified = endo_splitting_check(A, p)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fiber, "rank", exact_rank)
+        mp.setattr(splitting, "rank", exact_rank)
         exact = endo_splitting_check(A, p)
     assert certified is exact is True
 
@@ -808,14 +814,13 @@ def test_endomorphism_splitting_certificate_agrees_with_the_exact_span(p):
 def test_splitting_module_rep_matches_the_all_pairs_action(p):
     A = weyl(3, emb_n1() if p.n == 1 else emb_n2())
     reps = []
-    basis_rank = fiber.basis_rank
 
     def capture(rep):
         reps.append(rep)
         return basis_rank(rep)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fiber, "basis_rank", capture)
+        mp.setattr(splitting, "basis_rank", capture)
         assert endo_splitting_check(A, p)
     (rep,) = reps
     fib = FiberAlgebra(A, p)
@@ -842,10 +847,10 @@ def test_splitting_check_acts_with_the_generators_only(monkeypatch):
 
 
 def repeat_the_last_image(monkeypatch):
-    """Make basis_rank hand fiber.rank the image of x^(2, 2) d^(2, 1) in place
-    of the last one, x^(2, 2) d^(2, 2): at ell 3, n 2 the images then fall one
-    short of independent mod p, and the exact span counts 80."""
-    rank = fiber.rank
+    """Make basis_rank hand splitting.rank the image of x^(2, 2) d^(2, 1) in
+    place of the last one, x^(2, 2) d^(2, 2): at ell 3, n 2 the images then
+    fall one short of independent mod p, and the exact span counts 80."""
+    rank = splitting.rank
 
     def repeated(vectors, field, bound):
         def images():
@@ -853,12 +858,11 @@ def repeat_the_last_image(monkeypatch):
             return [*rest, before, before]
         return rank(images, field, bound)
 
-    monkeypatch.setattr(fiber, "rank", repeated)
+    monkeypatch.setattr(splitting, "rank", repeated)
 
 
 def test_splitting_check_fails_on_a_repeated_image(monkeypatch):
     F = CycField(3)
-    basis_rank = fiber.basis_rank
     ranks = []
 
     def recorded(rep):
@@ -866,7 +870,7 @@ def test_splitting_check_fails_on_a_repeated_image(monkeypatch):
         return ranks[-1]
 
     repeat_the_last_image(monkeypatch)
-    monkeypatch.setattr(fiber, "basis_rank", recorded)
+    monkeypatch.setattr(splitting, "basis_rank", recorded)
     assert endo_splitting_check(weyl(3, emb_n2()), two_factor_point(F)) is False
     assert ranks == [80]
 
@@ -897,23 +901,8 @@ def pbw_alpha_images(rep, A):
 
 def exact_basis_rank(rep):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fiber, "rank", exact_rank)
-        return fiber.basis_rank(rep)
-
-
-def counted_fallback(monkeypatch):
-    """Route the counting path of fiber_rep_report through the exact span;
-    return the list of the counts it makes."""
-    counts = []
-    basis_rank = fiber.basis_rank
-
-    def counted(rep):
-        counts.append(basis_rank(rep))
-        return counts[-1]
-
-    monkeypatch.setattr(fiber, "rank", exact_rank)
-    monkeypatch.setattr(fiber, "basis_rank", counted)
-    return counts
+        mp.setattr(splitting, "rank", exact_rank)
+        return basis_rank(rep)
 
 
 def assert_certified_span(p, A, monkeypatch):
@@ -922,11 +911,11 @@ def assert_certified_span(p, A, monkeypatch):
     rep = full_matrix_rep(p, A.emb)
     assert fiber.presentation_failure(rep, p, A) is None
     assert fiber.alpha_images(rep) == pbw_alpha_images(rep, A)
-    assert fiber.generates_matrix_algebra(rep)
+    assert fiber.unreached_row(rep) is None
     with monkeypatch.context() as mp:
-        counts = counted_fallback(mp)
+        forbid_counts(mp)
         report = fiber.fiber_rep_report(p, A)
-    assert report["alpha_diagonal_ok"] and report["ok"] and counts == []
+    assert report["alpha_diagonal_ok"] and report["ok"] and "unreached_row" not in report
     assert report["span_dimension"] == exact_basis_rank(rep) == A.field.ell ** (2 * p.n)
 
 
@@ -991,11 +980,11 @@ def test_a_holding_relation_builds_no_residual(monkeypatch):
 
 
 def report_of_model(rep, p, A, monkeypatch):
-    """The fiber-rep report at p with rep as its model, and the counts of
-    its counting path."""
-    counts = counted_fallback(monkeypatch)
+    """The fiber-rep report at p with rep as its model, made with every rank
+    count raising."""
+    forbid_counts(monkeypatch)
     monkeypatch.setattr(fiber, "full_matrix_rep", lambda point, emb: rep)
-    return fiber.fiber_rep_report(p, A), counts
+    return fiber.fiber_rep_report(p, A)
 
 
 def test_a_repeated_alpha_eigenvalue_fails_the_certificate(monkeypatch):
@@ -1011,12 +1000,14 @@ def test_a_repeated_alpha_eigenvalue_fails_the_certificate(monkeypatch):
     (alpha,) = fiber.alpha_images(bad)
     assert all(r == c for r, c in alpha.entries) and alpha[(0, 0)] == alpha[(1, 1)]
     # the graph search cannot see it: the alpha check fails (and so does
-    # d x = q^2 x d + q^2 - 1), and the span is counted
-    assert fiber.generates_matrix_algebra(bad)
-    report, counts = report_of_model(bad, p, A, monkeypatch)
+    # d x = q^2 x d + q^2 - 1), and the report fails with no span and no count
+    assert fiber.unreached_row(bad) is None
+    report = report_of_model(bad, p, A, monkeypatch)
     assert report["alpha_diagonal_ok"] is report["relations_ok"] is report["ok"] is False
+    assert "span_dimension" not in report and "unreached_row" not in report
+    assert report["failed_relation"]["relation"].startswith("d1*x1 = ")
+    monkeypatch.undo()
     # the certificate is only sufficient: the exact count still finds all of Mat_3
-    assert report["span_dimension"] == 9 and counts == [9]
     assert exact_basis_rank(bad) == exact_basis_rank(rep) == rep.size ** 2 == 9
 
 
@@ -1041,10 +1032,12 @@ def test_an_alpha_off_the_diagonal_fails_the_certificate(monkeypatch):
     (x,), (d,) = bad.x, bad.d
     alpha = DictMatrix.identity(F, 3) + DictMatrix.of(x) * DictMatrix.of(d)
     assert set(alpha.entries) == {(0, 0), (1, 1), (2, 2), (2, 0)}
-    assert fiber.generates_matrix_algebra(bad)
-    report, counts = report_of_model(bad, p, A, monkeypatch)
+    assert fiber.unreached_row(bad) is None
+    report = report_of_model(bad, p, A, monkeypatch)
     assert report["alpha_diagonal_ok"] is report["relations_ok"] is report["ok"] is False
-    assert report["span_dimension"] == 9 and counts == [9]
+    assert "span_dimension" not in report and "unreached_row" not in report
+    monkeypatch.undo()
+    assert exact_basis_rank(bad) == 9
 
 
 def test_a_right_hand_side_in_two_columns_names_the_oracle_residual_entry():
@@ -1066,7 +1059,7 @@ def test_a_right_hand_side_in_two_columns_names_the_oracle_residual_entry():
     assert entry == (0, 0)
 
 
-def test_distinct_but_wrong_alpha_eigenvalues_are_counted_not_certified(monkeypatch):
+def test_distinct_but_wrong_alpha_eigenvalues_fail_without_a_count(monkeypatch):
     # gamma = 2 and gamma = 2q are both cube roots of 1 + 7 * 1 = 8: the model
     # built at gamma = 2 satisfies every relation at the point with gamma = 2q,
     # and its alpha images are diagonal with distinct eigenvalues 2 q^(-2r),
@@ -1076,12 +1069,13 @@ def test_distinct_but_wrong_alpha_eigenvalues_are_counted_not_certified(monkeypa
     rep = full_matrix_rep(point(F, [(F.scalar(7), F.one)], [F.scalar(2)]), A.emb)
     (alpha,) = fiber.alpha_images(rep)
     assert alpha.entries == {(r, r): 2 * F.qpow(-2 * r) for r in range(3)}
-    assert fiber.generates_matrix_algebra(rep)
-    report, counts = report_of_model(rep, point(F, [(F.scalar(7), F.one)], [2 * F.q]), A,
-                                     monkeypatch)
+    assert fiber.unreached_row(rep) is None
+    report = report_of_model(rep, point(F, [(F.scalar(7), F.one)], [2 * F.q]), A, monkeypatch)
     assert report["relations_ok"] is True and report["alpha_diagonal_ok"] is False
-    assert report["span_dimension"] == 9 and counts == [9]
+    assert "span_dimension" not in report and "unreached_row" not in report
     assert report["ok"] is False
+    monkeypatch.undo()
+    assert exact_basis_rank(rep) == 9
 
 
 def test_a_cut_edge_fails_the_certificate():
@@ -1092,44 +1086,62 @@ def test_a_cut_edge_fails_the_certificate():
     rep = full_matrix_rep(point(F, [(F.zero, F.zero)], [F.one]), A.emb)
     (x,), (d,) = rep.x, rep.d
     assert set(x.entries) == {(2, 0), (1, 2)} and set(d.entries) == {(2, 1), (0, 2)}
-    assert fiber.generates_matrix_algebra(rep)
+    assert fiber.unreached_row(rep) is None
     # zeroing the x and d entries between rows 1 and 2 cuts row 1 off
     cut = dataclasses.replace(
         rep, x=(Matrix(F, 3, {(2, 0): x[(2, 0)]}),), d=(Matrix(F, 3, {(0, 2): d[(0, 2)]}),))
-    assert not fiber.generates_matrix_algebra(cut)
+    assert fiber.unreached_row(cut) == 1
     assert exact_basis_rank(cut) == 4
 
 
-def test_fiber_rep_span_counts_when_the_relations_or_the_certificate_fail(monkeypatch):
+def test_fiber_rep_span_is_not_counted_when_the_relations_or_the_certificate_fail(monkeypatch):
     # a passing point takes its span from the certificate; the model of the
     # moved central values (14, 1/2) has the same alphas and generator pairs,
-    # so only the failed relations send its span to the count; and a failed
-    # certificate sends the passing point's span there too
+    # so it fails on its relations alone; and a failed certificate fails the
+    # passing point, naming its row.  No report counts a rank
     F = CycField(3)
     A = weyl(3)
     p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
     rep = full_matrix_rep(p, A.emb)
-    counts = counted_fallback(monkeypatch)
+    forbid_counts(monkeypatch)
     report = fiber.fiber_rep_report(p, A)
-    assert report["ok"] and report["span_dimension"] == 9 and counts == []
-    assert "failed_relation" not in report
+    assert report["ok"] and report["span_dimension"] == 9
+    assert "failed_relation" not in report and "unreached_row" not in report
     moved = dataclasses.replace(p, lam=((F.scalar(14), F.one / 2),))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fiber, "full_matrix_rep", lambda point, emb: rep)
         report = fiber.fiber_rep_report(moved, A)
     assert report["relations_ok"] is False and report["alpha_diagonal_ok"] is True
     assert report["failed_relation"]["relation"] == "x1^3 = 14"
-    assert report["span_dimension"] == 9 and counts == [9]
+    assert "span_dimension" not in report and "unreached_row" not in report
     assert report["ok"] is False
-    monkeypatch.setattr(fiber, "generates_matrix_algebra", lambda rep: False)
+    monkeypatch.setattr(fiber, "unreached_row", lambda rep: 2)
     report = fiber.fiber_rep_report(p, A)
-    assert report["ok"] and report["span_dimension"] == 9 and counts == [9, 9]
+    assert report["relations_ok"] is report["alpha_diagonal_ok"] is True
+    assert report["ok"] is False and report["unreached_row"] == 2
+    assert "span_dimension" not in report and "failed_relation" not in report
+
+
+def test_a_failing_placement_counts_nothing(monkeypatch):
+    # the placement mutant at ell 3, n 3 fails a relation; the report names
+    # it and makes no rank count, so it carries no span
+    F = CycField(3)
+    A = PBWAlgebra(F, TorusEmbedding(matrix=((1,), (1,), (1,)), form=((2,),)))
+    gamma = F.scalar(2) + F.q
+    p = point(F, [(F.scalar(3), (gamma ** 3 - 1) / 3)] * 3, [gamma] * 3)
+    monkeypatch.setattr(fiber, "full_matrix_rep", placement_mutant())
+    forbid_counts(monkeypatch)
+    report = fiber.fiber_rep_report(p, A)
+    assert report["ok"] is report["relations_ok"] is False
+    assert report["failed_relation"]["relation"]
+    assert "span_dimension" not in report and "unreached_row" not in report
+    assert report["expected_span_dimension"] == 3 ** 6
 
 
 def test_a_passing_fiber_rep_builds_the_alpha_images_once(monkeypatch):
     # the alpha-diagonal check reads one list, and the certificate reads the model
     built, read = [], []
-    alpha_images, generates = fiber.alpha_images, fiber.generates_matrix_algebra
+    alpha_images, unreached_row = fiber.alpha_images, fiber.unreached_row
 
     def recorded_images(rep):
         built.append(alpha_images(rep))
@@ -1137,10 +1149,10 @@ def test_a_passing_fiber_rep_builds_the_alpha_images_once(monkeypatch):
 
     def recorded_certificate(rep):
         read.append(rep)
-        return generates(rep)
+        return unreached_row(rep)
 
     monkeypatch.setattr(fiber, "alpha_images", recorded_images)
-    monkeypatch.setattr(fiber, "generates_matrix_algebra", recorded_certificate)
+    monkeypatch.setattr(fiber, "unreached_row", recorded_certificate)
     cfg = {"ell": 3, "embedding": {"matrix": [[1], [1]], "form": [[2]]},
            "tasks": [{"type": "fiber-rep",
                       "point": {"lambda": [["0", "0"], ["7", "1"]], "gamma": ["1", "2"]}}]}

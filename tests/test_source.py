@@ -100,10 +100,26 @@ def callers_of(name):
 
 def test_one_certificate_rule():
     # linalg.rank is the only reader of a modular_rank result, and only the
-    # fiber-rep span and the center check call it, so no second certificate
-    # path can grow back unnoticed
+    # center check calls it, so no second certificate path can grow back
+    # unnoticed; the fiber-rep span is decided by its generation certificate
+    # and counts no rank, so the monomial span count lives in the tests
     assert callers_of("modular_rank") == [("linalg.py", "rank")]
-    assert callers_of("rank") == [("fiber.py", "basis_rank"), ("pbw.py", "center_report")]
+    assert callers_of("rank") == [("pbw.py", "center_report")]
+    assert callers_of("basis_rank") == []
+
+
+def imports_of(tree):
+    """The import nodes of tree, and the modules and names they import from
+    ("from . import linalg" gives linalg too)."""
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    sources = {node.module or "" for node in imports if isinstance(node, ast.ImportFrom)} | {
+        alias.name for node in imports for alias in node.names}
+    return imports, sources
+
+
+def test_fiber_imports_nothing_from_linalg():
+    imports, sources = imports_of(ast.parse((SRC / "fiber.py").read_text(encoding="utf-8")))
+    assert imports and not any(m.split(".")[-1] == "linalg" for m in sources), sources
 
 
 def test_full_rep_holds_its_images_only():
@@ -116,7 +132,7 @@ def test_full_rep_holds_its_images_only():
 
 def test_the_fiber_rep_span_path_is_chosen_in_fiber():
     # fiber.fiber_rep_report alone reads the generation certificate
-    assert callers_of("generates_matrix_algebra") == [("fiber.py", "fiber_rep_report")]
+    assert callers_of("unreached_row") == [("fiber.py", "fiber_rep_report")]
 
 
 def test_one_presentation_check_and_no_sampling():
@@ -136,15 +152,13 @@ def test_cli_only_parses_dispatches_and_prints():
     # every verdict cli reports is computed in its own layer: cli imports
     # nothing from linalg and names none of the pieces a verdict is built from
     cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    imports = [node for node in ast.walk(cli) if isinstance(node, (ast.Import, ast.ImportFrom))]
-    sources = {node.module or "" for node in imports if isinstance(node, ast.ImportFrom)} | {
-        alias.name for node in imports for alias in node.names}  # "from . import linalg" too
+    imports, sources = imports_of(cli)
     assert imports and not any(m.split(".")[-1] == "linalg" for m in sources), sources
     named = {node.id for node in ast.walk(cli) if isinstance(node, ast.Name)} | {
         node.attr for node in ast.walk(cli) if isinstance(node, ast.Attribute)} | {
         alias.asname or alias.name for node in imports for alias in node.names} | {
         alias.name for node in imports for alias in node.names}
-    assert not named & {"generates_matrix_algebra", "basis_rank", "presentation_failure",
+    assert not named & {"unreached_row", "basis_rank", "presentation_failure",
                         "commutator_rows", "modular_rank", "nullspace", "rank",
                         "verify_qmm", "verify_u1_relations", "verify_central_z",
                         "build_an_quiver_algebra", "is_central"}, named
