@@ -7,7 +7,7 @@ F = CycField(3)
 
 A, table = build_an_quiver_algebra(F, 4)
 print("4-vertex cycle: table verified:", all(table.values()))
-print("pairing exponents:", {(i, j): A.emb.qij_exponent(i - 1, j - 1)
+print("pairing exponents:", {(i, j): A.pairings[i - 1][j - 1]
                              for i in range(1, 5) for j in range(i + 1, 5)})
 print("x2*x1 =", A.x(2) * A.x(1))
 print("d2*x1 =", A.d(2) * A.x(1))

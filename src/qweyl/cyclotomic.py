@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Mapping
+from math import gcd
 
 # a field's product memo is cleared when it reaches this many entries
 _PRODUCT_MEMO_CAP = 1 << 16
@@ -158,18 +157,6 @@ class CycField:
     def qpow(self, k: int) -> "CycScalar":
         """The scalar q^k, any integer k (q has multiplicative order ell)."""
         return self._qpows[k % self.ell]
-
-    def reduce(self, poly: Mapping[int, int | Fraction]) -> "CycScalar":
-        """Canonical residue of the rational polynomial {exponent: coefficient}.
-
-        Exponents are arbitrary integers, folded with q^ell = 1.
-        """
-        coeffs = {e: Fraction(c) for e, c in poly.items()}
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        raw = [0] * self.ell
-        for e, c in coeffs.items():
-            raw[e % self.ell] += c.numerator * (den // c.denominator)
-        return self._make(raw, den)
 
     def __repr__(self):
         return f"CycField(ell={self.ell})"

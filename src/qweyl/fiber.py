@@ -215,7 +215,7 @@ def rank1_matrix_rep(field: CycField, c, w, gamma) -> "FullRep":
 
     xmat = Matrix(F, ell, {((s - 1) % ell, s): xi[s] for s in range(ell)})
     dmat = Matrix(F, ell, {((r + 1) % ell, r): delta[r] for r in range(ell)})
-    return FullRep(field=F, size=ell, x=(xmat,), d=(dmat,))
+    return FullRep(x=(xmat,), d=(dmat,))
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +224,19 @@ def rank1_matrix_rep(field: CycField, c, w, gamma) -> "FullRep":
 
 @dataclass(frozen=True)
 class FullRep:
-    """The n-factor matrix model: images x_i, d_i in Mat(ell^n)."""
+    """The n-factor matrix model: images x_i, d_i in Mat(ell^n).  It holds
+    its images only: its field and size are read off x_1."""
 
-    field: CycField
-    size: int
     x: tuple[Matrix, ...]
     d: tuple[Matrix, ...]
+
+    @property
+    def field(self) -> CycField:
+        return self.x[0].field
+
+    @property
+    def size(self) -> int:
+        return self.x[0].size
 
     def of_element(self, a: PBWElement) -> Matrix:
         """Image of a PBW element under the representation: the sum over
@@ -294,7 +301,7 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
 
     xs = tuple(place(i, local[i].x[0]) for i in range(n))
     ds = tuple(place(i, local[i].d[0]) for i in range(n))
-    return FullRep(field=F, size=size, x=xs, d=ds)
+    return FullRep(x=xs, d=ds)
 
 
 def unreached_row(rep: FullRep) -> Optional[int]:

@@ -3,16 +3,15 @@
 Covers the combinatorial substrate of the operator algebras: the weight
 matrix / symmetric form pair that drives all q-commutation exponents,
 and its construction from a quiver.  The one rank question here (does
-the torus act faithfully?) is decided exactly by linalg.SpanBasis.
+the torus act faithfully?) is decided exactly by linalg.nullspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .cyclotomic import CycField
-from .linalg import SpanBasis
+from .linalg import nullspace
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -94,11 +93,11 @@ class TorusEmbedding:
             for j in range(self.d):
                 if self.form[i][j] != self.form[j][i]:
                     raise ValueError("form must be symmetric")
-        # a rational matrix has the same rank over Q(q) as over Q
-        span = SpanBasis(CycField(3))
-        for row in self.matrix:
-            span.add({j: span.field.scalar(v) for j, v in enumerate(row) if v})
-        if span.rank != self.d:
+        # a rational matrix has the same kernel over Q(q) as over Q: M u = 0
+        # has no solution u != 0 exactly when M has full column rank
+        F = CycField(3)
+        rows = [{j: F.scalar(v) for j, v in enumerate(row) if v} for row in self.matrix]
+        if nullspace(rows, list(range(self.d)), F):
             raise ValueError("weight matrix must have full column rank")
 
     @property
@@ -109,18 +108,11 @@ class TorusEmbedding:
     def d(self) -> int:
         return len(self.matrix[0])
 
-    # -- pairing machinery (0-based indices) ------------------------------
-
-    def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(u[a] * self.form[a][b] * v[b] for a in range(self.d) for b in range(self.d))
-
-    def qij_exponent(self, i: int, j: int) -> int:
-        """Pairing of the i-th and j-th coordinate weights."""
-        return self.pairing(self.matrix[i], self.matrix[j])
-
     def pairing_matrix(self) -> IntMatrix:
-        """All the qij_exponent(i, j): the rows of M F are formed once, so each
-        pairing is the O(d) dot product of one of them with a row of M."""
+        """The pairings of each two coordinate weights (0-based): entry (i, j)
+        is row i of M paired with row j under the form.  The rows of M F are
+        formed once, so each pairing is the O(d) dot product of one of them
+        with a row of M."""
         rows = [[sum(m[a] * self.form[a][b] for a in range(self.d)) for b in range(self.d)]
                 for m in self.matrix]
         return tuple(tuple(sum(u * v for u, v in zip(row, m)) for m in self.matrix)

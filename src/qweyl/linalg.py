@@ -2,10 +2,10 @@
 
 Vectors are dicts mapping arbitrary hashable keys to nonzero field
 elements.  The exact elimination routine is an incremental row-echelon
-span, SpanBasis, used for ideal saturation, nullspaces and rank counts.
-Everything works over the exact cyclotomic scalars, so membership and
-rank are decided, not estimated; rank is the one place where a rank
-mod p (modular_rank) may certify a rank over Q(q).
+span, SpanBasis; nullspace is its one caller in the package, so every
+exact solve goes through it.  Everything works over the exact cyclotomic
+scalars, so membership and rank are decided, not estimated; a rank mod p
+(modular_rank) may only certify a rank over Q(q) that a proven bound caps.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ def modular_rank(vectors: Iterable[Vec], field: CycField) -> Optional[int]:
     scalars with denominator prime to p, since Phi_ell(z) = 0 in F_p.  It
     maps each minor to a minor, and a minor nonzero mod p is nonzero over
     Q(q), so rank mod p <= rank over Q(q).  Only a rank mod p equal to a
-    proven upper bound on the rank over Q(q) is a certificate (see rank); a
-    shortfall is not.
+    proven upper bound on the rank over Q(q) is a certificate (see
+    pbw.center_report); a shortfall is not.
     """
     p, z = _prime_and_root(field.ell)
     zs = [pow(z, i, p) for i in range(field.degree)]
@@ -168,16 +168,3 @@ def modular_rank(vectors: Iterable[Vec], field: CycField) -> Optional[int]:
                 if not row[k]:
                     del row[k]
     return len(pivots)
-
-
-def rank(vectors: Callable[[], Iterable[Vec]], field: CycField, bound: int) -> int:
-    """Rank over Q(q) of what vectors() yields, where bound is a proven upper
-    bound on it: certified when the rank mod p equals bound (rank mod p <=
-    rank over Q(q) <= bound, see modular_rank), else counted exactly by a
-    SpanBasis over a second call to vectors()."""
-    if modular_rank(vectors(), field) == bound:
-        return bound
-    span = SpanBasis(field)
-    for v in vectors():
-        span.add(v)
-    return span.rank

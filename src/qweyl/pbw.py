@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycField, CycScalar, power
 from .lattice import TorusEmbedding
-from .linalg import nullspace, rank, vec_accumulate
+from .linalg import modular_rank, nullspace, vec_accumulate
 
 MonoKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -475,7 +475,10 @@ def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
     witness = next((key for key in expected if key in touched), None)
     in_kernel = witness is None
     bound = len(keys) - len(expected) if in_kernel else len(keys)
-    dim = len(keys) - rank(lambda: rows, field, bound)
+    # rank mod p <= rank over Q(q) <= bound, so a rank mod p of bound certifies
+    # it (see modular_rank); otherwise one exact solve gives the kernel itself
+    solutions = None if modular_rank(rows, field) == bound else nullspace(rows, keys, field)
+    dim = len(keys) - bound if solutions is None else len(solutions)
     # the kernel holds those unit vectors, so it is their span iff it has their number
     matches = in_kernel and dim == len(expected)
     basis_strs = sorted(
@@ -487,11 +490,12 @@ def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
     if witness is not None:
         report["not_central"] = str(algebra.monomial(*witness))
     elif not matches:
-        # only the nullity is wrong: name the first free unknown that is not
+        # only the nullity is wrong, so the rank mod p missed the bound and the
+        # exact solutions are at hand: name the first free unknown that is not
         # expected; each exact solution is 1 at its free unknown, the last key
         # it holds in the order of keys (rows are reduced, pivots come first)
         order = {key: i for i, key in enumerate(keys)}
-        free = (max(v, key=order.__getitem__) for v in nullspace(rows, keys, field))
+        free = (max(v, key=order.__getitem__) for v in solutions)
         extra = next(u for u in free if u not in expected_set)
         report["extra_central"] = str(algebra.monomial(*extra))
     return report

@@ -224,7 +224,7 @@ def quiver_suite_report(field: CycField, n: int) -> dict:
     u1 = verify_u1_relations(field, n)
     central = verify_central_z(field, n)
     return {"n": n,
-            "pairing_exponents": {f"{i},{j}": alg.emb.qij_exponent(i - 1, j - 1)
+            "pairing_exponents": {f"{i},{j}": alg.pairings[i - 1][j - 1]
                                   for i in range(1, n + 1) for j in range(i + 1, n + 1)},
             "table": table,
             "u1_relations": u1, "central_z": central,

@@ -1,5 +1,5 @@
-"""The abstract fiber D_lambda, its splitting check and the monomial span
-count: test oracles of the matrix model of qweyl.fiber.
+"""The abstract fiber D_lambda, its splitting check, the monomial span
+count and the certified rank: test oracles of qweyl.fiber and qweyl.pbw.
 
 FiberAlgebra is the quotient of the operator algebra at a central
 character, with every exponent below ell.  The splitting module is
@@ -7,21 +7,27 @@ D_lambda modulo the left ideal of the alpha_i - gamma_i, with the basis
 keys that are not pivots of that ideal (in basis_keys order); both
 endo_splitting_check and all_pairs_action read it off splitting_module.
 basis_rank counts the span of the ell^(2n) monomial images of a FullRep
-with linalg.rank.  fiber_rep_report does not count it: its generation
+with rank.  fiber_rep_report does not count it: its generation
 certificate decides the span, and basis_rank is the count that the tests
 hold the certificate to.  It reads only the generators' * and entries,
 so it takes the DictMatrix generators of the splitting module too, which
 need not hold one entry per row.  rank and basis_rank are module globals,
 so a patch of splitting.rank or splitting.basis_rank reaches
 endo_splitting_check.
+
+rank is the modular certificate against a proven bound with an exact
+SpanBasis count behind it: the oracle of basis_rank and of the
+full-system center dimension in test_pbw.  The package itself certifies
+one rank, in pbw.center_report, and solves exactly with linalg.nullspace.
 """
 
 from itertools import product as iproduct
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from qweyl import linalg
+from qweyl import linalg, pbw
+from qweyl.cyclotomic import CycField
 from qweyl.fiber import FiberPoint, FullRep, Matrix, OutsideAzumayaLocus
-from qweyl.linalg import SpanBasis, rank, vec_accumulate
+from qweyl.linalg import SpanBasis, Vec, vec_accumulate
 from qweyl.pbw import PBWAlgebra, PBWElement
 
 from dict_matrix import DictMatrix
@@ -146,8 +152,7 @@ def endo_splitting_check(algebra: PBWAlgebra, point: FiberPoint) -> bool:
     size, action = splitting_module(fib)
     if size != ell ** n:
         return False
-    rep = FullRep(fib.field, size,
-                  x=tuple(DictMatrix(fib.field, size, action(fib.x(i + 1))) for i in range(n)),
+    rep = FullRep(x=tuple(DictMatrix(fib.field, size, action(fib.x(i + 1))) for i in range(n)),
                   d=tuple(DictMatrix(fib.field, size, action(fib.d(i + 1))) for i in range(n)))
     return basis_rank(rep) == ell ** (2 * n)
 
@@ -160,10 +165,23 @@ def all_pairs_action(fib: FiberAlgebra) -> dict:
     return {key: action(fib.monomial(*key)) for key in fib.basis_keys()}
 
 
+def rank(vectors: Callable[[], Iterable[Vec]], field: CycField, bound: int) -> int:
+    """Rank over Q(q) of what vectors() yields, where bound is a proven upper
+    bound on it: certified when the rank mod p equals bound (rank mod p <=
+    rank over Q(q) <= bound, see modular_rank), else counted exactly by a
+    SpanBasis over a second call to vectors()."""
+    if linalg.modular_rank(vectors(), field) == bound:
+        return bound
+    span = SpanBasis(field)
+    for v in vectors():
+        span.add(v)
+    return span.rank
+
+
 def basis_rank(rep: FullRep) -> int:
     """Rank over Q(q) of the images under rep of the ell^(2n) monomials
     x^m d^k with every exponent below ell; their number ell^(2n) bounds it
-    (see linalg.rank).  Each ordered word X(m) = x_1^m_1 ... x_n^m_n is
+    (see rank).  Each ordered word X(m) = x_1^m_1 ... x_n^m_n is
     built once, as X(m - e_j) * x_j with j the last index where m is
     nonzero, and likewise each D(k); the image of x^m d^k is X(m) * D(k).
     """
@@ -185,12 +203,14 @@ def basis_rank(rep: FullRep) -> int:
 
 
 def forbid_counts(monkeypatch):
-    """Make every rank count raise: the modular rank, and each SpanBasis.add
-    of the exact count.  A fiber-rep report makes none, passing or failing;
-    building a TorusEmbedding does (its faithfulness check), so build the
-    embedding first."""
+    """Make every rank count raise: the modular rank, read by rank and by
+    pbw.center_report, and each SpanBasis.add of an exact solve.  A
+    fiber-rep report makes none, passing or failing; building a
+    TorusEmbedding does (its faithfulness check), so build the embedding
+    first."""
     def counted(*args):
         raise AssertionError("a rank was counted")
 
     monkeypatch.setattr(linalg, "modular_rank", counted)
+    monkeypatch.setattr(pbw, "modular_rank", counted)
     monkeypatch.setattr(SpanBasis, "add", counted)

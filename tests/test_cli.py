@@ -12,7 +12,7 @@ from qweyl.cli import DEFAULT_SEED, main, run_suite, validate_config
 from qweyl.cyclotomic import MAX_ORDER
 from qweyl.fiber import Matrix
 from qweyl.lattice import TorusEmbedding
-from qweyl.linalg import nullspace
+from qweyl.linalg import SpanBasis, nullspace
 from qweyl.expr import MAX_NESTING
 
 from splitting import forbid_counts
@@ -491,6 +491,76 @@ def test_center_check_reports_the_exact_nullity_when_rows_are_lost(monkeypatch):
     assert entry["basis"] is None and entry["ok"] is False
     assert "not_central" not in entry  # no row touches an expected key
     assert entry["extra_central"] == "x1*d1"
+
+
+def counted_spans(monkeypatch):
+    """The list that each new SpanBasis appends its number of adds to."""
+    spans = []
+    init, add = SpanBasis.__init__, SpanBasis.add
+
+    def counted_init(self, *args, **kwargs):
+        spans.append(0)
+        self._count = len(spans) - 1
+        init(self, *args, **kwargs)
+
+    def counted_add(self, vec):
+        spans[self._count] += 1
+        return add(self, vec)
+
+    monkeypatch.setattr(SpanBasis, "__init__", counted_init)
+    monkeypatch.setattr(SpanBasis, "add", counted_add)
+    return spans
+
+
+def test_a_failing_center_check_eliminates_its_rows_once(monkeypatch):
+    # the lossy-rows mutant at ell 3, n 2, degree 6: the rank mod p misses the
+    # bound, and one exact nullspace gives both the dimension and the witness,
+    # one add per kept row
+    import qweyl.pbw
+    commutator_rows = qweyl.pbw.commutator_rows
+    lost = ((1, 0), (1, 0))
+    kept = []
+
+    def lossy_rows(algebra, keys):
+        kept[:] = [r for r in commutator_rows(algebra, keys) if lost not in r]
+        return list(kept)
+
+    monkeypatch.setattr(qweyl.pbw, "commutator_rows", lossy_rows)
+    cfg = {
+        "ell": 3,
+        "embedding": {"matrix": [[1], [1]], "form": [[2]]},
+        "tasks": [{"type": "center-check", "max_degree": 6}],
+    }
+    emb = validate_config(cfg)  # the faithfulness check of the embedding solves too
+    spans = counted_spans(monkeypatch)
+    entry = run_suite(cfg, emb)["tasks"][0]
+    assert spans == [len(kept)] and len(kept) == 812
+    assert (entry["dimension"], entry["expected_dimension"]) == (82, 81)
+    assert entry["ok"] is False and "not_central" not in entry
+    assert entry["extra_central"] == "x1*d1"
+
+
+CENTER_CHECKS = {
+    # the center-check cases of the algebra benchmark workload
+    "center-l3n2-d6": {"ell": 3, "embedding": {"matrix": [[1], [1]], "form": [[2]]},
+                       "tasks": [{"type": "center-check", "max_degree": 6}]},
+    "center-l13n1-d26": {"ell": 13, "embedding": {"matrix": [[1]], "form": [[2]]},
+                         "tasks": [{"type": "center-check", "max_degree": 26}]},
+}
+CENTER_CHECKS.update({p.stem: json.loads(p.read_text()) for p in sorted(
+    (Path(__file__).resolve().parent / "report_configs").glob("algebra_*.json"))})
+
+
+@pytest.mark.parametrize("name", sorted(CENTER_CHECKS))
+def test_a_passing_center_check_makes_no_exact_solve(name, monkeypatch):
+    # the rank mod p meets the proven bound, so no SpanBasis is built
+    cfg = CENTER_CHECKS[name]
+    emb = validate_config(cfg)  # the faithfulness check of the embedding solves
+    spans = counted_spans(monkeypatch)
+    report = run_suite(cfg, emb)
+    centers = [entry for entry in report["tasks"] if entry["type"] == "center-check"]
+    assert len(CENTER_CHECKS) == 5 and centers and all(entry["ok"] for entry in centers)
+    assert spans == []
 
 
 def test_center_check_names_the_first_expected_key_a_row_touches(monkeypatch):

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from qweyl import CycField, cyclotomic_polynomial
 from qweyl.cyclotomic import MAX_ORDER, check_order, power
 
+from scalars import poly
+
 
 def test_cyclotomic_polynomials_small():
     # ascending coefficient tuples
@@ -100,8 +102,7 @@ def test_inverse_random_nonzero():
     for ell in (3, 5, 9, 13, 15):
         F = CycField(ell)
         for _ in range(40):
-            coeffs = {e: Fraction(rng.randint(-4, 4)) for e in range(F.degree)}
-            v = F.reduce(coeffs)
+            v = poly(F, [Fraction(rng.randint(-4, 4)) for _ in range(F.degree)])
             if v == F.zero:
                 continue
             assert v * v.inverse() == F.one
@@ -152,13 +153,6 @@ def test_is_rational():
     assert not F.q.is_rational()
 
 
-def test_exponent_folding():
-    # building from exponents >= degree must agree with qpow folding
-    F = CycField(5)
-    v = F.reduce({7: Fraction(1)})
-    assert v == F.qpow(7) == F.qpow(2)
-
-
 small = st.integers(min_value=-6, max_value=6)
 
 
@@ -166,7 +160,7 @@ small = st.integers(min_value=-6, max_value=6)
 def field_elements(draw, ell):
     F = CycField(ell)
     coeffs = draw(st.lists(small, min_size=F.degree, max_size=F.degree))
-    return F.reduce({e: Fraction(c) for e, c in enumerate(coeffs)})
+    return poly(F, coeffs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,7 +189,7 @@ def rational_elements(draw, ell):
     F = FIELDS[ell]
     coeffs = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
                            min_size=F.degree, max_size=F.degree))
-    return F.reduce(dict(enumerate(coeffs)))
+    return poly(F, coeffs)
 
 
 def is_canonical(s):
@@ -217,7 +211,7 @@ def test_results_are_canonical_and_hash_by_value(ell, data):
     assert hash(a + b - b) == hash(a)
     assert F.scalar(Fraction(2, 4)) == F.scalar(Fraction(1, 2))
     assert hash(F.scalar(Fraction(2, 4))) == hash(F.scalar(Fraction(1, 2)))
-    assert hash(F.reduce({ell: 3, 0: -2})) == hash(F.one)
+    assert hash(F.scalar(3) * F.q ** ell - 2) == hash(F.one)
 
 
 def test_str_formatting():
@@ -273,8 +267,8 @@ def test_memoized_product_equals_direct_product(ell, data):
     # a small pool, so that pairs repeat within an example and across them
     small_coeffs = st.lists(st.integers(min_value=-2, max_value=2),
                             min_size=F.degree, max_size=F.degree)
-    pool = [F.reduce(dict(enumerate(data.draw(small_coeffs)))) for _ in range(3)]
-    pool.append(twin.reduce(dict(enumerate(data.draw(small_coeffs)))))
+    pool = [poly(F, data.draw(small_coeffs)) for _ in range(3)]
+    pool.append(poly(twin, data.draw(small_coeffs)))
     pool.append(F.qpow(data.draw(st.integers(min_value=0, max_value=ell - 1))))
     for _ in range(2):
         for a in pool:

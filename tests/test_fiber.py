@@ -19,6 +19,7 @@ from qweyl.pbw import PBWElement
 
 from braided import braided_product, placed, untwist
 from dict_matrix import DictMatrix
+from scalars import poly
 import splitting
 from splitting import (FiberAlgebra, all_pairs_action, basis_rank, endo_splitting_check,
                        forbid_counts)
@@ -309,8 +310,8 @@ def seam_points(F, rng):
     out = [(0, w, g) for g in powers for w in (0, 3, 2 - q)]
     out += [(c, 0, g) for g in powers for c in (5, 2 + q)]
     for _ in range(8):
-        gamma = F.reduce({e: rng.randint(-3, 3) for e in range(ell)}) + 4
-        c = F.reduce({e: rng.randint(-3, 3) for e in range(ell)}) or F.one
+        gamma = poly(F, [rng.randint(-3, 3) for _ in range(ell)]) + 4
+        c = poly(F, [rng.randint(-3, 3) for _ in range(ell)]) or F.one
         out.append((c, (gamma ** ell - 1) / c, gamma))
     return out
 

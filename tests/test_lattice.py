@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qweyl import (CycField, FiberPoint, QuiverData, TorusEmbedding, phi_dagger,
+from qweyl import (CycField, FiberPoint, QuiverData, TorusEmbedding, lattice, phi_dagger,
                    quiver_to_embedding)
 from qweyl.cli import main, validate_config
 
@@ -59,6 +59,19 @@ def test_embedding_accepts_exactly_the_full_column_rank_matrices():
     assert True in verdicts[2:] and False in verdicts[2:]
     for A, full in zip(cases, verdicts):
         assert _accepts(A) == full, A
+
+
+def test_faithfulness_is_one_exact_solve(monkeypatch):
+    # full column rank is decided by linalg.nullspace alone: the rank-1
+    # matrix has a kernel, and the d = 0 matrix of reduce_l3_d0.json none
+    solves = []
+    nullspace = lattice.nullspace
+    monkeypatch.setattr(lattice, "nullspace", lambda *args: solves.append(1) or nullspace(*args))
+    with pytest.raises(ValueError, match="full column rank"):
+        TorusEmbedding(matrix=[[1, 2], [2, 4]], form=[[2, 0], [0, 2]])
+    config = Path(__file__).resolve().parent / "report_configs" / "reduce_l3_d0.json"
+    emb = TorusEmbedding(**json.loads(config.read_text())["embedding"])
+    assert (emb.n, emb.d) == (1, 0) and len(solves) == 2
 
 
 def test_phi_dagger_pushes_gamma_along_a_weight_matrix_with_a_negative_entry():
@@ -116,7 +129,7 @@ def test_two_component_quiver():
     # one vertex dropped per component
     assert emb.n == 2 and emb.d == 2
     # edges in different components pair to zero
-    assert emb.qij_exponent(0, 1) == 0
+    assert emb.pairing_matrix()[0][1] == 0
 
 
 def test_embedding_validation():
@@ -252,4 +265,3 @@ def test_pairing_matrix_is_the_double_sum(emb):
     oracle = tuple(tuple(sum(M[i][a] * F[a][b] * M[j][b] for a in range(d) for b in range(d))
                          for j in range(emb.n)) for i in range(emb.n))
     assert emb.pairing_matrix() == oracle
-    assert all(emb.qij_exponent(i, j) == oracle[i][j] for i in range(emb.n) for j in range(emb.n))

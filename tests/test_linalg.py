@@ -5,7 +5,8 @@ Random sparse vectors at ell = 3 and 5 with small integer and q-power
 coefficients, reduced under the default key order and under a custom
 one.  SpanBasis keeps reduced row echelon form, so every property below
 is an exact identity.  The modular rank is checked against SpanBasis,
-and its prime and root of unity against their defining properties.
+and its prime and root of unity against their defining properties; the
+certified rank over both, splitting.rank, is a test oracle.
 """
 
 from fractions import Fraction
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from qweyl import CycField, SpanBasis, nullspace
 from qweyl.cyclotomic import cyclotomic_polynomial
-from qweyl.linalg import _prime_and_root, modular_rank, rank, vec_accumulate
+from qweyl.linalg import _prime_and_root, modular_rank, vec_accumulate
+
+from splitting import rank
 
 FIELDS = {ell: CycField(ell) for ell in (3, 5)}
 KEYS = range(8)

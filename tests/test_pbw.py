@@ -23,7 +23,10 @@ from qweyl import (CycField, PBWAlgebra, TorusEmbedding, quiver_to_embedding,
                    verify_qmm)
 from qweyl import pbw
 from qweyl.lattice import QuiverData
-from qweyl.linalg import rank, vec_accumulate
+from qweyl.linalg import vec_accumulate
+
+import scalars
+from splitting import rank
 
 
 def emb_n1():
@@ -199,7 +202,7 @@ def test_crossing_triples_match_the_symmetric_closed_form():
                 for i in range(1, j + 1):
                     poly = _int_poly_mul(poly, [-1] + [0] * (2 * i - 1) + [1])
                 poly = _int_poly_mul(_int_poly_mul(poly, _gauss_poly(a, j)), _gauss_poly(b, j))
-                c = F.reduce(dict(enumerate(poly)))
+                c = scalars.poly(F, poly)
                 if c:
                     want[j] = c
             got = {}
@@ -403,7 +406,7 @@ CENTER_EMBEDDINGS = {
        max_degree=st.integers(0, 4))
 @example(ell=3, name="braided-n2", max_degree=4)
 def test_center_dimension_matches_the_full_system(ell, name, max_degree):
-    # the oracle: the general-product rows on every key, ranked by linalg.rank
+    # the oracle: the general-product rows on every key, ranked by splitting.rank
     A = PBWAlgebra(CycField(ell), CENTER_EMBEDDINGS[name])
     n, exps = A.n, range(max_degree + 1)
     keys = [(m, k) for m in product(exps, repeat=n) for k in product(exps, repeat=n)]

@@ -144,8 +144,7 @@ def shifted_rep(point, emb):
     # with two factors, adding ell to a row index raises its second digit mod ell
     S = Matrix(F, rep.size, {((idx + F.ell) % rep.size, idx): F.one for idx in range(rep.size)})
     S_inv = Matrix(F, rep.size, {(c, r): v for (r, c), v in S.entries.items()})
-    return FullRep(field=F, size=rep.size, x=(rep.x[0] * S,) + rep.x[1:],
-                   d=(S_inv * rep.d[0],) + rep.d[1:])
+    return FullRep(x=(rep.x[0] * S,) + rep.x[1:], d=(S_inv * rep.d[0],) + rep.d[1:])
 
 
 def test_torsion_action_check_fails_on_a_mutant(monkeypatch):

@@ -42,6 +42,7 @@ from pathlib import Path
 
 import pytest
 
+from qweyl import pbw
 from qweyl.cli import _RUNNERS, main
 
 ROOT = Path(__file__).resolve().parent
@@ -62,6 +63,24 @@ def test_report_outputs_are_found():
     # every task type is pinned by some config
     covered = {task["type"] for p in CONFIGS for task in json.loads(p.read_text())["tasks"]}
     assert covered == set(_RUNNERS)
+
+
+ALGEBRA_CONFIGS = [p for p in CONFIGS if p.stem.startswith("algebra_")]
+
+
+@pytest.mark.parametrize("config", ALGEBRA_CONFIGS, ids=[p.stem for p in ALGEBRA_CONFIGS])
+def test_the_exact_solve_writes_the_certified_bytes(config, tmp_path, monkeypatch):
+    # with no modular certificate every center-check takes its one exact
+    # nullspace, which must give the dimension that the certificate gives
+    solves = []
+    nullspace = pbw.nullspace
+    monkeypatch.setattr(pbw, "modular_rank", lambda rows, field: None)
+    monkeypatch.setattr(pbw, "nullspace", lambda *args: solves.append(1) or nullspace(*args))
+    out = tmp_path / "report.json"
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+    centers = [t for t in json.loads(config.read_text())["tasks"] if t["type"] == "center-check"]
+    assert len(ALGEBRA_CONFIGS) == 3 and centers and len(solves) == len(centers)
+    assert out.read_bytes() == (OUTPUT / f"{config.stem}.json").read_bytes()
 
 
 def test_reports_match_recorded_output_under_python_O(tmp_path):

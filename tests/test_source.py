@@ -99,13 +99,16 @@ def callers_of(name):
 
 
 def test_one_certificate_rule():
-    # linalg.rank is the only reader of a modular_rank result, and only the
-    # center check calls it, so no second certificate path can grow back
-    # unnoticed; the fiber-rep span is decided by its generation certificate
-    # and counts no rank, so the monomial span count lives in the tests
-    assert callers_of("modular_rank") == [("linalg.py", "rank")]
-    assert callers_of("rank") == [("pbw.py", "center_report")]
+    # the center check is the only reader of a modular_rank result, and
+    # nullspace is the one exact solve: no second certificate path and no
+    # second entry into SpanBasis can grow back unnoticed; the fiber-rep span
+    # is decided by its generation certificate and counts no rank, so the
+    # monomial span count and the certified rank live in the tests
+    assert callers_of("modular_rank") == [("pbw.py", "center_report")]
+    assert callers_of("rank") == []
+    assert callers_of("SpanBasis") == [("linalg.py", "nullspace")]
     assert callers_of("basis_rank") == []
+    assert not hasattr(qweyl.linalg, "rank")
 
 
 def imports_of(tree):
@@ -123,9 +126,11 @@ def test_fiber_imports_nothing_from_linalg():
 
 
 def test_full_rep_holds_its_images_only():
-    # the model is its generator images: no word cache can grow back on it
+    # the model is its generator images: no word cache can grow back on it,
+    # and its field and size are read off them, so they cannot disagree
     from qweyl.fiber import FullRep
-    assert [f.name for f in dataclasses.fields(FullRep)] == ["field", "size", "x", "d"]
+    assert [f.name for f in dataclasses.fields(FullRep)] == ["x", "d"]
+    assert all(isinstance(vars(FullRep)[name], property) for name in ("field", "size"))
     assert [name for name, v in vars(FullRep).items()
             if inspect.isfunction(v) and not name.startswith("__")] == ["of_element"]
 
@@ -196,9 +201,19 @@ def test_one_quantum_moment_map_identity():
 
 def test_one_twist_formula_on_each_side():
     # the matrix model places each generator with its own twist, and the
-    # algebra reads the pairings once: no general untwist can grow back
+    # algebra reads the pairings once: no general untwist and no second
+    # pairing formula can grow back
     assert not hasattr(qweyl.fiber, "untwist") and "untwist" not in qweyl.__all__
     assert callers_of("pairing_matrix") == [("fiber.py", "full_matrix_rep"), ("pbw.py", "PBWAlgebra")]
+    assert not {"pairing", "qij_exponent"} & set(vars(qweyl.TorusEmbedding))
+
+
+def test_scalars_are_built_by_arithmetic_only():
+    # a CycField makes scalars from ints and fractions (scalar), powers of q
+    # (qpow) and arithmetic; test_every_function_has_a_reader cannot see a
+    # dead CycField.reduce, as functools.reduce and SpanBasis.reduce share
+    # its name, so its absence is checked here
+    assert not hasattr(qweyl.CycField, "reduce")
 
 
 def test_one_seam_rule_builds_the_rank_one_model():
