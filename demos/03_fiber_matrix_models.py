@@ -1,13 +1,16 @@
 """Matrix models of the finite fibers over central characters."""
 
 from qweyl import (CycField, FiberPoint, OutsideAzumayaLocus, PBWAlgebra,
-                   TorusEmbedding, full_matrix_rep, rank1_matrix_rep)
+                   TorusEmbedding, full_matrix_rep)
 from qweyl.fiber import alpha_images, fiber_rep_report
 
 F = CycField(3)
+emb1 = TorusEmbedding(matrix=((1,),), form=((2,),))
 
+# the rank-one model is the one-factor model
 print("rank one at (c, w) = (7, 1), gamma = 2:")
-rep = rank1_matrix_rep(F, 7, 1, 2)
+point = FiberPoint(field=F, lam=((F.scalar(7), F.one),), gamma=(F.scalar(2),))
+rep = full_matrix_rep(point, emb1)
 (x,), (d,), (alpha,) = rep.x, rep.d, alpha_images(rep)
 print("  x     =", sorted((rc, str(v)) for rc, v in x.entries.items()))
 print("  d     =", sorted((rc, str(v)) for rc, v in d.entries.items()))
@@ -16,7 +19,6 @@ print("  x^3 scalar:", x ** 3)
 print()
 
 # a point off the locus: 1 + c*w = 0, no matrix model, alpha not invertible
-emb1 = TorusEmbedding(matrix=((1,),), form=((2,),))
 A1 = PBWAlgebra(F, emb1)
 bad = FiberPoint(field=F, lam=((F.scalar(-1), F.one),), gamma=(F.zero,))
 try:

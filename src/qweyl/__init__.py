@@ -8,8 +8,7 @@ exact arithmetic and verified by explicit linear algebra.
 
 from .cyclotomic import CycField, CycScalar, cyclotomic_polynomial
 from .expr import ParseError, evaluate, evaluate_scalar
-from .fiber import (FiberPoint, FullRep, Matrix, OutsideAzumayaLocus,
-                    full_matrix_rep, rank1_matrix_rep)
+from .fiber import FiberPoint, FullRep, Matrix, OutsideAzumayaLocus, full_matrix_rep
 from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
 from .linalg import SpanBasis, nullspace
 from .pbw import PBWAlgebra, PBWElement, QmmResult, verify_qmm
@@ -25,7 +24,7 @@ __all__ = [
     "CycField", "CycScalar", "cyclotomic_polynomial",
     "ParseError", "evaluate", "evaluate_scalar",
     "FiberPoint", "FullRep", "Matrix", "OutsideAzumayaLocus",
-    "full_matrix_rep", "rank1_matrix_rep",
+    "full_matrix_rep",
     "QuiverData", "TorusEmbedding", "quiver_to_embedding",
     "SpanBasis", "nullspace",
     "PBWAlgebra", "PBWElement", "QmmResult", "verify_qmm",

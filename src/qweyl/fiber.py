@@ -3,7 +3,8 @@
 At a central character the algebra collapses to dimension ell^(2n);
 on the locus where every 1 + lambda_i lambda_iv is nonzero it is a
 full matrix algebra.  This module builds the central characters, the
-rank-one ell x ell model, the n-factor model and its fiber-rep report.
+n-factor model (the rank-one ell x ell model at n = 1) and its fiber-rep
+report.
 
 The n-factor model is the braided tensor product of the rank-one models,
 untwisted to the plain product, and it is built in one pass: the factor-i
@@ -179,46 +180,6 @@ class FiberPoint:
 
 
 # ---------------------------------------------------------------------------
-# rank one matrix model
-
-
-def rank1_matrix_rep(field: CycField, c, w, gamma) -> "FullRep":
-    """The ell x ell representation at a rank-one fiber point, as a
-    one-factor FullRep.
-
-    Row r carries the alpha eigenvalue gamma q^(-2r); x lowers the row index
-    (cyclically) and d raises it, with delta_r xi_(r+1) = gamma q^(-2r) - 1
-    on every row, prod xi = c and prod delta = w.  One seam rule gives all
-    three: xi = 1 and delta_r = gamma q^(-2r) - 1 but at the seam row t,
-    where xi_(t+1) = c and delta_t is divided by c (c != 0, t = ell - 1) or
-    is w / ell (c = 0: row t reads 0 = gamma q^(-2t) - 1, so it still holds).
-    For odd ell, prod_r (gamma q^(-2r) - 1) = gamma^ell - 1 = c w, so c != 0
-    gives prod delta = w.  At c = 0, gamma^ell = 1 makes gamma a power of
-    q^-2, so exactly one delta_t is 0 (delta.index finds it) and the other
-    ell - 1 multiply to prod_(u=1)^(ell-1) (zeta^u - 1) = ell.  The alpha
-    image is read off by alpha_images, so a check of its diagonal tests it.
-    """
-    F = field
-    ell = F.ell
-    c, w = F.scalar(c), F.scalar(w)
-    gamma = F.scalar(gamma)
-    if not (F.one + c * w):
-        raise OutsideAzumayaLocus("1 + c*w = 0: no matrix model at this point")
-    if gamma ** ell != F.one + c * w:
-        raise ValueError("gamma^ell != 1 + c*w")
-
-    xi = [F.one] * ell  # x e_s = xi_s e_{s-1 mod ell}
-    delta = [gamma * F.qpow(-2 * r) - 1 for r in range(ell)]  # d e_r = delta_r e_{r+1 mod ell}
-    t = ell - 1 if c else delta.index(F.zero)  # the seam row
-    xi[(t + 1) % ell] = c
-    delta[t] = delta[t] / c if c else w / ell
-
-    xmat = Matrix(F, ell, {((s - 1) % ell, s): xi[s] for s in range(ell)})
-    dmat = Matrix(F, ell, {((r + 1) % ell, r): delta[r] for r in range(ell)})
-    return FullRep(x=(xmat,), d=(dmat,))
-
-
-# ---------------------------------------------------------------------------
 # the full matrix model on ell^n dimensions
 
 
@@ -262,8 +223,35 @@ class FullRep:
         return reduce(add, terms) if terms else Matrix(F, self.size)
 
 
+def _rank1_entries(F: CycField, c: CycScalar, w: CycScalar, gamma: CycScalar) -> tuple[list, list]:
+    """The nonzero entries (row, col, value) of x and of d in the ell x ell
+    model at one factor (c, w, gamma) of a point on the locus.
+
+    Row r carries the alpha eigenvalue gamma q^(-2r); x lowers the row index
+    (cyclically) and d raises it, with delta_r xi_(r+1) = gamma q^(-2r) - 1
+    on every row, prod xi = c and prod delta = w.  One seam rule gives all
+    three: xi = 1 and delta_r = gamma q^(-2r) - 1 but at the seam row t,
+    where xi_(t+1) = c and delta_t is divided by c (c != 0, t = ell - 1) or
+    is w / ell (c = 0: row t reads 0 = gamma q^(-2t) - 1, so it still holds).
+    For odd ell, prod_r (gamma q^(-2r) - 1) = gamma^ell - 1 = c w, so c != 0
+    gives prod delta = w.  At c = 0, gamma^ell = 1 makes gamma a power of
+    q^-2, so exactly one delta_t is 0 (delta.index finds it) and the other
+    ell - 1 multiply to prod_(u=1)^(ell-1) (zeta^u - 1) = ell.  The alpha
+    image is read off by alpha_images, so a check of its diagonal tests it.
+    """
+    ell = F.ell
+    xi = [F.one] * ell  # x e_s = xi_s e_{s-1 mod ell}
+    delta = [gamma * F.qpow(-2 * r) - 1 for r in range(ell)]  # d e_r = delta_r e_{r+1 mod ell}
+    t = ell - 1 if c else delta.index(F.zero)  # the seam row
+    xi[(t + 1) % ell] = c
+    delta[t] = delta[t] / c if c else w / ell
+    return ([((s - 1) % ell, s, v) for s, v in enumerate(xi) if v],
+            [((r + 1) % ell, r, v) for r, v in enumerate(delta) if v])
+
+
 def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
-    """Assemble the n-factor model from the rank-one models in one pass.
+    """Assemble the n-factor model from the rank-one models (_rank1_entries)
+    in one pass; at n = 1 it is the rank-one model itself.
 
     The braided tensor product places the factor-i rank-one matrix G in
     slot i, and untwisting it to the plain product scales the elementary
@@ -285,11 +273,10 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
     n = point.n
     size = ell ** n
     P = emb.pairing_matrix()
-    local = [rank1_matrix_rep(F, c, w, g) for (c, w), g in zip(point.lam, point.gamma)]
+    local = [_rank1_entries(F, c, w, g) for (c, w), g in zip(point.lam, point.gamma)]
 
-    def place(i: int, G: Matrix) -> Matrix:
+    def place(i: int, entries: list) -> Matrix:
         step, cols, vals = ell ** i, [None] * size, [None] * size
-        entries = [(a, b, v) for a, (b, v) in enumerate(zip(G.cols, G.vals)) if b is not None]
         for high in range(ell ** (n - i - 1)):  # s_i(r) is fixed by the digits j > i
             s = sum(P[j][i] * rj for j, rj in enumerate(digits(high, ell, n - i - 1), i + 1))
             lo = high * ell * step  # the ell^i bases with these high digits share the block
@@ -299,9 +286,8 @@ def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
                 vals[row:row + step] = (v * F.qpow((b - a) * s),) * step
         return Matrix._rows(F, tuple(cols), tuple(vals))
 
-    xs = tuple(place(i, local[i].x[0]) for i in range(n))
-    ds = tuple(place(i, local[i].d[0]) for i in range(n))
-    return FullRep(x=xs, d=ds)
+    return FullRep(x=tuple(place(i, x) for i, (x, _) in enumerate(local)),
+                   d=tuple(place(i, d) for i, (_, d) in enumerate(local)))
 
 
 def unreached_row(rep: FullRep) -> Optional[int]:

@@ -175,24 +175,16 @@ class PBWAlgebra:
                     coeff = f if coeff is one else coeff * f
             yield (rm, rk), coeff
 
-    def _terms(self, a: "PBWElement", b: "PBWElement"):
-        """The terms of a * b, keys may repeat: the one stream of every product."""
+    def multiply(self, a: "PBWElement", b: "PBWElement") -> "PBWElement":
+        """a * b: the terms of each pair of monomials, accumulated into one dict."""
         if a.algebra is not self or b.algebra is not self:
             raise ValueError("operands belong to a different algebra")
         one = self.field.one
         right = [(m, k, None if c == one else c) for (m, k), c in b.terms.items()]
-        for (m1, k1), c1 in a.terms.items():
-            c1 = None if c1 == one else c1
-            for m2, k2, c2 in right:
-                yield from self._mul_mono(m1, k1, c1, m2, k2, c2)
-
-    def multiply(self, a: "PBWElement", b: "PBWElement") -> "PBWElement":
-        return PBWElement(self, vec_accumulate({}, self._terms(a, b)))
-
-    def commutator(self, a: "PBWElement", b: "PBWElement") -> "PBWElement":
-        """a*b - b*a, both products accumulated into one dict."""
-        out = vec_accumulate({}, self._terms(a, b))
-        return PBWElement(self, vec_accumulate(out, ((key, -c) for key, c in self._terms(b, a))))
+        left = [(m, k, None if c == one else c) for (m, k), c in a.terms.items()]
+        return PBWElement(self, vec_accumulate({}, (
+            term for m1, k1, c1 in left for m2, k2, c2 in right
+            for term in self._mul_mono(m1, k1, c1, m2, k2, c2))))
 
 
 class PBWElement:
@@ -283,8 +275,11 @@ class PBWElement:
         return deg
 
     def is_central(self) -> bool:
-        A = self.algebra
-        return not any(A.commutator(self, g) for g in A.generators())
+        """[self, g] = 0 for every generator g: each row of commutator_rows
+        over the element's keys, dotted with its coefficients, is 0."""
+        terms, zero = self.terms, self.algebra.field.zero
+        return not any(sum((terms[b] * c for b, c in row.items()), zero)
+                       for row in commutator_rows(self.algebra, list(terms)))
 
     # -- display -----------------------------------------------------------
 
@@ -404,9 +399,9 @@ def commutator_rows(algebra: PBWAlgebra, keys: Sequence[MonoKey]) -> list:
 
     The lower term exists only when k_i > 0 (x_i) or m_i > 0 (d_i), and a
     term whose coefficient is 0 is dropped.  The upper term comes first,
-    the order `PBWAlgebra.commutator` leaves them in, so the rows equal
-    its rows item by item.  Each q^a - q^b is formed once per residue
-    pair (a, b) mod ell.
+    the order b * g - g * b leaves them in, so the rows equal those of the
+    general product item by item.  Each q^a - q^b is formed once per
+    residue pair (a, b) mod ell.
     """
     F, n, P = algebra.field, algebra.n, algebra.pairings
     ell, qpow = F.ell, F.qpow

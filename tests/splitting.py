@@ -89,9 +89,6 @@ class FiberAlgebra(PBWAlgebra):
     def multiply(self, a: PBWElement, b: PBWElement) -> PBWElement:
         return self.reduce(super().multiply(a, b))
 
-    def commutator(self, a: PBWElement, b: PBWElement) -> PBWElement:
-        return self.reduce(super().commutator(a, b))
-
     def left_ideal(self, gens: Sequence[PBWElement]) -> SpanBasis:
         """Row space of b*g over all basis monomials b and generators g."""
         span = SpanBasis(self.field)

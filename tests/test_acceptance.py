@@ -10,8 +10,7 @@ from itertools import product as iproduct
 
 from qweyl import (CycField, FiberPoint, Matrix, PBWAlgebra, TorusEmbedding,
                    build_an_quiver_algebra, full_matrix_rep, hamiltonian_reduce,
-                   quiver_to_embedding, rank1_matrix_rep, verify_central_z,
-                   verify_u1_relations)
+                   quiver_to_embedding, verify_central_z, verify_u1_relations)
 from qweyl.fiber import alpha_images
 from qweyl.lattice import QuiverData
 from qweyl.linalg import SpanBasis, nullspace
@@ -95,7 +94,7 @@ def test_criterion_3_fiber_matrix_model():
     ok = True
     for c, w, gamma in LOCUS_TEST_POINTS:
         t0 = time.perf_counter()
-        rep = rank1_matrix_rep(F, c, w, gamma)
+        rep = full_matrix_rep(FiberPoint(field=F, lam=((c, w),), gamma=(gamma,)), emb_rank1())
         (X,), (D,), (Al,) = rep.x, rep.d, alpha_images(rep)
         residual = D * X - (X * D).scale(q2) - I.scale(q2 - F.one)
         ok = ok and not residual.entries
@@ -139,7 +138,8 @@ def test_criterion_5_untwisting_isomorphism():
     # the package's model is that map applied to the plain Kronecker placement
     point = FiberPoint(field=F, lam=((F.zero, F.zero), (F.scalar(7), F.one)),
                        gamma=(F.one, F.scalar(2)))
-    local = [rank1_matrix_rep(F, c, w, g) for (c, w), g in zip(point.lam, point.gamma)]
+    local = [full_matrix_rep(FiberPoint(field=F, lam=((c, w),), gamma=(g,)), emb_rank1())
+             for (c, w), g in zip(point.lam, point.gamma)]
     rep = full_matrix_rep(point, emb)
     ok = ok and all(rep.x[i] == untwist(placed(r.x[0], i, 2), emb)
                     and rep.d[i] == untwist(placed(r.d[0], i, 2), emb)

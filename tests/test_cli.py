@@ -1,6 +1,5 @@
 """Command-line front end: configs, reports, exit codes."""
 
-import dataclasses
 import json
 from itertools import product
 from pathlib import Path
@@ -10,7 +9,6 @@ import pytest
 from qweyl import CycField
 from qweyl.cli import DEFAULT_SEED, main, run_suite, validate_config
 from qweyl.cyclotomic import MAX_ORDER
-from qweyl.fiber import Matrix
 from qweyl.lattice import TorusEmbedding
 from qweyl.linalg import SpanBasis, nullspace
 from qweyl.expr import MAX_NESTING
@@ -654,7 +652,7 @@ def test_product_memo_cap_holds_and_changes_no_report(monkeypatch, tmp_path):
     assert out.read_bytes() == (TESTS / "report_output" / "pair_l3.json").read_bytes()
 
 
-@pytest.mark.parametrize("stem, calls, computed", [("reduce_l3", 157, 49), ("pair_l3", 377, 95)])
+@pytest.mark.parametrize("stem, calls, computed", [("reduce_l3", 149, 49), ("pair_l3", 361, 95)])
 def test_products_computed_once_per_run(monkeypatch, tmp_path, stem, calls, computed):
     # counts, not times: __mul__ is called as often as before the memo, and
     # the suite's field computes each distinct product once
@@ -699,19 +697,19 @@ def test_fiber_rep_fails_on_an_unreached_row_without_a_count(monkeypatch):
 REPORT_CONFIGS = Path(__file__).resolve().parent / "report_configs"
 
 
-def moved_central_values(rank1_matrix_rep):
-    """rank1_matrix_rep with xi_0 doubled and delta_(ell-1) halved on c != 0
-    factors: the model of (2c, w/2).  Each product xi_s delta_(s-1), and so
-    the alpha diagonal and the relation d x = q^2 x d + q^2 - 1, is kept."""
+def moved_central_values(rank1_entries):
+    """fiber._rank1_entries with xi_0 doubled and delta_(ell-1) halved on
+    c != 0 factors: the model of (2c, w/2).  Each product xi_s delta_(s-1),
+    and so the alpha diagonal and the relation d x = q^2 x d + q^2 - 1, is
+    kept."""
     def moved(field, c, w, gamma):
-        rep = rank1_matrix_rep(field, c, w, gamma)
-        if not field.scalar(c):
-            return rep
+        x, d = rank1_entries(field, c, w, gamma)
+        if not c:
+            return x, d
         ell, two = field.ell, field.scalar(2)
-        x, d = dict(rep.x[0].entries), dict(rep.d[0].entries)
-        x[(ell - 1, 0)] = x[(ell - 1, 0)] * two        # xi_0: e_0 -> e_(ell-1)
-        d[(0, ell - 1)] = d[(0, ell - 1)] / two        # delta_(ell-1): e_(ell-1) -> e_0
-        return dataclasses.replace(rep, x=(Matrix(field, ell, x),), d=(Matrix(field, ell, d),))
+        # xi_0 maps e_0 to e_(ell-1), delta_(ell-1) maps e_(ell-1) to e_0
+        return ([(r, s, v * two if (r, s) == (ell - 1, 0) else v) for r, s, v in x],
+                [(r, s, v / two if (r, s) == (0, ell - 1) else v) for r, s, v in d])
     return moved
 
 
@@ -722,7 +720,7 @@ def test_fiber_rep_fails_on_a_model_of_the_wrong_central_values(name, relation, 
     cfg = json.loads((REPORT_CONFIGS / f"{name}.json").read_text())
     cfg["tasks"] = [t for t in cfg["tasks"] if t["type"] == "fiber-rep"]
     assert run_suite(cfg)["tasks"][0]["ok"] is True
-    monkeypatch.setattr(fiber, "rank1_matrix_rep", moved_central_values(fiber.rank1_matrix_rep))
+    monkeypatch.setattr(fiber, "_rank1_entries", moved_central_values(fiber._rank1_entries))
     emb = validate_config(cfg)
     forbid_counts(monkeypatch)
     entry = run_suite(cfg, emb)["tasks"][0]

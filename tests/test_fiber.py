@@ -2,16 +2,18 @@
 
 import dataclasses
 import inspect
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qweyl import (CycField, FiberPoint, FullRep, Matrix, OutsideAzumayaLocus,
                    PBWAlgebra, QuiverData, TorusEmbedding, full_matrix_rep,
-                   quiver_to_embedding, rank1_matrix_rep)
+                   quiver_to_embedding)
 from qweyl import fiber
-from qweyl.cli import run_suite
+from qweyl.cli import build_point, run_suite, validate_config
 from qweyl.expr import evaluate_scalar
 from qweyl.fiber import digits
 from qweyl.linalg import SpanBasis
@@ -99,7 +101,6 @@ def test_fiber_product_matches_lift_multiply():
         a, b = fib.monomial(*ka, coeff=ca), fib.monomial(*kb, coeff=cb)
         rhs = fib.reduce(A.multiply(A.monomial(*ka, coeff=ca), A.monomial(*kb, coeff=cb))).terms
         assert (a * b).terms == rhs
-        assert fib.commutator(a, b) == a * b - b * a  # reduced, like the product
 
 
 def test_fiber_reduce_is_an_algebra_map():
@@ -120,6 +121,11 @@ def test_fiber_reduce_is_an_algebra_map():
 
 
 # -- rank one matrix model ---------------------------------------------------
+
+def one_factor_model(F, c, w, gamma):
+    """The rank-one model: the full model of a one-factor point."""
+    return full_matrix_rep(point(F, [(c, w)], [gamma]), emb_n1())
+
 
 RANK1_POINTS = [
     # (c, w, gamma) with gamma^ell = 1 + c*w
@@ -197,7 +203,7 @@ RANK1_IDS = ["0-0-0-1", "8-0-2-1", "7-1-None-2"]
 def test_rank1_relations_and_alpha_diagonal(c, w, gamma):
     F = CycField(3)
     ell = 3
-    rep = rank1_matrix_rep(F, c, w, gamma)
+    rep = one_factor_model(F, c, w, gamma)
     assert isinstance(rep, FullRep) and rep.size == ell
     (X,), (D,), (Al,) = rep.x, rep.d, fiber.alpha_images(rep)
     q2 = F.qpow(2)
@@ -226,24 +232,26 @@ def alpha_diagonal_ok(rep, gamma):
 
 
 def rank1_mutant(j):
-    """rank1_matrix_rep with delta_j raised by 1 just before the matrices are built."""
-    src = inspect.getsource(fiber.rank1_matrix_rep)
-    anchor = "    xmat = Matrix("
+    """fiber._rank1_entries with delta_j raised by 1 just before the entries are listed."""
+    src = inspect.getsource(fiber._rank1_entries)
+    anchor = "    return ([((s - 1) % ell"
     assert src.count(anchor) == 1
     namespace = dict(vars(fiber))
     exec(src.replace(anchor, f"    delta[{j}] = delta[{j}] + 1\n" + anchor), namespace)
-    return namespace["rank1_matrix_rep"]
+    return namespace["_rank1_entries"]
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
-def test_rank1_alpha_is_built_from_the_model(ell):
+def test_rank1_alpha_is_built_from_the_model(ell, monkeypatch):
     F = CycField(ell)
     points = [(0, 0, 1), (0, 3, F.qpow(2)), (1, 0, 1), (2 ** ell - 1, 1, 2)]
     for c, w, gamma in points:
-        rep = rank1_matrix_rep(F, c, w, gamma)
+        rep = one_factor_model(F, c, w, gamma)
         assert alpha_diagonal_ok(rep, gamma)
         for j in range(ell):
-            bad = rank1_mutant(j)(F, c, w, gamma)
+            with monkeypatch.context() as mp:
+                mp.setattr(fiber, "_rank1_entries", rank1_mutant(j))
+                bad = one_factor_model(F, c, w, gamma)
             assert bad.d != rep.d
             # alpha = 1 + x d sees delta_j through xi_(j+1), which is 0 at one
             # row when c = 0 and nowhere else
@@ -256,7 +264,7 @@ def test_rank1_alpha_is_built_from_the_model(ell):
 def test_rank1_spans_the_full_matrix_algebra(c, w, gamma):
     from qweyl.linalg import SpanBasis
     F = CycField(3)
-    rep = rank1_matrix_rep(F, c, w, gamma)
+    rep = one_factor_model(F, c, w, gamma)
     (X,), (D,) = rep.x, rep.d
     span = SpanBasis(F)
     for a in range(3):
@@ -267,16 +275,17 @@ def test_rank1_spans_the_full_matrix_algebra(c, w, gamma):
 
 
 def test_rank1_requires_gamma_and_the_locus():
+    # the point checks gamma and the full model checks the locus, once each
     F = CycField(3)
     with pytest.raises(OutsideAzumayaLocus):
-        rank1_matrix_rep(F, -1, 1, 0)
-    with pytest.raises(ValueError):
-        rank1_matrix_rep(F, 7, 1, 1)  # 1^3 != 8
+        full_matrix_rep(point(F, [(-1, 1)], [0]), emb_n1())
+    with pytest.raises(ValueError, match="1 \\+ c\\*w"):
+        point(F, [(7, 1)], [1])  # 1^3 != 8
 
 
 def two_branch_rank1(F, c, w, gamma):
     """The x and d of the rank-one model built by its earlier two branches,
-    the test oracle of the seam rule in rank1_matrix_rep: at c != 0, xi_0 = c
+    the test oracle of the seam rule in fiber._rank1_entries: at c != 0, xi_0 = c
     and delta_(ell-1) is divided by c; at c = 0, a search for the k0 with
     gamma = q^(-2 k0) places the zero xi at r0 = 1 - k0 and delta_(r0-1) = w / ell."""
     ell = F.ell
@@ -322,7 +331,7 @@ def test_seam_rule_matches_the_two_branch_oracle(ell):
     points = seam_points(F, random.Random(ell))
     assert any(not F.scalar(c) for c, _, _ in points) and any(not F.scalar(w) for _, w, _ in points)
     for c, w, gamma in points:
-        rep = rank1_matrix_rep(F, c, w, gamma)
+        rep = one_factor_model(F, c, w, gamma)
         for got, want in zip((rep.x[0], rep.d[0]), two_branch_rank1(F, c, w, gamma)):
             assert got.entries.keys() == want.entries.keys()
             assert all((v.num, v.den) == (want[rc].num, want[rc].den) for rc, v in got.entries.items())
@@ -558,9 +567,11 @@ def test_full_rep_twists_each_placed_block_once(monkeypatch):
     F = CycField(3)
     emb = TorusEmbedding(matrix=((1,),) * 4, form=((2,),))
     p = point(F, [(F.scalar(7), F.one)] * 4, [F.scalar(2)] * 4)
-    factor = rank1_matrix_rep(F, 7, 1, 2)
-    assert all(len(G.entries) == 3 for G in factor.x + factor.d)  # c != 0 and no delta vanishes
-    monkeypatch.setattr(fiber, "rank1_matrix_rep", lambda *args: factor)
+    model = one_factor_model(F, 7, 1, 2)
+    (X,), (D,) = model.x, model.d
+    factor = fiber._rank1_entries(F, F.scalar(7), F.one, F.scalar(2))
+    assert [len(entries) for entries in factor] == [3, 3]  # c != 0 and no delta vanishes
+    monkeypatch.setattr(fiber, "_rank1_entries", lambda *args: factor)
     qpow, calls = CycField.qpow, [0]
 
     def counted(self, k):
@@ -571,7 +582,6 @@ def test_full_rep_twists_each_placed_block_once(monkeypatch):
     rep = full_matrix_rep(p, emb)
     assert calls[0] == 240
     monkeypatch.setattr(CycField, "qpow", qpow)
-    (X,), (D,) = factor.x, factor.d
     assert rep.x == tuple(untwist(placed(X, i, 4), emb) for i in range(4))
     assert rep.d == tuple(untwist(placed(D, i, 4), emb) for i in range(4))
 
@@ -602,7 +612,7 @@ def test_full_rep_is_the_untwisted_kronecker_placement(ell, emb, make_point):
     # Kronecker placement on every image, and a one-sign mutant does not
     F = CycField(ell)
     p = make_point(F)
-    local = [rank1_matrix_rep(F, c, w, g) for (c, w), g in zip(p.lam, p.gamma)]
+    local = [one_factor_model(F, c, w, g) for (c, w), g in zip(p.lam, p.gamma)]
     oracle = tuple(tuple(untwist(placed(G, i, p.n), emb) for i, G in enumerate(gens))
                    for gens in ([r.x[0] for r in local], [r.d[0] for r in local]))
     rep = full_matrix_rep(p, emb)
@@ -736,6 +746,38 @@ def test_full_rep_builds_each_word_once(monkeypatch):
     with pytest.MonkeyPatch.context() as mp:
         forbid_counts(mp)
         assert fiber.fiber_rep_report(two_factor_point(F), A)["ok"]
+
+
+def pinned_models():
+    """The model of each fiber-rep and reduce point of the pinned report
+    configs, and of points with a c = w = 0 factor, where the seam delta is
+    0: demo 03's (0, 0, 1), demo 04's trivial point and cyclic_point_l3."""
+    configs = sorted((Path(__file__).resolve().parent / "report_configs").glob("*.json"))
+    for path in configs:
+        cfg = json.loads(path.read_text())
+        F, emb = CycField(cfg["ell"]), validate_config(cfg)
+        for task in cfg["tasks"]:
+            if task["type"] in ("fiber-rep", "reduce"):
+                yield path.stem, full_matrix_rep(build_point(F, task["point"]), emb)
+    F = CycField(3)
+    yield "demo-03-c0-w0", one_factor_model(F, 0, 0, 1)
+    yield "demo-04-trivial", full_matrix_rep(point(F, [(0, 0)] * 2, [1, 1]), emb_n2())
+    yield "cyclic3", full_matrix_rep(cyclic_point_l3(F), emb_cyclic3())
+
+
+def test_a_model_image_stores_no_zero():
+    # the placement writes the rank-one entries straight into row arrays,
+    # which keep what they are given: an empty row is None in both arrays,
+    # and a zero entry (the seam delta of a c = w = 0 factor) is not stored
+    models = list(pinned_models())
+    assert len(models) > 10
+    for name, rep in models:
+        for G in rep.x + rep.d:
+            assert [c is None for c in G.cols] == [v is None for v in G.vals], name
+            assert all(v for v in G.vals if v is not None), name
+    # a c = w = 0 factor does have a zero delta to drop
+    (d,) = dict(models)["demo-03-c0-w0"].d
+    assert d.cols.count(None) == 1
 
 
 def test_full_rep_is_frozen():

@@ -241,7 +241,6 @@ def test_products_carry_coefficients_that_are_not_one(ell):
             for kb, cb in b.terms.items():
                 by_terms = by_terms + (ca * cb) * (A.monomial(*ka) * A.monomial(*kb))
         assert ab == by_terms
-        assert A.commutator(a, b) == ab - b * a
 
 
 def test_weyl_relation_examples():
@@ -375,14 +374,14 @@ def test_center_report_prunes_only_where_the_premise_holds(monkeypatch):
 
 def general_commutator_rows(algebra, keys):
     """The rows of pbw.commutator_rows, each [b, g] formed by the general
-    product `PBWAlgebra.commutator`: the oracle for the closed form."""
+    product as b * g - g * b: the oracle for the closed form."""
     rows = []
     one = algebra.field.one
     monomials = [(mk, algebra.monomial(*mk, one)) for mk in keys]
     for gi, g in enumerate(algebra.generators()):
         per_key = {}
         for mk, b in monomials:
-            for out_key, c in algebra.commutator(b, g).terms.items():
+            for out_key, c in (b * g - g * b).terms.items():
                 per_key.setdefault((gi, out_key), {})[mk] = c
         rows.extend(per_key.values())
     return rows
@@ -512,6 +511,47 @@ def test_is_central_ell3():
     assert (A.alpha(1) ** 3).is_central()
     assert not A.x(1).is_central()
     assert not A.alpha(1).is_central()
+
+
+CENTRAL_EMBEDDINGS = {**CENTER_EMBEDDINGS, "negative-n3": ROW_EMBEDDINGS["negative-n3"]}
+
+
+@st.composite
+def central_cases(draw):
+    """(ell, embedding name, i or None, terms): the element sum of the terms
+    poly(coeffs) x^m d^k, plus alpha_i^ell when i is given.  Keys mix
+    T-weights; on the lattice draws every exponent is a multiple of ell, so
+    the element is central."""
+    ell = draw(st.sampled_from([3, 5, 9]))
+    name = draw(st.sampled_from(sorted(CENTRAL_EMBEDDINGS)))
+    n = CENTRAL_EMBEDDINGS[name].n
+    exponent = (st.sampled_from([0, ell, 2 * ell]) if draw(st.booleans())
+                else st.integers(0, ell + 1))
+    vec = st.tuples(*[exponent] * n)
+    coeffs = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+    terms = draw(st.lists(st.tuples(vec, vec, coeffs), max_size=4))
+    alpha = draw(st.one_of(st.none(), st.integers(1, n)))
+    return ell, name, alpha, terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=central_cases())
+@example(case=(3, "diagonal-n1", 1, []))
+@example(case=(3, "diagonal-n1", None, [((3,), (3,), [1]), ((1,), (0,), [1])]))
+# [x1 d1, x1] and [x1^2 d1^2, x1] put q^2 - 1 and q^4 - 1 at x1^2 d1; with
+# the coefficients q^4 - 1 = q - 1 and 1 - q^2 the row cancels, and only the
+# other rows say not central
+@example(case=(3, "diagonal-n1", None, [((1,), (1,), [-1, 1]), ((2,), (2,), [1, 0, -1])]))
+@example(case=(9, "negative-n3", 2, []))
+@example(case=(9, "negative-n3", 3, [((0, 9, 0), (9, 0, 0), [2, 1])]))
+@example(case=(5, "braided-n2", 1, [((1, 0), (0, 1), [2]), ((5, 0), (0, 0), [0, 0, 0, 1])]))
+def test_is_central_agrees_with_the_general_product(case):
+    ell, name, alpha, terms = case
+    A = PBWAlgebra(CycField(ell), CENTRAL_EMBEDDINGS[name])
+    e = sum((A.monomial(m, k, scalars.poly(A.field, c)) for m, k, c in terms), A.zero())
+    if alpha is not None:
+        e = e + A.alpha(alpha) ** ell
+    assert e.is_central() == all(not (e * g - g * e) for g in A.generators())
 
 
 def test_act_rank1_basics():

@@ -1,6 +1,5 @@
 """Hamiltonian reduction of the matrix fibers by the graded torus action."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -553,14 +552,14 @@ def test_a_failed_moment_map_check_fails_both_verdicts(monkeypatch):
 # -- a perturbed rank-one model fails both the fiber and the reduction checks ---
 
 def perturbed_rank1(original):
-    """rank1_matrix_rep with delta_1, the d entry from row 1 to row 2, raised
-    by one; x e_2 is nonzero at the points below, so the image of
+    """fiber._rank1_entries with delta_1, the d entry from row 1 to row 2,
+    raised by one; x e_2 is nonzero at the points below, so the image of
     alpha = 1 + x d changes in row 1."""
-    def rank1(*args, **kwargs):
-        rep = original(*args, **kwargs)
-        entries = dict(rep.d[0].entries)
-        entries[(2, 1)] = entries.get((2, 1), rep.field.zero) + 1
-        return dataclasses.replace(rep, d=(Matrix(rep.field, rep.size, entries),))
+    def rank1(field, *args):
+        x, d = original(field, *args)
+        delta = {(r, s): v for r, s, v in d}
+        delta[(2, 1)] = delta.get((2, 1), field.zero) + 1
+        return x, [(r, s, v) for (r, s), v in delta.items() if v]
     return rank1
 
 
@@ -574,13 +573,13 @@ def suite_verdicts(perturb):
         "tasks": [{"type": "fiber-rep", "point": point},
                   {"type": "reduce", "point": point, "eta": ["2"]}],
     }
-    original = fiber.rank1_matrix_rep
+    original = fiber._rank1_entries
     if perturb:
-        fiber.rank1_matrix_rep = perturbed_rank1(original)
+        fiber._rank1_entries = perturbed_rank1(original)
     try:
         fib, red = run_suite(cfg)["tasks"]
     finally:
-        fiber.rank1_matrix_rep = original
+        fiber._rank1_entries = original
     return fib["alpha_diagonal_ok"], red["is_matrix_algebra"], red["module_action_bijective"]
 
 

@@ -170,10 +170,13 @@ def test_cli_only_parses_dispatches_and_prints():
 
 
 def test_center_rows_form_no_general_product():
-    # commutator_rows reads each [b, g] off its closed form: the general
-    # product cannot come back into the row builder
-    assert callers_of("commutator") and callers_of("_terms")
-    assert all(top != "commutator_rows" for _, top in callers_of("commutator") + callers_of("_terms"))
+    # commutator_rows reads each [b, g] off its closed form and is the one
+    # commutator in the package: center_report and PBWElement.is_central read
+    # it, the general product is PBWAlgebra.multiply alone, and no second
+    # commutator formula can grow back
+    assert callers_of("commutator_rows") == [("pbw.py", "PBWElement"), ("pbw.py", "center_report")]
+    assert callers_of("_mul_mono") == [("pbw.py", "PBWAlgebra")]
+    assert not {"commutator", "_terms"} & set(vars(qweyl.PBWAlgebra))
 
 
 def test_one_builder_of_the_moment_map_on_each_side():
@@ -218,9 +221,16 @@ def test_scalars_are_built_by_arithmetic_only():
 
 def test_one_seam_rule_builds_the_rank_one_model():
     # the rank-one model states delta_r = gamma q^(-2r) - 1 once, for every
-    # row, and finds its seam row without a root search
-    src = inspect.getsource(qweyl.fiber.rank1_matrix_rep)
+    # row, and finds its seam row without a root search; it is a step of
+    # full_matrix_rep that lists entries only, so it builds no matrix or
+    # model, coerces nothing and checks neither the locus nor gamma again
+    src = inspect.getsource(qweyl.fiber._rank1_entries)
     assert src.count("F.qpow(-2 * r)") == 1 and "k0" not in src
+    tree = ast.parse(src)
+    assert not {"Matrix", "FullRep", "scalar", "OutsideAzumayaLocus"} & set(names_read(tree))
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Pow, ast.Raise))]
+    assert callers_of("_rank1_entries") == [("fiber.py", "full_matrix_rep")]
+    assert not hasattr(qweyl.fiber, "rank1_matrix_rep") and "rank1_matrix_rep" not in qweyl.__all__
 
 
 def test_one_model_of_the_fiber():
@@ -262,3 +272,66 @@ def test_cyclotomic_keeps_no_cache_beyond_a_field():
     made = [node for node in ast.walk(init) if isinstance(node, ast.Assign)
             and ast.unparse(node.targets[0]) == "self._products"]
     assert len(made) == 1 and isinstance(made[0].value, ast.Dict) and not made[0].value.keys
+
+
+# Each method whose name the package defines or imports more than once, with
+# the function that reads it.  test_every_function_has_a_reader counts reads
+# by bare name, so it cannot tell these methods from their namesakes (a dead
+# CycField.reduce once passed it on functools.reduce and SpanBasis.reduce).
+SHARED_NAME_READERS = {
+    "CycField.one": "fiber.py:FiberPoint.in_azumaya_locus",
+    "CycField.zero": "fiber.py:_rank1_entries",
+    "CycScalar._coerce": "cyclotomic.py:CycScalar.__add__",
+    "DifferenceOperator.identity": "quiver_examples.py:verify_u1_relations",
+    "DifferenceOperator.scale": "quiver_examples.py:verify_u1_relations",
+    "FiberPoint.n": "fiber.py:full_matrix_rep",
+    "Matrix.identity": "fiber.py:alpha_images",
+    "Matrix.scale": "fiber.py:FullRep.of_element",
+    "PBWAlgebra.d": "pbw.py:PBWAlgebra.generators",
+    "PBWAlgebra.one": "pbw.py:PBWElement.__pow__",
+    "PBWAlgebra.zero": "pbw.py:PBWElement.__mul__",
+    "PBWElement._coerce": "pbw.py:PBWElement.__add__",
+    "SpanBasis.add": "linalg.py:nullspace",
+    "SpanBasis.reduce": "linalg.py:SpanBasis.add",
+    "TorusEmbedding.d": "pbw.py:qmm_report",
+    "TorusEmbedding.n": "pbw.py:PBWAlgebra.__init__",
+}
+
+
+def shared_name_methods(trees):
+    """The "Class.method" of each method of trees whose name is defined (at
+    any depth) or imported more than once across them; dunders are left out."""
+    named = Counter()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                named[node.name] += 1
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return {f"{cls.name}.{node.name}" for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef) and named[node.name] > 1
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def definition(tree, qualname):
+    """The def of tree named qualname, "function" or "Class.method"."""
+    node = tree
+    for part in qualname.split("."):
+        [node] = [child for child in node.body if getattr(child, "name", None) == part]
+    return node
+
+
+def test_every_shared_name_method_has_its_reader():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    shared = shared_name_methods(trees.values())
+    assert shared == set(SHARED_NAME_READERS), shared ^ set(SHARED_NAME_READERS)
+    for method, reader in SHARED_NAME_READERS.items():
+        module, qualname = reader.split(":")
+        assert qualname != method and names_read(definition(trees[module], qualname))[
+            method.split(".")[1]], (method, reader)
+    # a dead method that shares its name, as CycField.reduce did, is not in the table
+    dead = ast.parse("class CycField:\n    def reduce(self):\n        pass\n")
+    unlisted = shared_name_methods([*trees.values(), dead]) - set(SHARED_NAME_READERS)
+    assert unlisted == {"CycField.reduce"}
