@@ -23,7 +23,6 @@ lowest offset.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -51,11 +50,20 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    offset: int
+    """One lexeme of an expression: its kind, its text and its byte offset."""
+
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "offset", offset)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Token is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def tokenize(src: str) -> list[Token]:

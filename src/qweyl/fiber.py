@@ -14,7 +14,6 @@ by the digits j > i of its row; see full_matrix_rep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add, mul
@@ -146,29 +145,32 @@ def digits(idx: int, ell: int, n: int) -> tuple[int, ...]:
 # fiber points
 
 
-@dataclass(frozen=True)
 class FiberPoint:
     """A central character: values (c_i, w_i) of x_i^ell, d_i^ell, plus roots.
 
-    gamma_i must satisfy gamma_i^ell = 1 + c_i w_i exactly.
+    gamma_i must satisfy gamma_i^ell = 1 + c_i w_i exactly.  Immutable.
     """
 
-    field: CycField
-    lam: tuple[tuple[CycScalar, CycScalar], ...]
-    gamma: tuple[CycScalar, ...]
+    __slots__ = ("field", "lam", "gamma")
 
-    def __post_init__(self):
-        F = self.field
-        lam = tuple((F.scalar(c), F.scalar(w)) for c, w in self.lam)
-        object.__setattr__(self, "lam", lam)
-        gamma = tuple(F.scalar(g) for g in self.gamma)
-        object.__setattr__(self, "gamma", gamma)
+    def __init__(self, field: CycField, lam, gamma):
+        F = field
+        lam = tuple((F.scalar(c), F.scalar(w)) for c, w in lam)
+        gamma = tuple(F.scalar(g) for g in gamma)
         if len(gamma) != len(lam):
             raise ValueError("one gamma per coordinate pair")
         ell = F.ell
         for i, ((c, w), g) in enumerate(zip(lam, gamma)):
             if g ** ell != F.one + c * w:
                 raise ValueError(f"gamma_{i+1}^{ell} != 1 + c*w")
+        object.__setattr__(self, "field", F)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "gamma", gamma)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FiberPoint is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def n(self) -> int:
@@ -183,13 +185,20 @@ class FiberPoint:
 # the full matrix model on ell^n dimensions
 
 
-@dataclass(frozen=True)
 class FullRep:
     """The n-factor matrix model: images x_i, d_i in Mat(ell^n).  It holds
-    its images only: its field and size are read off x_1."""
+    its images only: its field and size are read off x_1.  Immutable."""
 
-    x: tuple[Matrix, ...]
-    d: tuple[Matrix, ...]
+    __slots__ = ("x", "d")
+
+    def __init__(self, x: tuple[Matrix, ...], d: tuple[Matrix, ...]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FullRep is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def field(self) -> CycField:

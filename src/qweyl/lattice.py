@@ -8,8 +8,6 @@ the torus act faithfully?) is decided exactly by linalg.nullspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import CycField
 from .linalg import nullspace
 
@@ -31,21 +29,26 @@ def _as_matrix(m, name: str) -> IntMatrix:
     return rows
 
 
-@dataclass(frozen=True)
 class QuiverData:
-    """A finite quiver with 1-based vertices."""
+    """A finite quiver with 1-based vertices.  Immutable."""
 
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("num_vertices", "edges")
 
-    def __post_init__(self):
-        if type(self.num_vertices) is not int or self.num_vertices < 1:
+    def __init__(self, num_vertices: int, edges):
+        if type(num_vertices) is not int or num_vertices < 1:
             raise ValueError("a quiver needs an integer number of vertices, at least one")
-        object.__setattr__(self, "edges", _as_matrix(self.edges, "edges"))
-        for edge in self.edges:
-            if len(edge) != 2 or not all(1 <= v <= self.num_vertices for v in edge):
+        edges = _as_matrix(edges, "edges")
+        for edge in edges:
+            if len(edge) != 2 or not all(1 <= v <= num_vertices for v in edge):
                 raise ValueError(f"edge {list(edge)} is not a [tail, head] pair "
-                                 f"of vertices 1..{self.num_vertices}")
+                                 f"of vertices 1..{num_vertices}")
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"QuiverData is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def components(self) -> list[list[int]]:
         """Connected components of the underlying graph, each sorted."""
@@ -67,7 +70,6 @@ class QuiverData:
         return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
-@dataclass(frozen=True)
 class TorusEmbedding:
     """Weight data for n coordinate pairs under a rank d torus.
 
@@ -76,29 +78,36 @@ class TorusEmbedding:
     symmetric d x d integer pairing on the weight lattice; every
     q-commutation exponent in the operator algebra is a pairing of two
     rows.  The matrix must have full column rank so the torus acts
-    faithfully.
+    faithfully.  Immutable.
     """
 
-    matrix: IntMatrix
-    form: IntMatrix
+    __slots__ = ("matrix", "form")
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix, "matrix"))
-        object.__setattr__(self, "form", _as_matrix(self.form, "form"))
-        if not self.matrix:
+    def __init__(self, matrix: IntMatrix, form: IntMatrix):
+        matrix = _as_matrix(matrix, "matrix")
+        form = _as_matrix(form, "form")
+        if not matrix:
             raise ValueError("at least one coordinate pair is required")
-        if len(self.form) != self.d or any(len(r) != self.d for r in self.form):
+        d = len(matrix[0])
+        if len(form) != d or any(len(r) != d for r in form):
             raise ValueError("form must be d x d")
-        for i in range(self.d):
-            for j in range(self.d):
-                if self.form[i][j] != self.form[j][i]:
+        for i in range(d):
+            for j in range(d):
+                if form[i][j] != form[j][i]:
                     raise ValueError("form must be symmetric")
         # a rational matrix has the same kernel over Q(q) as over Q: M u = 0
         # has no solution u != 0 exactly when M has full column rank
         F = CycField(3)
-        rows = [{j: F.scalar(v) for j, v in enumerate(row) if v} for row in self.matrix]
-        if nullspace(rows, list(range(self.d)), F):
+        rows = [{j: F.scalar(v) for j, v in enumerate(row) if v} for row in matrix]
+        if nullspace(rows, list(range(d)), F):
             raise ValueError("weight matrix must have full column rank")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "form", form)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TorusEmbedding is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def n(self) -> int:

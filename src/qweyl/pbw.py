@@ -18,7 +18,6 @@ root of unity, so central and root-of-unity phenomena are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Optional, Sequence
@@ -315,10 +314,15 @@ class PBWElement:
         return f"<PBW {self}>"
 
 
-@dataclass
 class QmmResult:
-    ok: bool
-    exponent: int
+    """The verdict of one quantum moment map identity and its exponent 2e;
+    true when the identity holds."""
+
+    __slots__ = ("ok", "exponent")
+
+    def __init__(self, ok: bool, exponent: int):
+        self.ok = ok
+        self.exponent = exponent
 
     def __bool__(self):
         return self.ok

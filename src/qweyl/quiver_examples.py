@@ -17,7 +17,6 @@ periodic by construction, since qpow reduces its exponent mod ell).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
@@ -72,19 +71,30 @@ def build_an_quiver_algebra(field: CycField, n: int) -> tuple[PBWAlgebra, Option
     return alg, table
 
 
-@dataclass(frozen=True)
 class DifferenceOperator:
-    """Operator t^k -> c_k t^{k+shift} with c periodic mod ell."""
+    """Operator t^k -> c_k t^{k+shift} with c periodic mod ell.  Immutable;
+    two operators are equal when their field, shift and scalars are."""
 
-    field: CycField
-    shift: int
-    scalars: tuple[CycScalar, ...]
+    __slots__ = ("field", "shift", "scalars")
 
-    def __post_init__(self):
-        if len(self.scalars) != self.field.ell:
+    def __init__(self, field: CycField, shift: int, scalars: tuple[CycScalar, ...]):
+        if len(scalars) != field.ell:
             raise ValueError("need one scalar per residue mod ell")
-        if self.shift != 0 and not any(self.scalars):
-            object.__setattr__(self, "shift", 0)
+        if shift != 0 and not any(scalars):
+            shift = 0
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "scalars", scalars)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"DifferenceOperator is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, DifferenceOperator):
+            return NotImplemented
+        return (self.field, self.shift, self.scalars) == (other.field, other.shift, other.scalars)
 
     @classmethod
     def identity(cls, field: CycField) -> "DifferenceOperator":

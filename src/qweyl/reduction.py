@@ -64,8 +64,10 @@ def moment_values(point: FiberPoint, emb: TorusEmbedding,
     return [[base[j] * F.qpow(-2 * w[j]) for w in weights] for j in range(emb.d)]
 
 
-def moment_map_ok(point: FiberPoint, emb: TorusEmbedding, mu: Sequence[Sequence[CycScalar]]) -> bool:
-    """The quantum moment map in the matrix model agrees with mu.
+def moment_map_ok(point: FiberPoint, emb: TorusEmbedding,
+                  mu: Sequence[Sequence[CycScalar]]) -> dict | None:
+    """None when the quantum moment map in the matrix model agrees with mu,
+    else its first failure.
 
     The image of each Euler operator alpha_i = 1 + x_i d_i, read off the
     model as I + x_i d_i, must be diagonal with no zero entry; prod_i alpha_i^(m_ij) must equal mu[j], and
@@ -73,25 +75,34 @@ def moment_map_ok(point: FiberPoint, emb: TorusEmbedding, mu: Sequence[Sequence[
     and q^(-2 m_ij).  As mu(z_j) is diagonal with no zero entry, that
     holds iff mu_r = q^(2 m_ij) mu_c at each stored entry (r, c) of the
     image of x_i, and likewise with q^(-2 m_ij) for d_i.
+
+    A failure names the first alpha image that is not diagonal
+    ({"alpha": "a1"}), or the torus direction j (1-based) and the row r
+    where the product differs from mu[j] ({"direction": 1, "row": r}), or
+    the direction, the generator and the entry (r, c) whose conjugation
+    scaling fails ({"direction": 1, "generator": "x1", "entry": [r, c]}).
     """
     F = point.field
     rep = full_matrix_rep(point, emb)
     alphas, diagonal = alpha_images(rep), tuple(range(rep.size))
-    if any(a is None or a.cols != diagonal for a in alphas):
-        return False
+    for i, a in enumerate(alphas):
+        if a is None or a.cols != diagonal:
+            return {"alpha": f"a{i + 1}"}
     for j, values in enumerate(mu):
         # over the m_ij != 0 only, as in phi_dagger
         model = [reduce(mul, (v ** m[j] for v, m in zip(row, emb.matrix) if m[j]))
                  for row in zip(*(a.vals for a in alphas))]
-        if model != list(values):
-            return False
+        for r, (got, want) in enumerate(zip(model, values, strict=True)):
+            if got != want:
+                return {"direction": j + 1, "row": r}
         for i in range(emb.n):
-            for X, e in ((rep.x[i], 2), (rep.d[i], -2)):
+            for name, X, e in (("x", rep.x[i], 2), ("d", rep.d[i], -2)):
                 scale = F.qpow(e * emb.matrix[i][j])
-                if any(c is not None and model[r] != scale * model[c]
-                       for r, c in enumerate(X.cols)):
-                    return False
-    return True
+                for r, c in enumerate(X.cols):
+                    if c is not None and model[r] != scale * model[c]:
+                        return {"direction": j + 1, "generator": f"{name}{i + 1}",
+                                "entry": [r, c]}
+    return None
 
 
 def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) -> dict:
@@ -110,7 +121,8 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     The quotient is Mat(|B|), and the invariant module (the column space
     at a row of B) is acted on bijectively, when moment_map_ok passes;
     that one verdict is both is_matrix_algebra and
-    module_action_bijective.  When no row survives, the reduction is empty,
+    module_action_bijective, and a failure is reported, on failure only,
+    as failed_moment_map.  When no row survives, the reduction is empty,
     and the report lists the admissible etas in the order of admissible_etas.
     A point of another rank than emb, or an eta without one value per
     torus direction, raises ValueError.
@@ -133,8 +145,9 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     shift = weights[first]
     invariant_dim = sum(c * c for c in counts.values())
     module_dim = counts[shift]
-    verdict = moment_map_ok(point, emb, mu)
-    return {
+    failure = moment_map_ok(point, emb, mu)
+    verdict = failure is None
+    report = {
         "invariant_dim": invariant_dim,
         "block_count": len(counts),
         "block_size": module_dim,
@@ -147,3 +160,6 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
         "shift": list(shift),
         "ok": verdict,
     }
+    if failure is not None:
+        report["failed_moment_map"] = failure
+    return report

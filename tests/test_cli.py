@@ -71,14 +71,14 @@ def test_report_builds_the_embedding_at_most_twice(tmp_path, monkeypatch, capsys
     cfg["tasks"] = [t for t in cfg["tasks"] if t["type"] != "quiver-suite"]
     path = write_cfg(tmp_path, cfg)
     builds = 0
-    post_init = TorusEmbedding.__post_init__
+    init = TorusEmbedding.__init__
 
-    def counting_post_init(self):
+    def counting_init(self, *args, **kwargs):
         nonlocal builds
         builds += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(TorusEmbedding, "__post_init__", counting_post_init)
+    monkeypatch.setattr(TorusEmbedding, "__init__", counting_init)
     assert main(["report", "--config", path]) == 0
     capsys.readouterr()
     assert 0 < builds <= 2
@@ -91,14 +91,14 @@ def test_each_command_builds_the_embedding_once(command, tmp_path, monkeypatch, 
     path = write_cfg(tmp_path, cfg)
     argv = [command, "--config", path] + (["x2*d2"] if command == "normalize" else [])
     builds = 0
-    post_init = TorusEmbedding.__post_init__
+    init = TorusEmbedding.__init__
 
-    def counting_post_init(self):
+    def counting_init(self, *args, **kwargs):
         nonlocal builds
         builds += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(TorusEmbedding, "__post_init__", counting_post_init)
+    monkeypatch.setattr(TorusEmbedding, "__init__", counting_init)
     assert main(argv) == 0
     capsys.readouterr()
     assert builds == 1

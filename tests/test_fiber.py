@@ -1,6 +1,5 @@
 """Finite fibers: central characters, matrix models, untwisting."""
 
-import dataclasses
 import inspect
 import json
 import random
@@ -9,12 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qweyl import (CycField, FiberPoint, FullRep, Matrix, OutsideAzumayaLocus,
-                   PBWAlgebra, QuiverData, TorusEmbedding, full_matrix_rep,
-                   quiver_to_embedding)
+from qweyl import (CycField, DifferenceOperator, FiberPoint, FullRep, Matrix,
+                   OutsideAzumayaLocus, PBWAlgebra, QuiverData, TorusEmbedding,
+                   full_matrix_rep, quiver_to_embedding)
 from qweyl import fiber
 from qweyl.cli import build_point, run_suite, validate_config
-from qweyl.expr import evaluate_scalar
+from qweyl.expr import Token, evaluate_scalar
 from qweyl.fiber import digits
 from qweyl.linalg import SpanBasis
 from qweyl.pbw import PBWElement
@@ -783,8 +782,37 @@ def test_a_model_image_stores_no_zero():
 def test_full_rep_is_frozen():
     F = CycField(3)
     rep = full_matrix_rep(two_factor_point(F), emb_n2())
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         rep.x = rep.d
+
+
+IMMUTABLE_VALUES = {
+    "Token": lambda F: Token("gen", "x1", 0),
+    "FiberPoint": two_factor_point,
+    "FullRep": lambda F: full_matrix_rep(two_factor_point(F), emb_n2()),
+    "QuiverData": lambda F: QuiverData(num_vertices=2, edges=((1, 2),)),
+    "TorusEmbedding": lambda F: emb_n2(),
+    "DifferenceOperator": DifferenceOperator.identity,
+}
+
+
+@pytest.mark.parametrize("name", list(IMMUTABLE_VALUES))
+def test_value_classes_are_immutable(name):
+    # a field can be neither reassigned nor deleted, and __slots__ leaves no
+    # room for a new attribute, such as a cache, to be attached
+    value = IMMUTABLE_VALUES[name](CycField(3))
+    assert type(value).__name__ == name
+    field = type(value).__slots__[0]
+    kept = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, kept)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.cache = {}
+    with pytest.raises(AttributeError):
+        object.__setattr__(value, "cache", {})
+    assert getattr(value, field) is kept and not hasattr(value, "cache")
 
 # -- module bases and the splitting check ------------------------------------
 
@@ -990,7 +1018,8 @@ def test_central_values_check_reads_c_and_w():
     # the same product c w, so the same gamma: only x^3 = c I or d^3 = w I can tell
     for moved, c, residual in (([(F.scalar(14), F.one / 2)], "14", "-7"),
                                ([(F.scalar(7) / 2, F.scalar(2))], "7/2", "7/2")):
-        assert fiber.presentation_failure(rep, dataclasses.replace(p, lam=tuple(moved)), A) == {
+        moved_point = FiberPoint(field=F, lam=tuple(moved), gamma=p.gamma)
+        assert fiber.presentation_failure(rep, moved_point, A) == {
             "relation": f"x1^3 = {c}", "entry": [0, 0], "residual": residual}
 
 
@@ -1039,7 +1068,7 @@ def test_a_repeated_alpha_eigenvalue_fails_the_certificate(monkeypatch):
     rep = full_matrix_rep(p, A.emb)
     (x,), (d,) = rep.x, rep.d
     assert x[(0, 1)] == x[(1, 2)] == F.one and d[(1, 0)] != d[(2, 1)]
-    bad = dataclasses.replace(rep, d=(Matrix(F, 3, {**d.entries, (1, 0): d[(2, 1)]}),))
+    bad = FullRep(x=rep.x, d=(Matrix(F, 3, {**d.entries, (1, 0): d[(2, 1)]}),))
     (alpha,) = fiber.alpha_images(bad)
     assert all(r == c for r, c in alpha.entries) and alpha[(0, 0)] == alpha[(1, 1)]
     # the graph search cannot see it: the alpha check fails (and so does
@@ -1059,7 +1088,7 @@ def moved_d_entry(rep):
     column 0: x d then holds x_(2,0) d_(0,0) at (2, 0), off the diagonal."""
     (d,) = rep.d
     entries = {(1, 0): d[(1, 0)], (2, 1): d[(2, 1)], (0, 0): d[(0, 2)]}
-    return dataclasses.replace(rep, d=(Matrix(rep.field, 3, entries),))
+    return FullRep(x=rep.x, d=(Matrix(rep.field, 3, entries),))
 
 
 def test_an_alpha_off_the_diagonal_fails_the_certificate(monkeypatch):
@@ -1131,8 +1160,7 @@ def test_a_cut_edge_fails_the_certificate():
     assert set(x.entries) == {(2, 0), (1, 2)} and set(d.entries) == {(2, 1), (0, 2)}
     assert fiber.unreached_row(rep) is None
     # zeroing the x and d entries between rows 1 and 2 cuts row 1 off
-    cut = dataclasses.replace(
-        rep, x=(Matrix(F, 3, {(2, 0): x[(2, 0)]}),), d=(Matrix(F, 3, {(0, 2): d[(0, 2)]}),))
+    cut = FullRep(x=(Matrix(F, 3, {(2, 0): x[(2, 0)]}),), d=(Matrix(F, 3, {(0, 2): d[(0, 2)]}),))
     assert fiber.unreached_row(cut) == 1
     assert exact_basis_rank(cut) == 4
 
@@ -1150,7 +1178,7 @@ def test_fiber_rep_span_is_not_counted_when_the_relations_or_the_certificate_fai
     report = fiber.fiber_rep_report(p, A)
     assert report["ok"] and report["span_dimension"] == 9
     assert "failed_relation" not in report and "unreached_row" not in report
-    moved = dataclasses.replace(p, lam=((F.scalar(14), F.one / 2),))
+    moved = FiberPoint(field=F, lam=((F.scalar(14), F.one / 2),), gamma=p.gamma)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fiber, "full_matrix_rep", lambda point, emb: rep)
         report = fiber.fiber_rep_report(moved, A)

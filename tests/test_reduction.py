@@ -131,7 +131,7 @@ def test_torsion_action_commutes_with_grading():
     p = FiberPoint(field=F, lam=((F.scalar(7), F.one), (F.zero, F.zero)),
                    gamma=(F.scalar(2), F.one))
     for emb in (emb_sum(), emb_diff(), emb_id2()):
-        assert moment_map_ok(p, emb, mu_of(p, emb))
+        assert moment_map_ok(p, emb, mu_of(p, emb)) is None
 
 
 def shifted_rep(point, emb):
@@ -149,7 +149,9 @@ def shifted_rep(point, emb):
 def test_torsion_action_check_fails_on_a_mutant(monkeypatch):
     F = CycField(3)
     p = trivial_point(F)
-    for emb in (emb_sum(), emb_diff(), emb_id2()):
+    # the shifted x_1 moves the second coordinate, so the scaling fails at its
+    # first entry (1, 8) in the direction that weighs the second coordinate
+    for emb, direction in ((emb_sum(), 1), (emb_diff(), 1), (emb_id2(), 2)):
         A = PBWAlgebra(F, emb)
         rep, bad = full_matrix_rep(p, emb), shifted_rep(p, emb)
         # the Euler images, hence mu, are those of the true model ...
@@ -158,13 +160,30 @@ def test_torsion_action_check_fails_on_a_mutant(monkeypatch):
         mu = mu_of(p, emb)
         # ... so only the conjugation by mu tells them apart
         monkeypatch.setattr(reduction, "full_matrix_rep", shifted_rep)
-        assert not moment_map_ok(p, emb, mu)
+        failure = moment_map_ok(p, emb, mu)
+        assert failure == {"direction": direction, "generator": "x1", "entry": [1, 8]}
         res = hamiltonian_reduce(p, emb, phi_dagger(p, emb))
         assert not res["is_matrix_algebra"] and not res["module_action_bijective"]
+        assert res["failed_moment_map"] == failure
         monkeypatch.undo()
-        assert moment_map_ok(p, emb, mu)
-    # the moment values of another embedding are not the moment map of this one
-    assert not moment_map_ok(p, emb_sum(), mu_of(p, emb_diff()))
+        assert moment_map_ok(p, emb, mu) is None
+        assert "failed_moment_map" not in hamiltonian_reduce(p, emb, phi_dagger(p, emb))
+    # the moment values of another embedding are not the moment map of this
+    # one: row 3, digits (0, 1), has weight 1 under (1), (1) and 2 under (1), (-1)
+    assert moment_map_ok(p, emb_sum(), mu_of(p, emb_diff())) == {"direction": 1, "row": 3}
+
+
+def test_an_alpha_off_the_diagonal_is_named(monkeypatch):
+    # with d_2 replaced by x_2, alpha_2 = I + x_2^2 leaves the diagonal, and
+    # the check stops at it before any moment value is compared
+    F = CycField(3)
+    p, emb = trivial_point(F), emb_sum()
+    rep = full_matrix_rep(p, emb)
+    bad = FullRep(x=rep.x, d=(rep.d[0], rep.x[1]))
+    monkeypatch.setattr(reduction, "full_matrix_rep", lambda *args: bad)
+    assert moment_map_ok(p, emb, mu_of(p, emb)) == {"alpha": "a2"}
+    res = hamiltonian_reduce(p, emb, phi_dagger(p, emb))
+    assert res["ok"] is False and res["failed_moment_map"] == {"alpha": "a2"}
 
 
 # -- moment diagonals ---------------------------------------------------------
@@ -233,7 +252,7 @@ def test_moment_products_never_start_from_the_unit(monkeypatch):
     monkeypatch.setattr(CycScalar, "__rmul__", counted)
     fiber.alpha_images(rep)
     alpha_products, calls[0] = calls[0], 0
-    assert moment_map_ok(p, emb, mu)
+    assert moment_map_ok(p, emb, mu) is None
     conjugations = sum(len(G.entries) for G in rep.x + rep.d)  # mu_r = q^(+-2) mu_c per entry
     assert calls[0] == alpha_products + 9 + conjugations
     # phi_dagger multiplies the two gammas once, and no unit
@@ -540,9 +559,11 @@ def test_closed_form_matches_the_elimination_on_broken_diagonals(mutation):
 def test_a_failed_moment_map_check_fails_both_verdicts(monkeypatch):
     F = CycField(3)
     passing = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
-    monkeypatch.setattr(reduction, "moment_map_ok", lambda *args: False)
+    failure = {"alpha": "a1"}
+    monkeypatch.setattr(reduction, "moment_map_ok", lambda *args: failure)
     res = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
     assert passing["is_matrix_algebra"] and passing["module_action_bijective"] and passing["ok"]
+    assert "failed_moment_map" not in passing and res["failed_moment_map"] == failure
     assert res["is_matrix_algebra"] is False and res["module_action_bijective"] is False
     assert res["ok"] is False
     dims = ("invariant_dim", "ideal_dim", "quotient_dim", "module_dim", "block_count", "block_size")

@@ -1,8 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
-import dataclasses
 import inspect
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -129,10 +130,23 @@ def test_full_rep_holds_its_images_only():
     # the model is its generator images: no word cache can grow back on it,
     # and its field and size are read off them, so they cannot disagree
     from qweyl.fiber import FullRep
-    assert [f.name for f in dataclasses.fields(FullRep)] == ["x", "d"]
+    assert FullRep.__slots__ == ("x", "d")
     assert all(isinstance(vars(FullRep)[name], property) for name in ("field", "size"))
     assert [name for name, v in vars(FullRep).items()
             if inspect.isfunction(v) and not name.startswith("__")] == ["of_element"]
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # a qweyl process spends most of its set-up importing: dataclasses brings
+    # in inspect, ast, dis and tokenize, and execs each class's methods, so
+    # the value classes are plain slotted classes; -S keeps site-packages
+    # .pth files out of the module table
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import qweyl.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "", proc.stdout
 
 
 def test_the_fiber_rep_span_path_is_chosen_in_fiber():
