@@ -15,7 +15,7 @@ from .pbw import PBWAlgebra, PBWElement, QmmResult, verify_qmm
 from .quiver_examples import (DifferenceOperator, build_an_quiver_algebra,
                               cyclic_quiver, u1_operators, verify_central_z,
                               verify_u1_relations)
-from .reduction import (admissible_etas, hamiltonian_reduce, moment_map_ok,
+from .reduction import (admissible_etas, hamiltonian_reduce, moment_map_failure,
                         moment_values, phi_dagger)
 
 __version__ = "0.1.0"
@@ -30,7 +30,7 @@ __all__ = [
     "PBWAlgebra", "PBWElement", "QmmResult", "verify_qmm",
     "DifferenceOperator", "build_an_quiver_algebra",
     "cyclic_quiver", "u1_operators", "verify_central_z", "verify_u1_relations",
-    "admissible_etas", "hamiltonian_reduce", "moment_map_ok", "moment_values",
+    "admissible_etas", "hamiltonian_reduce", "moment_map_failure", "moment_values",
     "phi_dagger",
     "__version__",
 ]

@@ -15,7 +15,6 @@ rather than approximately.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -145,14 +144,20 @@ class CycField:
         return self.qpow(1)
 
     def scalar(self, value) -> "CycScalar":
-        """Coerce an int, Fraction, or CycScalar into this field."""
+        """The one rule for what is a scalar: a CycScalar of this order, or a
+        rational read through its integer numerator and denominator (an int or a Fraction)."""
         if isinstance(value, CycScalar):
             if value.field is not self and value.field.ell != self.ell:
                 raise ValueError("scalar belongs to a different cyclotomic field")
             return value
-        if isinstance(value, (int, Fraction)):
-            return self._make([value.numerator], value.denominator)
-        raise TypeError(f"cannot coerce {type(value).__name__} into Q(q)")
+        num, den = getattr(value, "numerator", None), getattr(value, "denominator", None)
+        if type(num) is not int or type(den) is not int:
+            raise TypeError(f"cannot coerce {type(value).__name__} into Q(q)")
+        return self.rational(num, den)
+
+    def rational(self, num: int, den: int = 1) -> "CycScalar":
+        """The rational num / den, for integers with den > 0."""
+        return self._make([num], den)
 
     def qpow(self, k: int) -> "CycScalar":
         """The scalar q^k, any integer k (q has multiplicative order ell)."""
@@ -187,13 +192,11 @@ class CycScalar:
         return not any(self.num[1:])
 
     def _coerce(self, other):
-        if isinstance(other, CycScalar):
-            if other.field.ell != self.field.ell:
-                return None
-            return other
-        if isinstance(other, (int, Fraction)):
+        """other as a scalar of this field, or None where `CycField.scalar` refuses it."""
+        try:
             return self.field.scalar(other)
-        return None
+        except (TypeError, ValueError):
+            return None
 
     # -- arithmetic -------------------------------------------------------
 
@@ -307,28 +310,27 @@ class CycScalar:
         return f"<{self} : ell={self.field.ell}>"
 
     def __str__(self):
-        terms = [(e, Fraction(self.num[e], self.den))
-                 for e in range(self.field.degree - 1, -1, -1) if self.num[e]]
+        terms = [e for e in range(self.field.degree - 1, -1, -1) if self.num[e]]
         if not terms:
             return "0"
-        return "".join(_format_term(e, c, leading=(pos == 0))
-                       for pos, (e, c) in enumerate(terms))
+        return "".join(_format_term(e, self.num[e], self.den, leading=(pos == 0))
+                       for pos, e in enumerate(terms))
 
 
-def _format_term(power: int, coeff: Fraction, leading: bool) -> str:
-    mag = abs(coeff)
+def _format_term(power: int, num: int, den: int, leading: bool) -> str:
+    """The term (num / den) q^power, in lowest terms, as the printer shows it."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    qp = "q" if power == 1 else f"q^{power}"
     if power == 0:
-        body = str(mag)
-    elif power == 1:
-        body = "q" if mag == 1 else f"{mag}*q"
+        body = mag
     else:
-        body = f"q^{power}" if mag == 1 else f"{mag}*q^{power}"
+        body = qp if mag == "1" else f"{mag}*{qp}"
     if leading:
-        if coeff < 0:
-            if power == 0:
-                return str(coeff)
-            if mag == 1:
+        if num < 0:
+            if power == 0 or mag == "1":
                 return "-" + body
-            return f"({coeff})*" + body.split("*", 1)[1]
+            return f"(-{mag})*{qp}"
         return body
-    return (" - " if coeff < 0 else " + ") + body
+    return (" - " if num < 0 else " + ") + body

@@ -23,7 +23,6 @@ lowest offset.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .cyclotomic import CycField, CycScalar
@@ -191,10 +190,10 @@ class _Parser:
             raise ParseError("unexpected end of input", len(self.src))
         if t.kind == "number":
             self.take()
-            _, slash, den = t.text.partition("/")
+            num, slash, den = t.text.partition("/")
             if slash and int(den) == 0:
                 raise ParseError(f"zero denominator in {t.text}", t.offset)
-            return self.field.scalar(Fraction(t.text))
+            return self.field.rational(int(num), int(den) if slash else 1)
         if t.kind == "q":
             self.take()
             if self.at_op("^"):

@@ -18,7 +18,6 @@ root of unity, so central and root-of-unity phenomena are exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
@@ -103,6 +102,9 @@ class PBWAlgebra:
         The falling product is [t j] prod_{i<=j} (q^(2i) - 1) as a
         polynomial in q, so nothing is divided and the formula stays
         exact where q^(2i) = 1; once it vanishes every later term does.
+        It vanishes by j = ell at the latest, as one of t, t-1, ..., t-ell+1
+        is 0 mod ell, so each Pascal row keeps only its first ell entries:
+        a row costs O(ell), not O(s), and d^a x^b costs O(ell s), not O(s^2).
         """
         out = self._crossings.get((a, b))
         if out is not None:
@@ -113,7 +115,8 @@ class PBWAlgebra:
         while len(rows) <= s:  # Pascal's rule [r k] = [r-1 k-1] + q^(2k) [r-1 k]
             prev = rows[-1]
             rows.append([F.one] + [prev[k - 1] + F.qpow(2 * k) * prev[k]
-                                   for k in range(1, len(prev))] + [F.one])
+                                   for k in range(1, len(prev))]
+                        + [F.one] * (len(prev) < F.ell))  # [r r] = 1, below the cap
         out = []
         falling = F.one
         for j, gauss in enumerate(rows[s]):
@@ -201,9 +204,10 @@ class PBWElement:
     def _coerce(self, other) -> Optional["PBWElement"]:
         if isinstance(other, PBWElement):
             return other if other.algebra is self.algebra else None
-        if isinstance(other, (int, Fraction, CycScalar)):
+        try:
             return self.algebra.scalar_element(other)
-        return None
+        except TypeError:  # CycField.scalar decides what is a scalar
+            return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -231,17 +235,15 @@ class PBWElement:
     def __mul__(self, other):
         if isinstance(other, PBWElement):
             return self.algebra.multiply(self, other)
-        if isinstance(other, (int, Fraction, CycScalar)):
+        try:
             c = self.algebra.field.scalar(other)
-            if not c:
-                return self.algebra.zero()
-            return PBWElement(self.algebra, {k: c * v for k, v in self.terms.items()})
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
+        if not c:
+            return self.algebra.zero()
+        return PBWElement(self.algebra, {k: c * v for k, v in self.terms.items()})
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # scalars are central, and a PBWElement never reaches __rmul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:

@@ -64,8 +64,8 @@ def moment_values(point: FiberPoint, emb: TorusEmbedding,
     return [[base[j] * F.qpow(-2 * w[j]) for w in weights] for j in range(emb.d)]
 
 
-def moment_map_ok(point: FiberPoint, emb: TorusEmbedding,
-                  mu: Sequence[Sequence[CycScalar]]) -> dict | None:
+def moment_map_failure(point: FiberPoint, emb: TorusEmbedding,
+                       mu: Sequence[Sequence[CycScalar]]) -> dict | None:
     """None when the quantum moment map in the matrix model agrees with mu,
     else its first failure.
 
@@ -119,7 +119,7 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     with b outside B, and the quotient keeps the |B|^2 keys in B x B.
 
     The quotient is Mat(|B|), and the invariant module (the column space
-    at a row of B) is acted on bijectively, when moment_map_ok passes;
+    at a row of B) is acted on bijectively, when moment_map_failure passes;
     that one verdict is both is_matrix_algebra and
     module_action_bijective, and a failure is reported, on failure only,
     as failed_moment_map.  When no row survives, the reduction is empty,
@@ -145,7 +145,7 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     shift = weights[first]
     invariant_dim = sum(c * c for c in counts.values())
     module_dim = counts[shift]
-    failure = moment_map_ok(point, emb, mu)
+    failure = moment_map_failure(point, emb, mu)
     verdict = failure is None
     report = {
         "invariant_dim": invariant_dim,

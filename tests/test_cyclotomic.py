@@ -8,14 +8,15 @@ leans on.
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qweyl import CycField, cyclotomic_polynomial
+from qweyl import CycField, CycScalar, cyclotomic_polynomial, evaluate_scalar
 from qweyl.cyclotomic import MAX_ORDER, check_order, power
 
-from scalars import poly
+from scalars import fraction_str, poly
 
 
 def test_cyclotomic_polynomials_small():
@@ -226,6 +227,33 @@ def test_str_formatting():
     assert str(F.scalar(2) * F.q) == "2*q"
     assert str(F.scalar(Fraction(1, 2)) * F.q + 1) == "1/2*q + 1"
     assert str(F.scalar(Fraction(-1, 3)) * F.q) == "(-1/3)*q"
+    # (2q + 1)/2 is stored as (1 + 2q) over 2, and its q term prints as q
+    half_sum = F.rational(1, 2) * (2 * F.q + 1)
+    assert (half_sum.num, half_sum.den) == ((1, 2, 0, 0), 2)
+    assert str(half_sum) == "q + 1/2" and str(-half_sum) == "-q - 1/2"
+    assert str(F.rational(-4, 6) * F.qpow(3) + F.rational(1, 3)) == "(-2/3)*q^3 + 1/3"
+
+
+PRINT_FIELDS = {ell: CycField(ell) for ell in (3, 5, 9, 15)}
+
+
+@pytest.mark.parametrize("ell", sorted(PRINT_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_printer_matches_the_fraction_printer(ell, data):
+    # each coefficient is printed from its integer numerator and the common
+    # denominator, with their gcd divided out, exactly as Fraction printed it;
+    # a literal a/b is the rational a/b itself, made with no inverse
+    F = PRINT_FIELDS[ell]
+    den = data.draw(st.sampled_from([2, 3, 4, 6, 9, 12]))
+    nums = data.draw(st.lists(st.integers(-3 * den, 3 * den), min_size=F.degree, max_size=F.degree))
+    s = F.rational(1, den) * poly(F, nums)
+    assume(s.den > 1)
+    assert str(s) == fraction_str(s) and str(-s) == fraction_str(-s)
+    a, b = data.draw(st.integers(0, 99)), data.draw(st.integers(1, 99))
+    with mock.patch.object(CycScalar, "inverse", side_effect=AssertionError("inverse called")):
+        assert evaluate_scalar(f"{a}/{b}", F) == F.scalar(Fraction(a, b))
+        assert str(evaluate_scalar(f"{a}/{b}", F)) == str(Fraction(a, b))
 
 
 def test_power_table_consistency():

@@ -12,13 +12,14 @@ import inspect
 import json
 import random
 import textwrap
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qweyl import (CycField, PBWAlgebra, TorusEmbedding, quiver_to_embedding,
+from qweyl import (CycField, PBWAlgebra, TorusEmbedding, evaluate, quiver_to_embedding,
                    verify_qmm)
 from qweyl import pbw
 from qweyl.lattice import QuiverData
@@ -167,6 +168,60 @@ def test_crossings_share_one_pascal_row_table():
         for b in range(20):
             A.d(1, a) * A.x(1, b)
     assert len(A._pascal_rows) == 20
+
+
+def uncapped_pascal_rows(F, top):
+    """Every full row 0..top of Gaussian binomials at q^2, none capped."""
+    rows = [[F.one]]
+    for r in range(1, top + 1):
+        prev = rows[-1]
+        rows.append([F.one] + [prev[k - 1] + F.qpow(2 * k) * prev[k] for k in range(1, r)]
+                    + [F.one])
+    return rows
+
+
+def uncapped_crossing(F, rows, a, b):
+    """The triples of d^a x^b read off the full Pascal row of s = min(a, b):
+    `PBWAlgebra._crossing` before its rows were capped at ell entries."""
+    s, t = min(a, b), max(a, b)
+    out, falling = [], F.one
+    for j, gauss in enumerate(rows[s]):
+        if not falling:
+            break
+        f = gauss * falling
+        if f:
+            out.append((j, 2 * (a - j) * (b - j), None if f == F.one else f))
+        falling = falling * (F.qpow(2 * (t - j)) - 1)
+    return out
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 9, 13])
+def test_capped_pascal_rows_give_the_uncapped_crossings(ell):
+    # the falling product vanishes by j = ell, so a row past its first ell
+    # entries is never read: the capped rows give the same triples
+    F = CycField(ell)
+    A = PBWAlgebra(F, emb_n1())
+    top = 3 * ell + 2
+    rows = uncapped_pascal_rows(F, top)
+    for a in range(top + 1):
+        for b in range(top + 1):
+            assert A._crossing(a, b) == uncapped_crossing(F, rows, a, b), (a, b)
+    assert len(A._pascal_rows) == top + 1 and max(map(len, A._pascal_rows)) == ell
+
+
+@pytest.mark.parametrize("ell", [3, 13])
+def test_a_large_crossing_costs_linear_time(ell):
+    # d^2000 x^2000 reads row 2000 alone; by the q-Lucas theorem each
+    # [2000 j] with j < ell is [r j], r = 2000 mod ell, so the product is
+    # d^r x^r with each term shifted up by 2000 - r and retwisted
+    A = PBWAlgebra(CycField(ell), emb_n1())
+    start = time.perf_counter()
+    got = evaluate("d1^2000*x1^2000", A)
+    assert time.perf_counter() - start < 1.0
+    a, r, qpow = 2000, 2000 % ell, A.field.qpow
+    want = {((a - j,), (a - j,)): c * qpow(2 * ((a - j) ** 2 - (r - j) ** 2))
+            for ((m,), _), c in (A.d(1, r) * A.x(1, r)).terms.items() for j in [r - m]}
+    assert got.terms == want and len(want) == r + 1
 
 
 def _int_poly_mul(f, g):

@@ -15,7 +15,7 @@ from qweyl import fiber, reduction
 from qweyl import (CycField, FiberPoint, FullRep, Matrix,
                    OutsideAzumayaLocus, PBWAlgebra, SpanBasis,
                    TorusEmbedding, admissible_etas, full_matrix_rep,
-                   hamiltonian_reduce, moment_map_ok, moment_values, phi_dagger)
+                   hamiltonian_reduce, moment_map_failure, moment_values, phi_dagger)
 from qweyl.cli import run_suite
 from qweyl.fiber import digits
 from qweyl.reduction import row_weights
@@ -131,7 +131,7 @@ def test_torsion_action_commutes_with_grading():
     p = FiberPoint(field=F, lam=((F.scalar(7), F.one), (F.zero, F.zero)),
                    gamma=(F.scalar(2), F.one))
     for emb in (emb_sum(), emb_diff(), emb_id2()):
-        assert moment_map_ok(p, emb, mu_of(p, emb)) is None
+        assert moment_map_failure(p, emb, mu_of(p, emb)) is None
 
 
 def shifted_rep(point, emb):
@@ -160,17 +160,17 @@ def test_torsion_action_check_fails_on_a_mutant(monkeypatch):
         mu = mu_of(p, emb)
         # ... so only the conjugation by mu tells them apart
         monkeypatch.setattr(reduction, "full_matrix_rep", shifted_rep)
-        failure = moment_map_ok(p, emb, mu)
+        failure = moment_map_failure(p, emb, mu)
         assert failure == {"direction": direction, "generator": "x1", "entry": [1, 8]}
         res = hamiltonian_reduce(p, emb, phi_dagger(p, emb))
         assert not res["is_matrix_algebra"] and not res["module_action_bijective"]
         assert res["failed_moment_map"] == failure
         monkeypatch.undo()
-        assert moment_map_ok(p, emb, mu) is None
+        assert moment_map_failure(p, emb, mu) is None
         assert "failed_moment_map" not in hamiltonian_reduce(p, emb, phi_dagger(p, emb))
     # the moment values of another embedding are not the moment map of this
     # one: row 3, digits (0, 1), has weight 1 under (1), (1) and 2 under (1), (-1)
-    assert moment_map_ok(p, emb_sum(), mu_of(p, emb_diff())) == {"direction": 1, "row": 3}
+    assert moment_map_failure(p, emb_sum(), mu_of(p, emb_diff())) == {"direction": 1, "row": 3}
 
 
 def test_an_alpha_off_the_diagonal_is_named(monkeypatch):
@@ -181,7 +181,7 @@ def test_an_alpha_off_the_diagonal_is_named(monkeypatch):
     rep = full_matrix_rep(p, emb)
     bad = FullRep(x=rep.x, d=(rep.d[0], rep.x[1]))
     monkeypatch.setattr(reduction, "full_matrix_rep", lambda *args: bad)
-    assert moment_map_ok(p, emb, mu_of(p, emb)) == {"alpha": "a2"}
+    assert moment_map_failure(p, emb, mu_of(p, emb)) == {"alpha": "a2"}
     res = hamiltonian_reduce(p, emb, phi_dagger(p, emb))
     assert res["ok"] is False and res["failed_moment_map"] == {"alpha": "a2"}
 
@@ -252,7 +252,7 @@ def test_moment_products_never_start_from_the_unit(monkeypatch):
     monkeypatch.setattr(CycScalar, "__rmul__", counted)
     fiber.alpha_images(rep)
     alpha_products, calls[0] = calls[0], 0
-    assert moment_map_ok(p, emb, mu) is None
+    assert moment_map_failure(p, emb, mu) is None
     conjugations = sum(len(G.entries) for G in rep.x + rep.d)  # mu_r = q^(+-2) mu_c per entry
     assert calls[0] == alpha_products + 9 + conjugations
     # phi_dagger multiplies the two gammas once, and no unit
@@ -560,7 +560,7 @@ def test_a_failed_moment_map_check_fails_both_verdicts(monkeypatch):
     F = CycField(3)
     passing = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
     failure = {"alpha": "a1"}
-    monkeypatch.setattr(reduction, "moment_map_ok", lambda *args: failure)
+    monkeypatch.setattr(reduction, "moment_map_failure", lambda *args: failure)
     res = hamiltonian_reduce(trivial_point(F), emb_sum(), (F.one,))
     assert passing["is_matrix_algebra"] and passing["module_action_bijective"] and passing["ok"]
     assert "failed_moment_map" not in passing and res["failed_moment_map"] == failure

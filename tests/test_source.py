@@ -136,17 +136,41 @@ def test_full_rep_holds_its_images_only():
             if inspect.isfunction(v) and not name.startswith("__")] == ["of_element"]
 
 
-def test_the_cli_imports_neither_dataclasses_nor_inspect():
-    # a qweyl process spends most of its set-up importing: dataclasses brings
-    # in inspect, ast, dis and tokenize, and execs each class's methods, so
-    # the value classes are plain slotted classes; -S keeps site-packages
-    # .pth files out of the module table
+def loaded_by_the_cli(modules):
+    """Those of modules that a fresh `import qweyl.cli` loads; -S keeps
+    site-packages .pth files out of the module table."""
     code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import qweyl.cli; "
-            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            f"print(*sorted({set(modules)!r} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "", proc.stdout
+    return proc.stdout.split()
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # a qweyl process spends most of its set-up importing: dataclasses brings
+    # in inspect, ast, dis and tokenize, and execs each class's methods, so
+    # the value classes are plain slotted classes
+    assert loaded_by_the_cli({"dataclasses", "inspect"}) == []
+
+
+def test_one_rule_for_what_is_a_scalar():
+    # Q(q) scalars are parsed, coerced and printed from integers alone, so no
+    # module imports fractions (which loads decimal and numbers too), and
+    # CycField.scalar is the one place that tests a value's type to decide
+    # whether it is a scalar; a caller's Fraction is read through its
+    # integer numerator and denominator
+    assert loaded_by_the_cli({"fractions", "decimal", "numbers"}) == []
+    importing, typed = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if "fractions" in imports_of(tree)[1]:
+            importing.append(path.name)
+        typed += [(path.name, getattr(top, "name", None)) for top in tree.body
+                  for node in ast.walk(top)
+                  if calls(node, "isinstance") and "CycScalar" in names_read(node)]
+    assert list(SRC.glob("*.py")) and not importing, importing
+    assert typed == [("cyclotomic.py", "CycField")], typed
 
 
 def test_the_fiber_rep_span_path_is_chosen_in_fiber():
@@ -198,7 +222,7 @@ def test_one_builder_of_the_moment_map_on_each_side():
     # algebra identity alpha_i g = q^(2 s_i) g alpha_i is checked by verify_qmm
     # alone: no second copy of either can grow back
     assert callers_of("alpha_images") == [("fiber.py", "fiber_rep_report"),
-                                          ("reduction.py", "moment_map_ok")]
+                                          ("reduction.py", "moment_map_failure")]
     assert callers_of("verify_qmm") == [("pbw.py", "qmm_report"), ("pbw.py", "center_report")]
     assert not hasattr(qweyl.fiber, "Rank1Rep") and not hasattr(qweyl.pbw, "_alpha_scales_by_weight")
 
