@@ -6,6 +6,11 @@ byte-identical across runs with the same config: orderings are
 canonical and no timestamps are embedded.  The report's "seed" key is
 the constant DEFAULT_SEED, kept so that the report format stays the same;
 no computation reads it.
+
+At import, cli loads only what validating a config needs (`cyclotomic`,
+`lattice`, `linalg`), besides `argparse` and `json`, which every command
+uses; each task's runner imports its own layers when it first runs, so a
+process compiles only the layers its tasks use.
 """
 
 from __future__ import annotations
@@ -17,12 +22,7 @@ import sys
 from typing import Optional
 
 from .cyclotomic import CycField, check_order
-from .expr import ParseError, evaluate, evaluate_scalar, normalize_report
-from .fiber import FiberPoint, fiber_rep_report
 from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
-from .pbw import PBWAlgebra, center_report, qmm_report
-from .quiver_examples import quiver_suite_report
-from .reduction import hamiltonian_reduce
 
 DEFAULT_SEED = 20240901
 
@@ -114,30 +114,63 @@ def build_embedding(cfg: dict) -> TorusEmbedding:
     return quiver_to_embedding(QuiverData(num_vertices=quiver["vertices"], edges=quiver["edges"]))
 
 
-def build_point(field: CycField, data: dict) -> FiberPoint:
-    """The fiber point of a validated 'point' object."""
+def build_point(field: CycField, data: dict):
+    """The fiber.FiberPoint of a validated 'point' object."""
+    from .expr import evaluate_scalar
+    from .fiber import FiberPoint
     lam = tuple((evaluate_scalar(c, field), evaluate_scalar(w, field)) for c, w in data["lambda"])
     gamma = tuple(evaluate_scalar(g, field) for g in data["gamma"])
     return FiberPoint(field=field, lam=lam, gamma=gamma)
 
 
+def _normalize(algebra, task: dict) -> dict:
+    from .expr import normalize_report
+    return normalize_report(algebra, task["expressions"])
+
+
+def _center_check(algebra, task: dict) -> dict:
+    from .pbw import center_report
+    return center_report(algebra, task.get("max_degree", 6))
+
+
+def _fiber_rep(algebra, task: dict) -> dict:
+    from .fiber import fiber_rep_report
+    return fiber_rep_report(build_point(algebra.field, task["point"]), algebra)
+
+
+def _reduce(algebra, task: dict) -> dict:
+    from .expr import evaluate_scalar
+    from .reduction import hamiltonian_reduce
+    return hamiltonian_reduce(build_point(algebra.field, task["point"]), algebra.emb,
+                              tuple(evaluate_scalar(v, algebra.field) for v in task["eta"]))
+
+
+def _quiver_suite(algebra, task: dict) -> dict:
+    from .quiver_examples import quiver_suite_report
+    return quiver_suite_report(algebra.field, task.get("n", 3))
+
+
+def _qmm_check(algebra, task: dict) -> dict:
+    from .pbw import qmm_report
+    return qmm_report(algebra)
+
+
 # each task type, in the order the config error lists them, and the one
-# call that builds its report from the algebra and the validated task
+# call that builds its report from the algebra and the validated task; each
+# imports the layers it calls, so no layer is compiled before a task needs it
 _RUNNERS = {
-    "normalize": lambda algebra, task: normalize_report(algebra, task["expressions"]),
-    "center-check": lambda algebra, task: center_report(algebra, task.get("max_degree", 6)),
-    "fiber-rep": lambda algebra, task: fiber_rep_report(build_point(algebra.field, task["point"]),
-                                                        algebra),
-    "reduce": lambda algebra, task: hamiltonian_reduce(
-        build_point(algebra.field, task["point"]), algebra.emb,
-        tuple(evaluate_scalar(v, algebra.field) for v in task["eta"])),
-    "quiver-suite": lambda algebra, task: quiver_suite_report(algebra.field, task.get("n", 3)),
-    "qmm-check": lambda algebra, task: qmm_report(algebra),
+    "normalize": _normalize,
+    "center-check": _center_check,
+    "fiber-rep": _fiber_rep,
+    "reduce": _reduce,
+    "quiver-suite": _quiver_suite,
+    "qmm-check": _qmm_check,
 }
 
 
 def run_suite(cfg: dict, emb: Optional[TorusEmbedding] = None) -> dict:
     """Run every task of cfg; emb, when given, is what validate_config(cfg) returned."""
+    from .pbw import PBWAlgebra
     if emb is None:
         emb = validate_config(cfg)
     algebra = PBWAlgebra(CycField(cfg["ell"]), emb)
@@ -199,6 +232,8 @@ def main(argv: Optional[list] = None) -> int:
     args = _parser().parse_args(argv)
 
     if args.command == "normalize":
+        from .expr import ParseError, evaluate
+        from .pbw import PBWAlgebra
         try:
             if args.config:
                 cfg, emb = load_config(args.config)

@@ -103,8 +103,11 @@ class PBWAlgebra:
         polynomial in q, so nothing is divided and the formula stays
         exact where q^(2i) = 1; once it vanishes every later term does.
         It vanishes by j = ell at the latest, as one of t, t-1, ..., t-ell+1
-        is 0 mod ell, so each Pascal row keeps only its first ell entries:
-        a row costs O(ell), not O(s), and d^a x^b costs O(ell s), not O(s^2).
+        is 0 mod ell, so only j < ell is read, and there the q-Lucas theorem
+        (q^2 is a primitive ell-th root) gives [s j] = [s mod ell, j], which
+        is 0 for s mod ell < j < ell.  So the Pascal table holds rows 0 to
+        ell - 1 only, each in full: the table costs O(ell^2) once and each
+        crossing O(ell), whatever a and b are.
         """
         out = self._crossings.get((a, b))
         if out is not None:
@@ -112,14 +115,13 @@ class PBWAlgebra:
         F = self.field
         s, t = min(a, b), max(a, b)
         rows = self._pascal_rows
-        while len(rows) <= s:  # Pascal's rule [r k] = [r-1 k-1] + q^(2k) [r-1 k]
+        while len(rows) <= min(s, F.ell - 1):  # [r k] = [r-1 k-1] + q^(2k) [r-1 k]
             prev = rows[-1]
             rows.append([F.one] + [prev[k - 1] + F.qpow(2 * k) * prev[k]
-                                   for k in range(1, len(prev))]
-                        + [F.one] * (len(prev) < F.ell))  # [r r] = 1, below the cap
+                                   for k in range(1, len(prev))] + [F.one])
         out = []
         falling = F.one
-        for j, gauss in enumerate(rows[s]):
+        for j, gauss in enumerate(rows[s % F.ell]):
             if not falling:
                 break
             f = gauss * falling

@@ -655,8 +655,9 @@ def test_product_memo_cap_holds_and_changes_no_report(monkeypatch, tmp_path):
 @pytest.mark.parametrize("stem, calls, computed", [("reduce_l3", 149, 49), ("pair_l3", 361, 95)])
 def test_products_computed_once_per_run(monkeypatch, tmp_path, stem, calls, computed):
     # counts, not times: __mul__ is called as often as before the memo, and
-    # the suite's field computes each distinct product once
-    import qweyl.cli
+    # the suite's field computes each distinct product once; run_suite
+    # imports PBWAlgebra from pbw when it runs, so the counter patches pbw
+    import qweyl.pbw
     from qweyl.cyclotomic import CycScalar
     from qweyl.pbw import PBWAlgebra
     mul, count, suite_fields = CycScalar.__mul__, [0], []
@@ -671,7 +672,7 @@ def test_products_computed_once_per_run(monkeypatch, tmp_path, stem, calls, comp
 
     monkeypatch.setattr(CycScalar, "__mul__", counted)
     monkeypatch.setattr(CycScalar, "__rmul__", counted)
-    monkeypatch.setattr(qweyl.cli, "PBWAlgebra", algebra)
+    monkeypatch.setattr(qweyl.pbw, "PBWAlgebra", algebra)
     config = TESTS / "report_configs" / f"{stem}.json"
     assert main(["report", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 0
     [field] = suite_fields

@@ -2,15 +2,20 @@
 
 import ast
 import inspect
+import json
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import qweyl
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qweyl"
 DEMOS = SRC.parent.parent / "demos"
+TESTS = Path(__file__).resolve().parent
+SUBMODULES = {f"qweyl.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__"}
 
 
 def test_package_has_no_bare_asserts():
@@ -136,10 +141,10 @@ def test_full_rep_holds_its_images_only():
             if inspect.isfunction(v) and not name.startswith("__")] == ["of_element"]
 
 
-def loaded_by_the_cli(modules):
-    """Those of modules that a fresh `import qweyl.cli` loads; -S keeps
-    site-packages .pth files out of the module table."""
-    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import qweyl.cli; "
+def loaded_by(code, modules):
+    """Those of modules that a fresh interpreter has loaded once it has run
+    code; -S keeps site-packages .pth files out of the module table."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {code}; "
             f"print(*sorted({set(modules)!r} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60)
@@ -147,11 +152,60 @@ def loaded_by_the_cli(modules):
     return proc.stdout.split()
 
 
+def loaded_by_the_cli(modules):
+    """Those of modules that a fresh `import qweyl.cli` loads."""
+    return loaded_by("import qweyl.cli", modules)
+
+
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
     # a qweyl process spends most of its set-up importing: dataclasses brings
     # in inspect, ast, dis and tokenize, and execs each class's methods, so
     # the value classes are plain slotted classes
     assert loaded_by_the_cli({"dataclasses", "inspect"}) == []
+
+
+def test_a_bare_import_loads_no_submodule():
+    # each export is imported from its home module on first access
+    assert loaded_by("import qweyl", SUBMODULES) == []
+
+
+def test_the_cli_loads_only_what_validating_a_config_needs():
+    # without .pyc a process compiles every module it imports, so cli
+    # imports each task's layers when the task runs, not at import
+    validating = ["qweyl.cli", "qweyl.cyclotomic", "qweyl.lattice", "qweyl.linalg"]
+    assert loaded_by_the_cli(SUBMODULES) == validating
+    assert loaded_by("from qweyl import cli", SUBMODULES) == validating
+
+
+def test_a_fiber_rep_report_loads_neither_reduction_nor_the_quiver_examples(tmp_path):
+    cfg = json.loads((TESTS / "report_configs" / "pair_l3.json").read_text(encoding="utf-8"))
+    cfg["tasks"] = [task for task in cfg["tasks"] if task["type"] == "fiber-rep"]
+    config, out = tmp_path / "fiber_rep.json", tmp_path / "report.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    run = (f"import qweyl.cli; "
+           f"qweyl.cli.main(['report', '--config', {str(config)!r}, '--out', {str(out)!r}])")
+    assert loaded_by(run, SUBMODULES) == ["qweyl.cli", "qweyl.cyclotomic", "qweyl.expr",
+                                          "qweyl.fiber", "qweyl.lattice", "qweyl.linalg",
+                                          "qweyl.pbw"]
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert [task["type"] for task in report["tasks"]] == ["fiber-rep"] and report["all_ok"]
+
+
+def test_every_export_resolves_from_its_home_module():
+    # qweyl.<name> and `from qweyl import *` give the home module's object,
+    # and a name that is not exported is an AttributeError naming it
+    star = {}
+    exec("from qweyl import *", star)
+    assert set(star) - {"__builtins__"} == set(qweyl.__all__)
+    for name in qweyl.__all__:
+        if name == "__version__":
+            continue
+        home = sys.modules[f"qweyl.{qweyl._HOMES[name]}"]
+        assert getattr(qweyl, name) is getattr(home, name) is star[name], name
+        assert getattr(home, name).__module__ == home.__name__, name
+    assert set(qweyl.__all__) <= set(dir(qweyl))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        qweyl.no_such_name
 
 
 def test_one_rule_for_what_is_a_scalar():
