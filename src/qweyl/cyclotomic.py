@@ -8,9 +8,10 @@ to that form by one normalizer, which folds exponents with q^ell = 1
 and takes the remainder by the monic integer Phi_ell, so equal values
 have equal numerators and denominators.  Inverses are Galois norms:
 1/a is the product of the conjugates sigma_j(a), j != 1, over the
-rational number N(a).  Everything is exact, so root-of-unity
-cancellations such as q^(2k) - 1 = 0 for ell | k are decided correctly
-rather than approximately.
+rational number N(a); a rational a/b is inverted directly as b/a.
+Everything is exact, so root-of-unity cancellations such as
+q^(2k) - 1 = 0 for ell | k are decided correctly rather than
+approximately.
 """
 
 from __future__ import annotations
@@ -259,10 +260,14 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
-        """1/a = prod_{j != 1} sigma_j(a) / N(a), with the norm N(a) a positive rational."""
+        """1/a = prod_{j != 1} sigma_j(a) / N(a), with the norm N(a) a positive
+        rational; a rational a/b is inverted directly as b/a, with no norm."""
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(q)")
         field = self.field
+        if self.is_rational():
+            a = self.num[0]
+            return field._make([self.den if a > 0 else -self.den], abs(a))
         ell = field.ell
         conj = field.one
         for j in field._conjugators:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import isqrt
+from operator import mul
 from typing import Callable, Hashable, Iterable, Optional
 
 from .cyclotomic import CycField
@@ -126,9 +127,10 @@ def _prime_and_root(ell: int) -> tuple[int, int]:
                    if all(pow(z, d, p) != 1 for d in range(1, ell) if ell % d == 0))
 
 
-def modular_rank(vectors: Iterable[Vec], field: CycField) -> Optional[int]:
+def modular_rank(vectors: Iterable[Vec], field: CycField, bound: int) -> Optional[int]:
     """Rank of the vectors after q -> z in F_p ((p, z) from _prime_and_root),
-    or None when some denominator is divisible by p.
+    read only until it reaches bound, or None when a denominator read is
+    divisible by p.
 
     Soundness: q -> z is a ring map from Z_(p)[q] = Z_(p)[x]/(Phi_ell), the
     scalars with denominator prime to p, since Phi_ell(z) = 0 in F_p.  It
@@ -136,17 +138,31 @@ def modular_rank(vectors: Iterable[Vec], field: CycField) -> Optional[int]:
     Q(q), so rank mod p <= rank over Q(q).  Only a rank mod p equal to a
     proven upper bound on the rank over Q(q) is a certificate (see
     pbw.center_report); a shortfall is not.
+
+    Once bound pivots are held no further vector is read, and bound is
+    returned: the vectors read so far have rank mod p <= their rank over
+    Q(q) <= the rank over Q(q) of all the vectors, so when bound caps the
+    last, a prefix that reaches it certifies it.  A caller that wants the
+    whole rank mod p passes the number of vectors.  Each distinct scalar is
+    mapped to F_p once per call.
     """
     p, z = _prime_and_root(field.ell)
     zs = [pow(z, i, p) for i in range(field.degree)]
+    images: dict = {}  # (num, den) -> image in F_p
     cols: dict = {}  # key -> column index, in order of first appearance
     pivots: dict = {}  # column -> row over F_p that is 1 there and 0 left of it
-    for vec in vectors:
+    vectors = iter(vectors)
+    while len(pivots) < bound:
+        vec = next(vectors, None)
+        if vec is None:
+            break
         row = {}
         for key, c in vec.items():
-            if c.den % p == 0:
-                return None
-            v = sum(a * b for a, b in zip(c.num, zs)) * pow(c.den, -1, p) % p
+            v = images.get((c.num, c.den))
+            if v is None:
+                if c.den % p == 0:
+                    return None
+                v = images[c.num, c.den] = sum(map(mul, c.num, zs)) * pow(c.den, -1, p) % p
             if v:
                 row[cols.setdefault(key, len(cols))] = v
         # leftmost column first: a pivot row only adds columns right of its pivot

@@ -19,7 +19,8 @@ root of unity, so central and root-of-unity phenomena are exact.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import Optional, Sequence
+from operator import mul
+from typing import Iterator, Optional, Sequence
 
 from .cyclotomic import CycField, CycScalar, power
 from .lattice import TorusEmbedding
@@ -382,9 +383,12 @@ def qmm_report(algebra: PBWAlgebra) -> dict:
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}
 
 
-def commutator_rows(algebra: PBWAlgebra, keys: Sequence[MonoKey]) -> list:
-    """One row per generator g and monomial of [b, g], b over keys; a solution is central.
+def commutator_rows(algebra: PBWAlgebra, keys: Sequence[MonoKey]) -> Iterator[dict]:
+    """Yield one row per generator g and monomial of [b, g], b over keys; a solution is central.
 
+    A generator: the rows of x_1, ..., x_n, then of d_1, ..., d_n, each
+    generator's rows in the order their monomials first appear over keys.
+    A generator's rows are computed only when the consumer asks for them.
     Each [b, g] is read off a closed form, with no PBW product.  Take
     b = x^m d^k, i the generator's index, P the pairings, e_i the i-th
     unit vector, and
@@ -406,43 +410,62 @@ def commutator_rows(algebra: PBWAlgebra, keys: Sequence[MonoKey]) -> list:
         [b, d_i] = (q^D - q^E) x^m d^(k+e_i) + (q^(-B) - q^(2m_i-B)) x^(m-e_i) d^k.
 
     The lower term exists only when k_i > 0 (x_i) or m_i > 0 (d_i), and a
-    term whose coefficient is 0 is dropped.  The upper term comes first,
-    the order b * g - g * b leaves them in, so the rows equal those of the
-    general product item by item.  Each q^a - q^b is formed once per
-    residue pair (a, b) mod ell.
+    term whose coefficient is 0 is dropped: q is primitive, so q^a - q^b is
+    0 exactly when a = b (mod ell), decided on the residues.  The upper
+    term comes first, the order b * g - g * b leaves them in, so the rows
+    equal those of the general product item by item.  Each q^a - q^b is
+    formed once per residue pair (a, b) mod ell.
     """
     F, n, P = algebra.field, algebra.n, algebra.pairings
     ell, qpow = F.ell, F.qpow
     diffs: dict[tuple[int, int], CycScalar] = {}
 
-    def diff(a: int, b: int) -> CycScalar:  # q^a - q^b
-        key = (a % ell, b % ell)
-        c = diffs.get(key)
+    def diff(a: int, b: int) -> Optional[CycScalar]:  # q^a - q^b, None where it is 0
+        a, b = a % ell, b % ell
+        if a == b:
+            return None
+        c = diffs.get((a, b))
         if c is None:
-            c = diffs[key] = qpow(a) - qpow(b)
+            c = diffs[a, b] = qpow(a) - qpow(b)
         return c
 
-    per_gen: list[dict] = [{} for _ in range(2 * n)]  # x_1..x_n, then d_1..d_n
-    for mk in keys:
-        m, k = mk
-        for i in range(n):
+    def rows_of(i: int, on_x: bool):
+        """The rows of x_{i+1} (on_x) or d_{i+1}, as dicts keyed by the keys."""
+        # column i of P below the diagonal and row i left of it, 0 elsewhere;
+        # the sums over one that is all 0 are 0 and are not formed
+        after = [P[j][i] if j > i else 0 for j in range(n)]
+        before = [P[i][a] if a < i else 0 for a in range(n)]
+        sum_after, sum_before = any(after), any(before)
+        per_key: dict = {}
+        row_of = per_key.setdefault
+        for mk in keys:
+            m, k = mk
             mi, ki = m[i], k[i]
-            Sm = sum(P[j][i] * m[j] for j in range(i + 1, n))
-            Sk = sum(P[j][i] * k[j] for j in range(i + 1, n))
-            B = sum(P[i][a] * m[a] for a in range(i))
-            Bk = sum(P[i][a] * k[a] for a in range(i))
-            A, C, D, E = 2 * ki + Sm - Sk + Bk, -Sk, Sk, 2 * mi + Sm - B + Bk
-            x_rows, d_rows = per_gen[i], per_gen[n + i]
-            terms = [(x_rows, (m[:i] + (mi + 1,) + m[i + 1:], k), diff(A, B)),
-                     (d_rows, (m, k[:i] + (ki + 1,) + k[i + 1:]), diff(D, E))]
-            if ki:
-                terms.append((x_rows, (m, k[:i] + (ki - 1,) + k[i + 1:]), diff(C + 2 * ki, C)))
-            if mi:
-                terms.append((d_rows, (m[:i] + (mi - 1,) + m[i + 1:], k), diff(-B, 2 * mi - B)))
-            for per_key, out_key, c in terms:
-                if c:
-                    per_key.setdefault(out_key, {})[mk] = c
-    return [row for per_key in per_gen for row in per_key.values()]
+            Sm, Sk = (sum(map(mul, after, m)), sum(map(mul, after, k))) if sum_after else (0, 0)
+            B, Bk = (sum(map(mul, before, m)), sum(map(mul, before, k))) if sum_before else (0, 0)
+            if on_x:
+                A, C = 2 * ki + Sm - Sk + Bk, -Sk
+                c = diff(A, B)
+                if c is not None:
+                    row_of((m[:i] + (mi + 1,) + m[i + 1:], k), {})[mk] = c
+                if ki:
+                    c = diff(C + 2 * ki, C)
+                    if c is not None:
+                        row_of((m, k[:i] + (ki - 1,) + k[i + 1:]), {})[mk] = c
+            else:
+                D, E = Sk, 2 * mi + Sm - B + Bk
+                c = diff(D, E)
+                if c is not None:
+                    row_of((m, k[:i] + (ki + 1,) + k[i + 1:]), {})[mk] = c
+                if mi:
+                    c = diff(-B, 2 * mi - B)
+                    if c is not None:
+                        row_of((m[:i] + (mi - 1,) + m[i + 1:], k), {})[mk] = c
+        return per_key.values()
+
+    for on_x in (True, False):
+        for i in range(n):
+            yield from rows_of(i, on_x)
 
 
 def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
@@ -469,18 +492,21 @@ def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
             for k in iproduct(*(range(e % step, max_degree + 1, step) for e in m))]
     powers = range(0, max_degree + 1, field.ell)
     expected = [(m, k) for m in iproduct(powers, repeat=n) for k in iproduct(powers, repeat=n)]
-    rows = commutator_rows(algebra, keys)
     # an expected key with a zero column in every row is in the kernel, and then
     # the rows live on the other keys: their rank is at most |keys| - |expected|;
-    # the first expected key some row touches is the witness that it is not
+    # the first expected key some row touches is the witness that it is not.
+    # A row's entry at b depends on b and its generator alone, so the rows of
+    # the expected keys are exactly the entries of all rows in those columns
     expected_set = set(expected)
-    touched = expected_set.intersection(key for r in rows for key in r)
+    touched = {key for r in commutator_rows(algebra, expected) for key in r}
     witness = next((key for key in expected if key in touched), None)
     in_kernel = witness is None
     bound = len(keys) - len(expected) if in_kernel else len(keys)
-    # rank mod p <= rank over Q(q) <= bound, so a rank mod p of bound certifies
-    # it (see modular_rank); otherwise one exact solve gives the kernel itself
-    solutions = None if modular_rank(rows, field) == bound else nullspace(rows, keys, field)
+    # rank mod p <= rank over Q(q) <= bound for every prefix of the rows, so
+    # reaching bound on the rows read so far certifies it (see modular_rank);
+    # otherwise one exact solve over all the rows gives the kernel itself
+    certified = modular_rank(commutator_rows(algebra, keys), field, bound) == bound
+    solutions = None if certified else nullspace(commutator_rows(algebra, keys), keys, field)
     dim = len(keys) - bound if solutions is None else len(solutions)
     # the kernel holds those unit vectors, so it is their span iff it has their number
     matches = in_kernel and dim == len(expected)

@@ -166,8 +166,10 @@ def rank(vectors: Callable[[], Iterable[Vec]], field: CycField, bound: int) -> i
     """Rank over Q(q) of what vectors() yields, where bound is a proven upper
     bound on it: certified when the rank mod p equals bound (rank mod p <=
     rank over Q(q) <= bound, see modular_rank), else counted exactly by a
-    SpanBasis over a second call to vectors()."""
-    if linalg.modular_rank(vectors(), field) == bound:
+    SpanBasis over a second call to vectors().  The rank mod p is read up to
+    bound + 1, one pivot past the bound, so a bound below it is never
+    certified."""
+    if linalg.modular_rank(vectors(), field, bound + 1) == bound:
         return bound
     span = SpanBasis(field)
     for v in vectors():

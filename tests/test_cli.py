@@ -561,13 +561,39 @@ def test_a_passing_center_check_makes_no_exact_solve(name, monkeypatch):
     assert spans == []
 
 
+def test_a_passing_center_check_reads_only_the_rows_its_bound_needs(monkeypatch, tmp_path):
+    # counts, not times: on algebra_l3.json the zero-column test reads the
+    # rows of the 16 expected keys (there are none: each is central), and the
+    # rank mod p reaches its bound of 36 - 16 = 20 after 34 of the 72 rows of
+    # the 36 keys, so the rest are never built; the report keeps its bytes
+    import qweyl.pbw
+    commutator_rows = qweyl.pbw.commutator_rows
+    reads = []  # [algebra, keys, rows read] of each call
+
+    def counted_rows(algebra, keys):
+        reads.append([algebra, keys, 0])
+        for row in commutator_rows(algebra, keys):
+            reads[-1][2] += 1
+            yield row
+
+    monkeypatch.setattr(qweyl.pbw, "commutator_rows", counted_rows)
+    out = tmp_path / "r.json"
+    assert main(["report", "--config", str(TESTS / "report_configs" / "algebra_l3.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (TESTS / "report_output" / "algebra_l3.json").read_bytes()
+    # the normalize task's is_central calls come first, the center check's two last
+    *_, (_, expected, touched), (algebra, keys, read) = reads
+    full = sum(1 for _ in commutator_rows(algebra, keys))
+    assert (len(expected), touched, len(keys), read, full) == (16, 0, 36, 34, 72)
+
+
 def test_center_check_names_the_first_expected_key_a_row_touches(monkeypatch):
     import qweyl.pbw
     commutator_rows = qweyl.pbw.commutator_rows
 
     def noisy_rows(algebra, keys):
         one = algebra.field.one
-        return commutator_rows(algebra, keys) + [{((3,), (3,)): one}, {((0,), (3,)): one}]
+        return list(commutator_rows(algebra, keys)) + [{((3,), (3,)): one}, {((0,), (3,)): one}]
 
     monkeypatch.setattr(qweyl.pbw, "commutator_rows", noisy_rows)
     cfg = {
@@ -652,7 +678,7 @@ def test_product_memo_cap_holds_and_changes_no_report(monkeypatch, tmp_path):
     assert out.read_bytes() == (TESTS / "report_output" / "pair_l3.json").read_bytes()
 
 
-@pytest.mark.parametrize("stem, calls, computed", [("reduce_l3", 149, 49), ("pair_l3", 361, 95)])
+@pytest.mark.parametrize("stem, calls, computed", [("reduce_l3", 133, 44), ("pair_l3", 351, 92)])
 def test_products_computed_once_per_run(monkeypatch, tmp_path, stem, calls, computed):
     # counts, not times: __mul__ is called as often as before the memo, and
     # the suite's field computes each distinct product once; run_suite

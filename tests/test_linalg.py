@@ -229,9 +229,9 @@ def test_certified_rank_equals_the_span_rank(fv):
     F, vecs = fv
     span = build(F, vecs, None)
     assert rank(lambda: vecs, F, len(vecs)) == span.rank
-    assert modular_rank(vecs, F) <= span.rank
+    assert modular_rank(vecs, F, len(vecs)) <= span.rank
     # the echelon rows are independent over Q(q); mod p they certify that here
-    assert modular_rank(span.rows(), F) == rank(span.rows, F, span.rank) == span.rank
+    assert modular_rank(span.rows(), F, span.rank) == rank(span.rows, F, span.rank) == span.rank
 
 
 def dense_rank_mod_p(vecs, F):
@@ -261,14 +261,27 @@ def dense_rank_mod_p(vecs, F):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_modular_rank_matches_dense_elimination_mod_p(data):
-    # denser vectors and several dependent ones, so elimination fills in
+    # denser vectors and several dependent ones, so elimination fills in; with
+    # a bound, the rank is capped there and no vector after the bound-th pivot
+    # is read: the vectors read are the shortest prefix whose rank reaches it
     F = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
     vecs = data.draw(st.lists(vectors(F, 8), min_size=1, max_size=10))
     for _ in range(data.draw(st.integers(0, 3))):
         a, b = data.draw(st.sampled_from(vecs)), data.draw(st.sampled_from(vecs))
         vecs.append(vsum(a, b, data.draw(scalars(F))))
     data.draw(st.randoms(use_true_random=False)).shuffle(vecs)
-    assert modular_rank(vecs, F) == dense_rank_mod_p(vecs, F)
+    assert modular_rank(vecs, F, len(vecs)) == dense_rank_mod_p(vecs, F)
+    bound = data.draw(st.integers(0, len(vecs) + 1))
+    read = []
+
+    def counted():
+        for v in vecs:
+            read.append(v)
+            yield v
+
+    assert modular_rank(counted(), F, bound) == min(dense_rank_mod_p(vecs, F), bound)
+    reached = [t for t in range(len(vecs) + 1) if dense_rank_mod_p(vecs[:t], F) >= bound]
+    assert len(read) == (reached[0] if reached else len(vecs))
 
 
 @pytest.mark.parametrize("ell", [3, 5])
@@ -277,9 +290,9 @@ def test_entries_that_vanish_mod_p_fall_back(ell):
     p, z = _prime_and_root(ell)
     # p and q - z are nonzero in Q(q) but vanish mod p
     for entry in (F.scalar(p), F.q - z):
-        assert modular_rank([{0: entry}], F) == 0
+        assert modular_rank([{0: entry}], F, 1) == 0
         assert rank(lambda: [{0: entry}], F, 1) == 1
-    assert modular_rank([{0: F.one, 1: F.scalar(p)}, {0: F.one}], F) == 1
+    assert modular_rank([{0: F.one, 1: F.scalar(p)}, {0: F.one}], F, 2) == 1
     assert rank(lambda: [{0: F.one, 1: F.scalar(p)}, {0: F.one}], F, 2) == 2
 
 
@@ -288,7 +301,7 @@ def test_a_denominator_divisible_by_p_gives_none(ell):
     F = CycField(ell)
     p, _ = _prime_and_root(ell)
     vecs = [{0: F.one}, {1: F.scalar(Fraction(1, p))}]
-    assert modular_rank(vecs, F) is None
+    assert modular_rank(vecs, F, len(vecs)) is None
     assert rank(lambda: vecs, F, 2) == 2
 
 

@@ -524,6 +524,28 @@ def test_commutator_rows_makes_no_pbw_product(monkeypatch):
     assert row_items(pbw.commutator_rows(A, keys)) == expected
 
 
+@settings(max_examples=30, deadline=None)
+@given(ell=st.sampled_from([3, 5]), name=st.sampled_from(sorted(CENTER_EMBEDDINGS)),
+       max_degree=st.integers(1, 6), data=st.data())
+def test_the_rows_of_a_few_keys_are_the_full_rows_in_their_columns(ell, name, max_degree, data):
+    # center_report's zero-column test reads the rows of the expected keys
+    # alone: a row's entry at b depends only on b and its generator, so those
+    # rows hold exactly the entries of all rows in the expected columns; a
+    # drawn subset of keys, most of them not central, makes the sets non-empty
+    A = PBWAlgebra(CycField(ell), CENTER_EMBEDDINGS[name])
+    n, exps = A.n, range(max_degree + 1)
+    keys = [(m, k) for m in product(exps, repeat=n) for k in product(exps, repeat=n)]
+    powers = range(0, max_degree + 1, ell)
+    expected = [(m, k) for m in product(powers, repeat=n) for k in product(powers, repeat=n)]
+    drawn = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=8))
+    full = {key for r in pbw.commutator_rows(A, keys) for key in r}
+    assert full and set(expected) <= set(keys)
+    for subset in (expected, drawn):
+        assert {key for r in pbw.commutator_rows(A, subset) for key in r} == set(subset) & full
+    # only the ell-th power monomials are central, so every other key has an entry
+    assert set(drawn) - set(expected) <= full
+
+
 def mutate(monkeypatch, name, old, new):
     """Replace the function pbw.<name> by its source with old read as new."""
     src = textwrap.dedent(inspect.getsource(getattr(pbw, name)))

@@ -74,7 +74,7 @@ def test_the_exact_solve_writes_the_certified_bytes(config, tmp_path, monkeypatc
     # nullspace, which must give the dimension that the certificate gives
     solves = []
     nullspace = pbw.nullspace
-    monkeypatch.setattr(pbw, "modular_rank", lambda rows, field: None)
+    monkeypatch.setattr(pbw, "modular_rank", lambda rows, field, bound: None)
     monkeypatch.setattr(pbw, "nullspace", lambda *args: solves.append(1) or nullspace(*args))
     out = tmp_path / "report.json"
     assert main(["report", "--config", str(config), "--out", str(out)]) == 0

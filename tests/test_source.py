@@ -263,10 +263,12 @@ def test_cli_only_parses_dispatches_and_prints():
 
 def test_center_rows_form_no_general_product():
     # commutator_rows reads each [b, g] off its closed form and is the one
-    # commutator in the package: center_report and PBWElement.is_central read
-    # it, the general product is PBWAlgebra.multiply alone, and no second
-    # commutator formula can grow back
-    assert callers_of("commutator_rows") == [("pbw.py", "PBWElement"), ("pbw.py", "center_report")]
+    # commutator in the package: PBWElement.is_central and center_report read
+    # it (center_report at its three call sites: the zero-column test on the
+    # expected keys, the modular rank, and the exact solve when that rank
+    # misses its bound), the general product is PBWAlgebra.multiply alone,
+    # and no second commutator formula can grow back
+    assert callers_of("commutator_rows") == [("pbw.py", "PBWElement")] + [("pbw.py", "center_report")] * 3
     assert callers_of("_mul_mono") == [("pbw.py", "PBWAlgebra")]
     assert not {"commutator", "_terms"} & set(vars(qweyl.PBWAlgebra))
 
