@@ -49,32 +49,17 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-class Token:
-    """One lexeme of an expression: its kind, its text and its byte offset."""
-
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "offset", offset)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Token is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-
-def tokenize(src: str) -> list[Token]:
+def tokenize(src: str) -> list[re.Match]:
+    """The lexemes of src, whitespace dropped: each match's lastgroup is its
+    kind, m[0] its text and m.start() its byte offset."""
     out = []
     pos = 0
     while pos < len(src):
         m = _TOKEN.match(src, pos)
         if m is None:
             raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append(Token(kind, m.group(), pos))
+        if m.lastgroup != "ws":
+            out.append(m)
         pos = m.end()
     return out
 
@@ -113,26 +98,26 @@ class _Parser:
         self.algebra = algebra
         self.depth = 0  # open parentheses around the current position
 
-    def peek(self) -> Optional[Token]:
+    def peek(self) -> Optional[re.Match]:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def take(self) -> Token:
+    def take(self) -> re.Match:
         t = self.peek()
         if t is None:
             raise ParseError("unexpected end of input", len(self.src))
         self.i += 1
         return t
 
-    def expect_op(self, text: str) -> Token:
+    def expect_op(self, text: str) -> re.Match:
         t = self.peek()
-        if t is None or t.kind != "op" or t.text != text:
-            where = t.offset if t else len(self.src)
+        if t is None or t.lastgroup != "op" or t[0] != text:
+            where = t.start() if t else len(self.src)
             raise ParseError(f"expected {text!r}", where)
         return self.take()
 
     def at_op(self, *texts: str) -> bool:
         t = self.peek()
-        return t is not None and t.kind == "op" and t.text in texts
+        return t is not None and t.lastgroup == "op" and t[0] in texts
 
     # int after "^": optional minus, then a plain integer
     def parse_exponent(self) -> int:
@@ -141,21 +126,21 @@ class _Parser:
             self.take()
             sign = -1
         t = self.peek()
-        if t is None or t.kind != "number":
-            where = t.offset if t else len(self.src)
+        if t is None or t.lastgroup != "number":
+            where = t.start() if t else len(self.src)
             raise ParseError("expected an integer exponent", where)
-        if "/" in t.text:
-            raise ParseError("exponent must be an integer", t.offset)
+        if "/" in t[0]:
+            raise ParseError("exponent must be an integer", t.start())
         self.take()
-        return sign * int(t.text)
+        return sign * int(t[0])
 
     def parse_expr(self) -> Value:
-        negate = self.at_op("+", "-") and self.take().text == "-"
+        negate = self.at_op("+", "-") and self.take()[0] == "-"
         value = self.parse_term()
         if negate:
             value = -value
         while self.at_op("+", "-"):
-            if self.take().text == "-":
+            if self.take()[0] == "-":
                 value = value - self.parse_term()
             else:
                 value = value + self.parse_term()
@@ -181,47 +166,47 @@ class _Parser:
             value = _as_scalar(value)
             if value is None:
                 raise ValueError(
-                    f"negative power of a non-scalar expression (at byte {op.offset})")
-        return _negative_power(value, e, op.offset)
+                    f"negative power of a non-scalar expression (at byte {op.start()})")
+        return _negative_power(value, e, op.start())
 
     def parse_atom(self) -> Value:
         t = self.peek()
         if t is None:
             raise ParseError("unexpected end of input", len(self.src))
-        if t.kind == "number":
+        if t.lastgroup == "number":
             self.take()
-            num, slash, den = t.text.partition("/")
+            num, slash, den = t[0].partition("/")
             if slash and int(den) == 0:
-                raise ParseError(f"zero denominator in {t.text}", t.offset)
+                raise ParseError(f"zero denominator in {t[0]}", t.start())
             return self.field.rational(int(num), int(den) if slash else 1)
-        if t.kind == "q":
+        if t.lastgroup == "q":
             self.take()
             if self.at_op("^"):
                 self.take()
                 return self.field.qpow(self.parse_exponent())
             return self.field.q
-        if t.kind == "gen":
+        if t.lastgroup == "gen":
             self.take()
-            idx = int(t.text[1:])
+            idx = int(t[0][1:])
             if idx < 1:
-                raise ParseError(f"generator index must be positive: {t.text}", t.offset)
+                raise ParseError(f"generator index must be positive: {t[0]}", t.start())
             A = self.algebra
             if A is None:
-                raise ParseError(f"generator {t.text[0]}{idx} not allowed here", t.offset)
+                raise ParseError(f"generator {t[0][0]}{idx} not allowed here", t.start())
             if idx > A.n:
                 raise ParseError(
-                    f"generator index out of range: {t.text} with n={A.n}", t.offset)
-            return {"x": A.x, "d": A.d, "a": A.alpha}[t.text[0]](idx)
-        if t.kind == "op" and t.text == "(":
+                    f"generator index out of range: {t[0]} with n={A.n}", t.start())
+            return {"x": A.x, "d": A.d, "a": A.alpha}[t[0][0]](idx)
+        if t.lastgroup == "op" and t[0] == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", t.offset)
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", t.start())
             self.take()
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
             self.expect_op(")")
             return inner
-        raise ParseError(f"unexpected token {t.text!r}", t.offset)
+        raise ParseError(f"unexpected token {t[0]!r}", t.start())
 
 
 def _parse(src: str, field: CycField, algebra: Optional[PBWAlgebra]) -> Value:
@@ -231,7 +216,7 @@ def _parse(src: str, field: CycField, algebra: Optional[PBWAlgebra]) -> Value:
     value = p.parse_expr()
     left = p.peek()
     if left is not None:
-        raise ParseError(f"trailing input {left.text!r}", left.offset)
+        raise ParseError(f"trailing input {left[0]!r}", left.start())
     return value
 
 

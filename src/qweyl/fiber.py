@@ -423,8 +423,9 @@ def fiber_rep_report(point: FiberPoint, algebra: PBWAlgebra) -> dict:
     failure = presentation_failure(rep, point, algebra)
     relations_ok = not failure
     diagonal = tuple(range(rep.size))
+    rows = [digits(r, ell, n) for r in diagonal]
     alpha_ok = all(alpha is not None and alpha.cols == diagonal
-                   and alpha.vals == tuple(g * F.qpow(-2 * digits(r, ell, n)[i]) for r in diagonal)
+                   and alpha.vals == tuple(g * F.qpow(-2 * r[i]) for r in rows)
                    for i, (alpha, g) in enumerate(zip(alpha_images(rep), point.gamma)))
     unreached = unreached_row(rep) if relations_ok and alpha_ok else None
     ok = relations_ok and alpha_ok and unreached is None

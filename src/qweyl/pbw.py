@@ -292,31 +292,25 @@ class PBWElement:
             return "0"
         parts = []
         for (m, k) in sorted(self.terms, reverse=True):
-            c = self.terms[(m, k)]
-            factors = []
-            for i, e in enumerate(m):
-                if e == 1:
-                    factors.append(f"x{i+1}")
-                elif e:
-                    factors.append(f"x{i+1}^{e}")
-            for i, e in enumerate(k):
-                if e == 1:
-                    factors.append(f"d{i+1}")
-                elif e:
-                    factors.append(f"d{i+1}^{e}")
-            cs = str(c)
+            word, cs = _word(m, k), str(self.terms[(m, k)])
             multi = (" + " in cs) or (" - " in cs)
-            if not factors:
+            if not word:
                 parts.append(f"({cs})" if multi else cs)
             elif cs == "1":
-                parts.append("*".join(factors))
+                parts.append(word)
             else:
                 head = f"({cs})" if (multi or cs.startswith("-") or cs.startswith("(")) else cs
-                parts.append(head + "*" + "*".join(factors))
+                parts.append(head + "*" + word)
         return " + ".join(parts)
 
     def __repr__(self):
         return f"<PBW {self}>"
+
+
+def _word(m: Sequence[int], k: Sequence[int]) -> str:
+    """The word of the key (m, k): its x's, then its d's; "" for the unit."""
+    return "*".join(f"{g}{i}" if e == 1 else f"{g}{i}^{e}"
+                    for g, es in (("x", m), ("d", k)) for i, e in enumerate(es, 1) if e)
 
 
 class QmmResult:
@@ -510,14 +504,13 @@ def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
     dim = len(keys) - bound if solutions is None else len(solutions)
     # the kernel holds those unit vectors, so it is their span iff it has their number
     matches = in_kernel and dim == len(expected)
-    basis_strs = sorted(
-        str(algebra.monomial(m, k)) for (m, k) in expected) if matches else None
     report = {"max_degree": max_degree, "dimension": dim,
               "expected_dimension": len(expected),
               "matches_ell_power_span": matches,
-              "basis": basis_strs, "ok": matches}
+              "basis": sorted(_word(*key) or "1" for key in expected) if matches else None,
+              "ok": matches}
     if witness is not None:
-        report["not_central"] = str(algebra.monomial(*witness))
+        report["not_central"] = _word(*witness) or "1"
     elif not matches:
         # only the nullity is wrong, so the rank mod p missed the bound and the
         # exact solutions are at hand: name the first free unknown that is not
@@ -526,5 +519,5 @@ def center_report(algebra: PBWAlgebra, max_degree: int) -> dict:
         order = {key: i for i, key in enumerate(keys)}
         free = (max(v, key=order.__getitem__) for v in solutions)
         extra = next(u for u in free if u not in expected_set)
-        report["extra_central"] = str(algebra.monomial(*extra))
+        report["extra_central"] = _word(*extra) or "1"
     return report

@@ -20,7 +20,8 @@ from operator import mul
 from typing import Sequence
 
 from .cyclotomic import CycScalar
-from .fiber import FiberPoint, OutsideAzumayaLocus, alpha_images, digits, full_matrix_rep
+from .fiber import (FiberPoint, FullRep, OutsideAzumayaLocus, alpha_images, digits,
+                    full_matrix_rep)
 from .lattice import TorusEmbedding
 
 
@@ -64,10 +65,10 @@ def moment_values(point: FiberPoint, emb: TorusEmbedding,
     return [[base[j] * F.qpow(-2 * w[j]) for w in weights] for j in range(emb.d)]
 
 
-def moment_map_failure(point: FiberPoint, emb: TorusEmbedding,
+def moment_map_failure(rep: FullRep, emb: TorusEmbedding,
                        mu: Sequence[Sequence[CycScalar]]) -> dict | None:
-    """None when the quantum moment map in the matrix model agrees with mu,
-    else its first failure.
+    """None when the quantum moment map in the matrix model rep agrees with
+    mu, else its first failure.
 
     The image of each Euler operator alpha_i = 1 + x_i d_i, read off the
     model as I + x_i d_i, must be diagonal with no zero entry; prod_i alpha_i^(m_ij) must equal mu[j], and
@@ -82,8 +83,7 @@ def moment_map_failure(point: FiberPoint, emb: TorusEmbedding,
     the direction, the generator and the entry (r, c) whose conjugation
     scaling fails ({"direction": 1, "generator": "x1", "entry": [r, c]}).
     """
-    F = point.field
-    rep = full_matrix_rep(point, emb)
+    F = rep.field
     alphas, diagonal = alpha_images(rep), tuple(range(rep.size))
     for i, a in enumerate(alphas):
         if a is None or a.cols != diagonal:
@@ -145,7 +145,7 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     shift = weights[first]
     invariant_dim = sum(c * c for c in counts.values())
     module_dim = counts[shift]
-    failure = moment_map_failure(point, emb, mu)
+    failure = moment_map_failure(full_matrix_rep(point, emb), emb, mu)
     verdict = failure is None
     report = {
         "invariant_dim": invariant_dim,

@@ -13,7 +13,7 @@ from qweyl import (CycField, DifferenceOperator, FiberPoint, FullRep, Matrix,
                    full_matrix_rep, quiver_to_embedding)
 from qweyl import fiber
 from qweyl.cli import build_point, run_suite, validate_config
-from qweyl.expr import Token, evaluate_scalar
+from qweyl.expr import evaluate_scalar
 from qweyl.fiber import digits
 from qweyl.linalg import SpanBasis
 from qweyl.pbw import PBWElement
@@ -787,7 +787,6 @@ def test_full_rep_is_frozen():
 
 
 IMMUTABLE_VALUES = {
-    "Token": lambda F: Token("gen", "x1", 0),
     "FiberPoint": two_factor_point,
     "FullRep": lambda F: full_matrix_rep(two_factor_point(F), emb_n2()),
     "QuiverData": lambda F: QuiverData(num_vertices=2, edges=((1, 2),)),

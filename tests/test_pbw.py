@@ -479,6 +479,25 @@ def test_center_dimension_matches_the_full_system(ell, name, max_degree):
     assert report["ok"]
 
 
+@st.composite
+def printed_keys(draw):
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 12)] * n)
+    return draw(vec), draw(vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=printed_keys())
+@example(key=((0,), (0,)))  # the unit
+@example(key=((1, 0, 2), (0, 1, 0)))  # an exponent 1 prints with no "^"
+def test_a_key_prints_as_its_monomial(key):
+    # center_report prints a key as _word(m, k) or "1"; the printed monomial,
+    # which it built before, is the oracle
+    m, k = key
+    A = PBWAlgebra(CycField(3), TorusEmbedding(matrix=((1,),) * len(m), form=((2,),)))
+    assert (pbw._word(m, k) or "1") == str(A.monomial(m, k))
+
+
 ROW_EMBEDDINGS = {
     **CENTER_EMBEDDINGS,
     "cyclic-n3": emb_cyclic3(),

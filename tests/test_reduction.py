@@ -131,7 +131,7 @@ def test_torsion_action_commutes_with_grading():
     p = FiberPoint(field=F, lam=((F.scalar(7), F.one), (F.zero, F.zero)),
                    gamma=(F.scalar(2), F.one))
     for emb in (emb_sum(), emb_diff(), emb_id2()):
-        assert moment_map_failure(p, emb, mu_of(p, emb)) is None
+        assert moment_map_failure(full_matrix_rep(p, emb), emb, mu_of(p, emb)) is None
 
 
 def shifted_rep(point, emb):
@@ -159,18 +159,19 @@ def test_torsion_action_check_fails_on_a_mutant(monkeypatch):
             assert bad.of_element(A.alpha(i)) == rep.of_element(A.alpha(i))
         mu = mu_of(p, emb)
         # ... so only the conjugation by mu tells them apart
-        monkeypatch.setattr(reduction, "full_matrix_rep", shifted_rep)
-        failure = moment_map_failure(p, emb, mu)
+        failure = moment_map_failure(bad, emb, mu)
         assert failure == {"direction": direction, "generator": "x1", "entry": [1, 8]}
+        monkeypatch.setattr(reduction, "full_matrix_rep", shifted_rep)
         res = hamiltonian_reduce(p, emb, phi_dagger(p, emb))
         assert not res["is_matrix_algebra"] and not res["module_action_bijective"]
         assert res["failed_moment_map"] == failure
         monkeypatch.undo()
-        assert moment_map_failure(p, emb, mu) is None
+        assert moment_map_failure(rep, emb, mu) is None
         assert "failed_moment_map" not in hamiltonian_reduce(p, emb, phi_dagger(p, emb))
     # the moment values of another embedding are not the moment map of this
     # one: row 3, digits (0, 1), has weight 1 under (1), (1) and 2 under (1), (-1)
-    assert moment_map_failure(p, emb_sum(), mu_of(p, emb_diff())) == {"direction": 1, "row": 3}
+    rep = full_matrix_rep(p, emb_sum())
+    assert moment_map_failure(rep, emb_sum(), mu_of(p, emb_diff())) == {"direction": 1, "row": 3}
 
 
 def test_an_alpha_off_the_diagonal_is_named(monkeypatch):
@@ -180,8 +181,8 @@ def test_an_alpha_off_the_diagonal_is_named(monkeypatch):
     p, emb = trivial_point(F), emb_sum()
     rep = full_matrix_rep(p, emb)
     bad = FullRep(x=rep.x, d=(rep.d[0], rep.x[1]))
+    assert moment_map_failure(bad, emb, mu_of(p, emb)) == {"alpha": "a2"}
     monkeypatch.setattr(reduction, "full_matrix_rep", lambda *args: bad)
-    assert moment_map_failure(p, emb, mu_of(p, emb)) == {"alpha": "a2"}
     res = hamiltonian_reduce(p, emb, phi_dagger(p, emb))
     assert res["ok"] is False and res["failed_moment_map"] == {"alpha": "a2"}
 
@@ -241,7 +242,6 @@ def test_moment_products_never_start_from_the_unit(monkeypatch):
     p = FiberPoint(field=F, lam=((F.zero, F.zero), (F.scalar(7), F.one)),
                    gamma=(F.one, F.scalar(2)))
     rep, mu = full_matrix_rep(p, emb), mu_of(p, emb)
-    monkeypatch.setattr(reduction, "full_matrix_rep", lambda *args: rep)  # the model is fixed
     mul, calls = CycScalar.__mul__, [0]
 
     def counted(self, other):
@@ -252,7 +252,7 @@ def test_moment_products_never_start_from_the_unit(monkeypatch):
     monkeypatch.setattr(CycScalar, "__rmul__", counted)
     fiber.alpha_images(rep)
     alpha_products, calls[0] = calls[0], 0
-    assert moment_map_failure(p, emb, mu) is None
+    assert moment_map_failure(rep, emb, mu) is None
     conjugations = sum(len(G.entries) for G in rep.x + rep.d)  # mu_r = q^(+-2) mu_c per entry
     assert calls[0] == alpha_products + 9 + conjugations
     # phi_dagger multiplies the two gammas once, and no unit

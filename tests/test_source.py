@@ -273,6 +273,19 @@ def test_center_rows_form_no_general_product():
     assert not {"commutator", "_terms"} & set(vars(qweyl.PBWAlgebra))
 
 
+def test_one_printer_of_a_key():
+    # a key's word is printed by _word alone: center_report prints its basis
+    # and witnesses with it and builds no monomial to print, and the parser
+    # reads its regex matches with no token class to copy them into
+    tree = ast.parse((SRC / "pbw.py").read_text(encoding="utf-8"))
+    assert not names_read(definition(tree, "center_report"))["monomial"]
+    assert names_read(definition(tree, "PBWElement.__str__"))["_word"]
+    assert callers_of("_word") == [("pbw.py", "PBWElement")] + [("pbw.py", "center_report")] * 3
+    expr = ast.parse((SRC / "expr.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in ast.walk(expr) if isinstance(node, ast.ClassDef)]
+    assert classes == ["ParseError", "_Parser"], classes
+
+
 def test_one_builder_of_the_moment_map_on_each_side():
     # the matrix images I + x_i d_i are built by alpha_images alone, and the
     # algebra identity alpha_i g = q^(2 s_i) g alpha_i is checked by verify_qmm
