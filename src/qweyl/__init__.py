@@ -18,12 +18,12 @@ _HOMES = {
     "ParseError": "expr", "evaluate": "expr", "evaluate_scalar": "expr",
     "FiberPoint": "fiber", "FullRep": "fiber", "Matrix": "fiber", "OutsideAzumayaLocus": "fiber",
     "full_matrix_rep": "fiber",
-    "QuiverData": "lattice", "TorusEmbedding": "lattice", "quiver_to_embedding": "lattice",
+    "TorusEmbedding": "lattice", "quiver_to_embedding": "lattice",
     "SpanBasis": "linalg", "nullspace": "linalg",
     "PBWAlgebra": "pbw", "PBWElement": "pbw", "QmmResult": "pbw", "verify_qmm": "pbw",
     "DifferenceOperator": "quiver_examples", "build_an_quiver_algebra": "quiver_examples",
-    "cyclic_quiver": "quiver_examples", "u1_operators": "quiver_examples",
-    "verify_central_z": "quiver_examples", "verify_u1_relations": "quiver_examples",
+    "u1_operators": "quiver_examples", "verify_central_z": "quiver_examples",
+    "verify_u1_relations": "quiver_examples",
     "admissible_etas": "reduction", "hamiltonian_reduce": "reduction",
     "moment_map_failure": "reduction", "moment_values": "reduction", "phi_dagger": "reduction",
 }

@@ -22,7 +22,7 @@ import sys
 from typing import Optional
 
 from .cyclotomic import CycField, check_order
-from .lattice import QuiverData, TorusEmbedding, quiver_to_embedding
+from .lattice import TorusEmbedding, quiver_to_embedding
 
 DEFAULT_SEED = 20240901
 
@@ -111,7 +111,7 @@ def build_embedding(cfg: dict) -> TorusEmbedding:
     if "embedding" in cfg:
         return TorusEmbedding(matrix=cfg["embedding"]["matrix"], form=cfg["embedding"]["form"])
     quiver = cfg["quiver"]
-    return quiver_to_embedding(QuiverData(num_vertices=quiver["vertices"], edges=quiver["edges"]))
+    return quiver_to_embedding(quiver["vertices"], quiver["edges"])
 
 
 def build_point(field: CycField, data: dict):

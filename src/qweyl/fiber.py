@@ -20,7 +20,7 @@ from operator import add, mul
 from typing import Optional
 
 from .cyclotomic import CycField, CycScalar, power
-from .lattice import TorusEmbedding
+from .lattice import Frozen, TorusEmbedding
 from .pbw import PBWAlgebra, PBWElement
 
 
@@ -145,7 +145,7 @@ def digits(idx: int, ell: int, n: int) -> tuple[int, ...]:
 # fiber points
 
 
-class FiberPoint:
+class FiberPoint(Frozen):
     """A central character: values (c_i, w_i) of x_i^ell, d_i^ell, plus roots.
 
     gamma_i must satisfy gamma_i^ell = 1 + c_i w_i exactly.  Immutable.
@@ -163,14 +163,7 @@ class FiberPoint:
         for i, ((c, w), g) in enumerate(zip(lam, gamma)):
             if g ** ell != F.one + c * w:
                 raise ValueError(f"gamma_{i+1}^{ell} != 1 + c*w")
-        object.__setattr__(self, "field", F)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"FiberPoint is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+        self._freeze(field=F, lam=lam, gamma=gamma)
 
     @property
     def n(self) -> int:
@@ -185,20 +178,14 @@ class FiberPoint:
 # the full matrix model on ell^n dimensions
 
 
-class FullRep:
+class FullRep(Frozen):
     """The n-factor matrix model: images x_i, d_i in Mat(ell^n).  It holds
     its images only: its field and size are read off x_1.  Immutable."""
 
     __slots__ = ("x", "d")
 
     def __init__(self, x: tuple[Matrix, ...], d: tuple[Matrix, ...]):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"FullRep is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+        self._freeze(x=x, d=d)
 
     @property
     def field(self) -> CycField:

@@ -1,9 +1,12 @@
-"""Torus weight data and quiver embeddings.
+"""Torus weight data, quiver embeddings and the immutable value classes.
 
 Covers the combinatorial substrate of the operator algebras: the weight
 matrix / symmetric form pair that drives all q-commutation exponents,
-and its construction from a quiver.  The one rank question here (does
-the torus act faithfully?) is decided exactly by linalg.nullspace.
+and its construction from a quiver's vertex count and edges, which
+quiver_to_embedding checks and reads directly.  The one rank question
+here (does the torus act faithfully?) is decided exactly by
+linalg.nullspace.  Frozen is the one immutability rule that
+TorusEmbedding and the value classes of fiber and quiver_examples share.
 """
 
 from __future__ import annotations
@@ -29,48 +32,25 @@ def _as_matrix(m, name: str) -> IntMatrix:
     return rows
 
 
-class QuiverData:
-    """A finite quiver with 1-based vertices.  Immutable."""
+class Frozen:
+    """Base of the immutable value classes: each subclass lists its fields in
+    __slots__ and stores them once, through _freeze, at the end of __init__;
+    no field can be set or deleted after that."""
 
-    __slots__ = ("num_vertices", "edges")
+    __slots__ = ()
 
-    def __init__(self, num_vertices: int, edges):
-        if type(num_vertices) is not int or num_vertices < 1:
-            raise ValueError("a quiver needs an integer number of vertices, at least one")
-        edges = _as_matrix(edges, "edges")
-        for edge in edges:
-            if len(edge) != 2 or not all(1 <= v <= num_vertices for v in edge):
-                raise ValueError(f"edge {list(edge)} is not a [tail, head] pair "
-                                 f"of vertices 1..{num_vertices}")
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "edges", edges)
+    def _freeze(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
-        raise AttributeError(f"QuiverData is immutable: cannot set or delete {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
 
-    def components(self) -> list[list[int]]:
-        """Connected components of the underlying graph, each sorted."""
-        parent = list(range(self.num_vertices + 1))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, list[int]] = {}
-        for v in range(1, self.num_vertices + 1):
-            groups.setdefault(find(v), []).append(v)
-        return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
-class TorusEmbedding:
+class TorusEmbedding(Frozen):
     """Weight data for n coordinate pairs under a rank d torus.
 
     matrix has one row per index: the torus weight of the i-th
@@ -101,13 +81,7 @@ class TorusEmbedding:
         rows = [{j: F.scalar(v) for j, v in enumerate(row) if v} for row in matrix]
         if nullspace(rows, list(range(d)), F):
             raise ValueError("weight matrix must have full column rank")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "form", form)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"TorusEmbedding is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+        self._freeze(matrix=matrix, form=form)
 
     @property
     def n(self) -> int:
@@ -128,44 +102,40 @@ class TorusEmbedding:
                      for row in rows)
 
 
-def quiver_to_embedding(quiver: QuiverData) -> TorusEmbedding:
-    """Weight data of the arrow coordinates under the based vertex torus.
+def quiver_to_embedding(num_vertices: int, edges) -> TorusEmbedding:
+    """Weight data of the arrow coordinates of a quiver under the based
+    vertex torus.
 
-    Per connected component the torus is the vertex torus with its
-    overall diagonal removed; concretely the last vertex of each
-    component is dropped and e_v - e_last for the remaining vertices
-    form the basis.  An arrow a -> b has weight e_b - e_a expressed in
-    that basis, and the form is the standard dot product on the
-    sum-zero lattice: identity plus all-ones in each component block.
+    The vertices are 1..num_vertices and edges is a list of [tail, head]
+    pairs.  Per connected component the torus is the vertex torus with its
+    overall diagonal removed; concretely the last vertex of each component
+    is dropped and e_v - e_last for the remaining vertices form the basis,
+    component by component in the order of their first vertex.  An arrow
+    a -> b has weight e_b - e_a expressed in that basis, and the form is
+    the standard dot product on the sum-zero lattice: identity plus
+    all-ones in each component block.
     """
-    comps = quiver.components()
-    kept: list[int] = []
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-        kept.extend(comp[:-1])
-    col_of = {v: j for j, v in enumerate(kept)}
-    d = len(kept)
+    if type(num_vertices) is not int or num_vertices < 1:
+        raise ValueError("a quiver needs an integer number of vertices, at least one")
+    edges = _as_matrix(edges, "edges")
+    for edge in edges:
+        if len(edge) != 2 or not all(1 <= v <= num_vertices for v in edge):
+            raise ValueError(f"edge {list(edge)} is not a [tail, head] pair "
+                             f"of vertices 1..{num_vertices}")
+    root = list(range(num_vertices + 1))
 
-    def basis_coords(v: int) -> list[int]:
-        # coordinates of e_v - e_last in the beta basis; zero for the
-        # dropped vertex itself
-        out = [0] * d
-        comp = comps[comp_of[v]]
-        if v != comp[-1]:
-            out[col_of[v]] = 1
-        return out
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
 
-    rows = []
-    for a, b in quiver.edges:
-        wa, wb = basis_coords(a), basis_coords(b)
-        rows.append(tuple(x - y for x, y in zip(wb, wa)))
-
-    form = [[0] * d for _ in range(d)]
-    for ci, comp in enumerate(comps):
-        idx = [col_of[v] for v in comp[:-1]]
-        for a in idx:
-            for b in idx:
-                form[a][b] = 1 + (1 if a == b else 0)
-    return TorusEmbedding(matrix=tuple(rows), form=tuple(tuple(r) for r in form))
+    for a, b in edges:
+        root[find(a)] = find(b)
+    comp = {v: find(v) for v in range(1, num_vertices + 1)}
+    first = {r: v for v, r in reversed(comp.items())}
+    last = {r: v for v, r in comp.items()}
+    kept = sorted((first[r], v) for v, r in comp.items() if last[r] != v)
+    matrix = tuple(tuple((v == b) - (v == a) for _, v in kept) for a, b in edges)
+    form = tuple(tuple((cu == cv) + (u == v) for cv, v in kept) for cu, u in kept)
+    return TorusEmbedding(matrix, form)

@@ -21,16 +21,9 @@ from math import comb
 from typing import Optional
 
 from .cyclotomic import CycField, CycScalar, power
-from .lattice import QuiverData, quiver_to_embedding
+from .lattice import Frozen, quiver_to_embedding
 from .linalg import vec_accumulate
 from .pbw import PBWAlgebra
-
-
-def cyclic_quiver(n: int) -> QuiverData:
-    """n vertices, edge i running from vertex i to vertex i+1 mod n."""
-    if n < 2:
-        raise ValueError("a cyclic quiver needs at least 2 vertices")
-    return QuiverData(num_vertices=n, edges=tuple((i, i % n + 1) for i in range(1, n + 1)))
 
 
 def build_an_quiver_algebra(field: CycField, n: int) -> tuple[PBWAlgebra, Optional[dict]]:
@@ -53,7 +46,8 @@ def build_an_quiver_algebra(field: CycField, n: int) -> tuple[PBWAlgebra, Option
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    alg = PBWAlgebra(field, quiver_to_embedding(cyclic_quiver(n)))
+    # edge i runs from vertex i to vertex i + 1 mod n
+    alg = PBWAlgebra(field, quiver_to_embedding(n, [(i, i % n + 1) for i in range(1, n + 1)]))
     if n == 2:
         return alg, None
     q2 = field.qpow(2)
@@ -71,7 +65,7 @@ def build_an_quiver_algebra(field: CycField, n: int) -> tuple[PBWAlgebra, Option
     return alg, table
 
 
-class DifferenceOperator:
+class DifferenceOperator(Frozen):
     """Operator t^k -> c_k t^{k+shift} with c periodic mod ell.  Immutable;
     two operators are equal when their field, shift and scalars are."""
 
@@ -82,14 +76,7 @@ class DifferenceOperator:
             raise ValueError("need one scalar per residue mod ell")
         if shift != 0 and not any(scalars):
             shift = 0
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "scalars", scalars)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"DifferenceOperator is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+        self._freeze(field=field, shift=shift, scalars=scalars)
 
     def __eq__(self, other):
         if not isinstance(other, DifferenceOperator):

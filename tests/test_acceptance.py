@@ -12,7 +12,6 @@ from qweyl import (CycField, FiberPoint, Matrix, PBWAlgebra, TorusEmbedding,
                    build_an_quiver_algebra, full_matrix_rep, hamiltonian_reduce,
                    quiver_to_embedding, verify_central_z, verify_u1_relations)
 from qweyl.fiber import alpha_images
-from qweyl.lattice import QuiverData
 from qweyl.linalg import SpanBasis, nullspace
 from qweyl.pbw import center_report, qmm_report
 from qweyl.quiver_examples import quiver_suite_report
@@ -31,7 +30,7 @@ def emb_pair():
 
 
 def emb_cyclic3():
-    return quiver_to_embedding(QuiverData(num_vertices=3, edges=((1, 2), (2, 3), (3, 1))))
+    return quiver_to_embedding(3, ((1, 2), (2, 3), (3, 1)))
 
 
 def verdict(num: int, name: str, ok: bool):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qweyl import (CycField, DifferenceOperator, FiberPoint, FullRep, Matrix,
-                   OutsideAzumayaLocus, PBWAlgebra, QuiverData, TorusEmbedding,
+                   OutsideAzumayaLocus, PBWAlgebra, TorusEmbedding,
                    full_matrix_rep, quiver_to_embedding)
 from qweyl import fiber
 from qweyl.cli import build_point, run_suite, validate_config
@@ -372,7 +372,7 @@ def emb_weights_2_1():
 
 
 def emb_cyclic3():
-    return quiver_to_embedding(QuiverData(num_vertices=3, edges=((1, 2), (2, 3), (3, 1))))
+    return quiver_to_embedding(3, ((1, 2), (2, 3), (3, 1)))
 
 
 def units(F, size):
@@ -789,7 +789,6 @@ def test_full_rep_is_frozen():
 IMMUTABLE_VALUES = {
     "FiberPoint": two_factor_point,
     "FullRep": lambda F: full_matrix_rep(two_factor_point(F), emb_n2()),
-    "QuiverData": lambda F: QuiverData(num_vertices=2, edges=((1, 2),)),
     "TorusEmbedding": lambda F: emb_n2(),
     "DifferenceOperator": DifferenceOperator.identity,
 }

@@ -5,13 +5,14 @@ import io
 import json
 import random
 import tempfile
+from collections import deque
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qweyl import (CycField, FiberPoint, QuiverData, TorusEmbedding, lattice, phi_dagger,
+from qweyl import (CycField, FiberPoint, TorusEmbedding, lattice, phi_dagger,
                    quiver_to_embedding)
 from qweyl.cli import main, validate_config
 
@@ -84,19 +85,22 @@ def test_phi_dagger_pushes_gamma_along_a_weight_matrix_with_a_negative_entry():
 
 
 def test_quiver_from_json_and_components():
-    q = QuiverData(num_vertices=3, edges=[[1, 2], [2, 3], [3, 1]])
-    assert q.num_vertices == 3
-    assert q.components() == [[1, 2, 3]]
-    q2 = QuiverData(num_vertices=4, edges=((1, 2), (3, 4)))
-    assert q2.components() == [[1, 2], [3, 4]]
-    with pytest.raises(ValueError):
-        QuiverData(num_vertices=2, edges=((1, 3),))
+    # one component on three vertices: one vertex dropped, one block of I + J
+    emb = quiver_to_embedding(3, [[1, 2], [2, 3], [3, 1]])
+    assert emb.n == 3 and emb.d == 2
+    assert emb.form == ((2, 1), (1, 2))
+    # components {1, 2} and {3, 4}: one vertex dropped from each, and the
+    # form does not pair the two blocks
+    emb = quiver_to_embedding(4, ((1, 2), (3, 4)))
+    assert emb.n == 2 and emb.d == 2
+    assert emb.form == ((2, 0), (0, 2))
+    with pytest.raises(ValueError, match=r"edge \[1, 3\] is not a \[tail, head\] pair"):
+        quiver_to_embedding(2, ((1, 3),))
 
 
 def test_cyclic3_embedding_frozen():
     # cyclic quiver on 3 vertices: drop the last vertex of the component
-    q = QuiverData(num_vertices=3, edges=((1, 2), (2, 3), (3, 1)))
-    emb = quiver_to_embedding(q)
+    emb = quiver_to_embedding(3, ((1, 2), (2, 3), (3, 1)))
     assert emb.n == 3 and emb.d == 2
     assert emb.matrix == ((-1, 1), (0, -1), (1, 0))
     assert emb.form == ((2, 1), (1, 2))
@@ -107,8 +111,7 @@ def test_cyclic3_embedding_frozen():
 
 
 def test_single_edge_embedding():
-    q = QuiverData(num_vertices=2, edges=((1, 2),))
-    emb = quiver_to_embedding(q)
+    emb = quiver_to_embedding(2, ((1, 2),))
     assert emb.n == 1 and emb.d == 1
     assert emb.matrix == ((-1,),)
     assert emb.pairing_matrix() == ((2,),)
@@ -116,20 +119,85 @@ def test_single_edge_embedding():
 
 def test_double_edge_embedding():
     # cyclic quiver on 2 vertices: pairing of the two edges is -2
-    q = QuiverData(num_vertices=2, edges=((1, 2), (2, 1)))
-    emb = quiver_to_embedding(q)
+    emb = quiver_to_embedding(2, ((1, 2), (2, 1)))
     assert emb.n == 2 and emb.d == 1
     P = emb.pairing_matrix()
     assert P[1][0] == -2 and P[0][0] == P[1][1] == 2
 
 
 def test_two_component_quiver():
-    q = QuiverData(num_vertices=4, edges=((1, 2), (3, 4)))
-    emb = quiver_to_embedding(q)
+    emb = quiver_to_embedding(4, ((1, 2), (3, 4)))
     # one vertex dropped per component
     assert emb.n == 2 and emb.d == 2
     # edges in different components pair to zero
     assert emb.pairing_matrix()[0][1] == 0
+
+
+def quiver_by_definition(num_vertices, edges):
+    """(matrix, form, number of components) of a quiver's embedding, built
+    from the definition: the components by breadth-first search from each
+    unvisited vertex in turn, the incidence rows e_b - e_a of the arrows
+    with the column of each component's last vertex deleted, and the form
+    I + J on the block of each component."""
+    neighbours = {v: set() for v in range(1, num_vertices + 1)}
+    for a, b in edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    components, seen = [], set()
+    for start in range(1, num_vertices + 1):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = [], deque([start])
+        while queue:
+            v = queue.popleft()
+            component.append(v)
+            for w in neighbours[v] - seen:
+                seen.add(w)
+                queue.append(w)
+        components.append(sorted(component))
+    incidence = [[0] * (num_vertices + 1) for _ in edges]
+    for row, (a, b) in zip(incidence, edges):
+        row[b] += 1
+        row[a] -= 1
+    columns = [v for component in components for v in component[:-1]]
+    matrix = tuple(tuple(row[v] for v in columns) for row in incidence)
+    form = [[0] * len(columns) for _ in columns]
+    start = 0
+    for component in components:
+        block = range(start, start + len(component) - 1)
+        for i in block:
+            for j in block:
+                form[i][j] = 2 if i == j else 1
+        start = block.stop
+    return matrix, tuple(map(tuple, form)), len(components)
+
+
+@st.composite
+def quivers(draw):
+    """1 to 6 vertices and 0 to 8 edges: loops, parallel and antiparallel
+    edges, isolated vertices and several components all occur."""
+    num_vertices = draw(st.integers(1, 6))
+    vertex = st.integers(1, num_vertices)
+    return num_vertices, draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quivers())
+@example((3, []))                                         # no coordinates
+@example((1, [(1, 1)]))                                   # a loop alone: d = 0
+@example((2, [(1, 2), (1, 2), (2, 1), (2, 2)]))           # parallel, antiparallel, loop
+@example((6, [(1, 4), (4, 5), (2, 6), (6, 2)]))           # interleaved, vertex 3 isolated
+def test_quiver_embedding_matches_its_definition(quiver):
+    num_vertices, edges = quiver
+    if not edges:
+        with pytest.raises(ValueError, match="at least one coordinate pair"):
+            quiver_to_embedding(num_vertices, edges)
+        return
+    matrix, form, components = quiver_by_definition(num_vertices, edges)
+    emb = quiver_to_embedding(num_vertices, edges)
+    assert (emb.matrix, emb.form) == (matrix, form)
+    assert emb.n == len(edges) and emb.d == num_vertices - components
 
 
 def test_embedding_validation():
@@ -200,7 +268,7 @@ def build(data):
     if "embedding" in data:
         return TorusEmbedding(**data["embedding"])
     quiver = data["quiver"]
-    return quiver_to_embedding(QuiverData(num_vertices=quiver["vertices"], edges=quiver["edges"]))
+    return quiver_to_embedding(quiver["vertices"], quiver["edges"])
 
 
 @settings(max_examples=80, deadline=None)

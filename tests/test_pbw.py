@@ -22,7 +22,6 @@ from hypothesis import example, given, settings, strategies as st
 from qweyl import (CycField, PBWAlgebra, TorusEmbedding, evaluate, quiver_to_embedding,
                    verify_qmm)
 from qweyl import pbw
-from qweyl.lattice import QuiverData
 from qweyl.linalg import vec_accumulate
 
 import scalars
@@ -38,7 +37,7 @@ def emb_n2():
 
 
 def emb_cyclic3():
-    return quiver_to_embedding(QuiverData(num_vertices=3, edges=((1, 2), (2, 3), (3, 1))))
+    return quiver_to_embedding(3, ((1, 2), (2, 3), (3, 1)))
 
 
 # -- reference rewriter ----------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qweyl import (CycField, DifferenceOperator, build_an_quiver_algebra,
-                   cyclic_quiver, u1_operators, verify_central_z,
+                   u1_operators, verify_central_z,
                    verify_u1_relations)
 from qweyl import quiver_examples
 from qweyl.quiver_examples import quiver_suite_report
@@ -14,9 +14,10 @@ from qweyl.quiver_examples import quiver_suite_report
 # -- the nearest-neighbor relation table --------------------------------------
 
 def test_cyclic_quiver_data():
-    Q = cyclic_quiver(4)
-    assert Q.num_vertices == 4
-    assert Q.edges == ((1, 2), (2, 3), (3, 4), (4, 1))
+    # edges 1 -> 2 -> 3 -> 4 -> 1; vertex 4 is the dropped basis vertex, so
+    # the row of a -> b is e_b - e_a with the e_4 column left out
+    alg, _ = build_an_quiver_algebra(CycField(3), 4)
+    assert alg.emb.matrix == ((-1, 1, 0), (0, -1, 1), (0, 0, -1), (1, 0, 0))
 
 
 @pytest.mark.parametrize("ell", [3, 5])

@@ -309,6 +309,37 @@ def test_one_quantum_moment_map_identity():
     assert callers_of("verify_qmm") == [("pbw.py", "qmm_report"), ("pbw.py", "center_report")]
 
 
+def test_one_immutability_rule():
+    # the value classes share Frozen's one __setattr__ and __delattr__, and
+    # Frozen._freeze alone stores a field past them, so no class hand-copies
+    # the rule again; the quiver wrapper, built only to be passed to
+    # quiver_to_embedding, is gone with its cyclic-quiver builder
+    from test_fiber import IMMUTABLE_VALUES
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    rules, stores = [], []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                names = [node.name] if isinstance(node, ast.FunctionDef) else [
+                    ast.unparse(target) for target in getattr(node, "targets", [])]
+                rules += [f"{cls.name}.{name}" for name in names
+                          if name in ("__setattr__", "__delattr__")]
+        stores += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__"]
+    assert rules == ["Frozen.__setattr__", "Frozen.__delattr__"], rules
+    freeze = definition(trees["lattice.py"], "Frozen._freeze")
+    assert len(stores) == 1 and "object.__setattr__" in ast.unparse(freeze), stores
+    Frozen = qweyl.lattice.Frozen
+    assert IMMUTABLE_VALUES and all(issubclass(getattr(qweyl, name), Frozen)
+                                    for name in IMMUTABLE_VALUES)
+    assert not {"QuiverData", "cyclic_quiver", "Frozen"} & set(qweyl.__all__)
+    assert not hasattr(qweyl.lattice, "QuiverData")
+    assert not hasattr(qweyl.quiver_examples, "cyclic_quiver")
+
+
 def test_one_twist_formula_on_each_side():
     # the matrix model places each generator with its own twist, and the
     # algebra reads the pairings once: no general untwist and no second
