@@ -7,9 +7,28 @@ n-factor model (the rank-one ell x ell model at n = 1) and its fiber-rep
 report.
 
 The n-factor model is the braided tensor product of the rank-one models,
-untwisted to the plain product, and it is built in one pass: the factor-i
-x or d is placed in slot i with each entry scaled by one power of q, fixed
-by the digits j > i of its row; see full_matrix_rep.
+untwisted to the plain product.  Each image is one Kronecker product of
+ell x ell slots, first factor fastest:
+
+    x_i = I (x) ... (x) I (x) X (x) Z^(t_(i+1)) (x) ... (x) Z^(t_(n-1)),
+
+X the rank-one x in slot i, Z = diag(q^r) and t_j = (b - a) P_ji the
+twist exponent of an entry (a, b) of X (_twist, the one twist rule); d_i
+likewise with D.  full_matrix_rep writes the images out on their ell^n
+rows, with one power of q per placed block, for reduce; slot_rep keeps
+the slots (SlotImage), and fiber_rep_report decides on them.
+
+Each check on the slots certifies or expands.  Products are taken slot by
+slot.  Two images are proven equal only when both vanish, or when their
+slots have the same columns, are proportional and the scalars match
+(SlotImage.proves_equal).  A sum is a slot image only when its terms agree
+outside one slot.  Whatever the slots cannot certify is decided by the
+dense rule on the expansion of that one check, so every verdict and
+witness is the dense model's.  The row graph of the generation
+certificate is the Cartesian product of the ell-vertex slot graphs when
+every image is a full diagonal with no zero entry outside its own slot, so
+it is strongly connected exactly when each slot graph is (unreached_row).
+A passing report builds no matrix of more than ell rows.
 """
 
 from __future__ import annotations
@@ -21,7 +40,7 @@ from typing import Optional
 
 from .cyclotomic import CycField, CycScalar, power
 from .lattice import Frozen, TorusEmbedding
-from .pbw import PBWAlgebra, PBWElement
+from .pbw import PBWAlgebra
 
 
 class OutsideAzumayaLocus(ValueError):
@@ -175,16 +194,18 @@ class FiberPoint(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# the full matrix model on ell^n dimensions
+# the n-factor model: dense rows for reduce, Kronecker slots for fiber-rep
 
 
 class FullRep(Frozen):
-    """The n-factor matrix model: images x_i, d_i in Mat(ell^n).  It holds
-    its images only: its field and size are read off x_1.  Immutable."""
+    """The n-factor matrix model: images x_i, d_i in Mat(ell^n), either all
+    dense Matrix rows (full_matrix_rep) or all SlotImage slots (slot_rep).
+    It holds its images only: its field and size are read off x_1.
+    Immutable."""
 
     __slots__ = ("x", "d")
 
-    def __init__(self, x: tuple[Matrix, ...], d: tuple[Matrix, ...]):
+    def __init__(self, x: tuple, d: tuple):
         self._freeze(x=x, d=d)
 
     @property
@@ -195,28 +216,85 @@ class FullRep(Frozen):
     def size(self) -> int:
         return self.x[0].size
 
-    def of_element(self, a: PBWElement) -> Matrix:
-        """Image of a PBW element under the representation: the sum over
-        terms c x^m d^k of c times the ordered product
-        x_1^m_1 ... x_n^m_n d_1^k_1 ... d_n^k_n of the images, so the PBW
-        order is kept and no commutation is assumed.  The element's algebra
-        must have the rank and the ell of the model, and its terms the same
-        m - k mod ell, as those of a T-homogeneous element have: then the
-        images of the terms share their column in each row.  Otherwise a
-        sum of two term images in two columns of one row raises ValueError."""
-        if not isinstance(a, PBWElement):
-            raise TypeError("expected a PBW element")
-        if a.algebra.n != len(self.x) or a.algebra.field.ell != self.field.ell:
-            raise ValueError("element of an algebra of another rank or ell than the model")
-        F, gens, terms = self.field, self.x + self.d, []
-        for (m, k), c in a.terms.items():
-            factors = [g for g, e in zip(gens, m + k) for _ in range(e)]
-            if not factors:  # the empty word is I; any other may be the zero matrix
-                terms.append(Matrix._rows(F, tuple(range(self.size)), (c,) * self.size))
-            else:
-                word = reduce(mul, factors)
-                terms.append(word if c == F.one else word.scale(c))
-        return reduce(add, terms) if terms else Matrix(F, self.size)
+
+class SlotImage:
+    """An element of Mat(ell^n) held as scalar times the Kronecker product of
+    n ell x ell slot matrices: slot j acts on digit j of the row index
+    (first factor fastest, see digits), so the entry at (r, c) is scalar
+    times the product of the slot entries at (r_j, c_j).
+
+    Products and powers are taken slot by slot.  A sum is a slot image only
+    where its terms agree outside one slot; any other sum raises ValueError,
+    as a Matrix sum with two columns in one row does.  There is no __eq__:
+    proves_equal proves equality or declines, and dense writes the image
+    out.  Only nonzero entries count, so a zero scalar or a slot with no
+    nonzero entry makes the image vanish.
+    """
+
+    __slots__ = ("field", "size", "scalar", "slots")
+
+    def __init__(self, scalar: CycScalar, slots: tuple):
+        self.field, self.size = scalar.field, slots[0].size ** len(slots)
+        self.scalar, self.slots = scalar, slots
+
+    def __mul__(self, other: "SlotImage") -> "SlotImage":
+        return SlotImage(self.scalar * other.scalar, tuple(map(mul, self.slots, other.slots)))
+
+    def __pow__(self, e: int) -> "SlotImage":
+        return SlotImage(self.scalar ** e, tuple(s ** e for s in self.slots))
+
+    def __add__(self, other: "SlotImage") -> "SlotImage":
+        if self.vanishes():
+            return other
+        if other.vanishes():
+            return self
+        apart = [j for j, (a, b) in enumerate(zip(self.slots, other.slots)) if a != b]
+        if len(apart) > 1:
+            raise ValueError(f"the terms differ in slots {apart[0]} and {apart[1]}: no slot image")
+        j = apart[0] if apart else 0
+        slots = list(self.slots)
+        slots[j] = self.slots[j].scale(self.scalar) + other.slots[j].scale(other.scalar)
+        return SlotImage(self.field.one, tuple(slots))
+
+    def vanishes(self) -> bool:
+        """Whether the image is zero: a zero scalar or a slot with no nonzero entry."""
+        return not self.scalar or not all(any(s.vals) for s in self.slots)
+
+    def proves_equal(self, other: "SlotImage") -> bool:
+        """True only when self and other are one matrix; False proves nothing.
+
+        Either both vanish, or each slot pair a, b has the same cols and is
+        proportional, a_s fb = b_s fa on every row s with fa and fb the first
+        nonzero values of a and b, and scalar * prod fa = other.scalar *
+        prod fb.  Then b = (fb / fa) a in every slot, so other is
+        other.scalar * prod (fb / fa) times the Kronecker product of the
+        slots of self, which is self.  An equal pair of slots adds fa = fb.
+        """
+        if self.vanishes() or other.vanishes():
+            return self.vanishes() and other.vanishes()
+        lhs, rhs = self.scalar, other.scalar
+        for a, b in zip(self.slots, other.slots):
+            if a == b:
+                continue
+            if a.cols != b.cols:
+                return False
+            fa, fb = next(filter(None, a.vals)), next(filter(None, b.vals))
+            if any(va is not None and va * fb != vb * fa for va, vb in zip(a.vals, b.vals)):
+                return False
+            lhs, rhs = lhs * fa, rhs * fb
+        return lhs == rhs
+
+    def dense(self) -> Matrix:
+        """The image written out on its ell^n rows, each entry the scalar
+        times one entry of each slot; a row with a zero or empty factor is
+        empty.  Only a check that the slots cannot certify expands."""
+        cols, vals, step = [0], [self.scalar], 1
+        for slot in self.slots:
+            cols, vals = zip(*[(c + sc * step, v * sv) if v and sv else (None, None)
+                               for sc, sv in zip(slot.cols, slot.vals)
+                               for c, v in zip(cols, vals)])
+            step *= slot.size
+        return Matrix._rows(self.field, cols, vals)
 
 
 def _rank1_entries(F: CycField, c: CycScalar, w: CycScalar, gamma: CycScalar) -> tuple[list, list]:
@@ -245,60 +323,139 @@ def _rank1_entries(F: CycField, c: CycScalar, w: CycScalar, gamma: CycScalar) ->
             [((r + 1) % ell, r, v) for r, v in enumerate(delta) if v])
 
 
+def _twist(P, i: int, a: int, b: int) -> list[int]:
+    """The twist exponents t_j = (b - a) P_ji, j > i, of an entry (a, b) of
+    the factor-i rank-one x or d: untwisting scales it, placed in a row
+    with digits r_j, by q^(sum_j t_j r_j) (see full_matrix_rep)."""
+    return [(b - a) * P[j][i] for j in range(i + 1, len(P))]
+
+
+def _rank1_models(point: FiberPoint, emb: TorusEmbedding) -> tuple:
+    """The pairing matrix of emb and the rank-one entries of each factor of
+    point; the rank and locus checks raise before anything is built."""
+    if emb.n != point.n:
+        raise ValueError("embedding rank differs from point rank")
+    if not point.in_azumaya_locus():
+        raise OutsideAzumayaLocus("point has 1 + c_i w_i = 0")
+    F = point.field
+    return emb.pairing_matrix(), [_rank1_entries(F, c, w, g)
+                                  for (c, w), g in zip(point.lam, point.gamma)]
+
+
 def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
-    """Assemble the n-factor model from the rank-one models (_rank1_entries)
-    in one pass; at n = 1 it is the rank-one model itself.
+    """Assemble the n-factor model on its ell^n rows from the rank-one
+    models (_rank1_entries) in one pass; at n = 1 it is the rank-one model
+    itself.
 
     The braided tensor product places the factor-i rank-one matrix G in
     slot i, and untwisting it to the plain product scales the elementary
     matrix E_rc by q^(-tau(r, c)), tau(r, c) = sum_{i<j} (r_i - c_i) P_ji r_j,
     with r, c the digits of row and column (first factor fastest) and P the
     pairing matrix.  A placed entry (r, c) of G changes digit i only, from
-    c_i = b to r_i = a, so tau(r, c) = (a - b) s_i(r) with
-    s_i(r) = sum_{j>i} P_ji r_j, and the entry is G_ab q^((b - a) s_i(r)).
-    So x_i = I (x) ... (x) X (x) Z^(P_{i+1,i}) (x) ... (x) Z^(P_{n,i}) with
-    Z = diag(q^r), and d_i uses the inverse powers of Z.  As s_i reads only
-    the digits j > i, each block is twisted once, then copied to ell^i bases.
+    c_i = b to r_i = a, so the entry is G_ab q^(sum_{j>i} t_j r_j) with the
+    twist exponents t_j = (b - a) P_ji of _twist.  As x moves its digit by
+    b - a = 1 mod ell on every entry and d by -1, x_i = I (x) ... (x) X (x)
+    Z^(P_{i+1,i}) (x) ... (x) Z^(P_{n,i}) with Z = diag(q^r), and d_i uses the
+    inverse powers of Z: the slots of slot_rep.  As the twist reads only the
+    digits j > i, each block is twisted once, then copied to ell^i bases.
     """
     F = point.field
-    if emb.n != point.n:
-        raise ValueError("embedding rank differs from point rank")
-    if not point.in_azumaya_locus():
-        raise OutsideAzumayaLocus("point has 1 + c_i w_i = 0")
+    P, local = _rank1_models(point, emb)
     ell = F.ell
     n = point.n
     size = ell ** n
-    P = emb.pairing_matrix()
-    local = [_rank1_entries(F, c, w, g) for (c, w), g in zip(point.lam, point.gamma)]
 
     def place(i: int, entries: list) -> Matrix:
         step, cols, vals = ell ** i, [None] * size, [None] * size
-        for high in range(ell ** (n - i - 1)):  # s_i(r) is fixed by the digits j > i
-            s = sum(P[j][i] * rj for j, rj in enumerate(digits(high, ell, n - i - 1), i + 1))
-            lo = high * ell * step  # the ell^i bases with these high digits share the block
-            for a, b, v in entries:
-                row, col = lo + a * step, lo + b * step
+        for a, b, v in entries:
+            # sum_j t_j r_j at each value `high` of the digits j > i, as digits orders them
+            twists = [0]
+            for t in _twist(P, i, a, b):
+                twists = [e + t * r for r in range(ell) for e in twists]
+            for high, e in enumerate(twists):  # the ell^i bases below `high` share the block
+                row, col = (high * ell + a) * step, (high * ell + b) * step
                 cols[row:row + step] = range(col, col + step)
-                vals[row:row + step] = (v * F.qpow((b - a) * s),) * step
+                vals[row:row + step] = (v * F.qpow(e),) * step
         return Matrix._rows(F, tuple(cols), tuple(vals))
 
     return FullRep(x=tuple(place(i, x) for i, (x, _) in enumerate(local)),
                    d=tuple(place(i, d) for i, (_, d) in enumerate(local)))
 
 
-def unreached_row(rep: FullRep) -> Optional[int]:
-    """Condition (c) of the generation certificate of fiber_rep_report: the
-    graph on the rows with an edge c -> r for each nonzero entry (r, c) of
-    some rep.x or rep.d is strongly connected.  None when it is, else the
-    least row outside the strongly connected component of row 0.  Only a
-    graph search is used: no scalar arithmetic and no reduction mod p.
+def slot_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
+    """The model of full_matrix_rep held as Kronecker slots: the image of
+    x_i is I in each slot j < i, the rank-one X in slot i and the twist
+    diagonal diag(q^(t_j r)) in each slot j > i, t_j the twist exponents of
+    X's entries (_twist); d_i likewise.  It builds no matrix of more than
+    ell rows.  A Kronecker product needs one twist per slot: an X whose
+    entries give two twists mod ell raises ValueError (the rank-one x and d
+    move their digit by 1 and -1 mod ell on every entry, so it never does).
     """
-    size = rep.size
+    F = point.field
+    P, local = _rank1_models(point, emb)
+    ell, n = F.ell, point.n
+    one = Matrix.identity(F, ell)
+
+    def image(i: int, entries: list) -> SlotImage:
+        twists = {tuple(t % ell for t in _twist(P, i, a, b)) for a, b, _ in entries}
+        if len(twists) > 1:
+            raise ValueError(f"factor {i + 1} has entries of two twists: no Kronecker product")
+        twist = twists.pop() if twists else (0,) * (n - i - 1)
+        diagonals = tuple(Matrix._rows(F, one.cols, tuple(F.qpow(t * r) for r in range(ell)))
+                          for t in twist)
+        slot = Matrix(F, ell, {(a, b): v for a, b, v in entries})
+        return SlotImage(F.one, (one,) * i + (slot,) + diagonals)
+
+    return FullRep(x=tuple(image(i, x) for i, (x, _) in enumerate(local)),
+                   d=tuple(image(i, d) for i, (_, d) in enumerate(local)))
+
+
+def unreached_row(rep: FullRep) -> Optional[int]:
+    """Condition (c) of the generation certificate of fiber_rep_report, on
+    the slot model rep: the graph on the ell^n rows with an edge c -> r for
+    each nonzero entry (r, c) of some rep.x or rep.d is strongly connected.
+    None when it is, else the least row outside the strongly connected
+    component of row 0.  Only a graph search is used: no rank and no
+    reduction mod p.
+
+    Lemma.  Let each image of x_i and d_i have a nonzero scalar and a full
+    diagonal with no zero entry in every slot j != i.  Then the row graph is
+    the Cartesian product of the slot graphs G_i on range(ell), G_i with an
+    edge c -> r for each nonzero entry (r, c) of slot i of x_i or of d_i,
+    and it is strongly connected exactly when every G_i is.  Proof.  The
+    entry (r, c) of x_i is nonzero exactly when slot i has a nonzero entry
+    at (r_i, c_i) and every other slot j one at (r_j, c_j), that is
+    c_j = r_j; so the edges of x_i and d_i move digit i along an edge of
+    G_i and keep the others, and those are the edges of the product.  If
+    every G_i is strongly connected, a row reaches any other by moving one
+    digit at a time along a path of its G_i.  If some G_i has no path from
+    u to v, digit i of a path in the product walks along edges of G_i, so
+    no row with digit i = u reaches one with digit i = v.
+
+    The premise is checked, never assumed.  When it fails, or some G_i is
+    not strongly connected, the search runs on the expanded images, and
+    the least unreached row is read off their cols.
+    """
+    ell, diagonal = rep.field.ell, tuple(range(rep.field.ell))
+    factors = list(enumerate(zip(rep.x, rep.d)))
+    premise = all(g.scalar and all(s.cols == diagonal and all(s.vals)
+                                   for j, s in enumerate(g.slots) if j != i)
+                  for i, images in factors for g in images)
+    if premise and all(_unreached(ell, [g.slots[i] for g in images]) is None
+                       for i, images in factors):
+        return None
+    return _unreached(rep.size, [g.dense() for g in rep.x + rep.d])
+
+
+def _unreached(size: int, images: list) -> Optional[int]:
+    """None when the graph on range(size) with an edge c -> r for each
+    nonzero entry (r, c) of the matrices images is strongly connected, else
+    the least vertex outside the strongly connected component of 0."""
     forward: list[list[int]] = [[] for _ in range(size)]
     backward: list[list[int]] = [[] for _ in range(size)]
-    for G in rep.x + rep.d:
-        for r, c in enumerate(G.cols):
-            if c is not None:
+    for G in images:
+        for r, (c, v) in enumerate(zip(G.cols, G.vals)):
+            if v:
                 forward[c].append(r)
                 backward[r].append(c)
 
@@ -315,11 +472,13 @@ def unreached_row(rep: FullRep) -> Optional[int]:
     return None if len(component) == size else min(set(range(size)) - component)
 
 
-def alpha_images(rep: FullRep) -> list[Optional[Matrix]]:
-    """The images I + x_i d_i of the Euler operators alpha_i = 1 + x_i d_i;
-    None for an image with two entries in a row, as a model whose x_i d_i
-    leaves the diagonal has."""
-    one, out = Matrix.identity(rep.field, rep.size), []
+def alpha_images(rep: FullRep) -> list:
+    """The images I + x_i d_i of the Euler operators alpha_i = 1 + x_i d_i,
+    of the kind of rep's images (x_1^0 is the identity of that kind); None
+    for a sum that is none of that kind: a dense image with two entries in
+    a row, as a model whose x_i d_i leaves the diagonal has, or slot images
+    that differ in two slots."""
+    one, out = rep.x[0] ** 0, []
     for x, d in zip(rep.x, rep.d):
         try:
             out.append(one + x * d)
@@ -328,23 +487,42 @@ def alpha_images(rep: FullRep) -> list[Optional[Matrix]]:
     return out
 
 
+def _alpha_holds(rep: FullRep, i: int, alpha: Optional[SlotImage], gamma: CycScalar) -> bool:
+    """Condition (b) at factor i of the slot model rep: its alpha image
+    (alpha_images) is diag(gamma q^(-2 r_i)), r_i digit i of row r.  Proven
+    on the slots, or else decided by the dense rule, on the expansions of
+    x_i and d_i alone."""
+    F, ell, n = rep.field, rep.field.ell, len(rep.x)
+    slots = [Matrix.identity(F, ell)] * n
+    slots[i] = Matrix._rows(F, slots[i].cols, tuple(gamma * F.qpow(-2 * r) for r in range(ell)))
+    want = SlotImage(F.one, tuple(slots))
+    if alpha is not None and alpha.proves_equal(want):
+        return True
+    (alpha,) = alpha_images(FullRep(x=(rep.x[i].dense(),), d=(rep.d[i].dense(),)))
+    return alpha is not None and alpha == want.dense()
+
+
 def presentation_failure(rep: FullRep, point: FiberPoint, algebra: PBWAlgebra) -> Optional[dict]:
-    """None when the generator images of rep satisfy the relations that
-    present D_lambda, else the first failing one and the least entry (r, c)
-    of its residual lhs - rhs.
+    """None when the generator images of the slot model rep satisfy the
+    relations that present D_lambda, else the first failing one and the
+    least entry (r, c) of its residual lhs - rhs.
 
     The relations are g_a g_b = (its PBW normal form) for the generators
     g = x_1..x_n, d_1..d_n, and x_i^ell = c_i I, d_i^ell = w_i I.  Only the
     n(2n - 1) pairs with a > b are checked: x_j x_i and d_j d_i with j > i,
     and every d_j x_i.  The others (x_i x_j with i <= j, every x_i d_j, and
-    d_i d_j with i <= j) are in PBW order, and of_element builds X(m) D(k)
-    as ordered products, so they map to the product of their images by
-    construction: checking them tests nothing.
+    d_i d_j with i <= j) are in PBW order, and a term c x^m d^k maps to the
+    ordered product c X(m) D(k) of the images (_term_image), so they map to
+    the product of their images by construction: checking them tests
+    nothing.
 
-    Both sides are T-homogeneous, so on a model whose generators each move
-    one digit of_element sums the right-hand side's term images as row
-    arrays.  A wrong model may put two of them in two columns of one row;
-    of_element then raises, and the residual, summed term by term, decides.
+    Each relation is certified or expanded.  Its left-hand side is a
+    product or power of slot images, and its right-hand side the sum of its
+    term images, one term but for d_i x_i = q^2 x_i d_i + (q^2 - 1), whose
+    two terms agree outside slot i.  When proves_equal proves the two
+    sides equal, the relation holds; otherwise it is decided by the dense
+    rule on that relation alone: the residual of the expanded sides, whose
+    least entry is the witness.
     """
     gens, images = algebra.generators(), rep.x + rep.d
     n, ell = algebra.n, rep.field.ell
@@ -354,17 +532,26 @@ def presentation_failure(rep: FullRep, point: FiberPoint, algebra: PBWAlgebra) -
     central = (((g, "^", ell), algebra.scalar_element(point.lam[a % n][a // n]), images[a] ** ell)
                for a, g in enumerate(gens))
     for lhs, rhs, image in chain(pairs, central):
+        terms = [_term_image(rep, m, k, c) for (m, k), c in rhs.terms.items()]
         try:
-            holds = image == rep.of_element(rhs)
-        except ValueError:  # two terms in two columns of one row
+            holds = image.proves_equal(reduce(add, terms)) if terms else image.vanishes()
+        except ValueError:  # the terms differ in two slots, or their sum in two columns of a row
             holds = False
-        residual = {} if holds else _residual(image, [
-            rep.of_element(algebra.monomial(m, k, c)) for (m, k), c in rhs.terms.items()])
+        residual = {} if holds else _residual(image.dense(), [t.dense() for t in terms])
         if residual:
             entry = min(residual)
             return {"relation": f"{''.join(map(str, lhs))} = {rhs}", "entry": list(entry),
                     "residual": str(residual[entry])}
     return None
+
+
+def _term_image(rep: FullRep, m: tuple, k: tuple, c: CycScalar) -> SlotImage:
+    """The image c x_1^m_1 ... x_n^m_n d_1^k_1 ... d_n^k_n of a PBW term: an
+    ordered product of the images, so the PBW order is kept and no
+    commutation is assumed."""
+    factors = [g for g, e in zip(rep.x + rep.d, m + k) for _ in range(e)]
+    word = reduce(mul, factors) if factors else rep.x[0] ** 0
+    return SlotImage(c * word.scalar, word.slots)
 
 
 def _residual(image: Matrix, terms: list[Matrix]) -> dict:
@@ -377,7 +564,8 @@ def _residual(image: Matrix, terms: list[Matrix]) -> dict:
 
 
 def fiber_rep_report(point: FiberPoint, algebra: PBWAlgebra) -> dict:
-    """The fiber-rep report of the matrix model at point.
+    """The fiber-rep report of the matrix model at point, decided on its
+    Kronecker slots (slot_rep).
 
     relations_ok: presentation_failure finds none (else it is reported under
     failed_relation), so rep is an algebra map on D_lambda and the span of
@@ -403,16 +591,15 @@ def fiber_rep_report(point: FiberPoint, algebra: PBWAlgebra) -> dict:
     A certified report gives span_dimension = N^2.  A failing one gives no
     span, only its witness: failed_relation, alpha_diagonal_ok false, or
     unreached_row when both checks hold and the graph does not.
-    in_azumaya_locus is always true: full_matrix_rep raises off the locus.
+    in_azumaya_locus is always true: slot_rep raises off the locus.  Each
+    check is made on the slots and expands only what they cannot certify,
+    so a passing report builds no matrix of more than ell rows.
     """
-    F, n, ell = point.field, algebra.n, point.field.ell
-    rep = full_matrix_rep(point, algebra.emb)
+    n, ell = algebra.n, point.field.ell
+    rep = slot_rep(point, algebra.emb)
     failure = presentation_failure(rep, point, algebra)
     relations_ok = not failure
-    diagonal = tuple(range(rep.size))
-    rows = [digits(r, ell, n) for r in diagonal]
-    alpha_ok = all(alpha is not None and alpha.cols == diagonal
-                   and alpha.vals == tuple(g * F.qpow(-2 * r[i]) for r in rows)
+    alpha_ok = all(_alpha_holds(rep, i, alpha, g)
                    for i, (alpha, g) in enumerate(zip(alpha_images(rep), point.gamma)))
     unreached = unreached_row(rep) if relations_ok and alpha_ok else None
     ok = relations_ok and alpha_ok and unreached is None

@@ -678,7 +678,7 @@ def test_product_memo_cap_holds_and_changes_no_report(monkeypatch, tmp_path):
     assert out.read_bytes() == (TESTS / "report_output" / "pair_l3.json").read_bytes()
 
 
-@pytest.mark.parametrize("stem, calls, computed", [("reduce_l3", 133, 44), ("pair_l3", 351, 92)])
+@pytest.mark.parametrize("stem, calls, computed", [("reduce_l3", 133, 44), ("pair_l3", 352, 79)])
 def test_products_computed_once_per_run(monkeypatch, tmp_path, stem, calls, computed):
     # counts, not times: __mul__ is called as often as before the memo, and
     # the suite's field computes each distinct product once; run_suite

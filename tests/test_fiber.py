@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qweyl import (CycField, DifferenceOperator, FiberPoint, FullRep, Matrix,
                    OutsideAzumayaLocus, PBWAlgebra, TorusEmbedding,
@@ -14,11 +14,13 @@ from qweyl import (CycField, DifferenceOperator, FiberPoint, FullRep, Matrix,
 from qweyl import fiber
 from qweyl.cli import build_point, run_suite, validate_config
 from qweyl.expr import evaluate_scalar
-from qweyl.fiber import digits
+from qweyl.fiber import SlotImage, digits
 from qweyl.linalg import SpanBasis
 from qweyl.pbw import PBWElement
 
 from braided import braided_product, placed, untwist
+import dense_model
+from dense_model import expanded, of_element
 from dict_matrix import DictMatrix
 from scalars import poly
 import splitting
@@ -214,7 +216,7 @@ def test_rank1_relations_and_alpha_diagonal(c, w, gamma):
     assert D ** ell == I.scale(F.scalar(w))
     # alpha is diagonal with eigenvalue gamma * q^(-2r) in row r, and it is
     # the image of the PBW element alpha_1 = 1 + x_1 d_1
-    assert Al == rep.of_element(PBWAlgebra(F, emb_n1()).alpha(1))
+    assert Al == of_element(rep, PBWAlgebra(F, emb_n1()).alpha(1))
     g = F.scalar(gamma)
     for r in range(ell):
         assert Al.entries.get((r, r), F.zero) == g * F.qpow(-2 * r)
@@ -434,14 +436,15 @@ def test_sign_flipped_untwist_is_not_multiplicative(emb):
 
 
 def placement_mutant():
-    """full_matrix_rep with the sign of the placement exponent flipped, so each
-    placed entry is scaled by q^(+tau) in place of q^(-tau)."""
-    src = inspect.getsource(fiber.full_matrix_rep)
-    exponent = "F.qpow((b - a) * s)"
+    """fiber._twist with the sign of the twist exponent flipped, so that
+    full_matrix_rep and slot_rep, which both read it, scale each placed
+    entry by q^(+tau) in place of q^(-tau)."""
+    src = inspect.getsource(fiber._twist)
+    exponent = "(b - a) * P[j][i]"
     assert src.count(exponent) == 1
     namespace = dict(vars(fiber))
-    exec(src.replace(exponent, "F.qpow((a - b) * s)"), namespace)
-    return namespace["full_matrix_rep"]
+    exec(src.replace(exponent, "(a - b) * P[j][i]"), namespace)
+    return namespace["_twist"]
 
 
 def test_sign_flipped_untwist_breaks_the_fiber_model(monkeypatch):
@@ -449,7 +452,7 @@ def test_sign_flipped_untwist_breaks_the_fiber_model(monkeypatch):
            "tasks": [{"type": "fiber-rep",
                       "point": {"lambda": [["0", "0"], ["7", "1"]], "gamma": ["1", "2"]}}]}
     assert run_suite(cfg)["tasks"][0]["relations_ok"]
-    monkeypatch.setattr(fiber, "full_matrix_rep", placement_mutant())
+    monkeypatch.setattr(fiber, "_twist", placement_mutant())
     entry = run_suite(cfg)["tasks"][0]
     assert not entry["relations_ok"]
     # the witness is a relation out of PBW order, x_j x_i, d_j d_i (j > i) or
@@ -461,6 +464,9 @@ def test_sign_flipped_untwist_breaks_the_fiber_model(monkeypatch):
     failed = entry["failed_relation"]
     assert failed == {"relation": "x2*x1 = q*x1*x2", "entry": [1, 5], "residual": "(-2)*q - 1"}
     assert failed["relation"] in out_of_order and len(out_of_order) == 6
+    # the dense check on the mutant's rows names the same witness
+    p = build_point(A.field, cfg["tasks"][0]["point"])
+    assert dense_model.presentation_failure(full_matrix_rep(p, A.emb), p, A) == failed
 
 
 def test_braided_product_is_associative_on_samples():
@@ -496,7 +502,7 @@ def test_full_rep_alpha_diagonals():
     A = PBWAlgebra(F, emb)
     assert rep.size == 9
     for i in range(2):
-        Al = rep.of_element(A.alpha(i + 1))
+        Al = of_element(rep, A.alpha(i + 1))
         assert all(r == s for (r, s) in Al.entries)
         for t in range(9):
             ds = digits(t, 3, 2)
@@ -511,8 +517,8 @@ def test_full_rep_refuses_an_element_of_another_rank_or_ell():
     rep = full_matrix_rep(two_factor_point(F), emb_n2())
     for a in (weyl(3).d(1), weyl(5, emb_n2()).x(1), weyl(5, emb_n2()).one()):
         with pytest.raises(ValueError, match="another rank or ell"):
-            rep.of_element(a)
-    assert rep.of_element(weyl(3, emb_n2()).d(1)) == rep.d[0]
+            of_element(rep, a)
+    assert of_element(rep, weyl(3, emb_n2()).d(1)) == rep.d[0]
 
 
 def test_full_rep_is_an_algebra_map():
@@ -525,7 +531,7 @@ def test_full_rep_is_an_algebra_map():
     for i in (1, 2):
         for j in (1, 2):
             a, b = A.d(i), A.x(j)
-            assert rep.of_element(A.multiply(a, b)) == rep.of_element(a) * rep.of_element(b)
+            assert of_element(rep, A.multiply(a, b)) == of_element(rep, a) * of_element(rep, b)
     rng = random.Random(4242)
     for _ in range(15):
         m = tuple(rng.randint(0, 3) for _ in range(2))
@@ -533,7 +539,7 @@ def test_full_rep_is_an_algebra_map():
         m2 = tuple(rng.randint(0, 3) for _ in range(2))
         k2 = tuple(rng.randint(0, 3) for _ in range(2))
         a, b = A.monomial(m, k), A.monomial(m2, k2, coeff=F.qpow(1))
-        assert rep.of_element(A.multiply(a, b)) == rep.of_element(a) * rep.of_element(b)
+        assert of_element(rep, A.multiply(a, b)) == of_element(rep, a) * of_element(rep, b)
 
 
 def test_full_rep_is_bijective_onto_mat9():
@@ -546,7 +552,7 @@ def test_full_rep_is_bijective_onto_mat9():
     fib = FiberAlgebra(A, p)
     span = SpanBasis(F)
     for key in fib.basis_keys():
-        img = rep.of_element(fib.monomial(*key))
+        img = of_element(rep, fib.monomial(*key))
         span.add(dict(img.entries))
     assert span.rank == 81
 
@@ -606,18 +612,20 @@ def cyclic_point_l3(F):
     (3, emb_cyclic3(), cyclic_point_l3),
     (5, emb_n2(), braided_c0_point_l5),
 ], ids=["weights-1-1", "weights-2-1", "cyclic3", "braided-l5-c0"])
-def test_full_rep_is_the_untwisted_kronecker_placement(ell, emb, make_point):
-    # the one-pass placement agrees with the general untwist of the plain
-    # Kronecker placement on every image, and a one-sign mutant does not
+def test_full_rep_is_the_untwisted_kronecker_placement(ell, emb, make_point, monkeypatch):
+    # the one-pass placement and the expanded slots agree with the general
+    # untwist of the plain Kronecker placement on every image, and a
+    # one-sign mutant of the one twist rule moves both the same way
     F = CycField(ell)
     p = make_point(F)
     local = [one_factor_model(F, c, w, g) for (c, w), g in zip(p.lam, p.gamma)]
     oracle = tuple(tuple(untwist(placed(G, i, p.n), emb) for i, G in enumerate(gens))
                    for gens in ([r.x[0] for r in local], [r.d[0] for r in local]))
-    rep = full_matrix_rep(p, emb)
-    assert (rep.x, rep.d) == oracle
-    bad = placement_mutant()(p, emb)
-    assert (bad.x, bad.d) != oracle
+    rep, slots = full_matrix_rep(p, emb), expanded(fiber.slot_rep(p, emb))
+    assert (rep.x, rep.d) == (slots.x, slots.d) == oracle
+    monkeypatch.setattr(fiber, "_twist", placement_mutant())
+    bad, bad_slots = full_matrix_rep(p, emb), expanded(fiber.slot_rep(p, emb))
+    assert (bad.x, bad.d) == (bad_slots.x, bad_slots.d) != oracle
 
 
 def uncached_image(rep, a):
@@ -674,13 +682,13 @@ def test_full_rep_words_of_zero_images():
         c, w = p.lam[i - 1]
         x_ell = A.monomial(tuple(5 * (j == i) for j in (1, 2)), (0, 0))
         d_ell = A.monomial((0, 0), tuple(5 * (j == i) for j in (1, 2)))
-        assert rep.of_element(x_ell) == ident.scale(c)
-        assert rep.of_element(d_ell) == ident.scale(w)
-    assert rep.of_element(A.monomial((0, 5), (0, 0))) == zero
-    assert rep.of_element(A.monomial((0, 6), (0, 0))) == zero
+        assert of_element(rep, x_ell) == ident.scale(c)
+        assert of_element(rep, d_ell) == ident.scale(w)
+    assert of_element(rep, A.monomial((0, 5), (0, 0))) == zero
+    assert of_element(rep, A.monomial((0, 6), (0, 0))) == zero
     for j in (1, 2):
-        assert rep.of_element(A.monomial((0, 5), tuple(int(i == j) for i in (1, 2)))) == zero
-        assert rep.of_element(A.monomial((1, 5), tuple(int(i == j) for i in (1, 2)))) == zero
+        assert of_element(rep, A.monomial((0, 5), tuple(int(i == j) for i in (1, 2)))) == zero
+        assert of_element(rep, A.monomial((1, 5), tuple(int(i == j) for i in (1, 2)))) == zero
 
 
 @pytest.mark.parametrize("ell,emb,make_point,seed", [
@@ -695,21 +703,21 @@ def test_full_rep_matches_the_uncached_product(ell, emb, make_point, seed):
     zero, refused = DictMatrix(F, rep.size), 0
     for _ in range(6):
         a = random_element(A, rng, ell)
-        images = [rep.of_element(part) for part in homogeneous_parts(a, ell)]
+        images = [of_element(rep, part) for part in homogeneous_parts(a, ell)]
         assert sum(map(DictMatrix.of, images), zero) == uncached_image(rep, a)
         # the constant part's image fills every row here, so any other nonzero
         # part meets it in some row in another column: no one-entry-per-row image
         if sum(image != Matrix(F, rep.size) for image in images) > 1:
             refused += 1
             with pytest.raises(ValueError, match="columns"):
-                rep.of_element(a)
+                of_element(rep, a)
     assert refused
     # of_element is multiplicative on seeded pairs of monomials with every
     # exponent below ell, whose products leave PBW order and fold x_i^ell
     for _ in range(20):
         a, b = (A.monomial(*(tuple(rng.randrange(ell) for _ in range(A.n)) for _ in range(2)))
                 for _ in range(2))
-        assert rep.of_element(a * b) == rep.of_element(a) * rep.of_element(b)
+        assert of_element(rep, a * b) == of_element(rep, a) * of_element(rep, b)
 
 
 def test_full_rep_builds_each_word_once(monkeypatch):
@@ -741,7 +749,7 @@ def test_full_rep_builds_each_word_once(monkeypatch):
     assert 0 < products <= 3 ** 4 + 2 * 3 ** 2
     monkeypatch.undo()
     keys = FiberAlgebra(A, two_factor_point(F)).basis_keys()
-    assert images == [rep.of_element(A.monomial(*key)).entries for key in keys]
+    assert images == [of_element(rep, A.monomial(*key)).entries for key in keys]
     with pytest.MonkeyPatch.context() as mp:
         forbid_counts(mp)
         assert fiber.fiber_rep_report(two_factor_point(F), A)["ok"]
@@ -894,7 +902,7 @@ def test_splitting_module_rep_matches_the_all_pairs_action(p):
     (rep,) = reps
     fib = FiberAlgebra(A, p)
     oracle = all_pairs_action(fib)
-    assert all(rep.of_element(fib.monomial(*key)).entries == oracle[key]
+    assert all(of_element(rep, fib.monomial(*key)).entries == oracle[key]
                for key in fib.basis_keys())
 
 
@@ -965,7 +973,7 @@ def test_splitting_check_fails_on_a_wrong_eigenvalue(monkeypatch):
 
 def pbw_alpha_images(rep, A):
     """The images under rep of the PBW elements alpha_i = 1 + x_i d_i."""
-    return [rep.of_element(A.alpha(i + 1)) for i in range(A.n)]
+    return [of_element(rep, A.alpha(i + 1)) for i in range(A.n)]
 
 
 def exact_basis_rank(rep):
@@ -976,11 +984,12 @@ def exact_basis_rank(rep):
 
 def assert_certified_span(p, A, monkeypatch):
     """At a locus point the model has its central values, the report
-    certifies its span, and its ell^(2n) is the exact count."""
-    rep = full_matrix_rep(p, A.emb)
-    assert fiber.presentation_failure(rep, p, A) is None
+    certifies its span on the slots as the dense checks do, and its
+    ell^(2n) is the exact count."""
+    rep, slots = full_matrix_rep(p, A.emb), fiber.slot_rep(p, A.emb)
+    assert fiber.presentation_failure(slots, p, A) is dense_model.presentation_failure(rep, p, A) is None
     assert fiber.alpha_images(rep) == pbw_alpha_images(rep, A)
-    assert fiber.unreached_row(rep) is None
+    assert fiber.unreached_row(slots) is dense_model.unreached_row(rep) is None
     with monkeypatch.context() as mp:
         forbid_counts(mp)
         report = fiber.fiber_rep_report(p, A)
@@ -1011,13 +1020,14 @@ def test_central_values_check_reads_c_and_w():
     F = CycField(3)
     A = weyl(3)
     p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
-    rep = full_matrix_rep(p, A.emb)
+    rep = fiber.slot_rep(p, A.emb)
     assert fiber.presentation_failure(rep, p, A) is None
     # the same product c w, so the same gamma: only x^3 = c I or d^3 = w I can tell
     for moved, c, residual in (([(F.scalar(14), F.one / 2)], "14", "-7"),
                                ([(F.scalar(7) / 2, F.scalar(2))], "7/2", "7/2")):
         moved_point = FiberPoint(field=F, lam=tuple(moved), gamma=p.gamma)
-        assert fiber.presentation_failure(rep, moved_point, A) == {
+        assert fiber.presentation_failure(rep, moved_point, A) == dense_model.presentation_failure(
+            full_matrix_rep(p, A.emb), moved_point, A) == {
             "relation": f"x1^3 = {c}", "entry": [0, 0], "residual": residual}
 
 
@@ -1044,17 +1054,27 @@ def test_a_holding_relation_builds_no_residual(monkeypatch):
     F = CycField(3)
     A = weyl(3, emb_n2())
     p = two_factor_point(F)
-    rep = full_matrix_rep(p, A.emb)
+    rep = fiber.slot_rep(p, A.emb)
     monkeypatch.setattr(fiber, "_residual", None)
     assert fiber.presentation_failure(rep, p, A) is None
 
 
+def one_slot(rep):
+    """The slot model of a dense one-factor model: each image is its own one slot."""
+    one = rep.field.one
+    return FullRep(x=tuple(SlotImage(one, (g,)) for g in rep.x),
+                   d=tuple(SlotImage(one, (g,)) for g in rep.d))
+
+
 def report_of_model(rep, p, A, monkeypatch):
-    """The fiber-rep report at p with rep as its model, made with every rank
-    count raising."""
+    """The fiber-rep report at p with the dense one-factor model rep as its
+    slot model, made with every rank count raising; it is the report of the
+    dense checks on rep."""
     forbid_counts(monkeypatch)
-    monkeypatch.setattr(fiber, "full_matrix_rep", lambda point, emb: rep)
-    return fiber.fiber_rep_report(p, A)
+    monkeypatch.setattr(fiber, "slot_rep", lambda point, emb: one_slot(rep))
+    report = fiber.fiber_rep_report(p, A)
+    assert report == dense_model.report(rep, p, A)
+    return report
 
 
 def test_a_repeated_alpha_eigenvalue_fails_the_certificate(monkeypatch):
@@ -1071,7 +1091,7 @@ def test_a_repeated_alpha_eigenvalue_fails_the_certificate(monkeypatch):
     assert all(r == c for r, c in alpha.entries) and alpha[(0, 0)] == alpha[(1, 1)]
     # the graph search cannot see it: the alpha check fails (and so does
     # d x = q^2 x d + q^2 - 1), and the report fails with no span and no count
-    assert fiber.unreached_row(bad) is None
+    assert fiber.unreached_row(one_slot(bad)) is dense_model.unreached_row(bad) is None
     report = report_of_model(bad, p, A, monkeypatch)
     assert report["alpha_diagonal_ok"] is report["relations_ok"] is report["ok"] is False
     assert "span_dimension" not in report and "unreached_row" not in report
@@ -1102,7 +1122,7 @@ def test_an_alpha_off_the_diagonal_fails_the_certificate(monkeypatch):
     (x,), (d,) = bad.x, bad.d
     alpha = DictMatrix.identity(F, 3) + DictMatrix.of(x) * DictMatrix.of(d)
     assert set(alpha.entries) == {(0, 0), (1, 1), (2, 2), (2, 0)}
-    assert fiber.unreached_row(bad) is None
+    assert fiber.unreached_row(one_slot(bad)) is dense_model.unreached_row(bad) is None
     report = report_of_model(bad, p, A, monkeypatch)
     assert report["alpha_diagonal_ok"] is report["relations_ok"] is report["ok"] is False
     assert "span_dimension" not in report and "unreached_row" not in report
@@ -1121,10 +1141,11 @@ def test_a_right_hand_side_in_two_columns_names_the_oracle_residual_entry():
     (x,), (d,) = bad.x, bad.d
     rhs = A.d(1) * A.x(1)
     with pytest.raises(ValueError, match="columns"):
-        bad.of_element(rhs)
+        of_element(bad, rhs)
     residual = DictMatrix.of(d * x) - uncached_image(bad, rhs)
     entry = min(residual.entries)
-    assert fiber.presentation_failure(bad, p, A) == {
+    assert fiber.presentation_failure(one_slot(bad), p, A) == dense_model.presentation_failure(
+        bad, p, A) == {
         "relation": f"d1*x1 = {rhs}", "entry": list(entry), "residual": str(residual[entry])}
     assert entry == (0, 0)
 
@@ -1139,7 +1160,7 @@ def test_distinct_but_wrong_alpha_eigenvalues_fail_without_a_count(monkeypatch):
     rep = full_matrix_rep(point(F, [(F.scalar(7), F.one)], [F.scalar(2)]), A.emb)
     (alpha,) = fiber.alpha_images(rep)
     assert alpha.entries == {(r, r): 2 * F.qpow(-2 * r) for r in range(3)}
-    assert fiber.unreached_row(rep) is None
+    assert fiber.unreached_row(one_slot(rep)) is dense_model.unreached_row(rep) is None
     report = report_of_model(rep, point(F, [(F.scalar(7), F.one)], [2 * F.q]), A, monkeypatch)
     assert report["relations_ok"] is True and report["alpha_diagonal_ok"] is False
     assert "span_dimension" not in report and "unreached_row" not in report
@@ -1156,10 +1177,10 @@ def test_a_cut_edge_fails_the_certificate():
     rep = full_matrix_rep(point(F, [(F.zero, F.zero)], [F.one]), A.emb)
     (x,), (d,) = rep.x, rep.d
     assert set(x.entries) == {(2, 0), (1, 2)} and set(d.entries) == {(2, 1), (0, 2)}
-    assert fiber.unreached_row(rep) is None
+    assert fiber.unreached_row(one_slot(rep)) is dense_model.unreached_row(rep) is None
     # zeroing the x and d entries between rows 1 and 2 cuts row 1 off
     cut = FullRep(x=(Matrix(F, 3, {(2, 0): x[(2, 0)]}),), d=(Matrix(F, 3, {(0, 2): d[(0, 2)]}),))
-    assert fiber.unreached_row(cut) == 1
+    assert fiber.unreached_row(one_slot(cut)) == dense_model.unreached_row(cut) == 1
     assert exact_basis_rank(cut) == 4
 
 
@@ -1171,14 +1192,14 @@ def test_fiber_rep_span_is_not_counted_when_the_relations_or_the_certificate_fai
     F = CycField(3)
     A = weyl(3)
     p = point(F, [(F.scalar(7), F.one)], [F.scalar(2)])
-    rep = full_matrix_rep(p, A.emb)
+    rep = fiber.slot_rep(p, A.emb)
     forbid_counts(monkeypatch)
     report = fiber.fiber_rep_report(p, A)
     assert report["ok"] and report["span_dimension"] == 9
     assert "failed_relation" not in report and "unreached_row" not in report
     moved = FiberPoint(field=F, lam=((F.scalar(14), F.one / 2),), gamma=p.gamma)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fiber, "full_matrix_rep", lambda point, emb: rep)
+        mp.setattr(fiber, "slot_rep", lambda point, emb: rep)
         report = fiber.fiber_rep_report(moved, A)
     assert report["relations_ok"] is False and report["alpha_diagonal_ok"] is True
     assert report["failed_relation"]["relation"] == "x1^3 = 14"
@@ -1198,7 +1219,7 @@ def test_a_failing_placement_counts_nothing(monkeypatch):
     A = PBWAlgebra(F, TorusEmbedding(matrix=((1,), (1,), (1,)), form=((2,),)))
     gamma = F.scalar(2) + F.q
     p = point(F, [(F.scalar(3), (gamma ** 3 - 1) / 3)] * 3, [gamma] * 3)
-    monkeypatch.setattr(fiber, "full_matrix_rep", placement_mutant())
+    monkeypatch.setattr(fiber, "_twist", placement_mutant())
     forbid_counts(monkeypatch)
     report = fiber.fiber_rep_report(p, A)
     assert report["ok"] is report["relations_ok"] is False
@@ -1227,3 +1248,229 @@ def test_a_passing_fiber_rep_builds_the_alpha_images_once(monkeypatch):
                       "point": {"lambda": [["0", "0"], ["7", "1"]], "gamma": ["1", "2"]}}]}
     assert run_suite(cfg)["tasks"][0]["ok"]
     assert len(built) == 1 and len(read) == 1
+
+
+# -- the slot model against its dense oracle -----------------------------------
+
+def factor(F, kind, k, c, w, a, b):
+    """One locus factor (c, w, gamma): c = 0 with gamma = q^k and any w;
+    w = 0 with gamma = q^k and c != 0; or gamma = a + b q with c != 0 and
+    w = (gamma^ell - 1) / c (gamma = 0 would leave the locus, so it is 1)."""
+    if kind == "c0":
+        return (F.zero, F.scalar(w)), F.qpow(k)
+    if kind == "w0":
+        return (F.scalar(c or 1), F.zero), F.qpow(k)
+    gamma = (F.scalar(a) + F.scalar(b) * F.q) or F.one
+    return (F.scalar(c or 1), (gamma ** F.ell - 1) / (c or 1)), gamma
+
+
+@st.composite
+def slot_cases(draw):
+    """An embedding with ell in {3, 5, 7, 9}, n <= 4, d <= n and entries in
+    [-2, 2], and a locus point with c = 0, w = 0 and generic factors.  The
+    dense oracle works on ell^n rows, so ell^n stays at most 125: n <= 4 at
+    ell 3, n <= 3 at ell 5, n <= 2 at ell 7 and 9."""
+    ell = draw(st.sampled_from([3, 5, 7, 9]))
+    n = draw(st.integers(1, {3: 4, 5: 3, 7: 2, 9: 2}[ell]))
+    d = draw(st.integers(1, n))
+    entries = st.integers(-2, 2)
+    matrix = [[draw(entries) for _ in range(d)] for _ in range(n)]
+    upper = {(a, b): draw(entries) for a in range(d) for b in range(a, d)}
+    form = [[upper[min(a, b), max(a, b)] for b in range(d)] for a in range(d)]
+    try:
+        emb = TorusEmbedding(matrix, form)
+    except ValueError:  # no full column rank
+        assume(False)
+    F = CycField(ell)
+    small = st.integers(-2, 2)
+    factors = [factor(F, draw(st.sampled_from(["c0", "w0", "generic"])), draw(st.integers(0, ell - 1)),
+                      draw(small), draw(small), draw(small), draw(small)) for _ in range(n)]
+    return emb, point(F, [lam for lam, _ in factors], [g for _, g in factors])
+
+
+def mutated(rep, kind, a, j, r, u):
+    """The slot model rep with one image changed in slot j: its row-r entry
+    dropped ("drop"), scaled by u ("scale") or moved to the next column
+    ("move"); or slot j scaled by u and the scalar by 1/u, the same matrix
+    in other slots ("rescale")."""
+    images = list(rep.x + rep.d)
+    g = images[a % len(images)]
+    j = j % len(g.slots)
+    slot = g.slots[j]
+    entries = slot.entries
+    r = sorted(entries)[r % len(entries)] if entries else None
+    if kind == "rescale":
+        images[a % len(images)] = SlotImage(g.scalar / u, g.slots[:j] + (slot.scale(u),) + g.slots[j + 1:])
+    elif r is not None:
+        v = entries.pop(r)
+        if kind == "scale":
+            entries[r] = v * u
+        elif kind == "move":
+            entries[(r[0], (r[1] + 1) % slot.size)] = v
+        new = Matrix(slot.field, slot.size, entries)
+        images[a % len(images)] = SlotImage(g.scalar, g.slots[:j] + (new,) + g.slots[j + 1:])
+    n = len(rep.x)
+    return FullRep(x=tuple(images[:n]), d=tuple(images[n:]))
+
+
+def assert_slot_report_is_the_dense_report(rep, p, A):
+    """fiber_rep_report on the slot model rep gives the dense oracle's
+    report on its expansion, verdict and witness alike, and counts no rank."""
+    with pytest.MonkeyPatch.context() as mp:
+        forbid_counts(mp)
+        mp.setattr(fiber, "slot_rep", lambda point, emb: rep)
+        report = fiber.fiber_rep_report(p, A)
+    assert report == dense_model.report(expanded(rep), p, A)
+    return report
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=slot_cases(),
+       mutation=st.one_of(st.none(), st.tuples(st.sampled_from(["drop", "scale", "move", "rescale"]),
+                                               st.integers(0, 7), st.integers(0, 3),
+                                               st.integers(0, 8), st.sampled_from([2, -1]))))
+def test_the_slot_model_agrees_with_the_dense_model(case, mutation):
+    # the expansion of the slots is full_matrix_rep, and the slot report is
+    # the dense report, on the model and on a mutant of one of its slots
+    emb, p = case
+    A = PBWAlgebra(p.field, emb)
+    rep, slots = full_matrix_rep(p, emb), fiber.slot_rep(p, emb)
+    assert (expanded(slots).x, expanded(slots).d) == (rep.x, rep.d)
+    assert assert_slot_report_is_the_dense_report(slots, p, A)["ok"]
+    if mutation is not None:
+        kind, a, j, r, u = mutation
+        assert_slot_report_is_the_dense_report(mutated(slots, kind, a, j, r, p.field.scalar(u)), p, A)
+
+
+def fiber_rep_points():
+    """(name, point, algebra) of each fiber-rep task of the pinned report configs."""
+    for path in sorted((Path(__file__).resolve().parent / "report_configs").glob("*.json")):
+        cfg = json.loads(path.read_text())
+        F, emb = CycField(cfg["ell"]), validate_config(cfg)
+        for task in cfg["tasks"]:
+            if task["type"] == "fiber-rep":
+                yield path.stem, build_point(F, task["point"]), PBWAlgebra(F, emb)
+
+
+def model_mutants():
+    """Each patch of the model builders that the tests make: the flipped
+    twist rule, the moved central values and each raised delta_j."""
+    from test_cli import moved_central_values
+    yield "placement", "_twist", placement_mutant()
+    yield "moved-central-values", "_rank1_entries", moved_central_values(fiber._rank1_entries)
+    for j in range(3):
+        yield f"raised-delta-{j}", "_rank1_entries", rank1_mutant(j)
+
+
+@pytest.mark.parametrize("name,target,mutant", list(model_mutants()),
+                         ids=[name for name, _, _ in model_mutants()])
+def test_every_model_mutant_gets_the_dense_verdict_and_witness(name, target, mutant, monkeypatch):
+    points = [(stem, p, A) for stem, p, A in fiber_rep_points() if p.in_azumaya_locus()]
+    assert len(points) >= 5
+    monkeypatch.setattr(fiber, target, mutant)
+    failed = 0
+    for stem, p, A in points:
+        report = fiber.fiber_rep_report(p, A)
+        assert report == dense_model.report(full_matrix_rep(p, A.emb), p, A), stem
+        failed += not report["ok"]
+    assert failed
+
+
+def frontier_point(F, n):
+    gamma = F.scalar(2) + F.q
+    return point(F, [(F.scalar(3), (gamma ** F.ell - 1) / 3)] * n, [gamma] * n)
+
+
+def recorded_sizes(monkeypatch):
+    """The row count of every Matrix built from here on."""
+    sizes, init, rows = [], Matrix.__init__, Matrix._rows.__func__
+
+    def counted_init(self, field, size, entries=None):
+        sizes.append(size)
+        init(self, field, size, entries)
+
+    def counted_rows(cls, field, cols, vals):
+        sizes.append(len(cols))
+        return rows(cls, field, cols, vals)
+
+    monkeypatch.setattr(Matrix, "__init__", counted_init)
+    monkeypatch.setattr(Matrix, "_rows", classmethod(counted_rows))
+    return sizes
+
+
+def test_a_passing_frontier_fiber_rep_builds_no_matrix_of_more_than_ell_rows(monkeypatch):
+    # at ell 3, n 8 the model has 3^8 = 6561 rows; a passing report decides
+    # everything on its 3 x 3 slots, while a failing one expands the relation
+    # it names
+    F = CycField(3)
+    A = PBWAlgebra(F, TorusEmbedding(matrix=((1,),) * 8, form=((2,),)))
+    forbid_counts(monkeypatch)
+    sizes = recorded_sizes(monkeypatch)
+    report = fiber.fiber_rep_report(frontier_point(F, 8), A)
+    assert report["ok"] and report["span_dimension"] == 3 ** 16
+    assert sizes and max(sizes) == 3
+    sizes.clear()
+    monkeypatch.setattr(fiber, "_twist", placement_mutant())
+    assert not fiber.fiber_rep_report(frontier_point(F, 8), A)["relations_ok"]
+    assert max(sizes) == 3 ** 8
+
+
+def test_off_the_locus_the_slot_model_raises_before_it_builds(monkeypatch):
+    F = CycField(3)
+    p = point(F, [(F.scalar(7), F.one), (F.scalar(-1), F.one)], [F.scalar(2), F.zero])
+    sizes = recorded_sizes(monkeypatch)
+    monkeypatch.setattr(fiber, "_rank1_entries", None)
+    for build in (fiber.slot_rep, full_matrix_rep):
+        with pytest.raises(OutsideAzumayaLocus, match=r"^point has 1 \+ c_i w_i = 0$"):
+            build(p, emb_n2())
+    with pytest.raises(OutsideAzumayaLocus, match=r"^point has 1 \+ c_i w_i = 0$"):
+        fiber.fiber_rep_report(p, weyl(3, emb_n2()))
+    assert sizes == []
+
+
+def test_a_factor_of_two_twists_is_no_kronecker_product(monkeypatch):
+    # an x_1 entry moved from column 2 to column 1 moves digit 1 by 0, the
+    # others by 1: with P_21 = 2 its twists differ, so the dense model holds
+    # it and the slot model refuses it, and the task reports the error
+    F = CycField(3)
+    rank1 = fiber._rank1_entries
+
+    def moved(field, c, w, gamma):
+        x, d = rank1(field, c, w, gamma)
+        return [(r, 1 if (r, s) == (1, 2) else s, v) for r, s, v in x], d
+
+    monkeypatch.setattr(fiber, "_rank1_entries", moved)
+    full_matrix_rep(two_factor_point(F), emb_n2())
+    with pytest.raises(ValueError, match="two twists"):
+        fiber.slot_rep(two_factor_point(F), emb_n2())
+    cfg = {"ell": 3, "embedding": {"matrix": [[1], [1]], "form": [[2]]},
+           "tasks": [{"type": "fiber-rep",
+                      "point": {"lambda": [["0", "0"], ["7", "1"]], "gamma": ["1", "2"]}}]}
+    entry = run_suite(cfg)["tasks"][0]
+    assert entry["ok"] is False and "two twists" in entry["error"]
+
+
+def test_the_row_graph_is_read_off_the_expansion_when_the_lemma_does_not_apply(monkeypatch):
+    # n = 2: cutting slot 0 of x_1 and d_1 between digits 1 and 2 leaves
+    # G_0 not strongly connected, and the least unreached row, 1, is read
+    # off the expansion; dropping a twist-diagonal entry of x_1 breaks the
+    # premise of the product lemma, and the expanded graph, still strongly
+    # connected through x_2 and d_2, decides.  Both agree with the dense oracle
+    F = CycField(3)
+    slots = fiber.slot_rep(two_factor_point(F), emb_n2())
+    sizes = recorded_sizes(monkeypatch)
+    assert fiber.unreached_row(slots) is None and not sizes  # the lemma reads the slots
+    (x1, x2), (d1, d2) = slots.x, slots.d
+    one = F.one
+
+    def with_slot(g, j, entries):
+        return SlotImage(g.scalar, g.slots[:j] + (Matrix(F, 3, entries),) + g.slots[j + 1:])
+
+    cut = FullRep(x=(with_slot(x1, 0, {rc: v for rc, v in x1.slots[0].entries.items() if rc == (2, 0)}), x2),
+                  d=(with_slot(d1, 0, {rc: v for rc, v in d1.slots[0].entries.items() if rc == (0, 2)}), d2))
+    holed = FullRep(x=(with_slot(x1, 1, {(0, 0): one, (1, 1): one}), x2), d=slots.d)
+    for rep, want in ((cut, 1), (holed, None)):
+        sizes.clear()
+        got = fiber.unreached_row(rep)
+        assert max(sizes) == 9  # the images were expanded
+        assert got == dense_model.unreached_row(expanded(rep)) == want

@@ -20,6 +20,8 @@ from qweyl.cli import run_suite
 from qweyl.fiber import digits
 from qweyl.reduction import row_weights
 
+from dense_model import of_element
+
 
 def emb_sum():
     # both coordinates weighted by the single torus direction
@@ -156,7 +158,7 @@ def test_torsion_action_check_fails_on_a_mutant(monkeypatch):
         rep, bad = full_matrix_rep(p, emb), shifted_rep(p, emb)
         # the Euler images, hence mu, are those of the true model ...
         for i in (1, 2):
-            assert bad.of_element(A.alpha(i)) == rep.of_element(A.alpha(i))
+            assert of_element(bad, A.alpha(i)) == of_element(rep, A.alpha(i))
         mu = mu_of(p, emb)
         # ... so only the conjugation by mu tells them apart
         failure = moment_map_failure(bad, emb, mu)
@@ -209,7 +211,7 @@ def test_moment_matches_alpha_products_in_the_matrix_model():
     rep = full_matrix_rep(p, emb)
     A = PBWAlgebra(F, emb)
     mu = Matrix(F, 9, {(r, r): v for r, v in enumerate(mu_of(p, emb)[0])})
-    assert mu == rep.of_element(A.alpha(1) * A.alpha(2))
+    assert mu == of_element(rep, A.alpha(1) * A.alpha(2))
 
 
 def test_moment_conjugation_with_negative_weights():
@@ -223,9 +225,9 @@ def test_moment_conjugation_with_negative_weights():
     A = PBWAlgebra(F, emb)
     mu = Matrix(F, 9, {(r, r): v for r, v in enumerate(mu_of(p, emb)[0])})
     # mu(z) = alpha_1 alpha_2^-1, the second Euler image inverted entrywise
-    alpha2 = rep.of_element(A.alpha(2))
+    alpha2 = of_element(rep, A.alpha(2))
     alpha2_inv = Matrix(F, 9, {(r, r): alpha2[(r, r)].inverse() for r in range(9)})
-    assert mu == rep.of_element(A.alpha(1)) * alpha2_inv
+    assert mu == of_element(rep, A.alpha(1)) * alpha2_inv
     for i in range(2):
         m = emb.matrix[i][0]
         assert mu * rep.x[i] == (rep.x[i] * mu).scale(F.qpow(2 * m))

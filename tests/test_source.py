@@ -133,12 +133,13 @@ def test_fiber_imports_nothing_from_linalg():
 
 def test_full_rep_holds_its_images_only():
     # the model is its generator images: no word cache can grow back on it,
-    # and its field and size are read off them, so they cannot disagree
+    # and its field and size are read off them, so they cannot disagree; the
+    # dense image of a PBW element is the test oracle in tests/dense_model.py
     from qweyl.fiber import FullRep
     assert FullRep.__slots__ == ("x", "d")
     assert all(isinstance(vars(FullRep)[name], property) for name in ("field", "size"))
     assert [name for name, v in vars(FullRep).items()
-            if inspect.isfunction(v) and not name.startswith("__")] == ["of_element"]
+            if inspect.isfunction(v) and not name.startswith("__")] == []
 
 
 def loaded_by(code, modules):
@@ -287,10 +288,14 @@ def test_one_printer_of_a_key():
 
 
 def test_one_builder_of_the_moment_map_on_each_side():
-    # the matrix images I + x_i d_i are built by alpha_images alone, and the
-    # algebra identity alpha_i g = q^(2 s_i) g alpha_i is checked by verify_qmm
-    # alone: no second copy of either can grow back
-    assert callers_of("alpha_images") == [("fiber.py", "fiber_rep_report"),
+    # the matrix images I + x_i d_i are built by alpha_images alone (on the
+    # slots for fiber_rep_report, on one factor's expansion for _alpha_holds
+    # when the slots cannot certify, on the dense rows for
+    # moment_map_failure), and the algebra identity alpha_i g = q^(2 s_i) g
+    # alpha_i is checked by verify_qmm alone: no second copy of either can
+    # grow back
+    assert callers_of("alpha_images") == [("fiber.py", "_alpha_holds"),
+                                          ("fiber.py", "fiber_rep_report"),
                                           ("reduction.py", "moment_map_failure")]
     assert callers_of("verify_qmm") == [("pbw.py", "qmm_report"), ("pbw.py", "center_report")]
     assert not hasattr(qweyl.fiber, "Rank1Rep") and not hasattr(qweyl.pbw, "_alpha_scales_by_weight")
@@ -345,8 +350,21 @@ def test_one_twist_formula_on_each_side():
     # algebra reads the pairings once: no general untwist and no second
     # pairing formula can grow back
     assert not hasattr(qweyl.fiber, "untwist") and "untwist" not in qweyl.__all__
-    assert callers_of("pairing_matrix") == [("fiber.py", "full_matrix_rep"), ("pbw.py", "PBWAlgebra")]
+    assert callers_of("pairing_matrix") == [("fiber.py", "_rank1_models"), ("pbw.py", "PBWAlgebra")]
     assert not {"pairing", "qij_exponent"} & set(vars(qweyl.TorusEmbedding))
+
+
+def test_one_twist_rule_for_both_models():
+    # the twist exponent (b - a) P_ji of a placed entry is written once, in
+    # fiber._twist, which full_matrix_rep (dense rows, for reduce) and
+    # slot_rep (Kronecker slots, for fiber-rep) both read, so the two models
+    # cannot drift apart; no other twist or placement exponent is written
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = {name: text.count("(b - a) * P[j][i]") for name, text in texts.items()}
+    assert sum(found.values()) == 1 and found["fiber.py"] == 1, found
+    assert "(b - a) * P[j][i]" in inspect.getsource(qweyl.fiber._twist)
+    assert sum(text.count("(b - a) *") + text.count("(a - b) *") for text in texts.values()) == 1
+    assert callers_of("_twist") == [("fiber.py", "full_matrix_rep"), ("fiber.py", "slot_rep")]
 
 
 def test_scalars_are_built_by_arithmetic_only():
@@ -360,14 +378,15 @@ def test_scalars_are_built_by_arithmetic_only():
 def test_one_seam_rule_builds_the_rank_one_model():
     # the rank-one model states delta_r = gamma q^(-2r) - 1 once, for every
     # row, and finds its seam row without a root search; it is a step of
-    # full_matrix_rep that lists entries only, so it builds no matrix or
-    # model, coerces nothing and checks neither the locus nor gamma again
+    # _rank1_models, shared by both models, that lists entries only, so it
+    # builds no matrix or model, coerces nothing and checks neither the
+    # locus nor gamma again
     src = inspect.getsource(qweyl.fiber._rank1_entries)
     assert src.count("F.qpow(-2 * r)") == 1 and "k0" not in src
     tree = ast.parse(src)
     assert not {"Matrix", "FullRep", "scalar", "OutsideAzumayaLocus"} & set(names_read(tree))
     assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Pow, ast.Raise))]
-    assert callers_of("_rank1_entries") == [("fiber.py", "full_matrix_rep")]
+    assert callers_of("_rank1_entries") == [("fiber.py", "_rank1_models")]
     assert not hasattr(qweyl.fiber, "rank1_matrix_rep") and "rank1_matrix_rep" not in qweyl.__all__
 
 
@@ -423,8 +442,8 @@ SHARED_NAME_READERS = {
     "DifferenceOperator.identity": "quiver_examples.py:verify_u1_relations",
     "DifferenceOperator.scale": "quiver_examples.py:verify_u1_relations",
     "FiberPoint.n": "fiber.py:full_matrix_rep",
-    "Matrix.identity": "fiber.py:alpha_images",
-    "Matrix.scale": "fiber.py:FullRep.of_element",
+    "Matrix.identity": "fiber.py:slot_rep",
+    "Matrix.scale": "fiber.py:SlotImage.__add__",
     "PBWAlgebra.d": "pbw.py:PBWAlgebra.generators",
     "PBWAlgebra.one": "pbw.py:PBWElement.__pow__",
     "PBWAlgebra.zero": "pbw.py:PBWElement.__mul__",
