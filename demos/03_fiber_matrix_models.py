@@ -1,17 +1,18 @@
 """Matrix models of the finite fibers over central characters."""
 
 from qweyl import (CycField, FiberPoint, OutsideAzumayaLocus, PBWAlgebra,
-                   TorusEmbedding, full_matrix_rep)
+                   TorusEmbedding, slot_rep)
 from qweyl.fiber import alpha_images, fiber_rep_report
 
 F = CycField(3)
 emb1 = TorusEmbedding(matrix=((1,),), form=((2,),))
 
-# the rank-one model is the one-factor model
+# the rank-one model is the one-factor model, held on its Kronecker slots
+# and written out on its rows by dense()
 print("rank one at (c, w) = (7, 1), gamma = 2:")
 point = FiberPoint(field=F, lam=((F.scalar(7), F.one),), gamma=(F.scalar(2),))
-rep = full_matrix_rep(point, emb1)
-(x,), (d,), (alpha,) = rep.x, rep.d, alpha_images(rep)
+rep = slot_rep(point, emb1)
+x, d, alpha = (g.dense() for g in rep.x + rep.d + tuple(alpha_images(rep)))
 print("  x     =", sorted((rc, str(v)) for rc, v in x.entries.items()))
 print("  d     =", sorted((rc, str(v)) for rc, v in d.entries.items()))
 print("  alpha =", sorted((rc, str(v)) for rc, v in alpha.entries.items()))
@@ -22,7 +23,7 @@ print()
 A1 = PBWAlgebra(F, emb1)
 bad = FiberPoint(field=F, lam=((F.scalar(-1), F.one),), gamma=(F.zero,))
 try:
-    full_matrix_rep(bad, emb1)
+    slot_rep(bad, emb1)
 except OutsideAzumayaLocus as exc:
     print("off the locus:", exc)
 print()
@@ -31,8 +32,8 @@ print()
 emb2 = TorusEmbedding(matrix=((1,), (1,)), form=((2,),))
 p = FiberPoint(field=F, lam=((F.zero, F.zero), (F.scalar(7), F.one)),
                gamma=(F.one, F.scalar(2)))
-big = full_matrix_rep(p, emb2)
-alpha2 = alpha_images(big)[1]
+big = slot_rep(p, emb2)
+alpha2 = alpha_images(big)[1].dense()
 print(f"two-factor model on {big.size} dimensions;",
       f"alpha_2 diagonal: {[str(alpha2[(r, r)]) for r in range(big.size)]}")
 print()

@@ -17,7 +17,7 @@ _HOMES = {
     "CycField": "cyclotomic", "CycScalar": "cyclotomic", "cyclotomic_polynomial": "cyclotomic",
     "ParseError": "expr", "evaluate": "expr", "evaluate_scalar": "expr",
     "FiberPoint": "fiber", "FullRep": "fiber", "Matrix": "fiber", "OutsideAzumayaLocus": "fiber",
-    "full_matrix_rep": "fiber",
+    "slot_rep": "fiber",
     "TorusEmbedding": "lattice", "quiver_to_embedding": "lattice",
     "SpanBasis": "linalg", "nullspace": "linalg",
     "PBWAlgebra": "pbw", "PBWElement": "pbw", "QmmResult": "pbw", "verify_qmm": "pbw",

@@ -14,9 +14,8 @@ ell x ell slots, first factor fastest:
 
 X the rank-one x in slot i, Z = diag(q^r) and t_j = (b - a) P_ji the
 twist exponent of an entry (a, b) of X (_twist, the one twist rule); d_i
-likewise with D.  full_matrix_rep writes the images out on their ell^n
-rows, with one power of q per placed block, for reduce; slot_rep keeps
-the slots (SlotImage), and fiber_rep_report decides on them.
+likewise with D.  slot_rep, the one builder of the model, keeps the slots
+(SlotImage), and fiber-rep and reduce decide on them.
 
 Each check on the slots certifies or expands.  Products are taken slot by
 slot.  Two images are proven equal only when both vanish, or when their
@@ -194,14 +193,14 @@ class FiberPoint(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# the n-factor model: dense rows for reduce, Kronecker slots for fiber-rep
+# the n-factor model on its Kronecker slots
 
 
 class FullRep(Frozen):
-    """The n-factor matrix model: images x_i, d_i in Mat(ell^n), either all
-    dense Matrix rows (full_matrix_rep) or all SlotImage slots (slot_rep).
-    It holds its images only: its field and size are read off x_1.
-    Immutable."""
+    """The n-factor matrix model: images x_i, d_i in Mat(ell^n), SlotImage
+    slots as slot_rep builds them (a model of Matrix rows, as in
+    _expanded_alpha, is read alike).  It holds its images only: its field
+    and size are read off x_1.  Immutable."""
 
     __slots__ = ("x", "d")
 
@@ -326,7 +325,7 @@ def _rank1_entries(F: CycField, c: CycScalar, w: CycScalar, gamma: CycScalar) ->
 def _twist(P, i: int, a: int, b: int) -> list[int]:
     """The twist exponents t_j = (b - a) P_ji, j > i, of an entry (a, b) of
     the factor-i rank-one x or d: untwisting scales it, placed in a row
-    with digits r_j, by q^(sum_j t_j r_j) (see full_matrix_rep)."""
+    with digits r_j, by q^(sum_j t_j r_j) (see slot_rep)."""
     return [(b - a) * P[j][i] for j in range(i + 1, len(P))]
 
 
@@ -342,54 +341,20 @@ def _rank1_models(point: FiberPoint, emb: TorusEmbedding) -> tuple:
                                   for (c, w), g in zip(point.lam, point.gamma)]
 
 
-def full_matrix_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
-    """Assemble the n-factor model on its ell^n rows from the rank-one
-    models (_rank1_entries) in one pass; at n = 1 it is the rank-one model
-    itself.
+def slot_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
+    """The n-factor model on its Kronecker slots, from the rank-one models
+    (_rank1_entries); it builds no matrix of more than ell rows.
 
     The braided tensor product places the factor-i rank-one matrix G in
-    slot i, and untwisting it to the plain product scales the elementary
-    matrix E_rc by q^(-tau(r, c)), tau(r, c) = sum_{i<j} (r_i - c_i) P_ji r_j,
-    with r, c the digits of row and column (first factor fastest) and P the
-    pairing matrix.  A placed entry (r, c) of G changes digit i only, from
-    c_i = b to r_i = a, so the entry is G_ab q^(sum_{j>i} t_j r_j) with the
-    twist exponents t_j = (b - a) P_ji of _twist.  As x moves its digit by
-    b - a = 1 mod ell on every entry and d by -1, x_i = I (x) ... (x) X (x)
-    Z^(P_{i+1,i}) (x) ... (x) Z^(P_{n,i}) with Z = diag(q^r), and d_i uses the
-    inverse powers of Z: the slots of slot_rep.  As the twist reads only the
-    digits j > i, each block is twisted once, then copied to ell^i bases.
-    """
-    F = point.field
-    P, local = _rank1_models(point, emb)
-    ell = F.ell
-    n = point.n
-    size = ell ** n
-
-    def place(i: int, entries: list) -> Matrix:
-        step, cols, vals = ell ** i, [None] * size, [None] * size
-        for a, b, v in entries:
-            # sum_j t_j r_j at each value `high` of the digits j > i, as digits orders them
-            twists = [0]
-            for t in _twist(P, i, a, b):
-                twists = [e + t * r for r in range(ell) for e in twists]
-            for high, e in enumerate(twists):  # the ell^i bases below `high` share the block
-                row, col = (high * ell + a) * step, (high * ell + b) * step
-                cols[row:row + step] = range(col, col + step)
-                vals[row:row + step] = (v * F.qpow(e),) * step
-        return Matrix._rows(F, tuple(cols), tuple(vals))
-
-    return FullRep(x=tuple(place(i, x) for i, (x, _) in enumerate(local)),
-                   d=tuple(place(i, d) for i, (_, d) in enumerate(local)))
-
-
-def slot_rep(point: FiberPoint, emb: TorusEmbedding) -> FullRep:
-    """The model of full_matrix_rep held as Kronecker slots: the image of
-    x_i is I in each slot j < i, the rank-one X in slot i and the twist
-    diagonal diag(q^(t_j r)) in each slot j > i, t_j the twist exponents of
-    X's entries (_twist); d_i likewise.  It builds no matrix of more than
-    ell rows.  A Kronecker product needs one twist per slot: an X whose
-    entries give two twists mod ell raises ValueError (the rank-one x and d
-    move their digit by 1 and -1 mod ell on every entry, so it never does).
+    slot i, and untwisting it to the plain product scales E_rc by
+    q^(-tau(r, c)), tau(r, c) = sum_{i<j} (r_i - c_i) P_ji r_j, r and c the
+    digits of row and column and P the pairing matrix.  A placed entry
+    (r, c) of G moves digit i alone, from b to a, so it is G_ab q^(sum_{j>i}
+    t_j r_j), t_j = (b - a) P_ji (_twist): the image of x_i is I in each
+    slot j < i, X in slot i and diag(q^(t_j r)) in each slot j > i; d_i
+    likewise.  An X whose entries give two twists mod ell is no Kronecker
+    product and raises ValueError (the rank-one x and d move their digit by
+    1 and -1 mod ell on every entry, so it never does).
     """
     F = point.field
     P, local = _rank1_models(point, emb)
@@ -418,33 +383,37 @@ def unreached_row(rep: FullRep) -> Optional[int]:
     component of row 0.  Only a graph search is used: no rank and no
     reduction mod p.
 
-    Lemma.  Let each image of x_i and d_i have a nonzero scalar and a full
-    diagonal with no zero entry in every slot j != i.  Then the row graph is
-    the Cartesian product of the slot graphs G_i on range(ell), G_i with an
-    edge c -> r for each nonzero entry (r, c) of slot i of x_i or of d_i,
-    and it is strongly connected exactly when every G_i is.  Proof.  The
-    entry (r, c) of x_i is nonzero exactly when slot i has a nonzero entry
-    at (r_i, c_i) and every other slot j one at (r_j, c_j), that is
-    c_j = r_j; so the edges of x_i and d_i move digit i along an edge of
-    G_i and keep the others, and those are the edges of the product.  If
-    every G_i is strongly connected, a row reaches any other by moving one
-    digit at a time along a path of its G_i.  If some G_i has no path from
-    u to v, digit i of a path in the product walks along edges of G_i, so
-    no row with digit i = u reaches one with digit i = v.
+    Lemma.  Let each image of x_i and d_i move digit i alone
+    (moves_one_digit).  Then the row graph is the Cartesian product of the
+    slot graphs G_i on range(ell), G_i with an edge c -> r for each nonzero
+    entry (r, c) of slot i of x_i or of d_i, and it is strongly connected
+    exactly when every G_i is.  Proof.  The edges of x_i and d_i move digit
+    i along an edge of G_i and keep the others, and those are the edges of
+    the product.  If every G_i is strongly connected, a row reaches any
+    other by moving one digit at a time along a path of its G_i.  If some
+    G_i has no path from u to v, digit i of a path in the product walks
+    along edges of G_i, so no row with digit i = u reaches one with digit
+    i = v.
 
     The premise is checked, never assumed.  When it fails, or some G_i is
     not strongly connected, the search runs on the expanded images, and
     the least unreached row is read off their cols.
     """
-    ell, diagonal = rep.field.ell, tuple(range(rep.field.ell))
     factors = list(enumerate(zip(rep.x, rep.d)))
-    premise = all(g.scalar and all(s.cols == diagonal and all(s.vals)
-                                   for j, s in enumerate(g.slots) if j != i)
-                  for i, images in factors for g in images)
-    if premise and all(_unreached(ell, [g.slots[i] for g in images]) is None
-                       for i, images in factors):
+    if all(moves_one_digit(g, i) for i, images in factors for g in images) and all(
+            _unreached(rep.field.ell, [g.slots[i] for g in images]) is None for i, images in factors):
         return None
     return _unreached(rep.size, [g.dense() for g in rep.x + rep.d])
+
+
+def moves_one_digit(g: SlotImage, i: int) -> bool:
+    """Whether g has a nonzero scalar and, in every slot j != i, a full
+    diagonal with no zero entry.  Then g moves digit i alone: its entry
+    (r, c) is nonzero exactly when slot i has a nonzero entry at (r_i, c_i)
+    and c_j = r_j for every j != i."""
+    diagonal = tuple(range(g.slots[0].size))
+    return bool(g.scalar) and all(s.cols == diagonal and all(s.vals)
+                                  for j, s in enumerate(g.slots) if j != i)
 
 
 def _unreached(size: int, images: list) -> Optional[int]:
@@ -474,10 +443,10 @@ def _unreached(size: int, images: list) -> Optional[int]:
 
 def alpha_images(rep: FullRep) -> list:
     """The images I + x_i d_i of the Euler operators alpha_i = 1 + x_i d_i,
-    of the kind of rep's images (x_1^0 is the identity of that kind); None
-    for a sum that is none of that kind: a dense image with two entries in
-    a row, as a model whose x_i d_i leaves the diagonal has, or slot images
-    that differ in two slots."""
+    of the kind of rep's images (x_1^0 is the identity of that kind): slot
+    images on a slot model, with None for a sum whose terms differ in two
+    slots.  On expanded rows (_expanded_alpha) None is a sum with two
+    entries in a row, as a model whose x_i d_i leaves the diagonal has."""
     one, out = rep.x[0] ** 0, []
     for x, d in zip(rep.x, rep.d):
         try:
@@ -490,16 +459,26 @@ def alpha_images(rep: FullRep) -> list:
 def _alpha_holds(rep: FullRep, i: int, alpha: Optional[SlotImage], gamma: CycScalar) -> bool:
     """Condition (b) at factor i of the slot model rep: its alpha image
     (alpha_images) is diag(gamma q^(-2 r_i)), r_i digit i of row r.  Proven
-    on the slots, or else decided by the dense rule, on the expansions of
-    x_i and d_i alone."""
+    on the slots, or else decided by the dense rule on _expanded_alpha."""
     F, ell, n = rep.field, rep.field.ell, len(rep.x)
     slots = [Matrix.identity(F, ell)] * n
     slots[i] = Matrix._rows(F, slots[i].cols, tuple(gamma * F.qpow(-2 * r) for r in range(ell)))
     want = SlotImage(F.one, tuple(slots))
     if alpha is not None and alpha.proves_equal(want):
         return True
-    (alpha,) = alpha_images(FullRep(x=(rep.x[i].dense(),), d=(rep.d[i].dense(),)))
+    alpha = _expanded_alpha(rep, i, alpha)
     return alpha is not None and alpha == want.dense()
+
+
+def _expanded_alpha(rep: FullRep, i: int, alpha: Optional[SlotImage]) -> Optional[Matrix]:
+    """The dense rule's alpha image I + x_i d_i of the slot model rep: the
+    expansion of its slot image alpha (alpha_images), or, where that is
+    None, the sum on the expansions of x_i and d_i alone (None again for
+    two entries in a row).  Both give one matrix, as s A (x) S + t B (x) S
+    = (s A + t B) (x) S row by row."""
+    if alpha is not None:
+        return alpha.dense()
+    return alpha_images(FullRep(x=(rep.x[i].dense(),), d=(rep.d[i].dense(),)))[0]
 
 
 def presentation_failure(rep: FullRep, point: FiberPoint, algebra: PBWAlgebra) -> Optional[dict]:

@@ -9,7 +9,8 @@ giving Mat(ell^(n-d)) together with its simple module.  mu(z_j) is
 diagonal and equals eta_j exactly on the coset of one weight, so the
 report is read off that coset; its verdict is that prod_i
 alpha_i^(m_ij), evaluated on the Euler operators in the matrix model,
-matches those values and grades the generators.
+matches those values and grades the generators, on the Kronecker slots
+of the model that fiber-rep checks (fiber.slot_rep).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from operator import mul
 from typing import Sequence
 
 from .cyclotomic import CycScalar
-from .fiber import (FiberPoint, FullRep, OutsideAzumayaLocus, alpha_images, digits,
-                    full_matrix_rep)
+from .fiber import (FiberPoint, FullRep, OutsideAzumayaLocus, _expanded_alpha, alpha_images,
+                    digits, moves_one_digit, slot_rep)
 from .lattice import TorusEmbedding
 
 
@@ -67,15 +68,24 @@ def moment_values(point: FiberPoint, emb: TorusEmbedding,
 
 def moment_map_failure(rep: FullRep, emb: TorusEmbedding,
                        mu: Sequence[Sequence[CycScalar]]) -> dict | None:
-    """None when the quantum moment map in the matrix model rep agrees with
+    """None when the quantum moment map in the slot model rep agrees with
     mu, else its first failure.
 
-    The image of each Euler operator alpha_i = 1 + x_i d_i, read off the
-    model as I + x_i d_i, must be diagonal with no zero entry; prod_i alpha_i^(m_ij) must equal mu[j], and
-    conjugation by it must scale the images of x_i and d_i by q^(2 m_ij)
-    and q^(-2 m_ij).  As mu(z_j) is diagonal with no zero entry, that
-    holds iff mu_r = q^(2 m_ij) mu_c at each stored entry (r, c) of the
-    image of x_i, and likewise with q^(-2 m_ij) for d_i.
+    Each alpha_i = 1 + x_i d_i, read off the model as I + x_i d_i and
+    written out on its rows (_expanded_alpha), must be diagonal with no zero
+    entry; model = prod_i alpha_i^(m_ij) must equal mu[j] row by row; and
+    conjugation by it must scale the images X of x_i and d_i by
+    s = q^(2 m_ij) and q^(-2 m_ij), that is model[r] = s model[c] at each
+    entry (r, c) of X.  The rows of X are read only where the slots cannot
+    certify that, which they do when (a) no slot alpha image is None, (b)
+    X moves digit i alone (moves_one_digit) and (c) the test holds at
+    (a ell^i, b ell^i) for each entry (a, b) of slot i.  Proof.  By (a), row
+    r of alpha_k is its scalar times the (r_t, r_t) entries of its slots,
+    none zero, so model[r] = C prod_t f_t(r_t) with no factor zero.  By
+    (b), an entry (r, c) of X has (r_i, c_i) an entry (a, b) of slot i and
+    c_t = r_t for t != i, so model[r] / model[c] = f_i(a) / f_i(b), the
+    ratio at (a ell^i, b ell^i).  So the first failure is the dense rule's,
+    and a passing model expands only its n alpha images.
 
     A failure names the first alpha image that is not diagonal
     ({"alpha": "a1"}), or the torus direction j (1-based) and the row r
@@ -84,10 +94,13 @@ def moment_map_failure(rep: FullRep, emb: TorusEmbedding,
     scaling fails ({"direction": 1, "generator": "x1", "entry": [r, c]}).
     """
     F = rep.field
-    alphas, diagonal = alpha_images(rep), tuple(range(rep.size))
+    slot_alphas = alpha_images(rep)
+    alphas = [_expanded_alpha(rep, i, a) for i, a in enumerate(slot_alphas)]
+    diagonal = tuple(range(rep.size))
     for i, a in enumerate(alphas):
         if a is None or a.cols != diagonal:
             return {"alpha": f"a{i + 1}"}
+    products = None not in slot_alphas  # (a)
     for j, values in enumerate(mu):
         # over the m_ij != 0 only, as in phi_dagger
         model = [reduce(mul, (v ** m[j] for v, m in zip(row, emb.matrix) if m[j]))
@@ -96,9 +109,15 @@ def moment_map_failure(rep: FullRep, emb: TorusEmbedding,
             if got != want:
                 return {"direction": j + 1, "row": r}
         for i in range(emb.n):
+            step = F.ell ** i
             for name, X, e in (("x", rep.x[i], 2), ("d", rep.d[i], -2)):
                 scale = F.qpow(e * emb.matrix[i][j])
-                for r, c in enumerate(X.cols):
+                slot = X.slots[i]
+                if products and moves_one_digit(X, i) and all(
+                        model[a * step] == scale * model[b * step]
+                        for a, (b, v) in enumerate(zip(slot.cols, slot.vals)) if v):
+                    continue
+                for r, c in enumerate(X.dense().cols):
                     if c is not None and model[r] != scale * model[c]:
                         return {"direction": j + 1, "generator": f"{name}{i + 1}",
                                 "entry": [r, c]}
@@ -145,7 +164,7 @@ def hamiltonian_reduce(point: FiberPoint, emb: TorusEmbedding, eta: Sequence) ->
     shift = weights[first]
     invariant_dim = sum(c * c for c in counts.values())
     module_dim = counts[shift]
-    failure = moment_map_failure(full_matrix_rep(point, emb), emb, mu)
+    failure = moment_map_failure(slot_rep(point, emb), emb, mu)
     verdict = failure is None
     report = {
         "invariant_dim": invariant_dim,

@@ -1,5 +1,6 @@
 """The braided product on Mat(ell^n) and the general untwisting map, test
-oracles for the one-pass placement in qweyl.fiber.full_matrix_rep.
+oracles for the placement of the matrix model: the slots of
+qweyl.fiber.slot_rep and the dense rows of dense_model.full_matrix_rep.
 
 With r, c, s the digits of rows and columns (first factor fastest) and P
 the pairing matrix of the embedding,

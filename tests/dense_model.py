@@ -1,21 +1,62 @@
-"""The dense fiber-rep check on ell^n rows: the test oracle of the slot
-checks in qweyl.fiber.
+"""The dense matrix model on ell^n rows and its checks: the test oracle of
+the slot checks in qweyl.fiber and qweyl.reduction.
 
-These are the rules that fiber_rep_report applied to full_matrix_rep
-before it decided on Kronecker slots: of_element maps a PBW element to the
-sum of its term images on the rows, presentation_failure compares each
-relation's two sides there, alpha_diagonal_ok reads the diagonal of each
-I + x_i d_i, and unreached_row searches the row graph.  report is the
-fiber-rep report of a dense model by those rules; fiber_rep_report must
-give the same bytes on the slots.
+full_matrix_rep builds the model on its rows in one pass, apart from
+fiber.slot_rep but from the same rank-one entries and twist rule.  The
+rest are the rules that fiber_rep_report and hamiltonian_reduce applied
+to it before they decided on Kronecker slots: of_element maps a PBW
+element to the sum of its term images on the rows, presentation_failure
+compares each relation's two sides there, alpha_diagonal_ok reads the
+diagonal of each I + x_i d_i, and unreached_row searches the row graph.
+report is the fiber-rep report of a dense model by those rules;
+fiber_rep_report must give the same bytes on the slots.
+moment_map_failure is the reduce verdict on a dense model, entry by
+entry; reduction.moment_map_failure must give the same witness on the
+slots.
 """
 
 from functools import reduce
 from itertools import chain
 from operator import add, mul
 
+from qweyl import fiber
 from qweyl.fiber import FullRep, Matrix, _residual, alpha_images, digits
 from qweyl.pbw import PBWElement
+
+
+def full_matrix_rep(point, emb) -> FullRep:
+    """The n-factor model on its ell^n rows, assembled from the rank-one
+    models in one pass; at n = 1 it is the rank-one model itself.
+
+    A placed entry (a, b) of the factor-i rank-one matrix is scaled, in a
+    row with digits r_j (j > i), by q^(sum_j t_j r_j) with the twist
+    exponents t_j of fiber._twist (the derivation is in fiber.slot_rep).
+    As the twist reads only the digits j > i, each block is twisted once,
+    then copied to ell^i bases.  The rank-one entries and the twist are
+    read through the fiber module, so a patch of either moves this model
+    as it moves slot_rep's.
+    """
+    F = point.field
+    P, local = fiber._rank1_models(point, emb)
+    ell = F.ell
+    n = point.n
+    size = ell ** n
+
+    def place(i: int, entries: list) -> Matrix:
+        step, cols, vals = ell ** i, [None] * size, [None] * size
+        for a, b, v in entries:
+            # sum_j t_j r_j at each value `high` of the digits j > i, as digits orders them
+            twists = [0]
+            for t in fiber._twist(P, i, a, b):
+                twists = [e + t * r for r in range(ell) for e in twists]
+            for high, e in enumerate(twists):  # the ell^i bases below `high` share the block
+                row, col = (high * ell + a) * step, (high * ell + b) * step
+                cols[row:row + step] = range(col, col + step)
+                vals[row:row + step] = (v * F.qpow(e),) * step
+        return Matrix._rows(F, tuple(cols), tuple(vals))
+
+    return FullRep(x=tuple(place(i, x) for i, (x, _) in enumerate(local)),
+                   d=tuple(place(i, d) for i, (_, d) in enumerate(local)))
 
 
 def of_element(rep: FullRep, a: PBWElement) -> Matrix:
@@ -123,3 +164,30 @@ def report(rep: FullRep, point, algebra) -> dict:
 def expanded(rep: FullRep) -> FullRep:
     """The dense model of a slot model: each image written out on its rows."""
     return FullRep(x=tuple(g.dense() for g in rep.x), d=tuple(g.dense() for g in rep.d))
+
+
+def moment_map_failure(rep: FullRep, emb, mu):
+    """The reduce verdict on the dense model rep: None, or the first alpha
+    image off the diagonal, the first row where prod_i alpha_i^(m_ij)
+    differs from mu[j], or the first stored entry (r, c) of x_i or d_i with
+    mu_r != q^(+-2 m_ij) mu_c; the checks and their order are those of
+    reduction.moment_map_failure."""
+    F = rep.field
+    alphas, diagonal = alpha_images(rep), tuple(range(rep.size))
+    for i, a in enumerate(alphas):
+        if a is None or a.cols != diagonal:
+            return {"alpha": f"a{i + 1}"}
+    for j, values in enumerate(mu):
+        model = [reduce(mul, (v ** m[j] for v, m in zip(row, emb.matrix) if m[j]))
+                 for row in zip(*(a.vals for a in alphas))]
+        for r, (got, want) in enumerate(zip(model, values, strict=True)):
+            if got != want:
+                return {"direction": j + 1, "row": r}
+        for i in range(emb.n):
+            for name, X, e in (("x", rep.x[i], 2), ("d", rep.d[i], -2)):
+                scale = F.qpow(e * emb.matrix[i][j])
+                for r, c in enumerate(X.cols):
+                    if c is not None and model[r] != scale * model[c]:
+                        return {"direction": j + 1, "generator": f"{name}{i + 1}",
+                                "entry": [r, c]}
+    return None

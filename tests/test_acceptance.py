@@ -9,7 +9,7 @@ from collections import Counter
 from itertools import product as iproduct
 
 from qweyl import (CycField, FiberPoint, Matrix, PBWAlgebra, TorusEmbedding,
-                   build_an_quiver_algebra, full_matrix_rep, hamiltonian_reduce,
+                   build_an_quiver_algebra, hamiltonian_reduce,
                    quiver_to_embedding, verify_central_z, verify_u1_relations)
 from qweyl.fiber import alpha_images
 from qweyl.linalg import SpanBasis, nullspace
@@ -18,6 +18,7 @@ from qweyl.quiver_examples import quiver_suite_report
 from qweyl.reduction import row_weights
 
 from braided import braided_product, placed, untwist
+from dense_model import full_matrix_rep
 from splitting import FiberAlgebra, endo_splitting_check
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from qweyl import (CycField, DifferenceOperator, FiberPoint, FullRep, Matrix,
                    OutsideAzumayaLocus, PBWAlgebra, TorusEmbedding,
-                   full_matrix_rep, quiver_to_embedding)
+                   quiver_to_embedding)
 from qweyl import fiber
 from qweyl.cli import build_point, run_suite, validate_config
 from qweyl.expr import evaluate_scalar
@@ -20,7 +20,7 @@ from qweyl.pbw import PBWElement
 
 from braided import braided_product, placed, untwist
 import dense_model
-from dense_model import expanded, of_element
+from dense_model import expanded, full_matrix_rep, of_element
 from dict_matrix import DictMatrix
 from scalars import poly
 import splitting
@@ -1324,11 +1324,14 @@ def assert_slot_report_is_the_dense_report(rep, p, A):
     return report
 
 
+# no mutation, or the arguments (kind, a, j, r, u) of mutated
+slot_mutations = st.one_of(st.none(), st.tuples(st.sampled_from(["drop", "scale", "move", "rescale"]),
+                                                st.integers(0, 7), st.integers(0, 3),
+                                                st.integers(0, 8), st.sampled_from([2, -1])))
+
+
 @settings(max_examples=40, deadline=None)
-@given(case=slot_cases(),
-       mutation=st.one_of(st.none(), st.tuples(st.sampled_from(["drop", "scale", "move", "rescale"]),
-                                               st.integers(0, 7), st.integers(0, 3),
-                                               st.integers(0, 8), st.sampled_from([2, -1]))))
+@given(case=slot_cases(), mutation=slot_mutations)
 def test_the_slot_model_agrees_with_the_dense_model(case, mutation):
     # the expansion of the slots is full_matrix_rep, and the slot report is
     # the dense report, on the model and on a mutant of one of its slots

@@ -14,13 +14,15 @@ from hypothesis import assume, given, settings, strategies as st
 from qweyl import fiber, reduction
 from qweyl import (CycField, FiberPoint, FullRep, Matrix,
                    OutsideAzumayaLocus, PBWAlgebra, SpanBasis,
-                   TorusEmbedding, admissible_etas, full_matrix_rep,
-                   hamiltonian_reduce, moment_map_failure, moment_values, phi_dagger)
+                   TorusEmbedding, admissible_etas, hamiltonian_reduce,
+                   moment_map_failure, moment_values, phi_dagger, slot_rep)
 from qweyl.cli import run_suite
-from qweyl.fiber import digits
+from qweyl.fiber import SlotImage, digits
 from qweyl.reduction import row_weights
 
-from dense_model import of_element
+import dense_model
+from dense_model import expanded, full_matrix_rep, of_element
+from test_fiber import frontier_point, mutated, slot_cases, slot_mutations
 
 
 def emb_sum():
@@ -133,19 +135,29 @@ def test_torsion_action_commutes_with_grading():
     p = FiberPoint(field=F, lam=((F.scalar(7), F.one), (F.zero, F.zero)),
                    gamma=(F.scalar(2), F.one))
     for emb in (emb_sum(), emb_diff(), emb_id2()):
-        assert moment_map_failure(full_matrix_rep(p, emb), emb, mu_of(p, emb)) is None
+        assert moment_map_failure(slot_rep(p, emb), emb, mu_of(p, emb)) is None
+        assert dense_model.moment_map_failure(full_matrix_rep(p, emb), emb, mu_of(p, emb)) is None
+
+
+def shifted(rep, i, j, k):
+    """The slot model rep with x_i -> x_i S and d_i -> S^-1 d_i (0-based
+    i), S the cyclic shift T^k of digit j in slot j and I in the others:
+    alpha_i = 1 + x_i d_i is unchanged, but x_i and d_i move digit j too."""
+    F, ell, n = rep.field, rep.field.ell, len(rep.x)
+
+    def shift(k):
+        slots = [Matrix.identity(F, ell)] * n
+        slots[j] = Matrix(F, ell, {((u + k) % ell, u): F.one for u in range(ell)})
+        return SlotImage(F.one, tuple(slots))
+
+    x, d = list(rep.x), list(rep.d)
+    x[i], d[i] = x[i] * shift(k), shift(-k) * d[i]
+    return FullRep(x=tuple(x), d=tuple(d))
 
 
 def shifted_rep(point, emb):
-    """full_matrix_rep with x_1 -> x_1 S and d_1 -> S^-1 d_1, S the cyclic
-    shift of the second coordinate: alpha_1 = 1 + x_1 d_1 is unchanged,
-    but x_1 and d_1 now move the second coordinate as well."""
-    rep = full_matrix_rep(point, emb)
-    F = rep.field
-    # with two factors, adding ell to a row index raises its second digit mod ell
-    S = Matrix(F, rep.size, {((idx + F.ell) % rep.size, idx): F.one for idx in range(rep.size)})
-    S_inv = Matrix(F, rep.size, {(c, r): v for (r, c), v in S.entries.items()})
-    return FullRep(x=(rep.x[0] * S,) + rep.x[1:], d=(S_inv * rep.d[0],) + rep.d[1:])
+    """slot_rep with x_1 and d_1 shifted by one in the second coordinate."""
+    return shifted(slot_rep(point, emb), 0, 1, 1)
 
 
 def test_torsion_action_check_fails_on_a_mutant(monkeypatch):
@@ -155,15 +167,17 @@ def test_torsion_action_check_fails_on_a_mutant(monkeypatch):
     # first entry (1, 8) in the direction that weighs the second coordinate
     for emb, direction in ((emb_sum(), 1), (emb_diff(), 1), (emb_id2(), 2)):
         A = PBWAlgebra(F, emb)
-        rep, bad = full_matrix_rep(p, emb), shifted_rep(p, emb)
+        rep, bad = slot_rep(p, emb), shifted_rep(p, emb)
         # the Euler images, hence mu, are those of the true model ...
         for i in (1, 2):
-            assert of_element(bad, A.alpha(i)) == of_element(rep, A.alpha(i))
+            assert of_element(expanded(bad), A.alpha(i)) == of_element(expanded(rep), A.alpha(i))
         mu = mu_of(p, emb)
-        # ... so only the conjugation by mu tells them apart
+        # ... so only the conjugation by mu tells them apart, on the slots as
+        # on the rows
         failure = moment_map_failure(bad, emb, mu)
         assert failure == {"direction": direction, "generator": "x1", "entry": [1, 8]}
-        monkeypatch.setattr(reduction, "full_matrix_rep", shifted_rep)
+        assert dense_model.moment_map_failure(expanded(bad), emb, mu) == failure
+        monkeypatch.setattr(reduction, "slot_rep", shifted_rep)
         res = hamiltonian_reduce(p, emb, phi_dagger(p, emb))
         assert not res["is_matrix_algebra"] and not res["module_action_bijective"]
         assert res["failed_moment_map"] == failure
@@ -172,8 +186,9 @@ def test_torsion_action_check_fails_on_a_mutant(monkeypatch):
         assert "failed_moment_map" not in hamiltonian_reduce(p, emb, phi_dagger(p, emb))
     # the moment values of another embedding are not the moment map of this
     # one: row 3, digits (0, 1), has weight 1 under (1), (1) and 2 under (1), (-1)
-    rep = full_matrix_rep(p, emb_sum())
-    assert moment_map_failure(rep, emb_sum(), mu_of(p, emb_diff())) == {"direction": 1, "row": 3}
+    rep, mu = slot_rep(p, emb_sum()), mu_of(p, emb_diff())
+    assert moment_map_failure(rep, emb_sum(), mu) == {"direction": 1, "row": 3}
+    assert dense_model.moment_map_failure(expanded(rep), emb_sum(), mu) == {"direction": 1, "row": 3}
 
 
 def test_an_alpha_off_the_diagonal_is_named(monkeypatch):
@@ -181,12 +196,86 @@ def test_an_alpha_off_the_diagonal_is_named(monkeypatch):
     # the check stops at it before any moment value is compared
     F = CycField(3)
     p, emb = trivial_point(F), emb_sum()
-    rep = full_matrix_rep(p, emb)
+    rep = slot_rep(p, emb)
     bad = FullRep(x=rep.x, d=(rep.d[0], rep.x[1]))
+    assert fiber.alpha_images(bad)[1] is None  # two entries in a row of slot 1
     assert moment_map_failure(bad, emb, mu_of(p, emb)) == {"alpha": "a2"}
-    monkeypatch.setattr(reduction, "full_matrix_rep", lambda *args: bad)
+    assert dense_model.moment_map_failure(expanded(bad), emb, mu_of(p, emb)) == {"alpha": "a2"}
+    monkeypatch.setattr(reduction, "slot_rep", lambda *args: bad)
     res = hamiltonian_reduce(p, emb, phi_dagger(p, emb))
     assert res["ok"] is False and res["failed_moment_map"] == {"alpha": "a2"}
+
+
+def test_an_alpha_of_no_slot_image_is_decided_on_its_expansion(monkeypatch):
+    # d_1 carries x_1's twist diagonal Z^2 in slot 1 in place of its inverse:
+    # x_1 d_1 = XD (x) Z^4 differs from I in both slots, so the slot alpha is
+    # None, but its expansion is diagonal; the dense rule then finds the
+    # product of direction 1 wrong at row 3, where a slot-only rule would
+    # stop at a1
+    F = CycField(3)
+    p = FiberPoint(field=F, lam=((F.scalar(7), F.one), (F.zero, F.zero)),
+                   gamma=(F.scalar(2), F.one))
+    emb = emb_sum()
+    rep = slot_rep(p, emb)
+    x1, d1 = rep.x[0], rep.d[0]
+    assert x1.slots[1] != d1.slots[1]
+    bad = FullRep(x=rep.x, d=(SlotImage(d1.scalar, (d1.slots[0], x1.slots[1])), rep.d[1]))
+    assert fiber.alpha_images(bad)[0] is None
+    mu = mu_of(p, emb)
+    assert moment_map_failure(bad, emb, mu) == {"direction": 1, "row": 3}
+    assert dense_model.moment_map_failure(expanded(bad), emb, mu) == {"direction": 1, "row": 3}
+    monkeypatch.setattr(reduction, "slot_rep", lambda *args: bad)
+    assert hamiltonian_reduce(p, emb, phi_dagger(p, emb))["failed_moment_map"] == {
+        "direction": 1, "row": 3}
+    # with mu read off this model, the products pass, but they are no
+    # product over the digits, so the slots certify no conjugation: x_1
+    # fails at (3, 4), off the rows with digit 2 = 0 that a slot
+    # certificate reads
+    alpha1, alpha2 = fiber.alpha_images(expanded(bad))
+    own = [[a * b for a, b in zip(alpha1.vals, alpha2.vals)]]  # weights (1), (1)
+    failure = {"direction": 1, "generator": "x1", "entry": [3, 4]}
+    assert moment_map_failure(bad, emb, own) == failure
+    assert dense_model.moment_map_failure(expanded(bad), emb, own) == failure
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=slot_cases(), mutation=slot_mutations,
+       shift=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 8))))
+def test_the_slot_moment_map_agrees_with_the_dense_oracle(case, mutation, shift):
+    # on the slot model, on a mutant of one of its slots and on a shifted
+    # x_i, d_i pair, which keeps the alpha images and so reaches the
+    # conjugation check, the slot verdict names the dense rule's witness on
+    # the expanded rows
+    emb, p = case
+    mu, slots = mu_of(p, emb), slot_rep(p, emb)
+    assert moment_map_failure(slots, emb, mu) is None
+    assert dense_model.moment_map_failure(full_matrix_rep(p, emb), emb, mu) is None
+    bad = slots
+    if mutation is not None:
+        kind, a, j, r, u = mutation
+        bad = mutated(bad, kind, a, j, r, p.field.scalar(u))
+    if shift is not None:
+        i, j, k = shift
+        bad = shifted(bad, i % p.n, j % p.n, k)
+    assert moment_map_failure(bad, emb, mu) == dense_model.moment_map_failure(expanded(bad), emb, mu)
+
+
+def test_a_passing_reduce_expands_only_its_alpha_images(monkeypatch):
+    # at ell 3, n 6 the model has 729 rows; a passing reduce writes out its
+    # n alpha images and certifies every conjugation on the slots
+    F = CycField(3)
+    emb = TorusEmbedding(matrix=((1,),) * 6, form=((2,),))
+    p = frontier_point(F, 6)
+    dense, expanded_images = SlotImage.dense, []
+
+    def counted(self):
+        expanded_images.append(self)
+        return dense(self)
+
+    monkeypatch.setattr(SlotImage, "dense", counted)
+    res = hamiltonian_reduce(p, emb, phi_dagger(p, emb))
+    assert res["ok"] and res["module_dim"] == 3 ** 5
+    assert len(expanded_images) == 6
 
 
 # -- moment diagonals ---------------------------------------------------------
@@ -237,13 +326,19 @@ def test_moment_conjugation_with_negative_weights():
 def test_moment_products_never_start_from_the_unit(monkeypatch):
     # each row's model value multiplies its factors alpha_i^(m_ij), m_ij != 0,
     # with no product by the unit to start it: on the weights (1), (1) that is
-    # one product per row, 9 fewer than a product started from 1 makes
+    # one product per row, 9 fewer than a product started from 1 makes; a
+    # certified conjugation of x_i or d_i makes one product per entry of its
+    # slot i, not one per entry of its 9 rows
     from qweyl.cyclotomic import CycScalar
     F = CycField(3)
     emb = emb_sum()
     p = FiberPoint(field=F, lam=((F.zero, F.zero), (F.scalar(7), F.one)),
                    gamma=(F.one, F.scalar(2)))
-    rep, mu = full_matrix_rep(p, emb), mu_of(p, emb)
+    rep, mu = slot_rep(p, emb), mu_of(p, emb)
+    # mu_(a 3^i) = q^(+-2) mu_(b 3^i) per entry (a, b) of slot i
+    conjugations = sum(len(G.slots[i].entries) for i in range(2) for G in (rep.x[i], rep.d[i]))
+    rows = sum(len(G.dense().entries) for G in rep.x + rep.d)
+    assert (conjugations, rows) == (10, 30)
     mul, calls = CycScalar.__mul__, [0]
 
     def counted(self, other):
@@ -252,10 +347,10 @@ def test_moment_products_never_start_from_the_unit(monkeypatch):
 
     monkeypatch.setattr(CycScalar, "__mul__", counted)
     monkeypatch.setattr(CycScalar, "__rmul__", counted)
-    fiber.alpha_images(rep)
+    for alpha in fiber.alpha_images(rep):
+        alpha.dense()
     alpha_products, calls[0] = calls[0], 0
     assert moment_map_failure(rep, emb, mu) is None
-    conjugations = sum(len(G.entries) for G in rep.x + rep.d)  # mu_r = q^(+-2) mu_c per entry
     assert calls[0] == alpha_products + 9 + conjugations
     # phi_dagger multiplies the two gammas once, and no unit
     calls[0] = 0

@@ -289,14 +289,17 @@ def test_one_printer_of_a_key():
 
 def test_one_builder_of_the_moment_map_on_each_side():
     # the matrix images I + x_i d_i are built by alpha_images alone (on the
-    # slots for fiber_rep_report, on one factor's expansion for _alpha_holds
-    # when the slots cannot certify, on the dense rows for
-    # moment_map_failure), and the algebra identity alpha_i g = q^(2 s_i) g
+    # slots for fiber_rep_report and moment_map_failure, on one factor's
+    # expansion in _expanded_alpha when the slots give none), their rows are
+    # written out by _expanded_alpha alone, for _alpha_holds and
+    # moment_map_failure, and the algebra identity alpha_i g = q^(2 s_i) g
     # alpha_i is checked by verify_qmm alone: no second copy of either can
     # grow back
-    assert callers_of("alpha_images") == [("fiber.py", "_alpha_holds"),
+    assert callers_of("alpha_images") == [("fiber.py", "_expanded_alpha"),
                                           ("fiber.py", "fiber_rep_report"),
                                           ("reduction.py", "moment_map_failure")]
+    assert callers_of("_expanded_alpha") == [("fiber.py", "_alpha_holds"),
+                                             ("reduction.py", "moment_map_failure")]
     assert callers_of("verify_qmm") == [("pbw.py", "qmm_report"), ("pbw.py", "center_report")]
     assert not hasattr(qweyl.fiber, "Rank1Rep") and not hasattr(qweyl.pbw, "_alpha_scales_by_weight")
 
@@ -356,15 +359,40 @@ def test_one_twist_formula_on_each_side():
 
 def test_one_twist_rule_for_both_models():
     # the twist exponent (b - a) P_ji of a placed entry is written once, in
-    # fiber._twist, which full_matrix_rep (dense rows, for reduce) and
-    # slot_rep (Kronecker slots, for fiber-rep) both read, so the two models
-    # cannot drift apart; no other twist or placement exponent is written
+    # fiber._twist, which slot_rep, the one builder of the model, reads (as
+    # does the dense oracle in tests/dense_model.py, so the two cannot drift
+    # apart); no other twist or placement exponent is written
     texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     found = {name: text.count("(b - a) * P[j][i]") for name, text in texts.items()}
     assert sum(found.values()) == 1 and found["fiber.py"] == 1, found
     assert "(b - a) * P[j][i]" in inspect.getsource(qweyl.fiber._twist)
     assert sum(text.count("(b - a) *") + text.count("(a - b) *") for text in texts.values()) == 1
-    assert callers_of("_twist") == [("fiber.py", "full_matrix_rep"), ("fiber.py", "slot_rep")]
+    assert callers_of("_twist") == [("fiber.py", "slot_rep")]
+
+
+def test_one_builder_of_the_matrix_model():
+    # fiber-rep and reduce decide on the one slot model: the dense builder
+    # is the test oracle in tests/dense_model.py, and hamiltonian_reduce
+    # passes slot_rep's model to moment_map_failure
+    assert not hasattr(qweyl.fiber, "full_matrix_rep") and "full_matrix_rep" not in qweyl.__all__
+    assert "slot_rep" in qweyl.__all__
+    assert callers_of("slot_rep") == [("fiber.py", "fiber_rep_report"),
+                                      ("reduction.py", "hamiltonian_reduce")]
+    assert callers_of("moment_map_failure") == [("reduction.py", "hamiltonian_reduce")]
+
+
+def test_the_one_digit_premise_is_written_once():
+    # the premise that a slot image moves one digit alone (a nonzero scalar
+    # and a full diagonal with no zero entry in every other slot) is stated
+    # in moves_one_digit alone, which the row-graph lemma of unreached_row
+    # and the conjugation certificate of moment_map_failure both read
+    premise = "s.cols == diagonal and all(s.vals)"
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = {name: text.count(premise) for name, text in texts.items() if premise in text}
+    assert found == {"fiber.py": 1}, found
+    assert premise in inspect.getsource(qweyl.fiber.moves_one_digit)
+    assert callers_of("moves_one_digit") == [("fiber.py", "unreached_row"),
+                                             ("reduction.py", "moment_map_failure")]
 
 
 def test_scalars_are_built_by_arithmetic_only():
@@ -441,7 +469,7 @@ SHARED_NAME_READERS = {
     "CycScalar._coerce": "cyclotomic.py:CycScalar.__add__",
     "DifferenceOperator.identity": "quiver_examples.py:verify_u1_relations",
     "DifferenceOperator.scale": "quiver_examples.py:verify_u1_relations",
-    "FiberPoint.n": "fiber.py:full_matrix_rep",
+    "FiberPoint.n": "fiber.py:slot_rep",
     "Matrix.identity": "fiber.py:slot_rep",
     "Matrix.scale": "fiber.py:SlotImage.__add__",
     "PBWAlgebra.d": "pbw.py:PBWAlgebra.generators",
